@@ -151,25 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_layout_is_bit_equal_on_peeling_cascade() {
-        // k-Core's decrements are non-idempotent: a chunked-layout
-        // divergence in first-change dedup or publish order would
-        // corrupt the peel, not just reorder it.
-        use simdx_core::MetadataLayout;
-        let g = datasets::dataset("OR").unwrap().build_scaled(7, 4);
-        let flat = run(
-            &g,
-            DEFAULT_K,
-            EngineConfig::default().with_layout(MetadataLayout::Flat),
-        )
-        .expect("kcore flat");
-        let chunked = run(&g, DEFAULT_K, EngineConfig::default().chunked()).expect("kcore chunked");
-        assert_eq!(chunked.meta, flat.meta);
-        assert_eq!(chunked.report.log, flat.report.log);
-        assert_eq!(chunked.report.stats, flat.report.stats);
-    }
-
-    #[test]
     fn survivors_keep_k_surviving_in_neighbors() {
         let g = datasets::dataset("PK").unwrap().build_scaled(9, 5);
         let k = 8;

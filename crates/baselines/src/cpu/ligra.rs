@@ -1,5 +1,5 @@
 //! Ligra-style CPU baseline: frontier BSP with push/pull direction
-//! switching, executed with real `crossbeam` worker threads.
+//! switching, executed with real scoped worker threads.
 //!
 //! Ligra's signature mechanisms, all present here: `edgeMap` over a
 //! sparse frontier (push) with compare-and-swap updates, the
@@ -103,12 +103,12 @@ fn relax_run(
             let chunk = n.div_ceil(threads).max(1);
             let snap = &snapshot;
             let dist_ref = &dist;
-            let collected: Vec<Vec<(VertexId, u32)>> = crossbeam::scope(|s| {
+            let collected: Vec<Vec<(VertexId, u32)>> = std::thread::scope(|s| {
                 let mut handles = Vec::new();
                 for t in 0..threads {
                     let lo = (t * chunk).min(n);
                     let hi = ((t + 1) * chunk).min(n);
-                    handles.push(s.spawn(move |_| {
+                    handles.push(s.spawn(move || {
                         let mut local = Vec::new();
                         for v in lo..hi {
                             // BFS restricts the backward map to unvisited
@@ -152,18 +152,17 @@ fn relax_run(
                     .into_iter()
                     .map(|h| h.join().expect("worker"))
                     .collect()
-            })
-            .expect("scope");
+            });
             collected.into_iter().flatten().collect()
         } else {
             // Sparse forward edgeMap: CAS-min relaxations.
             let chunk = frontier.len().div_ceil(threads).max(1);
             let dist_ref = &dist;
             let frontier_ref = &frontier;
-            let collected: Vec<Vec<(VertexId, u32)>> = crossbeam::scope(|s| {
+            let collected: Vec<Vec<(VertexId, u32)>> = std::thread::scope(|s| {
                 let mut handles = Vec::new();
                 for part in frontier_ref.chunks(chunk) {
-                    handles.push(s.spawn(move |_| {
+                    handles.push(s.spawn(move || {
                         let mut local = Vec::new();
                         for &(v, dv) in part {
                             let (elo, ehi) = out.range(v);
@@ -187,8 +186,7 @@ fn relax_run(
                     .into_iter()
                     .map(|h| h.join().expect("worker"))
                     .collect()
-            })
-            .expect("scope");
+            });
             collected.into_iter().flatten().collect()
         };
 
@@ -299,12 +297,12 @@ pub fn pagerank(
         let chunk = n.div_ceil(threads).max(1);
         let rank_ref = &rank;
         let inv_ref = &inv_deg;
-        let parts: Vec<(Vec<f32>, bool)> = crossbeam::scope(|s| {
+        let parts: Vec<(Vec<f32>, bool)> = std::thread::scope(|s| {
             let mut handles = Vec::new();
             for t in 0..threads {
                 let lo = (t * chunk).min(n);
                 let hi = ((t + 1) * chunk).min(n);
-                handles.push(s.spawn(move |_| {
+                handles.push(s.spawn(move || {
                     let mut local = Vec::with_capacity(hi - lo);
                     let mut moved = false;
                     for v in lo..hi {
@@ -327,8 +325,7 @@ pub fn pagerank(
                 .into_iter()
                 .map(|h| h.join().expect("worker"))
                 .collect()
-        })
-        .expect("scope");
+        });
 
         let moved = parts.iter().any(|(_, m)| *m);
         rank = parts.into_iter().flat_map(|(part, _)| part).collect();
@@ -390,10 +387,10 @@ pub fn kcore(graph: &Graph, k: u32, cfg: LigraConfig) -> Result<RunResult<u32>, 
         let chunk = frontier.len().div_ceil(threads).max(1);
         let deg_ref = &deg;
         let frontier_ref = &frontier;
-        let collected: Vec<Vec<VertexId>> = crossbeam::scope(|s| {
+        let collected: Vec<Vec<VertexId>> = std::thread::scope(|s| {
             let mut handles = Vec::new();
             for part in frontier_ref.chunks(chunk) {
-                handles.push(s.spawn(move |_| {
+                handles.push(s.spawn(move || {
                     let mut local = Vec::new();
                     for &v in part {
                         for &u in out.neighbors(v) {
@@ -420,8 +417,7 @@ pub fn kcore(graph: &Graph, k: u32, cfg: LigraConfig) -> Result<RunResult<u32>, 
                 .into_iter()
                 .map(|h| h.join().expect("worker"))
                 .collect()
-        })
-        .expect("scope");
+        });
 
         let tasks: Vec<Cost> = frontier
             .iter()

@@ -9,7 +9,7 @@
 //! cache-hierarchy machine (cheap sequential access, DRAM-latency
 //! random access, moderately cheap atomics).
 //!
-//! The functional work in [`ligra`] runs with *real* `crossbeam` scoped
+//! The functional work in [`ligra`] runs with *real* `std::thread::scope`
 //! threads and atomic metadata — results are deterministic because
 //! every parallel update is a monotonic min/sub on an atomic integer
 //! (confluent operations), while simulated time comes from the cost

@@ -10,16 +10,14 @@ use simdx_algos::bfs::Bfs;
 use simdx_algos::pagerank::PageRank;
 use simdx_bench::run_one;
 use simdx_core::acc::{AccProgram, CombineKind};
-use simdx_core::filters::ballot::{self, WarpScanScratch};
+use simdx_core::filters::ballot;
 use simdx_core::filters::{online, strided};
 use simdx_core::frontier::ThreadBins;
-use simdx_core::{
-    EngineConfig, ExecMode, FrontierRepr, MetadataLayout, MetadataStore, PushStrategy, Runtime,
-};
+use simdx_core::{EngineConfig, ExecMode, FrontierRepr, Runtime};
 use simdx_gpu::occupancy::occupancy;
 use simdx_gpu::warp;
 use simdx_gpu::{DeviceSpec, GpuExecutor, KernelDesc};
-use simdx_graph::gen::{ChungLu, Rmat, Road};
+use simdx_graph::gen::{ChungLu, Road};
 use simdx_graph::{datasets, Graph, VertexId, Weight};
 
 /// Minimal program for the filter benches.
@@ -197,126 +195,6 @@ fn bench_frontier_reprs(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_metadata_layouts(c: &mut Criterion) {
-    // A/B of the metadata layouts (bit-equal by contract).
-    //
-    // The raw pair is the load-bearing primitive: one dense ballot
-    // sweep over RMAT-scale-14-sized metadata (every 3rd vertex
-    // changed, so the scan cannot skip), flat scalar loop vs the
-    // chunked fixed-width lane sweep over the 64-byte-aligned store.
-    // The engine pair measures the end-to-end effect on a skewed
-    // scale-14 RMAT graph — BFS is ballot/push heavy, PageRank drives
-    // the pull-vote candidate sweep and the bitmap publish.
-    let n = 1 << 14;
-    let prev_v = vec![0u32; n];
-    let mut curr_v = prev_v.clone();
-    for i in (0..n).step_by(3) {
-        curr_v[i] = 1;
-    }
-    let flat_prev = MetadataStore::from_vec(MetadataLayout::Flat, prev_v.clone());
-    let flat_curr = MetadataStore::from_vec(MetadataLayout::Flat, curr_v.clone());
-    let chunk_prev = MetadataStore::from_vec(MetadataLayout::Chunked, prev_v);
-    let chunk_curr = MetadataStore::from_vec(MetadataLayout::Chunked, curr_v);
-
-    let mut group = c.benchmark_group("metadata_layout");
-    group.sample_size(20);
-    group.bench_function("ballot_sweep_16k/flat", |b| {
-        let mut out = WarpScanScratch::default();
-        b.iter(|| {
-            out.clear();
-            ballot::scan_range(
-                &Diff,
-                flat_curr.as_slice(),
-                flat_prev.as_slice(),
-                0,
-                n,
-                &mut out,
-            );
-            out.active.len()
-        })
-    });
-    group.bench_function("ballot_sweep_16k/chunked", |b| {
-        let mut out = WarpScanScratch::default();
-        b.iter(|| {
-            out.clear();
-            ballot::scan_range_chunked(
-                &Diff,
-                chunk_curr.as_slice(),
-                chunk_prev.as_slice(),
-                0,
-                n,
-                &mut out,
-            );
-            out.active.len()
-        })
-    });
-
-    let g = Graph::directed_from_edges(Rmat::gtgraph(14, 8).generate(5));
-    let src = 0;
-    for layout in [MetadataLayout::Flat, MetadataLayout::Chunked] {
-        group.bench_with_input(
-            BenchmarkId::new("bfs_rmat14", layout.label()),
-            &g,
-            |b, g| {
-                b.iter(|| {
-                    run_one(
-                        g,
-                        EngineConfig::default().with_layout(layout),
-                        Bfs::new(src),
-                    )
-                    .expect("bfs")
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("pagerank_rmat14", layout.label()),
-            &g,
-            |b, g| {
-                b.iter(|| {
-                    run_one(
-                        g,
-                        EngineConfig::default().with_layout(layout),
-                        PageRank::new(g),
-                    )
-                    .expect("pagerank")
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_push_strategies(c: &mut Criterion) {
-    // A/B of the parallel push strategies (bit-equal by contract):
-    // Scan replays the whole task list per destination shard, Grid
-    // iterates the bind-time destination-bucketed sub-CSRs, so the
-    // delta is the redundant scan work. Push-heavy regimes only —
-    // BFS under the fixed-push policy on a skewed graph, both
-    // frontier representations. Queries run over one bound session so
-    // the grid build cost is amortized the way a service would pay it
-    // (bind once, push every iteration of every query).
-    let g = datasets::dataset("PK").expect("PK").build_scaled(3, 2);
-    let src = datasets::default_source(g.out());
-    let mut group = c.benchmark_group("push_strategy");
-    group.sample_size(10);
-    for push in [PushStrategy::Scan, PushStrategy::Grid] {
-        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-            let cfg = EngineConfig::default()
-                .with_direction(simdx_core::DirectionPolicy::FixedPush)
-                .parallel(2)
-                .with_frontier(repr)
-                .with_push(push);
-            let runtime = Runtime::new(cfg).expect("runtime");
-            let bound = runtime.bind(&g);
-            group.bench_function(
-                BenchmarkId::new(format!("bfs_{}", repr.label()), push.label()),
-                |b| b.iter(|| bound.run(Bfs::new(src)).execute().expect("bfs")),
-            );
-        }
-    }
-    group.finish();
-}
-
 fn bench_session_reuse(c: &mut Criterion) {
     // The api_redesign A/B: a 16-source BFS batch on RMAT scale-14,
     // fresh runtime (pool + scratch + fences) per query vs one reused
@@ -357,8 +235,6 @@ criterion_group!(
     bench_engine,
     bench_exec_modes,
     bench_frontier_reprs,
-    bench_metadata_layouts,
-    bench_push_strategies,
     bench_session_reuse
 );
 criterion_main!(benches);

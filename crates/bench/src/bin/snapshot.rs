@@ -1,38 +1,30 @@
 //! Machine-readable host-performance snapshot: writes
 //! `BENCH_engine.json` with *wall-clock* engine runtimes (not simulated
 //! cycles — those are identical by the determinism contract) for every
-//! algorithm × graph × [`ExecMode`] × [`FrontierRepr`] ×
-//! [`MetadataLayout`] × [`PushStrategy`], so the repo's perf
-//! trajectory is comparable across commits. Four dedicated groups make
+//! algorithm × graph × [`ExecMode`] × [`FrontierRepr`], so the repo's
+//! perf trajectory is comparable across commits. Dedicated groups make
 //! the A/Bs directly readable: `frontier_comparison` pairs each List
-//! cell with its Bitmap counterpart (same layout/strategy),
-//! `layout_comparison` pairs each Flat cell with its Chunked
-//! counterpart (same representation/strategy), `push_comparison` runs
-//! a dedicated fixed-push BFS batch over one bound session per
-//! parallel mode × strategy (the work-optimality A/B, with the grid's
-//! one-off bind cost in its own `grid_bind_ms` column; serial samples
-//! carry the default `grid` label because a one-shard run cannot
-//! differ), and `session_reuse` pairs a
+//! cell with its Bitmap counterpart, `session_reuse` pairs a
 //! fresh-engine-per-query 16-source BFS batch with the same batch over
 //! one reused `BoundGraph`, and `supervision` pairs that same bound
 //! batch run unsupervised against the identical batch run with every
 //! supervision limit armed (cancel token + deadline + cycle budget) —
 //! the overhead of the in-sweep polls and boundary checks, pinned
-//! ≤ 2% on the scale-14 reference workload. A sixth group, `serving`,
+//! ≤ 2% on the scale-14 reference workload. A fourth group, `serving`,
 //! drives the closed-loop concurrent front-end: the same rmat14 BFS
 //! workload ×4 pushed through a [`QueryPool`] at several serving
 //! widths with per-query supervision armed (live cancel token plus a
 //! far submission-measured deadline), reporting queries/sec and
 //! p50/p99 submission-to-completion latency per concurrency level.
-//! A seventh group, `resilience`, A/Bs the same serving batch with
+//! A fifth group, `resilience`, A/Bs the same serving batch with
 //! checkpoint capture off vs armed on every query
 //! ([`ServiceConfig::checkpoint_aborts`]), pinning the cost of
-//! keeping every in-flight query resumable ≤ 5%. An eighth group,
+//! keeping every in-flight query resumable ≤ 5%. A sixth group,
 //! `durability`, A/Bs that batch again with no durability vs a
 //! `DirStore`-backed [`ServiceConfig::durability`] policy armed —
 //! the standing happy-path cost of the durable spill machinery
 //! (nothing fails, so nothing is written), pinned ≤ 5% as well
-//! (schema v9; every sample carries an `api` field: `fresh` = a new
+//! (schema v10; every sample carries an `api` field: `fresh` = a new
 //! runtime per query, `bound` = queries over one bound session).
 //!
 //! Usage:
@@ -49,8 +41,8 @@
 use simdx_algos::{bfs::Bfs, kcore::KCore, pagerank::PageRank, sssp::Sssp};
 use simdx_bench::{run_one, session_reuse_workload};
 use simdx_core::{
-    CancelToken, DirStore, DirectionPolicy, DurabilityPolicy, EngineConfig, ExecMode, FrontierRepr,
-    MetadataLayout, PushStrategy, QueryPool, QueryRequest, Runtime, ServiceConfig,
+    CancelToken, DirStore, DurabilityPolicy, EngineConfig, ExecMode, FrontierRepr, QueryPool,
+    QueryRequest, Runtime, ServiceConfig,
 };
 use simdx_graph::gen::{Erdos, Rmat, Road};
 use simdx_graph::{weights, Graph, VertexId};
@@ -112,13 +104,8 @@ struct Sample {
     num_edges: u64,
     mode: String,
     frontier_repr: &'static str,
-    metadata_layout: &'static str,
-    /// Parallel push strategy the cell ran under (serial cells carry
-    /// the default `grid` label — the knob cannot affect them).
-    push_strategy: &'static str,
     /// Which API produced the sample: `fresh` builds a runtime per
-    /// query (the historical `Engine::new(..).run()` cost model),
-    /// `bound` runs queries over one reused `BoundGraph`.
+    /// query, `bound` runs queries over one reused `BoundGraph`.
     api: &'static str,
     /// Best-of-reps wall-clock milliseconds of the host computation.
     wall_ms: f64,
@@ -137,54 +124,36 @@ fn measure(
     run: impl Fn(EngineConfig) -> (f64, u32),
 ) {
     for &mode in modes {
-        // The push strategy only reaches the parallel backend; serial
-        // cells are measured once under the default grid label.
-        let strategies: &[PushStrategy] = match mode {
-            ExecMode::Serial => &[PushStrategy::Grid],
-            ExecMode::Parallel { .. } => &[PushStrategy::Scan, PushStrategy::Grid],
-        };
-        for &push in strategies {
-            for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-                for layout in [MetadataLayout::Flat, MetadataLayout::Chunked] {
-                    let mut best_wall = f64::INFINITY;
-                    let mut sim = 0.0;
-                    let mut iters = 0;
-                    for _ in 0..reps {
-                        let start = Instant::now();
-                        let (simulated_ms, iterations) = run(EngineConfig::default()
-                            .with_exec(mode)
-                            .with_frontier(repr)
-                            .with_layout(layout)
-                            .with_push(push));
-                        let wall = start.elapsed().as_secs_f64() * 1e3;
-                        best_wall = best_wall.min(wall);
-                        sim = simulated_ms;
-                        iters = iterations;
-                    }
-                    eprintln!(
-                        "{algorithm:>8} × {graph_name:<8} × {:<12} × {:<6} × {:<7} × {:<4} \
-                         {best_wall:>9.2} ms wall",
-                        mode.label(),
-                        repr.label(),
-                        layout.label(),
-                        push.label(),
-                    );
-                    samples.push(Sample {
-                        algorithm,
-                        graph: graph_name.to_string(),
-                        num_vertices: g.num_vertices(),
-                        num_edges: g.num_edges(),
-                        mode: mode.label(),
-                        frontier_repr: repr.label(),
-                        metadata_layout: layout.label(),
-                        push_strategy: push.label(),
-                        api: "fresh",
-                        wall_ms: best_wall,
-                        simulated_ms: sim,
-                        iterations: iters,
-                    });
-                }
+        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
+            let mut best_wall = f64::INFINITY;
+            let mut sim = 0.0;
+            let mut iters = 0;
+            for _ in 0..reps {
+                let start = Instant::now();
+                let (simulated_ms, iterations) =
+                    run(EngineConfig::default().with_exec(mode).with_frontier(repr));
+                let wall = start.elapsed().as_secs_f64() * 1e3;
+                best_wall = best_wall.min(wall);
+                sim = simulated_ms;
+                iters = iterations;
             }
+            eprintln!(
+                "{algorithm:>8} × {graph_name:<8} × {:<12} × {:<6} {best_wall:>9.2} ms wall",
+                mode.label(),
+                repr.label(),
+            );
+            samples.push(Sample {
+                algorithm,
+                graph: graph_name.to_string(),
+                num_vertices: g.num_vertices(),
+                num_edges: g.num_edges(),
+                mode: mode.label(),
+                frontier_repr: repr.label(),
+                api: "fresh",
+                wall_ms: best_wall,
+                simulated_ms: sim,
+                iterations: iters,
+            });
         }
     }
 }
@@ -330,8 +299,6 @@ fn main() {
                 num_edges: rmat14.num_edges(),
                 mode: mode.label(),
                 frontier_repr: FrontierRepr::default().label(),
-                metadata_layout: MetadataLayout::default().label(),
-                push_strategy: PushStrategy::default().label(),
                 api,
                 wall_ms,
                 simulated_ms: sim_ms,
@@ -639,7 +606,7 @@ fn main() {
     // Hand-rolled JSON (the workspace builds without a registry; see
     // crates/compat/README.md).
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"simdx-bench-engine/9\",\n");
+    out.push_str("{\n  \"schema\": \"simdx-bench-engine/10\",\n");
     let _ = writeln!(out, "  \"scale\": {},", args.scale);
     let _ = writeln!(out, "  \"reps\": {},", args.reps);
     let _ = writeln!(
@@ -655,16 +622,14 @@ fn main() {
             out,
             "    {{\"algorithm\": \"{}\", \"graph\": \"{}\", \"num_vertices\": {}, \
              \"num_edges\": {}, \"mode\": \"{}\", \"frontier_repr\": \"{}\", \
-             \"metadata_layout\": \"{}\", \"push_strategy\": \"{}\", \"api\": \"{}\", \
-             \"wall_ms\": {:.3}, \"simulated_ms\": {:.3}, \"iterations\": {}}}",
+             \"api\": \"{}\", \"wall_ms\": {:.3}, \"simulated_ms\": {:.3}, \
+             \"iterations\": {}}}",
             json_escape(s.algorithm),
             json_escape(&s.graph),
             s.num_vertices,
             s.num_edges,
             json_escape(&s.mode),
             s.frontier_repr,
-            s.metadata_layout,
-            s.push_strategy,
             s.api,
             s.wall_ms,
             s.simulated_ms,
@@ -674,8 +639,8 @@ fn main() {
     }
     out.push_str("  ],\n");
 
-    // The List-vs-Bitmap A/B, paired per (algorithm, graph, mode,
-    // layout, strategy): speedup > 1 means the bitmap representation
+    // The List-vs-Bitmap A/B, paired per (algorithm, graph, mode):
+    // speedup > 1 means the bitmap representation
     // was faster on the host. Results are bit-equal by contract, so
     // this is pure representation overhead/win.
     out.push_str("  \"frontier_comparison\": [\n");
@@ -690,8 +655,6 @@ fn main() {
                         && b.algorithm == list.algorithm
                         && b.graph == list.graph
                         && b.mode == list.mode
-                        && b.metadata_layout == list.metadata_layout
-                        && b.push_strategy == list.push_strategy
                 })
                 .map(|bitmap| (list, bitmap))
         })
@@ -700,13 +663,10 @@ fn main() {
         let _ = write!(
             out,
             "    {{\"algorithm\": \"{}\", \"graph\": \"{}\", \"mode\": \"{}\", \
-             \"metadata_layout\": \"{}\", \"push_strategy\": \"{}\", \"list_ms\": {:.3}, \
-             \"bitmap_ms\": {:.3}, \"bitmap_speedup\": {:.3}}}",
+             \"list_ms\": {:.3}, \"bitmap_ms\": {:.3}, \"bitmap_speedup\": {:.3}}}",
             json_escape(list.algorithm),
             json_escape(&list.graph),
             json_escape(&list.mode),
-            list.metadata_layout,
-            list.push_strategy,
             list.wall_ms,
             bitmap.wall_ms,
             if bitmap.wall_ms > 0.0 {
@@ -716,141 +676,6 @@ fn main() {
             }
         );
         out.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-
-    // The Flat-vs-Chunked A/B, paired per (algorithm, graph, mode,
-    // repr, strategy): speedup > 1 means the warp-chunked metadata
-    // layout was faster on the host — again pure layout overhead/win
-    // under the bit-equality contract.
-    out.push_str("  \"layout_comparison\": [\n");
-    let pairs: Vec<(&Sample, &Sample)> = samples
-        .iter()
-        .filter(|s| s.metadata_layout == "flat")
-        .filter_map(|flat| {
-            samples
-                .iter()
-                .find(|c| {
-                    c.metadata_layout == "chunked"
-                        && c.algorithm == flat.algorithm
-                        && c.graph == flat.graph
-                        && c.mode == flat.mode
-                        && c.frontier_repr == flat.frontier_repr
-                        && c.push_strategy == flat.push_strategy
-                })
-                .map(|chunked| (flat, chunked))
-        })
-        .collect();
-    for (i, (flat, chunked)) in pairs.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"algorithm\": \"{}\", \"graph\": \"{}\", \"mode\": \"{}\", \
-             \"frontier_repr\": \"{}\", \"push_strategy\": \"{}\", \"flat_ms\": {:.3}, \
-             \"chunked_ms\": {:.3}, \"chunked_speedup\": {:.3}}}",
-            json_escape(flat.algorithm),
-            json_escape(&flat.graph),
-            json_escape(&flat.mode),
-            flat.frontier_repr,
-            flat.push_strategy,
-            flat.wall_ms,
-            chunked.wall_ms,
-            if chunked.wall_ms > 0.0 {
-                flat.wall_ms / chunked.wall_ms
-            } else {
-                0.0
-            }
-        );
-        out.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-
-    // The Scan-vs-Grid A/B: speedup > 1 means the work-optimal grid
-    // replay beat the scan-and-skip replay on the steady-state query
-    // path. Measured over a *bound* session — a service binds once and
-    // pushes on every iteration of every query — with the grid's
-    // one-off bind-time build cost reported separately per row
-    // (`grid_bind_ms`; the fresh-per-query cost model is visible in
-    // the main sample matrix instead, where `api` is `fresh`). NOTE
-    // the single-CPU caveat: with one hardware core the parallel
-    // workers time-slice, so the scan strategy's threads× redundant
-    // traversals cost real wall-clock and grid wins roughly in
-    // proportion; on a real multicore the scan redundancy instead caps
-    // scaling. On one *worker* (resolved width 1) the engine takes the
-    // serial path and the strategies are identical by construction —
-    // grid can never be slower there because the shard filter it
-    // removes is the only difference.
-    struct PushRow {
-        mode: String,
-        queries: usize,
-        scan_ms: f64,
-        grid_ms: f64,
-        grid_bind_ms: f64,
-    }
-    let push_sources: Vec<VertexId> = (0..8u32)
-        .map(|i| (i * 1021) % rmat.num_vertices())
-        .collect();
-    let mut push_rows: Vec<PushRow> = Vec::new();
-    for &mode in &modes {
-        if matches!(mode, ExecMode::Serial) {
-            continue;
-        }
-        // Fixed-push BFS keeps every iteration on the strategy-
-        // sensitive path (adaptive runs would hide it behind pull
-        // phases).
-        let base = EngineConfig::default()
-            .with_exec(mode)
-            .with_direction(DirectionPolicy::FixedPush);
-        let cell = |push: PushStrategy| -> (f64, f64) {
-            let runtime = Runtime::new(base.clone().with_push(push)).expect("runtime");
-            let mut bind_best = f64::INFINITY;
-            let mut batch_best = f64::INFINITY;
-            for _ in 0..args.reps {
-                let start = Instant::now();
-                let bound = runtime.bind(&rmat);
-                bind_best = bind_best.min(start.elapsed().as_secs_f64() * 1e3);
-                let start = Instant::now();
-                for &s in &push_sources {
-                    bound.run(Bfs::new(s)).execute().expect("push bfs");
-                }
-                batch_best = batch_best.min(start.elapsed().as_secs_f64() * 1e3);
-            }
-            (batch_best, bind_best)
-        };
-        let (scan_ms, _) = cell(PushStrategy::Scan);
-        let (grid_ms, grid_bind_ms) = cell(PushStrategy::Grid);
-        eprintln!(
-            "push_strategy × {:<12} scan {scan_ms:>9.2} ms, grid {grid_ms:>9.2} ms \
-             (+{grid_bind_ms:.2} ms bind, {:.2}x)",
-            mode.label(),
-            scan_ms / grid_ms,
-        );
-        push_rows.push(PushRow {
-            mode: mode.label(),
-            queries: push_sources.len(),
-            scan_ms,
-            grid_ms,
-            grid_bind_ms,
-        });
-    }
-    out.push_str("  \"push_comparison\": [\n");
-    for (i, row) in push_rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"algorithm\": \"bfs_fixed_push\", \"graph\": \"rmat\", \"queries\": {}, \
-             \"mode\": \"{}\", \"scan_ms\": {:.3}, \"grid_ms\": {:.3}, \
-             \"grid_bind_ms\": {:.3}, \"grid_speedup\": {:.3}}}",
-            row.queries,
-            json_escape(&row.mode),
-            row.scan_ms,
-            row.grid_ms,
-            row.grid_bind_ms,
-            if row.grid_ms > 0.0 {
-                row.scan_ms / row.grid_ms
-            } else {
-                0.0
-            }
-        );
-        out.push_str(if i + 1 < push_rows.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
 

@@ -146,10 +146,10 @@ pub trait AccProgram: Sync {
 
 /// Delegating impl so borrowed programs run anywhere an owned program
 /// does — the session API's run builder takes the program by value, and
-/// this lets callers (like the deprecated one-shot `Engine` shim) hand
-/// in `&program` instead of cloning. Every method delegates explicitly:
-/// relying on the trait defaults here would silently drop a concrete
-/// program's overrides (`activates`, `pull_candidate`, ...).
+/// this lets callers hand in `&program` instead of cloning. Every
+/// method delegates explicitly: relying on the trait defaults here
+/// would silently drop a concrete program's overrides (`activates`,
+/// `pull_candidate`, ...).
 impl<P: AccProgram + ?Sized> AccProgram for &P {
     type Meta = P::Meta;
     type Update = P::Update;

@@ -18,9 +18,9 @@
 //!
 //! Abort-at-iteration-k then resume is **bit-equal** to the
 //! uninterrupted run — identical metadata, activation logs and
-//! simulated cycle counts — across the full {Serial, Parallel} ×
-//! {List, Bitmap} × {Flat, Chunked} × {Scan, Grid} matrix
-//! (`tests/properties.rs`, `tests/fault_injection.rs`). This holds
+//! simulated cycle counts — across the {Serial, Parallel} ×
+//! {List, Bitmap} matrix (`tests/properties.rs`,
+//! `tests/fault_injection.rs`). This holds
 //! because a boundary snapshot is *complete*: at the top of an
 //! iteration `metadata_prev == metadata_curr` (the publish step just
 //! ran), the activation log holds exactly the completed iterations,
@@ -43,7 +43,6 @@
 
 use crate::error::SimdxError;
 use crate::jit::ActivationLog;
-use crate::metadata::MetadataStore;
 use simdx_gpu::executor::ExecutorStats;
 use simdx_graph::csr::Direction;
 use simdx_graph::VertexId;
@@ -51,7 +50,7 @@ use simdx_graph::VertexId;
 /// A resumable snapshot of one run at a supervised iteration boundary.
 ///
 /// Opaque by design: every field the engine needs to continue
-/// bit-equally is here (metadata store, frontier/worklist state,
+/// bit-equally is here (metadata, frontier/worklist state,
 /// activation log, simulated-cycle counters, fusion launch residency),
 /// but callers only observe the summary accessors — mutating a
 /// checkpoint would void the resume contract.
@@ -63,9 +62,9 @@ pub struct RunCheckpoint<M: Copy> {
     pub(crate) algorithm: String,
     /// Vertex count of the graph the run was bound to.
     pub(crate) num_vertices: u32,
-    /// The metadata store at the boundary (`prev == curr` there, so
-    /// one copy restores both).
-    pub(crate) meta: MetadataStore<M>,
+    /// The metadata at the boundary (`prev == curr` there, so one copy
+    /// restores both).
+    pub(crate) meta: Vec<M>,
     /// The boundary's frontier, always materialized as a list: a
     /// bins-resident frontier is drained in concatenation order at
     /// capture (same entries, duplicates and order; the concatenation
@@ -136,7 +135,7 @@ impl<M: Copy> std::fmt::Debug for RunCheckpoint<M> {
 /// A typed abort plus, when checkpointing was armed and a boundary was
 /// reached, the snapshot to resume from.
 ///
-/// Returned (boxed — the snapshot is as big as the metadata store) by
+/// Returned (boxed — the snapshot is as big as the metadata array) by
 /// [`crate::session::ResumableRunBuilder::execute`] and per seed by
 /// [`crate::session::BoundGraph::run_batch_partial`]. `checkpoint` is
 /// `None` when the run aborted before its first boundary capture
@@ -187,13 +186,12 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MetadataLayout;
 
     fn sample() -> RunCheckpoint<u32> {
         RunCheckpoint {
             algorithm: "levels".to_string(),
             num_vertices: 4,
-            meta: MetadataStore::from_vec(MetadataLayout::Flat, vec![0, 1, u32::MAX, u32::MAX]),
+            meta: vec![0, 1, u32::MAX, u32::MAX],
             frontier: vec![1],
             log: ActivationLog::default(),
             prev_dir: Direction::Push,

@@ -5,94 +5,20 @@ use crate::frontier::ClassifyThresholds;
 use crate::fusion::FusionStrategy;
 use simdx_gpu::DeviceSpec;
 
-// All `SIMDX_*` knobs share the same contract: unset or empty selects
-// the default; values are matched case-insensitively; anything
-// unrecognized is an `SimdxError::InvalidKnob`, so a CI typo can never
-// silently fall back to the default configuration. Each knob type
-// splits the contract into `try_from_env` (one fresh `getenv` — the
-// path every session-API construction takes via
-// `EngineConfig::from_env`) and a pure `try_from_raw` half.
-
-/// Applies the knob contract to an already-read raw value — the pure
-/// half of every knob's `try_from_env`, so tests can exercise parsing
-/// and rejection without mutating the process environment (libc
-/// `setenv` racing concurrent `getenv` from parallel tests is
-/// undefined behavior).
-fn parse_knob<T>(
-    var: &'static str,
-    expected: &'static str,
-    default: T,
-    raw: Option<String>,
-    parse: impl FnOnce(&str) -> Option<T>,
-) -> Result<T, SimdxError> {
-    match raw {
-        None => Ok(default),
-        Some(raw) => {
-            let v = raw.to_ascii_lowercase();
-            if v.is_empty() {
-                Ok(default)
-            } else {
-                parse(&v).ok_or(SimdxError::InvalidKnob {
-                    var,
-                    expected,
-                    value: raw,
-                })
-            }
-        }
-    }
-}
-
-// The per-process knob-default caches (`ExecMode::default()` and
-// friends) have no error channel, so each caches the *fallible* parse
-// result once: `Default` hands out the hard-coded fallback on a bad
-// value (never a panic — this used to abort the process), and
-// [`EngineConfig::validate`] consults `cached_knob_error` so a session
-// built from `Default` (`Runtime::new(EngineConfig::default())`)
-// surfaces the typo as a typed `SimdxError::InvalidConfig` — a CI typo
-// still cannot silently select the default configuration.
-//
-// THE CACHING CONTRACT: each cache reads its `SIMDX_*` variable once
-// per process, at the first `Default` construction. A knob set (or
-// fixed) *after* that point is invisible to `Default` and to
-// `validate` forever — that is the price of keeping
-// `EngineConfig::default()` allocation-free inside timed bench
-// regions. Embedders that change knobs at run time must construct
-// through [`EngineConfig::from_env`] / `Runtime::from_env`, which
-// bypass the caches entirely: fresh reads, and only the pure
-// [`EngineConfig::consistency`] half of validation (never
-// `cached_knob_error`), so neither a stale cached value nor a stale
-// cached *error* can leak into that path.
-
-/// First error among the cached per-process knob defaults, if any.
-pub(crate) fn cached_knob_error() -> Option<SimdxError> {
-    cached_exec_knob()
-        .err()
-        .or_else(|| cached_frontier_knob().err())
-        .or_else(|| cached_layout_knob().err())
-        .or_else(|| cached_push_knob().err())
-}
-
-fn cached_exec_knob() -> Result<ExecMode, SimdxError> {
-    static CACHE: std::sync::OnceLock<Result<ExecMode, SimdxError>> = std::sync::OnceLock::new();
-    CACHE.get_or_init(ExecMode::try_from_env).clone()
-}
-
+/// The one read of `SIMDX_FRONTIER`, cached per process at the first
+/// `FrontierRepr::default()`: benches call `EngineConfig::default()`
+/// inside timed regions, and an env lookup per construction would leak
+/// into wall-clock numbers. `Default` has no error channel, so the
+/// *fallible* parse result is cached: `Default` hands out `List` on a
+/// bad value (never a panic) and [`EngineConfig::validate`] — which
+/// every session construction calls — reports it typed. A value set
+/// after the first read is invisible for the rest of the process.
 fn cached_frontier_knob() -> Result<FrontierRepr, SimdxError> {
     static CACHE: std::sync::OnceLock<Result<FrontierRepr, SimdxError>> =
         std::sync::OnceLock::new();
-    CACHE.get_or_init(FrontierRepr::try_from_env).clone()
-}
-
-fn cached_layout_knob() -> Result<MetadataLayout, SimdxError> {
-    static CACHE: std::sync::OnceLock<Result<MetadataLayout, SimdxError>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(MetadataLayout::try_from_env).clone()
-}
-
-fn cached_push_knob() -> Result<PushStrategy, SimdxError> {
-    static CACHE: std::sync::OnceLock<Result<PushStrategy, SimdxError>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(PushStrategy::try_from_env).clone()
+    CACHE
+        .get_or_init(|| FrontierRepr::try_from_raw(std::env::var("SIMDX_FRONTIER").ok()))
+        .clone()
 }
 
 /// Which frontier-filter strategy the engine uses each iteration (§4).
@@ -115,9 +41,10 @@ pub enum FilterPolicy {
 /// identical iteration logs and identical simulated cycle counts (the
 /// determinism contract in `crates/core/README.md`). `Parallel` only
 /// changes how fast the host computes them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
     /// Single-threaded reference path.
+    #[default]
     Serial,
     /// Multi-threaded path over a persistent worker pool.
     Parallel {
@@ -128,33 +55,6 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// The backend selected by the `SIMDX_EXEC` environment variable:
-    /// `"parallel"` selects `Parallel { threads: 0 }` (auto width),
-    /// `"parallel:N"` selects `N` workers; `"serial"`, empty or unset
-    /// select `Serial`. Any other value is an
-    /// [`SimdxError::InvalidKnob`].
-    pub fn try_from_env() -> Result<Self, SimdxError> {
-        Self::try_from_raw(std::env::var("SIMDX_EXEC").ok())
-    }
-
-    /// The pure half of [`Self::try_from_env`] (see [`parse_knob`]).
-    pub(crate) fn try_from_raw(raw: Option<String>) -> Result<Self, SimdxError> {
-        parse_knob(
-            "SIMDX_EXEC",
-            "'serial', 'parallel' or 'parallel:N'",
-            Self::Serial,
-            raw,
-            |v| match v {
-                "serial" => Some(Self::Serial),
-                "parallel" => Some(Self::Parallel { threads: 0 }),
-                other => other
-                    .strip_prefix("parallel:")
-                    .and_then(|n| n.parse().ok())
-                    .map(|threads| Self::Parallel { threads }),
-            },
-        )
-    }
-
     /// Resolved worker count: `Serial` is 1, `Parallel { threads: 0 }`
     /// asks the OS.
     pub fn worker_count(&self) -> usize {
@@ -174,16 +74,6 @@ impl ExecMode {
             Self::Parallel { threads: 0 } => "parallel/auto".to_string(),
             Self::Parallel { threads } => format!("parallel/{threads}"),
         }
-    }
-}
-
-impl Default for ExecMode {
-    /// Defers to the cached `SIMDX_EXEC` parse so `SIMDX_EXEC=parallel`
-    /// flips the default for a whole test/bench process. A malformed
-    /// value falls back to `Serial` here (no panic in `Default`);
-    /// [`EngineConfig::validate`] reports it as a typed error.
-    fn default() -> Self {
-        cached_exec_knob().unwrap_or(Self::Serial)
     }
 }
 
@@ -213,27 +103,27 @@ pub enum FrontierRepr {
 }
 
 impl FrontierRepr {
-    /// The representation selected by the `SIMDX_FRONTIER` environment
-    /// variable: `"bitmap"` selects `Bitmap`; `"list"`, empty or unset
-    /// select `List`. Any other value is an
-    /// [`SimdxError::InvalidKnob`].
-    pub fn try_from_env() -> Result<Self, SimdxError> {
-        Self::try_from_raw(std::env::var("SIMDX_FRONTIER").ok())
-    }
-
-    /// The pure half of [`Self::try_from_env`] (see [`parse_knob`]).
+    /// Parses a raw `SIMDX_FRONTIER` value — the one environment knob
+    /// (the bitmap CI job flips the whole suite with it). Unset or
+    /// empty selects `List`; values match case-insensitively; anything
+    /// else is an [`SimdxError::InvalidKnob`], so a CI typo can never
+    /// silently fall back to the default configuration. Pure, so tests
+    /// exercise parsing and rejection without mutating the process
+    /// environment (libc `setenv` racing concurrent `getenv` from
+    /// parallel tests is undefined behavior).
     pub(crate) fn try_from_raw(raw: Option<String>) -> Result<Self, SimdxError> {
-        parse_knob(
-            "SIMDX_FRONTIER",
-            "'list' or 'bitmap'",
-            Self::List,
-            raw,
-            |v| match v {
-                "list" => Some(Self::List),
-                "bitmap" => Some(Self::Bitmap),
-                _ => None,
-            },
-        )
+        let Some(raw) = raw else {
+            return Ok(Self::List);
+        };
+        match raw.to_ascii_lowercase().as_str() {
+            "" | "list" => Ok(Self::List),
+            "bitmap" => Ok(Self::Bitmap),
+            _ => Err(SimdxError::InvalidKnob {
+                var: "SIMDX_FRONTIER",
+                expected: "'list' or 'bitmap'",
+                value: raw,
+            }),
+        }
     }
 
     /// Short label for reports and bench artifacts.
@@ -246,161 +136,11 @@ impl FrontierRepr {
 }
 
 impl Default for FrontierRepr {
-    /// Defers to the cached `SIMDX_FRONTIER` parse so
+    /// Defers to the cached `SIMDX_FRONTIER` read so
     /// `SIMDX_FRONTIER=bitmap` flips the default for a whole
-    /// test/bench process. The parse is cached: benches call
-    /// `EngineConfig::default()` inside timed regions, and an env
-    /// lookup per construction would leak into wall-clock numbers. A
-    /// malformed value falls back to `List` (no panic in `Default`);
-    /// [`EngineConfig::validate`] reports it as a typed error.
+    /// test/bench process.
     fn default() -> Self {
         cached_frontier_knob().unwrap_or(Self::List)
-    }
-}
-
-/// How the engine lays out the per-vertex metadata pair in host
-/// memory.
-///
-/// Orthogonal to [`ExecMode`] and [`FrontierRepr`], and under the same
-/// contract: `Chunked` is **bit-equal** to `Flat` — identical
-/// metadata, activation logs and simulated cycle counts
-/// (`tests/frontier_equivalence.rs` enforces the full
-/// algorithm × exec × repr × layout matrix). Only the host-side
-/// storage and loop shapes change:
-///
-/// * `Flat` keeps `metadata_prev`/`metadata_curr` as plain `Vec<M>`s
-///   (the seed behaviour) and sweeps them with scalar per-vertex
-///   indexing.
-/// * `Chunked` stores them in
-///   [`crate::metadata::MetadataStore::Chunked`] — a 64-byte-aligned
-///   buffer padded to whole 32-vertex chunks (one chunk = one warp of
-///   ballot lanes; two chunks = one
-///   [`crate::frontier::FrontierBitmap`] word). The ballot scan, the
-///   pull-vote candidate sweep and the bitmap publish step walk it
-///   chunk-at-a-time with fixed-width inner loops the compiler can
-///   vectorize, and parallel partitions never split a chunk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum MetadataLayout {
-    /// Plain `Vec<M>` metadata arrays (seed behaviour).
-    Flat,
-    /// Warp-chunked, cache-line-aligned metadata storage.
-    Chunked,
-}
-
-impl MetadataLayout {
-    /// The layout selected by the `SIMDX_LAYOUT` environment variable:
-    /// `"chunked"` selects `Chunked`; `"flat"`, empty or unset select
-    /// `Flat`. Any other value is an [`SimdxError::InvalidKnob`].
-    pub fn try_from_env() -> Result<Self, SimdxError> {
-        Self::try_from_raw(std::env::var("SIMDX_LAYOUT").ok())
-    }
-
-    /// The pure half of [`Self::try_from_env`] (see [`parse_knob`]).
-    pub(crate) fn try_from_raw(raw: Option<String>) -> Result<Self, SimdxError> {
-        parse_knob(
-            "SIMDX_LAYOUT",
-            "'flat' or 'chunked'",
-            Self::Flat,
-            raw,
-            |v| match v {
-                "flat" => Some(Self::Flat),
-                "chunked" => Some(Self::Chunked),
-                _ => None,
-            },
-        )
-    }
-
-    /// Short label for reports and bench artifacts.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::Flat => "flat",
-            Self::Chunked => "chunked",
-        }
-    }
-}
-
-impl Default for MetadataLayout {
-    /// Defers to the cached `SIMDX_LAYOUT` parse so
-    /// `SIMDX_LAYOUT=chunked` flips the default for a whole test/bench
-    /// process, cached like [`FrontierRepr`]'s default. A malformed
-    /// value falls back to `Flat` (no panic in `Default`);
-    /// [`EngineConfig::validate`] reports it as a typed error.
-    fn default() -> Self {
-        cached_layout_knob().unwrap_or(Self::Flat)
-    }
-}
-
-/// How the parallel backend distributes push-mode edge work across its
-/// destination shards.
-///
-/// Orthogonal to [`ExecMode`], [`FrontierRepr`] and [`MetadataLayout`],
-/// and under the same contract: `Grid` is **bit-equal** to `Scan` —
-/// identical metadata, activation logs and simulated cycle counts
-/// (`tests/frontier_equivalence.rs` sweeps the strategy axis across
-/// the full matrix). Only the host-side edge traversal changes; the
-/// serial backend ignores the knob entirely (there is exactly one
-/// shard).
-///
-/// * `Scan` is the seed behaviour: every worker replays the *entire*
-///   frontier task list and discards the edges that land outside its
-///   destination shard, so one iteration traverses
-///   `threads × |E_frontier|` edges.
-/// * `Grid` iterates a bind-time destination-bucketed sub-CSR
-///   ([`crate::grid::GridCsr`]): worker `s` sees only the edges whose
-///   destination falls in shard `s`, pre-sliced per source in the
-///   original adjacency order, so one iteration traverses each
-///   frontier edge exactly once — the work-optimal form. The
-///   [`crate::metrics::RunReport::edges_examined`] counter records the
-///   difference.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum PushStrategy {
-    /// Scan-and-skip: full task-list replay per destination shard
-    /// (seed behaviour).
-    Scan,
-    /// Work-optimal replay over the bind-time grid CSR.
-    Grid,
-}
-
-impl PushStrategy {
-    /// The strategy selected by the `SIMDX_PUSH` environment variable:
-    /// `"scan"` selects `Scan`; `"grid"`, empty or unset select
-    /// `Grid`. Any other value is an [`SimdxError::InvalidKnob`].
-    pub fn try_from_env() -> Result<Self, SimdxError> {
-        Self::try_from_raw(std::env::var("SIMDX_PUSH").ok())
-    }
-
-    /// The pure half of [`Self::try_from_env`] (see [`parse_knob`]).
-    pub(crate) fn try_from_raw(raw: Option<String>) -> Result<Self, SimdxError> {
-        parse_knob(
-            "SIMDX_PUSH",
-            "'scan' or 'grid'",
-            Self::Grid,
-            raw,
-            |v| match v {
-                "scan" => Some(Self::Scan),
-                "grid" => Some(Self::Grid),
-                _ => None,
-            },
-        )
-    }
-
-    /// Short label for reports and bench artifacts.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::Scan => "scan",
-            Self::Grid => "grid",
-        }
-    }
-}
-
-impl Default for PushStrategy {
-    /// Defers to the cached `SIMDX_PUSH` parse so `SIMDX_PUSH=scan`
-    /// flips the default for a whole test/bench process, cached like
-    /// the other knob defaults. A malformed value falls back to `Grid`
-    /// (no panic in `Default`); [`EngineConfig::validate`] reports it
-    /// as a typed error.
-    fn default() -> Self {
-        cached_push_knob().unwrap_or(Self::Grid)
     }
 }
 
@@ -473,44 +213,18 @@ pub struct EngineConfig {
     pub exec: ExecMode,
     /// Frontier representation (vertex worklists vs bitmaps).
     pub frontier: FrontierRepr,
-    /// Metadata memory layout (flat vectors vs warp-chunked storage).
-    pub layout: MetadataLayout,
-    /// Parallel push edge distribution (scan-and-skip vs grid CSR).
-    pub push: PushStrategy,
     /// Reaction to a contained worker panic (fail the query vs retry
     /// it once serially).
     pub degrade: DegradePolicy,
 }
 
 impl Default for EngineConfig {
-    /// Paper defaults with the four host knobs read from their cached
-    /// per-process environment defaults (`SIMDX_EXEC`,
-    /// `SIMDX_FRONTIER`, `SIMDX_LAYOUT`, `SIMDX_PUSH`); an unparsable
-    /// knob selects the hard-coded fallback here and is reported as a
-    /// typed error by [`Self::validate`] (which every session
-    /// construction calls). Session construction should prefer the
-    /// fallible [`Self::from_env`].
+    /// Paper defaults on the serial backend, with the frontier
+    /// representation from the cached `SIMDX_FRONTIER` read; an
+    /// unparsable value selects `List` here and is reported as a typed
+    /// error by [`Self::validate`] (which every session construction
+    /// calls).
     fn default() -> Self {
-        Self::with_knobs(
-            ExecMode::default(),
-            FrontierRepr::default(),
-            MetadataLayout::default(),
-            PushStrategy::default(),
-        )
-    }
-}
-
-impl EngineConfig {
-    /// The paper-default configuration around the given host knobs —
-    /// the one constructor that does not consult the environment, so
-    /// the fallible path can report a bad knob instead of panicking
-    /// halfway through `Default::default()`.
-    fn with_knobs(
-        exec: ExecMode,
-        frontier: FrontierRepr,
-        layout: MetadataLayout,
-        push: PushStrategy,
-    ) -> Self {
         Self {
             device: DeviceSpec::k40(),
             fusion: FusionStrategy::PushPull,
@@ -521,70 +235,27 @@ impl EngineConfig {
             parallelism_scale: 64,
             direction: DirectionPolicy::default(),
             max_iterations: 100_000,
-            exec,
-            frontier,
-            layout,
-            push,
+            exec: ExecMode::Serial,
+            frontier: FrontierRepr::default(),
             degrade: DegradePolicy::Fail,
         }
     }
+}
 
-    /// The default configuration with every `SIMDX_*` host knob parsed
-    /// fallibly from the environment: a typo in `SIMDX_EXEC`,
-    /// `SIMDX_FRONTIER`, `SIMDX_LAYOUT` or `SIMDX_PUSH` comes back as
-    /// [`SimdxError::InvalidKnob`] instead of a panic. This reads the
-    /// environment on every call (no cache) — it is meant for
-    /// session-construction time, not hot loops.
-    pub fn from_env() -> Result<Self, SimdxError> {
-        Self::from_knob_values(
-            std::env::var("SIMDX_EXEC").ok(),
-            std::env::var("SIMDX_FRONTIER").ok(),
-            std::env::var("SIMDX_LAYOUT").ok(),
-            std::env::var("SIMDX_PUSH").ok(),
-        )
-    }
-
-    /// The pure half of [`Self::from_env`]: build a configuration from
-    /// raw knob strings (each `None` meaning "variable unset"), parse
-    /// them fallibly and check only [`Self::consistency`] — never the
-    /// per-process caches, since the raw values given here are by
-    /// definition fresh.
-    pub(crate) fn from_knob_values(
-        exec: Option<String>,
-        frontier: Option<String>,
-        layout: Option<String>,
-        push: Option<String>,
-    ) -> Result<Self, SimdxError> {
-        let cfg = Self::with_knobs(
-            ExecMode::try_from_raw(exec)?,
-            FrontierRepr::try_from_raw(frontier)?,
-            MetadataLayout::try_from_raw(layout)?,
-            PushStrategy::try_from_raw(push)?,
-        );
-        cfg.consistency()?;
-        Ok(cfg)
-    }
-
+impl EngineConfig {
     /// Checks the configuration for internal consistency; the session
     /// API ([`crate::session::Runtime::new`]) rejects broken configs up
     /// front instead of letting the engine panic mid-run.
     pub fn validate(&self) -> Result<(), SimdxError> {
-        // The cached per-process knob defaults swallow a malformed
-        // SIMDX_* value into a fallback (Default has no error channel);
+        // `FrontierRepr::default()` swallows a malformed
+        // SIMDX_FRONTIER into `List` (Default has no error channel);
         // surface it here so every session construction fails typed
         // instead of silently running the fallback configuration.
-        // Configs built through `from_env` / `from_knob_values` skip
-        // this gate — their knobs were read fresh, not from the caches.
-        if let Some(err) = cached_knob_error() {
+        if let Err(err) = cached_frontier_knob() {
             return Err(SimdxError::InvalidConfig {
                 reason: format!("cached knob default is invalid: {err}"),
             });
         }
-        self.consistency()
-    }
-
-    /// The pure, environment-independent half of [`Self::validate`].
-    pub(crate) fn consistency(&self) -> Result<(), SimdxError> {
         let fail = |reason: String| Err(SimdxError::InvalidConfig { reason });
         if self.threads_per_cta == 0 {
             return fail("threads_per_cta must be at least 1".to_string());
@@ -667,28 +338,6 @@ impl EngineConfig {
         self.with_frontier(FrontierRepr::Bitmap)
     }
 
-    /// Builder: set the metadata layout.
-    pub fn with_layout(mut self, layout: MetadataLayout) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// Builder: warp-chunked metadata layout.
-    pub fn chunked(self) -> Self {
-        self.with_layout(MetadataLayout::Chunked)
-    }
-
-    /// Builder: set the parallel push strategy.
-    pub fn with_push(mut self, push: PushStrategy) -> Self {
-        self.push = push;
-        self
-    }
-
-    /// Builder: the legacy scan-and-skip push replay.
-    pub fn scan_push(self) -> Self {
-        self.with_push(PushStrategy::Scan)
-    }
-
     /// Builder: set the worker-panic degradation policy.
     pub fn with_degrade(mut self, degrade: DegradePolicy) -> Self {
         self.degrade = degrade;
@@ -715,6 +364,22 @@ mod tests {
         assert_eq!(c.filter, FilterPolicy::Jit);
         assert_eq!(c.fusion, FusionStrategy::PushPull);
         assert_eq!(c.device.name, "Tesla K40");
+        assert_eq!(c.degrade, DegradePolicy::Fail);
+    }
+
+    #[test]
+    fn default_is_serial_list_in_a_clean_environment() {
+        let c = EngineConfig::default();
+        // No environment variable selects the backend.
+        assert_eq!(c.exec, ExecMode::Serial);
+        // SIMDX_FRONTIER is the one knob: unset everywhere except the
+        // bitmap CI job, which flips the whole suite with it.
+        assert_eq!(FrontierRepr::try_from_raw(None), Ok(FrontierRepr::List));
+        let raw = std::env::var("SIMDX_FRONTIER").ok();
+        assert_eq!(Ok(c.frontier), FrontierRepr::try_from_raw(raw));
+        // The cached read parsed cleanly, so validate() does not
+        // reject on its account.
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -722,208 +387,64 @@ mod tests {
         let c = EngineConfig::unscaled()
             .with_filter(FilterPolicy::BallotOnly)
             .with_fusion(FusionStrategy::None)
-            .with_overflow_threshold(8);
+            .with_overflow_threshold(8)
+            .parallel(2)
+            .bitmap()
+            .degrade_serial();
         assert_eq!(c.parallelism_scale, 1);
         assert_eq!(c.filter, FilterPolicy::BallotOnly);
         assert_eq!(c.fusion, FusionStrategy::None);
         assert_eq!(c.overflow_threshold, 8);
+        assert_eq!(c.exec, ExecMode::Parallel { threads: 2 });
+        assert_eq!(c.frontier, FrontierRepr::Bitmap);
+        assert_eq!(c.degrade, DegradePolicy::RetrySerial);
+        let c = c
+            .with_exec(ExecMode::Serial)
+            .with_frontier(FrontierRepr::List)
+            .with_degrade(DegradePolicy::Fail);
+        assert_eq!(c.exec, ExecMode::Serial);
+        assert_eq!(c.frontier, FrontierRepr::List);
+        assert_eq!(c.degrade, DegradePolicy::Fail);
     }
 
     #[test]
-    fn exec_mode_resolution() {
+    fn exec_mode_resolution_and_labels() {
         assert_eq!(ExecMode::Serial.worker_count(), 1);
         assert_eq!(ExecMode::Parallel { threads: 4 }.worker_count(), 4);
         assert!(ExecMode::Parallel { threads: 0 }.worker_count() >= 1);
         assert_eq!(ExecMode::Serial.label(), "serial");
         assert_eq!(ExecMode::Parallel { threads: 4 }.label(), "parallel/4");
-        let c = EngineConfig::unscaled().parallel(2);
-        assert_eq!(c.exec, ExecMode::Parallel { threads: 2 });
-        // Without SIMDX_EXEC the default backend is serial; with it,
-        // the whole process flips (both are bit-equal by contract).
-        assert!(matches!(
-            EngineConfig::default().exec,
-            ExecMode::Serial | ExecMode::Parallel { .. }
-        ));
+        assert_eq!(FrontierRepr::List.label(), "list");
+        assert_eq!(FrontierRepr::Bitmap.label(), "bitmap");
     }
 
     #[test]
-    fn metadata_layout_builders_and_labels() {
-        assert_eq!(MetadataLayout::Flat.label(), "flat");
-        assert_eq!(MetadataLayout::Chunked.label(), "chunked");
-        let c = EngineConfig::unscaled().chunked();
-        assert_eq!(c.layout, MetadataLayout::Chunked);
-        let c = c.with_layout(MetadataLayout::Flat);
-        assert_eq!(c.layout, MetadataLayout::Flat);
-        // Without SIMDX_LAYOUT in the test environment the default is
-        // flat; with it, CI flips every default config to chunked
-        // (both are valid here by the bit-equality contract).
-        assert!(matches!(
-            EngineConfig::default().layout,
-            MetadataLayout::Flat | MetadataLayout::Chunked
-        ));
-    }
-
-    #[test]
-    fn env_knob_contract() {
-        // Unset and empty fall back to the default; matching is
-        // case-insensitive. Driven through the pure half so the test
-        // never mutates the process environment.
-        assert_eq!(
-            parse_knob("SIMDX_NO_SUCH_KNOB", "anything", 7, None, |_| None),
-            Ok(7)
-        );
-        assert_eq!(
-            parse_knob("SIMDX_NO_SUCH_KNOB", "x", 0, None, |v| (v == "set")
-                .then_some(1)),
-            Ok(0),
-            "parser only runs on present, non-empty values"
-        );
-    }
-
-    #[test]
-    fn from_env_path_never_consults_the_stale_caches() {
-        // Populate the per-process caches with the clean-environment
-        // defaults first — this is the state a long-lived embedder is
-        // in when it later changes SIMDX_* and constructs a new
-        // runtime.
-        let _ = EngineConfig::default();
-        // The fresh-read path must honor the new raw values, not the
-        // cached defaults.
-        let cfg = EngineConfig::from_knob_values(
-            Some("parallel:3".to_string()),
-            Some("bitmap".to_string()),
-            Some("chunked".to_string()),
-            Some("scan".to_string()),
-        )
-        .expect("all four knob values are valid");
-        assert_eq!(cfg.exec, ExecMode::Parallel { threads: 3 });
-        assert_eq!(cfg.frontier, FrontierRepr::Bitmap);
-        assert_eq!(cfg.layout, MetadataLayout::Chunked);
-        assert_eq!(cfg.push, PushStrategy::Scan);
-        // And a typo surfaces as a typed error from the fresh read,
-        // regardless of what the caches hold.
-        let err = EngineConfig::from_knob_values(Some("warp9".to_string()), None, None, None)
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                SimdxError::InvalidKnob {
-                    var: "SIMDX_EXEC",
-                    ..
-                }
-            ),
-            "wrong error: {err:?}"
-        );
-    }
-
-    #[test]
-    fn knob_parser_reports_typos_as_typed_errors() {
-        // The pure half is driven directly — no process-environment
+    fn frontier_knob_reports_typos_as_typed_errors() {
+        // The pure parser is driven directly — no process-environment
         // mutation, which would race concurrent `getenv` from the
         // other tests in this binary.
-        let parse = |v: &str| (v == "a" || v == "b").then_some(1);
-        let err = parse_knob(
-            "SIMDX_TEST_KNOB",
-            "'a' or 'b'",
-            0,
-            Some("Bogus".to_string()),
-            parse,
-        )
-        .unwrap_err();
+        let parse = |v: &str| FrontierRepr::try_from_raw(Some(v.to_string()));
+        let err = parse("Bitmp").unwrap_err();
         assert_eq!(
             err,
             SimdxError::InvalidKnob {
-                var: "SIMDX_TEST_KNOB",
-                expected: "'a' or 'b'",
-                value: "Bogus".to_string(),
+                var: "SIMDX_FRONTIER",
+                expected: "'list' or 'bitmap'",
+                value: "Bitmp".to_string(),
             }
         );
-        // The error's display is the exact historical panic message.
         assert_eq!(
             err.to_string(),
-            "SIMDX_TEST_KNOB must be 'a' or 'b', got 'Bogus'"
+            "SIMDX_FRONTIER must be 'list' or 'bitmap', got 'Bitmp'"
         );
         // Case-insensitive accept, empty-selects-default.
-        assert_eq!(parse_knob("K", "x", 0, Some("B".to_string()), parse), Ok(1));
-        assert_eq!(parse_knob("K", "x", 7, Some(String::new()), parse), Ok(7));
-    }
-
-    #[test]
-    fn push_strategy_builders_and_labels() {
-        assert_eq!(PushStrategy::Scan.label(), "scan");
-        assert_eq!(PushStrategy::Grid.label(), "grid");
-        let c = EngineConfig::unscaled().scan_push();
-        assert_eq!(c.push, PushStrategy::Scan);
-        let c = c.with_push(PushStrategy::Grid);
-        assert_eq!(c.push, PushStrategy::Grid);
-        // Without SIMDX_PUSH the default strategy is the work-optimal
-        // grid; with it, CI flips every default config to the legacy
-        // scan replay (both are valid here by the bit-equality
-        // contract).
-        assert!(matches!(
-            EngineConfig::default().push,
-            PushStrategy::Grid | PushStrategy::Scan
-        ));
-    }
-
-    #[test]
-    fn push_knob_rejects_typos() {
-        let parse = |v: &str| match v {
-            "scan" => Some(PushStrategy::Scan),
-            "grid" => Some(PushStrategy::Grid),
-            _ => None,
-        };
-        let err = parse_knob(
-            "SIMDX_PUSH",
-            "'scan' or 'grid'",
-            PushStrategy::Grid,
-            Some("mesh".to_string()),
-            parse,
-        )
-        .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "SIMDX_PUSH must be 'scan' or 'grid', got 'mesh'"
-        );
-        assert_eq!(
-            parse_knob("SIMDX_PUSH", "x", PushStrategy::Grid, None, parse),
-            Ok(PushStrategy::Grid)
-        );
-    }
-
-    #[test]
-    fn degrade_policy_defaults_to_fail_and_composes() {
-        assert_eq!(EngineConfig::default().degrade, DegradePolicy::Fail);
-        let c = EngineConfig::unscaled().degrade_serial();
-        assert_eq!(c.degrade, DegradePolicy::RetrySerial);
-        let c = c.with_degrade(DegradePolicy::Fail);
-        assert_eq!(c.degrade, DegradePolicy::Fail);
-    }
-
-    #[test]
-    fn clean_environment_has_no_cached_knob_error() {
-        // The test processes never set SIMDX_* to invalid values, so
-        // the cached defaults parse cleanly and validate() does not
-        // reject on their account.
-        assert_eq!(cached_knob_error(), None);
-    }
-
-    #[test]
-    fn from_env_matches_default_when_unset() {
-        // The test processes never set SIMDX_* to invalid values, so
-        // the fallible path must agree with the cached defaults.
-        let cfg = EngineConfig::from_env().expect("clean environment");
-        let def = EngineConfig::default();
-        assert_eq!(cfg.exec, def.exec);
-        assert_eq!(cfg.frontier, def.frontier);
-        assert_eq!(cfg.layout, def.layout);
-        assert_eq!(cfg.push, def.push);
-        assert_eq!(cfg.max_iterations, def.max_iterations);
+        assert_eq!(parse("BITMAP"), Ok(FrontierRepr::Bitmap));
+        assert_eq!(parse("list"), Ok(FrontierRepr::List));
+        assert_eq!(parse(""), Ok(FrontierRepr::List));
     }
 
     #[test]
     fn validate_rejects_broken_configs() {
-        assert_eq!(EngineConfig::default().validate(), Ok(()));
         let cfg = EngineConfig {
             threads_per_cta: 0,
             ..EngineConfig::default()
@@ -945,23 +466,5 @@ mod tests {
             ..EngineConfig::default()
         };
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn frontier_repr_builders_and_labels() {
-        assert_eq!(FrontierRepr::List.label(), "list");
-        assert_eq!(FrontierRepr::Bitmap.label(), "bitmap");
-        let c = EngineConfig::unscaled().bitmap();
-        assert_eq!(c.frontier, FrontierRepr::Bitmap);
-        let c = c.with_frontier(FrontierRepr::List);
-        assert_eq!(c.frontier, FrontierRepr::List);
-        // Without SIMDX_FRONTIER in the test environment the default
-        // is the list representation; with it, CI flips every default
-        // config to bitmap (both are valid here by the bit-equality
-        // contract).
-        assert!(matches!(
-            EngineConfig::default().frontier,
-            FrontierRepr::List | FrontierRepr::Bitmap
-        ));
     }
 }

@@ -29,20 +29,17 @@
 //!
 //! * *Push compute is destination-sharded.* Each worker owns a
 //!   contiguous vertex range of `metadata_curr` (balanced by
-//!   in-degree) and applies only the edges that land in its range.
-//!   [`crate::config::PushStrategy`] selects how it finds them: `Scan`
-//!   replays the full task list and skips out-of-shard edges (total
-//!   traversal `threads × |E_frontier|`), `Grid` (the default)
-//!   iterates the bind-time destination-bucketed [`GridCsr`] so each
-//!   edge is traversed exactly once per iteration. Either way sources
+//!   in-degree) and iterates the bind-time destination-bucketed
+//!   [`GridCsr`], which holds exactly the edges that land in its range
+//!   — each frontier edge is traversed once per iteration. Sources
 //!   read the immutable `metadata_prev` snapshot, so a destination's
 //!   update sequence depends only on the edges that target it — every
 //!   worker observes exactly the serial subsequence for its vertices,
 //!   preserving order-sensitive results (PageRank's float
 //!   accumulation, cost `writes` counts) bit for bit. Costs are
-//!   charged from the full per-task degrees in both strategies, so
-//!   the simulated device cannot tell them apart; only the *host*
-//!   edge-traversal meter ([`RunReport::edges_examined`]) differs.
+//!   charged from the full per-task degrees, so the simulated device
+//!   cannot tell the backends apart; the *host* edge-traversal meter
+//!   ([`RunReport::edges_examined`]) is equal too.
 //! * *Pull compute, classification, candidate sweeps, degree sums and
 //!   the ballot scan are task-chunked.* Contiguous chunks concatenated
 //!   in worker order reproduce the serial order exactly.
@@ -77,25 +74,20 @@
 //! ([`ThreadBins::for_each_entry_in`]) and merge in worker order,
 //! which is the concatenation order.
 //!
-//! # Metadata layouts
+//! # Metadata sweeps
 //!
-//! [`crate::config::MetadataLayout`] selects, orthogonally to both
-//! knobs above, how the host lays out the `metadata_prev`/
-//! `metadata_curr` pair — again under the bit-equality contract. In
-//! `Chunked` mode the pair lives in
-//! [`MetadataStore::Chunked`] (64-byte-aligned, padded
-//! to whole 32-vertex warp chunks; two chunks = one bitmap word), the
-//! ballot scan and the pull-vote candidate sweep run fixed-width
-//! per-chunk lane loops ([`ballot::scan_range_chunked`],
-//! [`Engine::vote_candidates`]), the bitmap publish step copies whole
-//! chunks gated by the changed-word bitmap, and every parallel
-//! partition over metadata (ballot ranges, candidate sweeps, push
-//! destination fences) falls on chunk boundaries so no worker ever
-//! splits a chunk.
+//! `metadata_prev`/`metadata_curr` are plain `Vec<M>`s. The sweeps that
+//! touch every vertex — the ballot scan
+//! ([`ballot::scan_range_chunked`]) and the pull-vote candidate sweep
+//! ([`Engine::vote_candidates`]) — walk them in 32-vertex chunks (one
+//! warp of ballot lanes, half a bitmap word) through fixed-width lane
+//! loops the compiler can vectorize, finishing a partial tail scalar;
+//! every parallel partition over metadata falls on chunk boundaries so
+//! no worker ever splits a chunk.
 
 use crate::acc::{AccProgram, CombineKind, DirectionCtx};
 use crate::checkpoint::RunCheckpoint;
-use crate::config::{DirectionPolicy, EngineConfig, FrontierRepr, MetadataLayout, PushStrategy};
+use crate::config::{DirectionPolicy, EngineConfig, FrontierRepr};
 use crate::error::SimdxError;
 use crate::fault::{self, FaultSite};
 use crate::filters::{ballot, online, FilterKind};
@@ -105,13 +97,11 @@ use crate::frontier::{
 use crate::fusion::{FusionPlan, KernelRole};
 use crate::grid::{GridCsr, ShardCsr};
 use crate::jit::{ActivationLog, IterationRecord, JitController};
-use crate::metadata::{MetadataStore, CHUNK_LANES};
 use crate::metrics::{RunReport, RunResult};
 use crate::par::{chunk_range, chunk_range_aligned, WorkerPool};
 use crate::scratch::{IterScratch, PushFences, RecordEntry, WorkerScratch};
-use crate::session::Runtime;
 use crate::supervise::{Supervisor, POLL_STRIDE};
-use simdx_gpu::{Cost, GpuExecutor, SchedUnit};
+use simdx_gpu::{Cost, GpuExecutor, SchedUnit, WARP_SIZE};
 use simdx_graph::csr::{Csr, Direction};
 use simdx_graph::{Graph, VertexId, Weight};
 
@@ -119,8 +109,7 @@ use simdx_graph::{Graph, VertexId, Weight};
 ///
 /// The session API ([`crate::session::BoundGraph`]) owns these across
 /// queries — the pool outlives runs, the scratch arenas are reused, the
-/// push fences are computed once at bind time. The deprecated one-shot
-/// [`Engine::run`] materializes them fresh per call.
+/// push fences and grid are computed once at bind time.
 pub(crate) struct SessionCtx<'a, 'o, M: Copy + 'static> {
     /// Worker pool backing `ExecMode::Parallel` (`None` = serial path).
     pub pool: Option<&'a WorkerPool>,
@@ -131,10 +120,9 @@ pub(crate) struct SessionCtx<'a, 'o, M: Copy + 'static> {
     /// every parallel runtime, so a parallel run never derives them
     /// mid-query. Serial runs carry `None` (never read).
     pub fences: Option<&'a PushFences>,
-    /// Bind-time destination-bucketed grid CSR. Must be `Some`
-    /// whenever `pool` is and the config selects
-    /// [`PushStrategy::Grid`] — again precomputed by `Runtime::bind`.
-    /// Serial and scan-strategy runs carry `None` (never read).
+    /// Bind-time destination-bucketed grid CSR over those fences. Must
+    /// be `Some` whenever `pool` is — again precomputed by
+    /// `Runtime::bind`. Serial runs carry `None` (never read).
     pub grid: Option<&'a GridCsr>,
     /// Per-run iteration cap (the run builder can override the
     /// config's).
@@ -157,70 +145,13 @@ pub(crate) struct SessionCtx<'a, 'o, M: Copy + 'static> {
     pub resume: Option<RunCheckpoint<M>>,
 }
 
-/// The one-shot SIMD-X engine: a program, a graph and a configuration.
-///
-/// Deprecated shim: every call to [`Engine::run`] builds a
-/// [`crate::session::Runtime`] (worker pool + scratch arenas), binds
-/// the graph and executes a single query — exactly the per-query setup
-/// cost the session API exists to amortize. New code should hold a
-/// `Runtime`, bind once and run many queries:
-///
-/// ```
-/// # use simdx_core::prelude::*;
-/// # use simdx_graph::{EdgeList, Graph};
-/// # let graph = Graph::directed_from_edges(EdgeList::from_pairs(vec![(0, 1)]));
-/// let runtime = Runtime::new(EngineConfig::unscaled())?;
-/// let bound = runtime.bind(&graph);
-/// # let _ = bound;
-/// # Ok::<(), SimdxError>(())
-/// ```
-pub struct Engine<'g, P: AccProgram> {
-    program: P,
-    graph: &'g Graph,
-    config: EngineConfig,
-}
+/// The SIMD-X engine loop and its kernels, as associated functions
+/// over one ACC program type.
+pub(crate) struct Engine<P>(std::marker::PhantomData<P>);
 
-impl<'g, P: AccProgram> Engine<'g, P> {
-    /// Creates a one-shot engine.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a `session::Runtime` once and use `runtime.bind(graph).run(program)`"
-    )]
-    pub fn new(program: P, graph: &'g Graph, config: EngineConfig) -> Self {
-        Self {
-            program,
-            graph,
-            config,
-        }
-    }
-
-    /// The program.
-    pub fn program(&self) -> &P {
-        &self.program
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Runs the program to convergence, returning final metadata and the
-    /// run report.
-    ///
-    /// Thin shim over the session API: builds a fresh [`Runtime`]
-    /// (validating the config), binds the graph and executes one query.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `runtime.bind(graph).run(program).execute()` to amortize pool and scratch setup"
-    )]
-    pub fn run(&mut self) -> Result<RunResult<P::Meta>, SimdxError> {
-        let runtime = Runtime::new(self.config.clone())?;
-        runtime.bind(self.graph).run(&self.program).execute()
-    }
-
-    /// One engine run over borrowed session resources — the shared core
-    /// of the deprecated one-shot [`Engine::run`] and the session API's
-    /// [`crate::session::RunBuilder::execute`].
+impl<P: AccProgram> Engine<P> {
+    /// One engine run over borrowed session resources — the core of the
+    /// session API's [`crate::session::RunBuilder::execute`].
     pub(crate) fn run_session(
         program: &P,
         graph: &Graph,
@@ -286,7 +217,6 @@ impl<'g, P: AccProgram> Engine<'g, P> {
             changed_bits.reset(n);
             cand_bits.reset(n);
         }
-        let layout = config.layout;
 
         // Fresh runs initialize from the program; resumed runs restore
         // the boundary snapshot verbatim — metadata, frontier, log,
@@ -299,11 +229,6 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                     debug_assert_eq!(
                         cp.num_vertices as usize, n,
                         "resume validated against the wrong graph"
-                    );
-                    debug_assert_eq!(
-                        cp.meta.layout(),
-                        layout,
-                        "resume validated against the wrong layout"
                     );
                     executor.restore_stats(cp.stats);
                     plan.restore_launch_state(cp.fusion.0, cp.fusion.1);
@@ -324,7 +249,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                         "init must produce one metadata per vertex"
                     );
                     (
-                        MetadataStore::from_vec(layout, init_meta),
+                        init_meta,
                         frontier,
                         ActivationLog::default(),
                         Direction::Push,
@@ -334,7 +259,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                 }
             };
         // At a boundary `prev == curr` (the publish step just ran), so
-        // one snapshot copy restores both stores on resume.
+        // one snapshot copy restores both arrays on resume.
         let mut prev = curr.clone();
         // Bitmap mode's worklist drain: when the previous iteration's
         // online filter left the next frontier in the thread bins,
@@ -345,9 +270,9 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         // Host work meter: every edge the compute kernels actually
         // traverse (push scatters, pull gathers). Deliberately outside
         // the bit-equality contract — it is how the tests pin the
-        // scan strategy's threads× redundancy and the grid strategy's
-        // work-optimality. A resumed run continues the checkpoint's
-        // meter so the final report matches the uninterrupted run.
+        // grid push replay's work-optimality. A resumed run continues
+        // the checkpoint's meter so the final report matches the
+        // uninterrupted run.
         let mut edges_examined = init_edges;
 
         loop {
@@ -356,7 +281,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
             } else {
                 frontier.len() as u64
             };
-            if frontier_len == 0 || program.converged(iteration, frontier_len, curr.as_slice()) {
+            if frontier_len == 0 || program.converged(iteration, frontier_len, &curr) {
                 break;
             }
             // Boundary capture: overwrite the caller's slot with a
@@ -375,10 +300,8 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                     // in place, reusing its metadata / frontier / log
                     // allocations — captures after the first cost a few
                     // memcpys, no allocator traffic.
-                    Some(cp)
-                        if cp.meta.layout() == curr.layout() && cp.meta.len() == curr.len() =>
-                    {
-                        cp.meta.as_mut_slice().copy_from_slice(curr.as_slice());
+                    Some(cp) if cp.meta.len() == curr.len() => {
+                        cp.meta.copy_from_slice(&curr);
                         cp.frontier.clear();
                         if frontier_in_bins {
                             bins.for_each_entry(|v| cp.frontier.push(v));
@@ -538,39 +461,19 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                     match program.combine_kind() {
                         CombineKind::Vote => {
                             match pool {
-                                None => {
-                                    Self::vote_candidates(
-                                        program,
-                                        curr.as_slice(),
-                                        0,
-                                        n,
-                                        layout,
-                                        cands,
-                                    );
-                                }
+                                None => Self::vote_candidates(program, &curr, 0, n, cands),
                                 Some(pool) => {
-                                    // Chunked layout: partition on
-                                    // chunk boundaries so no worker's
-                                    // fixed-width sweep splits a chunk
-                                    // (merged chunks in worker order
-                                    // are the serial order either
-                                    // way).
-                                    let align = match layout {
-                                        MetadataLayout::Flat => 1,
-                                        MetadataLayout::Chunked => CHUNK_LANES,
-                                    };
+                                    // Partition on chunk boundaries so
+                                    // no worker's fixed-width sweep
+                                    // splits a chunk (merged chunks in
+                                    // worker order are the serial
+                                    // order either way).
                                     let curr = curr.as_slice();
                                     pool.try_for_each_worker(workers, |w, ws| {
                                         ws.cands.clear();
-                                        let (lo, hi) = chunk_range_aligned(n, threads, w, align);
-                                        Self::vote_candidates(
-                                            program,
-                                            curr,
-                                            lo,
-                                            hi,
-                                            layout,
-                                            &mut ws.cands,
-                                        );
+                                        let (lo, hi) =
+                                            chunk_range_aligned(n, threads, w, WARP_SIZE);
+                                        Self::vote_candidates(program, curr, lo, hi, &mut ws.cands);
                                     })?;
                                     for ws in workers.iter() {
                                         cands.extend_from_slice(&ws.cands);
@@ -763,8 +666,8 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                                 dir,
                                 list,
                                 scan_csr,
-                                prev.as_slice(),
-                                curr.as_mut_slice(),
+                                &prev,
+                                &mut curr,
                                 bins,
                                 &mut ListSink(changed),
                                 tasks,
@@ -780,8 +683,8 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                                 dir,
                                 list,
                                 scan_csr,
-                                prev.as_slice(),
-                                curr.as_mut_slice(),
+                                &prev,
+                                &mut curr,
                                 bins,
                                 &mut BitSink(changed_bits.view_mut()),
                                 tasks,
@@ -796,25 +699,27 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                         executor.run_kernel(&kernel, unit, tasks, launch);
                     }
                     (Some(pool), Direction::Push) => {
-                        // Bind time installs the fences for every
-                        // parallel-capable config; a missing set means
-                        // the config and the bound state diverged.
-                        let Some(fences) = bound_fences else {
+                        // Bind time installs the fences and the grid
+                        // for every parallel runtime; a missing pair
+                        // means the config and the bound state
+                        // diverged.
+                        let (Some(fences), Some(grid)) = (bound_fences, bound_grid) else {
                             return Err(SimdxError::InvalidConfig {
-                                reason: "parallel push run is missing its bind-time fences"
+                                reason: "parallel push run is missing its bind-time fences or \
+                                         grid CSR"
                                     .to_string(),
                             });
                         };
-                        let fences: &PushFences = fences;
-                        match (config.push, repr) {
-                            (PushStrategy::Scan, FrontierRepr::List) => Self::push_unit_parallel(
+                        match repr {
+                            FrontierRepr::List => Self::push_unit_parallel_grid(
                                 program,
                                 pool,
                                 workers,
                                 list,
                                 scan_csr,
-                                prev.as_slice(),
-                                curr.as_mut_slice(),
+                                grid,
+                                &prev,
+                                &mut curr,
                                 &fences.verts,
                                 tasks,
                                 changed,
@@ -827,86 +732,27 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                                 &mut edges_examined,
                                 supervisor,
                             )?,
-                            (PushStrategy::Scan, FrontierRepr::Bitmap) => {
-                                Self::push_unit_parallel_bits(
-                                    program,
-                                    pool,
-                                    workers,
-                                    list,
-                                    scan_csr,
-                                    prev.as_slice(),
-                                    curr.as_mut_slice(),
-                                    fences,
-                                    changed_bits,
-                                    tasks,
-                                    records,
-                                    bins,
-                                    record,
-                                    width,
-                                    task_base,
-                                    frontier_sorted,
-                                    &mut edges_examined,
-                                    supervisor,
-                                )?
-                            }
-                            (PushStrategy::Grid, FrontierRepr::List) => {
-                                let Some(grid) = bound_grid else {
-                                    return Err(SimdxError::InvalidConfig {
-                                        reason: "grid push run is missing its bind-time grid CSR"
-                                            .to_string(),
-                                    });
-                                };
-                                Self::push_unit_parallel_grid(
-                                    program,
-                                    pool,
-                                    workers,
-                                    list,
-                                    scan_csr,
-                                    grid,
-                                    prev.as_slice(),
-                                    curr.as_mut_slice(),
-                                    &fences.verts,
-                                    tasks,
-                                    changed,
-                                    records,
-                                    bins,
-                                    record,
-                                    width,
-                                    task_base,
-                                    frontier_sorted,
-                                    &mut edges_examined,
-                                    supervisor,
-                                )?
-                            }
-                            (PushStrategy::Grid, FrontierRepr::Bitmap) => {
-                                let Some(grid) = bound_grid else {
-                                    return Err(SimdxError::InvalidConfig {
-                                        reason: "grid push run is missing its bind-time grid CSR"
-                                            .to_string(),
-                                    });
-                                };
-                                Self::push_unit_parallel_grid_bits(
-                                    program,
-                                    pool,
-                                    workers,
-                                    list,
-                                    scan_csr,
-                                    grid,
-                                    prev.as_slice(),
-                                    curr.as_mut_slice(),
-                                    fences,
-                                    changed_bits,
-                                    tasks,
-                                    records,
-                                    bins,
-                                    record,
-                                    width,
-                                    task_base,
-                                    frontier_sorted,
-                                    &mut edges_examined,
-                                    supervisor,
-                                )?
-                            }
+                            FrontierRepr::Bitmap => Self::push_unit_parallel_grid_bits(
+                                program,
+                                pool,
+                                workers,
+                                list,
+                                scan_csr,
+                                grid,
+                                &prev,
+                                &mut curr,
+                                fences,
+                                changed_bits,
+                                tasks,
+                                records,
+                                bins,
+                                record,
+                                width,
+                                task_base,
+                                frontier_sorted,
+                                &mut edges_examined,
+                                supervisor,
+                            )?,
                         }
                         executor.run_kernel(&kernel, unit, tasks, launch);
                     }
@@ -918,8 +764,8 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                             workers,
                             list,
                             scan_csr,
-                            prev.as_slice(),
-                            curr.as_mut_slice(),
+                            &prev,
+                            &mut curr,
                             repr,
                             changed,
                             changed_bits,
@@ -994,29 +840,20 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                         ws.clear();
                         match repr {
                             FrontierRepr::List => {
-                                ballot::scan_range_layout(
-                                    program,
-                                    curr.as_slice(),
-                                    prev.as_slice(),
-                                    0,
-                                    n,
-                                    layout,
-                                    ws,
-                                );
+                                ballot::scan_range_chunked(program, &curr, &prev, 0, n, ws);
                             }
                             FrontierRepr::Bitmap => {
                                 // The changed bitmap is the scan's
                                 // occupancy: all-zero words (64
                                 // untouched vertices) are charged
                                 // without loading metadata.
-                                ballot::scan_range_sparse_layout(
+                                ballot::scan_range_sparse(
                                     program,
-                                    curr.as_slice(),
-                                    prev.as_slice(),
+                                    &curr,
+                                    &prev,
                                     0,
                                     n,
                                     changed_bits.words(),
-                                    layout,
                                     ws,
                                 );
                             }
@@ -1030,20 +867,17 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                         match repr {
                             FrontierRepr::List => {
                                 // Partition on warp-chunk (32)
-                                // boundaries, which are also metadata
-                                // chunk boundaries in the chunked
-                                // layout.
+                                // boundaries.
                                 pool.try_for_each_worker(workers, |w, ws| {
                                     fault::hit(FaultSite::Ballot);
                                     ws.warp.clear();
-                                    let (lo, hi) = chunk_range_aligned(n, threads, w, 32);
-                                    ballot::scan_range_layout(
+                                    let (lo, hi) = chunk_range_aligned(n, threads, w, WARP_SIZE);
+                                    ballot::scan_range_chunked(
                                         program,
                                         curr,
                                         prev,
                                         lo,
                                         hi,
-                                        layout,
                                         &mut ws.warp,
                                     );
                                 })?;
@@ -1051,23 +885,21 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                             FrontierRepr::Bitmap => {
                                 // Partition on occupancy-word (64)
                                 // boundaries — the word-level analogue
-                                // of the list scan's warp alignment
-                                // (and two metadata chunks) — so every
-                                // worker's range covers whole bitmap
-                                // words.
+                                // of the list scan's warp alignment —
+                                // so every worker's range covers whole
+                                // bitmap words.
                                 let occ = changed_bits.words();
                                 pool.try_for_each_worker(workers, |w, ws| {
                                     fault::hit(FaultSite::Ballot);
                                     ws.warp.clear();
                                     let (lo, hi) = chunk_range_aligned(n, threads, w, WORD_BITS);
-                                    ballot::scan_range_sparse_layout(
+                                    ballot::scan_range_sparse(
                                         program,
                                         curr,
                                         prev,
                                         lo,
                                         hi,
                                         occ,
-                                        layout,
                                         &mut ws.warp,
                                     );
                                 })?;
@@ -1099,38 +931,16 @@ impl<'g, P: AccProgram> Engine<'g, P> {
             // 6. Publish metadata_prev for the changed vertices.
             match repr {
                 FrontierRepr::List => {
-                    let prev_s = prev.as_mut_slice();
-                    let curr_s = curr.as_slice();
                     for &v in changed.iter() {
-                        prev_s[v as usize] = curr_s[v as usize];
+                        prev[v as usize] = curr[v as usize];
                     }
                     changed.clear();
                 }
+                // One sweep publishes and resets: non-zero words carry
+                // the changed vertices, zero words are skipped 64
+                // vertices at a time.
                 FrontierRepr::Bitmap => {
-                    // One sweep publishes and resets: non-zero words
-                    // carry the changed vertices, zero words are
-                    // skipped 64 vertices at a time.
-                    let prev_s = prev.as_mut_slice();
-                    let curr_s = curr.as_slice();
-                    match layout {
-                        MetadataLayout::Flat => {
-                            changed_bits.drain_for_each(|v| prev_s[v as usize] = curr_s[v as usize])
-                        }
-                        MetadataLayout::Chunked => {
-                            // Chunked layout: any set bit publishes
-                            // its word's two 32-vertex chunks
-                            // wholesale — a straight-line block copy
-                            // instead of a per-bit scatter.
-                            // Value-equal because an unchanged lane
-                            // already satisfies `prev == curr`, so
-                            // copying it is a no-op.
-                            changed_bits.drain_nonzero_words(|word| {
-                                let lo = word * WORD_BITS;
-                                let hi = (lo + WORD_BITS).min(n);
-                                prev_s[lo..hi].copy_from_slice(&curr_s[lo..hi]);
-                            });
-                        }
-                    }
+                    changed_bits.drain_for_each(|v| prev[v as usize] = curr[v as usize])
                 }
             }
 
@@ -1157,7 +967,7 @@ impl<'g, P: AccProgram> Engine<'g, P> {
 
         let elapsed_ms = executor.elapsed_ms();
         Ok(RunResult {
-            meta: curr.into_vec(),
+            meta: curr,
             report: RunReport {
                 algorithm: program.name().to_string(),
                 device: executor.device().name,
@@ -1174,54 +984,33 @@ impl<'g, P: AccProgram> Engine<'g, P> {
     }
 
     /// Appends the pull-vote candidates in `[lo, hi)` of the metadata
-    /// sweep to `out`. The flat layout walks vertex by vertex; the
-    /// chunked layout sweeps full 32-vertex chunks through `[M; 32]`
-    /// windows with a fixed-width lane loop (the candidate-scan
-    /// analogue of [`ballot::scan_range_chunked`]) and finishes the
-    /// partial tail scalar — identical candidates in identical
-    /// ascending order either way, so the layouts stay bit-equal.
+    /// sweep to `out`, in ascending order: full 32-vertex chunks go
+    /// through `[M; 32]` windows with a fixed-width lane loop (the
+    /// candidate-scan analogue of [`ballot::scan_range_chunked`]), the
+    /// partial tail is finished scalar.
     fn vote_candidates(
         program: &P,
         curr: &[P::Meta],
         lo: usize,
         hi: usize,
-        layout: MetadataLayout,
         out: &mut Vec<VertexId>,
     ) {
-        match layout {
-            MetadataLayout::Flat => {
-                for (i, m) in curr[lo..hi].iter().enumerate() {
-                    let v = (lo + i) as VertexId;
-                    if program.pull_candidate(v, m) {
-                        out.push(v);
-                    }
+        let mut base = lo;
+        let mut rest = &curr[lo..hi];
+        while let Some((chunk, tail)) = rest.split_first_chunk::<WARP_SIZE>() {
+            for (lane, m) in chunk.iter().enumerate() {
+                let v = (base + lane) as VertexId;
+                if program.pull_candidate(v, m) {
+                    out.push(v);
                 }
             }
-            MetadataLayout::Chunked => {
-                let mut base = lo;
-                while base + CHUNK_LANES <= hi {
-                    // The loop bound guarantees a full window; if the
-                    // conversion ever misses, the scalar tail below
-                    // covers `[base, hi)` with identical candidates.
-                    let Ok(c) =
-                        <&[P::Meta; CHUNK_LANES]>::try_from(&curr[base..base + CHUNK_LANES])
-                    else {
-                        break;
-                    };
-                    for (lane, m) in c.iter().enumerate() {
-                        let v = (base + lane) as VertexId;
-                        if program.pull_candidate(v, m) {
-                            out.push(v);
-                        }
-                    }
-                    base += CHUNK_LANES;
-                }
-                for (i, m) in curr[base..hi].iter().enumerate() {
-                    let v = (base + i) as VertexId;
-                    if program.pull_candidate(v, m) {
-                        out.push(v);
-                    }
-                }
+            base += WARP_SIZE;
+            rest = tail;
+        }
+        for (i, m) in rest.iter().enumerate() {
+            let v = (base + i) as VertexId;
+            if program.pull_candidate(v, m) {
+                out.push(v);
             }
         }
     }
@@ -1317,139 +1106,13 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         }
     }
 
-    /// One push-mode compute-kernel loop under the scan-and-skip
-    /// strategy (see the module docs): every worker replays the whole
-    /// task list but applies only the edges landing in its contiguous
-    /// vertex shard of `curr`, then per-task applied counts, changed
-    /// vertices and deferred filter records are merged
-    /// deterministically.
-    #[allow(clippy::too_many_arguments)]
-    fn push_unit_parallel(
-        program: &P,
-        pool: &WorkerPool,
-        workers: &mut [WorkerScratch<P::Meta>],
-        list: &[VertexId],
-        csr: &Csr,
-        prev: &[P::Meta],
-        curr: &mut [P::Meta],
-        bounds: &[u32],
-        tasks: &mut Vec<Cost>,
-        changed: &mut Vec<VertexId>,
-        records: &mut Vec<RecordEntry>,
-        bins: &mut ThreadBins,
-        record: bool,
-        width: u64,
-        task_base: u64,
-        frontier_sorted: bool,
-        examined: &mut u64,
-        sup: &Supervisor,
-    ) -> Result<(), SimdxError> {
-        Self::push_cost_prefill(tasks, list, csr, width, frontier_sorted);
-        pool.try_for_each_worker_sharded(workers, curr, bounds, |_w, ws, off, curr_shard| {
-            ws.changed.clear();
-            let WorkerScratch {
-                changed,
-                records,
-                applied,
-                edges_examined,
-                ..
-            } = ws;
-            Self::push_replay_shard(
-                program,
-                list,
-                csr,
-                prev,
-                off,
-                curr_shard,
-                records,
-                applied,
-                edges_examined,
-                &mut ListSink(changed),
-                record,
-                width,
-                task_base,
-                sup,
-            );
-        })?;
-        Self::push_merge(workers, tasks, records, bins, examined, |ws, recs| {
-            changed.extend_from_slice(&ws.changed);
-            recs.extend_from_slice(&ws.records);
-        });
-        Ok(())
-    }
-
-    /// The bitmap-mode variant of [`Self::push_unit_parallel`]: the
-    /// destination fences are word-aligned, so each worker receives a
-    /// disjoint window of the changed bitmap's words alongside its
-    /// metadata shard and records first changes as **atomic-free bit
-    /// sets** — no per-worker changed list and no merge for the changed
-    /// set.
-    #[allow(clippy::too_many_arguments)]
-    fn push_unit_parallel_bits(
-        program: &P,
-        pool: &WorkerPool,
-        workers: &mut [WorkerScratch<P::Meta>],
-        list: &[VertexId],
-        csr: &Csr,
-        prev: &[P::Meta],
-        curr: &mut [P::Meta],
-        fences: &PushFences,
-        changed_bits: &mut FrontierBitmap,
-        tasks: &mut Vec<Cost>,
-        records: &mut Vec<RecordEntry>,
-        bins: &mut ThreadBins,
-        record: bool,
-        width: u64,
-        task_base: u64,
-        frontier_sorted: bool,
-        examined: &mut u64,
-        sup: &Supervisor,
-    ) -> Result<(), SimdxError> {
-        Self::push_cost_prefill(tasks, list, csr, width, frontier_sorted);
-        pool.try_for_each_worker_sharded2(
-            workers,
-            curr,
-            &fences.verts,
-            changed_bits.words_mut(),
-            &fences.words,
-            |_w, ws, off, curr_shard, word_off, word_shard| {
-                let WorkerScratch {
-                    records,
-                    applied,
-                    edges_examined,
-                    ..
-                } = ws;
-                Self::push_replay_shard(
-                    program,
-                    list,
-                    csr,
-                    prev,
-                    off,
-                    curr_shard,
-                    records,
-                    applied,
-                    edges_examined,
-                    &mut BitSink(BitmapWordsMut::new(word_off, word_shard)),
-                    record,
-                    width,
-                    task_base,
-                    sup,
-                );
-            },
-        )?;
-        Self::push_merge(workers, tasks, records, bins, examined, |ws, recs| {
-            recs.extend_from_slice(&ws.records);
-        });
-        Ok(())
-    }
-
-    /// One push-mode compute-kernel loop under the grid strategy:
-    /// worker `s` iterates only `grid.shard(s)` — the bind-time bucket
-    /// of edges whose destination falls in its metadata shard — so
-    /// each frontier edge is traversed exactly once per iteration
-    /// instead of once per worker. Costs are still prefetched from the
-    /// full per-task degrees and the merge path is shared with the
-    /// scan strategy, which is why the two are bit-equal.
+    /// One parallel push-mode compute-kernel loop (see the module
+    /// docs): worker `s` iterates only `grid.shard(s)` — the bind-time
+    /// bucket of edges whose destination falls in its contiguous vertex
+    /// shard of `curr` — so each frontier edge is traversed exactly
+    /// once per iteration. Costs are prefilled from the full per-task
+    /// degrees; per-task applied counts, changed vertices and deferred
+    /// filter records are then merged deterministically.
     #[allow(clippy::too_many_arguments)]
     fn push_unit_parallel_grid(
         program: &P,
@@ -1507,8 +1170,11 @@ impl<'g, P: AccProgram> Engine<'g, P> {
     }
 
     /// The bitmap-mode variant of [`Self::push_unit_parallel_grid`]:
-    /// grid iteration with atomic-free bit-set change recording over
-    /// the word-aligned shard windows.
+    /// the destination fences are word-aligned, so each worker receives
+    /// a disjoint window of the changed bitmap's words alongside its
+    /// metadata shard and records first changes as **atomic-free bit
+    /// sets** — no per-worker changed list and no merge for the changed
+    /// set.
     #[allow(clippy::too_many_arguments)]
     fn push_unit_parallel_grid_bits(
         program: &P,
@@ -1585,91 +1251,13 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         }
     }
 
-    /// One worker's destination shard of the scan-strategy push
-    /// task-list replay, shared by both frontier representations
-    /// through the [`ChangeSink`] first-change test: the full
-    /// adjacency of every task is scanned and out-of-shard edges are
-    /// skipped.
-    #[allow(clippy::too_many_arguments)]
-    fn push_replay_shard<C: ChangeSink<P::Meta>>(
-        program: &P,
-        list: &[VertexId],
-        csr: &Csr,
-        prev: &[P::Meta],
-        off: usize,
-        curr_shard: &mut [P::Meta],
-        records: &mut Vec<RecordEntry>,
-        applied_out: &mut Vec<(u32, u32)>,
-        examined: &mut u64,
-        chg: &mut C,
-        record: bool,
-        width: u64,
-        task_base: u64,
-        sup: &Supervisor,
-    ) {
-        fault::hit(FaultSite::Push);
-        records.clear();
-        applied_out.clear();
-        *examined = 0;
-        for (t, &v) in list.iter().enumerate() {
-            if t % POLL_STRIDE == 0 && sup.poll() {
-                break;
-            }
-            let task_counter = task_base + t as u64;
-            let (lo, hi) = csr.range(v);
-            let targets = &csr.targets()[lo..hi];
-            *examined += targets.len() as u64;
-            // Weighted/unweighted split once per task, so the inner
-            // loop carries no per-edge branch on the weights option.
-            let applied = match csr.weights() {
-                None => Self::replay_task_edges(
-                    program,
-                    v,
-                    targets,
-                    |_| 1,
-                    |k| k as u32,
-                    Some((off, off + curr_shard.len())),
-                    prev,
-                    off,
-                    curr_shard,
-                    records,
-                    chg,
-                    record,
-                    width,
-                    task_counter,
-                ),
-                Some(ws) => {
-                    let ws = &ws[lo..hi];
-                    Self::replay_task_edges(
-                        program,
-                        v,
-                        targets,
-                        |k| ws[k],
-                        |k| k as u32,
-                        Some((off, off + curr_shard.len())),
-                        prev,
-                        off,
-                        curr_shard,
-                        records,
-                        chg,
-                        record,
-                        width,
-                        task_counter,
-                    )
-                }
-            };
-            if applied > 0 {
-                applied_out.push((t as u32, applied));
-            }
-        }
-    }
-
-    /// One worker's destination shard of the grid-strategy push
-    /// replay: every task contributes only its `(source, shard)` cell
-    /// of the bind-time [`GridCsr`], so no edge is scanned and
-    /// skipped. The cell carries each edge's original adjacency
-    /// offset, which keeps record keys and bin slots identical to the
-    /// scan replay.
+    /// One worker's destination shard of the parallel push replay,
+    /// shared by both frontier representations through the
+    /// [`ChangeSink`] first-change test: every task contributes only
+    /// its `(source, shard)` cell of the bind-time [`GridCsr`], so no
+    /// edge is scanned and skipped. The cell carries each edge's
+    /// original adjacency offset, which keeps record keys and bin slots
+    /// identical to the serial path's.
     #[allow(clippy::too_many_arguments)]
     fn push_replay_grid<C: ChangeSink<P::Meta>>(
         program: &P,
@@ -1710,7 +1298,6 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                     targets,
                     |_| 1,
                     |k| eoffs[k],
-                    None,
                     prev,
                     off,
                     curr_shard,
@@ -1728,7 +1315,6 @@ impl<'g, P: AccProgram> Engine<'g, P> {
                         targets,
                         |k| ws[k],
                         |k| eoffs[k],
-                        None,
                         prev,
                         off,
                         curr_shard,
@@ -1746,14 +1332,12 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         }
     }
 
-    /// The edge loop shared by both parallel push replays: applies the
-    /// given targets against the worker's destination shard, deferring
-    /// online-filter records under `(task, edge)` keys. `weight` and
-    /// `edge_off` resolve per-edge metadata by position (monomorphized
-    /// per weighted/unweighted split and per strategy), and `bounds`
-    /// is the scan strategy's in-shard filter — the grid replay passes
-    /// `None` because its cells are in-shard by construction. Returns
-    /// the number of successful applies.
+    /// The edge loop of the parallel push replay: applies one grid
+    /// cell's targets (in-shard by construction) against the worker's
+    /// destination shard, deferring online-filter records under
+    /// `(task, edge)` keys. `weight` and `edge_off` resolve per-edge
+    /// metadata by position (monomorphized per weighted/unweighted
+    /// split). Returns the number of successful applies.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn replay_task_edges<C: ChangeSink<P::Meta>>(
@@ -1762,7 +1346,6 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         targets: &[VertexId],
         weight: impl Fn(usize) -> Weight,
         edge_off: impl Fn(usize) -> u32,
-        bounds: Option<(usize, usize)>,
         prev: &[P::Meta],
         off: usize,
         curr_shard: &mut [P::Meta],
@@ -1777,11 +1360,6 @@ impl<'g, P: AccProgram> Engine<'g, P> {
         let mut applied = 0u32;
         for (k, &u) in targets.iter().enumerate() {
             let ui = u as usize;
-            if let Some((lo, hi)) = bounds {
-                if ui < lo || ui >= hi {
-                    continue;
-                }
-            }
             debug_assert!(
                 (off..off + curr_shard.len()).contains(&ui),
                 "edge destination outside the worker's shard"
@@ -2236,6 +1814,7 @@ mod tests {
     use crate::acc::CombineKind;
     use crate::config::{ExecMode, FilterPolicy};
     use crate::fusion::FusionStrategy;
+    use crate::session::Runtime;
     use simdx_graph::{EdgeList, Weight};
 
     /// BFS-like vote program over levels, used to exercise the engine
@@ -2311,19 +1890,6 @@ mod tests {
             .run(Levels { src: 0 })
             .execute()
             .expect_err("run should fail")
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_engine_shim_matches_session_api() {
-        let g = path_graph(64);
-        let via_shim = Engine::new(Levels { src: 0 }, &g, EngineConfig::unscaled())
-            .run()
-            .expect("shim run");
-        let via_session = run_levels(&g, EngineConfig::unscaled());
-        assert_eq!(via_shim.meta, via_session.meta);
-        assert_eq!(via_shim.report.log, via_session.report.log);
-        assert_eq!(via_shim.report.stats, via_session.report.stats);
     }
 
     #[test]
@@ -2513,31 +2079,40 @@ mod tests {
         }
     }
 
-    /// Asserts a parallel run is bit-equal to the serial reference:
-    /// same metadata, same log, same simulated cycles.
-    fn assert_parallel_matches(g: &Graph, cfg: EngineConfig) {
-        let serial = run_levels(g, cfg.clone().with_exec(ExecMode::Serial));
-        for threads in [2usize, 3, 5] {
-            let par = run_levels(g, cfg.clone().parallel(threads));
-            assert_eq!(par.meta, serial.meta, "{threads} threads: metadata");
-            assert_eq!(
-                par.report.log, serial.report.log,
-                "{threads} threads: iteration log"
-            );
-            assert_eq!(
-                par.report.stats, serial.report.stats,
-                "{threads} threads: executor stats"
-            );
+    /// Asserts every {Serial, Parallel×{2, 3, 5}} × {List, Bitmap} cell
+    /// is bit-equal to the Serial + List reference: same metadata, same
+    /// log, same simulated cycles.
+    fn assert_matrix_matches(g: &Graph, cfg: EngineConfig) {
+        let base = run_levels(
+            g,
+            cfg.clone()
+                .with_exec(ExecMode::Serial)
+                .with_frontier(FrontierRepr::List),
+        );
+        for threads in [1usize, 2, 3, 5] {
+            for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
+                let cfg = if threads > 1 {
+                    cfg.clone().parallel(threads)
+                } else {
+                    cfg.clone().with_exec(ExecMode::Serial)
+                };
+                let r = run_levels(g, cfg.with_frontier(repr));
+                let label = format!("{threads} threads / {}", repr.label());
+                assert_eq!(r.meta, base.meta, "{label}: metadata");
+                assert_eq!(r.report.log, base.report.log, "{label}: iteration log");
+                assert_eq!(r.report.stats, base.report.stats, "{label}: executor stats");
+            }
         }
     }
 
     #[test]
-    fn parallel_is_bit_equal_on_path() {
-        assert_parallel_matches(&path_graph(300), EngineConfig::unscaled());
+    fn matrix_is_bit_equal_on_path() {
+        // 300 % 32 != 0: the chunk-shaped sweeps finish a partial tail.
+        assert_matrix_matches(&path_graph(300), EngineConfig::unscaled());
     }
 
     #[test]
-    fn parallel_is_bit_equal_with_direction_switches() {
+    fn matrix_is_bit_equal_with_direction_switches() {
         let mut edges = Vec::new();
         let n = 256u32;
         for v in 0..n {
@@ -2546,18 +2121,20 @@ mod tests {
             }
         }
         let g = Graph::directed_from_edges(EdgeList::from_pairs(edges));
-        assert_parallel_matches(&g, EngineConfig::unscaled());
-        assert_parallel_matches(&g, EngineConfig::default());
+        assert_matrix_matches(&g, EngineConfig::unscaled());
+        assert_matrix_matches(&g, EngineConfig::default());
     }
 
     #[test]
-    fn parallel_is_bit_equal_on_hub_overflow() {
-        // The star graph exercises ballot switching and bin overflow;
-        // the overflow flag and dropped records must replay identically.
+    fn matrix_is_bit_equal_on_hub_overflow() {
+        // The star graph exercises ballot switching and bin overflow:
+        // the overflow flag and dropped records must replay
+        // identically, and the sparse scan and bit-set dedup must
+        // reproduce the overflow behaviour exactly.
         let g = Graph::directed_from_edges(EdgeList::from_pairs(
             (1..=5000u32).map(|i| (0, i)).collect(),
         ));
-        assert_parallel_matches(
+        assert_matrix_matches(
             &g,
             EngineConfig::unscaled().with_direction(DirectionPolicy::FixedPush),
         );
@@ -2585,69 +2162,10 @@ mod tests {
         assert_eq!(serial.report.stats, auto.report.stats);
     }
 
-    /// Asserts bitmap mode is bit-equal to list mode in both exec
-    /// modes: same metadata, same log, same simulated cycles.
-    fn assert_bitmap_matches(g: &Graph, cfg: EngineConfig) {
-        use crate::config::FrontierRepr;
-        let base = run_levels(g, cfg.clone().with_frontier(FrontierRepr::List));
-        for threads in [1usize, 3] {
-            let cfg = if threads > 1 {
-                cfg.clone().parallel(threads)
-            } else {
-                cfg.clone().with_exec(ExecMode::Serial)
-            };
-            let bm = run_levels(g, cfg.bitmap());
-            assert_eq!(bm.meta, base.meta, "{threads} threads: metadata");
-            assert_eq!(
-                bm.report.log, base.report.log,
-                "{threads} threads: iteration log"
-            );
-            assert_eq!(
-                bm.report.stats, base.report.stats,
-                "{threads} threads: executor stats"
-            );
-        }
-    }
-
-    #[test]
-    fn bitmap_is_bit_equal_on_path() {
-        assert_bitmap_matches(&path_graph(300), EngineConfig::unscaled());
-    }
-
-    #[test]
-    fn bitmap_is_bit_equal_with_direction_switches() {
-        let mut edges = Vec::new();
-        let n = 256u32;
-        for v in 0..n {
-            for k in 1..=8 {
-                edges.push((v, (v * 7 + k * 13) % n));
-            }
-        }
-        let g = Graph::directed_from_edges(EdgeList::from_pairs(edges));
-        assert_bitmap_matches(&g, EngineConfig::unscaled());
-        assert_bitmap_matches(
-            &g,
-            EngineConfig::default().with_frontier(FrontierRepr::List),
-        );
-    }
-
-    #[test]
-    fn bitmap_is_bit_equal_on_hub_overflow() {
-        // Ballot switching + bin overflow: the sparse scan and the
-        // bit-set dedup must reproduce the overflow behaviour exactly.
-        let g = Graph::directed_from_edges(EdgeList::from_pairs(
-            (1..=5000u32).map(|i| (0, i)).collect(),
-        ));
-        assert_bitmap_matches(
-            &g,
-            EngineConfig::unscaled().with_direction(DirectionPolicy::FixedPush),
-        );
-    }
-
     #[test]
     fn bitmap_word_aligned_fences_cover_all_vertices() {
         let g = path_graph(1000);
-        let fences = PushFences::compute(g.in_(), 4, FrontierRepr::Bitmap, MetadataLayout::Flat);
+        let fences = PushFences::compute(g.in_(), 4, FrontierRepr::Bitmap);
         assert_eq!(fences.verts[0], 0);
         assert_eq!(*fences.verts.last().unwrap(), 1000);
         assert!(fences.verts.windows(2).all(|w| w[0] <= w[1]));
@@ -2661,82 +2179,7 @@ mod tests {
             1000usize.div_ceil(64)
         );
         // List mode leaves the word fences empty.
-        let list = PushFences::compute(g.in_(), 4, FrontierRepr::List, MetadataLayout::Flat);
+        let list = PushFences::compute(g.in_(), 4, FrontierRepr::List);
         assert!(list.words.is_empty());
-    }
-
-    #[test]
-    fn chunked_fences_never_split_a_metadata_chunk() {
-        let g = path_graph(1000);
-        let fences = PushFences::compute(g.in_(), 4, FrontierRepr::List, MetadataLayout::Chunked);
-        assert_eq!(fences.verts[0], 0);
-        assert_eq!(*fences.verts.last().unwrap(), 1000);
-        for (i, &f) in fences.verts.iter().enumerate().take(4).skip(1) {
-            assert_eq!(f % 32, 0, "fence {i} splits a chunk");
-        }
-        // Bitmap word fences (64) already satisfy chunk (32) alignment.
-        let bm = PushFences::compute(g.in_(), 4, FrontierRepr::Bitmap, MetadataLayout::Chunked);
-        for &f in bm.verts.iter().take(4).skip(1) {
-            assert_eq!(f % 32, 0);
-        }
-    }
-
-    /// Asserts the chunked metadata layout is bit-equal to flat across
-    /// exec modes and frontier representations.
-    fn assert_chunked_matches(g: &Graph, cfg: EngineConfig) {
-        let base = run_levels(g, cfg.clone().with_layout(MetadataLayout::Flat));
-        for threads in [1usize, 3] {
-            for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-                let cfg = if threads > 1 {
-                    cfg.clone().parallel(threads)
-                } else {
-                    cfg.clone().with_exec(ExecMode::Serial)
-                };
-                let ch = run_levels(g, cfg.with_frontier(repr).chunked());
-                let label = format!("{threads} threads / {}", repr.label());
-                assert_eq!(ch.meta, base.meta, "{label}: metadata");
-                assert_eq!(ch.report.log, base.report.log, "{label}: iteration log");
-                assert_eq!(
-                    ch.report.stats, base.report.stats,
-                    "{label}: executor stats"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_is_bit_equal_on_path() {
-        // 300 % 32 != 0: the tail chunk is partial.
-        assert_chunked_matches(&path_graph(300), EngineConfig::unscaled());
-    }
-
-    #[test]
-    fn chunked_is_bit_equal_with_direction_switches() {
-        let mut edges = Vec::new();
-        let n = 256u32;
-        for v in 0..n {
-            for k in 1..=8 {
-                edges.push((v, (v * 7 + k * 13) % n));
-            }
-        }
-        let g = Graph::directed_from_edges(EdgeList::from_pairs(edges));
-        assert_chunked_matches(&g, EngineConfig::unscaled());
-        assert_chunked_matches(
-            &g,
-            EngineConfig::default()
-                .with_frontier(FrontierRepr::List)
-                .with_layout(MetadataLayout::Flat),
-        );
-    }
-
-    #[test]
-    fn chunked_is_bit_equal_on_hub_overflow() {
-        let g = Graph::directed_from_edges(EdgeList::from_pairs(
-            (1..=5000u32).map(|i| (0, i)).collect(),
-        ));
-        assert_chunked_matches(
-            &g,
-            EngineConfig::unscaled().with_direction(DirectionPolicy::FixedPush),
-        );
     }
 }

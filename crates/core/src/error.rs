@@ -1,11 +1,10 @@
 //! The unified, typed error surface of the engine and session API.
 //!
-//! Every failure mode a service caller can hit — a bad `SIMDX_*`
-//! environment knob, an inconsistent [`crate::config::EngineConfig`],
-//! a malformed query, or a run that aborts inside the engine — is one
-//! variant of [`SimdxError`], so callers match on variants instead of
-//! catching panics. The pre-session `EngineError` (which only covered
-//! the two in-run aborts) is absorbed as a deprecated alias.
+//! Every failure mode a service caller can hit — a bad
+//! `SIMDX_FRONTIER` environment knob, an inconsistent
+//! [`crate::config::EngineConfig`], a malformed query, or a run that
+//! aborts inside the engine — is one variant of [`SimdxError`], so
+//! callers match on variants instead of catching panics.
 //!
 //! Supervision aborts ([`SimdxError::Cancelled`],
 //! [`SimdxError::DeadlineExceeded`], [`SimdxError::BudgetExhausted`])
@@ -33,8 +32,8 @@ pub enum SimdxError {
         /// The cap that was hit.
         max_iterations: u32,
     },
-    /// A `SIMDX_*` environment knob (`SIMDX_EXEC`, `SIMDX_FRONTIER`,
-    /// `SIMDX_LAYOUT`, `SIMDX_PUSH`) held an unrecognized value.
+    /// The `SIMDX_FRONTIER` environment knob held an unrecognized
+    /// value.
     InvalidKnob {
         /// The environment variable.
         var: &'static str,
@@ -209,13 +208,6 @@ impl std::fmt::Display for SimdxError {
 
 impl std::error::Error for SimdxError {}
 
-/// The pre-session name for the engine's run failures.
-#[deprecated(
-    since = "0.2.0",
-    note = "EngineError was absorbed into the unified `SimdxError`"
-)]
-pub type EngineError = SimdxError;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,19 +262,11 @@ mod tests {
             ),
             (
                 SimdxError::InvalidKnob {
-                    var: "SIMDX_EXEC",
-                    expected: "'serial'",
-                    value: "warp9".to_string(),
+                    var: "SIMDX_FRONTIER",
+                    expected: "'list' or 'bitmap'",
+                    value: "bitmp".to_string(),
                 },
-                "SIMDX_EXEC must be 'serial', got 'warp9'",
-            ),
-            (
-                SimdxError::InvalidKnob {
-                    var: "SIMDX_PUSH",
-                    expected: "'scan' or 'grid'",
-                    value: "mesh".to_string(),
-                },
-                "SIMDX_PUSH must be 'scan' or 'grid', got 'mesh'",
+                "SIMDX_FRONTIER must be 'list' or 'bitmap', got 'bitmp'",
             ),
             (
                 SimdxError::InvalidConfig {

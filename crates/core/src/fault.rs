@@ -43,7 +43,7 @@ pub enum FaultSite {
     GridBuild,
     /// `IterScratch::reset_for_run` at `execute()` entry.
     ScratchReset,
-    /// The boundary checkpoint capture in `Engine::run_session`.
+    /// The boundary checkpoint capture in the engine loop.
     Capture,
     /// The checkpoint restore at resumed-run initialization.
     Restore,

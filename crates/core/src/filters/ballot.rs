@@ -9,7 +9,6 @@
 //! coalesced scan and sorted active vertices").
 
 use crate::acc::AccProgram;
-use crate::config::MetadataLayout;
 use crate::frontier::WORD_BITS;
 use simdx_gpu::warp::{ballot, popc};
 use simdx_gpu::{Cost, GpuExecutor, KernelDesc, SchedUnit, WARP_SIZE};
@@ -47,7 +46,9 @@ impl WarpScanScratch {
     }
 }
 
-/// Scans vertices `[start, end)` of the metadata arrays in warp-sized
+/// The scalar reference scan — the `< 32` tail of
+/// [`scan_range_chunked`] and what the unit tests compare it against:
+/// scans vertices `[start, end)` of the metadata arrays in warp-sized
 /// chunks, appending active vertices and per-chunk costs to `out`.
 ///
 /// `start` must be warp-aligned so that partition boundaries fall on
@@ -90,17 +91,17 @@ pub fn scan_range<P: AccProgram>(
     }
 }
 
-/// The chunked-layout form of [`scan_range`]: full 32-vertex chunks
-/// are swept through `[M; 32]` array windows with a fixed-width lane
-/// loop, so the compiler can unroll/vectorize the Active compares into
-/// a mask (the host analogue of `__ballot`); the partial tail chunk
-/// (when `end % 32 != 0`) falls back to the scalar loop and never
-/// reads the chunked buffer's padding lanes.
+/// The dense scan: full 32-vertex chunks are swept through `[M; 32]`
+/// array windows with a fixed-width lane loop, so the compiler can
+/// unroll/vectorize the Active compares into a mask (the host analogue
+/// of `__ballot`); the partial tail chunk (when `end % 32 != 0`) falls
+/// back to the scalar [`scan_range`].
 ///
 /// The output — actives *and* per-chunk cost sequence — is
 /// bit-identical to [`scan_range`] over the same range: same lane
 /// order inside each chunk (ascending, the bit order `ballot` packs),
-/// same `chunk_cost` per chunk.
+/// same `chunk_cost` per chunk. `start` must be warp-aligned for the
+/// same reason.
 pub fn scan_range_chunked<P: AccProgram>(
     program: &P,
     curr: &[P::Meta],
@@ -115,13 +116,11 @@ pub fn scan_range_chunked<P: AccProgram>(
         "partition start must be warp-aligned"
     );
     let mut base = start;
-    while base + WARP_SIZE <= end {
-        let c: &[P::Meta; WARP_SIZE] = curr[base..base + WARP_SIZE]
-            .try_into()
-            .expect("exact chunk");
-        let p: &[P::Meta; WARP_SIZE] = prev[base..base + WARP_SIZE]
-            .try_into()
-            .expect("exact chunk");
+    let (mut c_rest, mut p_rest) = (&curr[start..end], &prev[start..end]);
+    while let (Some((c, c_tail)), Some((p, p_tail))) = (
+        c_rest.split_first_chunk::<WARP_SIZE>(),
+        p_rest.split_first_chunk::<WARP_SIZE>(),
+    ) {
         let mut mask = 0u32;
         for lane in 0..WARP_SIZE {
             mask |= (program.active((base + lane) as VertexId, &c[lane], &p[lane]) as u32) << lane;
@@ -135,38 +134,20 @@ pub fn scan_range_chunked<P: AccProgram>(
         }
         out.tasks.push(chunk_cost(WARP_SIZE, votes));
         base += WARP_SIZE;
+        (c_rest, p_rest) = (c_tail, p_tail);
     }
     if base < end {
         scan_range(program, curr, prev, base, end, out);
     }
 }
 
-/// Layout dispatch for the dense scan: `Chunked` takes the fixed-width
-/// chunk sweep, `Flat` the scalar reference loop. Both are
-/// bit-identical; only the loop shape (and therefore what the host
-/// compiler can vectorize) differs.
-pub fn scan_range_layout<P: AccProgram>(
-    program: &P,
-    curr: &[P::Meta],
-    prev: &[P::Meta],
-    start: usize,
-    end: usize,
-    layout: MetadataLayout,
-    out: &mut WarpScanScratch,
-) {
-    match layout {
-        MetadataLayout::Flat => scan_range(program, curr, prev, start, end, out),
-        MetadataLayout::Chunked => scan_range_chunked(program, curr, prev, start, end, out),
-    }
-}
-
-/// [`scan_range`] with a word-level occupancy skip: `occupancy` is the
-/// changed-vertex bitmap's backing words (bit `v % 64` of word
+/// [`scan_range_chunked`] with a word-level occupancy skip: `occupancy`
+/// is the changed-vertex bitmap's backing words (bit `v % 64` of word
 /// `v / 64`), and any all-zero word — 64 vertices, two warp chunks —
 /// is charged without touching the metadata arrays.
 ///
 /// The output (actives *and* per-chunk cost sequence) is bit-identical
-/// to [`scan_range`] over the same range because a vertex whose
+/// to the dense scan over the same range because a vertex whose
 /// metadata still equals the iteration-start snapshot cannot satisfy
 /// the Active condition (`active(v, m, m)` is `false` for every ACC
 /// program), so a zero occupancy word proves its two chunks vote
@@ -181,35 +162,6 @@ pub fn scan_range_sparse<P: AccProgram>(
     start: usize,
     end: usize,
     occupancy: &[u64],
-    out: &mut WarpScanScratch,
-) {
-    scan_range_sparse_layout(
-        program,
-        curr,
-        prev,
-        start,
-        end,
-        occupancy,
-        MetadataLayout::Flat,
-        out,
-    );
-}
-
-/// [`scan_range_sparse`] with the metadata-layout dispatch of
-/// [`scan_range_layout`]: occupied words (two warp chunks — a bitmap
-/// word is exactly two metadata chunks) are swept with the fixed-width
-/// chunked loop when `layout` is `Chunked`. All-zero-word charging is
-/// shared, so the dense and sparse, flat and chunked scans can never
-/// drift apart in cost.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_range_sparse_layout<P: AccProgram>(
-    program: &P,
-    curr: &[P::Meta],
-    prev: &[P::Meta],
-    start: usize,
-    end: usize,
-    occupancy: &[u64],
-    layout: MetadataLayout,
     out: &mut WarpScanScratch,
 ) {
     assert_eq!(curr.len(), prev.len(), "metadata arrays must be parallel");
@@ -235,7 +187,7 @@ pub fn scan_range_sparse_layout<P: AccProgram>(
                 base += chunk;
             }
         } else {
-            scan_range_layout(program, curr, prev, base, word_end, layout, out);
+            scan_range_chunked(program, curr, prev, base, word_end, out);
             base = word_end;
         }
     }
@@ -257,7 +209,7 @@ pub fn scan<P: AccProgram>(
     launch: bool,
 ) -> Vec<VertexId> {
     let mut out = WarpScanScratch::default();
-    scan_range(program, curr, prev, 0, curr.len(), &mut out);
+    scan_range_chunked(program, curr, prev, 0, curr.len(), &mut out);
     executor.run_kernel(kernel, SchedUnit::Warp, &out.tasks, launch);
     out.active
 }
@@ -461,13 +413,23 @@ mod tests {
         scan_range_chunked(&Diff, &curr, &prev, 0, n, &mut chunked);
         assert_eq!(chunked.active, scalar.active);
         assert_eq!(chunked.tasks, scalar.tasks);
-        // Layout dispatch reaches the same two paths.
-        for layout in [MetadataLayout::Flat, MetadataLayout::Chunked] {
-            let mut out = WarpScanScratch::default();
-            scan_range_layout(&Diff, &curr, &prev, 0, n, layout, &mut out);
-            assert_eq!(out.active, scalar.active, "{layout:?}");
-            assert_eq!(out.tasks, scalar.tasks, "{layout:?}");
+    }
+
+    #[test]
+    fn chunked_scan_is_bit_identical_on_an_aligned_range() {
+        // No tail: every vertex goes through the fixed-width loop.
+        let n = 32 * 12;
+        let prev = vec![0u32; n];
+        let mut curr = prev.clone();
+        for v in [0usize, 31, 32, 63, 200, n - 1] {
+            curr[v] = 1;
         }
+        let mut scalar = WarpScanScratch::default();
+        scan_range(&Diff, &curr, &prev, 0, n, &mut scalar);
+        let mut chunked = WarpScanScratch::default();
+        scan_range_chunked(&Diff, &curr, &prev, 0, n, &mut chunked);
+        assert_eq!(chunked.active, scalar.active);
+        assert_eq!(chunked.tasks, scalar.tasks);
     }
 
     #[test]
@@ -485,32 +447,6 @@ mod tests {
         scan_range_chunked(&Diff, &curr, &prev, 96, n, &mut parts);
         assert_eq!(parts.active, whole.active);
         assert_eq!(parts.tasks, whole.tasks);
-    }
-
-    #[test]
-    fn sparse_chunked_scan_is_bit_identical_to_sparse() {
-        let n = 64 * 21 + 39;
-        let prev = vec![0u32; n];
-        let mut curr = prev.clone();
-        for v in [1usize, 64, 65, 127, 700, n - 2] {
-            curr[v] = 9;
-        }
-        let occ = occupancy(&curr, &prev);
-        let mut flat = WarpScanScratch::default();
-        scan_range_sparse(&Diff, &curr, &prev, 0, n, &occ, &mut flat);
-        let mut chunked = WarpScanScratch::default();
-        scan_range_sparse_layout(
-            &Diff,
-            &curr,
-            &prev,
-            0,
-            n,
-            &occ,
-            MetadataLayout::Chunked,
-            &mut chunked,
-        );
-        assert_eq!(chunked.active, flat.active);
-        assert_eq!(chunked.tasks, flat.tasks);
     }
 
     #[test]

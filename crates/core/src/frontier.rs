@@ -25,6 +25,12 @@ use simdx_graph::VertexId;
 /// of the ballot filter's [`simdx_gpu::WARP_SIZE`] granularity.
 pub const WORD_BITS: usize = 64;
 
+// The engine leans on "one bitmap word = two ballot warp chunks"
+// everywhere (warp-aligned scan starts inside word-aligned partitions,
+// word-aligned fences that are therefore chunk-aligned); lock the
+// constants together so no one can move one without the other.
+const _: () = assert!(2 * simdx_gpu::WARP_SIZE == WORD_BITS);
+
 /// A dense frontier: bit `v % 64` of word `v / 64` is set iff vertex
 /// `v` is in the set.
 ///
@@ -170,20 +176,6 @@ impl FrontierBitmap {
     /// order).
     pub fn drain_into(&mut self, out: &mut Vec<VertexId>) {
         self.drain_for_each(|v| out.push(v));
-    }
-
-    /// Visits the index of every non-zero word in ascending order,
-    /// clearing each as it is consumed — the word-granular form of
-    /// [`Self::drain_for_each`] used by the chunked-layout publish
-    /// sweep, which copies whole 32-vertex metadata chunks per
-    /// occupied word instead of scattering bit by bit.
-    pub fn drain_nonzero_words(&mut self, mut f: impl FnMut(usize)) {
-        for (i, word) in self.words.iter_mut().enumerate() {
-            if *word != 0 {
-                f(i);
-                *word = 0;
-            }
-        }
     }
 }
 
@@ -733,19 +725,6 @@ mod tests {
             streamed.classify_one(v, &csr, ClassifyThresholds::default());
         }
         assert_eq!(streamed, batch);
-    }
-
-    #[test]
-    fn drain_nonzero_words_visits_and_clears() {
-        let mut b = FrontierBitmap::new(200);
-        b.set(3);
-        b.set(64);
-        b.set(65);
-        b.set(199);
-        let mut words = Vec::new();
-        b.drain_nonzero_words(|w| words.push(w));
-        assert_eq!(words, vec![0, 1, 3]);
-        assert!(b.is_empty());
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Destination-bucketed grid CSR: the bind-time layout behind
-//! work-optimal parallel push ([`crate::config::PushStrategy::Grid`]).
+//! work-optimal parallel push.
 //!
 //! The parallel backend's push compute is destination-sharded: worker
 //! `s` owns the contiguous vertex range `[fences[s], fences[s + 1])`
 //! of `metadata_curr` and must apply exactly the frontier edges whose
-//! destination falls inside it, in the serial order. The seed strategy
-//! (`PushStrategy::Scan`) gets that order by replaying the *entire*
-//! task list per worker and discarding out-of-shard edges — correct,
-//! but one iteration traverses `threads × |E_frontier|` edges, so the
-//! multicore win is structurally capped.
+//! destination falls inside it, in the serial order. Replaying the
+//! *entire* task list per worker and discarding out-of-shard edges
+//! would give that order too, but one iteration would traverse
+//! `threads × |E_frontier|` edges.
 //!
-//! [`GridCsr`] removes the redundant scans. At [`crate::session::
+//! [`GridCsr`] hands each worker only its own edges. At [`crate::session::
 //! Runtime::bind`] time every vertex's out-edges are bucketed by
 //! destination shard into one sub-CSR per shard: [`GridCsr::shard`]`(s)`
 //! maps a source vertex to the contiguous slice of its edges landing
@@ -19,21 +18,20 @@
 //! its original offset within the source's adjacency
 //! ([`ShardCsr::edge_offs`]) and its weight, so the engine's deferred
 //! online-filter records keep their `(task, edge)` sort keys and
-//! simulated-thread slots — the replay is **bit-equal** to the scan
-//! strategy by construction:
+//! simulated-thread slots — the replay is **bit-equal** to the serial
+//! path by construction:
 //!
 //! * a destination's update sequence depends only on the edges that
 //!   target it, ordered by (task index, edge offset) — exactly the
 //!   order a shard's cells are iterated;
-//! * costs are charged from the *full* per-task degrees
-//!   (strategy-independent), so the simulated device sees identical
-//!   work either way.
+//! * costs are charged from the *full* per-task degrees, so the
+//!   simulated device sees identical work either way.
 //!
 //! Memory cost: the bucketed edges duplicate the push CSR's targets
 //! (4 B), add a 4 B per-edge adjacency offset and duplicate weights
 //! when present, plus `shards × (V + 1)` cell fences of 4 B — see
-//! [`GridCsr::footprint_bytes`]. That buys each push iteration a
-//! `threads×` reduction in edge traversals
+//! [`GridCsr::footprint_bytes`]. That buys each push iteration
+//! exactly one traversal per frontier edge
 //! ([`crate::metrics::RunReport::edges_examined`] records it).
 
 use crate::par::{chunk_range, WorkerPanic, WorkerPool};

@@ -80,7 +80,7 @@
 pub mod acc;
 pub mod checkpoint;
 pub mod config;
-pub mod engine;
+mod engine;
 pub mod error;
 pub mod fault;
 pub mod filters;
@@ -88,7 +88,6 @@ pub mod frontier;
 pub mod fusion;
 pub mod grid;
 pub mod jit;
-pub mod metadata;
 pub mod metrics;
 pub mod par;
 pub mod persist;
@@ -110,18 +109,13 @@ pub use acc::{AccProgram, CombineKind, DirectionCtx, SourcedProgram};
 pub use checkpoint::{RunAborted, RunCheckpoint};
 pub use config::{
     DegradePolicy, DirectionPolicy, EngineConfig, ExecMode, FilterPolicy, FrontierRepr,
-    MetadataLayout, PushStrategy,
 };
-pub use engine::Engine;
-#[allow(deprecated)]
-pub use error::EngineError;
 pub use error::SimdxError;
 pub use filters::FilterKind;
 pub use frontier::FrontierBitmap;
 pub use fusion::FusionStrategy;
 pub use grid::GridCsr;
 pub use jit::{ActivationLog, IterationRecord};
-pub use metadata::MetadataStore;
 pub use metrics::{RunReport, RunResult};
 pub use par::WorkerPanic;
 pub use persist::{CheckpointStore, DirStore, DurableCheckpoint, PersistMeta};
@@ -139,15 +133,12 @@ pub mod prelude {
     pub use crate::checkpoint::{RunAborted, RunCheckpoint};
     pub use crate::config::{
         DegradePolicy, DirectionPolicy, EngineConfig, ExecMode, FilterPolicy, FrontierRepr,
-        MetadataLayout, PushStrategy,
     };
-    pub use crate::engine::Engine;
     pub use crate::error::SimdxError;
     pub use crate::frontier::FrontierBitmap;
     pub use crate::fusion::FusionStrategy;
     pub use crate::grid::GridCsr;
     pub use crate::jit::IterationRecord;
-    pub use crate::metadata::MetadataStore;
     pub use crate::metrics::{RunReport, RunResult};
     pub use crate::persist::{CheckpointStore, DirStore, DurableCheckpoint, PersistMeta};
     pub use crate::service::{

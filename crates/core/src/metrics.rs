@@ -21,11 +21,10 @@ pub struct RunReport {
     /// *Host-side* edge traversals performed by the compute kernels:
     /// every edge a push scatter or pull gather actually touched,
     /// summed over workers. Unlike `stats`, this is **not** covered by
-    /// the bit-equality contract — it is the work-optimality meter the
-    /// contract deliberately leaves free: `PushStrategy::Scan` charges
-    /// `threads ×` the frontier degree sum per push iteration (every
-    /// worker replays the full task list), `PushStrategy::Grid` charges
-    /// it exactly once (`tests/parallel_equivalence.rs` pins both).
+    /// the bit-equality contract — it is the work-optimality meter:
+    /// a push iteration charges the frontier degree sum exactly once
+    /// for every thread count (`tests/parallel_equivalence.rs` pins
+    /// it).
     /// Classification and candidate marking walk degrees/neighbor
     /// lists too but are not counted here; the counter meters compute
     /// work only.

@@ -85,9 +85,8 @@ pub fn chunk_range(len: usize, parts: usize, w: usize) -> (usize, usize) {
 /// [`chunk_range`] with boundaries rounded to `align` multiples (the
 /// final fence clamps to `len`): partitions `ceil(len / align)` whole
 /// units, so no worker range ever splits a unit. The engine uses this
-/// to keep ballot-scan partitions on 32-vertex warp chunks, bitmap
-/// partitions on 64-vertex words and chunked-layout metadata sweeps on
-/// [`crate::metadata::CHUNK_LANES`] boundaries.
+/// to keep ballot-scan and candidate-sweep partitions on 32-vertex
+/// warp chunks and bitmap partitions on 64-vertex words.
 pub fn chunk_range_aligned(len: usize, parts: usize, w: usize, align: usize) -> (usize, usize) {
     debug_assert!(align > 0);
     let (u0, u1) = chunk_range(len.div_ceil(align), parts, w);
@@ -199,11 +198,8 @@ impl WorkerPool {
     /// Runs `f(w, &mut workers[w], shard_offset, shard)` on every worker
     /// concurrently, where `shard` is the `[bounds[w], bounds[w+1])`
     /// range of `data` — the destination-sharded form the push kernels
-    /// use under both [`crate::config::PushStrategy`]s (the strategy
-    /// only changes which edges a worker *traverses*; the metadata
-    /// shard it may write is this range either way). `bounds` must be
-    /// a monotone fence list with `threads + 1` entries covering
-    /// `data`.
+    /// use. `bounds` must be a monotone fence list with `threads + 1`
+    /// entries covering `data`.
     pub fn for_each_worker_sharded<T: Send, U: Send>(
         &self,
         workers: &mut [T],

@@ -20,8 +20,8 @@
 //! header   magic "SXCP" · version u16 · meta type tag u8 · meta size u8
 //! section  id u8 · payload len u64 · payload · CRC-32(payload) u32
 //!   1 IDENT    ticket, seed, num_vertices, iteration, edges_examined,
-//!              prev_dir, fusion (present, dir, all-launched), layout,
-//!              algorithm string
+//!              prev_dir, fusion (present, dir, all-launched), one
+//!              reserved byte, algorithm string
 //!   2 META     element count · count × meta-size element bytes
 //!   3 FRONTIER vertex count · count × u32
 //!   4 LOG      record count · per-iteration records (31 bytes each)
@@ -59,12 +59,10 @@
 use std::path::{Path, PathBuf};
 
 use crate::checkpoint::RunCheckpoint;
-use crate::config::MetadataLayout;
 use crate::error::SimdxError;
 use crate::fault;
 use crate::filters::FilterKind;
 use crate::jit::{ActivationLog, IterationRecord};
-use crate::metadata::MetadataStore;
 use simdx_gpu::executor::ExecutorStats;
 use simdx_gpu::memory::TrafficCounter;
 use simdx_graph::csr::Direction;
@@ -245,13 +243,6 @@ fn filter_byte(filter: FilterKind) -> u8 {
     }
 }
 
-fn layout_byte(layout: MetadataLayout) -> u8 {
-    match layout {
-        MetadataLayout::Flat => 0,
-        MetadataLayout::Chunked => 1,
-    }
-}
-
 /// Serializes a durable checkpoint to its self-describing blob.
 pub fn encode<M: PersistMeta>(frame: &DurableCheckpoint<M>) -> Vec<u8> {
     let cp = &frame.checkpoint;
@@ -282,7 +273,9 @@ pub fn encode<M: PersistMeta>(frame: &DurableCheckpoint<M>) -> Vec<u8> {
     ident.push(cp.fusion.0.is_some() as u8);
     ident.push(cp.fusion.0.map_or(0, dir_byte));
     ident.push(cp.fusion.1 as u8);
-    ident.push(layout_byte(cp.meta.layout()));
+    // Reserved: v1 blobs written before the metadata-layout axis was
+    // removed carry the layout here (0 flat, 1 chunked).
+    ident.push(0);
     put_u32(&mut ident, algo.len() as u32);
     ident.extend_from_slice(algo);
     put_section(&mut out, SECTION_IDENT, &ident);
@@ -500,11 +493,13 @@ pub fn decode<M: PersistMeta>(bytes: &[u8]) -> Result<DurableCheckpoint<M>, Simd
     let fusion_present = decode_bool(ir.u8("fusion present")?, "fusion present")?;
     let fusion_dir = ir.u8("fusion direction")?;
     let fusion_all = decode_bool(ir.u8("fusion all-launched")?, "fusion all-launched")?;
-    let layout = match ir.u8("metadata layout")? {
-        0 => MetadataLayout::Flat,
-        1 => MetadataLayout::Chunked,
-        other => return Err(corrupt(format!("bad metadata layout byte {other}"))),
-    };
+    // Reserved byte: older v1 writers stored the metadata layout here
+    // (0 flat, 1 chunked). Element order was identical in both, so
+    // either restores the same checkpoint; anything else is damage.
+    match ir.u8("reserved layout byte")? {
+        0 | 1 => {}
+        other => return Err(corrupt(format!("bad reserved layout byte {other}"))),
+    }
     let algo_len = ir.u32("algorithm length")? as usize;
     let algo = ir.take(algo_len, "algorithm string")?;
     let algorithm = std::str::from_utf8(algo)
@@ -545,7 +540,6 @@ pub fn decode<M: PersistMeta>(bytes: &[u8]) -> Result<DurableCheckpoint<M>, Simd
     for chunk in elems.chunks_exact(M::SIZE) {
         meta.push(M::read_le(chunk));
     }
-    let meta = MetadataStore::from_vec(layout, meta);
 
     // FRONTIER
     let mut fr = Reader {
@@ -837,10 +831,7 @@ mod tests {
             checkpoint: RunCheckpoint {
                 algorithm: "levels".to_string(),
                 num_vertices: 4,
-                meta: MetadataStore::from_vec(
-                    MetadataLayout::Chunked,
-                    vec![0, 1, u32::MAX, u32::MAX],
-                ),
+                meta: vec![0, 1, u32::MAX, u32::MAX],
                 frontier: vec![1, 3],
                 log: ActivationLog {
                     records: vec![IterationRecord {
@@ -895,8 +886,7 @@ mod tests {
         let cp = &back.checkpoint;
         assert_eq!(cp.algorithm, "levels");
         assert_eq!(cp.num_vertices, 4);
-        assert_eq!(cp.meta.as_slice(), frame.checkpoint.meta.as_slice());
-        assert_eq!(cp.meta.layout(), MetadataLayout::Chunked);
+        assert_eq!(cp.meta, frame.checkpoint.meta);
         assert_eq!(cp.frontier, vec![1, 3]);
         assert_eq!(cp.log, frame.checkpoint.log);
         assert_eq!(cp.prev_dir, Direction::Pull);
@@ -908,6 +898,42 @@ mod tests {
         assert_eq!(encode(&back), blob);
     }
 
+    /// `blob` with IDENT's reserved layout byte set to `value` and both
+    /// CRCs that cover it recomputed, i.e. what a well-formed writer
+    /// emitting that byte would have produced.
+    fn patch_layout_byte(blob: &[u8], value: u8) -> Vec<u8> {
+        let mut out = blob.to_vec();
+        // 8-byte header, then IDENT (the first section): id u8, len u64.
+        let payload = 8 + 1 + 8;
+        let ident_len = u64::from_le_bytes(out[9..17].try_into().unwrap()) as usize;
+        // The reserved byte sits just ahead of the u32 algorithm length.
+        out[payload + IDENT_FIXED_BYTES - 4 - 1] = value;
+        let section_crc = crc32(&out[payload..payload + ident_len]);
+        out[payload + ident_len..payload + ident_len + 4]
+            .copy_from_slice(&section_crc.to_le_bytes());
+        let body = out.len() - 4;
+        let file_crc = crc32(&out[..body]);
+        out[body..].copy_from_slice(&file_crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn reserved_layout_byte_accepts_both_legacy_values_and_rejects_others() {
+        let frame = sample(11);
+        let blob = encode(&frame);
+        assert_eq!(patch_layout_byte(&blob, 0), blob, "encode writes 0");
+        // A blob spilled by a process that still had the chunked layout
+        // carries 1; it restores the same checkpoint.
+        let legacy = decode::<u32>(&patch_layout_byte(&blob, 1)).expect("layout byte 1");
+        let current = decode::<u32>(&blob).expect("layout byte 0");
+        assert_eq!(encode(&legacy), encode(&current));
+        assert_eq!(legacy.checkpoint.meta, frame.checkpoint.meta);
+        assert!(matches!(
+            decode::<u32>(&patch_layout_byte(&blob, 2)),
+            Err(SimdxError::CheckpointCorrupt { reason }) if reason.contains("layout byte 2")
+        ));
+    }
+
     #[test]
     fn float_meta_roundtrips_nan_bits() {
         let frame = DurableCheckpoint {
@@ -916,10 +942,7 @@ mod tests {
             checkpoint: RunCheckpoint {
                 algorithm: "pr".to_string(),
                 num_vertices: 3,
-                meta: MetadataStore::from_vec(
-                    MetadataLayout::Flat,
-                    vec![0.25f32, f32::from_bits(0x7FC0_1234), -0.0],
-                ),
+                meta: vec![0.25f32, f32::from_bits(0x7FC0_1234), -0.0],
                 frontier: vec![0],
                 log: ActivationLog::default(),
                 prev_dir: Direction::Push,
@@ -930,13 +953,7 @@ mod tests {
             },
         };
         let back = decode::<f32>(&encode(&frame)).expect("decode");
-        let bits: Vec<u32> = back
-            .checkpoint
-            .meta
-            .as_slice()
-            .iter()
-            .map(|m| m.to_bits())
-            .collect();
+        let bits: Vec<u32> = back.checkpoint.meta.iter().map(|m| m.to_bits()).collect();
         assert_eq!(
             bits,
             vec![0.25f32.to_bits(), 0x7FC0_1234, (-0.0f32).to_bits()]

@@ -4,8 +4,8 @@
 //! lists, task-cost vectors, the changed list and the dirty stamps on
 //! every iteration — on iteration-heavy graphs (road networks, long
 //! paths) the allocator dominated the host profile. [`IterScratch`]
-//! owns all of those buffers for the lifetime of one `Engine::run` call;
-//! every iteration clears in place and refills, and the parallel
+//! owns all of those buffers for the lifetime of one engine run; every
+//! iteration clears in place and refills, and the parallel
 //! backend's per-worker partitions live in [`WorkerScratch`] so the hot
 //! path performs no allocation in steady state in either exec mode.
 //!
@@ -18,25 +18,20 @@
 //! between serving threads through the pool, though never *shared*:
 //! exactly one query owns an arena at a time.
 
-use crate::config::{FrontierRepr, MetadataLayout};
+use crate::config::FrontierRepr;
 use crate::filters::ballot::WarpScanScratch;
 use crate::frontier::{FrontierBitmap, ThreadBins, Worklists, WORD_BITS};
-use crate::metadata::CHUNK_LANES;
 use simdx_gpu::Cost;
 use simdx_graph::csr::Csr;
 use simdx_graph::VertexId;
 
 /// Destination-shard fences for parallel push, computed from the
-/// pull-orientation degrees — lazily once per `Engine::run`, or once
-/// per graph at `Runtime::bind` time for the session API.
+/// pull-orientation degrees once per graph at `Runtime::bind` time.
 #[derive(Clone, Debug)]
 pub(crate) struct PushFences {
     /// Vertex fences over `metadata_curr` (`threads + 1` entries). In
     /// bitmap mode the inner fences are rounded down to word (64)
-    /// multiples so every shard covers whole bitmap words; in the
-    /// chunked metadata layout they are rounded to 32-vertex chunk
-    /// multiples so no shard splits a chunk (word alignment already
-    /// implies chunk alignment).
+    /// multiples so every shard covers whole bitmap words.
     pub verts: Vec<u32>,
     /// The matching word fences over the changed-bitmap's backing
     /// words (empty in list mode).
@@ -51,19 +46,11 @@ impl PushFences {
     /// In bitmap mode the inner fences are rounded down to word (64)
     /// multiples — like the ballot scan's warp alignment, one level up
     /// — so every shard owns whole words of the changed bitmap and the
-    /// matching word fences are emitted alongside. In the chunked
-    /// metadata layout the fences are additionally rounded to 32-vertex
-    /// chunk multiples, so no destination shard splits a metadata chunk
-    /// (word alignment already implies it in bitmap mode — one word is
-    /// exactly two chunks). Destination sharding is exact for *any*
-    /// fence positions (each destination's update sequence is
-    /// independent of them), so the rounding cannot affect results.
-    pub fn compute(
-        rev_csr: &Csr,
-        parts: usize,
-        repr: FrontierRepr,
-        layout: MetadataLayout,
-    ) -> Self {
+    /// matching word fences are emitted alongside. Destination sharding
+    /// is exact for *any* fence positions (each destination's update
+    /// sequence is independent of them), so the rounding cannot affect
+    /// results.
+    pub fn compute(rev_csr: &Csr, parts: usize, repr: FrontierRepr) -> Self {
         let n = rev_csr.num_vertices();
         // +1 per vertex keeps zero-degree stretches from collapsing
         // every shard boundary onto the hubs.
@@ -81,11 +68,6 @@ impl PushFences {
             verts.push(v);
         }
         verts.push(n);
-        if repr == FrontierRepr::List && layout == MetadataLayout::Chunked {
-            for f in &mut verts[1..parts] {
-                *f -= *f % CHUNK_LANES as u32;
-            }
-        }
         let words = match repr {
             FrontierRepr::List => Vec::new(),
             FrontierRepr::Bitmap => {

@@ -1,18 +1,17 @@
 //! The session API: amortized engine reuse for repeated queries.
 //!
-//! The one-shot [`crate::engine::Engine`] pays its full setup cost on
-//! every call — worker-pool spawn, scratch-arena allocation,
-//! degree-balanced destination fences — which is exactly the per-query
-//! overhead a service answering many small queries (multi-source SSSP,
-//! BFS per user request) cannot afford. This module splits that cost
-//! into three lifetimes:
+//! An engine run needs a worker pool, scratch arenas, degree-balanced
+//! destination fences and a grid CSR — setup a service answering many
+//! small queries (multi-source SSSP, BFS per user request) cannot
+//! afford per query. This module splits that cost into three
+//! lifetimes:
 //!
 //! * [`Runtime`] — owns the resolved [`EngineConfig`] and the
 //!   persistent [`WorkerPool`]. Built once per process/service.
 //! * [`BoundGraph`] — [`Runtime::bind`] precomputes the CSR-derived
-//!   per-graph state (degree-balanced push shards with chunk/word
-//!   aligned partition fences, bitmap word counts) and owns the
-//!   reusable scratch arenas. Built once per graph.
+//!   per-graph state (degree-balanced push shards, their grid CSR,
+//!   bitmap word counts) and owns the reusable scratch arenas. Built
+//!   once per graph.
 //! * [`RunBuilder`] — one query: `bound.run(program).source(v)
 //!   .max_iterations(n).observe(hook).execute()`. Costs only the work
 //!   of the query itself; every allocation is reused.
@@ -51,11 +50,10 @@
 //! other host knob (`crates/core/README.md`): a reused `BoundGraph`
 //! produces reports **bit-identical** to a fresh engine — identical
 //! metadata, activation logs and simulated cycle counts — across the
-//! full exec × frontier-repr × metadata-layout matrix
-//! (`tests/session_equivalence.rs`). The engine enforces the invariant
-//! at every `execute()` entry: all transient scratch is cleared and
-//! debug-asserted clean, so one query can never observe a previous
-//! query's state.
+//! exec × frontier-repr matrix (`tests/session_equivalence.rs`). The
+//! engine enforces the invariant at every `execute()` entry: all
+//! transient scratch is cleared and debug-asserted clean, so one query
+//! can never observe a previous query's state.
 //!
 //! # Example
 //!
@@ -117,7 +115,7 @@ use crate::sync::Arc;
 
 use crate::acc::{AccProgram, SourcedProgram};
 use crate::checkpoint::{RunAborted, RunCheckpoint};
-use crate::config::{DegradePolicy, EngineConfig, FrontierRepr, PushStrategy};
+use crate::config::{DegradePolicy, EngineConfig, FrontierRepr};
 use crate::engine::{Engine, SessionCtx};
 use crate::error::SimdxError;
 use crate::frontier::WORD_BITS;
@@ -169,28 +167,11 @@ impl Runtime {
     /// runs serially with no pool at all).
     pub fn new(config: EngineConfig) -> Result<Self, SimdxError> {
         config.validate()?;
-        Ok(Self::build(config))
-    }
-
-    /// Constructor for an already-validated config: resolves the
-    /// worker count and pre-spawns the first pool, so construction
-    /// (not the first query) pays the thread-spawn cost.
-    fn build(config: EngineConfig) -> Self {
+        // Pre-spawn the first pool so construction (not the first
+        // query) pays the thread-spawn cost.
         let pools = PoolStash::new(config.exec.worker_count().max(1));
         drop(pools.checkout());
-        Self { config, pools }
-    }
-
-    /// Creates a runtime from the default configuration with every
-    /// `SIMDX_*` knob parsed fallibly ([`EngineConfig::from_env`]) — a
-    /// typo comes back as [`SimdxError::InvalidKnob`], never a panic.
-    ///
-    /// Unlike `Runtime::new(EngineConfig::default())`, this path reads
-    /// the environment *fresh* on every call: knobs set after the
-    /// first `EngineConfig::default()` of the process are honored
-    /// here, never served stale from the per-process default caches.
-    pub fn from_env() -> Result<Self, SimdxError> {
-        Ok(Self::build(EngineConfig::from_env()?))
+        Ok(Self { config, pools })
     }
 
     /// The validated configuration in force for every query.
@@ -205,11 +186,9 @@ impl Runtime {
 
     /// Binds a graph: precomputes the CSR-derived state every query
     /// needs — degree-balanced push destination shards with their
-    /// chunk/word-aligned partition fences (parallel mode), the
-    /// destination-bucketed [`GridCsr`] those fences define (parallel
-    /// mode under [`PushStrategy::Grid`]) and the bitmap word count —
-    /// and allocates the reusable scratch arenas lazily per metadata
-    /// type.
+    /// partition fences and the destination-bucketed [`GridCsr`] those
+    /// fences define (parallel mode), and the bitmap word count — and
+    /// allocates the reusable scratch arenas lazily per metadata type.
     ///
     /// The fence and grid computations are deliberately *eager*: bind
     /// is the amortization point, so the one O(V) degree walk and the
@@ -237,7 +216,6 @@ impl Runtime {
                 graph.csr(Direction::Pull),
                 self.threads(),
                 self.config.frontier,
-                self.config.layout,
             )
         });
         // Push always scatters over the out-CSR; the grid buckets
@@ -246,23 +224,20 @@ impl Runtime {
         // Deliberately built even under `DirectionPolicy::FixedPull`:
         // the engine consults `AccProgram::direction` *before* the
         // policy (k-Core forces Push unconditionally), so any parallel
-        // grid runtime can reach the grid push path regardless of the
+        // runtime can reach the grid push path regardless of the
         // configured policy.
-        let grid = match (&fences, self.config.push) {
-            (Some(fences), PushStrategy::Grid) => {
+        let grid = fences
+            .as_ref()
+            .map(|fences| {
                 // A worker panic during the build poisons the
                 // checked-out pool; the lease drop discards it.
                 let pool = self
                     .pools
                     .checkout()
                     .expect("parallel runtime stashes pools");
-                Some(
-                    GridCsr::build_with_pool(graph.csr(Direction::Push), &fences.verts, &pool)
-                        .map_err(SimdxError::from)?,
-                )
-            }
-            _ => None,
-        };
+                GridCsr::build_with_pool(graph.csr(Direction::Push), &fences.verts, &pool)
+            })
+            .transpose()?;
         Ok(BoundGraph {
             runtime: self,
             graph,
@@ -282,7 +257,6 @@ impl std::fmt::Debug for Runtime {
             .field("threads", &self.threads())
             .field("exec", &self.config.exec)
             .field("frontier", &self.config.frontier)
-            .field("layout", &self.config.layout)
             .finish_non_exhaustive()
     }
 }
@@ -293,12 +267,12 @@ impl std::fmt::Debug for Runtime {
 /// `BoundGraph` itself.
 struct BindArtifacts {
     /// Bind-time destination-shard fences (parallel mode only): the
-    /// degree-balanced, chunk/word-aligned partition of
-    /// `metadata_curr` the push kernels shard over.
+    /// degree-balanced partition of `metadata_curr` the push kernels
+    /// shard over.
     fences: Option<PushFences>,
-    /// Bind-time destination-bucketed grid CSR (parallel mode under
-    /// [`PushStrategy::Grid`]): one sub-CSR per destination shard, so
-    /// each push worker traverses only the edges landing in its shard.
+    /// Bind-time destination-bucketed grid CSR (parallel mode only):
+    /// one sub-CSR per destination shard, so each push worker
+    /// traverses only the edges landing in its shard.
     grid: Option<GridCsr>,
     /// `ceil(|V| / 64)` — the frontier-bitmap word count, precomputed
     /// so bitmap-mode scratch is sized before the first query.
@@ -337,8 +311,8 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
     }
 
     /// The bind-time grid CSR, present iff this is a parallel runtime
-    /// under [`PushStrategy::Grid`] — exposed so harnesses can report
-    /// its memory cost ([`GridCsr::footprint_bytes`]).
+    /// — exposed so harnesses can report its memory cost
+    /// ([`GridCsr::footprint_bytes`]).
     pub fn grid(&self) -> Option<&GridCsr> {
         self.core.grid.as_ref()
     }
@@ -379,13 +353,12 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
     /// metadata, activation logs and simulated cycle counts — the
     /// resume contract, pinned by `tests/properties.rs`).
     ///
-    /// The checkpoint is validated against this graph, the program and
-    /// the runtime's metadata layout at [`ResumableRunBuilder::execute`]
-    /// time; a mismatch comes back as [`SimdxError::InvalidQuery`]
-    /// *with the checkpoint handed back* inside the [`RunAborted`], so
-    /// a misdirected resume never loses the snapshot. The resumed run
-    /// is itself checkpoint-armed: a second abort yields a fresh,
-    /// further-along checkpoint.
+    /// The checkpoint is validated against this graph and the program
+    /// at [`ResumableRunBuilder::execute`] time; a mismatch comes back
+    /// as [`SimdxError::InvalidQuery`] *with the checkpoint handed
+    /// back* inside the [`RunAborted`], so a misdirected resume never
+    /// loses the snapshot. The resumed run is itself checkpoint-armed:
+    /// a second abort yields a fresh, further-along checkpoint.
     ///
     /// Supervision budgets compose naturally: a
     /// [`ResumableRunBuilder::cycle_budget`] on a resumed run is
@@ -750,8 +723,7 @@ const _: () = {
 };
 
 /// One query under construction against a [`BoundGraph`]; terminal
-/// [`Self::execute`] runs it. Replaces the positional
-/// `Engine::new(program, graph, config)` constructor.
+/// [`Self::execute`] runs it.
 pub struct RunBuilder<'b, 'rt, 'g, P: AccProgram> {
     bound: &'b BoundGraph<'rt, 'g>,
     program: P,
@@ -813,7 +785,7 @@ impl<'b, 'rt, 'g, P: AccProgram> RunBuilder<'b, 'rt, 'g, P> {
     /// abort comes back as a [`RunAborted`] carrying the last snapshot
     /// — resumable via [`BoundGraph::resume`]. The plain
     /// [`Self::execute`] path is untouched (zero capture overhead);
-    /// opting in costs one metadata-store copy per iteration, pinned
+    /// opting in costs one metadata copy per iteration, pinned
     /// ≤ 5% by the `resilience` snapshot group.
     pub fn checkpoint_on_abort(self) -> ResumableRunBuilder<'b, 'rt, 'g, P> {
         ResumableRunBuilder {
@@ -864,7 +836,7 @@ impl<P: SourcedProgram> RunBuilder<'_, '_, '_, P> {
 /// [`RunBuilder::checkpoint_on_abort`], or a continuation built by
 /// [`BoundGraph::resume`]. Terminal [`Self::execute`] returns aborts
 /// as [`RunAborted`] (boxed — the snapshot inside is as big as the
-/// metadata store) so the caller can resume instead of restarting.
+/// metadata array) so the caller can resume instead of restarting.
 pub struct ResumableRunBuilder<'b, 'rt, 'g, P: AccProgram> {
     inner: RunBuilder<'b, 'rt, 'g, P>,
     resume: Option<RunCheckpoint<P::Meta>>,
@@ -920,12 +892,10 @@ impl<'b, 'rt, 'g, P: AccProgram> ResumableRunBuilder<'b, 'rt, 'g, P> {
     /// validation itself failed, so the snapshot is never lost).
     #[allow(clippy::result_large_err)] // boxed: the Err is pointer-sized
     pub fn execute(mut self) -> Result<RunResult<P::Meta>, Box<RunAborted<P::Meta>>> {
-        // Validate a resume checkpoint against the graph, program and
-        // layout before touching any run state; hand it back on
-        // failure.
+        // Validate a resume checkpoint against the graph and program
+        // before touching any run state; hand it back on failure.
         if let Some(cp) = &self.resume {
             let n = self.inner.bound.graph.num_vertices();
-            let layout = self.inner.bound.runtime.config.layout;
             let mismatch = if cp.num_vertices != n {
                 Some(format!(
                     "checkpoint was captured on a graph with {} vertices, \
@@ -937,11 +907,6 @@ impl<'b, 'rt, 'g, P: AccProgram> ResumableRunBuilder<'b, 'rt, 'g, P> {
                     "checkpoint belongs to algorithm `{}`, not `{}`",
                     cp.algorithm,
                     self.inner.program.name()
-                ))
-            } else if cp.meta.layout() != layout {
-                Some(format!(
-                    "checkpoint uses metadata layout {:?}, this runtime uses {layout:?}",
-                    cp.meta.layout()
                 ))
             } else {
                 None
@@ -1306,6 +1271,26 @@ mod tests {
         assert_eq!(bound.num_bitmap_words(), 130usize.div_ceil(64));
         assert_eq!(bound.graph().num_vertices(), 130);
         assert_eq!(bound.runtime().threads(), 1);
+    }
+
+    #[test]
+    fn bind_builds_the_grid_for_every_parallel_runtime_and_only_those() {
+        let g = path_graph(130);
+        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
+            let serial =
+                Runtime::new(EngineConfig::unscaled().with_frontier(repr)).expect("runtime");
+            assert!(serial.bind(&g).grid().is_none(), "serial / {repr:?}");
+            for threads in [2usize, 3] {
+                let cfg = EngineConfig::unscaled()
+                    .parallel(threads)
+                    .with_frontier(repr);
+                let runtime = Runtime::new(cfg).expect("runtime");
+                let bound = runtime.bind(&g);
+                let grid = bound.grid().expect("parallel bind builds the grid");
+                assert_eq!(grid.num_shards(), threads, "{threads} threads / {repr:?}");
+                assert!(grid.footprint_bytes() > 0);
+            }
+        }
     }
 
     #[test]

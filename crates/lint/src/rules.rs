@@ -131,7 +131,6 @@ impl Policy {
             "crates/core/src/engine.rs",
             "crates/core/src/par.rs",
             "crates/core/src/frontier.rs",
-            "crates/core/src/metadata.rs",
             "crates/core/src/grid.rs",
             "crates/core/src/scratch.rs",
             "crates/core/src/pool.rs",

@@ -1,13 +1,12 @@
 //! Concurrency half of the determinism contract: queries served over
 //! one shared [`BoundGraph`] — raw `std::thread` fan-out and the
 //! [`QueryPool`] front-end alike — must stay **bit-identical** to a
-//! fresh one-shot engine per query, no matter what runs beside them.
+//! fresh runtime and bind per query, no matter what runs beside them.
 //!
 //! The suite covers the four ways concurrency could break that:
 //!
 //! * plain interleaving — N threads × M queries over the shared core
-//!   vs. solo baselines, across {exec mode} × {frontier repr} ×
-//!   {push strategy};
+//!   vs. solo baselines, across {exec mode} × {frontier repr};
 //! * supervision cross-talk — a cancelled or deadline-expired query
 //!   serving next to clean peers must abort *alone*;
 //! * admission control — a full bounded queue under
@@ -75,25 +74,15 @@ where
     fingerprint(bound.run(make(seed)).execute().expect("solo run"))
 }
 
-/// {exec} × {frontier repr} × {push strategy} (push only varies the
-/// parallel cells: a serial run has a single shard either way).
+/// {exec} × {frontier repr}.
 fn config_matrix() -> Vec<(String, EngineConfig)> {
     let mut out = Vec::new();
     for exec in [ExecMode::Serial, ExecMode::Parallel { threads: 3 }] {
-        let strategies: &[PushStrategy] = match exec {
-            ExecMode::Serial => &[PushStrategy::Grid],
-            ExecMode::Parallel { .. } => &[PushStrategy::Scan, PushStrategy::Grid],
-        };
-        for &push in strategies {
-            for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-                out.push((
-                    format!("{}/{}/{}", exec.label(), repr.label(), push.label()),
-                    EngineConfig::default()
-                        .with_exec(exec)
-                        .with_frontier(repr)
-                        .with_push(push),
-                ));
-            }
+        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
+            out.push((
+                format!("{}/{}", exec.label(), repr.label()),
+                EngineConfig::default().with_exec(exec).with_frontier(repr),
+            ));
         }
     }
     out

@@ -10,8 +10,8 @@
 //! 2. the `Runtime` and `BoundGraph` stay usable — the poisoned pool is
 //!    rebuilt transparently before the next query;
 //! 3. the next clean run over the *same* session is bit-equal to a
-//!    fresh engine, across the {exec mode} × {frontier repr} ×
-//!    {push strategy} knob matrix.
+//!    fresh engine, across the {exec mode} × {frontier repr} knob
+//!    matrix.
 //!
 //! Fault state is process-global, so every test body holds
 //! [`TEST_LOCK`] for its whole duration: a baseline run racing another
@@ -57,34 +57,24 @@ fn fingerprint<M: PartialEq + std::fmt::Debug>(r: RunResult<M>) -> Fingerprint<M
     }
 }
 
-#[allow(deprecated)]
 fn fresh<P: AccProgram>(program: P, g: &Graph, cfg: EngineConfig) -> Fingerprint<P::Meta> {
-    fingerprint(Engine::new(program, g, cfg).run().expect("fresh run"))
+    let runtime = Runtime::new(cfg).expect("runtime");
+    fingerprint(runtime.bind(g).run(program).execute().expect("fresh run"))
 }
 
 fn rmat_graph() -> Graph {
     Graph::directed_from_edges(Rmat::gtgraph(11, 8).generate(5))
 }
 
-/// {exec} × {frontier repr} × {push strategy} (push only varies the
-/// parallel cells: a serial run has a single shard either way).
+/// {exec} × {frontier repr}.
 fn config_matrix() -> Vec<(String, EngineConfig)> {
     let mut out = Vec::new();
     for exec in [ExecMode::Serial, ExecMode::Parallel { threads: 3 }] {
-        let strategies: &[PushStrategy] = match exec {
-            ExecMode::Serial => &[PushStrategy::Grid],
-            ExecMode::Parallel { .. } => &[PushStrategy::Scan, PushStrategy::Grid],
-        };
-        for &push in strategies {
-            for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-                out.push((
-                    format!("{}/{}/{}", exec.label(), repr.label(), push.label()),
-                    EngineConfig::default()
-                        .with_exec(exec)
-                        .with_frontier(repr)
-                        .with_push(push),
-                ));
-            }
+        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
+            out.push((
+                format!("{}/{}", exec.label(), repr.label()),
+                EngineConfig::default().with_exec(exec).with_frontier(repr),
+            ));
         }
     }
     out
@@ -207,9 +197,7 @@ fn sssp_recovers_bit_equal_after_a_push_fault() {
 fn grid_build_faults_surface_from_try_bind_and_the_runtime_recovers() {
     let _serial = lock();
     let g = rmat_graph();
-    let cfg = EngineConfig::default()
-        .with_exec(ExecMode::Parallel { threads: 3 })
-        .with_push(PushStrategy::Grid);
+    let cfg = EngineConfig::default().with_exec(ExecMode::Parallel { threads: 3 });
     let baseline = fresh(Bfs::new(0), &g, cfg.clone());
     let runtime = Runtime::new(cfg).expect("runtime");
 

@@ -1,26 +1,24 @@
-//! The representation-and-layout half of the determinism contract
+//! The representation half of the determinism contract
 //! (`crates/core/README.md`): for every algorithm, graph class, exec
 //! mode and thread count, `FrontierRepr::Bitmap` must be **bit-equal**
-//! to `FrontierRepr::List` and `MetadataLayout::Chunked` bit-equal to
-//! `MetadataLayout::Flat` — identical final metadata (float bit
+//! to `FrontierRepr::List` — identical final metadata (float bit
 //! patterns included), identical per-iteration activation logs
 //! (directions, filters, frontier sizes, per-iteration cycles) and
 //! identical executor statistics.
 //!
 //! The harness is differential: every cell of the
 //! {BFS, SSSP, PageRank, k-Core, WCC} × {Serial, Parallel} ×
-//! {List, Bitmap} × {Flat, Chunked} × {Scan, Grid} matrix runs
-//! against the same graph and is compared to the Flat + List + Serial
-//! baseline, so a divergence pinpoints the representation, layout,
-//! exec mode and push strategy that broke (the strategy axis only
-//! spans the parallel cells — a serial run has exactly one shard). The graph classes stress different engine paths: RMAT
-//! (skewed degrees → CTA worklists, ballot switches, hub overflow),
-//! road strips (tiny frontiers over many online-filter iterations;
-//! their vertex counts are warp-misaligned, so chunked tail handling
-//! is always exercised) and Erdős–Rényi (push/pull direction flips).
-//! Together the five algorithms cover both Combine kinds, the
-//! aggregation-pull candidate sweep, the non-idempotent decrement
-//! path (k-Core) and float accumulation order (PageRank).
+//! {List, Bitmap} matrix runs against the same graph and is compared
+//! to the List + Serial baseline, so a divergence pinpoints the
+//! representation and exec mode that broke. The graph classes stress
+//! different engine paths: RMAT (skewed degrees → CTA worklists, ballot
+//! switches, hub overflow), road strips (tiny frontiers over many
+//! online-filter iterations; their vertex counts are warp-misaligned,
+//! so the chunk-shaped sweeps' tail handling is always exercised) and
+//! Erdős–Rényi (push/pull direction flips). Together the five
+//! algorithms cover both Combine kinds, the aggregation-pull candidate
+//! sweep, the non-idempotent decrement path (k-Core) and float
+//! accumulation order (PageRank).
 
 use simdx::algos::{bfs, kcore, pagerank, sssp, wcc};
 use simdx::core::jit::ActivationLog;
@@ -56,19 +54,8 @@ fn exec_modes() -> [ExecMode; 3] {
     ]
 }
 
-/// The push strategies a given exec mode exercises: the knob only
-/// reaches the parallel backend (a serial run has exactly one shard),
-/// so the serial cells run once under the default grid label.
-fn push_strategies(exec: ExecMode) -> &'static [PushStrategy] {
-    match exec {
-        ExecMode::Serial => &[PushStrategy::Grid],
-        ExecMode::Parallel { .. } => &[PushStrategy::Scan, PushStrategy::Grid],
-    }
-}
-
-/// Runs one algorithm over the full {exec mode} × {repr} × {layout} ×
-/// {push strategy} matrix and asserts every cell is bit-equal to the
-/// Flat + List + Serial baseline.
+/// Runs one algorithm over the {exec mode} × {repr} matrix and asserts
+/// every cell is bit-equal to the List + Serial baseline.
 fn assert_matrix<M, F>(what: &str, run: F)
 where
     M: PartialEq + std::fmt::Debug,
@@ -76,33 +63,24 @@ where
 {
     let base_cfg = EngineConfig::default()
         .with_exec(ExecMode::Serial)
-        .with_frontier(FrontierRepr::List)
-        .with_layout(MetadataLayout::Flat);
+        .with_frontier(FrontierRepr::List);
     let baseline = fingerprint(run(base_cfg));
     assert!(
         baseline.iterations > 0,
         "{what}: trivial run proves nothing"
     );
     for exec in exec_modes() {
-        for &push in push_strategies(exec) {
-            for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-                for layout in [MetadataLayout::Flat, MetadataLayout::Chunked] {
-                    let cell = fingerprint(run(EngineConfig::default()
-                        .with_exec(exec)
-                        .with_frontier(repr)
-                        .with_layout(layout)
-                        .with_push(push)));
-                    assert_eq!(
-                        cell,
-                        baseline,
-                        "{what}: {}/{}/{}/{} diverged from serial/list/flat",
-                        exec.label(),
-                        repr.label(),
-                        layout.label(),
-                        push.label(),
-                    );
-                }
-            }
+        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
+            let cell = fingerprint(run(EngineConfig::default()
+                .with_exec(exec)
+                .with_frontier(repr)));
+            assert_eq!(
+                cell,
+                baseline,
+                "{what}: {}/{} diverged from serial/list",
+                exec.label(),
+                repr.label(),
+            );
         }
     }
 }
@@ -203,39 +181,14 @@ fn filter_policies_stay_equivalent_in_bitmap_mode() {
     // online and ballot. Both must stay bit-equal across the reprs.
     let g = er_graph();
     for policy in [FilterPolicy::Jit, FilterPolicy::BallotOnly] {
+        let cfg = EngineConfig::default().with_filter(policy);
         let base = fingerprint(
-            bfs::run(
-                &g,
-                0,
-                EngineConfig::default()
-                    .with_filter(policy)
-                    .with_frontier(FrontierRepr::List)
-                    .with_layout(MetadataLayout::Flat),
-            )
-            .expect("bfs"),
+            bfs::run(&g, 0, cfg.clone().with_frontier(FrontierRepr::List)).expect("bfs"),
         );
         for exec in exec_modes() {
-            for layout in [MetadataLayout::Flat, MetadataLayout::Chunked] {
-                let bm = fingerprint(
-                    bfs::run(
-                        &g,
-                        0,
-                        EngineConfig::default()
-                            .with_filter(policy)
-                            .with_exec(exec)
-                            .with_layout(layout)
-                            .bitmap(),
-                    )
-                    .expect("bfs"),
-                );
-                assert_eq!(
-                    bm,
-                    base,
-                    "{policy:?}/{}/{} diverged",
-                    exec.label(),
-                    layout.label()
-                );
-            }
+            let bm =
+                fingerprint(bfs::run(&g, 0, cfg.clone().with_exec(exec).bitmap()).expect("bfs"));
+            assert_eq!(bm, base, "{policy:?}/{} diverged", exec.label());
         }
     }
 }
@@ -245,36 +198,11 @@ fn unscaled_device_stays_equivalent_in_bitmap_mode() {
     // Slot counts change bin shapes and task-to-slot assignment;
     // representation equality must be scale-independent.
     let g = er_graph();
-    let base = fingerprint(
-        bfs::run(
-            &g,
-            0,
-            EngineConfig::unscaled()
-                .with_frontier(FrontierRepr::List)
-                .with_layout(MetadataLayout::Flat),
-        )
-        .expect("bfs"),
-    );
+    let cfg = EngineConfig::unscaled();
+    let base =
+        fingerprint(bfs::run(&g, 0, cfg.clone().with_frontier(FrontierRepr::List)).expect("bfs"));
     for exec in exec_modes() {
-        for layout in [MetadataLayout::Flat, MetadataLayout::Chunked] {
-            let bm = fingerprint(
-                bfs::run(
-                    &g,
-                    0,
-                    EngineConfig::unscaled()
-                        .with_exec(exec)
-                        .with_layout(layout)
-                        .bitmap(),
-                )
-                .expect("bfs"),
-            );
-            assert_eq!(
-                bm,
-                base,
-                "unscaled/{}/{} diverged",
-                exec.label(),
-                layout.label()
-            );
-        }
+        let bm = fingerprint(bfs::run(&g, 0, cfg.clone().with_exec(exec).bitmap()).expect("bfs"));
+        assert_eq!(bm, base, "unscaled/{} diverged", exec.label());
     }
 }

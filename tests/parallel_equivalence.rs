@@ -164,14 +164,12 @@ fn kcore_parallel_equals_serial_on_road() {
 }
 
 #[test]
-fn grid_push_is_work_optimal_scan_is_not() {
+fn grid_push_is_work_optimal() {
     // The work-optimality regression guard: a push iteration's edge
     // work is the frontier's out-degree sum (what the serial engine
-    // examines and what every `IterationRecord` logs). The grid
-    // strategy must examine exactly that — one traversal of each
-    // frontier edge per iteration, regardless of the worker count —
-    // while the scan strategy replays the full task list per worker
-    // and therefore examines exactly `threads ×` it.
+    // examines and what every `IterationRecord` logs). The parallel
+    // grid replay must examine exactly that — one traversal of each
+    // frontier edge per iteration, regardless of the worker count.
     let g = rmat_graph();
     let cfg = EngineConfig::default()
         .with_direction(DirectionPolicy::FixedPush)
@@ -182,19 +180,12 @@ fn grid_push_is_work_optimal_scan_is_not() {
     assert_eq!(serial.report.edges_examined, frontier_edges);
     for threads in THREAD_COUNTS {
         for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-            let base = cfg.clone().parallel(threads).with_frontier(repr);
-            let grid = bfs::run(&g, 0, base.clone().with_push(PushStrategy::Grid)).expect("bfs");
+            let par =
+                bfs::run(&g, 0, cfg.clone().parallel(threads).with_frontier(repr)).expect("bfs");
             assert_eq!(
-                grid.report.edges_examined,
+                par.report.edges_examined,
                 frontier_edges,
                 "{threads} threads ({}): grid push must examine each frontier edge exactly once",
-                repr.label()
-            );
-            let scan = bfs::run(&g, 0, base.scan_push()).expect("bfs");
-            assert_eq!(
-                scan.report.edges_examined,
-                threads as u64 * frontier_edges,
-                "{threads} threads ({}): scan push replays the task list per worker",
                 repr.label()
             );
         }
@@ -205,19 +196,17 @@ fn grid_push_is_work_optimal_scan_is_not() {
 fn grid_examined_matches_serial_under_direction_switches() {
     // With adaptive direction the run mixes push scatters and pull
     // gathers (whose early-termination scan counts are deterministic):
-    // the grid backend's total host edge work must equal the serial
+    // the parallel backend's total host edge work must equal the serial
     // engine's in every phase, not just pure push.
     let g = er_graph();
     let check = |run: &dyn Fn(EngineConfig) -> RunReport| {
         let serial = run(EngineConfig::default().with_exec(ExecMode::Serial));
         assert!(serial.log.records.len() > 1, "trivial run proves nothing");
         for threads in THREAD_COUNTS {
-            let grid = run(EngineConfig::default()
-                .parallel(threads)
-                .with_push(PushStrategy::Grid));
+            let par = run(EngineConfig::default().parallel(threads));
             assert_eq!(
-                grid.edges_examined, serial.edges_examined,
-                "{threads} threads: grid backend examined different edge work"
+                par.edges_examined, serial.edges_examined,
+                "{threads} threads: parallel backend examined different edge work"
             );
         }
     };

@@ -4,10 +4,9 @@
 
 use proptest::prelude::*;
 use simdx::algos::{bfs, kcore, reference, sssp, wcc, Bfs};
-use simdx::core::metadata::{CHUNK_ALIGN, CHUNK_LANES};
 use simdx::core::persist::{self, DurableCheckpoint};
 use simdx::core::prelude::*;
-use simdx::core::{FilterPolicy, FrontierBitmap, GridCsr, MetadataStore};
+use simdx::core::{FilterPolicy, FrontierBitmap, GridCsr};
 use simdx::graph::{io, weights, Csr, EdgeList, Graph};
 use std::collections::BTreeSet;
 
@@ -101,44 +100,6 @@ proptest! {
         prop_assert!(bm.is_empty());
     }
 
-    /// [`MetadataStore`] agrees with a plain `Vec` model in both
-    /// layouts under arbitrary construction + point-write sequences:
-    /// same elements at same indices, same length, same round-trip
-    /// through `clone` and `into_vec`. Lengths are deliberately
-    /// warp-misaligned most of the time, so the chunked layout's
-    /// partial tail chunk (n % 32 != 0) is exercised constantly, and
-    /// the chunked buffer must start on a cache-line boundary.
-    #[test]
-    fn metadata_store_matches_vec_model(
-        (n, writes) in (1u32..200).prop_flat_map(|n| {
-            (Just(n), proptest::collection::vec((0..n, 0..u32::MAX), 0..64))
-        }),
-    ) {
-        let init: Vec<u32> = (0..n).map(|i: u32| i.wrapping_mul(2_654_435_761)).collect();
-        let mut model = init.clone();
-        let mut flat = MetadataStore::from_vec(MetadataLayout::Flat, init.clone());
-        let mut chunked = MetadataStore::from_vec(MetadataLayout::Chunked, init);
-        prop_assert_eq!(
-            chunked.as_slice().as_ptr() as usize % CHUNK_ALIGN,
-            0,
-            "chunked buffer must be cache-line aligned"
-        );
-        prop_assert_eq!(chunked.num_chunks(), (n as usize).div_ceil(CHUNK_LANES));
-        for (v, x) in writes {
-            model[v as usize] = x;
-            flat.as_mut_slice()[v as usize] = x;
-            chunked.as_mut_slice()[v as usize] = x;
-        }
-        prop_assert_eq!(flat.as_slice(), model.as_slice());
-        prop_assert_eq!(chunked.as_slice(), model.as_slice());
-        prop_assert_eq!(flat.len(), model.len());
-        prop_assert_eq!(chunked.len(), model.len());
-        let cloned = chunked.clone();
-        prop_assert_eq!(cloned.as_slice(), model.as_slice());
-        prop_assert_eq!(flat.into_vec(), model.clone());
-        prop_assert_eq!(chunked.into_vec(), model);
-    }
-
     /// A sorted, duplicate-free worklist round-trips through the
     /// bitmap representation unchanged, including at warp-misaligned
     /// lengths (partial tail words).
@@ -209,29 +170,32 @@ proptest! {
         }
     }
 
-    /// The grid push strategy is bit-equal to the scan strategy on
+    /// The parallel grid push replay is bit-equal to the serial path on
     /// arbitrary graphs: same metadata, same activation log, same
-    /// simulated cycle counts (the strategy axis of the determinism
-    /// contract, at property scale).
+    /// simulated cycle counts, same host edge work (the exec axis of
+    /// the determinism contract, at property scale).
     #[test]
-    fn push_strategies_bit_equal_on_arbitrary_graphs((n, edges) in arb_edges(48, 150)) {
+    fn parallel_push_bit_equal_to_serial_on_arbitrary_graphs((n, edges) in arb_edges(48, 150)) {
         let g = Graph::directed_from_edges(EdgeList::from_pairs(
             edges.iter().map(|&(s, d)| (s % n, d % n)).collect::<Vec<_>>(),
         ));
         if g.num_vertices() == 0 {
             return Ok(());
         }
-        let base = EngineConfig::unscaled().parallel(3);
-        let scan = bfs::run(&g, 0, base.clone().scan_push()).expect("scan bfs");
-        let grid = bfs::run(&g, 0, base.with_push(PushStrategy::Grid)).expect("grid bfs");
-        prop_assert_eq!(&grid.meta, &scan.meta);
-        prop_assert_eq!(&grid.report.log, &scan.report.log);
-        prop_assert_eq!(&grid.report.stats, &scan.report.stats);
+        let base = EngineConfig::unscaled().with_direction(DirectionPolicy::FixedPush);
+        let serial = bfs::run(&g, 0, base.clone().with_exec(ExecMode::Serial)).expect("serial bfs");
+        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
+            let par = bfs::run(&g, 0, base.clone().parallel(3).with_frontier(repr))
+                .expect("parallel bfs");
+            prop_assert_eq!(&par.meta, &serial.meta);
+            prop_assert_eq!(&par.report.log, &serial.report.log);
+            prop_assert_eq!(&par.report.stats, &serial.report.stats);
+            prop_assert_eq!(par.report.edges_examined, serial.report.edges_examined);
+        }
     }
 
     /// The engine's BFS equals the sequential reference on arbitrary
-    /// graphs under every filter policy, frontier representation and
-    /// metadata layout.
+    /// graphs under every filter policy and frontier representation.
     #[test]
     fn engine_bfs_equals_reference((n, edges) in arb_edges(48, 150)) {
         let g = Graph::directed_from_edges(EdgeList::from_pairs(
@@ -243,18 +207,13 @@ proptest! {
         let expected = reference::bfs(g.out(), 0);
         for policy in [FilterPolicy::Jit, FilterPolicy::BallotOnly] {
             for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-                for layout in [MetadataLayout::Flat, MetadataLayout::Chunked] {
-                    let r = bfs::run(
-                        &g,
-                        0,
-                        EngineConfig::unscaled()
-                            .with_filter(policy)
-                            .with_frontier(repr)
-                            .with_layout(layout),
-                    )
-                    .expect("bfs");
-                    prop_assert_eq!(&r.meta, &expected);
-                }
+                let r = bfs::run(
+                    &g,
+                    0,
+                    EngineConfig::unscaled().with_filter(policy).with_frontier(repr),
+                )
+                .expect("bfs");
+                prop_assert_eq!(&r.meta, &expected);
             }
         }
     }
@@ -371,9 +330,8 @@ proptest! {
     /// Cancelling a *checkpointed* run at an arbitrary iteration and
     /// resuming from the handed-back snapshot is bit-equal to the
     /// uninterrupted run — metadata, activation log and simulated
-    /// cycles — on arbitrary graphs, across knob cells covering every
-    /// value of the {exec} × {frontier repr} × {layout} × {push
-    /// strategy} axes in both exec modes.
+    /// cycles — on arbitrary graphs, across the {exec} × {frontier repr}
+    /// matrix.
     #[test]
     fn checkpointed_cancel_then_resume_is_bit_equal(
         (n, edges) in arb_edges(48, 150),
@@ -387,19 +345,13 @@ proptest! {
         }
         let par = ExecMode::Parallel { threads: 3 };
         let cells = [
-            (ExecMode::Serial, FrontierRepr::List, MetadataLayout::Flat, PushStrategy::Grid),
-            (ExecMode::Serial, FrontierRepr::Bitmap, MetadataLayout::Chunked, PushStrategy::Scan),
-            (par, FrontierRepr::List, MetadataLayout::Chunked, PushStrategy::Scan),
-            (par, FrontierRepr::Bitmap, MetadataLayout::Flat, PushStrategy::Scan),
-            (par, FrontierRepr::Bitmap, MetadataLayout::Chunked, PushStrategy::Grid),
-            (par, FrontierRepr::List, MetadataLayout::Flat, PushStrategy::Grid),
+            (ExecMode::Serial, FrontierRepr::List),
+            (ExecMode::Serial, FrontierRepr::Bitmap),
+            (par, FrontierRepr::List),
+            (par, FrontierRepr::Bitmap),
         ];
-        for (exec, repr, layout, push) in cells {
-            let cfg = EngineConfig::unscaled()
-                .with_exec(exec)
-                .with_frontier(repr)
-                .with_layout(layout)
-                .with_push(push);
+        for (exec, repr) in cells {
+            let cfg = EngineConfig::unscaled().with_exec(exec).with_frontier(repr);
             let baseline = bfs::run(&g, 0, cfg.clone()).expect("fresh baseline");
             let runtime = Runtime::new(cfg).expect("runtime");
             let bound = runtime.bind(&g);
@@ -468,7 +420,7 @@ proptest! {
     }
 
     /// The durable wire format over *real* mid-run checkpoints (BFS
-    /// cancelled at an arbitrary boundary, both metadata layouts):
+    /// cancelled at an arbitrary boundary):
     /// decode∘encode restores the checkpoint so exactly that (a)
     /// re-encoding reproduces the blob byte-for-byte and (b) resuming
     /// the decoded checkpoint is bit-equal to resuming the original —
@@ -488,18 +440,11 @@ proptest! {
             return Ok(());
         }
         let cells = [
-            (ExecMode::Serial, FrontierRepr::List, MetadataLayout::Flat),
-            (
-                ExecMode::Parallel { threads: 2 },
-                FrontierRepr::Bitmap,
-                MetadataLayout::Chunked,
-            ),
+            (ExecMode::Serial, FrontierRepr::List),
+            (ExecMode::Parallel { threads: 2 }, FrontierRepr::Bitmap),
         ];
-        for (exec, repr, layout) in cells {
-            let cfg = EngineConfig::unscaled()
-                .with_exec(exec)
-                .with_frontier(repr)
-                .with_layout(layout);
+        for (exec, repr) in cells {
+            let cfg = EngineConfig::unscaled().with_exec(exec).with_frontier(repr);
             let baseline = bfs::run(&g, 0, cfg.clone()).expect("fresh baseline");
             let runtime = Runtime::new(cfg).expect("runtime");
             let bound = runtime.bind(&g);

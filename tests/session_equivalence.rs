@@ -2,18 +2,15 @@
 //! (`crates/core/README.md`): a reused [`BoundGraph`] must produce
 //! reports **bit-identical** to a fresh engine — identical final
 //! metadata (float bit patterns included), identical per-iteration
-//! activation logs and identical executor statistics — across the full
-//! {exec mode} × {frontier repr} × {metadata layout} × {push strategy}
-//! matrix, and
-//! [`BoundGraph::run_batch`] must match the per-query loop entry for
-//! entry.
+//! activation logs and identical executor statistics — across the
+//! {exec mode} × {frontier repr} matrix, and [`BoundGraph::run_batch`]
+//! must match the per-query loop entry for entry.
 //!
-//! The harness is differential against the *old* API on purpose: the
-//! baseline for every cell is the deprecated one-shot
-//! `Engine::new(..).run()`, so any state leaking across reused-session
-//! queries (stale dirty stamps, undrained bitmaps, surviving thread
-//! bins) shows up as a divergence pinned to the exact knob combination
-//! and query position that leaked. Query seeds deliberately repeat
+//! The baseline for every cell is a fresh runtime, bind and scratch per
+//! query, so any state leaking across reused-session queries (stale
+//! dirty stamps, undrained bitmaps, surviving thread bins) shows up as
+//! a divergence pinned to the exact knob combination and query position
+//! that leaked. Query seeds deliberately repeat
 //! (`0, 7, 0`) so a leak from an identical earlier query cannot hide.
 
 use simdx::algos::{Bfs, PageRank, Sssp};
@@ -41,46 +38,27 @@ fn fingerprint<M: PartialEq + std::fmt::Debug>(r: RunResult<M>) -> Fingerprint<M
     }
 }
 
-/// The knob matrix each session-reuse scenario runs under. The push
-/// strategy axis only spans the parallel cells (a serial run has one
-/// shard) — under `Grid` the reused `BoundGraph` carries a bind-time
-/// grid CSR across queries, exactly the cached state this suite
-/// exists to distrust.
+/// The knob matrix each session-reuse scenario runs under. In the
+/// parallel cells the reused `BoundGraph` carries a bind-time grid CSR
+/// across queries, exactly the cached state this suite exists to
+/// distrust.
 fn config_matrix() -> Vec<(String, EngineConfig)> {
     let mut out = Vec::new();
     for exec in [ExecMode::Serial, ExecMode::Parallel { threads: 3 }] {
-        let strategies: &[PushStrategy] = match exec {
-            ExecMode::Serial => &[PushStrategy::Grid],
-            ExecMode::Parallel { .. } => &[PushStrategy::Scan, PushStrategy::Grid],
-        };
-        for &push in strategies {
-            for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-                for layout in [MetadataLayout::Flat, MetadataLayout::Chunked] {
-                    out.push((
-                        format!(
-                            "{}/{}/{}/{}",
-                            exec.label(),
-                            repr.label(),
-                            layout.label(),
-                            push.label()
-                        ),
-                        EngineConfig::default()
-                            .with_exec(exec)
-                            .with_frontier(repr)
-                            .with_layout(layout)
-                            .with_push(push),
-                    ));
-                }
-            }
+        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
+            out.push((
+                format!("{}/{}", exec.label(), repr.label()),
+                EngineConfig::default().with_exec(exec).with_frontier(repr),
+            ));
         }
     }
     out
 }
 
-/// The old-API baseline: a fresh one-shot engine per query.
-#[allow(deprecated)]
+/// The baseline: a fresh runtime, bind and scratch per query.
 fn fresh<P: AccProgram>(program: P, g: &Graph, cfg: EngineConfig) -> Fingerprint<P::Meta> {
-    fingerprint(Engine::new(program, g, cfg).run().expect("fresh run"))
+    let runtime = Runtime::new(cfg).expect("runtime");
+    fingerprint(runtime.bind(g).run(program).execute().expect("fresh run"))
 }
 
 /// Asserts that a reused `BoundGraph` serving `seeds` in order matches
