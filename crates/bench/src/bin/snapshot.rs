@@ -31,12 +31,20 @@
 //!
 //! ```text
 //! snapshot [--scale N] [--reps R] [--out PATH] [--threads a,b,...]
+//!          [--history PATH]
 //! ```
 //!
 //! `--scale` sets the RMAT/ER vertex scale (default 15, ~260k directed
 //! edges; use 17 for the ~1M-edge acceptance graph). Each cell reports
 //! the best of `--reps` runs (default 3). Thread lists default to
 //! `2,4` plus the machine width; serial is always measured.
+//!
+//! `--out` is overwritten on every run, so it carries no trajectory.
+//! `--history PATH` (conventionally `BENCH_history.jsonl`) *appends*
+//! one JSON line per invocation — the commit the tree was built from
+//! (`+dirty` when it has uncommitted changes), `rustc -V`, the host
+//! width and the median of each group's headline number — so the
+//! perf trajectory survives regeneration.
 
 use simdx_algos::{bfs::Bfs, kcore::KCore, pagerank::PageRank, sssp::Sssp};
 use simdx_bench::{run_one, session_reuse_workload};
@@ -54,6 +62,7 @@ struct Args {
     reps: u32,
     out: String,
     threads: Vec<usize>,
+    history: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -62,6 +71,7 @@ fn parse_args() -> Args {
         reps: 3,
         out: "BENCH_engine.json".to_string(),
         threads: default_threads(),
+        history: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -73,6 +83,7 @@ fn parse_args() -> Args {
             "--scale" => args.scale = value().parse().expect("--scale N"),
             "--reps" => args.reps = value().parse::<u32>().expect("--reps R").max(1),
             "--out" => args.out = value(),
+            "--history" => args.history = Some(value()),
             "--threads" => {
                 args.threads = value()
                     .split(',')
@@ -160,6 +171,37 @@ fn measure(
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+/// Median of `values` (0 for an empty group).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    match values.len() {
+        0 => 0.0,
+        n if n % 2 == 1 => values[n / 2],
+        n => (values[n / 2 - 1] + values[n / 2]) / 2.0,
+    }
+}
+
+/// `(b - a) / a` in percent (0 when `a` is 0).
+fn overhead_pct(a: f64, b: f64) -> f64 {
+    if a > 0.0 {
+        (b - a) / a * 1e2
+    } else {
+        0.0
+    }
+}
+
+/// First line of a tool's stdout, or `unknown` when it cannot be run.
+fn tool_line(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .and_then(|s| s.lines().next().map(str::to_string))
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn main() {
@@ -363,11 +405,7 @@ fn main() {
             }
             armed_best = armed_best.min(start.elapsed().as_secs_f64() * 1e3);
         }
-        let overhead = if plain_best > 0.0 {
-            (armed_best - plain_best) / plain_best * 1e2
-        } else {
-            0.0
-        };
+        let overhead = overhead_pct(plain_best, armed_best);
         eprintln!(
             "supervision × {:<12} off {plain_best:>9.2} ms, armed {armed_best:>9.2} ms \
              ({overhead:+.2}%, {checks} checks)",
@@ -507,11 +545,7 @@ fn main() {
                 plain_best = plain_best.min(serve_batch(base.clone()));
                 armed_best = armed_best.min(serve_batch(base.checkpoint_aborts(true)));
             }
-            let overhead = if plain_best > 0.0 {
-                (armed_best - plain_best) / plain_best * 1e2
-            } else {
-                0.0
-            };
+            let overhead = overhead_pct(plain_best, armed_best);
             eprintln!(
                 "resilience × {workers} worker(s)  off {plain_best:>9.2} ms, armed \
                  {armed_best:>9.2} ms ({overhead:+.2}%)",
@@ -578,11 +612,7 @@ fn main() {
                     base.durability(DurabilityPolicy::spill_to(store)),
                 ));
             }
-            let overhead = if off_best > 0.0 {
-                (armed_best - off_best) / off_best * 1e2
-            } else {
-                0.0
-            };
+            let overhead = overhead_pct(off_best, armed_best);
             eprintln!(
                 "durability × {workers} worker(s)  off {off_best:>9.2} ms, armed \
                  {armed_best:>9.2} ms ({overhead:+.2}%)",
@@ -609,13 +639,10 @@ fn main() {
     out.push_str("{\n  \"schema\": \"simdx-bench-engine/10\",\n");
     let _ = writeln!(out, "  \"scale\": {},", args.scale);
     let _ = writeln!(out, "  \"reps\": {},", args.reps);
-    let _ = writeln!(
-        out,
-        "  \"host_threads\": {},",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    );
+    let host_threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let _ = writeln!(out, "  \"host_threads\": {host_threads},");
     out.push_str("  \"samples\": [\n");
     for (i, s) in samples.iter().enumerate() {
         let _ = write!(
@@ -721,11 +748,7 @@ fn main() {
             row.unsupervised_ms,
             row.supervised_ms,
             row.checks,
-            if row.unsupervised_ms > 0.0 {
-                (row.supervised_ms - row.unsupervised_ms) / row.unsupervised_ms * 1e2
-            } else {
-                0.0
-            }
+            overhead_pct(row.unsupervised_ms, row.supervised_ms)
         );
         out.push_str(if i + 1 < sup_rows.len() { ",\n" } else { "\n" });
     }
@@ -772,11 +795,7 @@ fn main() {
             row.workers,
             row.plain_ms,
             row.armed_ms,
-            if row.plain_ms > 0.0 {
-                (row.armed_ms - row.plain_ms) / row.plain_ms * 1e2
-            } else {
-                0.0
-            }
+            overhead_pct(row.plain_ms, row.armed_ms)
         );
         out.push_str(if i + 1 < resil_rows.len() {
             ",\n"
@@ -800,17 +819,108 @@ fn main() {
             row.workers,
             row.off_ms,
             row.armed_ms,
-            if row.off_ms > 0.0 {
-                (row.armed_ms - row.off_ms) / row.off_ms * 1e2
-            } else {
-                0.0
-            }
+            overhead_pct(row.off_ms, row.armed_ms)
         );
         out.push_str(if i + 1 < dur_rows.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ]\n}\n");
     std::fs::write(&args.out, &out).expect("write snapshot");
     eprintln!("wrote {}", args.out);
+
+    if let Some(path) = &args.history {
+        // One line per invocation: where the tree came from, what it
+        // ran on, and each group's headline number as a median over
+        // the group's rows.
+        let mut commit = tool_line("git", &["rev-parse", "--short", "HEAD"]);
+        if !tool_line("git", &["status", "--porcelain"]).is_empty() {
+            commit.push_str("+dirty");
+        }
+        let fresh = |serial: bool| {
+            samples
+                .iter()
+                .filter(move |s| s.api == "fresh" && (s.mode == "serial") == serial)
+        };
+        let par_vs_serial = fresh(false).filter_map(|p| {
+            fresh(true)
+                .find(|s| {
+                    s.algorithm == p.algorithm
+                        && s.graph == p.graph
+                        && s.frontier_repr == p.frontier_repr
+                })
+                .map(|s| p.wall_ms / s.wall_ms)
+        });
+        let medians = [
+            (
+                "serial_wall_ms",
+                median(fresh(true).map(|s| s.wall_ms).collect()),
+            ),
+            ("parallel_vs_serial", median(par_vs_serial.collect())),
+            (
+                "bitmap_speedup",
+                median(pairs.iter().map(|(l, b)| l.wall_ms / b.wall_ms).collect()),
+            ),
+            (
+                "reuse_speedup",
+                median(reuse_rows.iter().map(|r| r.fresh_ms / r.bound_ms).collect()),
+            ),
+            (
+                "supervision_overhead_pct",
+                median(
+                    sup_rows
+                        .iter()
+                        .map(|r| overhead_pct(r.unsupervised_ms, r.supervised_ms))
+                        .collect(),
+                ),
+            ),
+            (
+                "serving_qps",
+                median(serve_rows.iter().map(|r| r.qps).collect()),
+            ),
+            (
+                "serving_p50_ms",
+                median(serve_rows.iter().map(|r| r.p50_ms).collect()),
+            ),
+            (
+                "resilience_overhead_pct",
+                median(
+                    resil_rows
+                        .iter()
+                        .map(|r| overhead_pct(r.plain_ms, r.armed_ms))
+                        .collect(),
+                ),
+            ),
+            (
+                "durability_overhead_pct",
+                median(
+                    dur_rows
+                        .iter()
+                        .map(|r| overhead_pct(r.off_ms, r.armed_ms))
+                        .collect(),
+                ),
+            ),
+        ];
+        let mut line = format!(
+            "{{\"schema\": \"simdx-bench-history/1\", \"commit\": \"{}\", \"rustc\": \"{}\", \
+             \"host_threads\": {host_threads}, \"scale\": {}, \"reps\": {}, \"medians\": {{",
+            json_escape(&commit),
+            json_escape(&tool_line("rustc", &["-V"])),
+            args.scale,
+            args.reps,
+        );
+        for (i, (name, value)) in medians.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            let _ = write!(line, "{sep}\"{name}\": {value:.3}");
+        }
+        line.push_str("}}\n");
+        use std::io::Write as _;
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .and_then(|mut f| f.write_all(line.as_bytes()))
+            .expect("append history line");
+        eprintln!("appended to {path}");
+    }
 }
 
 fn bfs_run(g: &Graph, src: u32, cfg: EngineConfig) -> (f64, u32) {

@@ -47,10 +47,21 @@
 //!   `(task, edge)`-keyed records; the engine sorts and replays them
 //!   into [`ThreadBins`] in serial order, reproducing bin contents and
 //!   overflow behaviour exactly.
-//! * *Costs are charged identically.* Task-cost vectors are assembled
-//!   in serial order (or charged from per-worker partitions via
-//!   [`GpuExecutor::run_kernel_parts`], which preserves the logical
-//!   sequence), so the simulated device sees the same work either way.
+//! * *Costs are streamed, and the sums commute.* No sweep stores a
+//!   per-task [`Cost`]: before a sweep the engine opens the arena's
+//!   [`KernelCharge`] with the sweep's task count
+//!   ([`GpuExecutor::begin`]), the sweep feeds it one cost per task as
+//!   it goes (or one closed-form `uniform` run for identical tasks),
+//!   and [`GpuExecutor::commit`] folds it into the statistics. Task `i`
+//!   lands on slot `i % active_slots` and everything accumulated is a
+//!   `u64` sum, so a worker that owns tasks `[t0, t1)` charges its own
+//!   accumulator opened at `t0` and the submitter adds the parts in —
+//!   no ordering argument needed. Parallel push is the one kernel that
+//!   cannot charge as it goes: a task's cycles are `ceil(raw / width)`,
+//!   not linear in its writes, and its writes are spread over the
+//!   destination shards — so the shards' per-task applied counts are
+//!   summed first (4 bytes a task) and one final pass over the list
+//!   streams the serial cost sequence.
 //!
 //! # Frontier representations
 //!
@@ -83,7 +94,8 @@
 //! warp of ballot lanes, half a bitmap word) through fixed-width lane
 //! loops the compiler can vectorize, finishing a partial tail scalar;
 //! every parallel partition over metadata falls on chunk boundaries so
-//! no worker ever splits a chunk.
+//! no worker ever splits a chunk. The candidate sweep classifies each
+//! candidate into its worklist as it finds it.
 
 use crate::acc::{AccProgram, CombineKind, DirectionCtx};
 use crate::checkpoint::RunCheckpoint;
@@ -101,7 +113,7 @@ use crate::metrics::{RunReport, RunResult};
 use crate::par::{chunk_range, chunk_range_aligned, WorkerPool};
 use crate::scratch::{IterScratch, PushFences, RecordEntry, WorkerScratch};
 use crate::supervise::{Supervisor, POLL_STRIDE};
-use simdx_gpu::{Cost, GpuExecutor, SchedUnit, WARP_SIZE};
+use simdx_gpu::{Cost, GpuExecutor, KernelCharge, SchedUnit, WARP_SIZE};
 use simdx_graph::csr::{Csr, Direction};
 use simdx_graph::{Graph, VertexId, Weight};
 
@@ -195,9 +207,8 @@ impl<P: AccProgram> Engine<P> {
         let IterScratch {
             lists,
             cands,
-            tasks,
-            mgmt_tasks,
-            vote_scan_tasks,
+            charge,
+            applied,
             changed,
             changed_bits,
             cand_bits,
@@ -457,11 +468,20 @@ impl<P: AccProgram> Engine<P> {
                     // management restricts recomputation to vertices
                     // with at least one active in-neighbor — a skipped
                     // vertex would recompute its existing value.
-                    cands.clear();
+                    let thresholds = config.thresholds;
+                    let k = plan.kernel(dir, KernelRole::TaskMgmt);
                     match program.combine_kind() {
                         CombineKind::Vote => {
+                            // One sweep finds and classifies: each
+                            // candidate goes straight into its
+                            // worklist, no candidate list in between.
                             match pool {
-                                None => Self::vote_candidates(program, &curr, 0, n, cands),
+                                None => {
+                                    lists.clear();
+                                    Self::vote_candidates(program, &curr, 0, n, |v| {
+                                        lists.classify_one(v, scan_csr, thresholds)
+                                    });
+                                }
                                 Some(pool) => {
                                     // Partition on chunk boundaries so
                                     // no worker's fixed-width sweep
@@ -470,41 +490,34 @@ impl<P: AccProgram> Engine<P> {
                                     // order either way).
                                     let curr = curr.as_slice();
                                     pool.try_for_each_worker(workers, |w, ws| {
-                                        ws.cands.clear();
+                                        ws.lists.clear();
                                         let (lo, hi) =
                                             chunk_range_aligned(n, threads, w, WARP_SIZE);
-                                        Self::vote_candidates(program, curr, lo, hi, &mut ws.cands);
+                                        Self::vote_candidates(program, curr, lo, hi, |v| {
+                                            ws.lists.classify_one(v, scan_csr, thresholds)
+                                        });
                                     })?;
+                                    lists.clear();
                                     for ws in workers.iter() {
-                                        cands.extend_from_slice(&ws.cands);
+                                        lists.append(&ws.lists);
                                     }
                                 }
                             }
                             // Candidate scan: a coalesced metadata sweep
-                            // whose cost sequence depends only on |V| —
-                            // built once per run and recharged each
-                            // pull-vote iteration.
-                            let chunks = (n as u64).div_ceil(32) as usize;
-                            if vote_scan_tasks.len() != chunks {
-                                vote_scan_tasks.clear();
-                                vote_scan_tasks.resize(
-                                    chunks,
-                                    Cost {
-                                        compute_ops: 64,
-                                        coalesced_reads: 32,
-                                        writes: 4,
-                                        width: 32,
-                                        ..Cost::default()
-                                    },
-                                );
-                            }
-                            let k = plan.kernel(dir, KernelRole::TaskMgmt);
-                            executor.run_kernel(&k, SchedUnit::Warp, vote_scan_tasks, false);
+                            // of |V| / 32 identical warp tasks, charged
+                            // in closed form.
+                            let chunks = n.div_ceil(WARP_SIZE);
+                            executor.begin(charge, k, SchedUnit::Warp, chunks);
+                            charge.uniform(&Self::vote_scan_cost(), chunks as u64);
+                            executor.commit(charge, false);
                         }
                         CombineKind::Aggregation => {
+                            cands.clear();
+                            // One mark task per frontier entry, charged
+                            // as the sweep visits it.
+                            executor.begin(charge, k, SchedUnit::Warp, frontier_len as usize);
                             match pool {
                                 None => {
-                                    mgmt_tasks.clear();
                                     let curr_s = curr.as_slice();
                                     match repr {
                                         FrontierRepr::List => {
@@ -523,7 +536,7 @@ impl<P: AccProgram> Engine<P> {
                                                         cands.push(u);
                                                     }
                                                 }
-                                                mgmt_tasks.push(Self::mark_cost(nbrs.len()));
+                                                charge.task(&Self::mark_cost(nbrs.len()));
                                             }
                                             cands.sort_unstable();
                                         }
@@ -550,7 +563,7 @@ impl<P: AccProgram> Engine<P> {
                                                         cand_bits.set(u);
                                                     }
                                                 }
-                                                mgmt_tasks.push(Self::mark_cost(nbrs.len()));
+                                                charge.task(&Self::mark_cost(nbrs.len()));
                                             };
                                             if frontier_in_bins {
                                                 bins.for_each_entry(&mut mark);
@@ -562,8 +575,6 @@ impl<P: AccProgram> Engine<P> {
                                             cand_bits.drain_into(cands);
                                         }
                                     }
-                                    let k = plan.kernel(dir, KernelRole::TaskMgmt);
-                                    executor.run_kernel(&k, SchedUnit::Warp, mgmt_tasks, false);
                                 }
                                 Some(pool) => {
                                     let curr = curr.as_slice();
@@ -574,11 +585,13 @@ impl<P: AccProgram> Engine<P> {
                                     // concatenation-position ranges
                                     // through the sealed prefix.
                                     let bins = &*bins;
-                                    let bins_total = bins.total_recorded() as usize;
+                                    let whole = &*charge;
                                     pool.try_for_each_worker(workers, |w, ws| {
                                         ws.cands.clear();
-                                        ws.tasks.clear();
-                                        let WorkerScratch { cands, tasks, .. } = ws;
+                                        let (lo, hi) =
+                                            chunk_range(frontier_len as usize, threads, w);
+                                        ws.charge.begin_part(whole, lo);
+                                        let WorkerScratch { cands, charge, .. } = ws;
                                         let mut mark = |v: VertexId| {
                                             let nbrs = out_csr.neighbors(v);
                                             for &u in nbrs {
@@ -586,13 +599,11 @@ impl<P: AccProgram> Engine<P> {
                                                     cands.push(u);
                                                 }
                                             }
-                                            tasks.push(Self::mark_cost(nbrs.len()));
+                                            charge.task(&Self::mark_cost(nbrs.len()));
                                         };
                                         if frontier_in_bins {
-                                            let (lo, hi) = chunk_range(bins_total, threads, w);
                                             bins.for_each_entry_in(lo as u64, hi as u64, mark);
                                         } else {
-                                            let (lo, hi) = chunk_range(frontier.len(), threads, w);
                                             for &v in &frontier[lo..hi] {
                                                 mark(v);
                                             }
@@ -623,22 +634,19 @@ impl<P: AccProgram> Engine<P> {
                                             cand_bits.drain_into(cands);
                                         }
                                     }
-                                    let k = plan.kernel(dir, KernelRole::TaskMgmt);
-                                    executor.run_kernel_parts(
-                                        &k,
-                                        SchedUnit::Warp,
-                                        workers.iter().map(|ws| ws.tasks.as_slice()),
-                                        false,
-                                    );
+                                    for ws in workers.iter() {
+                                        charge.absorb(&ws.charge);
+                                    }
                                 }
                             }
+                            executor.commit(charge, false);
+                            match pool {
+                                None => lists.classify_into(cands, scan_csr, thresholds),
+                                Some(pool) => Self::classify_parallel(
+                                    pool, threads, workers, lists, cands, scan_csr, config,
+                                )?,
+                            }
                         }
-                    }
-                    match pool {
-                        None => lists.classify_into(cands, scan_csr, config.thresholds),
-                        Some(pool) => Self::classify_parallel(
-                            pool, threads, workers, lists, cands, scan_csr, config,
-                        )?,
                     }
                 }
             };
@@ -647,57 +655,56 @@ impl<P: AccProgram> Engine<P> {
             // kernel's (scaled) slot count; the bins (and their inner
             // allocations) persist across iterations.
             let thread_kernel = plan.kernel(dir, KernelRole::Compute(SchedUnit::Thread));
-            let bin_count = executor.slots_for(&thread_kernel, SchedUnit::Thread) as usize;
+            let bin_count = executor.slots_for(thread_kernel, SchedUnit::Thread) as usize;
             bins.reset_to(bin_count, config.overflow_threshold);
             let record = jit.records_bins();
 
-            // 4. Compute kernels over the three worklists.
+            // 4. Compute kernels over the three worklists, each charged
+            // as its sweep runs: one task per list entry.
             let mut task_base = 0u64;
             for unit in [SchedUnit::Thread, SchedUnit::Warp, SchedUnit::Cta] {
                 let list = lists.list(unit);
-                let kernel = plan.kernel(dir, KernelRole::Compute(unit));
                 let launch = plan.needs_launch(dir);
+                let kernel = plan.kernel(dir, KernelRole::Compute(unit));
                 let width = unit.threads(config.threads_per_cta) as u64;
+                executor.begin(charge, kernel, unit, list.len());
                 match (pool, dir) {
-                    (None, _) => {
-                        match repr {
-                            FrontierRepr::List => Self::serial_unit(
-                                program,
-                                dir,
-                                list,
-                                scan_csr,
-                                &prev,
-                                &mut curr,
-                                bins,
-                                &mut ListSink(changed),
-                                tasks,
-                                record,
-                                width,
-                                task_base,
-                                frontier_sorted,
-                                &mut edges_examined,
-                                supervisor,
-                            ),
-                            FrontierRepr::Bitmap => Self::serial_unit(
-                                program,
-                                dir,
-                                list,
-                                scan_csr,
-                                &prev,
-                                &mut curr,
-                                bins,
-                                &mut BitSink(changed_bits.view_mut()),
-                                tasks,
-                                record,
-                                width,
-                                task_base,
-                                frontier_sorted,
-                                &mut edges_examined,
-                                supervisor,
-                            ),
-                        }
-                        executor.run_kernel(&kernel, unit, tasks, launch);
-                    }
+                    (None, _) => match repr {
+                        FrontierRepr::List => Self::serial_unit(
+                            program,
+                            dir,
+                            list,
+                            scan_csr,
+                            &prev,
+                            &mut curr,
+                            bins,
+                            &mut ListSink(changed),
+                            charge,
+                            record,
+                            width,
+                            task_base,
+                            frontier_sorted,
+                            &mut edges_examined,
+                            supervisor,
+                        ),
+                        FrontierRepr::Bitmap => Self::serial_unit(
+                            program,
+                            dir,
+                            list,
+                            scan_csr,
+                            &prev,
+                            &mut curr,
+                            bins,
+                            &mut BitSink(changed_bits.view_mut()),
+                            charge,
+                            record,
+                            width,
+                            task_base,
+                            frontier_sorted,
+                            &mut edges_examined,
+                            supervisor,
+                        ),
+                    },
                     (Some(pool), Direction::Push) => {
                         // Bind time installs the fences and the grid
                         // for every parallel runtime; a missing pair
@@ -716,20 +723,16 @@ impl<P: AccProgram> Engine<P> {
                                 pool,
                                 workers,
                                 list,
-                                scan_csr,
                                 grid,
                                 &prev,
                                 &mut curr,
                                 &fences.verts,
-                                tasks,
                                 changed,
                                 records,
                                 bins,
                                 record,
                                 width,
                                 task_base,
-                                frontier_sorted,
-                                &mut edges_examined,
                                 supervisor,
                             )?,
                             FrontierRepr::Bitmap => Self::push_unit_parallel_grid_bits(
@@ -737,53 +740,52 @@ impl<P: AccProgram> Engine<P> {
                                 pool,
                                 workers,
                                 list,
-                                scan_csr,
                                 grid,
                                 &prev,
                                 &mut curr,
                                 fences,
                                 changed_bits,
-                                tasks,
                                 records,
                                 bins,
                                 record,
                                 width,
                                 task_base,
-                                frontier_sorted,
-                                &mut edges_examined,
                                 supervisor,
                             )?,
                         }
-                        executor.run_kernel(&kernel, unit, tasks, launch);
-                    }
-                    (Some(pool), Direction::Pull) => {
-                        Self::pull_unit_parallel(
-                            program,
-                            pool,
-                            threads,
+                        Self::push_charge(
                             workers,
                             list,
                             scan_csr,
-                            &prev,
-                            &mut curr,
-                            repr,
-                            changed,
-                            changed_bits,
-                            bins,
-                            record,
+                            applied,
+                            charge,
                             width,
-                            task_base,
+                            frontier_sorted,
                             &mut edges_examined,
-                            supervisor,
-                        )?;
-                        executor.run_kernel_parts(
-                            &kernel,
-                            unit,
-                            workers.iter().map(|ws| ws.tasks.as_slice()),
-                            launch,
                         );
                     }
+                    (Some(pool), Direction::Pull) => Self::pull_unit_parallel(
+                        program,
+                        pool,
+                        threads,
+                        workers,
+                        list,
+                        scan_csr,
+                        &prev,
+                        &mut curr,
+                        repr,
+                        changed,
+                        changed_bits,
+                        bins,
+                        charge,
+                        record,
+                        width,
+                        task_base,
+                        &mut edges_examined,
+                        supervisor,
+                    )?,
                 }
+                executor.commit(charge, launch);
                 task_base += list.len() as u64;
             }
             if plan.uses_global_barrier() {
@@ -803,8 +805,8 @@ impl<P: AccProgram> Engine<P> {
 
             // 5. Task management under JIT control.
             let decision = jit.decide(bins, iteration)?;
-            let tm_kernel = plan.kernel(dir, KernelRole::TaskMgmt);
             let tm_launch = plan.needs_launch(dir);
+            let tm_kernel = plan.kernel(dir, KernelRole::TaskMgmt);
             // Bitmap worklist drain: leave the online filter's next
             // frontier in the bins and only charge the concatenation
             // kernel — identical costs, no materialized list. Parallel
@@ -813,110 +815,76 @@ impl<P: AccProgram> Engine<P> {
             let drain_bins_next = decision == FilterKind::Online && repr == FrontierRepr::Bitmap;
             match decision {
                 FilterKind::Online => {
-                    if drain_bins_next {
-                        online::charge_concatenation(
-                            bins,
-                            &mut executor,
-                            &tm_kernel,
-                            tm_launch,
-                            mgmt_tasks,
-                        );
-                        next.clear();
-                    } else {
-                        online::concatenate_into(
-                            bins,
-                            &mut executor,
-                            &tm_kernel,
-                            tm_launch,
-                            mgmt_tasks,
-                            next,
-                        );
+                    next.clear();
+                    if !drain_bins_next {
+                        bins.concatenate_into(next);
                     }
+                    online::charge_concatenation(bins, &mut executor, tm_kernel, tm_launch, charge);
                 }
-                FilterKind::Ballot => match pool {
-                    None => {
-                        fault::hit(FaultSite::Ballot);
-                        let ws = &mut workers[0].warp;
-                        ws.clear();
-                        match repr {
-                            FrontierRepr::List => {
-                                ballot::scan_range_chunked(program, &curr, &prev, 0, n, ws);
-                            }
-                            FrontierRepr::Bitmap => {
-                                // The changed bitmap is the scan's
-                                // occupancy: all-zero words (64
-                                // untouched vertices) are charged
-                                // without loading metadata.
-                                ballot::scan_range_sparse(
+                FilterKind::Ballot => {
+                    // One scan task per warp chunk of the metadata
+                    // arrays, charged as the chunk is scanned. In
+                    // bitmap mode the changed bitmap is the scan's
+                    // occupancy: all-zero words (64 untouched vertices)
+                    // are charged without loading metadata.
+                    executor.begin(charge, tm_kernel, SchedUnit::Warp, n.div_ceil(WARP_SIZE));
+                    next.clear();
+                    match pool {
+                        None => {
+                            fault::hit(FaultSite::Ballot);
+                            let mut sink = |c: Cost| charge.task(&c);
+                            match repr {
+                                FrontierRepr::List => ballot::scan_range_chunked(
+                                    program, &curr, &prev, 0, n, next, &mut sink,
+                                ),
+                                FrontierRepr::Bitmap => ballot::scan_range_sparse(
                                     program,
                                     &curr,
                                     &prev,
                                     0,
                                     n,
                                     changed_bits.words(),
-                                    ws,
-                                );
+                                    next,
+                                    &mut sink,
+                                ),
                             }
                         }
-                        executor.run_kernel(&tm_kernel, SchedUnit::Warp, &ws.tasks, tm_launch);
-                        std::mem::swap(next, &mut ws.active);
+                        Some(pool) => {
+                            let (curr, prev) = (curr.as_slice(), prev.as_slice());
+                            let (whole, occ) = (&*charge, changed_bits.words());
+                            // Partition on warp-chunk (32) boundaries,
+                            // or on occupancy-word (64) boundaries in
+                            // bitmap mode — the word-level analogue —
+                            // so every worker's range covers whole
+                            // chunks and whole bitmap words.
+                            let align = match repr {
+                                FrontierRepr::List => WARP_SIZE,
+                                FrontierRepr::Bitmap => WORD_BITS,
+                            };
+                            pool.try_for_each_worker(workers, |w, ws| {
+                                fault::hit(FaultSite::Ballot);
+                                let (lo, hi) = chunk_range_aligned(n, threads, w, align);
+                                let WorkerScratch { active, charge, .. } = ws;
+                                active.clear();
+                                charge.begin_part(whole, lo / WARP_SIZE);
+                                let mut sink = |c: Cost| charge.task(&c);
+                                match repr {
+                                    FrontierRepr::List => ballot::scan_range_chunked(
+                                        program, curr, prev, lo, hi, active, &mut sink,
+                                    ),
+                                    FrontierRepr::Bitmap => ballot::scan_range_sparse(
+                                        program, curr, prev, lo, hi, occ, active, &mut sink,
+                                    ),
+                                }
+                            })?;
+                            for ws in workers.iter() {
+                                next.extend_from_slice(&ws.active);
+                                charge.absorb(&ws.charge);
+                            }
+                        }
                     }
-                    Some(pool) => {
-                        let curr = curr.as_slice();
-                        let prev = prev.as_slice();
-                        match repr {
-                            FrontierRepr::List => {
-                                // Partition on warp-chunk (32)
-                                // boundaries.
-                                pool.try_for_each_worker(workers, |w, ws| {
-                                    fault::hit(FaultSite::Ballot);
-                                    ws.warp.clear();
-                                    let (lo, hi) = chunk_range_aligned(n, threads, w, WARP_SIZE);
-                                    ballot::scan_range_chunked(
-                                        program,
-                                        curr,
-                                        prev,
-                                        lo,
-                                        hi,
-                                        &mut ws.warp,
-                                    );
-                                })?;
-                            }
-                            FrontierRepr::Bitmap => {
-                                // Partition on occupancy-word (64)
-                                // boundaries — the word-level analogue
-                                // of the list scan's warp alignment —
-                                // so every worker's range covers whole
-                                // bitmap words.
-                                let occ = changed_bits.words();
-                                pool.try_for_each_worker(workers, |w, ws| {
-                                    fault::hit(FaultSite::Ballot);
-                                    ws.warp.clear();
-                                    let (lo, hi) = chunk_range_aligned(n, threads, w, WORD_BITS);
-                                    ballot::scan_range_sparse(
-                                        program,
-                                        curr,
-                                        prev,
-                                        lo,
-                                        hi,
-                                        occ,
-                                        &mut ws.warp,
-                                    );
-                                })?;
-                            }
-                        }
-                        next.clear();
-                        for ws in workers.iter() {
-                            next.extend_from_slice(&ws.warp.active);
-                        }
-                        executor.run_kernel_parts(
-                            &tm_kernel,
-                            SchedUnit::Warp,
-                            workers.iter().map(|ws| ws.warp.tasks.as_slice()),
-                            tm_launch,
-                        );
-                    }
-                },
+                    executor.commit(charge, tm_launch);
+                }
             };
             frontier_in_bins = drain_bins_next;
             if drain_bins_next && pool.is_some() {
@@ -983,8 +951,8 @@ impl<P: AccProgram> Engine<P> {
         })
     }
 
-    /// Appends the pull-vote candidates in `[lo, hi)` of the metadata
-    /// sweep to `out`, in ascending order: full 32-vertex chunks go
+    /// Hands the pull-vote candidates in `[lo, hi)` of the metadata
+    /// sweep to `found`, in ascending order: full 32-vertex chunks go
     /// through `[M; 32]` windows with a fixed-width lane loop (the
     /// candidate-scan analogue of [`ballot::scan_range_chunked`]), the
     /// partial tail is finished scalar.
@@ -993,7 +961,7 @@ impl<P: AccProgram> Engine<P> {
         curr: &[P::Meta],
         lo: usize,
         hi: usize,
-        out: &mut Vec<VertexId>,
+        mut found: impl FnMut(VertexId),
     ) {
         let mut base = lo;
         let mut rest = &curr[lo..hi];
@@ -1001,7 +969,7 @@ impl<P: AccProgram> Engine<P> {
             for (lane, m) in chunk.iter().enumerate() {
                 let v = (base + lane) as VertexId;
                 if program.pull_candidate(v, m) {
-                    out.push(v);
+                    found(v);
                 }
             }
             base += WARP_SIZE;
@@ -1010,7 +978,7 @@ impl<P: AccProgram> Engine<P> {
         for (i, m) in rest.iter().enumerate() {
             let v = (base + i) as VertexId;
             if program.pull_candidate(v, m) {
-                out.push(v);
+                found(v);
             }
         }
     }
@@ -1041,7 +1009,8 @@ impl<P: AccProgram> Engine<P> {
     /// The serial compute-kernel loop over one worklist, generic over
     /// the first-change representation (`ListSink` compares metadata,
     /// `BitSink` tests the changed bitmap — see
-    /// [`crate::frontier::ChangeSink`]).
+    /// [`crate::frontier::ChangeSink`]). Each task's cost goes to
+    /// `charge` the moment the task is done.
     #[allow(clippy::too_many_arguments)]
     fn serial_unit<C: ChangeSink<P::Meta>>(
         program: &P,
@@ -1052,7 +1021,7 @@ impl<P: AccProgram> Engine<P> {
         curr: &mut [P::Meta],
         bins: &mut ThreadBins,
         chg: &mut C,
-        tasks: &mut Vec<Cost>,
+        charge: &mut KernelCharge,
         record: bool,
         width: u64,
         task_base: u64,
@@ -1064,7 +1033,6 @@ impl<P: AccProgram> Engine<P> {
             Direction::Push => FaultSite::Push,
             Direction::Pull => FaultSite::Pull,
         });
-        tasks.clear();
         for (t, &v) in list.iter().enumerate() {
             // In-sweep supervision: a tripped token or deadline bails
             // out of the task list mid-sweep; the iteration's second
@@ -1102,7 +1070,7 @@ impl<P: AccProgram> Engine<P> {
                     examined,
                 ),
             };
-            tasks.push(cost);
+            charge.task(&cost);
         }
     }
 
@@ -1110,32 +1078,27 @@ impl<P: AccProgram> Engine<P> {
     /// docs): worker `s` iterates only `grid.shard(s)` — the bind-time
     /// bucket of edges whose destination falls in its contiguous vertex
     /// shard of `curr` — so each frontier edge is traversed exactly
-    /// once per iteration. Costs are prefilled from the full per-task
-    /// degrees; per-task applied counts, changed vertices and deferred
-    /// filter records are then merged deterministically.
+    /// once per iteration. Changed vertices and deferred filter records
+    /// are then merged deterministically; the kernel is charged
+    /// afterwards by [`Self::push_charge`].
     #[allow(clippy::too_many_arguments)]
     fn push_unit_parallel_grid(
         program: &P,
         pool: &WorkerPool,
         workers: &mut [WorkerScratch<P::Meta>],
         list: &[VertexId],
-        csr: &Csr,
         grid: &GridCsr,
         prev: &[P::Meta],
         curr: &mut [P::Meta],
         bounds: &[u32],
-        tasks: &mut Vec<Cost>,
         changed: &mut Vec<VertexId>,
         records: &mut Vec<RecordEntry>,
         bins: &mut ThreadBins,
         record: bool,
         width: u64,
         task_base: u64,
-        frontier_sorted: bool,
-        examined: &mut u64,
         sup: &Supervisor,
     ) -> Result<(), SimdxError> {
-        Self::push_cost_prefill(tasks, list, csr, width, frontier_sorted);
         pool.try_for_each_worker_sharded(workers, curr, bounds, |w, ws, off, curr_shard| {
             ws.changed.clear();
             let WorkerScratch {
@@ -1162,7 +1125,7 @@ impl<P: AccProgram> Engine<P> {
                 sup,
             );
         })?;
-        Self::push_merge(workers, tasks, records, bins, examined, |ws, recs| {
+        Self::push_merge(workers, records, bins, |ws, recs| {
             changed.extend_from_slice(&ws.changed);
             recs.extend_from_slice(&ws.records);
         });
@@ -1181,23 +1144,18 @@ impl<P: AccProgram> Engine<P> {
         pool: &WorkerPool,
         workers: &mut [WorkerScratch<P::Meta>],
         list: &[VertexId],
-        csr: &Csr,
         grid: &GridCsr,
         prev: &[P::Meta],
         curr: &mut [P::Meta],
         fences: &PushFences,
         changed_bits: &mut FrontierBitmap,
-        tasks: &mut Vec<Cost>,
         records: &mut Vec<RecordEntry>,
         bins: &mut ThreadBins,
         record: bool,
         width: u64,
         task_base: u64,
-        frontier_sorted: bool,
-        examined: &mut u64,
         sup: &Supervisor,
     ) -> Result<(), SimdxError> {
-        Self::push_cost_prefill(tasks, list, csr, width, frontier_sorted);
         pool.try_for_each_worker_sharded2(
             workers,
             curr,
@@ -1229,26 +1187,10 @@ impl<P: AccProgram> Engine<P> {
                 );
             },
         )?;
-        Self::push_merge(workers, tasks, records, bins, examined, |ws, recs| {
+        Self::push_merge(workers, records, bins, |ws, recs| {
             recs.extend_from_slice(&ws.records);
         });
         Ok(())
-    }
-
-    /// Pre-fills the push cost vector with the destination-independent
-    /// degree terms (`writes` summed in from the shard merge).
-    fn push_cost_prefill(
-        tasks: &mut Vec<Cost>,
-        list: &[VertexId],
-        csr: &Csr,
-        width: u64,
-        frontier_sorted: bool,
-    ) {
-        tasks.clear();
-        for &v in list {
-            let (lo, hi) = csr.range(v);
-            tasks.push(Self::push_cost((hi - lo) as u64, 0, width, frontier_sorted));
-        }
     }
 
     /// One worker's destination shard of the parallel push replay,
@@ -1393,26 +1335,18 @@ impl<P: AccProgram> Engine<P> {
         applied
     }
 
-    /// The deterministic push merge: writes per task sum over shards;
-    /// per-worker examined-edge counts sum into the run meter;
-    /// `collect` gathers each worker's deferred state (changed lists
-    /// and/or records, depending on the representation); the record
-    /// replay sorts by (task, edge) so the bins see the serial
-    /// sequence.
+    /// The deterministic push merge: `collect` gathers each worker's
+    /// deferred state (changed lists and/or records, depending on the
+    /// representation); the record replay sorts by (task, edge) so the
+    /// bins see the serial sequence.
     fn push_merge(
-        workers: &mut [WorkerScratch<P::Meta>],
-        tasks: &mut [Cost],
+        workers: &[WorkerScratch<P::Meta>],
         records: &mut Vec<RecordEntry>,
         bins: &mut ThreadBins,
-        examined: &mut u64,
         mut collect: impl FnMut(&WorkerScratch<P::Meta>, &mut Vec<RecordEntry>),
     ) {
         records.clear();
-        for ws in workers.iter_mut() {
-            for &(t, a) in &ws.applied {
-                tasks[t as usize].writes += a as u64;
-            }
-            *examined += ws.edges_examined;
+        for ws in workers {
             collect(ws, records);
         }
         records.sort_unstable_by_key(|r| r.key);
@@ -1421,11 +1355,44 @@ impl<P: AccProgram> Engine<P> {
         }
     }
 
+    /// Charges one parallel push kernel after its replay. A task's
+    /// cycles are `ceil(raw / width)` — not linear in its write count —
+    /// so a shard cannot charge its share of a task: the per-shard
+    /// applied counts are summed per task first (4 bytes a task), then
+    /// one pass over the list streams the same `push_cost(degree,
+    /// applied)` sequence the serial sweep charges. Per-worker
+    /// examined-edge counts sum into the run meter on the way.
+    #[allow(clippy::too_many_arguments)]
+    fn push_charge(
+        workers: &[WorkerScratch<P::Meta>],
+        list: &[VertexId],
+        csr: &Csr,
+        applied: &mut Vec<u32>,
+        charge: &mut KernelCharge,
+        width: u64,
+        frontier_sorted: bool,
+        examined: &mut u64,
+    ) {
+        applied.clear();
+        applied.resize(list.len(), 0);
+        for ws in workers {
+            for &(t, a) in &ws.applied {
+                applied[t as usize] += a;
+            }
+            *examined += ws.edges_examined;
+        }
+        for (&v, &a) in list.iter().zip(applied.iter()) {
+            let cost = Self::push_cost(csr.degree(v) as u64, a as u64, width, frontier_sorted);
+            charge.task(&cost);
+        }
+    }
+
     /// One pull-mode compute-kernel loop, task-chunked: pull tasks are
     /// independent (candidate vertices are unique and sources read the
     /// `prev` snapshot), so workers own contiguous task ranges and the
     /// engine applies their deferred writebacks and replays their
-    /// records in worker (= task) order.
+    /// records in worker (= task) order. Each worker charges its range
+    /// into its own part of `charge`, absorbed here.
     #[allow(clippy::too_many_arguments)]
     fn pull_unit_parallel(
         program: &P,
@@ -1440,6 +1407,7 @@ impl<P: AccProgram> Engine<P> {
         changed: &mut Vec<VertexId>,
         changed_bits: &mut FrontierBitmap,
         bins: &mut ThreadBins,
+        charge: &mut KernelCharge,
         record: bool,
         width: u64,
         task_base: u64,
@@ -1447,15 +1415,15 @@ impl<P: AccProgram> Engine<P> {
         sup: &Supervisor,
     ) -> Result<(), SimdxError> {
         {
-            let curr = &*curr;
+            let (curr, whole) = (&*curr, &*charge);
             pool.try_for_each_worker(workers, |w, ws| {
                 fault::hit(FaultSite::Pull);
-                ws.tasks.clear();
                 ws.changed.clear();
                 ws.records.clear();
                 ws.writebacks.clear();
                 ws.edges_examined = 0;
                 let (t0, t1) = chunk_range(list.len(), threads, w);
+                ws.charge.begin_part(whole, t0);
                 for (t, &v) in list.iter().enumerate().take(t1).skip(t0) {
                     if (t - t0) % POLL_STRIDE == 0 && sup.poll() {
                         break;
@@ -1472,7 +1440,7 @@ impl<P: AccProgram> Engine<P> {
                         width,
                         task_counter,
                     );
-                    ws.tasks.push(cost);
+                    ws.charge.task(&cost);
                 }
             })?;
         }
@@ -1495,6 +1463,7 @@ impl<P: AccProgram> Engine<P> {
             for r in &ws.records {
                 bins.record(r.slot, r.v);
             }
+            charge.absorb(&ws.charge);
         }
         Ok(())
     }
@@ -1523,6 +1492,18 @@ impl<P: AccProgram> Engine<P> {
                     Direction::Push
                 }
             }
+        }
+    }
+
+    /// One warp's share of the pull-vote candidate scan: a coalesced
+    /// sweep of 32 metadata words with the compacted candidate append.
+    fn vote_scan_cost() -> Cost {
+        Cost {
+            compute_ops: 64,
+            coalesced_reads: 32,
+            writes: 4,
+            width: 32,
+            ..Cost::default()
         }
     }
 

@@ -11,7 +11,7 @@
 use crate::acc::AccProgram;
 use crate::frontier::WORD_BITS;
 use simdx_gpu::warp::{ballot, popc};
-use simdx_gpu::{Cost, GpuExecutor, KernelDesc, SchedUnit, WARP_SIZE};
+use simdx_gpu::{Cost, GpuExecutor, KernelCharge, KernelDesc, SchedUnit, WARP_SIZE};
 use simdx_graph::VertexId;
 
 /// Per-warp-chunk scan cost: two coalesced metadata loads per lane,
@@ -28,28 +28,12 @@ fn chunk_cost(chunk: usize, votes: u32) -> Cost {
     }
 }
 
-/// Reusable output buffers of one ballot-scan partition (also the
-/// serial scan's scratch — the serial engine is the one-partition case).
-#[derive(Clone, Debug, Default)]
-pub struct WarpScanScratch {
-    /// Per-warp-chunk scan costs, in chunk order.
-    pub tasks: Vec<Cost>,
-    /// Active vertices found, in vertex order.
-    pub active: Vec<VertexId>,
-}
-
-impl WarpScanScratch {
-    /// Clears both buffers, keeping capacity.
-    pub fn clear(&mut self) {
-        self.tasks.clear();
-        self.active.clear();
-    }
-}
-
 /// The scalar reference scan — the `< 32` tail of
 /// [`scan_range_chunked`] and what the unit tests compare it against:
 /// scans vertices `[start, end)` of the metadata arrays in warp-sized
-/// chunks, appending active vertices and per-chunk costs to `out`.
+/// chunks, appending active vertices to `active` and handing each
+/// chunk's cost, in chunk order, to `charge` — the engine passes its
+/// streaming [`KernelCharge`], the tests a collecting closure.
 ///
 /// `start` must be warp-aligned so that partition boundaries fall on
 /// the same chunk boundaries the whole-array scan uses — partitions
@@ -61,7 +45,8 @@ pub fn scan_range<P: AccProgram>(
     prev: &[P::Meta],
     start: usize,
     end: usize,
-    out: &mut WarpScanScratch,
+    active: &mut Vec<VertexId>,
+    charge: &mut impl FnMut(Cost),
 ) {
     assert_eq!(curr.len(), prev.len(), "metadata arrays must be parallel");
     assert!(
@@ -83,10 +68,10 @@ pub fn scan_range<P: AccProgram>(
         let votes = popc(mask);
         for lane in 0..chunk {
             if mask & (1 << lane) != 0 {
-                out.active.push((base + lane) as VertexId);
+                active.push((base + lane) as VertexId);
             }
         }
-        out.tasks.push(chunk_cost(chunk, votes));
+        charge(chunk_cost(chunk, votes));
         base += chunk;
     }
 }
@@ -108,7 +93,8 @@ pub fn scan_range_chunked<P: AccProgram>(
     prev: &[P::Meta],
     start: usize,
     end: usize,
-    out: &mut WarpScanScratch,
+    active: &mut Vec<VertexId>,
+    charge: &mut impl FnMut(Cost),
 ) {
     assert_eq!(curr.len(), prev.len(), "metadata arrays must be parallel");
     assert!(
@@ -129,15 +115,15 @@ pub fn scan_range_chunked<P: AccProgram>(
         let mut m = mask;
         while m != 0 {
             let lane = m.trailing_zeros() as usize;
-            out.active.push((base + lane) as VertexId);
+            active.push((base + lane) as VertexId);
             m &= m - 1;
         }
-        out.tasks.push(chunk_cost(WARP_SIZE, votes));
+        charge(chunk_cost(WARP_SIZE, votes));
         base += WARP_SIZE;
         (c_rest, p_rest) = (c_tail, p_tail);
     }
     if base < end {
-        scan_range(program, curr, prev, base, end, out);
+        scan_range(program, curr, prev, base, end, active, charge);
     }
 }
 
@@ -155,6 +141,7 @@ pub fn scan_range_chunked<P: AccProgram>(
 /// must be word-aligned (64) so partition boundaries fall on occupancy
 /// words; partitions concatenated in range order remain bit-identical
 /// to one scan of the full range.
+#[allow(clippy::too_many_arguments)]
 pub fn scan_range_sparse<P: AccProgram>(
     program: &P,
     curr: &[P::Meta],
@@ -162,7 +149,8 @@ pub fn scan_range_sparse<P: AccProgram>(
     start: usize,
     end: usize,
     occupancy: &[u64],
-    out: &mut WarpScanScratch,
+    active: &mut Vec<VertexId>,
+    charge: &mut impl FnMut(Cost),
 ) {
     assert_eq!(curr.len(), prev.len(), "metadata arrays must be parallel");
     assert!(
@@ -183,11 +171,11 @@ pub fn scan_range_sparse<P: AccProgram>(
             // loading metadata.
             while base < word_end {
                 let chunk = (word_end - base).min(WARP_SIZE);
-                out.tasks.push(chunk_cost(chunk, 0));
+                charge(chunk_cost(chunk, 0));
                 base += chunk;
             }
         } else {
-            scan_range_chunked(program, curr, prev, base, word_end, out);
+            scan_range_chunked(program, curr, prev, base, word_end, active, charge);
             base = word_end;
         }
     }
@@ -208,10 +196,19 @@ pub fn scan<P: AccProgram>(
     kernel: &KernelDesc,
     launch: bool,
 ) -> Vec<VertexId> {
-    let mut out = WarpScanScratch::default();
-    scan_range_chunked(program, curr, prev, 0, curr.len(), &mut out);
-    executor.run_kernel(kernel, SchedUnit::Warp, &out.tasks, launch);
-    out.active
+    let mut active = Vec::new();
+    let mut charge = KernelCharge::default();
+    executor.begin(
+        &mut charge,
+        kernel,
+        SchedUnit::Warp,
+        curr.len().div_ceil(WARP_SIZE),
+    );
+    scan_range_chunked(program, curr, prev, 0, curr.len(), &mut active, &mut |c| {
+        charge.task(&c)
+    });
+    executor.commit(&charge, launch);
+    active
 }
 
 #[cfg(test)]
@@ -267,6 +264,37 @@ mod tests {
         )
     }
 
+    /// What one scan produced: the actives and the cost sequence it
+    /// handed to its sink, collected for comparison.
+    #[derive(Debug, Default, PartialEq)]
+    struct Scanned {
+        active: Vec<VertexId>,
+        tasks: Vec<Cost>,
+    }
+
+    impl Scanned {
+        fn scalar(&mut self, curr: &[u32], prev: &[u32], start: usize, end: usize) {
+            let Scanned { active, tasks } = self;
+            scan_range(&Diff, curr, prev, start, end, active, &mut |c| {
+                tasks.push(c)
+            });
+        }
+
+        fn chunked(&mut self, curr: &[u32], prev: &[u32], start: usize, end: usize) {
+            let Scanned { active, tasks } = self;
+            scan_range_chunked(&Diff, curr, prev, start, end, active, &mut |c| {
+                tasks.push(c)
+            });
+        }
+
+        fn sparse(&mut self, curr: &[u32], prev: &[u32], start: usize, end: usize, occ: &[u64]) {
+            let Scanned { active, tasks } = self;
+            scan_range_sparse(&Diff, curr, prev, start, end, occ, active, &mut |c| {
+                tasks.push(c)
+            });
+        }
+    }
+
     #[test]
     fn finds_changed_vertices_sorted() {
         let (mut ex, k) = setup();
@@ -278,6 +306,27 @@ mod tests {
         let list = scan(&Diff, &curr, &prev, &mut ex, &k, true);
         assert_eq!(list, vec![3, 40, 97]);
         assert_eq!(ex.stats().kernel_launches, 1);
+    }
+
+    #[test]
+    fn scan_charges_exactly_its_cost_sequence() {
+        // Streaming the chunk costs through the accumulator as they
+        // are produced equals collecting them and charging the vector.
+        let n = 32 * 700 + 9;
+        let prev = vec![0u32; n];
+        let mut curr = prev.clone();
+        for v in (0..n).step_by(37) {
+            curr[v] = 1;
+        }
+        let (mut streamed, k) = setup();
+        streamed.set_scale(64);
+        scan(&Diff, &curr, &prev, &mut streamed, &k, true);
+        let mut collected = Scanned::default();
+        collected.chunked(&curr, &prev, 0, n);
+        let (mut listed, _) = setup();
+        listed.set_scale(64);
+        listed.run_kernel(&k, SchedUnit::Warp, &collected.tasks, true);
+        assert_eq!(streamed.stats(), listed.stats());
     }
 
     #[test]
@@ -358,12 +407,11 @@ mod tests {
             curr[v] = 1;
         }
         let occ = occupancy(&curr, &prev);
-        let mut dense = WarpScanScratch::default();
-        scan_range(&Diff, &curr, &prev, 0, n, &mut dense);
-        let mut sparse = WarpScanScratch::default();
-        scan_range_sparse(&Diff, &curr, &prev, 0, n, &occ, &mut sparse);
-        assert_eq!(sparse.active, dense.active);
-        assert_eq!(sparse.tasks, dense.tasks);
+        let mut dense = Scanned::default();
+        dense.scalar(&curr, &prev, 0, n);
+        let mut sparse = Scanned::default();
+        sparse.sparse(&curr, &prev, 0, n, &occ);
+        assert_eq!(sparse, dense);
     }
 
     #[test]
@@ -374,14 +422,13 @@ mod tests {
         curr[70] = 1;
         curr[400] = 2;
         let occ = occupancy(&curr, &prev);
-        let mut whole = WarpScanScratch::default();
-        scan_range_sparse(&Diff, &curr, &prev, 0, n, &occ, &mut whole);
+        let mut whole = Scanned::default();
+        whole.sparse(&curr, &prev, 0, n, &occ);
         // Word-aligned split at vertex 256 (word 4).
-        let mut parts = WarpScanScratch::default();
-        scan_range_sparse(&Diff, &curr, &prev, 0, 256, &occ, &mut parts);
-        scan_range_sparse(&Diff, &curr, &prev, 256, n, &occ, &mut parts);
-        assert_eq!(parts.active, whole.active);
-        assert_eq!(parts.tasks, whole.tasks);
+        let mut parts = Scanned::default();
+        parts.sparse(&curr, &prev, 0, 256, &occ);
+        parts.sparse(&curr, &prev, 256, n, &occ);
+        assert_eq!(parts, whole);
     }
 
     #[test]
@@ -389,8 +436,8 @@ mod tests {
         let n = 64 * 4 + 17;
         let meta = vec![3u32; n];
         let occ = vec![0u64; n.div_ceil(64)];
-        let mut out = WarpScanScratch::default();
-        scan_range_sparse(&Diff, &meta, &meta, 0, n, &occ, &mut out);
+        let mut out = Scanned::default();
+        out.sparse(&meta, &meta, 0, n, &occ);
         assert!(out.active.is_empty());
         // Same chunk count as the dense scan: the JIT cost model sees
         // the same V-proportional kernel either way.
@@ -407,12 +454,11 @@ mod tests {
         for v in [0usize, 31, 32, 33, 500, 1000, n - 1] {
             curr[v] = 1;
         }
-        let mut scalar = WarpScanScratch::default();
-        scan_range(&Diff, &curr, &prev, 0, n, &mut scalar);
-        let mut chunked = WarpScanScratch::default();
-        scan_range_chunked(&Diff, &curr, &prev, 0, n, &mut chunked);
-        assert_eq!(chunked.active, scalar.active);
-        assert_eq!(chunked.tasks, scalar.tasks);
+        let mut scalar = Scanned::default();
+        scalar.scalar(&curr, &prev, 0, n);
+        let mut chunked = Scanned::default();
+        chunked.chunked(&curr, &prev, 0, n);
+        assert_eq!(chunked, scalar);
     }
 
     #[test]
@@ -424,12 +470,11 @@ mod tests {
         for v in [0usize, 31, 32, 63, 200, n - 1] {
             curr[v] = 1;
         }
-        let mut scalar = WarpScanScratch::default();
-        scan_range(&Diff, &curr, &prev, 0, n, &mut scalar);
-        let mut chunked = WarpScanScratch::default();
-        scan_range_chunked(&Diff, &curr, &prev, 0, n, &mut chunked);
-        assert_eq!(chunked.active, scalar.active);
-        assert_eq!(chunked.tasks, scalar.tasks);
+        let mut scalar = Scanned::default();
+        scalar.scalar(&curr, &prev, 0, n);
+        let mut chunked = Scanned::default();
+        chunked.chunked(&curr, &prev, 0, n);
+        assert_eq!(chunked, scalar);
     }
 
     #[test]
@@ -440,21 +485,19 @@ mod tests {
         curr[5] = 1;
         curr[200] = 2;
         curr[n - 1] = 3;
-        let mut whole = WarpScanScratch::default();
-        scan_range_chunked(&Diff, &curr, &prev, 0, n, &mut whole);
-        let mut parts = WarpScanScratch::default();
-        scan_range_chunked(&Diff, &curr, &prev, 0, 96, &mut parts);
-        scan_range_chunked(&Diff, &curr, &prev, 96, n, &mut parts);
-        assert_eq!(parts.active, whole.active);
-        assert_eq!(parts.tasks, whole.tasks);
+        let mut whole = Scanned::default();
+        whole.chunked(&curr, &prev, 0, n);
+        let mut parts = Scanned::default();
+        parts.chunked(&curr, &prev, 0, 96);
+        parts.chunked(&curr, &prev, 96, n);
+        assert_eq!(parts, whole);
     }
 
     #[test]
     #[should_panic(expected = "warp-aligned")]
     fn chunked_scan_rejects_misaligned_start() {
         let meta = vec![0u32; 64];
-        let mut out = WarpScanScratch::default();
-        scan_range_chunked(&Diff, &meta, &meta, 5, 64, &mut out);
+        Scanned::default().chunked(&meta, &meta, 5, 64);
     }
 
     #[test]
@@ -462,7 +505,6 @@ mod tests {
     fn sparse_scan_rejects_misaligned_start() {
         let meta = vec![0u32; 128];
         let occ = vec![0u64; 2];
-        let mut out = WarpScanScratch::default();
-        scan_range_sparse(&Diff, &meta, &meta, 32, 128, &occ, &mut out);
+        Scanned::default().sparse(&meta, &meta, 32, 128, &occ);
     }
 }

@@ -7,8 +7,29 @@
 //! duplicates — both documented properties the evaluation measures.
 
 use crate::frontier::ThreadBins;
-use simdx_gpu::{Cost, GpuExecutor, KernelDesc, SchedUnit};
+use simdx_gpu::{Cost, GpuExecutor, KernelCharge, KernelDesc, SchedUnit};
 use simdx_graph::VertexId;
+
+/// One warp's share of the exclusive scan over the bin sizes.
+fn scan_warp_cost() -> Cost {
+    Cost {
+        compute_ops: 96,
+        coalesced_reads: 32,
+        width: 32,
+        ..Cost::default()
+    }
+}
+
+/// One warp's coalesced copy of 32 recorded vertices to their offsets.
+fn copy_warp_cost() -> Cost {
+    Cost {
+        compute_ops: 32,
+        coalesced_reads: 32,
+        writes: 32,
+        width: 32,
+        ..Cost::default()
+    }
+}
 
 /// Concatenates all thread bins into the next active list, charging the
 /// prefix-scan + copy kernel to `executor`.
@@ -18,63 +39,39 @@ pub fn concatenate(
     kernel: &KernelDesc,
     launch: bool,
 ) -> Vec<VertexId> {
-    let mut tasks = Vec::new();
-    let mut list = Vec::with_capacity(bins.total_recorded() as usize);
-    concatenate_into(bins, executor, kernel, launch, &mut tasks, &mut list);
-    list
-}
-
-/// In-place [`concatenate`] writing the next active list and the charged
-/// task costs into reused buffers (both cleared first) — the engine
-/// scratch's zero-allocation path.
-pub fn concatenate_into(
-    bins: &ThreadBins,
-    executor: &mut GpuExecutor,
-    kernel: &KernelDesc,
-    launch: bool,
-    tasks: &mut Vec<Cost>,
-    out: &mut Vec<VertexId>,
-) {
-    bins.concatenate_into(out);
-    charge_concatenation(bins, executor, kernel, launch, tasks);
+    charge_concatenation(bins, executor, kernel, launch, &mut KernelCharge::default());
+    bins.concatenate()
 }
 
 /// Charges the concatenation kernel *without* materializing the list:
 /// the cost depends only on the bin count and the recorded total, so
 /// the engine's bitmap mode can pay for task management here and drain
 /// the bins directly ([`ThreadBins::for_each_entry`]) next iteration.
-/// Bit-identical charging to [`concatenate_into`] by construction —
-/// both derive `copy_warps` from [`ThreadBins::total_recorded`].
+/// [`concatenate`] charges through this function, so the two cannot
+/// drift apart.
+///
+/// The kernel is a warp-cooperative exclusive scan over the bin sizes
+/// followed by a coalesced copy of every recorded vertex to its offset:
+/// two runs of identical warp tasks, charged in closed form
+/// ([`KernelCharge::uniform`]) — no per-warp loop, no cost vector.
 pub fn charge_concatenation(
     bins: &ThreadBins,
     executor: &mut GpuExecutor,
     kernel: &KernelDesc,
     launch: bool,
-    tasks: &mut Vec<Cost>,
+    charge: &mut KernelCharge,
 ) {
-    // Cost: a warp-cooperative exclusive scan over the bin sizes plus a
-    // coalesced copy of every recorded vertex to its offset.
     let scan_warps = (bins.num_threads() as u64).div_ceil(32);
     let copy_warps = bins.total_recorded().div_ceil(32);
-    tasks.clear();
-    for _ in 0..scan_warps {
-        tasks.push(Cost {
-            compute_ops: 96,
-            coalesced_reads: 32,
-            width: 32,
-            ..Cost::default()
-        });
-    }
-    for _ in 0..copy_warps {
-        tasks.push(Cost {
-            compute_ops: 32,
-            coalesced_reads: 32,
-            writes: 32,
-            width: 32,
-            ..Cost::default()
-        });
-    }
-    executor.run_kernel(kernel, SchedUnit::Warp, tasks, launch);
+    executor.begin(
+        charge,
+        kernel,
+        SchedUnit::Warp,
+        (scan_warps + copy_warps) as usize,
+    );
+    charge.uniform(&scan_warp_cost(), scan_warps);
+    charge.uniform(&copy_warp_cost(), copy_warps);
+    executor.commit(charge, launch);
 }
 
 #[cfg(test)]
@@ -135,8 +132,50 @@ mod tests {
         let (mut ex_full, k) = setup();
         concatenate(&bins, &mut ex_full, &k, true);
         let (mut ex_charge, _) = setup();
-        let mut tasks = Vec::new();
-        charge_concatenation(&bins, &mut ex_charge, &k, true, &mut tasks);
+        charge_concatenation(
+            &bins,
+            &mut ex_charge,
+            &k,
+            true,
+            &mut KernelCharge::default(),
+        );
         assert_eq!(ex_charge.stats(), ex_full.stats());
+    }
+
+    #[test]
+    fn closed_form_charge_equals_the_per_warp_cost_list() {
+        // The kernel's logical task sequence, spelled out: one scan
+        // task per 32 bins, then one copy task per 32 recorded
+        // vertices. Bin counts above and below the slot count, totals
+        // that do and do not fill their last warp.
+        for (num_bins, recorded, scale) in [
+            (300usize, 7usize, 64),
+            (300, 4_000, 64),
+            (19_200, 100_000, 1),
+        ] {
+            let mut bins = ThreadBins::new(num_bins, 1 << 20);
+            for i in 0..recorded {
+                bins.record(i, i as u32);
+            }
+            let mut tasks = vec![scan_warp_cost(); num_bins.div_ceil(32)];
+            tasks.resize(tasks.len() + recorded.div_ceil(32), copy_warp_cost());
+            let (mut listed, k) = setup();
+            listed.set_scale(scale);
+            listed.run_kernel(&k, SchedUnit::Warp, &tasks, false);
+            let (mut streamed, _) = setup();
+            streamed.set_scale(scale);
+            charge_concatenation(
+                &bins,
+                &mut streamed,
+                &k,
+                false,
+                &mut KernelCharge::default(),
+            );
+            assert_eq!(
+                streamed.stats(),
+                listed.stats(),
+                "{num_bins} bins, {recorded} records"
+            );
+        }
     }
 }

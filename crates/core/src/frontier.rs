@@ -407,9 +407,19 @@ impl Worklists {
 /// (the §4 overflow threshold, default 64). Recording into a full bin
 /// raises the overflow flag instead of growing — exactly the behaviour
 /// that forces the switch to the ballot filter.
+///
+/// There is one bin per Thread-kernel slot (300 at the default device
+/// scale) and a small frontier fills a handful of them, so the bins
+/// carry a non-empty bitmap: clearing, concatenating and draining
+/// visit only the bins that hold entries, in ascending bin order —
+/// the same order a walk over every bin would produce.
 #[derive(Clone, Debug)]
 pub struct ThreadBins {
     bins: Vec<Vec<VertexId>>,
+    /// Bit `b` is set iff bin `b` holds entries.
+    nonempty: FrontierBitmap,
+    /// Entries across all bins.
+    recorded: u64,
     threshold: usize,
     overflowed: bool,
     /// Records dropped because of overflow (kept for diagnostics; the
@@ -427,8 +437,11 @@ impl ThreadBins {
     /// Creates `num_threads` empty bins with the given overflow
     /// threshold.
     pub fn new(num_threads: usize, threshold: usize) -> Self {
+        let num_threads = num_threads.max(1);
         Self {
-            bins: vec![Vec::new(); num_threads.max(1)],
+            bins: vec![Vec::new(); num_threads],
+            nonempty: FrontierBitmap::new(num_threads),
+            recorded: 0,
             threshold,
             overflowed: false,
             dropped: 0,
@@ -460,7 +473,11 @@ impl ThreadBins {
             self.dropped += 1;
             return false;
         }
+        if bin.is_empty() {
+            self.nonempty.set(idx as VertexId);
+        }
         bin.push(v);
+        self.recorded += 1;
         true
     }
 
@@ -476,7 +493,14 @@ impl ThreadBins {
 
     /// Total recorded entries across bins.
     pub fn total_recorded(&self) -> u64 {
-        self.bins.iter().map(|b| b.len() as u64).sum()
+        self.recorded
+    }
+
+    /// The bins that hold entries, in ascending bin order.
+    fn nonempty_bins(&self) -> impl Iterator<Item = &[VertexId]> {
+        self.nonempty
+            .iter()
+            .map(|b| self.bins[b as usize].as_slice())
     }
 
     /// Concatenates all bins in thread order (the prefix-scan
@@ -493,7 +517,7 @@ impl ThreadBins {
     /// first, capacity kept).
     pub fn concatenate_into(&self, out: &mut Vec<VertexId>) {
         out.clear();
-        for bin in &self.bins {
+        for bin in self.nonempty_bins() {
             out.extend_from_slice(bin);
         }
     }
@@ -508,7 +532,7 @@ impl ThreadBins {
     /// duplicate-carrying online worklist need never be materialized
     /// as a flat list.
     pub fn for_each_entry(&self, mut f: impl FnMut(VertexId)) {
-        for bin in &self.bins {
+        for bin in self.nonempty_bins() {
             for &v in bin {
                 f(v);
             }
@@ -564,12 +588,12 @@ impl ThreadBins {
         }
     }
 
-    /// Clears all bins, the overflow flag and the prefix index for the
-    /// next iteration.
+    /// Clears the bins that hold entries, the overflow flag and the
+    /// prefix index for the next iteration.
     pub fn clear(&mut self) {
-        for bin in &mut self.bins {
-            bin.clear();
-        }
+        let bins = &mut self.bins;
+        self.nonempty.drain_for_each(|b| bins[b as usize].clear());
+        self.recorded = 0;
         self.overflowed = false;
         self.dropped = 0;
         self.prefix.clear();
@@ -579,9 +603,13 @@ impl ThreadBins {
     /// clears, reusing existing bin allocations (the engine calls this
     /// every iteration; growing/shrinking only moves empty `Vec`s).
     pub fn reset_to(&mut self, num_threads: usize, threshold: usize) {
-        self.bins.resize_with(num_threads.max(1), Vec::new);
-        self.threshold = threshold;
         self.clear();
+        let num_threads = num_threads.max(1);
+        if num_threads != self.bins.len() {
+            self.bins.resize_with(num_threads, Vec::new);
+            self.nonempty.reset(num_threads);
+        }
+        self.threshold = threshold;
     }
 }
 
@@ -711,6 +739,41 @@ mod tests {
         // Clearing invalidates the prefix so recording is legal again.
         bins.clear();
         assert!(bins.record(1, 2));
+    }
+
+    #[test]
+    fn sparse_bins_walk_in_bin_order_across_bitmap_words() {
+        // 300 bins = five bitmap words; a handful hold entries. Every
+        // walk must visit them in ascending bin order, as a walk over
+        // all 300 would.
+        let mut bins = ThreadBins::new(300, 2);
+        for (t, v) in [(299, 1), (0, 2), (64, 3), (63, 4), (128, 5), (64, 6)] {
+            assert!(bins.record(t, v));
+        }
+        assert!(!bins.record(64, 7), "third record overflows bin 64");
+        let want = vec![2, 4, 3, 6, 5, 1];
+        assert_eq!(bins.total_recorded(), 6);
+        assert_eq!(bins.concatenate(), want);
+        let mut seen = Vec::new();
+        bins.for_each_entry(|v| seen.push(v));
+        assert_eq!(seen, want);
+        bins.seal_prefix();
+        seen.clear();
+        bins.for_each_entry_in(0, 6, |v| seen.push(v));
+        assert_eq!(seen, want);
+
+        // Shrinking drops the high bins, growing adds empty ones, and
+        // neither leaves an entry or a stale non-empty bit behind.
+        bins.reset_to(70, 2);
+        assert_eq!(bins.total_recorded(), 0);
+        assert!(!bins.overflowed());
+        assert!(bins.concatenate().is_empty());
+        bins.record(69, 8);
+        bins.reset_to(300, 2);
+        assert!(bins.concatenate().is_empty());
+        bins.record(299, 9);
+        bins.record(69, 10);
+        assert_eq!(bins.concatenate(), vec![10, 9]);
     }
 
     #[test]

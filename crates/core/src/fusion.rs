@@ -65,11 +65,21 @@ pub enum KernelRole {
     TaskMgmt,
 }
 
+/// Every role, in [`FusionPlan`]'s descriptor-table column order.
+const ROLES: [KernelRole; 4] = [
+    KernelRole::Compute(SchedUnit::Thread),
+    KernelRole::Compute(SchedUnit::Warp),
+    KernelRole::Compute(SchedUnit::Cta),
+    KernelRole::TaskMgmt,
+];
+
 /// Produces kernel descriptors and launch decisions for a strategy.
 #[derive(Clone, Debug)]
 pub struct FusionPlan {
     strategy: FusionStrategy,
-    threads_per_cta: u32,
+    /// The descriptor of every (direction, role) pair, built once at
+    /// construction: rows push / pull, columns in [`ROLES`] order.
+    kernels: [[KernelDesc; 4]; 2],
     /// Direction whose fused kernel is currently resident, if any.
     running: Option<Direction>,
     /// Whether the all-fusion kernel has been launched.
@@ -79,9 +89,15 @@ pub struct FusionPlan {
 impl FusionPlan {
     /// Creates a plan for the given strategy and CTA width.
     pub fn new(strategy: FusionStrategy, threads_per_cta: u32) -> Self {
+        let kernels = [Direction::Push, Direction::Pull].map(|dir| {
+            ROLES.map(|role| {
+                let (name, regs) = Self::footprint(strategy, dir, role);
+                KernelDesc::new(name, regs).with_threads_per_cta(threads_per_cta)
+            })
+        });
         Self {
             strategy,
-            threads_per_cta,
+            kernels,
             running: None,
             all_launched: false,
         }
@@ -92,11 +108,16 @@ impl FusionPlan {
         self.strategy
     }
 
-    /// The kernel descriptor used for `role` in `dir` under this
-    /// strategy. Fused strategies map every role onto the single fused
-    /// kernel (whose register pressure they all share).
-    pub fn kernel(&self, dir: Direction, role: KernelRole) -> KernelDesc {
-        let (name, regs) = match self.strategy {
+    /// Name and register count (Table 2) of the kernel that runs `role`
+    /// in `dir` under `strategy`. Fused strategies map every role onto
+    /// the single fused kernel (whose register pressure they all
+    /// share).
+    fn footprint(
+        strategy: FusionStrategy,
+        dir: Direction,
+        role: KernelRole,
+    ) -> (&'static str, u32) {
+        match strategy {
             FusionStrategy::None => match (dir, role) {
                 (Direction::Push, KernelRole::Compute(SchedUnit::Thread)) => {
                     ("push-thread", registers::PUSH_THREAD)
@@ -128,8 +149,23 @@ impl FusionPlan {
                 Direction::Push => ("fused-push", registers::FUSED_PUSH),
                 Direction::Pull => ("fused-pull", registers::FUSED_PULL),
             },
+        }
+    }
+
+    /// The kernel descriptor used for `role` in `dir` under this
+    /// strategy — a table lookup, no allocation.
+    pub fn kernel(&self, dir: Direction, role: KernelRole) -> &KernelDesc {
+        let row = match dir {
+            Direction::Push => 0,
+            Direction::Pull => 1,
         };
-        KernelDesc::new(name, regs).with_threads_per_cta(self.threads_per_cta)
+        let col = match role {
+            KernelRole::Compute(SchedUnit::Thread) => 0,
+            KernelRole::Compute(SchedUnit::Warp) => 1,
+            KernelRole::Compute(SchedUnit::Cta) => 2,
+            KernelRole::TaskMgmt => 3,
+        };
+        &self.kernels[row][col]
     }
 
     /// Whether the next invocation of `role` in `dir` pays a kernel

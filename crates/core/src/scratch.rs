@@ -1,13 +1,16 @@
 //! Reusable per-iteration buffers for the engine loop.
 //!
 //! The seed engine allocated fresh `Vec`s for worklists, candidate
-//! lists, task-cost vectors, the changed list and the dirty stamps on
-//! every iteration — on iteration-heavy graphs (road networks, long
-//! paths) the allocator dominated the host profile. [`IterScratch`]
-//! owns all of those buffers for the lifetime of one engine run; every
-//! iteration clears in place and refills, and the parallel
-//! backend's per-worker partitions live in [`WorkerScratch`] so the hot
-//! path performs no allocation in steady state in either exec mode.
+//! lists, the changed list and the dirty stamps on every iteration —
+//! on iteration-heavy graphs (road networks, long paths) the allocator
+//! dominated the host profile. [`IterScratch`] owns all of those
+//! buffers for the lifetime of one engine run; every iteration clears
+//! in place and refills, and the parallel backend's per-worker
+//! partitions live in [`WorkerScratch`] so the hot path performs no
+//! allocation in steady state in either exec mode.
+//! No buffer holds per-task costs: the sweeps feed the simulator's
+//! streaming [`KernelCharge`] accumulators (the submitter's and one per
+//! worker, owned here for their slot vectors) as they go.
 //!
 //! Across runs, the session API pools arenas: a `BoundGraph` keeps a
 //! capped per-metadata-type inventory of idle [`IterScratch`] values
@@ -19,9 +22,8 @@
 //! exactly one query owns an arena at a time.
 
 use crate::config::FrontierRepr;
-use crate::filters::ballot::WarpScanScratch;
 use crate::frontier::{FrontierBitmap, ThreadBins, Worklists, WORD_BITS};
-use simdx_gpu::Cost;
+use simdx_gpu::KernelCharge;
 use simdx_graph::csr::Csr;
 use simdx_graph::VertexId;
 
@@ -109,20 +111,22 @@ pub(crate) struct WorkerScratch<M> {
     pub lists: Worklists,
     /// Pull-candidate output (merged in worker order).
     pub cands: Vec<VertexId>,
-    /// Task-cost output for task-partitioned kernels (charged via
-    /// `run_kernel_parts` in worker order).
-    pub tasks: Vec<Cost>,
+    /// This worker's part of the open kernel charge: opened at its
+    /// first task (`KernelCharge::begin_part`), fed a cost per task,
+    /// absorbed into [`IterScratch::charge`] by the submitter — `u64`
+    /// slot sums, so the absorb order is immaterial.
+    pub charge: KernelCharge,
     /// Vertices whose metadata first changed this iteration.
     pub changed: Vec<VertexId>,
     /// Deferred online-filter records.
     pub records: Vec<RecordEntry>,
-    /// Push mode: per-task successful-apply counts `(task, applied)`,
-    /// merged into the shared cost vector's `writes` fields.
+    /// Push mode: this destination shard's successful-apply counts
+    /// `(task, applied)`, summed into [`IterScratch::applied`].
     pub applied: Vec<(u32, u32)>,
     /// Pull mode: deferred metadata writes (disjoint vertices).
     pub writebacks: Vec<(VertexId, M)>,
-    /// Ballot-scan partition output.
-    pub warp: WarpScanScratch,
+    /// Ballot-scan partition output (active vertices, ascending).
+    pub active: Vec<VertexId>,
     /// Degree-sum partial.
     pub degree_sum: u64,
     /// Host edge traversals this worker performed in the last compute
@@ -138,13 +142,16 @@ pub(crate) struct IterScratch<M> {
     pub lists: Worklists,
     /// Pull-mode candidate list.
     pub cands: Vec<VertexId>,
-    /// Shared task-cost vector (push mode and serial pull mode).
-    pub tasks: Vec<Cost>,
-    /// Task-management / candidate-sweep cost vector.
-    pub mgmt_tasks: Vec<Cost>,
-    /// Cached identical-cost vector for the pull-vote candidate scan
-    /// (its length only depends on |V|, so it is built once).
-    pub vote_scan_tasks: Vec<Cost>,
+    /// The accumulator of the kernel invocation being charged: opened
+    /// (`GpuExecutor::begin`) with the sweep's task count, fed as the
+    /// sweep goes, committed after it. Every `begin` zeroes it, so an
+    /// aborted sweep leaves nothing for the next one.
+    pub charge: KernelCharge,
+    /// Parallel push: applies per task, summed over the destination
+    /// shards. A task's cycles are `ceil(raw / width)` — not linear in
+    /// its writes — so it is charged only once this total is known (4
+    /// bytes a task; a final pass streams `push_cost(degree, applied)`).
+    pub applied: Vec<u32>,
     /// Vertices whose metadata first changed this iteration (list
     /// mode).
     pub changed: Vec<VertexId>,
@@ -177,9 +184,8 @@ impl<M> IterScratch<M> {
         Self {
             lists: Worklists::default(),
             cands: Vec::new(),
-            tasks: Vec::new(),
-            mgmt_tasks: Vec::new(),
-            vote_scan_tasks: Vec::new(),
+            charge: KernelCharge::default(),
+            applied: Vec::new(),
             changed: Vec::new(),
             changed_bits: FrontierBitmap::default(),
             cand_bits: FrontierBitmap::default(),
@@ -191,12 +197,12 @@ impl<M> IterScratch<M> {
                 .map(|_| WorkerScratch {
                     lists: Worklists::default(),
                     cands: Vec::new(),
-                    tasks: Vec::new(),
+                    charge: KernelCharge::default(),
                     changed: Vec::new(),
                     records: Vec::new(),
                     applied: Vec::new(),
                     writebacks: Vec::new(),
-                    warp: WarpScanScratch::default(),
+                    active: Vec::new(),
                     degree_sum: 0,
                     edges_examined: 0,
                 })
@@ -209,9 +215,8 @@ impl<M> IterScratch<M> {
     /// state a fresh engine allocates (allocations are kept — that is
     /// the point of the session API).
     ///
-    /// The one deliberately untouched cache, safe across runs on one
-    /// bound graph: `vote_scan_tasks` — a pure function of `|V|` and
-    /// cost constants, length-gated in the engine loop.
+    /// The kernel-charge accumulators are deliberately untouched:
+    /// opening one zeroes it.
     ///
     /// (The push destination fences live on the `BoundGraph`, not
     /// here: `Runtime::bind` computes them once per graph for every
@@ -227,17 +232,14 @@ impl<M> IterScratch<M> {
     /// region clears the fields it uses before writing them, so for a
     /// run that completes this is redundant — but a run aborted
     /// mid-region (cancellation, deadline, contained worker panic)
-    /// leaves partial per-worker output behind, and the serial ballot
-    /// path swaps the live next-frontier buffer through
-    /// `workers[0].warp.active`. Clearing everything at the next
-    /// `execute()` entry makes aborted runs indistinguishable from
-    /// fresh engines.
+    /// leaves partial per-worker output behind. Clearing everything at
+    /// the next `execute()` entry makes aborted runs indistinguishable
+    /// from fresh engines.
     pub fn reset_for_run(&mut self) {
         crate::fault::hit(crate::fault::FaultSite::ScratchReset);
         self.lists.clear();
         self.cands.clear();
-        self.tasks.clear();
-        self.mgmt_tasks.clear();
+        self.applied.clear();
         self.changed.clear();
         self.changed_bits.clear_all();
         self.cand_bits.clear_all();
@@ -248,12 +250,11 @@ impl<M> IterScratch<M> {
         for ws in &mut self.workers {
             ws.lists.clear();
             ws.cands.clear();
-            ws.tasks.clear();
             ws.changed.clear();
             ws.records.clear();
             ws.applied.clear();
             ws.writebacks.clear();
-            ws.warp.clear();
+            ws.active.clear();
             ws.degree_sum = 0;
             ws.edges_examined = 0;
         }
@@ -270,8 +271,7 @@ impl<M> IterScratch<M> {
             self.cands.is_empty(),
             "candidate list carries stale entries"
         );
-        debug_assert!(self.tasks.is_empty(), "task-cost vector not cleared");
-        debug_assert!(self.mgmt_tasks.is_empty(), "mgmt-cost vector not cleared");
+        debug_assert!(self.applied.is_empty(), "applied counts not cleared");
         debug_assert!(self.changed.is_empty(), "changed list not published");
         debug_assert!(self.changed_bits.is_empty(), "changed bitmap not drained");
         debug_assert!(self.cand_bits.is_empty(), "candidate bitmap not drained");
@@ -283,7 +283,6 @@ impl<M> IterScratch<M> {
         for (w, ws) in self.workers.iter().enumerate() {
             debug_assert!(ws.lists.is_empty(), "worker {w} worklists not cleared");
             debug_assert!(ws.cands.is_empty(), "worker {w} candidates not cleared");
-            debug_assert!(ws.tasks.is_empty(), "worker {w} task costs not cleared");
             debug_assert!(ws.changed.is_empty(), "worker {w} changed list not cleared");
             debug_assert!(ws.records.is_empty(), "worker {w} records not cleared");
             debug_assert!(
@@ -294,10 +293,7 @@ impl<M> IterScratch<M> {
                 ws.writebacks.is_empty(),
                 "worker {w} writebacks not cleared"
             );
-            debug_assert!(
-                ws.warp.tasks.is_empty() && ws.warp.active.is_empty(),
-                "worker {w} warp-scan scratch not cleared"
-            );
+            debug_assert!(ws.active.is_empty(), "worker {w} ballot output not cleared");
             debug_assert_eq!(ws.degree_sum, 0, "worker {w} degree sum not cleared");
             debug_assert_eq!(ws.edges_examined, 0, "worker {w} edge meter not cleared");
         }

@@ -1,7 +1,7 @@
 //! The simulated executor: schedules kernel work over the device and
 //! accumulates simulated time.
 //!
-//! A kernel invocation is a bag of per-task [`Cost`]s, one per
+//! A kernel invocation is a sequence of per-task [`Cost`]s, one per
 //! scheduling unit (thread / warp / CTA, per §4's thread-assignment
 //! step). The executor:
 //!
@@ -15,6 +15,15 @@
 //!    floored by the device's aggregate memory bandwidth,
 //! 4. adds the launch overhead if this invocation was an actual kernel
 //!    launch (fused kernels pay a barrier instead; see §5).
+//!
+//! Charging is *streamed*: [`GpuExecutor::begin`] opens a
+//! [`KernelCharge`] for a kernel of a known task count, the producer of
+//! the work feeds it one [`KernelCharge::task`] (or one closed-form
+//! [`KernelCharge::uniform`] run) at a time while it computes, and
+//! [`GpuExecutor::commit`] folds the result into the statistics. No
+//! per-task cost is ever stored, and a reused accumulator allocates
+//! nothing. [`GpuExecutor::run_kernel`] is the slice-shaped wrapper
+//! for callers that already hold their costs in a vector.
 
 use crate::cost::{Cost, CostModel, CycleCount};
 use crate::device::DeviceSpec;
@@ -23,13 +32,11 @@ use crate::memory::TrafficCounter;
 use crate::occupancy::occupancy;
 
 /// Outcome of one simulated kernel invocation.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelReport {
-    /// Kernel name.
-    pub name: String,
     /// Scheduling granularity used.
     pub unit: SchedUnit,
-    /// Number of tasks processed.
+    /// Number of tasks charged.
     pub tasks: u64,
     /// Parallel slots available at this granularity.
     pub slots: u64,
@@ -58,6 +65,144 @@ pub struct ExecutorStats {
     pub traffic: TrafficCounter,
 }
 
+/// The streaming accumulator of one kernel invocation's charge.
+///
+/// Task `i` of the invocation's logical task sequence runs on slot
+/// `i % active_slots` (`active_slots = min(slots, num_tasks)`, at least
+/// one). The accumulator keeps one cycle sum per active slot plus the
+/// byte and traffic totals, and walks the slots with a wrapping cursor,
+/// so charging a task is a handful of adds. Every quantity is a `u64`
+/// sum, hence order-free: a worker that owns tasks `[t0, t1)` of the
+/// sequence can charge them into its own accumulator opened with
+/// [`Self::begin_part`] at `t0`, and [`Self::absorb`]ing the parts into
+/// the whole yields exactly what streaming the whole sequence through
+/// one accumulator would.
+///
+/// An accumulator must be opened ([`GpuExecutor::begin`] or
+/// [`Self::begin_part`]) before it is fed — a default one has no slots
+/// and feeding it panics (debug builds say "charge not opened"). A
+/// reused accumulator keeps its slot vector's allocation. Streaming fewer tasks than `begin` announced is legal
+/// (an aborted sweep); the next `begin` starts clean.
+#[derive(Clone, Debug, PartialEq)]
+pub struct KernelCharge {
+    model: CostModel,
+    unit: SchedUnit,
+    slots: u64,
+    /// Fraction of peak bandwidth the kernel's occupancy reaches.
+    saturation: f64,
+    slot_cycles: Vec<CycleCount>,
+    cursor: usize,
+    tasks: u64,
+    bytes: u64,
+    traffic: TrafficCounter,
+}
+
+impl Default for KernelCharge {
+    fn default() -> Self {
+        Self {
+            model: CostModel::default(),
+            unit: SchedUnit::Thread,
+            slots: 1,
+            saturation: 1.0,
+            slot_cycles: Vec::new(),
+            cursor: 0,
+            tasks: 0,
+            bytes: 0,
+            traffic: TrafficCounter::default(),
+        }
+    }
+}
+
+impl KernelCharge {
+    /// Zeroes the sums over `active_slots` slots and places the cursor
+    /// on the slot of task `first_task`.
+    fn open(&mut self, active_slots: usize, first_task: usize) {
+        self.slot_cycles.clear();
+        self.slot_cycles.resize(active_slots, 0);
+        self.cursor = first_task % active_slots;
+        self.tasks = 0;
+        self.bytes = 0;
+        self.traffic = TrafficCounter::default();
+    }
+
+    /// Opens this accumulator as one worker's share of `whole`: same
+    /// kernel shape, empty sums, cursor on the slot of task
+    /// `first_task` of the whole sequence.
+    pub fn begin_part(&mut self, whole: &KernelCharge, first_task: usize) {
+        debug_assert!(!whole.slot_cycles.is_empty(), "whole charge not opened");
+        self.model = whole.model;
+        self.unit = whole.unit;
+        self.slots = whole.slots;
+        self.saturation = whole.saturation;
+        self.open(whole.slot_cycles.len(), first_task);
+    }
+
+    /// Adds `cycles` to the cursor's slot and advances it, wrapping.
+    #[inline]
+    fn bump(&mut self, cycles: CycleCount) {
+        debug_assert!(!self.slot_cycles.is_empty(), "charge not opened");
+        self.slot_cycles[self.cursor] += cycles;
+        self.cursor += 1;
+        if self.cursor == self.slot_cycles.len() {
+            self.cursor = 0;
+        }
+    }
+
+    /// Charges the next task of the sequence.
+    #[inline]
+    pub fn task(&mut self, cost: &Cost) {
+        self.bump(self.model.cycles(cost));
+        self.tasks += 1;
+        self.bytes += cost.bytes();
+        self.traffic.coalesced_reads += cost.coalesced_reads.div_ceil(32);
+        self.traffic.random_reads += cost.random_reads;
+        self.traffic.writes += cost.writes;
+        self.traffic.atomics += cost.atomics;
+    }
+
+    /// Charges the next `count` tasks, all costing `cost`, in closed
+    /// form — identical to `count` calls of [`Self::task`] at
+    /// O(`active_slots`) instead of O(`count`): every slot takes the
+    /// full rounds, the remainder lands on the slots from the cursor
+    /// on.
+    pub fn uniform(&mut self, cost: &Cost, count: u64) {
+        debug_assert!(!self.slot_cycles.is_empty(), "charge not opened");
+        let active = self.slot_cycles.len() as u64;
+        let cycles = self.model.cycles(cost);
+        let rounds = count / active;
+        if rounds > 0 {
+            for slot in &mut self.slot_cycles {
+                *slot += rounds * cycles;
+            }
+        }
+        for _ in 0..count % active {
+            self.bump(cycles);
+        }
+        self.tasks += count;
+        self.bytes += cost.bytes() * count;
+        self.traffic.coalesced_reads += cost.coalesced_reads.div_ceil(32) * count;
+        self.traffic.random_reads += cost.random_reads * count;
+        self.traffic.writes += cost.writes * count;
+        self.traffic.atomics += cost.atomics * count;
+    }
+
+    /// Adds a worker's part (opened with [`Self::begin_part`] on this
+    /// accumulator) into the whole, slot by slot.
+    pub fn absorb(&mut self, part: &KernelCharge) {
+        debug_assert_eq!(
+            part.slot_cycles.len(),
+            self.slot_cycles.len(),
+            "part opened against a different kernel shape"
+        );
+        for (slot, p) in self.slot_cycles.iter_mut().zip(&part.slot_cycles) {
+            *slot += p;
+        }
+        self.tasks += part.tasks;
+        self.bytes += part.bytes;
+        self.traffic.add(&part.traffic);
+    }
+}
+
 /// The simulated GPU executor.
 #[derive(Clone, Debug)]
 pub struct GpuExecutor {
@@ -65,17 +210,14 @@ pub struct GpuExecutor {
     model: CostModel,
     stats: ExecutorStats,
     scale: u32,
+    /// [`Self::run_kernel`]'s reused accumulator.
+    charge: KernelCharge,
 }
 
 impl GpuExecutor {
     /// Creates an executor with the default cost model.
     pub fn new(device: DeviceSpec) -> Self {
-        Self {
-            device,
-            model: CostModel::default(),
-            stats: ExecutorStats::default(),
-            scale: 1,
-        }
+        Self::with_model(device, CostModel::default())
     }
 
     /// Creates an executor with a custom cost model.
@@ -85,6 +227,7 @@ impl GpuExecutor {
             model,
             stats: ExecutorStats::default(),
             scale: 1,
+            charge: KernelCharge::default(),
         }
     }
 
@@ -115,9 +258,16 @@ impl GpuExecutor {
     /// Parallel slots available to `kernel` at granularity `unit`,
     /// after occupancy and device scaling.
     pub fn slots_for(&self, kernel: &KernelDesc, unit: SchedUnit) -> u64 {
-        let occ = occupancy(&self.device, kernel);
+        self.slots_of(
+            occupancy(&self.device, kernel).resident_threads,
+            kernel,
+            unit,
+        )
+    }
+
+    fn slots_of(&self, resident_threads: u64, kernel: &KernelDesc, unit: SchedUnit) -> u64 {
         let unit_threads = unit.threads(kernel.threads_per_cta) as u64;
-        (occ.resident_threads / unit_threads / self.scale as u64).max(1)
+        (resident_threads / unit_threads / self.scale as u64).max(1)
     }
 
     /// The device being simulated.
@@ -167,65 +317,39 @@ impl GpuExecutor {
         self.stats.total_cycles += cycles;
     }
 
-    /// Runs one kernel invocation over `tasks`, one cost per scheduling
-    /// unit. `launch` selects whether a host launch overhead is paid
-    /// (true for unfused kernels; false for work executed inside an
-    /// already-running fused kernel).
-    pub fn run_kernel(
-        &mut self,
+    /// Opens `charge` for one invocation of `kernel` at granularity
+    /// `unit` over `num_tasks` tasks: sizes the slot vector to
+    /// `min(slots, num_tasks)` (at least one) and zeroes every sum.
+    /// Feed it [`KernelCharge::task`] / [`KernelCharge::uniform`] in
+    /// task order, then [`Self::commit`] it.
+    pub fn begin(
+        &self,
+        charge: &mut KernelCharge,
         kernel: &KernelDesc,
         unit: SchedUnit,
-        tasks: &[Cost],
-        launch: bool,
-    ) -> KernelReport {
-        self.run_kernel_parts(kernel, unit, std::iter::once(tasks), launch)
-    }
-
-    /// [`Self::run_kernel`] over a pre-partitioned task list: the
-    /// logical task sequence is the concatenation of `parts` in order.
-    ///
-    /// This is the charging API the engine's parallel backend uses — the
-    /// per-worker partitions of one kernel's tasks are charged directly
-    /// from wherever they live, without copying them into a contiguous
-    /// vector or even collecting the partition list (the iterator is
-    /// cloned for the sizing pre-pass). Task `i` of the concatenation
-    /// lands on slot `i % slots` exactly as in the single-slice form, so
-    /// the report is identical for identical logical sequences
-    /// regardless of partitioning.
-    pub fn run_kernel_parts<'a, I>(
-        &mut self,
-        kernel: &KernelDesc,
-        unit: SchedUnit,
-        parts: I,
-        launch: bool,
-    ) -> KernelReport
-    where
-        I: Iterator<Item = &'a [Cost]> + Clone,
-    {
-        let num_tasks: usize = parts.clone().map(|p| p.len()).sum();
-        let slots = self.slots_for(kernel, unit);
+        num_tasks: usize,
+    ) {
+        let resident_threads = occupancy(&self.device, kernel).resident_threads;
+        charge.model = self.model;
+        charge.unit = unit;
+        charge.slots = self.slots_of(resident_threads, kernel, unit);
         // Bandwidth saturation: a kernel resident below the device's
         // latency-hiding threshold reaches only a fraction of peak.
-        let occ = occupancy(&self.device, kernel);
-        let saturation =
-            (occ.resident_threads as f64 / self.device.saturation_threads.max(1) as f64).min(1.0);
+        charge.saturation =
+            (resident_threads as f64 / self.device.saturation_threads.max(1) as f64).min(1.0);
+        // Static cyclic assignment: task i runs on slot i % active.
+        let active_slots = charge.slots.min(num_tasks as u64).max(1) as usize;
+        charge.open(active_slots, 0);
+    }
 
-        // Static cyclic assignment: task i runs on slot i % slots.
-        let active_slots = slots.min(num_tasks as u64).max(1) as usize;
-        let mut slot_cycles = vec![0u64; active_slots];
-        let mut traffic = TrafficCounter::default();
-        let mut total_bytes = 0u64;
-        for (i, cost) in parts.flat_map(|p| p.iter()).enumerate() {
-            slot_cycles[i % active_slots] += self.model.cycles(cost);
-            total_bytes += cost.bytes();
-            traffic.coalesced_reads += cost.coalesced_reads.div_ceil(32);
-            traffic.random_reads += cost.random_reads;
-            traffic.writes += cost.writes;
-            traffic.atomics += cost.atomics;
-        }
-        let makespan = slot_cycles.iter().copied().max().unwrap_or(0);
-        let bandwidth_floor = (total_bytes as f64 * self.scale as f64
-            / (self.device.bytes_per_cycle as f64 * saturation))
+    /// Folds a streamed charge into the statistics. `launch` selects
+    /// whether a host launch overhead is paid (true for unfused
+    /// kernels; false for work executed inside an already-running
+    /// fused kernel).
+    pub fn commit(&mut self, charge: &KernelCharge, launch: bool) -> KernelReport {
+        let makespan = charge.slot_cycles.iter().copied().max().unwrap_or(0);
+        let bandwidth_floor = (charge.bytes as f64 * self.scale as f64
+            / (self.device.bytes_per_cycle as f64 * charge.saturation))
             as u64;
         let mut elapsed = makespan.max(bandwidth_floor);
         if launch {
@@ -235,24 +359,45 @@ impl GpuExecutor {
 
         self.stats.kernel_invocations += 1;
         self.stats.total_cycles += elapsed;
-        self.stats.traffic.add(&traffic);
+        self.stats.traffic.add(&charge.traffic);
 
         KernelReport {
-            name: kernel.name.clone(),
-            unit,
-            tasks: num_tasks as u64,
-            slots,
+            unit: charge.unit,
+            tasks: charge.tasks,
+            slots: charge.slots,
             makespan_cycles: makespan,
             bandwidth_floor_cycles: bandwidth_floor,
             elapsed_cycles: elapsed,
             launched: launch,
         }
     }
+
+    /// Runs one kernel invocation over `tasks`, one cost per scheduling
+    /// unit: [`Self::begin`], one [`KernelCharge::task`] per entry,
+    /// [`Self::commit`] — through the executor's own reused
+    /// accumulator.
+    pub fn run_kernel(
+        &mut self,
+        kernel: &KernelDesc,
+        unit: SchedUnit,
+        tasks: &[Cost],
+        launch: bool,
+    ) -> KernelReport {
+        let mut charge = std::mem::take(&mut self.charge);
+        self.begin(&mut charge, kernel, unit, tasks.len());
+        for cost in tasks {
+            charge.task(cost);
+        }
+        let report = self.commit(&charge, launch);
+        self.charge = charge;
+        report
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn executor() -> GpuExecutor {
         GpuExecutor::new(DeviceSpec::k40())
@@ -335,20 +480,176 @@ mod tests {
         assert!(r.elapsed_cycles >= r.bandwidth_floor_cycles);
     }
 
+    /// The charging loop as it stood before charging was streamed (the
+    /// engine's old `run_kernel_parts`): materialised cost slices, a
+    /// fresh slot vector, `i % active_slots`. Kept as the oracle the
+    /// streamed accumulator must reproduce bit for bit.
+    fn run_kernel_parts_oracle(
+        ex: &mut GpuExecutor,
+        kernel: &KernelDesc,
+        unit: SchedUnit,
+        parts: &[&[Cost]],
+        launch: bool,
+    ) -> KernelReport {
+        let num_tasks: usize = parts.iter().map(|p| p.len()).sum();
+        let slots = ex.slots_for(kernel, unit);
+        let occ = occupancy(&ex.device, kernel);
+        let saturation =
+            (occ.resident_threads as f64 / ex.device.saturation_threads.max(1) as f64).min(1.0);
+        let active_slots = slots.min(num_tasks as u64).max(1) as usize;
+        let mut slot_cycles = vec![0u64; active_slots];
+        let mut traffic = TrafficCounter::default();
+        let mut total_bytes = 0u64;
+        for (i, cost) in parts.iter().flat_map(|p| p.iter()).enumerate() {
+            slot_cycles[i % active_slots] += ex.model.cycles(cost);
+            total_bytes += cost.bytes();
+            traffic.coalesced_reads += cost.coalesced_reads.div_ceil(32);
+            traffic.random_reads += cost.random_reads;
+            traffic.writes += cost.writes;
+            traffic.atomics += cost.atomics;
+        }
+        let makespan = slot_cycles.iter().copied().max().unwrap_or(0);
+        let bandwidth_floor = (total_bytes as f64 * ex.scale as f64
+            / (ex.device.bytes_per_cycle as f64 * saturation)) as u64;
+        let mut elapsed = makespan.max(bandwidth_floor);
+        if launch {
+            elapsed += ex.device.kernel_launch_cycles;
+            ex.stats.kernel_launches += 1;
+        }
+        ex.stats.kernel_invocations += 1;
+        ex.stats.total_cycles += elapsed;
+        ex.stats.traffic.add(&traffic);
+        KernelReport {
+            unit,
+            tasks: num_tasks as u64,
+            slots,
+            makespan_cycles: makespan,
+            bandwidth_floor_cycles: bandwidth_floor,
+            elapsed_cycles: elapsed,
+            launched: launch,
+        }
+    }
+
+    /// A random cost of any width the engine uses (thread, warp, CTA).
+    fn arb_cost(rng: &mut SampleRng) -> Cost {
+        Cost {
+            compute_ops: rng.next_u64() % 500,
+            coalesced_reads: rng.next_u64() % 200,
+            random_reads: rng.next_u64() % 100,
+            writes: rng.next_u64() % 40,
+            atomics: rng.next_u64() % 4,
+            atomic_conflicts: rng.next_u64() % 3,
+            width: [1, 32, 128, 96][(rng.next_u64() % 4) as usize],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Streaming a task sequence — whole, or as per-worker parts
+        /// opened at `t0 % active_slots` and absorbed in any order —
+        /// leaves the statistics and the report exactly where the old
+        /// materialise-then-walk loop left them. Slot counts range
+        /// from 3 (CTA unit, scale 512) to 30 720 (thread unit,
+        /// unscaled), so `num_tasks < slots`, `== slots` and `> slots`
+        /// all occur; cut points repeat, so empty parts do too.
+        #[test]
+        fn streamed_charge_matches_the_materialised_loop(
+            n in 0usize..700,
+            scale in prop::sample::select(vec![1u32, 64, 512]),
+            unit in prop::sample::select(vec![SchedUnit::Thread, SchedUnit::Warp, SchedUnit::Cta]),
+            cuts in proptest::collection::vec(0u64..1 << 32, 0..6),
+            seed in 0u64..u64::MAX,
+            launch in prop::sample::select(vec![false, true]),
+        ) {
+            let mut rng = SampleRng::new(seed);
+            let tasks: Vec<Cost> = (0..n).map(|_| arb_cost(&mut rng)).collect();
+            let mut fences: Vec<usize> = cuts.iter().map(|c| *c as usize % (n + 1)).collect();
+            fences.extend([0, n]);
+            fences.sort_unstable();
+            let parts: Vec<&[Cost]> = fences.windows(2).map(|w| &tasks[w[0]..w[1]]).collect();
+
+            let mut want = executor();
+            want.set_scale(scale);
+            let want_report = run_kernel_parts_oracle(&mut want, &kernel(), unit, &parts, launch);
+
+            // One stream.
+            let mut whole = executor();
+            whole.set_scale(scale);
+            prop_assert_eq!(whole.run_kernel(&kernel(), unit, &tasks, launch), want_report);
+            prop_assert_eq!(whole.stats(), want.stats());
+
+            // Per-worker parts, absorbed last worker first.
+            let mut split = executor();
+            split.set_scale(scale);
+            let mut charge = KernelCharge::default();
+            split.begin(&mut charge, &kernel(), unit, n);
+            let workers: Vec<KernelCharge> = fences
+                .windows(2)
+                .map(|w| {
+                    let mut part = KernelCharge::default();
+                    part.begin_part(&charge, w[0]);
+                    for cost in &tasks[w[0]..w[1]] {
+                        part.task(cost);
+                    }
+                    part
+                })
+                .collect();
+            for part in workers.iter().rev() {
+                charge.absorb(part);
+            }
+            prop_assert_eq!(split.commit(&charge, launch), want_report);
+            prop_assert_eq!(split.stats(), want.stats());
+        }
+
+        /// `uniform(cost, m)` is `m` calls of `task(cost)`, from any
+        /// cursor position, leaving the cursor where they would.
+        #[test]
+        fn uniform_run_equals_repeated_tasks(
+            n in 1usize..2000,
+            lead in 0usize..50,
+            m in 0u64..1500,
+            scale in prop::sample::select(vec![64u32, 512]),
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = SampleRng::new(seed);
+            let mut ex = executor();
+            ex.set_scale(scale);
+            let mut looped = KernelCharge::default();
+            ex.begin(&mut looped, &kernel(), SchedUnit::Warp, n);
+            for _ in 0..lead {
+                looped.task(&arb_cost(&mut rng));
+            }
+            let mut closed = looped.clone();
+            let cost = arb_cost(&mut rng);
+            for _ in 0..m {
+                looped.task(&cost);
+            }
+            closed.uniform(&cost, m);
+            prop_assert_eq!(&closed, &looped);
+            // The cursor agrees too: the next task lands on the same slot.
+            let next = arb_cost(&mut rng);
+            looped.task(&next);
+            closed.task(&next);
+            prop_assert_eq!(closed, looped);
+        }
+    }
+
     #[test]
-    fn partitioned_charge_equals_contiguous_charge() {
-        let tasks: Vec<Cost> = (0..100).map(|i| Cost::compute(i * 7 + 1)).collect();
-        let mut whole = executor();
-        let rw = whole.run_kernel(&kernel(), SchedUnit::Thread, &tasks, true);
-        let mut parts = executor();
-        let rp = parts.run_kernel_parts(
-            &kernel(),
-            SchedUnit::Thread,
-            [&tasks[..13], &tasks[13..13], &tasks[13..64], &tasks[64..]].into_iter(),
-            true,
-        );
-        assert_eq!(rw, rp);
-        assert_eq!(whole.stats(), parts.stats());
+    fn an_abandoned_stream_leaves_nothing_behind() {
+        // An aborted sweep charges fewer tasks than it announced and is
+        // never committed; the next begin starts from zero.
+        let ex = executor();
+        let mut charge = KernelCharge::default();
+        ex.begin(&mut charge, &kernel(), SchedUnit::Thread, 1000);
+        for _ in 0..10 {
+            charge.task(&Cost::compute(77));
+        }
+        ex.begin(&mut charge, &kernel(), SchedUnit::Thread, 5);
+        let mut fresh = KernelCharge::default();
+        ex.begin(&mut fresh, &kernel(), SchedUnit::Thread, 5);
+        assert_eq!(charge, fresh);
+        assert_eq!(ex.stats(), &ExecutorStats::default());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod warp;
 
 pub use cost::{Cost, CycleCount};
 pub use device::DeviceSpec;
-pub use executor::{GpuExecutor, KernelReport};
+pub use executor::{GpuExecutor, KernelCharge, KernelReport};
 pub use kernel::{KernelDesc, LaunchConfig, SchedUnit};
 
 /// Number of lanes in a warp. Fixed at 32 on every NVIDIA architecture

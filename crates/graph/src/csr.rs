@@ -173,22 +173,34 @@ impl Csr {
         })
     }
 
-    /// Sorts every adjacency list by target ID (weights follow targets).
+    /// Sorts every adjacency list by target ID (weights follow targets;
+    /// parallel edges order by weight). A list already in order is left
+    /// alone — every list is on the `Graph::*_from_edges` path, where
+    /// `EdgeList::dedup` sorted the pairs and the counting sort is
+    /// stable — and the weighted lists that do need sorting share one
+    /// buffer.
     fn sort_adjacency(&mut self) {
+        let mut pairs: Vec<(VertexId, Weight)> = Vec::new();
         for v in 0..self.num_vertices() {
             let (lo, hi) = self.range(v);
+            let targets = &mut self.targets[lo..hi];
             match &mut self.weights {
-                None => self.targets[lo..hi].sort_unstable(),
+                None => {
+                    if !targets.is_sorted() {
+                        targets.sort_unstable();
+                    }
+                }
                 Some(w) => {
-                    let mut pairs: Vec<(VertexId, Weight)> = self.targets[lo..hi]
-                        .iter()
-                        .copied()
-                        .zip(w[lo..hi].iter().copied())
-                        .collect();
+                    let weights = &mut w[lo..hi];
+                    if targets.iter().zip(weights.iter()).is_sorted() {
+                        continue;
+                    }
+                    pairs.clear();
+                    pairs.extend(targets.iter().copied().zip(weights.iter().copied()));
                     pairs.sort_unstable();
-                    for (i, (t, wt)) in pairs.into_iter().enumerate() {
-                        self.targets[lo + i] = t;
-                        w[lo + i] = wt;
+                    for (i, &(t, wt)) in pairs.iter().enumerate() {
+                        targets[i] = t;
+                        weights[i] = wt;
                     }
                 }
             }
@@ -423,6 +435,28 @@ mod tests {
         assert_eq!(csr.neighbors(0), &[1, 3]);
         assert_eq!(csr.neighbor_weights(0), Some(&[10, 30][..]));
         assert_eq!(csr.neighbor_weights(1), Some(&[20][..]));
+    }
+
+    #[test]
+    fn adjacency_order_is_independent_of_input_order() {
+        // A weighted multigraph (parallel 0→2 edges order by weight),
+        // fed already sorted — the skip path — and out of order — the
+        // shared-buffer sort — must build the same CSR.
+        let sorted = EdgeList::from_weighted(
+            4,
+            vec![(0, 1), (0, 2), (0, 2), (0, 3), (2, 0), (2, 1)],
+            vec![5, 4, 9, 1, 7, 7],
+        );
+        let shuffled = EdgeList::from_weighted(
+            4,
+            vec![(2, 1), (0, 3), (0, 2), (0, 1), (2, 0), (0, 2)],
+            vec![7, 1, 9, 5, 7, 4],
+        );
+        let csr = Csr::from_edge_list(&sorted);
+        assert_eq!(csr, Csr::from_edge_list(&shuffled));
+        assert_eq!(csr.neighbors(0), &[1, 2, 2, 3]);
+        assert_eq!(csr.neighbor_weights(0), Some(&[5, 4, 9, 1][..]));
+        assert_eq!(csr.neighbor_weights(2), Some(&[7, 7][..]));
     }
 
     #[test]

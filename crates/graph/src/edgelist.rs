@@ -193,13 +193,13 @@ impl EdgeList {
         }
     }
 
-    /// Removes self-loops and exact duplicate edges (keeping the first
-    /// occurrence of each `(src, dst)` pair). Returns the number of edges
-    /// removed.
+    /// Removes self-loops and collapses duplicate `(src, dst)` pairs to
+    /// one edge each, leaving the list sorted by `(src, dst)`. Returns
+    /// the number of edges removed.
     ///
-    /// Sorting is by `(src, dst)`; for weighted lists the weight of the
-    /// *smallest-weight* duplicate is kept, so SSSP results are unaffected
-    /// by duplicate-collapsing.
+    /// For weighted lists the duplicate with the *smallest weight*
+    /// survives (not the first in input order), so SSSP results are
+    /// unaffected by duplicate-collapsing.
     pub fn dedup(&mut self) -> usize {
         let before = self.edges.len();
         match self.weights.take() {

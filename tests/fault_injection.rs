@@ -194,6 +194,36 @@ fn sssp_recovers_bit_equal_after_a_push_fault() {
 }
 
 #[test]
+fn a_push_panic_deep_into_a_run_leaves_no_charge_behind() {
+    // The matrix above panics on the very first sweep. Here the panic
+    // lands several sweeps in, after the session's kernel-charge
+    // accumulators have been opened, fed and committed a number of
+    // times, and while one of them is open for the sweep that dies (in
+    // the parallel cells the surviving workers feed theirs to the end).
+    // Whatever they hold must not reach the next query.
+    let _serial = lock();
+    let g = rmat_graph();
+    for (label, cfg) in config_matrix() {
+        let cfg = aim_at(FaultSite::Push, cfg);
+        let baseline = fresh(Bfs::new(0), &g, cfg.clone());
+        let runtime = Runtime::new(cfg).expect("runtime");
+        let bound = runtime.bind(&g);
+        for nth in [5, 11] {
+            let err = {
+                let _armed = fault::install(FaultPlan::new().panic_at(FaultSite::Push, nth));
+                bound.run(Bfs::new(0)).execute().expect_err("armed fault")
+            };
+            assert!(
+                matches!(err, SimdxError::WorkerPanicked { .. }),
+                "{label}/hit {nth}: {err:?}"
+            );
+            let after = fingerprint(bound.run(Bfs::new(0)).execute().expect("recovery"));
+            assert_eq!(after, baseline, "{label}/hit {nth}: recovery diverged");
+        }
+    }
+}
+
+#[test]
 fn grid_build_faults_surface_from_try_bind_and_the_runtime_recovers() {
     let _serial = lock();
     let g = rmat_graph();

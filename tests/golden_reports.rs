@@ -1,0 +1,257 @@
+//! Golden run reports: equality *across a refactor*, not just across
+//! the configuration matrix.
+//!
+//! `tests/{frontier,parallel,session}_equivalence.rs` prove that every
+//! {exec mode} × {frontier repr} cell agrees with the serial/list cell
+//! of the *same build*. A change to how the engine charges the
+//! simulator moves every cell together and stays invisible to them.
+//! This suite pins the simulated device's view — `ExecutorStats`
+//! (cycles, launches, barrier passes, invocations, traffic), the
+//! iteration count, the host edge meter and a digest of the
+//! `ActivationLog` — of BFS / SSSP / PageRank / k-Core on two small
+//! fixed graphs to the values the tree produced **before** the
+//! streamed-charging refactor (recorded at commit `e085b9f`), across
+//! {Serial, Parallel 2/3} × {List, Bitmap}.
+//!
+//! A deliberate cost-model change re-records the table (print
+//! `observe(..)` for each row); anything else that moves it is a bug.
+
+use simdx::algos::{bfs, kcore, pagerank, sssp};
+use simdx::core::prelude::*;
+use simdx::core::FilterKind;
+use simdx::graph::csr::Direction;
+use simdx::graph::gen::{Rmat, Road};
+use simdx::graph::{weights, EdgeList, Graph};
+
+/// What the simulated device and the activation log saw of one run.
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    iterations: u32,
+    edges_examined: u64,
+    total_cycles: u64,
+    kernel_launches: u64,
+    barrier_passes: u64,
+    kernel_invocations: u64,
+    /// Coalesced / random / write / atomic transactions.
+    traffic: [u64; 4],
+    /// FNV-1a over every field of every `IterationRecord`, in order.
+    log_digest: u64,
+}
+
+fn observe<M>(r: &RunResult<M>) -> Golden {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |x: u64| {
+        for b in x.to_le_bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for rec in &r.report.log.records {
+        mix(u64::from(rec.iteration));
+        mix(match rec.direction {
+            Direction::Push => 0,
+            Direction::Pull => 1,
+        });
+        mix(rec.frontier_len);
+        mix(rec.degree_sum);
+        mix(match rec.filter {
+            FilterKind::Online => 0,
+            FilterKind::Ballot => 1,
+        });
+        mix(u64::from(rec.overflowed));
+        mix(rec.cycles);
+    }
+    let s = &r.report.stats;
+    Golden {
+        iterations: r.report.iterations,
+        edges_examined: r.report.edges_examined,
+        total_cycles: s.total_cycles,
+        kernel_launches: s.kernel_launches,
+        barrier_passes: s.barrier_passes,
+        kernel_invocations: s.kernel_invocations,
+        traffic: [
+            s.traffic.coalesced_reads,
+            s.traffic.random_reads,
+            s.traffic.writes,
+            s.traffic.atomics,
+        ],
+        log_digest: digest,
+    }
+}
+
+/// Every retained configuration cell must reproduce `want` exactly.
+fn assert_golden<M>(
+    what: &str,
+    want: &Golden,
+    base: EngineConfig,
+    run: impl Fn(EngineConfig) -> RunResult<M>,
+) {
+    for exec in [
+        ExecMode::Serial,
+        ExecMode::Parallel { threads: 2 },
+        ExecMode::Parallel { threads: 3 },
+    ] {
+        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
+            let got = observe(&run(base.clone().with_exec(exec).with_frontier(repr)));
+            assert_eq!(
+                &got,
+                want,
+                "{what}: {}/{} left the recorded report",
+                exec.label(),
+                repr.label()
+            );
+        }
+    }
+}
+
+/// The R-MAT rows run with a 4-entry bin threshold so the JIT
+/// controller overflows into the ballot filter on a graph this small:
+/// the rows then cover push, vote pull, aggregation pull (mark sweep),
+/// online concatenation and the ballot scan.
+fn rmat_cfg() -> EngineConfig {
+    EngineConfig::default().with_overflow_threshold(4)
+}
+
+fn rmat_edges() -> EdgeList {
+    Rmat::gtgraph(11, 8).generate(5)
+}
+
+fn road_edges() -> EdgeList {
+    Road::strip(64, 16).generate(5)
+}
+
+fn weighted(el: &EdgeList) -> Graph {
+    Graph::directed_from_edges(weights::assign_default_weights(el, 9))
+}
+
+#[test]
+fn bfs_reports_match_the_recorded_ones() {
+    let g = Graph::directed_from_edges(rmat_edges());
+    assert_golden("bfs/rmat", &BFS_RMAT, rmat_cfg(), |cfg| {
+        bfs::run(&g, 0, cfg).expect("bfs")
+    });
+    let g = Graph::undirected_from_edges(road_edges());
+    assert_golden("bfs/road", &BFS_ROAD, EngineConfig::default(), |cfg| {
+        bfs::run(&g, 0, cfg).expect("bfs")
+    });
+}
+
+#[test]
+fn sssp_reports_match_the_recorded_ones() {
+    let g = weighted(&rmat_edges());
+    assert_golden("sssp/rmat", &SSSP_RMAT, rmat_cfg(), |cfg| {
+        sssp::run(&g, 0, cfg).expect("sssp")
+    });
+    let g = weighted(&road_edges());
+    assert_golden("sssp/road", &SSSP_ROAD, EngineConfig::default(), |cfg| {
+        sssp::run(&g, 0, cfg).expect("sssp")
+    });
+}
+
+#[test]
+fn pagerank_reports_match_the_recorded_ones() {
+    let g = Graph::directed_from_edges(rmat_edges());
+    assert_golden("pagerank/rmat", &PAGERANK_RMAT, rmat_cfg(), |cfg| {
+        pagerank::run(&g, cfg).expect("pagerank")
+    });
+    let g = Graph::undirected_from_edges(road_edges());
+    assert_golden(
+        "pagerank/road",
+        &PAGERANK_ROAD,
+        EngineConfig::default(),
+        |cfg| pagerank::run(&g, cfg).expect("pagerank"),
+    );
+}
+
+#[test]
+fn kcore_reports_match_the_recorded_ones() {
+    let g = Graph::undirected_from_edges(rmat_edges());
+    assert_golden("kcore/rmat", &KCORE_RMAT, rmat_cfg(), |cfg| {
+        kcore::run(&g, 8, cfg).expect("kcore")
+    });
+    let g = Graph::undirected_from_edges(road_edges());
+    assert_golden("kcore/road", &KCORE_ROAD, EngineConfig::default(), |cfg| {
+        kcore::run(&g, 3, cfg).expect("kcore")
+    });
+}
+
+// Recorded at commit e085b9f (serial/list cell; every other cell equalled it).
+const BFS_RMAT: Golden = Golden {
+    iterations: 7,
+    edges_examined: 12_511,
+    total_cycles: 136_018,
+    kernel_launches: 3,
+    barrier_passes: 14,
+    kernel_invocations: 32,
+    traffic: [4_329, 12_525, 5_103, 0],
+    log_digest: 0xdd47af560be5cd8f,
+};
+const BFS_ROAD: Golden = Golden {
+    iterations: 71,
+    edges_examined: 3_714,
+    total_cycles: 150_455,
+    kernel_launches: 1,
+    barrier_passes: 142,
+    kernel_invocations: 284,
+    traffic: [1_804, 4_737, 3_263, 0],
+    log_digest: 0xd923e39390182912,
+};
+const SSSP_RMAT: Golden = Golden {
+    iterations: 14,
+    edges_examined: 42_343,
+    total_cycles: 367_007,
+    kernel_launches: 1,
+    barrier_passes: 28,
+    kernel_invocations: 56,
+    traffic: [6_549, 42_541, 12_881, 0],
+    log_digest: 0xbb5fdd9f69b1379b,
+};
+const SSSP_ROAD: Golden = Golden {
+    iterations: 77,
+    edges_examined: 5_501,
+    total_cycles: 207_589,
+    kernel_launches: 1,
+    barrier_passes: 154,
+    kernel_invocations: 308,
+    traffic: [3_951, 8_556, 8_160, 0],
+    log_digest: 0x83af4e524642b722,
+};
+const PAGERANK_RMAT: Golden = Golden {
+    iterations: 18,
+    edges_examined: 185_744,
+    total_cycles: 1_991_590,
+    kernel_launches: 1,
+    barrier_passes: 36,
+    kernel_invocations: 90,
+    traffic: [36_025, 185_744, 138_754, 0],
+    log_digest: 0xde9cd2a39c201d51,
+};
+const PAGERANK_ROAD: Golden = Golden {
+    iterations: 21,
+    edges_examined: 54_061,
+    total_cycles: 779_854,
+    kernel_launches: 1,
+    barrier_passes: 42,
+    kernel_invocations: 105,
+    traffic: [28_180, 54_061, 69_235, 0],
+    log_digest: 0xd61aaf35e3d163f9,
+};
+const KCORE_RMAT: Golden = Golden {
+    iterations: 9,
+    edges_examined: 47_875,
+    total_cycles: 353_567,
+    kernel_launches: 1,
+    barrier_passes: 18,
+    kernel_invocations: 36,
+    traffic: [4_150, 47_875, 5_548, 0],
+    log_digest: 0x9bd74487f27f267b,
+};
+const KCORE_ROAD: Golden = Golden {
+    iterations: 73,
+    edges_examined: 5_457,
+    total_cycles: 171_837,
+    kernel_launches: 1,
+    barrier_passes: 146,
+    kernel_invocations: 292,
+    traffic: [2_253, 6_845, 4_386, 0],
+    log_digest: 0x2706c07a06b8f36a,
+};

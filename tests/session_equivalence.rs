@@ -13,11 +13,14 @@
 //! that leaked. Query seeds deliberately repeat
 //! (`0, 7, 0`) so a leak from an identical earlier query cannot hide.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use simdx::algos::{Bfs, PageRank, Sssp};
+use simdx::core::acc::CombineKind;
 use simdx::core::jit::ActivationLog;
 use simdx::core::prelude::*;
 use simdx::graph::gen::{Rmat, Road};
-use simdx::graph::{weights, Graph};
+use simdx::graph::{weights, Graph, VertexId, Weight};
 use simdx_gpu::executor::ExecutorStats;
 
 /// Everything that must match bit for bit.
@@ -168,6 +171,110 @@ fn failed_run_does_not_poison_the_session() {
         let after = fingerprint(bound.run(Bfs::new(0)).execute().expect("rerun"));
         let baseline = fresh(Bfs::new(0), &g, cfg.clone());
         assert_eq!(after, baseline, "{label}: run after abort diverged");
+    }
+}
+
+/// BFS that trips a cancellation token on its `trip_at`-th `compute`
+/// call — the only way to cancel *inside* a compute sweep at a chosen
+/// point without racing a second thread.
+struct CancelDuringCompute {
+    bfs: Bfs,
+    calls: AtomicU64,
+    trip_at: u64,
+    token: CancelToken,
+}
+
+impl AccProgram for CancelDuringCompute {
+    type Meta = u32;
+    type Update = u32;
+
+    fn name(&self) -> &'static str {
+        self.bfs.name()
+    }
+
+    fn combine_kind(&self) -> CombineKind {
+        self.bfs.combine_kind()
+    }
+
+    fn init(&self, g: &Graph) -> (Vec<u32>, Vec<VertexId>) {
+        self.bfs.init(g)
+    }
+
+    fn compute(&self, s: VertexId, d: VertexId, w: Weight, ms: &u32, md: &u32) -> Option<u32> {
+        // ORDERING: Relaxed — a call counter; the token publishes the trip.
+        if self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.trip_at {
+            self.token.cancel();
+        }
+        self.bfs.compute(s, d, w, ms, md)
+    }
+
+    fn combine(&self, a: u32, b: u32) -> u32 {
+        self.bfs.combine(a, b)
+    }
+
+    fn apply(&self, v: VertexId, current: &u32, update: u32) -> Option<u32> {
+        self.bfs.apply(v, current, update)
+    }
+
+    fn pull_candidate(&self, v: VertexId, meta: &u32) -> bool {
+        self.bfs.pull_candidate(v, meta)
+    }
+}
+
+#[test]
+fn run_cancelled_mid_sweep_does_not_poison_the_session() {
+    // The token trips a few edges into the widest push sweep, so the
+    // sweep's in-list poll breaks out with most of its announced tasks
+    // uncharged: the kernel-charge accumulators (the submitter's and,
+    // in the parallel cells, every worker's) are left open and partly
+    // fed. The next query over the same session and arena must still
+    // be bit-equal to a fresh engine.
+    let g = rmat_graph();
+    for (label, cfg) in config_matrix() {
+        let cfg = cfg.with_direction(DirectionPolicy::FixedPush);
+        let baseline = fresh(Bfs::new(0), &g, cfg.clone());
+        // Push iterations traverse exactly their degree sum, so the
+        // log gives the edge meter at every iteration boundary.
+        let records = &baseline.log.records;
+        let widest = (0..records.len())
+            .max_by_key(|&i| records[i].frontier_len)
+            .expect("non-trivial run");
+        assert!(
+            records[widest].frontier_len > 600,
+            "{label}: sweep too short to break inside"
+        );
+        let before: u64 = records[..widest].iter().map(|r| r.degree_sum).sum();
+
+        let runtime = Runtime::new(cfg.clone()).expect("runtime");
+        let bound = runtime.bind(&g);
+        let token = CancelToken::new();
+        let err = bound
+            .run(CancelDuringCompute {
+                bfs: Bfs::new(0),
+                calls: AtomicU64::new(0),
+                trip_at: before + 10,
+                token: token.clone(),
+            })
+            .cancel_token(token)
+            .execute()
+            .expect_err("cancelled run");
+        match err {
+            SimdxError::Cancelled { progress } => {
+                assert_eq!(progress.iterations, widest as u32, "{label}");
+                assert!(
+                    before < progress.edges_examined
+                        && progress.edges_examined < before + records[widest].degree_sum,
+                    "{label}: {} edges is not inside iteration {widest}'s sweep",
+                    progress.edges_examined
+                );
+            }
+            other => panic!("{label}: expected Cancelled, got {other:?}"),
+        }
+        let after = fingerprint(bound.run(Bfs::new(0)).execute().expect("rerun"));
+        assert_eq!(
+            after, baseline,
+            "{label}: run after mid-sweep cancel diverged"
+        );
     }
 }
 
