@@ -13,7 +13,7 @@ use simdx_core::acc::{AccProgram, CombineKind};
 use simdx_core::filters::ballot;
 use simdx_core::filters::{online, strided};
 use simdx_core::frontier::ThreadBins;
-use simdx_core::{EngineConfig, ExecMode, FrontierRepr, Runtime};
+use simdx_core::{EngineConfig, ExecMode, Runtime};
 use simdx_gpu::occupancy::occupancy;
 use simdx_gpu::warp;
 use simdx_gpu::{DeviceSpec, GpuExecutor, KernelDesc};
@@ -161,40 +161,6 @@ fn bench_exec_modes(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_frontier_reprs(c: &mut Criterion) {
-    // A/B of the frontier representations (bit-equal by contract):
-    // BFS is ballot/push heavy, PageRank is pull heavy — the two
-    // regimes where the bitmap's word-skip and bit-test dedup differ
-    // most from the list walks.
-    let g = datasets::dataset("PK").expect("PK").build_scaled(3, 2);
-    let src = datasets::default_source(g.out());
-    let mut group = c.benchmark_group("frontier_repr");
-    group.sample_size(10);
-    for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-        group.bench_with_input(BenchmarkId::new("bfs", repr.label()), &g, |b, g| {
-            b.iter(|| {
-                run_one(
-                    g,
-                    EngineConfig::default().with_frontier(repr),
-                    Bfs::new(src),
-                )
-                .expect("bfs")
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("pagerank", repr.label()), &g, |b, g| {
-            b.iter(|| {
-                run_one(
-                    g,
-                    EngineConfig::default().with_frontier(repr),
-                    PageRank::new(g),
-                )
-                .expect("pagerank")
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_session_reuse(c: &mut Criterion) {
     // The api_redesign A/B: a 16-source BFS batch on RMAT scale-14,
     // fresh runtime (pool + scratch + fences) per query vs one reused
@@ -234,7 +200,6 @@ criterion_group!(
     bench_generators,
     bench_engine,
     bench_exec_modes,
-    bench_frontier_reprs,
     bench_session_reuse
 );
 criterion_main!(benches);

@@ -1,30 +1,29 @@
 //! Machine-readable host-performance snapshot: writes
 //! `BENCH_engine.json` with *wall-clock* engine runtimes (not simulated
 //! cycles — those are identical by the determinism contract) for every
-//! algorithm × graph × [`ExecMode`] × [`FrontierRepr`], so the repo's
-//! perf trajectory is comparable across commits. Dedicated groups make
-//! the A/Bs directly readable: `frontier_comparison` pairs each List
-//! cell with its Bitmap counterpart, `session_reuse` pairs a
-//! fresh-engine-per-query 16-source BFS batch with the same batch over
+//! algorithm × graph × [`ExecMode`], so the repo's perf trajectory is
+//! comparable across commits. Dedicated groups make the A/Bs directly
+//! readable: `session_reuse` pairs a fresh-engine-per-query 16-source
+//! BFS batch with the same batch over
 //! one reused `BoundGraph`, and `supervision` pairs that same bound
 //! batch run unsupervised against the identical batch run with every
 //! supervision limit armed (cancel token + deadline + cycle budget) —
 //! the overhead of the in-sweep polls and boundary checks, pinned
-//! ≤ 2% on the scale-14 reference workload. A fourth group, `serving`,
+//! ≤ 2% on the scale-14 reference workload. A third group, `serving`,
 //! drives the closed-loop concurrent front-end: the same rmat14 BFS
 //! workload ×4 pushed through a [`QueryPool`] at several serving
 //! widths with per-query supervision armed (live cancel token plus a
 //! far submission-measured deadline), reporting queries/sec and
 //! p50/p99 submission-to-completion latency per concurrency level.
-//! A fifth group, `resilience`, A/Bs the same serving batch with
+//! A fourth group, `resilience`, A/Bs the same serving batch with
 //! checkpoint capture off vs armed on every query
 //! ([`ServiceConfig::checkpoint_aborts`]), pinning the cost of
-//! keeping every in-flight query resumable ≤ 5%. A sixth group,
+//! keeping every in-flight query resumable ≤ 5%. A fifth group,
 //! `durability`, A/Bs that batch again with no durability vs a
 //! `DirStore`-backed [`ServiceConfig::durability`] policy armed —
 //! the standing happy-path cost of the durable spill machinery
 //! (nothing fails, so nothing is written), pinned ≤ 5% as well
-//! (schema v10; every sample carries an `api` field: `fresh` = a new
+//! (schema v11; every sample carries an `api` field: `fresh` = a new
 //! runtime per query, `bound` = queries over one bound session).
 //!
 //! Usage:
@@ -49,8 +48,8 @@
 use simdx_algos::{bfs::Bfs, kcore::KCore, pagerank::PageRank, sssp::Sssp};
 use simdx_bench::{run_one, session_reuse_workload};
 use simdx_core::{
-    CancelToken, DirStore, DurabilityPolicy, EngineConfig, ExecMode, FrontierRepr, QueryPool,
-    QueryRequest, Runtime, ServiceConfig,
+    CancelToken, DirStore, DurabilityPolicy, EngineConfig, ExecMode, QueryPool, QueryRequest,
+    Runtime, ServiceConfig,
 };
 use simdx_graph::gen::{Erdos, Rmat, Road};
 use simdx_graph::{weights, Graph, VertexId};
@@ -114,7 +113,6 @@ struct Sample {
     num_vertices: u32,
     num_edges: u64,
     mode: String,
-    frontier_repr: &'static str,
     /// Which API produced the sample: `fresh` builds a runtime per
     /// query, `bound` runs queries over one reused `BoundGraph`.
     api: &'static str,
@@ -135,37 +133,32 @@ fn measure(
     run: impl Fn(EngineConfig) -> (f64, u32),
 ) {
     for &mode in modes {
-        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-            let mut best_wall = f64::INFINITY;
-            let mut sim = 0.0;
-            let mut iters = 0;
-            for _ in 0..reps {
-                let start = Instant::now();
-                let (simulated_ms, iterations) =
-                    run(EngineConfig::default().with_exec(mode).with_frontier(repr));
-                let wall = start.elapsed().as_secs_f64() * 1e3;
-                best_wall = best_wall.min(wall);
-                sim = simulated_ms;
-                iters = iterations;
-            }
-            eprintln!(
-                "{algorithm:>8} × {graph_name:<8} × {:<12} × {:<6} {best_wall:>9.2} ms wall",
-                mode.label(),
-                repr.label(),
-            );
-            samples.push(Sample {
-                algorithm,
-                graph: graph_name.to_string(),
-                num_vertices: g.num_vertices(),
-                num_edges: g.num_edges(),
-                mode: mode.label(),
-                frontier_repr: repr.label(),
-                api: "fresh",
-                wall_ms: best_wall,
-                simulated_ms: sim,
-                iterations: iters,
-            });
+        let mut best_wall = f64::INFINITY;
+        let mut sim = 0.0;
+        let mut iters = 0;
+        for _ in 0..reps {
+            let start = Instant::now();
+            let (simulated_ms, iterations) = run(EngineConfig::default().with_exec(mode));
+            let wall = start.elapsed().as_secs_f64() * 1e3;
+            best_wall = best_wall.min(wall);
+            sim = simulated_ms;
+            iters = iterations;
         }
+        eprintln!(
+            "{algorithm:>8} × {graph_name:<8} × {:<12} {best_wall:>9.2} ms wall",
+            mode.label(),
+        );
+        samples.push(Sample {
+            algorithm,
+            graph: graph_name.to_string(),
+            num_vertices: g.num_vertices(),
+            num_edges: g.num_edges(),
+            mode: mode.label(),
+            api: "fresh",
+            wall_ms: best_wall,
+            simulated_ms: sim,
+            iterations: iters,
+        });
     }
 }
 
@@ -340,7 +333,6 @@ fn main() {
                 num_vertices: rmat14.num_vertices(),
                 num_edges: rmat14.num_edges(),
                 mode: mode.label(),
-                frontier_repr: FrontierRepr::default().label(),
                 api,
                 wall_ms,
                 simulated_ms: sim_ms,
@@ -636,7 +628,7 @@ fn main() {
     // Hand-rolled JSON (the workspace builds without a registry; see
     // crates/compat/README.md).
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"simdx-bench-engine/10\",\n");
+    out.push_str("{\n  \"schema\": \"simdx-bench-engine/11\",\n");
     let _ = writeln!(out, "  \"scale\": {},", args.scale);
     let _ = writeln!(out, "  \"reps\": {},", args.reps);
     let host_threads = std::thread::available_parallelism()
@@ -648,61 +640,19 @@ fn main() {
         let _ = write!(
             out,
             "    {{\"algorithm\": \"{}\", \"graph\": \"{}\", \"num_vertices\": {}, \
-             \"num_edges\": {}, \"mode\": \"{}\", \"frontier_repr\": \"{}\", \
-             \"api\": \"{}\", \"wall_ms\": {:.3}, \"simulated_ms\": {:.3}, \
-             \"iterations\": {}}}",
+             \"num_edges\": {}, \"mode\": \"{}\", \"api\": \"{}\", \"wall_ms\": {:.3}, \
+             \"simulated_ms\": {:.3}, \"iterations\": {}}}",
             json_escape(s.algorithm),
             json_escape(&s.graph),
             s.num_vertices,
             s.num_edges,
             json_escape(&s.mode),
-            s.frontier_repr,
             s.api,
             s.wall_ms,
             s.simulated_ms,
             s.iterations
         );
         out.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-
-    // The List-vs-Bitmap A/B, paired per (algorithm, graph, mode):
-    // speedup > 1 means the bitmap representation
-    // was faster on the host. Results are bit-equal by contract, so
-    // this is pure representation overhead/win.
-    out.push_str("  \"frontier_comparison\": [\n");
-    let pairs: Vec<(&Sample, &Sample)> = samples
-        .iter()
-        .filter(|s| s.frontier_repr == "list")
-        .filter_map(|list| {
-            samples
-                .iter()
-                .find(|b| {
-                    b.frontier_repr == "bitmap"
-                        && b.algorithm == list.algorithm
-                        && b.graph == list.graph
-                        && b.mode == list.mode
-                })
-                .map(|bitmap| (list, bitmap))
-        })
-        .collect();
-    for (i, (list, bitmap)) in pairs.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"algorithm\": \"{}\", \"graph\": \"{}\", \"mode\": \"{}\", \
-             \"list_ms\": {:.3}, \"bitmap_ms\": {:.3}, \"bitmap_speedup\": {:.3}}}",
-            json_escape(list.algorithm),
-            json_escape(&list.graph),
-            json_escape(&list.mode),
-            list.wall_ms,
-            bitmap.wall_ms,
-            if bitmap.wall_ms > 0.0 {
-                list.wall_ms / bitmap.wall_ms
-            } else {
-                0.0
-            }
-        );
-        out.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
 
@@ -842,11 +792,7 @@ fn main() {
         };
         let par_vs_serial = fresh(false).filter_map(|p| {
             fresh(true)
-                .find(|s| {
-                    s.algorithm == p.algorithm
-                        && s.graph == p.graph
-                        && s.frontier_repr == p.frontier_repr
-                })
+                .find(|s| s.algorithm == p.algorithm && s.graph == p.graph)
                 .map(|s| p.wall_ms / s.wall_ms)
         });
         let medians = [
@@ -855,10 +801,6 @@ fn main() {
                 median(fresh(true).map(|s| s.wall_ms).collect()),
             ),
             ("parallel_vs_serial", median(par_vs_serial.collect())),
-            (
-                "bitmap_speedup",
-                median(pairs.iter().map(|(l, b)| l.wall_ms / b.wall_ms).collect()),
-            ),
             (
                 "reuse_speedup",
                 median(reuse_rows.iter().map(|r| r.fresh_ms / r.bound_ms).collect()),

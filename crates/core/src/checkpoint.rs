@@ -18,8 +18,7 @@
 //!
 //! Abort-at-iteration-k then resume is **bit-equal** to the
 //! uninterrupted run — identical metadata, activation logs and
-//! simulated cycle counts — across the {Serial, Parallel} ×
-//! {List, Bitmap} matrix (`tests/properties.rs`,
+//! simulated cycle counts — in both exec modes (`tests/properties.rs`,
 //! `tests/fault_injection.rs`). This holds
 //! because a boundary snapshot is *complete*: at the top of an
 //! iteration `metadata_prev == metadata_curr` (the publish step just
@@ -65,10 +64,8 @@ pub struct RunCheckpoint<M: Copy> {
     /// The metadata at the boundary (`prev == curr` there, so one copy
     /// restores both).
     pub(crate) meta: Vec<M>,
-    /// The boundary's frontier, always materialized as a list: a
-    /// bins-resident frontier is drained in concatenation order at
-    /// capture (same entries, duplicates and order; the concatenation
-    /// costs were already charged when the bins were filled).
+    /// The boundary's frontier (after an online-filter iteration it
+    /// carries that filter's duplicates, in concatenation order).
     pub(crate) frontier: Vec<VertexId>,
     /// Activation log of every completed iteration.
     pub(crate) log: ActivationLog,

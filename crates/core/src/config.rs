@@ -5,22 +5,6 @@ use crate::frontier::ClassifyThresholds;
 use crate::fusion::FusionStrategy;
 use simdx_gpu::DeviceSpec;
 
-/// The one read of `SIMDX_FRONTIER`, cached per process at the first
-/// `FrontierRepr::default()`: benches call `EngineConfig::default()`
-/// inside timed regions, and an env lookup per construction would leak
-/// into wall-clock numbers. `Default` has no error channel, so the
-/// *fallible* parse result is cached: `Default` hands out `List` on a
-/// bad value (never a panic) and [`EngineConfig::validate`] — which
-/// every session construction calls — reports it typed. A value set
-/// after the first read is invisible for the rest of the process.
-fn cached_frontier_knob() -> Result<FrontierRepr, SimdxError> {
-    static CACHE: std::sync::OnceLock<Result<FrontierRepr, SimdxError>> =
-        std::sync::OnceLock::new();
-    CACHE
-        .get_or_init(|| FrontierRepr::try_from_raw(std::env::var("SIMDX_FRONTIER").ok()))
-        .clone()
-}
-
 /// Which frontier-filter strategy the engine uses each iteration (§4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FilterPolicy {
@@ -74,73 +58,6 @@ impl ExecMode {
             Self::Parallel { threads: 0 } => "parallel/auto".to_string(),
             Self::Parallel { threads } => format!("parallel/{threads}"),
         }
-    }
-}
-
-/// How the engine represents set-shaped frontier state.
-///
-/// Orthogonal to [`ExecMode`], and under the same contract: `Bitmap`
-/// is **bit-equal** to `List` — identical metadata, activation logs
-/// and simulated cycle counts (`tests/frontier_equivalence.rs`
-/// enforces the full algorithm × exec-mode matrix). Only host-side
-/// data structures change:
-///
-/// * `List` keeps every frontier artifact as a `Vec<VertexId>`
-///   worklist (the seed behaviour) — cheapest for sparse push
-///   frontiers.
-/// * `Bitmap` uses [`crate::frontier::FrontierBitmap`] (one `u64`
-///   word per 64 vertices, two warp chunks) for the changed-vertex
-///   set, pull-candidate dedup and the ballot scan's occupancy, so
-///   membership tests are single-bit loads and all-zero words are
-///   skipped 64 vertices at a time — wins on dense frontiers and
-///   pull-heavy phases.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum FrontierRepr {
-    /// Sorted/concatenated vertex worklists (seed behaviour).
-    List,
-    /// Word-per-64-vertices bitmaps for set-shaped frontier state.
-    Bitmap,
-}
-
-impl FrontierRepr {
-    /// Parses a raw `SIMDX_FRONTIER` value — the one environment knob
-    /// (the bitmap CI job flips the whole suite with it). Unset or
-    /// empty selects `List`; values match case-insensitively; anything
-    /// else is an [`SimdxError::InvalidKnob`], so a CI typo can never
-    /// silently fall back to the default configuration. Pure, so tests
-    /// exercise parsing and rejection without mutating the process
-    /// environment (libc `setenv` racing concurrent `getenv` from
-    /// parallel tests is undefined behavior).
-    pub(crate) fn try_from_raw(raw: Option<String>) -> Result<Self, SimdxError> {
-        let Some(raw) = raw else {
-            return Ok(Self::List);
-        };
-        match raw.to_ascii_lowercase().as_str() {
-            "" | "list" => Ok(Self::List),
-            "bitmap" => Ok(Self::Bitmap),
-            _ => Err(SimdxError::InvalidKnob {
-                var: "SIMDX_FRONTIER",
-                expected: "'list' or 'bitmap'",
-                value: raw,
-            }),
-        }
-    }
-
-    /// Short label for reports and bench artifacts.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::List => "list",
-            Self::Bitmap => "bitmap",
-        }
-    }
-}
-
-impl Default for FrontierRepr {
-    /// Defers to the cached `SIMDX_FRONTIER` read so
-    /// `SIMDX_FRONTIER=bitmap` flips the default for a whole
-    /// test/bench process.
-    fn default() -> Self {
-        cached_frontier_knob().unwrap_or(Self::List)
     }
 }
 
@@ -211,19 +128,13 @@ pub struct EngineConfig {
     pub max_iterations: u32,
     /// Host execution backend (serial reference vs worker pool).
     pub exec: ExecMode,
-    /// Frontier representation (vertex worklists vs bitmaps).
-    pub frontier: FrontierRepr,
     /// Reaction to a contained worker panic (fail the query vs retry
     /// it once serially).
     pub degrade: DegradePolicy,
 }
 
 impl Default for EngineConfig {
-    /// Paper defaults on the serial backend, with the frontier
-    /// representation from the cached `SIMDX_FRONTIER` read; an
-    /// unparsable value selects `List` here and is reported as a typed
-    /// error by [`Self::validate`] (which every session construction
-    /// calls).
+    /// Paper defaults on the serial backend.
     fn default() -> Self {
         Self {
             device: DeviceSpec::k40(),
@@ -236,7 +147,6 @@ impl Default for EngineConfig {
             direction: DirectionPolicy::default(),
             max_iterations: 100_000,
             exec: ExecMode::Serial,
-            frontier: FrontierRepr::default(),
             degrade: DegradePolicy::Fail,
         }
     }
@@ -247,15 +157,6 @@ impl EngineConfig {
     /// API ([`crate::session::Runtime::new`]) rejects broken configs up
     /// front instead of letting the engine panic mid-run.
     pub fn validate(&self) -> Result<(), SimdxError> {
-        // `FrontierRepr::default()` swallows a malformed
-        // SIMDX_FRONTIER into `List` (Default has no error channel);
-        // surface it here so every session construction fails typed
-        // instead of silently running the fallback configuration.
-        if let Err(err) = cached_frontier_knob() {
-            return Err(SimdxError::InvalidConfig {
-                reason: format!("cached knob default is invalid: {err}"),
-            });
-        }
         let fail = |reason: String| Err(SimdxError::InvalidConfig { reason });
         if self.threads_per_cta == 0 {
             return fail("threads_per_cta must be at least 1".to_string());
@@ -327,17 +228,6 @@ impl EngineConfig {
         self.with_exec(ExecMode::Parallel { threads })
     }
 
-    /// Builder: set the frontier representation.
-    pub fn with_frontier(mut self, frontier: FrontierRepr) -> Self {
-        self.frontier = frontier;
-        self
-    }
-
-    /// Builder: bitmap frontier representation.
-    pub fn bitmap(self) -> Self {
-        self.with_frontier(FrontierRepr::Bitmap)
-    }
-
     /// Builder: set the worker-panic degradation policy.
     pub fn with_degrade(mut self, degrade: DegradePolicy) -> Self {
         self.degrade = degrade;
@@ -365,20 +255,7 @@ mod tests {
         assert_eq!(c.fusion, FusionStrategy::PushPull);
         assert_eq!(c.device.name, "Tesla K40");
         assert_eq!(c.degrade, DegradePolicy::Fail);
-    }
-
-    #[test]
-    fn default_is_serial_list_in_a_clean_environment() {
-        let c = EngineConfig::default();
-        // No environment variable selects the backend.
         assert_eq!(c.exec, ExecMode::Serial);
-        // SIMDX_FRONTIER is the one knob: unset everywhere except the
-        // bitmap CI job, which flips the whole suite with it.
-        assert_eq!(FrontierRepr::try_from_raw(None), Ok(FrontierRepr::List));
-        let raw = std::env::var("SIMDX_FRONTIER").ok();
-        assert_eq!(Ok(c.frontier), FrontierRepr::try_from_raw(raw));
-        // The cached read parsed cleanly, so validate() does not
-        // reject on its account.
         assert_eq!(c.validate(), Ok(()));
     }
 
@@ -389,21 +266,17 @@ mod tests {
             .with_fusion(FusionStrategy::None)
             .with_overflow_threshold(8)
             .parallel(2)
-            .bitmap()
             .degrade_serial();
         assert_eq!(c.parallelism_scale, 1);
         assert_eq!(c.filter, FilterPolicy::BallotOnly);
         assert_eq!(c.fusion, FusionStrategy::None);
         assert_eq!(c.overflow_threshold, 8);
         assert_eq!(c.exec, ExecMode::Parallel { threads: 2 });
-        assert_eq!(c.frontier, FrontierRepr::Bitmap);
         assert_eq!(c.degrade, DegradePolicy::RetrySerial);
         let c = c
             .with_exec(ExecMode::Serial)
-            .with_frontier(FrontierRepr::List)
             .with_degrade(DegradePolicy::Fail);
         assert_eq!(c.exec, ExecMode::Serial);
-        assert_eq!(c.frontier, FrontierRepr::List);
         assert_eq!(c.degrade, DegradePolicy::Fail);
     }
 
@@ -414,33 +287,6 @@ mod tests {
         assert!(ExecMode::Parallel { threads: 0 }.worker_count() >= 1);
         assert_eq!(ExecMode::Serial.label(), "serial");
         assert_eq!(ExecMode::Parallel { threads: 4 }.label(), "parallel/4");
-        assert_eq!(FrontierRepr::List.label(), "list");
-        assert_eq!(FrontierRepr::Bitmap.label(), "bitmap");
-    }
-
-    #[test]
-    fn frontier_knob_reports_typos_as_typed_errors() {
-        // The pure parser is driven directly — no process-environment
-        // mutation, which would race concurrent `getenv` from the
-        // other tests in this binary.
-        let parse = |v: &str| FrontierRepr::try_from_raw(Some(v.to_string()));
-        let err = parse("Bitmp").unwrap_err();
-        assert_eq!(
-            err,
-            SimdxError::InvalidKnob {
-                var: "SIMDX_FRONTIER",
-                expected: "'list' or 'bitmap'",
-                value: "Bitmp".to_string(),
-            }
-        );
-        assert_eq!(
-            err.to_string(),
-            "SIMDX_FRONTIER must be 'list' or 'bitmap', got 'Bitmp'"
-        );
-        // Case-insensitive accept, empty-selects-default.
-        assert_eq!(parse("BITMAP"), Ok(FrontierRepr::Bitmap));
-        assert_eq!(parse("list"), Ok(FrontierRepr::List));
-        assert_eq!(parse(""), Ok(FrontierRepr::List));
     }
 
     #[test]

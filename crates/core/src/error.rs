@@ -1,7 +1,6 @@
 //! The unified, typed error surface of the engine and session API.
 //!
-//! Every failure mode a service caller can hit — a bad
-//! `SIMDX_FRONTIER` environment knob, an inconsistent
+//! Every failure mode a service caller can hit — an inconsistent
 //! [`crate::config::EngineConfig`], a malformed query, or a run that
 //! aborts inside the engine — is one variant of [`SimdxError`], so
 //! callers match on variants instead of catching panics.
@@ -31,16 +30,6 @@ pub enum SimdxError {
     IterationLimit {
         /// The cap that was hit.
         max_iterations: u32,
-    },
-    /// The `SIMDX_FRONTIER` environment knob held an unrecognized
-    /// value.
-    InvalidKnob {
-        /// The environment variable.
-        var: &'static str,
-        /// Human description of the accepted values.
-        expected: &'static str,
-        /// The rejected raw value.
-        value: String,
     },
     /// The engine configuration is internally inconsistent.
     InvalidConfig {
@@ -160,12 +149,6 @@ impl std::fmt::Display for SimdxError {
             Self::IterationLimit { max_iterations } => {
                 write!(f, "did not converge within {max_iterations} iterations")
             }
-            // Keeps the exact wording of the historical `env_knob` panic.
-            Self::InvalidKnob {
-                var,
-                expected,
-                value,
-            } => write!(f, "{var} must be {expected}, got '{value}'"),
             Self::InvalidConfig { reason } => write!(f, "invalid engine config: {reason}"),
             Self::InvalidQuery { reason } => write!(f, "invalid query: {reason}"),
             Self::InvalidGraph { reason } => write!(f, "invalid graph: {reason}"),
@@ -259,14 +242,6 @@ mod tests {
             (
                 SimdxError::IterationLimit { max_iterations: 9 },
                 "within 9 iterations",
-            ),
-            (
-                SimdxError::InvalidKnob {
-                    var: "SIMDX_FRONTIER",
-                    expected: "'list' or 'bitmap'",
-                    value: "bitmp".to_string(),
-                },
-                "SIMDX_FRONTIER must be 'list' or 'bitmap', got 'bitmp'",
             ),
             (
                 SimdxError::InvalidConfig {

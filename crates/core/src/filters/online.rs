@@ -43,12 +43,11 @@ pub fn concatenate(
     bins.concatenate()
 }
 
-/// Charges the concatenation kernel *without* materializing the list:
-/// the cost depends only on the bin count and the recorded total, so
-/// the engine's bitmap mode can pay for task management here and drain
-/// the bins directly ([`ThreadBins::for_each_entry`]) next iteration.
-/// [`concatenate`] charges through this function, so the two cannot
-/// drift apart.
+/// Charges the concatenation kernel: the cost depends only on the bin
+/// count and the recorded total, so the engine — which concatenates
+/// into a reused buffer ([`ThreadBins::concatenate_into`]) — pays for
+/// task management here. [`concatenate`] charges through this function,
+/// so the two cannot drift apart.
 ///
 /// The kernel is a warp-cooperative exclusive scan over the bin sizes
 /// followed by a coalesced copy of every recorded vertex to its offset:

@@ -1,5 +1,5 @@
 //! Worklists, degree classification, per-thread bins (§4) and the
-//! bitmap frontier representation.
+//! changed set.
 //!
 //! Step I of JIT task management classifies active vertices by degree
 //! into three worklists; step II assigns a thread per small task, a warp
@@ -8,14 +8,14 @@
 //! *thread bins*; a bin overflow is the signal that flips the JIT
 //! controller over to the ballot filter.
 //!
-//! [`FrontierBitmap`] is the dense counterpart of the sorted worklists:
+//! [`FrontierBitmap`] is the dense counterpart of a sorted worklist:
 //! one `u64` word per 64 vertices (two warp chunks at the ballot
-//! filter's 32-lane granularity), selected by
-//! [`crate::config::FrontierRepr::Bitmap`]. Set-shaped frontier
-//! structures — the changed-vertex set, pull-candidate dedup and the
-//! ballot scan's occupancy — become O(1) bit tests and word-level skips
-//! instead of vertex-list walks, while every iteration order stays
-//! ascending so results remain bit-equal to the list representation.
+//! filter's 32-lane granularity), iterated in ascending vertex order.
+//! [`ChangedSet`] — the vertices whose metadata diverged from the
+//! iteration-start snapshot this iteration — is such a bitmap *and*
+//! the list of vertices marked, always both; how it is stored and which
+//! of its two publish and ballot strategies an iteration uses is decided
+//! here and nowhere else.
 
 use simdx_gpu::SchedUnit;
 use simdx_graph::csr::Csr;
@@ -119,18 +119,6 @@ impl FrontierBitmap {
         &self.words
     }
 
-    /// Mutable backing words — the raw form handed to
-    /// [`crate::par::SliceShards`] for word-aligned partitioning.
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
-    /// A mutable view of the whole bitmap (the one-shard case of
-    /// [`BitmapWordsMut`]).
-    pub fn view_mut(&mut self) -> BitmapWordsMut<'_> {
-        BitmapWordsMut::new(0, &mut self.words)
-    }
-
     /// Iterates set bits in ascending vertex order.
     pub fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &word)| {
@@ -159,8 +147,7 @@ impl FrontierBitmap {
     }
 
     /// Visits set bits in ascending order, clearing each word after it
-    /// is consumed — the O(set words) "publish and reset" sweep of the
-    /// engine's bitmap mode.
+    /// is consumed — one "read out and reset" sweep.
     pub fn drain_for_each(&mut self, mut f: impl FnMut(VertexId)) {
         for (i, word) in self.words.iter_mut().enumerate() {
             let mut w = *word;
@@ -179,86 +166,183 @@ impl FrontierBitmap {
     }
 }
 
-/// A word-aligned mutable window of a [`FrontierBitmap`] covering
-/// vertices `[64 * word_off, 64 * (word_off + words.len()))`.
+/// Changed-vertex count per vertex at which an iteration turns
+/// *dense*: from one changed vertex per bitmap word on average, a sweep
+/// over every word touches no more memory than a walk of the list.
+/// Road wavefronts stay far below it, R-MAT middle iterations far
+/// above.
+const DENSE_DIVISOR: usize = WORD_BITS;
+
+/// The vertices whose metadata diverged from the iteration-start
+/// snapshot this iteration: a [`FrontierBitmap`] *and* the list of
+/// vertices marked, always both.
 ///
-/// Disjoint windows alias nothing, so the parallel push backend hands
-/// one to each destination shard (whose fences are word-aligned in
-/// bitmap mode) for **atomic-free** changed-set recording.
+/// The bitmap answers first-change detection with one bit test and is
+/// the ballot scan's occupancy; the list makes publication
+/// O(changed) and its length is the density the two per-iteration
+/// strategy choices read ([`Self::publish`],
+/// [`Self::sparse_occupancy`]). Two engine invariants
+/// make the bitmap exact: metadata never returns to its
+/// iteration-start value within an iteration (all ACC programs make
+/// monotone progress), so `bit set ⟺ curr != prev`; and a vertex whose
+/// metadata equals the snapshot cannot vote (`active(v, m, m)` is
+/// false), so a zero word proves its 64 vertices inactive.
+///
+/// Empty — list and every bit — at each iteration boundary:
+/// [`Self::publish`] drains it.
 #[derive(Debug)]
-pub struct BitmapWordsMut<'a> {
-    word_off: usize,
-    words: &'a mut [u64],
+pub(crate) struct ChangedSet {
+    bits: FrontierBitmap,
+    list: Vec<VertexId>,
 }
 
-impl<'a> BitmapWordsMut<'a> {
-    /// A view starting at word `word_off` of the parent bitmap.
-    pub fn new(word_off: usize, words: &'a mut [u64]) -> Self {
-        Self { word_off, words }
+impl ChangedSet {
+    /// An empty set over `num_vertices` vertices.
+    pub fn new(num_vertices: usize) -> Self {
+        Self {
+            bits: FrontierBitmap::new(num_vertices),
+            list: Vec::new(),
+        }
     }
 
-    /// Sets bit `v` (must fall inside the window).
+    /// Number of vertices the set covers.
+    pub fn num_vertices(&self) -> usize {
+        self.bits.num_vertices()
+    }
+
+    /// Empties the set without publishing (an aborted run's leftovers).
+    pub fn clear(&mut self) {
+        self.bits.clear_all();
+        self.list.clear();
+    }
+
+    /// Whether nothing is marked — list and bitmap both.
+    pub fn is_empty(&self) -> bool {
+        self.list.is_empty() && self.bits.is_empty()
+    }
+
+    /// Whether `v` has not changed yet this iteration.
     #[inline]
-    pub fn set(&mut self, v: VertexId) {
+    pub fn is_first(&self, v: VertexId) -> bool {
+        !self.bits.test(v)
+    }
+
+    /// Records `v` as changed (at most once per iteration: callers
+    /// test [`Self::is_first`] before the apply that changes it).
+    #[inline]
+    pub fn mark(&mut self, v: VertexId) {
+        self.view().mark(v);
+    }
+
+    /// Appends a shard's marked vertices — their bits were set through
+    /// the shard's [`ChangedView`].
+    pub fn extend_marked(&mut self, marked: &[VertexId]) {
+        self.list.extend_from_slice(marked);
+    }
+
+    /// Whether this iteration changed at least one vertex per bitmap
+    /// word on average. A function of the changed count and `|V|`
+    /// alone — identical across exec modes and across resume — so the
+    /// strategies it selects are deterministic: publication sweeps the
+    /// words instead of walking the list, and the ballot filter runs
+    /// the dense scan instead of the occupancy-skipping one (both pairs
+    /// bit-identical in what they write and charge).
+    fn is_dense(&self) -> bool {
+        self.list.len() >= self.bits.num_vertices() / DENSE_DIVISOR
+    }
+
+    /// The bitmap's backing words as the ballot scan's occupancy —
+    /// `None` on a dense iteration, where skipping zero words saves
+    /// less than testing them costs and the dense scan runs instead.
+    pub fn sparse_occupancy(&self) -> Option<&[u64]> {
+        (!self.is_dense()).then(|| self.bits.words())
+    }
+
+    /// The whole set as a one-shard view, for the serial kernels.
+    pub fn view(&mut self) -> ChangedView<'_> {
+        ChangedView::new(0, &mut self.bits.words, &mut self.list)
+    }
+
+    /// The backing words, for [`crate::par::SliceShards`] to cut into
+    /// the word-aligned windows parallel push hands its
+    /// [`ChangedView`]s.
+    pub fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.bits.words
+    }
+
+    /// Publishes the iteration: `prev[v] = curr[v]` for every changed
+    /// vertex, leaving the set empty. Sparse iterations walk the list,
+    /// dense ones sweep the words — the same cells either way.
+    pub fn publish<M: Copy>(&mut self, prev: &mut [M], curr: &[M]) {
+        if self.is_dense() {
+            self.publish_word_sweep(prev, curr);
+        } else {
+            self.publish_list_walk(prev, curr);
+        }
+    }
+
+    /// O(changed): each listed vertex is copied and its word zeroed —
+    /// in two passes, which on a 3 µs road-strip iteration is a
+    /// measured 1 % of the run cheaper than one loop doing both.
+    fn publish_list_walk<M: Copy>(&mut self, prev: &mut [M], curr: &[M]) {
+        for &v in &self.list {
+            prev[v as usize] = curr[v as usize];
+        }
+        for v in self.list.drain(..) {
+            self.bits.words[v as usize / WORD_BITS] = 0;
+        }
+    }
+
+    /// O(|V| / 64), ascending: non-zero words carry the changed
+    /// vertices, zero words are skipped 64 vertices at a time.
+    fn publish_word_sweep<M: Copy>(&mut self, prev: &mut [M], curr: &[M]) {
+        self.bits
+            .drain_for_each(|v| prev[v as usize] = curr[v as usize]);
+        self.list.clear();
+    }
+}
+
+/// A word-aligned window of a [`ChangedSet`] covering vertices
+/// `[64 * word_off, 64 * (word_off + words.len()))`, with the list its
+/// marks append to.
+///
+/// Disjoint windows alias nothing, so the parallel push backend hands
+/// one to each destination shard (whose fences are word-aligned) for
+/// **atomic-free** first-change detection; the serial kernels use the
+/// whole-set window of [`ChangedSet::view`].
+#[derive(Debug)]
+pub(crate) struct ChangedView<'a> {
+    word_off: usize,
+    words: &'a mut [u64],
+    list: &'a mut Vec<VertexId>,
+}
+
+impl<'a> ChangedView<'a> {
+    /// A view starting at word `word_off` of the set's bitmap.
+    pub fn new(word_off: usize, words: &'a mut [u64], list: &'a mut Vec<VertexId>) -> Self {
+        Self {
+            word_off,
+            words,
+            list,
+        }
+    }
+
+    /// Whether `v` (inside the window) has not changed yet this
+    /// iteration — called *before* the apply that may change it.
+    #[inline]
+    pub fn is_first(&self, v: VertexId) -> bool {
+        let w = v as usize / WORD_BITS;
+        debug_assert!((self.word_off..self.word_off + self.words.len()).contains(&w));
+        self.words[w - self.word_off] & (1u64 << (v as usize % WORD_BITS)) == 0
+    }
+
+    /// Records `v` (inside the window) as changed.
+    #[inline]
+    pub fn mark(&mut self, v: VertexId) {
         let w = v as usize / WORD_BITS;
         debug_assert!((self.word_off..self.word_off + self.words.len()).contains(&w));
         self.words[w - self.word_off] |= 1u64 << (v as usize % WORD_BITS);
-    }
-
-    /// Tests bit `v` (must fall inside the window).
-    #[inline]
-    pub fn test(&self, v: VertexId) -> bool {
-        let w = v as usize / WORD_BITS;
-        debug_assert!((self.word_off..self.word_off + self.words.len()).contains(&w));
-        self.words[w - self.word_off] & (1u64 << (v as usize % WORD_BITS)) != 0
-    }
-}
-
-/// How a compute task records "vertex `v`'s metadata first diverged
-/// from the iteration-start snapshot this iteration".
-///
-/// The engine's first-change detection has two interchangeable
-/// implementations: the list representation compares metadata
-/// (`curr == prev`), the bitmap representation tests one bit. They
-/// agree because of the engine invariant that metadata never returns
-/// to its iteration-start value within an iteration (all ACC programs
-/// make monotone progress), so `changed-bit set ⟺ curr != prev`.
-pub(crate) trait ChangeSink<M> {
-    /// Whether `v` has not changed yet this iteration (called *before*
-    /// the apply that may change it).
-    fn is_first(&self, v: VertexId, curr: &M, prev: &M) -> bool;
-    /// Records `v` as changed.
-    fn mark(&mut self, v: VertexId);
-}
-
-/// List-mode sink: metadata compare + changed-list push.
-pub(crate) struct ListSink<'a>(pub &'a mut Vec<VertexId>);
-
-impl<M: PartialEq> ChangeSink<M> for ListSink<'_> {
-    #[inline]
-    fn is_first(&self, _v: VertexId, curr: &M, prev: &M) -> bool {
-        curr == prev
-    }
-
-    #[inline]
-    fn mark(&mut self, v: VertexId) {
-        self.0.push(v);
-    }
-}
-
-/// Bitmap-mode sink: bit test + bit set over a (possibly sharded)
-/// window.
-pub(crate) struct BitSink<'a>(pub BitmapWordsMut<'a>);
-
-impl<M> ChangeSink<M> for BitSink<'_> {
-    #[inline]
-    fn is_first(&self, v: VertexId, _curr: &M, _prev: &M) -> bool {
-        !self.0.test(v)
-    }
-
-    #[inline]
-    fn mark(&mut self, v: VertexId) {
-        self.0.set(v);
+        self.list.push(v);
     }
 }
 
@@ -334,9 +418,8 @@ impl Worklists {
     }
 
     /// Classifies a single vertex into its list without clearing — the
-    /// streaming form backing both [`Self::classify_into`] and the
-    /// bitmap-mode drain that classifies straight out of
-    /// [`ThreadBins`] without materializing the concatenated worklist.
+    /// streaming form backing [`Self::classify_into`] and the pull-vote
+    /// candidate sweep, which classifies each candidate as it finds it.
     #[inline]
     pub fn classify_one(&mut self, v: VertexId, csr: &Csr, thresholds: ClassifyThresholds) {
         match thresholds.classify(csr.degree(v)) {
@@ -410,8 +493,8 @@ impl Worklists {
 ///
 /// There is one bin per Thread-kernel slot (300 at the default device
 /// scale) and a small frontier fills a handful of them, so the bins
-/// carry a non-empty bitmap: clearing, concatenating and draining
-/// visit only the bins that hold entries, in ascending bin order —
+/// carry a non-empty bitmap: clearing and concatenating visit only
+/// the bins that hold entries, in ascending bin order —
 /// the same order a walk over every bin would produce.
 #[derive(Clone, Debug)]
 pub struct ThreadBins {
@@ -425,12 +508,6 @@ pub struct ThreadBins {
     /// Records dropped because of overflow (kept for diagnostics; the
     /// ballot filter regenerates the full list so nothing is lost).
     dropped: u64,
-    /// Per-bin prefix offsets into the concatenation order
-    /// (`bins + 1` entries once sealed, empty while recording). Built
-    /// by [`Self::seal_prefix`] so the parallel backend can partition
-    /// the bin-resident frontier through [`Self::for_each_entry_in`]
-    /// ranges instead of materializing the concatenated list.
-    prefix: Vec<u64>,
 }
 
 impl ThreadBins {
@@ -445,7 +522,6 @@ impl ThreadBins {
             threshold,
             overflowed: false,
             dropped: 0,
-            prefix: Vec::new(),
         }
     }
 
@@ -462,10 +538,6 @@ impl ThreadBins {
     /// Records vertex `v` from simulated thread `thread`. Returns
     /// `false` (and sets the overflow flag) if the bin was full.
     pub fn record(&mut self, thread: usize, v: VertexId) -> bool {
-        debug_assert!(
-            self.prefix.is_empty(),
-            "recording into sealed bins (prefix would go stale)"
-        );
         let idx = thread % self.bins.len();
         let bin = &mut self.bins[idx];
         if bin.len() >= self.threshold {
@@ -522,81 +594,14 @@ impl ThreadBins {
         }
     }
 
-    /// Visits every recorded vertex in concatenation order (bin by
-    /// bin, entries in record order — exactly the sequence
-    /// [`Self::concatenate`] would produce, duplicates included).
-    ///
-    /// This is the bitmap-native worklist drain: the engine's bitmap
-    /// mode feeds the next iteration's degree sum, classification and
-    /// aggregation-pull marking straight from the bins, so the
-    /// duplicate-carrying online worklist need never be materialized
-    /// as a flat list.
-    pub fn for_each_entry(&self, mut f: impl FnMut(VertexId)) {
-        for bin in self.nonempty_bins() {
-            for &v in bin {
-                f(v);
-            }
-        }
-    }
-
-    /// Builds the per-bin prefix offsets over the current contents —
-    /// the index [`Self::for_each_entry_in`] ranges resolve against.
-    /// Call once after the last [`Self::record`] of an iteration
-    /// (recording after sealing would silently desynchronize the
-    /// index, so [`Self::record`] debug-asserts the unsealed state).
-    pub fn seal_prefix(&mut self) {
-        self.prefix.clear();
-        self.prefix.push(0);
-        let mut acc = 0u64;
-        for bin in &self.bins {
-            acc += bin.len() as u64;
-            self.prefix.push(acc);
-        }
-    }
-
-    /// Visits the entries at concatenation positions `[lo, hi)` — the
-    /// exact subsequence `[Self::concatenate]`'s output would hold
-    /// there, duplicates included. Contiguous ranges visited in order
-    /// therefore reproduce [`Self::for_each_entry`] exactly, which is
-    /// how the parallel backend partitions a bin-resident frontier
-    /// across workers without materializing it. Requires a current
-    /// [`Self::seal_prefix`]; resolves the starting bin by binary
-    /// search, so a worker pays O(log bins + entries visited).
-    pub fn for_each_entry_in(&self, lo: u64, hi: u64, mut f: impl FnMut(VertexId)) {
-        debug_assert_eq!(self.prefix.len(), self.bins.len() + 1, "prefix not sealed");
-        debug_assert_eq!(
-            *self.prefix.last().expect("sealed prefix"),
-            self.total_recorded(),
-            "prefix stale: bins recorded after seal_prefix"
-        );
-        if lo >= hi {
-            return;
-        }
-        // Largest bin whose prefix start is <= lo (prefix[0] == 0, so
-        // the partition point is always >= 1).
-        let mut b = self.prefix.partition_point(|&p| p <= lo) - 1;
-        let mut pos = lo;
-        while pos < hi && b < self.bins.len() {
-            let bin = &self.bins[b];
-            let start = (pos - self.prefix[b]) as usize;
-            let end = (hi - self.prefix[b]).min(bin.len() as u64) as usize;
-            for &v in &bin[start..end] {
-                f(v);
-            }
-            pos = self.prefix[b] + end as u64;
-            b += 1;
-        }
-    }
-
-    /// Clears the bins that hold entries, the overflow flag and the
-    /// prefix index for the next iteration.
+    /// Clears the bins that hold entries and the overflow flag for the
+    /// next iteration.
     pub fn clear(&mut self) {
         let bins = &mut self.bins;
         self.nonempty.drain_for_each(|b| bins[b as usize].clear());
         self.recorded = 0;
         self.overflowed = false;
         self.dropped = 0;
-        self.prefix.clear();
     }
 
     /// Reshapes to `num_threads` bins with `threshold` capacity and
@@ -699,49 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_entry_matches_concatenation_order() {
-        let mut bins = ThreadBins::new(3, 8);
-        bins.record(1, 4);
-        bins.record(0, 7);
-        bins.record(2, 9);
-        bins.record(0, 7); // duplicate kept, in record order
-        let mut seen = Vec::new();
-        bins.for_each_entry(|v| seen.push(v));
-        assert_eq!(seen, bins.concatenate());
-        assert_eq!(seen, vec![7, 7, 4, 9]);
-    }
-
-    #[test]
-    fn entry_ranges_partition_the_concatenation() {
-        // Uneven bins, including empty ones, so the binary search has
-        // runs of equal prefix entries to step over.
-        let mut bins = ThreadBins::new(5, 8);
-        for (t, v) in [(0, 7), (0, 7), (2, 4), (2, 9), (2, 1), (4, 3)] {
-            bins.record(t, v);
-        }
-        bins.seal_prefix();
-        let full = bins.concatenate();
-        let total = bins.total_recorded();
-        for parts in 1..=4u64 {
-            let mut seen = Vec::new();
-            for w in 0..parts {
-                let lo = total * w / parts;
-                let hi = total * (w + 1) / parts;
-                bins.for_each_entry_in(lo, hi, |v| seen.push(v));
-            }
-            assert_eq!(seen, full, "{parts}-way partition diverged");
-        }
-        // Out-of-range and empty ranges are harmless.
-        bins.for_each_entry_in(3, 3, |_| panic!("empty range visited"));
-        let mut tail = Vec::new();
-        bins.for_each_entry_in(total - 1, total + 5, |v| tail.push(v));
-        assert_eq!(tail, vec![full[full.len() - 1]]);
-        // Clearing invalidates the prefix so recording is legal again.
-        bins.clear();
-        assert!(bins.record(1, 2));
-    }
-
-    #[test]
     fn sparse_bins_walk_in_bin_order_across_bitmap_words() {
         // 300 bins = five bitmap words; a handful hold entries. Every
         // walk must visit them in ascending bin order, as a walk over
@@ -754,13 +716,6 @@ mod tests {
         let want = vec![2, 4, 3, 6, 5, 1];
         assert_eq!(bins.total_recorded(), 6);
         assert_eq!(bins.concatenate(), want);
-        let mut seen = Vec::new();
-        bins.for_each_entry(|v| seen.push(v));
-        assert_eq!(seen, want);
-        bins.seal_prefix();
-        seen.clear();
-        bins.for_each_entry_in(0, 6, |v| seen.push(v));
-        assert_eq!(seen, want);
 
         // Shrinking drops the high bins, growing adds empty ones, and
         // neither leaves an entry or a stale non-empty bit behind.
@@ -872,36 +827,83 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_word_window_is_offset_aware() {
-        let mut b = FrontierBitmap::new(256);
-        let words = b.words_mut();
-        let (lo, hi) = words.split_at_mut(2);
-        let mut w0 = BitmapWordsMut::new(0, lo);
-        let mut w1 = BitmapWordsMut::new(2, hi);
-        w0.set(5);
-        w1.set(128);
-        w1.set(255);
-        assert!(w0.test(5));
-        assert!(!w1.test(129));
-        assert!(w1.test(255));
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![5, 128, 255]);
+    fn changed_views_are_offset_aware_and_feed_one_list() {
+        let mut set = ChangedSet::new(256);
+        let (mut lo_list, mut hi_list) = (Vec::new(), Vec::new());
+        let (lo, hi) = set.words_mut().split_at_mut(2);
+        let mut w0 = ChangedView::new(0, lo, &mut lo_list);
+        let mut w1 = ChangedView::new(2, hi, &mut hi_list);
+        assert!(w0.is_first(5) && w1.is_first(128));
+        w0.mark(5);
+        w1.mark(128);
+        w1.mark(255);
+        assert!(!w0.is_first(5));
+        assert!(w1.is_first(129));
+        assert!(!w1.is_first(255));
+        set.extend_marked(&lo_list);
+        set.extend_marked(&hi_list);
+        assert!(!set.is_first(128) && set.is_first(6));
+        let curr: Vec<u32> = (0..256).collect();
+        let mut prev = vec![0u32; 256];
+        set.publish(&mut prev, &curr);
+        let published: Vec<usize> = (0..256).filter(|&v| prev[v] != 0).collect();
+        assert_eq!(published, vec![5, 128, 255]);
+        assert!(set.is_empty());
     }
 
     #[test]
-    fn change_sinks_agree() {
-        let mut list = Vec::new();
-        let mut bits = FrontierBitmap::new(64);
-        let mut ls = ListSink(&mut list);
-        let mut bs = BitSink(bits.view_mut());
-        // Unchanged vertex: both report first change.
-        assert!(ChangeSink::<u32>::is_first(&ls, 7, &1, &1));
-        assert!(ChangeSink::<u32>::is_first(&bs, 7, &1, &1));
-        ChangeSink::<u32>::mark(&mut ls, 7);
-        ChangeSink::<u32>::mark(&mut bs, 7);
-        // Changed vertex (curr != prev; bit set): both report not-first.
-        assert!(!ChangeSink::<u32>::is_first(&ls, 7, &2, &1));
-        assert!(!ChangeSink::<u32>::is_first(&bs, 7, &2, &1));
-        assert_eq!(list, vec![7]);
-        assert!(bits.test(7));
+    fn density_is_the_changed_count_against_a_64th_of_the_vertices() {
+        // 200 / 64 == 3: the third mark makes the iteration dense.
+        let mut set = ChangedSet::new(200);
+        assert!(!set.is_dense());
+        set.mark(7);
+        set.mark(150);
+        assert!(!set.is_dense());
+        set.mark(8);
+        assert!(set.is_dense());
+        set.clear();
+        assert!(set.is_empty() && !set.is_dense());
+        // Fewer than 64 vertices: every iteration is dense.
+        assert!(ChangedSet::new(63).is_dense());
+    }
+
+    /// Deterministic xorshift: the property below needs arbitrary, not
+    /// unpredictable, inputs (core has no dev-dependencies).
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn both_publish_strategies_write_the_same_cells_and_drain_the_set() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200 {
+            let n = 1 + (xorshift(&mut rng) % 700) as usize;
+            let marks = (xorshift(&mut rng) % (2 * n as u64)) as usize;
+            let start: Vec<u32> = (0..n).map(|_| xorshift(&mut rng) as u32).collect();
+            let (mut walk, mut sweep) = (ChangedSet::new(n), ChangedSet::new(n));
+            let mut curr = start.clone();
+            for _ in 0..marks {
+                let v = (xorshift(&mut rng) % n as u64) as VertexId;
+                let first = curr[v as usize] == start[v as usize];
+                assert_eq!(walk.is_first(v), first, "bit test vs metadata compare");
+                assert_eq!(sweep.view().is_first(v), first);
+                // Monotone progress: a changed value never returns to
+                // its iteration-start value.
+                curr[v as usize] = curr[v as usize].wrapping_add(1);
+                if first {
+                    walk.mark(v);
+                    sweep.mark(v);
+                }
+            }
+            let (mut by_walk, mut by_sweep) = (start.clone(), start.clone());
+            walk.publish_list_walk(&mut by_walk, &curr);
+            sweep.publish_word_sweep(&mut by_sweep, &curr);
+            assert_eq!(by_walk, curr, "n={n} marks={marks}");
+            assert_eq!(by_sweep, curr, "n={n} marks={marks}");
+            assert!(walk.is_empty() && sweep.is_empty());
+        }
     }
 }

@@ -107,9 +107,7 @@ pub use pool::{PoolLease, PoolStash, MAX_IDLE_POOLS};
 
 pub use acc::{AccProgram, CombineKind, DirectionCtx, SourcedProgram};
 pub use checkpoint::{RunAborted, RunCheckpoint};
-pub use config::{
-    DegradePolicy, DirectionPolicy, EngineConfig, ExecMode, FilterPolicy, FrontierRepr,
-};
+pub use config::{DegradePolicy, DirectionPolicy, EngineConfig, ExecMode, FilterPolicy};
 pub use error::SimdxError;
 pub use filters::FilterKind;
 pub use frontier::FrontierBitmap;
@@ -131,9 +129,7 @@ pub use supervise::{AbortReason, CancelToken, RunProgress};
 pub mod prelude {
     pub use crate::acc::{AccProgram, CombineKind, DirectionCtx, SourcedProgram};
     pub use crate::checkpoint::{RunAborted, RunCheckpoint};
-    pub use crate::config::{
-        DegradePolicy, DirectionPolicy, EngineConfig, ExecMode, FilterPolicy, FrontierRepr,
-    };
+    pub use crate::config::{DegradePolicy, DirectionPolicy, EngineConfig, ExecMode, FilterPolicy};
     pub use crate::error::SimdxError;
     pub use crate::frontier::FrontierBitmap;
     pub use crate::fusion::FusionStrategy;

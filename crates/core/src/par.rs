@@ -195,66 +195,16 @@ impl WorkerPool {
         })
     }
 
-    /// Runs `f(w, &mut workers[w], shard_offset, shard)` on every worker
-    /// concurrently, where `shard` is the `[bounds[w], bounds[w+1])`
-    /// range of `data` — the destination-sharded form the push kernels
-    /// use. `bounds` must be a monotone fence list with `threads + 1`
-    /// entries covering `data`.
-    pub fn for_each_worker_sharded<T: Send, U: Send>(
-        &self,
-        workers: &mut [T],
-        data: &mut [U],
-        bounds: &[u32],
-        f: impl Fn(usize, &mut T, usize, &mut [U]) + Sync,
-    ) {
-        if let Err(p) = self.try_for_each_worker_sharded(workers, data, bounds, f) {
-            panic!("engine worker {} panicked: {}", p.worker, p.payload);
-        }
-    }
-
-    /// Fallible form of [`Self::for_each_worker_sharded`].
-    pub fn try_for_each_worker_sharded<T: Send, U: Send>(
-        &self,
-        workers: &mut [T],
-        data: &mut [U],
-        bounds: &[u32],
-        f: impl Fn(usize, &mut T, usize, &mut [U]) + Sync,
-    ) -> Result<(), WorkerPanic> {
-        assert_eq!(workers.len(), self.threads, "one scratch slot per worker");
-        assert_eq!(bounds.len(), self.threads + 1, "one shard per worker");
-        let slots = SliceShards::new(workers, &self.unit_fences);
-        let shards = SliceShards::new(data, bounds);
-        self.try_run(&|w| {
-            // SAFETY: each worker index runs exactly once per region.
-            let (_, slot) = unsafe { slots.shard(w) };
-            // SAFETY: same claim, second shard set.
-            let (off, shard) = unsafe { shards.shard(w) };
-            f(w, &mut slot[0], off, shard);
-        })
-    }
-
-    /// The two-slice form of [`Self::for_each_worker_sharded`]: worker
-    /// `w` additionally receives the `[bounds2[w], bounds2[w+1])` range
-    /// of `data2`. The engine's bitmap push mode uses this to hand each
-    /// destination shard its word-aligned window of the changed-vertex
-    /// bitmap, so first-change dedup is an atomic-free bit set.
-    #[allow(clippy::too_many_arguments)]
-    pub fn for_each_worker_sharded2<T: Send, U: Send, V: Send>(
-        &self,
-        workers: &mut [T],
-        data: &mut [U],
-        bounds: &[u32],
-        data2: &mut [V],
-        bounds2: &[u32],
-        f: impl Fn(usize, &mut T, usize, &mut [U], usize, &mut [V]) + Sync,
-    ) {
-        if let Err(p) = self.try_for_each_worker_sharded2(workers, data, bounds, data2, bounds2, f)
-        {
-            panic!("engine worker {} panicked: {}", p.worker, p.payload);
-        }
-    }
-
-    /// Fallible form of [`Self::for_each_worker_sharded2`].
+    /// Runs `f(w, &mut workers[w], off, shard, off2, shard2)` on every
+    /// worker concurrently, where `shard` is the `[bounds[w],
+    /// bounds[w+1])` range of `data` and `shard2` the `[bounds2[w],
+    /// bounds2[w+1])` range of `data2` — the destination-sharded form
+    /// the push kernel uses: each worker gets its vertex range of
+    /// `metadata_curr` and the matching word-aligned window of the
+    /// changed set's bitmap, so first-change dedup is an atomic-free
+    /// bit test. Each `bounds` must be a monotone fence list with
+    /// `threads + 1` entries covering its slice. A worker panic is
+    /// contained and returned, as in [`Self::try_for_each_worker`].
     #[allow(clippy::too_many_arguments)]
     pub fn try_for_each_worker_sharded2<T: Send, U: Send, V: Send>(
         &self,
@@ -724,7 +674,7 @@ mod tests {
         let vbounds = [0u32, 6, 10];
         let mut words = vec![0u64; 3];
         let wbounds = [0u32, 1, 3];
-        pool.for_each_worker_sharded2(
+        pool.try_for_each_worker_sharded2(
             &mut scratch,
             &mut verts,
             &vbounds,
@@ -739,7 +689,8 @@ mod tests {
                     *word = woff as u64 + 1;
                 }
             },
-        );
+        )
+        .expect("no worker panics");
         assert_eq!(scratch, vec![1, 2]);
         assert_eq!(verts, (0..10).collect::<Vec<u32>>());
         assert_eq!(words, vec![1, 2, 2]);

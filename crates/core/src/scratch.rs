@@ -1,7 +1,7 @@
 //! Reusable per-iteration buffers for the engine loop.
 //!
 //! The seed engine allocated fresh `Vec`s for worklists, candidate
-//! lists, the changed list and the dirty stamps on every iteration —
+//! lists and the changed list on every iteration —
 //! on iteration-heavy graphs (road networks, long paths) the allocator
 //! dominated the host profile. [`IterScratch`] owns all of those
 //! buffers for the lifetime of one engine run; every iteration clears
@@ -21,8 +21,7 @@
 //! between serving threads through the pool, though never *shared*:
 //! exactly one query owns an arena at a time.
 
-use crate::config::FrontierRepr;
-use crate::frontier::{FrontierBitmap, ThreadBins, Worklists, WORD_BITS};
+use crate::frontier::{ChangedSet, FrontierBitmap, ThreadBins, Worklists, WORD_BITS};
 use simdx_gpu::KernelCharge;
 use simdx_graph::csr::Csr;
 use simdx_graph::VertexId;
@@ -31,12 +30,11 @@ use simdx_graph::VertexId;
 /// pull-orientation degrees once per graph at `Runtime::bind` time.
 #[derive(Clone, Debug)]
 pub(crate) struct PushFences {
-    /// Vertex fences over `metadata_curr` (`threads + 1` entries). In
-    /// bitmap mode the inner fences are rounded down to word (64)
-    /// multiples so every shard covers whole bitmap words.
+    /// Vertex fences over `metadata_curr` (`threads + 1` entries); the
+    /// inner fences are word (64) multiples, so every shard covers
+    /// whole words of the changed set's bitmap.
     pub verts: Vec<u32>,
-    /// The matching word fences over the changed-bitmap's backing
-    /// words (empty in list mode).
+    /// The matching word fences over that bitmap's backing words.
     pub words: Vec<u32>,
 }
 
@@ -45,14 +43,13 @@ impl PushFences {
     /// push scan direction): contiguous vertex ranges balanced by
     /// incoming-edge volume, so push workers see comparable apply load.
     ///
-    /// In bitmap mode the inner fences are rounded down to word (64)
-    /// multiples — like the ballot scan's warp alignment, one level up
-    /// — so every shard owns whole words of the changed bitmap and the
-    /// matching word fences are emitted alongside. Destination sharding
-    /// is exact for *any* fence positions (each destination's update
-    /// sequence is independent of them), so the rounding cannot affect
-    /// results.
-    pub fn compute(rev_csr: &Csr, parts: usize, repr: FrontierRepr) -> Self {
+    /// The inner fences are rounded down to word (64) multiples — like
+    /// the ballot scan's warp alignment, one level up — so every shard
+    /// owns whole words of the changed set's bitmap. Destination
+    /// sharding is exact for *any* fence positions (each destination's
+    /// update sequence is independent of them), so the rounding cannot
+    /// affect results.
+    pub fn compute(rev_csr: &Csr, parts: usize) -> Self {
         let n = rev_csr.num_vertices();
         // +1 per vertex keeps zero-degree stretches from collapsing
         // every shard boundary onto the hubs.
@@ -67,21 +64,11 @@ impl PushFences {
                 acc += rev_csr.degree(v) as u64 + 1;
                 v += 1;
             }
-            verts.push(v);
+            verts.push(v - v % WORD_BITS as u32);
         }
         verts.push(n);
-        let words = match repr {
-            FrontierRepr::List => Vec::new(),
-            FrontierRepr::Bitmap => {
-                let num_words = (n as usize).div_ceil(WORD_BITS) as u32;
-                for f in &mut verts[1..parts] {
-                    *f -= *f % WORD_BITS as u32;
-                }
-                let mut words: Vec<u32> = verts.iter().map(|&f| f / WORD_BITS as u32).collect();
-                words[parts] = num_words;
-                words
-            }
-        };
+        let mut words: Vec<u32> = verts.iter().map(|&f| f / WORD_BITS as u32).collect();
+        words[parts] = (n as usize).div_ceil(WORD_BITS) as u32;
         PushFences { verts, words }
     }
 }
@@ -116,7 +103,9 @@ pub(crate) struct WorkerScratch<M> {
     /// absorbed into [`IterScratch::charge`] by the submitter — `u64`
     /// slot sums, so the absorb order is immaterial.
     pub charge: KernelCharge,
-    /// Vertices whose metadata first changed this iteration.
+    /// Vertices this worker marked changed this iteration (its bits
+    /// are set in the shared [`ChangedSet`]'s window; the list is
+    /// appended at merge).
     pub changed: Vec<VertexId>,
     /// Deferred online-filter records.
     pub records: Vec<RecordEntry>,
@@ -152,21 +141,14 @@ pub(crate) struct IterScratch<M> {
     /// its writes — so it is charged only once this total is known (4
     /// bytes a task; a final pass streams `push_cost(degree, applied)`).
     pub applied: Vec<u32>,
-    /// Vertices whose metadata first changed this iteration (list
-    /// mode).
-    pub changed: Vec<VertexId>,
-    /// Bitmap-mode changed set: bit `v` set iff `curr[v] != prev[v]`
-    /// this iteration. Doubles as the ballot scan's occupancy and the
-    /// push first-change dedup; drained (publish + clear) at the end
-    /// of every iteration.
-    pub changed_bits: FrontierBitmap,
-    /// Bitmap-mode pull-candidate dedup (replaces the dirty stamps);
-    /// drained into the sorted candidate list each aggregation-pull
-    /// iteration.
+    /// Vertices whose metadata changed this iteration: first-change
+    /// dedup, the ballot scan's occupancy and the publish worklist.
+    /// Sized once, at arena creation; empty at every iteration
+    /// boundary.
+    pub changed: ChangedSet,
+    /// Aggregation-pull candidate dedup, sized with `changed`; drained
+    /// into the sorted candidate list each aggregation-pull iteration.
     pub cand_bits: FrontierBitmap,
-    /// Aggregation-pull dirty stamps, sized |V| once per run (list
-    /// mode).
-    pub dirty_stamp: Vec<u32>,
     /// Merged record list (sort + replay buffer).
     pub records: Vec<RecordEntry>,
     /// Online-filter thread bins (persistent, reshaped in place).
@@ -179,17 +161,17 @@ pub(crate) struct IterScratch<M> {
 }
 
 impl<M> IterScratch<M> {
-    /// Creates scratch for `threads` workers.
-    pub fn new(threads: usize) -> Self {
+    /// Creates scratch for `threads` workers over a graph of
+    /// `num_vertices` vertices; the arena lives in that graph's
+    /// `BoundGraph` pool, so the bitmaps never need reshaping.
+    pub fn new(threads: usize, num_vertices: usize) -> Self {
         Self {
             lists: Worklists::default(),
             cands: Vec::new(),
             charge: KernelCharge::default(),
             applied: Vec::new(),
-            changed: Vec::new(),
-            changed_bits: FrontierBitmap::default(),
-            cand_bits: FrontierBitmap::default(),
-            dirty_stamp: Vec::new(),
+            changed: ChangedSet::new(num_vertices),
+            cand_bits: FrontierBitmap::new(num_vertices),
             records: Vec::new(),
             bins: ThreadBins::new(1, 0),
             next: Vec::new(),
@@ -222,11 +204,9 @@ impl<M> IterScratch<M> {
     /// here: `Runtime::bind` computes them once per graph for every
     /// parallel runtime.)
     ///
-    /// `dirty_stamp` is the one buffer whose *contents* could corrupt a
-    /// reused run: it is keyed by iteration number, which restarts at 0
-    /// every run, so stale stamps from a previous query could suppress
-    /// aggregation-pull candidates. Truncating it forces the in-loop
-    /// `u32::MAX` refill, identical to a fresh engine.
+    /// The two bitmaps are empty after every completed iteration; a
+    /// run aborted mid-iteration can leave bits behind, and this is the
+    /// one place that clears them.
     ///
     /// The per-worker partitions are cleared here too. Every parallel
     /// region clears the fields it uses before writing them, so for a
@@ -241,9 +221,7 @@ impl<M> IterScratch<M> {
         self.cands.clear();
         self.applied.clear();
         self.changed.clear();
-        self.changed_bits.clear_all();
         self.cand_bits.clear_all();
-        self.dirty_stamp.clear();
         self.records.clear();
         self.bins.clear();
         self.next.clear();
@@ -272,10 +250,8 @@ impl<M> IterScratch<M> {
             "candidate list carries stale entries"
         );
         debug_assert!(self.applied.is_empty(), "applied counts not cleared");
-        debug_assert!(self.changed.is_empty(), "changed list not published");
-        debug_assert!(self.changed_bits.is_empty(), "changed bitmap not drained");
+        debug_assert!(self.changed.is_empty(), "changed set not published");
         debug_assert!(self.cand_bits.is_empty(), "candidate bitmap not drained");
-        debug_assert!(self.dirty_stamp.is_empty(), "dirty stamps not invalidated");
         debug_assert!(self.records.is_empty(), "deferred records not replayed");
         debug_assert_eq!(self.bins.total_recorded(), 0, "thread bins carry entries");
         debug_assert!(!self.bins.overflowed(), "thread-bin overflow flag stuck");

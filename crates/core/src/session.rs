@@ -9,9 +9,8 @@
 //! * [`Runtime`] — owns the resolved [`EngineConfig`] and the
 //!   persistent [`WorkerPool`]. Built once per process/service.
 //! * [`BoundGraph`] — [`Runtime::bind`] precomputes the CSR-derived
-//!   per-graph state (degree-balanced push shards, their grid CSR,
-//!   bitmap word counts) and owns the reusable scratch arenas. Built
-//!   once per graph.
+//!   per-graph state (degree-balanced push shards, their grid CSR)
+//!   and owns the reusable scratch arenas. Built once per graph.
 //! * [`RunBuilder`] — one query: `bound.run(program).source(v)
 //!   .max_iterations(n).observe(hook).execute()`. Costs only the work
 //!   of the query itself; every allocation is reused.
@@ -27,8 +26,8 @@
 //! at the bottom of this module): any number of threads may run
 //! queries over one bound graph concurrently. The sharing model:
 //!
-//! * The bind-time artifacts (push fences, grid CSR, bitmap word
-//!   count) are immutable after bind and live in an `Arc`-shared core.
+//! * The bind-time artifacts (push fences, grid CSR) are immutable
+//!   after bind and live in an `Arc`-shared core.
 //! * Worker pools live in a [`PoolStash`]: each query checks one out
 //!   for its duration, so concurrent queries never share a pool, and a
 //!   pool poisoned by a contained worker panic is discarded at
@@ -50,7 +49,7 @@
 //! other host knob (`crates/core/README.md`): a reused `BoundGraph`
 //! produces reports **bit-identical** to a fresh engine — identical
 //! metadata, activation logs and simulated cycle counts — across the
-//! exec × frontier-repr matrix (`tests/session_equivalence.rs`). The
+//! exec modes (`tests/session_equivalence.rs`). The
 //! engine enforces the invariant at every `execute()` entry: all
 //! transient scratch is cleared and debug-asserted clean, so one query
 //! can never observe a previous query's state.
@@ -115,10 +114,9 @@ use crate::sync::Arc;
 
 use crate::acc::{AccProgram, SourcedProgram};
 use crate::checkpoint::{RunAborted, RunCheckpoint};
-use crate::config::{DegradePolicy, EngineConfig, FrontierRepr};
+use crate::config::{DegradePolicy, EngineConfig};
 use crate::engine::{Engine, SessionCtx};
 use crate::error::SimdxError;
-use crate::frontier::WORD_BITS;
 use crate::grid::GridCsr;
 use crate::jit::IterationRecord;
 use crate::metrics::RunResult;
@@ -187,8 +185,8 @@ impl Runtime {
     /// Binds a graph: precomputes the CSR-derived state every query
     /// needs — degree-balanced push destination shards with their
     /// partition fences and the destination-bucketed [`GridCsr`] those
-    /// fences define (parallel mode), and the bitmap word count — and
-    /// allocates the reusable scratch arenas lazily per metadata type.
+    /// fences define (parallel mode) — and allocates the reusable
+    /// scratch arenas lazily per metadata type.
     ///
     /// The fence and grid computations are deliberately *eager*: bind
     /// is the amortization point, so the one O(V) degree walk and the
@@ -211,13 +209,8 @@ impl Runtime {
         &'rt self,
         graph: &'g Graph,
     ) -> Result<BoundGraph<'rt, 'g>, SimdxError> {
-        let fences = (self.threads() > 1).then(|| {
-            PushFences::compute(
-                graph.csr(Direction::Pull),
-                self.threads(),
-                self.config.frontier,
-            )
-        });
+        let fences = (self.threads() > 1)
+            .then(|| PushFences::compute(graph.csr(Direction::Pull), self.threads()));
         // Push always scatters over the out-CSR; the grid buckets
         // exactly those edges by the destination shards the run-time
         // sharding will use, so the two views can never disagree.
@@ -241,11 +234,7 @@ impl Runtime {
         Ok(BoundGraph {
             runtime: self,
             graph,
-            core: Arc::new(BindArtifacts {
-                fences,
-                grid,
-                num_words: (graph.num_vertices() as usize).div_ceil(WORD_BITS),
-            }),
+            core: Arc::new(BindArtifacts { fences, grid }),
             scratch: ArenaPool::new(SCRATCH_ARENAS_PER_TYPE),
         })
     }
@@ -256,7 +245,6 @@ impl std::fmt::Debug for Runtime {
         f.debug_struct("Runtime")
             .field("threads", &self.threads())
             .field("exec", &self.config.exec)
-            .field("frontier", &self.config.frontier)
             .finish_non_exhaustive()
     }
 }
@@ -274,9 +262,6 @@ struct BindArtifacts {
     /// one sub-CSR per destination shard, so each push worker
     /// traverses only the edges landing in its shard.
     grid: Option<GridCsr>,
-    /// `ceil(|V| / 64)` — the frontier-bitmap word count, precomputed
-    /// so bitmap-mode scratch is sized before the first query.
-    num_words: usize,
 }
 
 /// A graph bound to a [`Runtime`]: the immutable bind-time core plus a
@@ -303,11 +288,6 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
     /// The owning runtime.
     pub fn runtime(&self) -> &'rt Runtime {
         self.runtime
-    }
-
-    /// Number of 64-bit words a frontier bitmap over this graph uses.
-    pub fn num_bitmap_words(&self) -> usize {
-        self.core.num_words
     }
 
     /// The bind-time grid CSR, present iff this is a parallel runtime
@@ -459,21 +439,13 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
     }
 
     /// Checks out (or creates, on a dry stash) a scratch arena for
-    /// metadata type `M`, pre-sized for this graph.
+    /// metadata type `M`, its bitmaps sized for this graph — the only
+    /// place they are ever sized.
     pub(crate) fn checkout_scratch<M: Send + 'static>(&self) -> IterScratch<M> {
         self.scratch
             .checkout::<IterScratch<M>>()
             .unwrap_or_else(|| {
-                let mut scratch = IterScratch::<M>::new(self.runtime.threads());
-                if self.runtime.config.frontier == FrontierRepr::Bitmap {
-                    // Pre-size the reusable bitmaps to the bind-time word
-                    // count so the arena's first query allocates nothing
-                    // mid-run either.
-                    let n = self.graph.num_vertices() as usize;
-                    scratch.changed_bits.reset(n);
-                    scratch.cand_bits.reset(n);
-                }
-                scratch
+                IterScratch::new(self.runtime.threads(), self.graph.num_vertices() as usize)
             })
     }
 
@@ -1264,32 +1236,20 @@ mod tests {
     }
 
     #[test]
-    fn bind_precomputes_bitmap_word_count() {
-        let g = path_graph(130);
-        let runtime = Runtime::new(EngineConfig::unscaled().bitmap()).expect("runtime");
-        let bound = runtime.bind(&g);
-        assert_eq!(bound.num_bitmap_words(), 130usize.div_ceil(64));
-        assert_eq!(bound.graph().num_vertices(), 130);
-        assert_eq!(bound.runtime().threads(), 1);
-    }
-
-    #[test]
     fn bind_builds_the_grid_for_every_parallel_runtime_and_only_those() {
         let g = path_graph(130);
-        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-            let serial =
-                Runtime::new(EngineConfig::unscaled().with_frontier(repr)).expect("runtime");
-            assert!(serial.bind(&g).grid().is_none(), "serial / {repr:?}");
-            for threads in [2usize, 3] {
-                let cfg = EngineConfig::unscaled()
-                    .parallel(threads)
-                    .with_frontier(repr);
-                let runtime = Runtime::new(cfg).expect("runtime");
-                let bound = runtime.bind(&g);
-                let grid = bound.grid().expect("parallel bind builds the grid");
-                assert_eq!(grid.num_shards(), threads, "{threads} threads / {repr:?}");
-                assert!(grid.footprint_bytes() > 0);
-            }
+        let serial = Runtime::new(EngineConfig::unscaled()).expect("runtime");
+        let bound = serial.bind(&g);
+        assert!(bound.grid().is_none(), "serial");
+        assert_eq!(bound.graph().num_vertices(), 130);
+        assert_eq!(bound.runtime().threads(), 1);
+        for threads in [2usize, 3] {
+            let runtime =
+                Runtime::new(EngineConfig::unscaled().parallel(threads)).expect("runtime");
+            let bound = runtime.bind(&g);
+            let grid = bound.grid().expect("parallel bind builds the grid");
+            assert_eq!(grid.num_shards(), threads, "{threads} threads");
+            assert!(grid.footprint_bytes() > 0);
         }
     }
 

@@ -15,8 +15,8 @@
 //!   nearby. `std::cmp::Ordering` variants are not atomic orderings and
 //!   are ignored. Test modules are exempt.
 //! * **[env-confined]** — `std::env` reads are confined to the
-//!   config-knob and fault modules: the deterministic iteration loop
-//!   must not grow a hidden environment dependence.
+//!   fault-plan module: the deterministic iteration loop must not grow
+//!   a hidden environment dependence.
 //! * **[clock-confined]** — `Instant::now` / `SystemTime::now` are
 //!   confined to supervision, the service tier and benches, for the
 //!   same reason.
@@ -83,13 +83,12 @@ impl Policy {
         path.starts_with("tests/") || path.contains("/tests/") || path.contains("/benches/")
     }
 
-    /// [env-confined] allowlist: the env-knob module, the fault-plan
-    /// grammar, the bench/CLI binaries and the lint tool itself. Test
-    /// files may also manipulate the environment (they orchestrate
-    /// these knobs).
+    /// [env-confined] allowlist: the fault-plan grammar (the one env
+    /// read in `crates/core`), the bench/CLI binaries and the lint
+    /// tool itself. Test files may also manipulate the environment
+    /// (they orchestrate fault plans and child processes).
     pub fn env_allowed(path: &str) -> bool {
-        path == "crates/core/src/config.rs"
-            || path == "crates/core/src/fault.rs"
+        path == "crates/core/src/fault.rs"
             || path.starts_with("crates/bench/")
             || path.starts_with("crates/lint/")
             || Self::is_test_file(path)
@@ -537,7 +536,7 @@ fn rule_env_clock(fc: &FileCheck<'_>, out: &mut Vec<Finding>) {
                     fc,
                     i,
                     "env-confined",
-                    "std::env access outside the knob/fault modules breaks the determinism \
+                    "std::env access outside the fault module breaks the determinism \
                      contract (route it through EngineConfig or FaultPlan)"
                         .to_string(),
                 ));
@@ -754,7 +753,11 @@ let b = r#"unsafe { }"#;
             check("crates/core/src/engine.rs", env)[0].rule,
             "env-confined"
         );
-        assert!(check("crates/core/src/config.rs", env).is_empty());
+        assert_eq!(
+            check("crates/core/src/config.rs", env)[0].rule,
+            "env-confined"
+        );
+        assert!(check("crates/core/src/fault.rs", env).is_empty());
         assert!(check("tests/something.rs", env).is_empty());
         let clock = "let t = Instant::now();";
         assert_eq!(

@@ -6,7 +6,7 @@
 //! The suite covers the four ways concurrency could break that:
 //!
 //! * plain interleaving — N threads × M queries over the shared core
-//!   vs. solo baselines, across {exec mode} × {frontier repr};
+//!   vs. solo baselines, in both exec modes;
 //! * supervision cross-talk — a cancelled or deadline-expired query
 //!   serving next to clean peers must abort *alone*;
 //! * admission control — a full bounded queue under
@@ -74,18 +74,11 @@ where
     fingerprint(bound.run(make(seed)).execute().expect("solo run"))
 }
 
-/// {exec} × {frontier repr}.
+/// Both exec modes.
 fn config_matrix() -> Vec<(String, EngineConfig)> {
-    let mut out = Vec::new();
-    for exec in [ExecMode::Serial, ExecMode::Parallel { threads: 3 }] {
-        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-            out.push((
-                format!("{}/{}", exec.label(), repr.label()),
-                EngineConfig::default().with_exec(exec).with_frontier(repr),
-            ));
-        }
-    }
-    out
+    [ExecMode::Serial, ExecMode::Parallel { threads: 3 }]
+        .map(|exec| (exec.label(), EngineConfig::default().with_exec(exec)))
+        .into()
 }
 
 fn rmat_graph() -> Graph {

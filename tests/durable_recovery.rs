@@ -10,8 +10,7 @@
 //!    parent SIGKILLs it — no drop glue, no graceful close — reopens
 //!    the spill directory, and `QueryPool::recover` completes every
 //!    ticket **bit-equal** to the uninterrupted baseline (metadata,
-//!    activation log, simulated cycles), across
-//!    {Serial, Parallel} × {List, Bitmap}.
+//!    activation log, simulated cycles), in {Serial, Parallel}.
 //!
 //! 2. **Persist fault matrix** — on-disk tampering (truncation, bit
 //!    flips, version skew) in every build, plus the injected `persist`
@@ -56,22 +55,15 @@ const SEEDS: &[VertexId] = &[0, 3, 7, 11, 19, 25];
 
 /// The recovery matrix cells, keyed by the string the parent passes to
 /// the child via `SIMDX_DR_CELL`.
-const CELLS: &[&str] = &[
-    "serial:list",
-    "serial:bitmap",
-    "parallel:list",
-    "parallel:bitmap",
-];
+const CELLS: &[&str] = &["serial", "parallel"];
 
 fn cell_config(cell: &str) -> EngineConfig {
-    let (exec, repr) = match cell {
-        "serial:list" => (ExecMode::Serial, FrontierRepr::List),
-        "serial:bitmap" => (ExecMode::Serial, FrontierRepr::Bitmap),
-        "parallel:list" => (ExecMode::Parallel { threads: 2 }, FrontierRepr::List),
-        "parallel:bitmap" => (ExecMode::Parallel { threads: 2 }, FrontierRepr::Bitmap),
+    let exec = match cell {
+        "serial" => ExecMode::Serial,
+        "parallel" => ExecMode::Parallel { threads: 2 },
         other => panic!("unknown matrix cell {other:?}"),
     };
-    EngineConfig::unscaled().with_exec(exec).with_frontier(repr)
+    EngineConfig::unscaled().with_exec(exec)
 }
 
 /// Everything that must match bit for bit after recovery.
@@ -189,14 +181,13 @@ fn child_serve_spill_and_hang() {
 }
 
 /// After SIGKILL mid-serve, a fresh process recovers every spilled
-/// ticket bit-equal to the uninterrupted baseline, across
-/// {Serial, Parallel} × {List, Bitmap}.
+/// ticket bit-equal to the uninterrupted baseline, in both exec modes.
 #[test]
 fn sigkilled_serving_process_recovers_bit_equal_across_matrix() {
     let _serial = lock();
     let exe = std::env::current_exe().expect("current test binary");
     for cell in CELLS {
-        let dir = scratch_dir(&format!("kill-{}", cell.replace(':', "-")));
+        let dir = scratch_dir(&format!("kill-{cell}"));
         let ready = dir.with_extension("ready");
         let _ = std::fs::remove_file(&ready);
 

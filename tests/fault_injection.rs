@@ -10,8 +10,7 @@
 //! 2. the `Runtime` and `BoundGraph` stay usable — the poisoned pool is
 //!    rebuilt transparently before the next query;
 //! 3. the next clean run over the *same* session is bit-equal to a
-//!    fresh engine, across the {exec mode} × {frontier repr} knob
-//!    matrix.
+//!    fresh engine, in both exec modes.
 //!
 //! Fault state is process-global, so every test body holds
 //! [`TEST_LOCK`] for its whole duration: a baseline run racing another
@@ -66,18 +65,11 @@ fn rmat_graph() -> Graph {
     Graph::directed_from_edges(Rmat::gtgraph(11, 8).generate(5))
 }
 
-/// {exec} × {frontier repr}.
+/// Both exec modes.
 fn config_matrix() -> Vec<(String, EngineConfig)> {
-    let mut out = Vec::new();
-    for exec in [ExecMode::Serial, ExecMode::Parallel { threads: 3 }] {
-        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-            out.push((
-                format!("{}/{}", exec.label(), repr.label()),
-                EngineConfig::default().with_exec(exec).with_frontier(repr),
-            ));
-        }
-    }
-    out
+    [ExecMode::Serial, ExecMode::Parallel { threads: 3 }]
+        .map(|exec| (exec.label(), EngineConfig::default().with_exec(exec)))
+        .into()
 }
 
 /// The per-site config tweak that makes the site deterministically

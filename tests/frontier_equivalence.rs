@@ -1,24 +1,27 @@
-//! The representation half of the determinism contract
-//! (`crates/core/README.md`): for every algorithm, graph class, exec
-//! mode and thread count, `FrontierRepr::Bitmap` must be **bit-equal**
-//! to `FrontierRepr::List` — identical final metadata (float bit
-//! patterns included), identical per-iteration activation logs
-//! (directions, filters, frontier sizes, per-iteration cycles) and
-//! identical executor statistics.
+//! The changed-set half of the determinism contract
+//! (`crates/core/README.md`): the engine keeps one changed set (bitmap
+//! plus list) and picks its publish and ballot-scan strategy per
+//! iteration from the changed count, so every algorithm must come out
+//! **bit-equal** — final metadata (float bit patterns included),
+//! per-iteration activation logs and executor statistics — whichever
+//! strategies its iterations happen to select, in every exec mode.
 //!
-//! The harness is differential: every cell of the
-//! {BFS, SSSP, PageRank, k-Core, WCC} × {Serial, Parallel} ×
-//! {List, Bitmap} matrix runs against the same graph and is compared
-//! to the List + Serial baseline, so a divergence pinpoints the
-//! representation and exec mode that broke. The graph classes stress
-//! different engine paths: RMAT (skewed degrees → CTA worklists, ballot
-//! switches, hub overflow), road strips (tiny frontiers over many
-//! online-filter iterations; their vertex counts are warp-misaligned,
-//! so the chunk-shaped sweeps' tail handling is always exercised) and
-//! Erdős–Rényi (push/pull direction flips). Together the five
-//! algorithms cover both Combine kinds, the aggregation-pull candidate
-//! sweep, the non-idempotent decrement path (k-Core) and float
-//! accumulation order (PageRank).
+//! Each test runs one graph under `FilterPolicy::BallotOnly` in
+//! {Serial, Parallel 2, Parallel 5}. `BallotOnly` makes the ballot
+//! filter run on *every* iteration — sparse wavefronts through the
+//! occupancy-skipping scan, dense middles through the chunked one,
+//! word-aligned partitions in the parallel cells — where the default
+//! `Jit` policy (whose exec-mode matrix is
+//! `tests/parallel_equivalence.rs`) reaches it only on a bin overflow;
+//! the final metadata must not depend on the policy at all. The graph
+//! classes stress different paths: RMAT (skewed degrees → CTA
+//! worklists, dense iterations), road strips (tiny frontiers over many
+//! iterations; warp-misaligned vertex counts, so the chunk sweeps'
+//! tails always run) and Erdős–Rényi (push/pull direction flips). The
+//! five algorithms cover both Combine kinds, the aggregation-pull
+//! candidate bitmap, the non-idempotent decrement path (k-Core) and
+//! float accumulation order (PageRank). `tests/changed_set.rs` pins
+//! the threshold itself.
 
 use simdx::algos::{bfs, kcore, pagerank, sssp, wcc};
 use simdx::core::jit::ActivationLog;
@@ -27,7 +30,7 @@ use simdx::graph::gen::{Erdos, Rmat, Road};
 use simdx::graph::{weights, EdgeList, Graph};
 use simdx_gpu::executor::ExecutorStats;
 
-/// Everything that must match bit for bit across the matrix.
+/// Everything that must match bit for bit across exec modes.
 #[derive(Debug, PartialEq)]
 struct Fingerprint<M: PartialEq + std::fmt::Debug> {
     meta: Vec<M>,
@@ -45,43 +48,24 @@ fn fingerprint<M: PartialEq + std::fmt::Debug>(r: RunResult<M>) -> Fingerprint<M
     }
 }
 
-/// The exec-mode sweep each representation runs under.
-fn exec_modes() -> [ExecMode; 3] {
-    [
-        ExecMode::Serial,
-        ExecMode::Parallel { threads: 2 },
-        ExecMode::Parallel { threads: 5 },
-    ]
-}
-
-/// Runs one algorithm over the {exec mode} × {repr} matrix and asserts
-/// every cell is bit-equal to the List + Serial baseline.
+/// Runs one algorithm with the ballot filter on every iteration, in
+/// every exec mode, against its own serial run and the `Jit` result.
 fn assert_matrix<M, F>(what: &str, run: F)
 where
     M: PartialEq + std::fmt::Debug,
     F: Fn(EngineConfig) -> RunResult<M>,
 {
-    let base_cfg = EngineConfig::default()
-        .with_exec(ExecMode::Serial)
-        .with_frontier(FrontierRepr::List);
-    let baseline = fingerprint(run(base_cfg));
-    assert!(
-        baseline.iterations > 0,
-        "{what}: trivial run proves nothing"
+    let jit = run(EngineConfig::default());
+    let cfg = EngineConfig::default().with_filter(FilterPolicy::BallotOnly);
+    let serial = fingerprint(run(cfg.clone()));
+    assert!(serial.iterations > 0, "{what}: trivial run proves nothing");
+    assert_eq!(
+        serial.meta, jit.meta,
+        "{what}: the policy changed the result"
     );
-    for exec in exec_modes() {
-        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-            let cell = fingerprint(run(EngineConfig::default()
-                .with_exec(exec)
-                .with_frontier(repr)));
-            assert_eq!(
-                cell,
-                baseline,
-                "{what}: {}/{} diverged from serial/list",
-                exec.label(),
-                repr.label(),
-            );
-        }
+    for threads in [2, 5] {
+        let par = fingerprint(run(cfg.clone().parallel(threads)));
+        assert_eq!(par, serial, "{what}: {threads} threads diverged");
     }
 }
 
@@ -134,7 +118,7 @@ fn sssp_matrix_on_road() {
 #[test]
 fn pagerank_matrix_on_rmat() {
     // Float accumulation order is the sharpest bit-equality probe: a
-    // bitmap-ordered reshuffle of PageRank's f32 sums would show here.
+    // reshuffle of PageRank's f32 sums would show here.
     let g = rmat_graph();
     assert_matrix("pagerank/rmat", |cfg| pagerank::run(&g, cfg).expect("pr"));
 }
@@ -147,9 +131,8 @@ fn pagerank_matrix_on_er() {
 
 #[test]
 fn kcore_matrix_on_rmat() {
-    // k-Core's decrements are non-idempotent: a first-change dedup
-    // mismatch between the metadata compare and the bit test would
-    // corrupt metadata here.
+    // k-Core's decrements are non-idempotent: a first-change bit test
+    // that disagreed with `curr != prev` would corrupt metadata here.
     let g = Graph::undirected_from_edges(Rmat::gtgraph(12, 8).generate(5));
     assert_matrix("kcore/rmat", |cfg| kcore::run(&g, 4, cfg).expect("kcore"));
 }
@@ -157,8 +140,7 @@ fn kcore_matrix_on_rmat() {
 #[test]
 fn kcore_matrix_on_road() {
     // k = 3 fully peels the strip over ~60 iterations — the long
-    // low-frontier cascade regime where the bitmap's O(V/64) publish
-    // sweep runs most often.
+    // low-frontier cascade where publish walks the list every time.
     let g = road_graph();
     assert_matrix("kcore/road", |cfg| kcore::run(&g, 3, cfg).expect("kcore"));
 }
@@ -173,36 +155,4 @@ fn wcc_matrix_on_rmat() {
 fn wcc_matrix_on_er() {
     let g = Graph::undirected_from_edges(Erdos::new(4096, 8).generate(5));
     assert_matrix("wcc/er", |cfg| wcc::run(&g, cfg).expect("wcc"));
-}
-
-#[test]
-fn filter_policies_stay_equivalent_in_bitmap_mode() {
-    // Ballot-only forces the sparse scan every iteration; JIT mixes
-    // online and ballot. Both must stay bit-equal across the reprs.
-    let g = er_graph();
-    for policy in [FilterPolicy::Jit, FilterPolicy::BallotOnly] {
-        let cfg = EngineConfig::default().with_filter(policy);
-        let base = fingerprint(
-            bfs::run(&g, 0, cfg.clone().with_frontier(FrontierRepr::List)).expect("bfs"),
-        );
-        for exec in exec_modes() {
-            let bm =
-                fingerprint(bfs::run(&g, 0, cfg.clone().with_exec(exec).bitmap()).expect("bfs"));
-            assert_eq!(bm, base, "{policy:?}/{} diverged", exec.label());
-        }
-    }
-}
-
-#[test]
-fn unscaled_device_stays_equivalent_in_bitmap_mode() {
-    // Slot counts change bin shapes and task-to-slot assignment;
-    // representation equality must be scale-independent.
-    let g = er_graph();
-    let cfg = EngineConfig::unscaled();
-    let base =
-        fingerprint(bfs::run(&g, 0, cfg.clone().with_frontier(FrontierRepr::List)).expect("bfs"));
-    for exec in exec_modes() {
-        let bm = fingerprint(bfs::run(&g, 0, cfg.clone().with_exec(exec).bitmap()).expect("bfs"));
-        assert_eq!(bm, base, "unscaled/{} diverged", exec.label());
-    }
 }

@@ -2,16 +2,16 @@
 //! the configuration matrix.
 //!
 //! `tests/{frontier,parallel,session}_equivalence.rs` prove that every
-//! {exec mode} × {frontier repr} cell agrees with the serial/list cell
-//! of the *same build*. A change to how the engine charges the
-//! simulator moves every cell together and stays invisible to them.
+//! exec mode agrees with the serial run of the *same build*. A change
+//! to how the engine charges the simulator moves every cell together
+//! and stays invisible to them.
 //! This suite pins the simulated device's view — `ExecutorStats`
 //! (cycles, launches, barrier passes, invocations, traffic), the
 //! iteration count, the host edge meter and a digest of the
 //! `ActivationLog` — of BFS / SSSP / PageRank / k-Core on two small
 //! fixed graphs to the values the tree produced **before** the
 //! streamed-charging refactor (recorded at commit `e085b9f`), across
-//! {Serial, Parallel 2/3} × {List, Bitmap}.
+//! {Serial, Parallel 2/3}.
 //!
 //! A deliberate cost-model change re-records the table (print
 //! `observe(..)` for each row); anything else that moves it is a bug.
@@ -90,16 +90,13 @@ fn assert_golden<M>(
         ExecMode::Parallel { threads: 2 },
         ExecMode::Parallel { threads: 3 },
     ] {
-        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-            let got = observe(&run(base.clone().with_exec(exec).with_frontier(repr)));
-            assert_eq!(
-                &got,
-                want,
-                "{what}: {}/{} left the recorded report",
-                exec.label(),
-                repr.label()
-            );
-        }
+        let got = observe(&run(base.clone().with_exec(exec)));
+        assert_eq!(
+            &got,
+            want,
+            "{what}: {} left the recorded report",
+            exec.label()
+        );
     }
 }
 

@@ -41,29 +41,22 @@ fn fingerprint<M: PartialEq + std::fmt::Debug>(r: RunResult<M>) -> Fingerprint<M
 }
 
 /// Runs `run` under serial and parallel modes and asserts equality.
-/// The thread-count sweep runs in both frontier representations —
-/// bitmap mode partitions the ballot scan and the push destination
-/// shards on 64-vertex word boundaries (the word-level analogue of the
-/// list scan's warp alignment), and that partitioning must be just as
-/// thread-count-independent as the list one.
+/// The ballot scan and the push destination shards are partitioned on
+/// 64-vertex word boundaries, and that partitioning must be
+/// thread-count-independent.
 fn assert_equivalent<M, F>(what: &str, run: F)
 where
     M: PartialEq + std::fmt::Debug,
     F: Fn(EngineConfig) -> RunResult<M>,
 {
-    let base = EngineConfig::default().with_frontier(FrontierRepr::List);
-    let serial = fingerprint(run(base.clone()));
+    let serial = fingerprint(run(EngineConfig::default()));
     assert!(serial.iterations > 0, "{what}: trivial run proves nothing");
     for threads in THREAD_COUNTS {
-        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-            let par = fingerprint(run(base.clone().parallel(threads).with_frontier(repr)));
-            assert_eq!(
-                par,
-                serial,
-                "{what} with {threads} threads ({}) diverged from serial",
-                repr.label()
-            );
-        }
+        let par = fingerprint(run(EngineConfig::default().parallel(threads)));
+        assert_eq!(
+            par, serial,
+            "{what} with {threads} threads diverged from serial"
+        );
     }
 }
 
@@ -171,24 +164,17 @@ fn grid_push_is_work_optimal() {
     // grid replay must examine exactly that — one traversal of each
     // frontier edge per iteration, regardless of the worker count.
     let g = rmat_graph();
-    let cfg = EngineConfig::default()
-        .with_direction(DirectionPolicy::FixedPush)
-        .with_frontier(FrontierRepr::List);
+    let cfg = EngineConfig::default().with_direction(DirectionPolicy::FixedPush);
     let serial = bfs::run(&g, 0, cfg.clone().with_exec(ExecMode::Serial)).expect("bfs");
     let frontier_edges: u64 = serial.report.log.records.iter().map(|r| r.degree_sum).sum();
     assert!(frontier_edges > 0, "trivial run proves nothing");
     assert_eq!(serial.report.edges_examined, frontier_edges);
     for threads in THREAD_COUNTS {
-        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-            let par =
-                bfs::run(&g, 0, cfg.clone().parallel(threads).with_frontier(repr)).expect("bfs");
-            assert_eq!(
-                par.report.edges_examined,
-                frontier_edges,
-                "{threads} threads ({}): grid push must examine each frontier edge exactly once",
-                repr.label()
-            );
-        }
+        let par = bfs::run(&g, 0, cfg.clone().parallel(threads)).expect("bfs");
+        assert_eq!(
+            par.report.edges_examined, frontier_edges,
+            "{threads} threads: grid push must examine each frontier edge exactly once"
+        );
     }
 }
 

@@ -184,18 +184,15 @@ proptest! {
         }
         let base = EngineConfig::unscaled().with_direction(DirectionPolicy::FixedPush);
         let serial = bfs::run(&g, 0, base.clone().with_exec(ExecMode::Serial)).expect("serial bfs");
-        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-            let par = bfs::run(&g, 0, base.clone().parallel(3).with_frontier(repr))
-                .expect("parallel bfs");
-            prop_assert_eq!(&par.meta, &serial.meta);
-            prop_assert_eq!(&par.report.log, &serial.report.log);
-            prop_assert_eq!(&par.report.stats, &serial.report.stats);
-            prop_assert_eq!(par.report.edges_examined, serial.report.edges_examined);
-        }
+        let par = bfs::run(&g, 0, base.parallel(3)).expect("parallel bfs");
+        prop_assert_eq!(&par.meta, &serial.meta);
+        prop_assert_eq!(&par.report.log, &serial.report.log);
+        prop_assert_eq!(&par.report.stats, &serial.report.stats);
+        prop_assert_eq!(par.report.edges_examined, serial.report.edges_examined);
     }
 
     /// The engine's BFS equals the sequential reference on arbitrary
-    /// graphs under every filter policy and frontier representation.
+    /// graphs under every filter policy.
     #[test]
     fn engine_bfs_equals_reference((n, edges) in arb_edges(48, 150)) {
         let g = Graph::directed_from_edges(EdgeList::from_pairs(
@@ -206,15 +203,8 @@ proptest! {
         }
         let expected = reference::bfs(g.out(), 0);
         for policy in [FilterPolicy::Jit, FilterPolicy::BallotOnly] {
-            for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-                let r = bfs::run(
-                    &g,
-                    0,
-                    EngineConfig::unscaled().with_filter(policy).with_frontier(repr),
-                )
-                .expect("bfs");
-                prop_assert_eq!(&r.meta, &expected);
-            }
+            let r = bfs::run(&g, 0, EngineConfig::unscaled().with_filter(policy)).expect("bfs");
+            prop_assert_eq!(&r.meta, &expected);
         }
     }
 
@@ -330,8 +320,7 @@ proptest! {
     /// Cancelling a *checkpointed* run at an arbitrary iteration and
     /// resuming from the handed-back snapshot is bit-equal to the
     /// uninterrupted run — metadata, activation log and simulated
-    /// cycles — on arbitrary graphs, across the {exec} × {frontier repr}
-    /// matrix.
+    /// cycles — on arbitrary graphs, in both exec modes.
     #[test]
     fn checkpointed_cancel_then_resume_is_bit_equal(
         (n, edges) in arb_edges(48, 150),
@@ -343,15 +332,8 @@ proptest! {
         if g.num_vertices() == 0 {
             return Ok(());
         }
-        let par = ExecMode::Parallel { threads: 3 };
-        let cells = [
-            (ExecMode::Serial, FrontierRepr::List),
-            (ExecMode::Serial, FrontierRepr::Bitmap),
-            (par, FrontierRepr::List),
-            (par, FrontierRepr::Bitmap),
-        ];
-        for (exec, repr) in cells {
-            let cfg = EngineConfig::unscaled().with_exec(exec).with_frontier(repr);
+        for exec in [ExecMode::Serial, ExecMode::Parallel { threads: 3 }] {
+            let cfg = EngineConfig::unscaled().with_exec(exec);
             let baseline = bfs::run(&g, 0, cfg.clone()).expect("fresh baseline");
             let runtime = Runtime::new(cfg).expect("runtime");
             let bound = runtime.bind(&g);
@@ -439,12 +421,8 @@ proptest! {
         if g.num_vertices() == 0 {
             return Ok(());
         }
-        let cells = [
-            (ExecMode::Serial, FrontierRepr::List),
-            (ExecMode::Parallel { threads: 2 }, FrontierRepr::Bitmap),
-        ];
-        for (exec, repr) in cells {
-            let cfg = EngineConfig::unscaled().with_exec(exec).with_frontier(repr);
+        for exec in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
+            let cfg = EngineConfig::unscaled().with_exec(exec);
             let baseline = bfs::run(&g, 0, cfg.clone()).expect("fresh baseline");
             let runtime = Runtime::new(cfg).expect("runtime");
             let bound = runtime.bind(&g);

@@ -2,13 +2,13 @@
 //! (`crates/core/README.md`): a reused [`BoundGraph`] must produce
 //! reports **bit-identical** to a fresh engine — identical final
 //! metadata (float bit patterns included), identical per-iteration
-//! activation logs and identical executor statistics — across the
-//! {exec mode} × {frontier repr} matrix, and [`BoundGraph::run_batch`]
-//! must match the per-query loop entry for entry.
+//! activation logs and identical executor statistics — in both exec
+//! modes, and [`BoundGraph::run_batch`] must match the per-query loop
+//! entry for entry.
 //!
 //! The baseline for every cell is a fresh runtime, bind and scratch per
-//! query, so any state leaking across reused-session queries (stale
-//! dirty stamps, undrained bitmaps, surviving thread bins) shows up as
+//! query, so any state leaking across reused-session queries
+//! (undrained bitmaps, surviving thread bins) shows up as
 //! a divergence pinned to the exact knob combination and query position
 //! that leaked. Query seeds deliberately repeat
 //! (`0, 7, 0`) so a leak from an identical earlier query cannot hide.
@@ -46,16 +46,9 @@ fn fingerprint<M: PartialEq + std::fmt::Debug>(r: RunResult<M>) -> Fingerprint<M
 /// across queries, exactly the cached state this suite exists to
 /// distrust.
 fn config_matrix() -> Vec<(String, EngineConfig)> {
-    let mut out = Vec::new();
-    for exec in [ExecMode::Serial, ExecMode::Parallel { threads: 3 }] {
-        for repr in [FrontierRepr::List, FrontierRepr::Bitmap] {
-            out.push((
-                format!("{}/{}", exec.label(), repr.label()),
-                EngineConfig::default().with_exec(exec).with_frontier(repr),
-            ));
-        }
-    }
-    out
+    [ExecMode::Serial, ExecMode::Parallel { threads: 3 }]
+        .map(|exec| (exec.label(), EngineConfig::default().with_exec(exec)))
+        .into()
 }
 
 /// The baseline: a fresh runtime, bind and scratch per query.

@@ -9,14 +9,19 @@
 //! not disturb it) and checks both the budget and the slope: a BFS
 //! from the end of a road strip runs twice the iterations of a BFS
 //! from its middle and may allocate only the activation log's extra
-//! doublings on top.
+//! doublings on top. The road strip only ever pushes through the
+//! online filter; a second case holds PageRank and BFS on a small
+//! R-MAT — vote pull, aggregation pull with its candidate bitmap, the
+//! ballot scan and both publish strategies — to the same budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use simdx::algos::Bfs;
+use simdx::algos::{Bfs, PageRank};
 use simdx::core::prelude::*;
-use simdx::graph::gen::Road;
+use simdx::core::FilterKind;
+use simdx::graph::csr::Direction;
+use simdx::graph::gen::{Rmat, Road};
 use simdx::graph::Graph;
 
 thread_local! {
@@ -66,10 +71,7 @@ fn warm_serial_queries_allocate_per_query_not_per_iteration() {
     let (width, height) = (64, 16);
     let g = Graph::undirected_from_edges(Road::strip(width, height).generate(5));
     let mid = (height / 2) * width + width / 2;
-    let cfg = EngineConfig::default()
-        .with_exec(ExecMode::Serial)
-        .with_frontier(FrontierRepr::List);
-    let runtime = Runtime::new(cfg).expect("runtime");
+    let runtime = Runtime::new(EngineConfig::default()).expect("runtime");
     let bound = runtime.bind(&g);
     // Warm the arena on both queries (the central source fans out in
     // two directions and fills more bins), twice, so every buffer has
@@ -104,4 +106,58 @@ fn warm_serial_queries_allocate_per_query_not_per_iteration() {
     // And the count is a property of the query, not of its position.
     assert_eq!(again_allocs, far_allocs);
     assert_eq!(again.meta, far.meta);
+}
+
+#[test]
+fn warm_rmat_queries_allocate_nothing_per_pull_or_ballot_iteration() {
+    let g = Graph::directed_from_edges(Rmat::gtgraph(11, 8).generate(5));
+    // A 4-entry bin threshold overflows into the ballot filter on a
+    // graph this small (as in `golden_reports`).
+    let cfg = EngineConfig::default().with_overflow_threshold(4);
+    let runtime = Runtime::new(cfg).expect("runtime");
+    let bound = runtime.bind(&g);
+    // The same program at two tolerances: the fine one runs several
+    // times the iterations of the coarse one over the same arena.
+    let coarse = PageRank::with_params(&g, 0.85, 1e-3);
+    let fine = PageRank::with_params(&g, 0.85, 1e-7);
+    for _ in 0..2 {
+        bound.run(Bfs::new(0)).execute().expect("warm-up");
+        bound.run(&coarse).execute().expect("warm-up");
+        bound.run(&fine).execute().expect("warm-up");
+    }
+
+    let (bfs, bfs_allocs) = allocations_during(|| bound.run(Bfs::new(0)).execute().expect("bfs"));
+    let (short, short_allocs) = allocations_during(|| bound.run(&coarse).execute().expect("pr"));
+    let (long, long_allocs) = allocations_during(|| bound.run(&fine).execute().expect("pr"));
+    let (_, again_allocs) = allocations_during(|| bound.run(Bfs::new(0)).execute().expect("bfs"));
+
+    let count = |r: &RunReport, dir, filter| {
+        let records = r.log.records.iter();
+        records
+            .filter(|x| x.direction == dir && x.filter == filter)
+            .count()
+    };
+    // The paths under test did run: vote pull and aggregation pull,
+    // each under both filters.
+    assert!(count(&bfs.report, Direction::Pull, FilterKind::Ballot) >= 2);
+    assert!(count(&bfs.report, Direction::Pull, FilterKind::Online) >= 2);
+    assert!(count(&long.report, Direction::Pull, FilterKind::Ballot) >= 10);
+    assert!(count(&long.report, Direction::Pull, FilterKind::Online) >= 10);
+    let (long_iters, short_iters) = (long.report.iterations, short.report.iterations);
+    assert!(
+        long_iters >= short_iters + 30,
+        "the two PageRank runs must differ by many iterations ({long_iters} vs {short_iters})"
+    );
+    assert!(bfs_allocs <= 32, "{bfs_allocs} allocations in a warm BFS");
+    assert_eq!(again_allocs, bfs_allocs);
+    assert!(
+        long_allocs <= 32,
+        "{long_allocs} allocations in a {long_iters}-iteration warm PageRank"
+    );
+    // Thirty-odd extra pull iterations may cost only the activation
+    // log's extra capacity doublings.
+    assert!(
+        long_allocs.abs_diff(short_allocs) <= 5,
+        "{long_iters} iterations took {long_allocs} allocations, {short_iters} took {short_allocs}"
+    );
 }
