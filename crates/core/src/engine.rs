@@ -1,18 +1,27 @@
 //! The SIMD-X BSP engine (Fig. 4(b)).
 //!
-//! Each iteration:
+//! [`Engine::run_session`] is the driver: [`Run::init`] starts from
+//! the caller's checkpoint slot or from `program.init`, and each
+//! iteration is a sequence of phases over that one [`Run`] —
+//! [`Run::capture`] (armed runs: overwrite the slot with this
+//! boundary), [`Run::limits`] (iteration cap, supervision boundary),
+//! then the paper's steps:
 //!
-//! 1. decide the scan direction (program hint, then the frontier-volume
-//!    heuristic);
-//! 2. classify active tasks into small/med/large worklists (§4 step I);
-//! 3. run the Thread, Warp and CTA compute kernels over their lists
-//!    (§4 step II), performing real Compute/Combine/apply work while the
-//!    online filter records updated vertices into bounded thread bins;
-//! 4. pass the software global barrier (fused modes);
-//! 5. task management: concatenate bins (online) or ballot-scan the
-//!    metadata (ballot), under JIT control;
-//! 6. barrier again, publish `metadata_prev`, loop until the frontier
-//!    is empty or the program reports convergence.
+//! 1. [`Run::direction`] decides the scan direction (program hint, then
+//!    the frontier-volume heuristic);
+//! 2. [`Run::worklists`] classifies active tasks into small/med/large
+//!    worklists (§4 step I);
+//! 3. [`Run::compute`] runs the Thread, Warp and CTA compute kernels
+//!    over their lists (§4 step II), performing real
+//!    Compute/Combine/apply work while the online filter records
+//!    updated vertices into bounded thread bins,
+//! 4. and passes the software global barrier (fused modes);
+//! 5. [`Run::filter`] is task management: concatenate bins (online) or
+//!    ballot-scan the metadata (ballot), under JIT control, and the
+//!    barrier again;
+//! 6. [`Run::publish`] publishes `metadata_prev` and logs the
+//!    iteration; loop until the frontier is empty or the program
+//!    reports convergence.
 //!
 //! All metadata updates are performed exactly (the result is bit-equal
 //! to a sequential reference); the executor charges simulated cycles for
@@ -21,10 +30,10 @@
 //! # Host execution backends
 //!
 //! [`crate::config::ExecMode`] selects how the *host* computes an
-//! iteration. `Serial`
-//! is the single-threaded reference; `Parallel` distributes every hot
-//! step over a persistent [`WorkerPool`] while producing **bit-equal
-//! reports** — identical metadata, logs and simulated cycle counts. The
+//! iteration. `Serial` is the single-threaded reference; `Parallel`
+//! hands the run a [`BoundPool`] and distributes every hot step over
+//! its persistent [`WorkerPool`] while producing **bit-equal reports**
+//! — identical metadata, logs and simulated cycle counts. The
 //! strategies (documented in `crates/core/README.md`):
 //!
 //! * *Push compute is destination-sharded.* Each worker owns a
@@ -93,15 +102,17 @@
 //! candidate into its worklist as it finds it.
 
 use crate::acc::{AccProgram, CombineKind, DirectionCtx};
-use crate::checkpoint::RunCheckpoint;
+use crate::checkpoint::{RunCheckpoint, RunState};
 use crate::config::{DirectionPolicy, EngineConfig};
 use crate::error::SimdxError;
 use crate::fault::{self, FaultSite};
 use crate::filters::{ballot, online, FilterKind};
-use crate::frontier::{ChangedSet, ChangedView, ThreadBins, Worklists, WORD_BITS};
+use crate::frontier::{
+    ChangedSet, ChangedView, ClassifyThresholds, ThreadBins, Worklists, WORD_BITS,
+};
 use crate::fusion::{FusionPlan, KernelRole};
 use crate::grid::{GridCsr, ShardCsr};
-use crate::jit::{ActivationLog, IterationRecord, JitController};
+use crate::jit::{IterationRecord, JitController};
 use crate::metrics::{RunReport, RunResult};
 use crate::par::{chunk_range, chunk_range_aligned, WorkerPool};
 use crate::scratch::{IterScratch, PushFences, RecordEntry, WorkerScratch};
@@ -110,25 +121,30 @@ use simdx_gpu::{Cost, GpuExecutor, KernelCharge, SchedUnit, WARP_SIZE};
 use simdx_graph::csr::{Csr, Direction};
 use simdx_graph::{Graph, VertexId, Weight};
 
+/// The `ExecMode::Parallel` backend of one run: a worker pool checked
+/// out for the query plus the bind-time artifacts its push kernel
+/// shards over. `Runtime::bind` computes the fences and the grid for
+/// every parallel runtime, so a run has all three or runs serially.
+#[derive(Clone, Copy)]
+pub(crate) struct BoundPool<'a> {
+    pub pool: &'a WorkerPool,
+    /// Destination-shard fences over `metadata_curr`.
+    pub fences: &'a PushFences,
+    /// Destination-bucketed grid CSR over those fences.
+    pub grid: &'a GridCsr,
+}
+
 /// Borrowed per-run resources handed to [`Engine::run_session`].
 ///
 /// The session API ([`crate::session::BoundGraph`]) owns these across
 /// queries — the pool outlives runs, the scratch arenas are reused, the
 /// push fences and grid are computed once at bind time.
 pub(crate) struct SessionCtx<'a, 'o, M: Copy + 'static> {
-    /// Worker pool backing `ExecMode::Parallel` (`None` = serial path).
-    pub pool: Option<&'a WorkerPool>,
-    /// Reusable scratch arenas; worker slots must match the pool width.
+    /// The parallel backend (`None` = serial path).
+    pub pool: Option<BoundPool<'a>>,
+    /// Reusable scratch arenas, with at least one worker slot per pool
+    /// thread.
     pub scratch: &'a mut IterScratch<M>,
-    /// Bind-time destination-shard fences for parallel push. Must be
-    /// `Some` whenever `pool` is — `Runtime::bind` computes them for
-    /// every parallel runtime, so a parallel run never derives them
-    /// mid-query. Serial runs carry `None` (never read).
-    pub fences: Option<&'a PushFences>,
-    /// Bind-time destination-bucketed grid CSR over those fences. Must
-    /// be `Some` whenever `pool` is — again precomputed by
-    /// `Runtime::bind`. Serial runs carry `None` (never read).
-    pub grid: Option<&'a GridCsr>,
     /// Per-run iteration cap (the run builder can override the
     /// config's).
     pub max_iterations: u32,
@@ -139,55 +155,120 @@ pub(crate) struct SessionCtx<'a, 'o, M: Copy + 'static> {
     /// unlimited supervisor makes every check a cheap early-out, so
     /// unsupervised runs pay nothing measurable.
     pub supervisor: &'a Supervisor,
-    /// Checkpoint slot: when `Some`, the engine overwrites the slot
-    /// with a boundary snapshot at the top of every iteration. The
-    /// slot lives in the *caller's* frame, outside any panic guard, so
-    /// the last snapshot survives a contained worker panic.
+    /// The caller's checkpoint slot (`None` = unarmed), see
+    /// [`crate::checkpoint`]: occupied at entry means "continue from
+    /// this boundary", and the top of every iteration overwrites it in
+    /// place.
     pub checkpoint: Option<&'a mut Option<RunCheckpoint<M>>>,
-    /// Resume state: when `Some`, initialization restores this
-    /// snapshot instead of calling `program.init`, and the run
-    /// continues bit-equally from its boundary.
-    pub resume: Option<RunCheckpoint<M>>,
 }
 
-/// The SIMD-X engine loop and its kernels, as associated functions
-/// over one ACC program type.
+/// The SIMD-X engine: the loop driver and the kernels, as associated
+/// functions over one ACC program type. The loop's phases are the
+/// methods of [`Run`].
 pub(crate) struct Engine<P>(std::marker::PhantomData<P>);
+
+/// One run in flight: the boundary record plus what a boundary does not
+/// need — the `metadata_prev` snapshot (equal to `state.meta` whenever
+/// no iteration is in progress), the simulated device, and the session
+/// resources the phases borrow.
+struct Run<'a, 'o, P: AccProgram> {
+    program: &'a P,
+    graph: &'a Graph,
+    config: &'a EngineConfig,
+    ctx: SessionCtx<'a, 'o, P::Meta>,
+    /// Pool width; 1 on the serial path.
+    threads: usize,
+    executor: GpuExecutor,
+    plan: FusionPlan,
+    jit: JitController,
+    /// `state.meta` is `metadata_curr`.
+    state: RunState<P::Meta>,
+    prev: Vec<P::Meta>,
+}
+
+/// What [`Run::direction`] decides for one iteration and the later
+/// phases read.
+struct IterFacts {
+    dir: Direction,
+    degree_sum: u64,
+    /// Simulated cycles at the top of the iteration.
+    cycles_before: u64,
+}
 
 impl<P: AccProgram> Engine<P> {
     /// One engine run over borrowed session resources — the core of the
-    /// session API's [`crate::session::RunBuilder::execute`].
+    /// session API's [`crate::session::RunBuilder::execute`]; the
+    /// module docs walk through the phases.
     pub(crate) fn run_session(
         program: &P,
         graph: &Graph,
         config: &EngineConfig,
         ctx: SessionCtx<'_, '_, P::Meta>,
     ) -> Result<RunResult<P::Meta>, SimdxError> {
-        let SessionCtx {
-            pool,
-            scratch,
-            fences: bound_fences,
-            grid: bound_grid,
-            max_iterations,
-            mut observer,
-            supervisor,
-            checkpoint: mut ckpt_slot,
-            resume,
-        } = ctx;
+        let mut run = Run::init(program, graph, config, ctx);
+        loop {
+            let (state, frontier_len) = (&run.state, run.state.frontier.len() as u64);
+            if frontier_len == 0 || program.converged(state.iteration, frontier_len, &state.meta) {
+                break;
+            }
+            // Capture comes *before* the limit and supervision checks,
+            // at every boundary including the first after a restore, so
+            // every abort that can fire this iteration — limit, cancel,
+            // deadline, budget, or a panic mid-sweep — leaves the slot
+            // resumable from here.
+            run.capture();
+            run.limits()?;
+            let it = run.direction()?;
+            run.worklists(&it)?;
+            run.compute(&it)?;
+            let filter = run.filter(&it)?;
+            run.publish(&it, filter);
+        }
+        let Run {
+            state,
+            executor,
+            ctx,
+            ..
+        } = run;
+        Ok(RunResult {
+            meta: state.meta,
+            report: RunReport {
+                algorithm: program.name().to_string(),
+                device: executor.device().name,
+                iterations: state.iteration,
+                elapsed_ms: executor.elapsed_ms(),
+                stats: executor.stats().clone(),
+                edges_examined: state.edges_examined,
+                log: state.log,
+                elapsed: ctx.supervisor.elapsed(),
+                aborted: None,
+                supervision_checks: ctx.supervisor.checks(),
+            },
+        })
+    }
+}
+
+impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
+    /// Init-or-restore: the simulated device, a reset scratch arena and
+    /// the boundary record the run starts from — a copy of the caller's
+    /// slot's when that is occupied (so the continuation is bit-equal
+    /// to the uninterrupted run), else `program.init`'s.
+    fn init(
+        program: &'a P,
+        graph: &'a Graph,
+        config: &'a EngineConfig,
+        ctx: SessionCtx<'a, 'o, P::Meta>,
+    ) -> Self {
         let n = graph.num_vertices() as usize;
-        let num_edges = graph.num_edges();
         let mut executor = GpuExecutor::new(config.device.clone());
         executor.set_scale(config.parallelism_scale);
         let mut plan = FusionPlan::new(config.fusion, config.threads_per_cta);
-        let jit = JitController::new(config.filter);
-
-        // Host backend: the session's persistent pool; a resolved
-        // width of 1 falls back to the serial path outright.
-        let threads = pool.map_or(1, WorkerPool::threads);
+        let threads = ctx.pool.map_or(1, |bp| bp.pool.threads());
+        let scratch = &mut *ctx.scratch;
         // `>=`, not `==`: a serial degrade retry after a worker panic
-        // reuses the session's N-worker scratch with `pool == None`.
+        // reuses the session's N-worker scratch with no pool.
         debug_assert!(
-            scratch.workers.len() >= threads.max(1),
+            scratch.workers.len() >= threads,
             "scratch sized for a smaller worker count"
         );
         // Session-reuse invariant: a reused scratch must be logically
@@ -197,489 +278,477 @@ impl<P: AccProgram> Engine<P> {
         // cross-query state leakage).
         scratch.reset_for_run();
         scratch.debug_assert_clean();
+        debug_assert_eq!(
+            (
+                scratch.changed.num_vertices(),
+                scratch.cand_bits.num_vertices()
+            ),
+            (n, n),
+            "scratch arena sized for a different graph"
+        );
+        let state = match ctx.checkpoint.as_deref() {
+            Some(Some(cp)) => {
+                fault::hit(FaultSite::Restore);
+                // The execute path validated the slot against this
+                // graph and program before the attempt.
+                debug_assert_eq!(cp.num_vertices() as usize, n);
+                let state = cp.restore();
+                executor.restore_stats(state.stats.clone());
+                plan.restore_launch_state(state.fusion.0, state.fusion.1);
+                state
+            }
+            _ => {
+                let (meta, frontier) = program.init(graph);
+                assert_eq!(meta.len(), n, "init must produce one metadata per vertex");
+                RunState::new(meta, frontier)
+            }
+        };
+        Run {
+            program,
+            graph,
+            config,
+            ctx,
+            threads,
+            executor,
+            plan,
+            jit: JitController::new(config.filter),
+            prev: state.meta.clone(),
+            state,
+        }
+    }
+
+    /// Boundary capture (armed runs only): syncs the executor's
+    /// counters and the plan's launch residency into the record, then
+    /// overwrites the caller's slot with a copy of it. After the first
+    /// capture this reuses the slot's buffers — a few memcpys, and an
+    /// allocator call only when the frontier or the activation log
+    /// outgrows the capacity it doubled to last time.
+    fn capture(&mut self) {
+        let Some(slot) = self.ctx.checkpoint.as_deref_mut() else {
+            return;
+        };
+        fault::hit(FaultSite::Capture);
+        self.state.stats.clone_from(self.executor.stats());
+        self.state.fusion = self.plan.launch_state();
+        RunCheckpoint::capture(slot, self.program.name(), &self.state);
+    }
+
+    /// The iteration cap, then the supervision boundary: the full check
+    /// (token, deadline, simulated-cycle budget) runs once per
+    /// iteration, here; the in-sweep polls only watch the token and
+    /// deadline.
+    fn limits(&self) -> Result<(), SimdxError> {
+        let (state, sup) = (&self.state, self.ctx.supervisor);
+        let max_iterations = self.ctx.max_iterations;
+        if state.iteration >= max_iterations {
+            return Err(SimdxError::IterationLimit { max_iterations });
+        }
+        match sup.check_boundary(self.executor.stats().total_cycles) {
+            Some(reason) => Err(sup.abort_error(reason, state.iteration, state.edges_examined)),
+            None => Ok(()),
+        }
+    }
+
+    /// Step 1: the frontier's out-degree volume, then the program's
+    /// hint or the heuristic.
+    fn direction(&mut self) -> Result<IterFacts, SimdxError> {
+        let (state, threads) = (&self.state, self.threads);
+        let out_csr = self.graph.out();
+        let frontier = &state.frontier;
+        let degree_sum: u64 = match self.ctx.pool {
+            None => frontier.iter().map(|&v| out_csr.degree(v) as u64).sum(),
+            Some(bp) => {
+                let workers = &mut self.ctx.scratch.workers;
+                bp.pool.try_for_each_worker(workers, |w, ws| {
+                    let (lo, hi) = chunk_range(frontier.len(), threads, w);
+                    ws.degree_sum = frontier[lo..hi]
+                        .iter()
+                        .map(|&v| out_csr.degree(v) as u64)
+                        .sum();
+                })?;
+                workers.iter().map(|ws| ws.degree_sum).sum()
+            }
+        };
+        let ctx = DirectionCtx {
+            iteration: state.iteration,
+            frontier_len: frontier.len() as u64,
+            frontier_degree_sum: degree_sum,
+            num_vertices: self.graph.num_vertices() as u64,
+            num_edges: self.graph.num_edges(),
+            previous: state.prev_dir,
+        };
+        let dir = self
+            .program
+            .direction(&ctx)
+            .unwrap_or_else(|| Engine::heuristic_direction(self.program, self.config, &ctx));
+        Ok(IterFacts {
+            dir,
+            degree_sum,
+            cycles_before: self.executor.stats().total_cycles,
+        })
+    }
+
+    /// Step 2. Push mode expands the frontier itself; pull mode
+    /// recomputes every candidate vertex.
+    fn worklists(&mut self, it: &IterFacts) -> Result<(), SimdxError> {
+        let (program, pool, threads) = (self.program, self.ctx.pool, self.threads);
+        let thresholds = self.config.thresholds;
         let IterScratch {
             lists,
             cands,
             charge,
-            applied,
-            changed,
             cand_bits,
-            records,
-            bins,
-            next,
             workers,
-        } = scratch;
-
-        debug_assert_eq!(
-            (changed.num_vertices(), cand_bits.num_vertices()),
-            (n, n),
-            "scratch arena sized for a different graph"
-        );
-
-        // Fresh runs initialize from the program; resumed runs restore
-        // the boundary snapshot verbatim — metadata, frontier, log,
-        // simulated-cycle counters and fusion launch residency — so the
-        // continuation is bit-equal to the uninterrupted run.
-        let (mut curr, mut frontier, mut log, mut prev_dir, mut iteration, init_edges) =
-            match resume {
-                Some(cp) => {
-                    fault::hit(FaultSite::Restore);
-                    debug_assert_eq!(
-                        cp.num_vertices as usize, n,
-                        "resume validated against the wrong graph"
-                    );
-                    executor.restore_stats(cp.stats);
-                    plan.restore_launch_state(cp.fusion.0, cp.fusion.1);
-                    (
-                        cp.meta,
-                        cp.frontier,
-                        cp.log,
-                        cp.prev_dir,
-                        cp.iteration,
-                        cp.edges_examined,
-                    )
-                }
-                None => {
-                    let (init_meta, frontier) = program.init(graph);
-                    assert_eq!(
-                        init_meta.len(),
-                        n,
-                        "init must produce one metadata per vertex"
-                    );
-                    (
-                        init_meta,
-                        frontier,
-                        ActivationLog::default(),
-                        Direction::Push,
-                        0u32,
-                        0u64,
-                    )
-                }
-            };
-        // At a boundary `prev == curr` (the publish step just ran), so
-        // one snapshot copy restores both arrays on resume.
-        let mut prev = curr.clone();
-        // Host work meter: every edge the compute kernels actually
-        // traverse (push scatters, pull gathers). Deliberately outside
-        // the bit-equality contract — it is how the tests pin the
-        // grid push replay's work-optimality. A resumed run continues
-        // the checkpoint's meter so the final report matches the
-        // uninterrupted run.
-        let mut edges_examined = init_edges;
-
-        loop {
-            let frontier_len = frontier.len() as u64;
-            if frontier_len == 0 || program.converged(iteration, frontier_len, &curr) {
-                break;
+            ..
+        } = &mut *self.ctx.scratch;
+        let (frontier, curr) = (&self.state.frontier, self.state.meta.as_slice());
+        let scan_csr = self.graph.csr(it.dir);
+        if it.dir == Direction::Push {
+            match pool {
+                None => lists.classify_into(frontier, scan_csr, thresholds),
+                Some(bp) => Engine::<P>::classify_parallel(
+                    bp.pool, threads, workers, lists, frontier, scan_csr, thresholds,
+                )?,
             }
-            // Boundary capture: overwrite the caller's slot with a
-            // complete snapshot of this iteration's start. Placed
-            // *before* the iteration-limit check and the supervision
-            // boundary so every abort that can fire this iteration —
-            // limit, cancel, deadline, budget, or a panic mid-sweep —
-            // leaves the slot resumable.
-            if let Some(slot) = ckpt_slot.as_deref_mut() {
-                fault::hit(FaultSite::Capture);
-                match slot {
-                    // Steady state: overwrite last iteration's snapshot
-                    // in place, reusing its metadata / frontier / log
-                    // allocations — captures after the first cost a few
-                    // memcpys, no allocator traffic.
-                    Some(cp) if cp.meta.len() == curr.len() => {
-                        cp.meta.copy_from_slice(&curr);
-                        cp.frontier.clone_from(&frontier);
-                        cp.log.clone_from(&log);
-                        cp.prev_dir = prev_dir;
-                        cp.iteration = iteration;
-                        cp.edges_examined = edges_examined;
-                        cp.stats = executor.stats().clone();
-                        cp.fusion = plan.launch_state();
-                    }
-                    _ => {
-                        *slot = Some(RunCheckpoint {
-                            algorithm: program.name().to_string(),
-                            num_vertices: n as u32,
-                            meta: curr.clone(),
-                            frontier: frontier.clone(),
-                            log: log.clone(),
-                            prev_dir,
-                            iteration,
-                            edges_examined,
-                            stats: executor.stats().clone(),
-                            fusion: plan.launch_state(),
+            return Ok(());
+        }
+        let n = curr.len();
+        let k = self.plan.kernel(it.dir, KernelRole::TaskMgmt);
+        match program.combine_kind() {
+            // Voting programs sweep every candidate (bottom-up BFS
+            // scans all unvisited vertices and terminates each scan
+            // early).
+            CombineKind::Vote => {
+                // One sweep finds and classifies: each candidate goes
+                // straight into its worklist, no candidate list in
+                // between.
+                match pool {
+                    None => {
+                        lists.clear();
+                        Engine::vote_candidates(program, curr, 0, n, |v| {
+                            lists.classify_one(v, scan_csr, thresholds)
                         });
                     }
-                }
-            }
-            if iteration >= max_iterations {
-                return Err(SimdxError::IterationLimit { max_iterations });
-            }
-            let cycles_before = executor.stats().total_cycles;
-            // Supervision boundary: the cheap full check (token,
-            // deadline, simulated-cycle budget) runs once per
-            // iteration; the in-sweep polls below only watch the
-            // token and deadline.
-            if let Some(reason) = supervisor.check_boundary(cycles_before) {
-                return Err(supervisor.abort_error(reason, iteration, edges_examined));
-            }
-
-            // 1. Direction.
-            let out_csr = graph.out();
-            let degree_sum: u64 = match pool {
-                None => frontier.iter().map(|&v| out_csr.degree(v) as u64).sum(),
-                Some(pool) => {
-                    let frontier = &frontier;
-                    pool.try_for_each_worker(workers, |w, ws| {
-                        let (lo, hi) = chunk_range(frontier.len(), threads, w);
-                        ws.degree_sum = frontier[lo..hi]
-                            .iter()
-                            .map(|&v| out_csr.degree(v) as u64)
-                            .sum();
-                    })?;
-                    workers.iter().map(|ws| ws.degree_sum).sum()
-                }
-            };
-            let ctx = DirectionCtx {
-                iteration,
-                frontier_len,
-                frontier_degree_sum: degree_sum,
-                num_vertices: n as u64,
-                num_edges,
-                previous: prev_dir,
-            };
-            let dir = program
-                .direction(&ctx)
-                .unwrap_or_else(|| Self::heuristic_direction(program, config, &ctx));
-            let scan_csr = graph.csr(dir);
-
-            // 2. Worklists. Pull mode recomputes every candidate vertex;
-            // push mode expands the frontier itself.
-            let frontier_sorted = log
-                .records
-                .last()
-                .is_none_or(|r| r.filter == FilterKind::Ballot);
-            match dir {
-                Direction::Push => match pool {
-                    None => lists.classify_into(&frontier, scan_csr, config.thresholds),
-                    Some(pool) => Self::classify_parallel(
-                        pool, threads, workers, lists, &frontier, scan_csr, config,
-                    )?,
-                },
-                Direction::Pull => {
-                    // Voting programs sweep every candidate (bottom-up
-                    // BFS scans all unvisited vertices and terminates
-                    // each scan early). Aggregation programs must visit
-                    // every in-edge of a recomputed vertex, so task
-                    // management restricts recomputation to vertices
-                    // with at least one active in-neighbor — a skipped
-                    // vertex would recompute its existing value.
-                    let thresholds = config.thresholds;
-                    let k = plan.kernel(dir, KernelRole::TaskMgmt);
-                    match program.combine_kind() {
-                        CombineKind::Vote => {
-                            // One sweep finds and classifies: each
-                            // candidate goes straight into its
-                            // worklist, no candidate list in between.
-                            match pool {
-                                None => {
-                                    lists.clear();
-                                    Self::vote_candidates(program, &curr, 0, n, |v| {
-                                        lists.classify_one(v, scan_csr, thresholds)
-                                    });
-                                }
-                                Some(pool) => {
-                                    // Partition on chunk boundaries so
-                                    // no worker's fixed-width sweep
-                                    // splits a chunk (merged chunks in
-                                    // worker order are the serial
-                                    // order either way).
-                                    let curr = curr.as_slice();
-                                    pool.try_for_each_worker(workers, |w, ws| {
-                                        ws.lists.clear();
-                                        let (lo, hi) =
-                                            chunk_range_aligned(n, threads, w, WARP_SIZE);
-                                        Self::vote_candidates(program, curr, lo, hi, |v| {
-                                            ws.lists.classify_one(v, scan_csr, thresholds)
-                                        });
-                                    })?;
-                                    lists.clear();
-                                    for ws in workers.iter() {
-                                        lists.append(&ws.lists);
-                                    }
-                                }
-                            }
-                            // Candidate scan: a coalesced metadata sweep
-                            // of |V| / 32 identical warp tasks, charged
-                            // in closed form.
-                            let chunks = n.div_ceil(WARP_SIZE);
-                            executor.begin(charge, k, SchedUnit::Warp, chunks);
-                            charge.uniform(&Self::vote_scan_cost(), chunks as u64);
-                            executor.commit(charge, false);
-                        }
-                        CombineKind::Aggregation => {
-                            cands.clear();
-                            // One mark task per frontier entry, charged
-                            // as the sweep visits it.
-                            executor.begin(charge, k, SchedUnit::Warp, frontier_len as usize);
-                            // Candidate dedup is a bit test, and
-                            // draining the bitmap yields the sorted
-                            // candidate list with no sort.
-                            match pool {
-                                None => {
-                                    for &v in &frontier {
-                                        let nbrs = out_csr.neighbors(v);
-                                        for &u in nbrs {
-                                            if !cand_bits.test(u)
-                                                && program.pull_candidate(u, &curr[u as usize])
-                                            {
-                                                cand_bits.set(u);
-                                            }
-                                        }
-                                        charge.task(&Self::mark_cost(nbrs.len()));
-                                    }
-                                }
-                                Some(pool) => {
-                                    let curr = curr.as_slice();
-                                    let frontier = &frontier;
-                                    let whole = &*charge;
-                                    pool.try_for_each_worker(workers, |w, ws| {
-                                        ws.cands.clear();
-                                        let (lo, hi) = chunk_range(frontier.len(), threads, w);
-                                        ws.charge.begin_part(whole, lo);
-                                        for &v in &frontier[lo..hi] {
-                                            let nbrs = out_csr.neighbors(v);
-                                            for &u in nbrs {
-                                                if program.pull_candidate(u, &curr[u as usize]) {
-                                                    ws.cands.push(u);
-                                                }
-                                            }
-                                            ws.charge.task(&Self::mark_cost(nbrs.len()));
-                                        }
-                                    })?;
-                                    // Workers may discover the same
-                                    // candidate from different frontier
-                                    // chunks; merging through the
-                                    // bitmap reproduces the serial
-                                    // deduplicated set.
-                                    for ws in workers.iter() {
-                                        for &u in &ws.cands {
-                                            cand_bits.set(u);
-                                        }
-                                        charge.absorb(&ws.charge);
-                                    }
-                                }
-                            }
-                            cand_bits.drain_into(cands);
-                            executor.commit(charge, false);
-                            match pool {
-                                None => lists.classify_into(cands, scan_csr, thresholds),
-                                Some(pool) => Self::classify_parallel(
-                                    pool, threads, workers, lists, cands, scan_csr, config,
-                                )?,
-                            }
-                        }
-                    }
-                }
-            };
-
-            // 3. Thread bins for the online filter, sized by the Thread
-            // kernel's (scaled) slot count; the bins (and their inner
-            // allocations) persist across iterations.
-            let thread_kernel = plan.kernel(dir, KernelRole::Compute(SchedUnit::Thread));
-            let bin_count = executor.slots_for(thread_kernel, SchedUnit::Thread) as usize;
-            bins.reset_to(bin_count, config.overflow_threshold);
-            let record = jit.records_bins();
-
-            // 4. Compute kernels over the three worklists, each charged
-            // as its sweep runs: one task per list entry.
-            let mut task_base = 0u64;
-            for unit in [SchedUnit::Thread, SchedUnit::Warp, SchedUnit::Cta] {
-                let list = lists.list(unit);
-                let launch = plan.needs_launch(dir);
-                let kernel = plan.kernel(dir, KernelRole::Compute(unit));
-                let width = unit.threads(config.threads_per_cta) as u64;
-                executor.begin(charge, kernel, unit, list.len());
-                match (pool, dir) {
-                    (None, _) => Self::serial_unit(
-                        program,
-                        dir,
-                        list,
-                        scan_csr,
-                        &prev,
-                        &mut curr,
-                        bins,
-                        &mut changed.view(),
-                        charge,
-                        record,
-                        width,
-                        task_base,
-                        frontier_sorted,
-                        &mut edges_examined,
-                        supervisor,
-                    ),
-                    (Some(pool), Direction::Push) => {
-                        // Bind time installs the fences and the grid
-                        // for every parallel runtime; a missing pair
-                        // means the config and the bound state
-                        // diverged.
-                        let (Some(fences), Some(grid)) = (bound_fences, bound_grid) else {
-                            return Err(SimdxError::InvalidConfig {
-                                reason: "parallel push run is missing its bind-time fences or \
-                                         grid CSR"
-                                    .to_string(),
+                    Some(bp) => {
+                        // Partition on chunk boundaries so no worker's
+                        // fixed-width sweep splits a chunk (merged
+                        // chunks in worker order are the serial order
+                        // either way).
+                        bp.pool.try_for_each_worker(workers, |w, ws| {
+                            ws.lists.clear();
+                            let (lo, hi) = chunk_range_aligned(n, threads, w, WARP_SIZE);
+                            Engine::vote_candidates(program, curr, lo, hi, |v| {
+                                ws.lists.classify_one(v, scan_csr, thresholds)
                             });
-                        };
-                        Self::push_unit_parallel_grid(
-                            program, pool, workers, list, grid, &prev, &mut curr, fences, changed,
-                            records, bins, record, width, task_base, supervisor,
-                        )?;
-                        Self::push_charge(
-                            workers,
-                            list,
-                            scan_csr,
-                            applied,
-                            charge,
-                            width,
-                            frontier_sorted,
-                            &mut edges_examined,
-                        );
+                        })?;
+                        lists.clear();
+                        for ws in workers.iter() {
+                            lists.append(&ws.lists);
+                        }
                     }
-                    (Some(pool), Direction::Pull) => Self::pull_unit_parallel(
-                        program,
-                        pool,
-                        threads,
+                }
+                // Candidate scan: a coalesced metadata sweep of
+                // |V| / 32 identical warp tasks, charged in closed
+                // form.
+                let chunks = n.div_ceil(WARP_SIZE);
+                self.executor.begin(charge, k, SchedUnit::Warp, chunks);
+                charge.uniform(&Engine::<P>::vote_scan_cost(), chunks as u64);
+                self.executor.commit(charge, false);
+                Ok(())
+            }
+            // Aggregation programs must visit every in-edge of a
+            // recomputed vertex, so task management restricts
+            // recomputation to vertices with at least one active
+            // in-neighbor — a skipped vertex would recompute its
+            // existing value.
+            CombineKind::Aggregation => {
+                let out_csr = self.graph.out();
+                cands.clear();
+                // One mark task per frontier entry, charged as the
+                // sweep visits it.
+                self.executor
+                    .begin(charge, k, SchedUnit::Warp, frontier.len());
+                // Candidate dedup is a bit test, and draining the
+                // bitmap yields the sorted candidate list with no sort.
+                match pool {
+                    None => {
+                        for &v in frontier {
+                            let nbrs = out_csr.neighbors(v);
+                            for &u in nbrs {
+                                if !cand_bits.test(u)
+                                    && program.pull_candidate(u, &curr[u as usize])
+                                {
+                                    cand_bits.set(u);
+                                }
+                            }
+                            charge.task(&Engine::<P>::mark_cost(nbrs.len()));
+                        }
+                    }
+                    Some(bp) => {
+                        let whole = &*charge;
+                        bp.pool.try_for_each_worker(workers, |w, ws| {
+                            ws.cands.clear();
+                            let (lo, hi) = chunk_range(frontier.len(), threads, w);
+                            ws.charge.begin_part(whole, lo);
+                            for &v in &frontier[lo..hi] {
+                                let nbrs = out_csr.neighbors(v);
+                                for &u in nbrs {
+                                    if program.pull_candidate(u, &curr[u as usize]) {
+                                        ws.cands.push(u);
+                                    }
+                                }
+                                ws.charge.task(&Engine::<P>::mark_cost(nbrs.len()));
+                            }
+                        })?;
+                        // Workers may discover the same candidate from
+                        // different frontier chunks; merging through
+                        // the bitmap reproduces the serial
+                        // deduplicated set.
+                        for ws in workers.iter() {
+                            for &u in &ws.cands {
+                                cand_bits.set(u);
+                            }
+                            charge.absorb(&ws.charge);
+                        }
+                    }
+                }
+                cand_bits.drain_into(cands);
+                self.executor.commit(charge, false);
+                match pool {
+                    None => lists.classify_into(cands, scan_csr, thresholds),
+                    Some(bp) => Engine::<P>::classify_parallel(
+                        bp.pool, threads, workers, lists, cands, scan_csr, thresholds,
+                    )?,
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Steps 3–4: the three compute kernels, each charged as its sweep
+    /// runs — one task per list entry — then the barrier.
+    fn compute(&mut self, it: &IterFacts) -> Result<(), SimdxError> {
+        let (program, dir, config) = (self.program, it.dir, self.config);
+        let (sup, prev) = (self.ctx.supervisor, self.prev.as_slice());
+        let RunState {
+            meta: curr,
+            edges_examined,
+            iteration,
+            log,
+            ..
+        } = &mut self.state;
+        let IterScratch {
+            lists,
+            charge,
+            applied,
+            changed,
+            records,
+            bins,
+            workers,
+            ..
+        } = &mut *self.ctx.scratch;
+        let scan_csr = self.graph.csr(dir);
+        // An ascending frontier (the first one, or a ballot filter's):
+        // push tasks read their source coalesced.
+        let frontier_sorted = log
+            .records
+            .last()
+            .is_none_or(|r| r.filter == FilterKind::Ballot);
+        let record = self.jit.records_bins();
+        // Thread bins for the online filter, sized by the Thread
+        // kernel's (scaled) slot count; the bins (and their inner
+        // allocations) persist across iterations.
+        let thread_kernel = self
+            .plan
+            .kernel(dir, KernelRole::Compute(SchedUnit::Thread));
+        let bin_count = self.executor.slots_for(thread_kernel, SchedUnit::Thread) as usize;
+        bins.reset_to(bin_count, config.overflow_threshold);
+
+        let mut task_base = 0u64;
+        for unit in [SchedUnit::Thread, SchedUnit::Warp, SchedUnit::Cta] {
+            let list = lists.list(unit);
+            let launch = self.plan.needs_launch(dir);
+            let kernel = self.plan.kernel(dir, KernelRole::Compute(unit));
+            let width = unit.threads(config.threads_per_cta) as u64;
+            self.executor.begin(charge, kernel, unit, list.len());
+            match (self.ctx.pool, dir) {
+                (None, _) => Engine::serial_unit(
+                    program,
+                    dir,
+                    list,
+                    scan_csr,
+                    prev,
+                    curr,
+                    bins,
+                    &mut changed.view(),
+                    charge,
+                    record,
+                    width,
+                    task_base,
+                    frontier_sorted,
+                    edges_examined,
+                    sup,
+                ),
+                (Some(bp), Direction::Push) => {
+                    Engine::push_unit_parallel_grid(
+                        program, bp.pool, workers, list, bp.grid, prev, curr, bp.fences, changed,
+                        records, bins, record, width, task_base, sup,
+                    )?;
+                    Engine::<P>::push_charge(
                         workers,
                         list,
                         scan_csr,
-                        &prev,
-                        &mut curr,
-                        changed,
-                        bins,
+                        applied,
                         charge,
-                        record,
                         width,
-                        task_base,
-                        &mut edges_examined,
-                        supervisor,
-                    )?,
+                        frontier_sorted,
+                        edges_examined,
+                    );
                 }
-                executor.commit(charge, launch);
-                task_base += list.len() as u64;
+                (Some(bp), Direction::Pull) => Engine::pull_unit_parallel(
+                    program,
+                    bp.pool,
+                    self.threads,
+                    workers,
+                    list,
+                    scan_csr,
+                    prev,
+                    curr,
+                    changed,
+                    bins,
+                    charge,
+                    record,
+                    width,
+                    task_base,
+                    edges_examined,
+                    sup,
+                )?,
             }
-            if plan.uses_global_barrier() {
-                executor.charge_barrier();
-            }
-            // Second supervision boundary: the compute sweeps poll the
-            // token/deadline and bail out mid-list, so re-checking here
-            // turns an in-sweep trip into the typed abort before the
-            // filter stage consumes the partial bins. The cycle budget
-            // is *not* re-checked mid-iteration: budget aborts fire
-            // only at the top-of-iteration boundary, where the capture
-            // above just snapshotted, so a resumed run always clears
-            // the iteration it replays before the budget can re-trip.
-            if let Some(reason) = supervisor.check_mid_iteration() {
-                return Err(supervisor.abort_error(reason, iteration, edges_examined));
-            }
-
-            // 5. Task management under JIT control.
-            let decision = jit.decide(bins, iteration)?;
-            let tm_launch = plan.needs_launch(dir);
-            let tm_kernel = plan.kernel(dir, KernelRole::TaskMgmt);
-            match decision {
-                FilterKind::Online => {
-                    bins.concatenate_into(next);
-                    online::charge_concatenation(bins, &mut executor, tm_kernel, tm_launch, charge);
-                }
-                FilterKind::Ballot => {
-                    // One scan task per warp chunk of the metadata
-                    // arrays, charged as the chunk is scanned. Unless
-                    // the iteration was dense, the changed set is the
-                    // scan's occupancy: all-zero words (64 untouched
-                    // vertices) are charged without loading metadata.
-                    executor.begin(charge, tm_kernel, SchedUnit::Warp, n.div_ceil(WARP_SIZE));
-                    next.clear();
-                    let (curr, prev) = (curr.as_slice(), prev.as_slice());
-                    let occ = changed.sparse_occupancy();
-                    let scan = |lo, hi, active: &mut Vec<VertexId>, part: &mut KernelCharge| {
-                        fault::hit(FaultSite::Ballot);
-                        let mut sink = |c: Cost| part.task(&c);
-                        match occ {
-                            Some(occ) => ballot::scan_range_sparse(
-                                program, curr, prev, lo, hi, occ, active, &mut sink,
-                            ),
-                            None => ballot::scan_range_chunked(
-                                program, curr, prev, lo, hi, active, &mut sink,
-                            ),
-                        }
-                    };
-                    match pool {
-                        None => scan(0, n, next, charge),
-                        Some(pool) => {
-                            let whole = &*charge;
-                            // Partition on occupancy-word (64)
-                            // boundaries, so every worker's range
-                            // covers whole words and whole warp chunks.
-                            pool.try_for_each_worker(workers, |w, ws| {
-                                let (lo, hi) = chunk_range_aligned(n, threads, w, WORD_BITS);
-                                ws.active.clear();
-                                ws.charge.begin_part(whole, lo / WARP_SIZE);
-                                scan(lo, hi, &mut ws.active, &mut ws.charge);
-                            })?;
-                            for ws in workers.iter() {
-                                next.extend_from_slice(&ws.active);
-                                charge.absorb(&ws.charge);
-                            }
-                        }
-                    }
-                    executor.commit(charge, tm_launch);
-                }
-            };
-            if plan.uses_global_barrier() {
-                executor.charge_barrier();
-            }
-
-            // 6. Publish metadata_prev for the changed vertices.
-            changed.publish(&mut prev, &curr);
-
-            log.records.push(IterationRecord {
-                iteration,
-                direction: dir,
-                frontier_len: lists.len(),
-                degree_sum,
-                filter: decision,
-                overflowed: bins.overflowed(),
-                cycles: executor.stats().total_cycles - cycles_before,
-            });
-            if let (Some(obs), Some(rec)) = (observer.as_mut(), log.records.last()) {
-                obs(rec);
-            }
-
-            // The old frontier buffer becomes next iteration's output
-            // scratch (cleared before reuse) — no per-iteration frontier
-            // allocation.
-            std::mem::swap(&mut frontier, next);
-            prev_dir = dir;
-            iteration += 1;
+            self.executor.commit(charge, launch);
+            task_base += list.len() as u64;
         }
-
-        let elapsed_ms = executor.elapsed_ms();
-        Ok(RunResult {
-            meta: curr,
-            report: RunReport {
-                algorithm: program.name().to_string(),
-                device: executor.device().name,
-                iterations: iteration,
-                elapsed_ms,
-                stats: executor.stats().clone(),
-                edges_examined,
-                log,
-                elapsed: supervisor.elapsed(),
-                aborted: None,
-                supervision_checks: supervisor.checks(),
-            },
-        })
+        if self.plan.uses_global_barrier() {
+            self.executor.charge_barrier();
+        }
+        // Second supervision boundary: the compute sweeps poll the
+        // token/deadline and bail out mid-list, so re-checking here
+        // turns an in-sweep trip into the typed abort before the filter
+        // stage consumes the partial bins. The cycle budget is *not*
+        // re-checked mid-iteration: budget aborts fire only at the
+        // top-of-iteration boundary, where the capture just ran, so a
+        // resumed run always clears the iteration it replays before the
+        // budget can re-trip.
+        match sup.check_mid_iteration() {
+            Some(reason) => Err(sup.abort_error(reason, *iteration, *edges_examined)),
+            None => Ok(()),
+        }
     }
 
+    /// Step 5, into `scratch.next`; then the barrier again.
+    fn filter(&mut self, it: &IterFacts) -> Result<FilterKind, SimdxError> {
+        let (program, pool, threads) = (self.program, self.ctx.pool, self.threads);
+        let IterScratch {
+            charge,
+            changed,
+            bins,
+            next,
+            workers,
+            ..
+        } = &mut *self.ctx.scratch;
+        let decision = self.jit.decide(bins, self.state.iteration)?;
+        let tm_launch = self.plan.needs_launch(it.dir);
+        let tm_kernel = self.plan.kernel(it.dir, KernelRole::TaskMgmt);
+        match decision {
+            FilterKind::Online => {
+                bins.concatenate_into(next);
+                online::charge_concatenation(
+                    bins,
+                    &mut self.executor,
+                    tm_kernel,
+                    tm_launch,
+                    charge,
+                );
+            }
+            FilterKind::Ballot => {
+                // One scan task per warp chunk of the metadata arrays,
+                // charged as the chunk is scanned. Unless the iteration
+                // was dense, the changed set is the scan's occupancy:
+                // all-zero words (64 untouched vertices) are charged
+                // without loading metadata.
+                let (curr, prev) = (self.state.meta.as_slice(), self.prev.as_slice());
+                let n = curr.len();
+                self.executor
+                    .begin(charge, tm_kernel, SchedUnit::Warp, n.div_ceil(WARP_SIZE));
+                next.clear();
+                let occ = changed.sparse_occupancy();
+                let scan = |lo, hi, active: &mut Vec<VertexId>, part: &mut KernelCharge| {
+                    fault::hit(FaultSite::Ballot);
+                    let mut sink = |c: Cost| part.task(&c);
+                    match occ {
+                        Some(occ) => ballot::scan_range_sparse(
+                            program, curr, prev, lo, hi, occ, active, &mut sink,
+                        ),
+                        None => ballot::scan_range_chunked(
+                            program, curr, prev, lo, hi, active, &mut sink,
+                        ),
+                    }
+                };
+                match pool {
+                    None => scan(0, n, next, charge),
+                    Some(bp) => {
+                        let whole = &*charge;
+                        // Partition on occupancy-word (64) boundaries,
+                        // so every worker's range covers whole words
+                        // and whole warp chunks.
+                        bp.pool.try_for_each_worker(workers, |w, ws| {
+                            let (lo, hi) = chunk_range_aligned(n, threads, w, WORD_BITS);
+                            ws.active.clear();
+                            ws.charge.begin_part(whole, lo / WARP_SIZE);
+                            scan(lo, hi, &mut ws.active, &mut ws.charge);
+                        })?;
+                        for ws in workers.iter() {
+                            next.extend_from_slice(&ws.active);
+                            charge.absorb(&ws.charge);
+                        }
+                    }
+                }
+                self.executor.commit(charge, tm_launch);
+            }
+        };
+        if self.plan.uses_global_barrier() {
+            self.executor.charge_barrier();
+        }
+        Ok(decision)
+    }
+
+    /// Step 6, then the log record, and the record steps to the next
+    /// boundary.
+    fn publish(&mut self, it: &IterFacts, filter: FilterKind) {
+        let (scratch, state) = (&mut *self.ctx.scratch, &mut self.state);
+        scratch.changed.publish(&mut self.prev, &state.meta);
+        let record = IterationRecord {
+            iteration: state.iteration,
+            direction: it.dir,
+            frontier_len: scratch.lists.len(),
+            degree_sum: it.degree_sum,
+            filter,
+            overflowed: scratch.bins.overflowed(),
+            cycles: self.executor.stats().total_cycles - it.cycles_before,
+        };
+        state.log.records.push(record);
+        if let Some(obs) = self.ctx.observer.as_mut() {
+            obs(&record);
+        }
+        // The old frontier buffer becomes next iteration's output
+        // scratch (cleared before reuse) — no per-iteration frontier
+        // allocation.
+        std::mem::swap(&mut state.frontier, &mut scratch.next);
+        state.prev_dir = it.dir;
+        state.iteration += 1;
+    }
+}
+
+impl<P: AccProgram> Engine<P> {
     /// Hands the pull-vote candidates in `[lo, hi)` of the metadata
     /// sweep to `found`, in ascending order: full 32-vertex chunks go
     /// through `[M; 32]` windows with a fixed-width lane loop (the
@@ -721,9 +790,8 @@ impl<P: AccProgram> Engine<P> {
         lists: &mut Worklists,
         active: &[VertexId],
         csr: &Csr,
-        config: &EngineConfig,
+        thresholds: ClassifyThresholds,
     ) -> Result<(), SimdxError> {
-        let thresholds = config.thresholds;
         pool.try_for_each_worker(workers, |w, ws| {
             let (lo, hi) = chunk_range(active.len(), threads, w);
             ws.lists.classify_into(&active[lo..hi], csr, thresholds);

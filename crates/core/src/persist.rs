@@ -37,7 +37,11 @@
 //! [`SimdxError::CheckpointCorrupt`], never a panic and never a
 //! silently-wrong restore; no length read from the blob is trusted
 //! before it is checked against the bytes actually present, so a
-//! corrupted length cannot drive an allocation.
+//! corrupted length cannot drive an allocation, and no count is trusted
+//! before it agrees with the other sections (one metadata element per
+//! IDENT vertex, frontier vertices in range, one log record per
+//! completed iteration), so a well-framed lie cannot index out of
+//! bounds inside the engine.
 //!
 //! # Crash-safe writes
 //!
@@ -58,7 +62,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::checkpoint::RunCheckpoint;
+use crate::checkpoint::{RunCheckpoint, RunState};
 use crate::error::SimdxError;
 use crate::fault;
 use crate::filters::FilterKind;
@@ -246,13 +250,14 @@ fn filter_byte(filter: FilterKind) -> u8 {
 /// Serializes a durable checkpoint to its self-describing blob.
 pub fn encode<M: PersistMeta>(frame: &DurableCheckpoint<M>) -> Vec<u8> {
     let cp = &frame.checkpoint;
-    let meta = cp.meta.as_slice();
+    let state = &cp.state;
+    let meta = state.meta.as_slice();
     let algo = cp.algorithm.as_bytes();
 
     let ident_len = IDENT_FIXED_BYTES + algo.len();
     let meta_len = 8 + meta.len() * M::SIZE;
-    let frontier_len = 8 + cp.frontier.len() * 4;
-    let log_len = 8 + cp.log.records.len() * LOG_RECORD_BYTES;
+    let frontier_len = 8 + state.frontier.len() * 4;
+    let log_len = 8 + state.log.records.len() * LOG_RECORD_BYTES;
     let stats_len = 8 * 8;
     let total =
         8 + ident_len + meta_len + frontier_len + log_len + stats_len + 5 * SECTION_OVERHEAD + 4;
@@ -267,12 +272,12 @@ pub fn encode<M: PersistMeta>(frame: &DurableCheckpoint<M>) -> Vec<u8> {
     put_u64(&mut ident, frame.ticket);
     put_u32(&mut ident, frame.seed);
     put_u32(&mut ident, cp.num_vertices);
-    put_u32(&mut ident, cp.iteration);
-    put_u64(&mut ident, cp.edges_examined);
-    ident.push(dir_byte(cp.prev_dir));
-    ident.push(cp.fusion.0.is_some() as u8);
-    ident.push(cp.fusion.0.map_or(0, dir_byte));
-    ident.push(cp.fusion.1 as u8);
+    put_u32(&mut ident, state.iteration);
+    put_u64(&mut ident, state.edges_examined);
+    ident.push(dir_byte(state.prev_dir));
+    ident.push(state.fusion.0.is_some() as u8);
+    ident.push(state.fusion.0.map_or(0, dir_byte));
+    ident.push(state.fusion.1 as u8);
     // Reserved: v1 blobs written before the metadata-layout axis was
     // removed carry the layout here (0 flat, 1 chunked).
     ident.push(0);
@@ -288,15 +293,15 @@ pub fn encode<M: PersistMeta>(frame: &DurableCheckpoint<M>) -> Vec<u8> {
     put_section(&mut out, SECTION_META, &meta_bytes);
 
     let mut frontier = Vec::with_capacity(frontier_len);
-    put_u64(&mut frontier, cp.frontier.len() as u64);
-    for &v in &cp.frontier {
+    put_u64(&mut frontier, state.frontier.len() as u64);
+    for &v in &state.frontier {
         put_u32(&mut frontier, v);
     }
     put_section(&mut out, SECTION_FRONTIER, &frontier);
 
     let mut log = Vec::with_capacity(log_len);
-    put_u64(&mut log, cp.log.records.len() as u64);
-    for rec in &cp.log.records {
+    put_u64(&mut log, state.log.records.len() as u64);
+    for rec in &state.log.records {
         put_u32(&mut log, rec.iteration);
         log.push(dir_byte(rec.direction));
         put_u64(&mut log, rec.frontier_len);
@@ -308,14 +313,14 @@ pub fn encode<M: PersistMeta>(frame: &DurableCheckpoint<M>) -> Vec<u8> {
     put_section(&mut out, SECTION_LOG, &log);
 
     let mut stats = Vec::with_capacity(stats_len);
-    put_u64(&mut stats, cp.stats.total_cycles);
-    put_u64(&mut stats, cp.stats.kernel_launches);
-    put_u64(&mut stats, cp.stats.barrier_passes);
-    put_u64(&mut stats, cp.stats.kernel_invocations);
-    put_u64(&mut stats, cp.stats.traffic.coalesced_reads);
-    put_u64(&mut stats, cp.stats.traffic.random_reads);
-    put_u64(&mut stats, cp.stats.traffic.writes);
-    put_u64(&mut stats, cp.stats.traffic.atomics);
+    put_u64(&mut stats, state.stats.total_cycles);
+    put_u64(&mut stats, state.stats.kernel_launches);
+    put_u64(&mut stats, state.stats.barrier_passes);
+    put_u64(&mut stats, state.stats.kernel_invocations);
+    put_u64(&mut stats, state.stats.traffic.coalesced_reads);
+    put_u64(&mut stats, state.stats.traffic.random_reads);
+    put_u64(&mut stats, state.stats.traffic.writes);
+    put_u64(&mut stats, state.stats.traffic.atomics);
     put_section(&mut out, SECTION_STATS, &stats);
 
     let crc = crc32(&out);
@@ -425,7 +430,9 @@ fn decode_bool(b: u8, what: &str) -> Result<bool, SimdxError> {
 }
 
 /// Deserializes a durable checkpoint, validating framing, CRCs,
-/// version and metadata type. Every failure is a typed
+/// version, metadata type and — since each section's CRC can be valid
+/// while the sections disagree — the record's own invariants
+/// (`RunCheckpoint::check_invariants`). Every failure is a typed
 /// [`SimdxError::CheckpointCorrupt`]; this function never panics on
 /// any input.
 pub fn decode<M: PersistMeta>(bytes: &[u8]) -> Result<DurableCheckpoint<M>, SimdxError> {
@@ -622,12 +629,10 @@ pub fn decode<M: PersistMeta>(bytes: &[u8]) -> Result<DurableCheckpoint<M>, Simd
         )));
     }
 
-    Ok(DurableCheckpoint {
-        ticket,
-        seed,
-        checkpoint: RunCheckpoint {
-            algorithm,
-            num_vertices,
+    let checkpoint = RunCheckpoint {
+        algorithm,
+        num_vertices,
+        state: RunState {
             meta,
             frontier,
             log,
@@ -637,6 +642,14 @@ pub fn decode<M: PersistMeta>(bytes: &[u8]) -> Result<DurableCheckpoint<M>, Simd
             stats,
             fusion,
         },
+    };
+    // Every section's CRC can be valid while the sections disagree with
+    // each other; the engine indexes by these, so they are checked here.
+    checkpoint.check_invariants()?;
+    Ok(DurableCheckpoint {
+        ticket,
+        seed,
+        checkpoint,
     })
 }
 
@@ -831,35 +844,37 @@ mod tests {
             checkpoint: RunCheckpoint {
                 algorithm: "levels".to_string(),
                 num_vertices: 4,
-                meta: vec![0, 1, u32::MAX, u32::MAX],
-                frontier: vec![1, 3],
-                log: ActivationLog {
-                    records: vec![IterationRecord {
-                        iteration: 0,
-                        direction: Direction::Push,
-                        frontier_len: 1,
-                        degree_sum: 2,
-                        filter: FilterKind::Ballot,
-                        overflowed: false,
-                        cycles: 123,
-                    }],
-                },
-                prev_dir: Direction::Pull,
-                iteration: 1,
-                edges_examined: 7,
-                stats: ExecutorStats {
-                    total_cycles: 1234,
-                    kernel_launches: 3,
-                    barrier_passes: 2,
-                    kernel_invocations: 5,
-                    traffic: TrafficCounter {
-                        coalesced_reads: 10,
-                        random_reads: 11,
-                        writes: 12,
-                        atomics: 13,
+                state: RunState {
+                    meta: vec![0, 1, u32::MAX, u32::MAX],
+                    frontier: vec![1, 3],
+                    log: ActivationLog {
+                        records: vec![IterationRecord {
+                            iteration: 0,
+                            direction: Direction::Push,
+                            frontier_len: 1,
+                            degree_sum: 2,
+                            filter: FilterKind::Ballot,
+                            overflowed: false,
+                            cycles: 123,
+                        }],
                     },
+                    prev_dir: Direction::Pull,
+                    iteration: 1,
+                    edges_examined: 7,
+                    stats: ExecutorStats {
+                        total_cycles: 1234,
+                        kernel_launches: 3,
+                        barrier_passes: 2,
+                        kernel_invocations: 5,
+                        traffic: TrafficCounter {
+                            coalesced_reads: 10,
+                            random_reads: 11,
+                            writes: 12,
+                            atomics: 13,
+                        },
+                    },
+                    fusion: (Some(Direction::Push), true),
                 },
-                fusion: (Some(Direction::Push), true),
             },
         }
     }
@@ -883,17 +898,17 @@ mod tests {
         let back = decode::<u32>(&blob).expect("decode");
         assert_eq!(back.ticket, 42);
         assert_eq!(back.seed, 3);
-        let cp = &back.checkpoint;
-        assert_eq!(cp.algorithm, "levels");
-        assert_eq!(cp.num_vertices, 4);
-        assert_eq!(cp.meta, frame.checkpoint.meta);
-        assert_eq!(cp.frontier, vec![1, 3]);
-        assert_eq!(cp.log, frame.checkpoint.log);
-        assert_eq!(cp.prev_dir, Direction::Pull);
-        assert_eq!(cp.iteration, 1);
-        assert_eq!(cp.edges_examined, 7);
-        assert_eq!(cp.stats, frame.checkpoint.stats);
-        assert_eq!(cp.fusion, (Some(Direction::Push), true));
+        assert_eq!(back.checkpoint.algorithm, "levels");
+        assert_eq!(back.checkpoint.num_vertices, 4);
+        let (got, sent) = (&back.checkpoint.state, &frame.checkpoint.state);
+        assert_eq!(got.meta, sent.meta);
+        assert_eq!(got.frontier, vec![1, 3]);
+        assert_eq!(got.log, sent.log);
+        assert_eq!(got.prev_dir, Direction::Pull);
+        assert_eq!(got.iteration, 1);
+        assert_eq!(got.edges_examined, 7);
+        assert_eq!(got.stats, sent.stats);
+        assert_eq!(got.fusion, (Some(Direction::Push), true));
         // Re-encoding the decoded frame reproduces the blob verbatim.
         assert_eq!(encode(&back), blob);
     }
@@ -927,7 +942,7 @@ mod tests {
         let legacy = decode::<u32>(&patch_layout_byte(&blob, 1)).expect("layout byte 1");
         let current = decode::<u32>(&blob).expect("layout byte 0");
         assert_eq!(encode(&legacy), encode(&current));
-        assert_eq!(legacy.checkpoint.meta, frame.checkpoint.meta);
+        assert_eq!(legacy.checkpoint.state.meta, frame.checkpoint.state.meta);
         assert!(matches!(
             decode::<u32>(&patch_layout_byte(&blob, 2)),
             Err(SimdxError::CheckpointCorrupt { reason }) if reason.contains("layout byte 2")
@@ -942,18 +957,12 @@ mod tests {
             checkpoint: RunCheckpoint {
                 algorithm: "pr".to_string(),
                 num_vertices: 3,
-                meta: vec![0.25f32, f32::from_bits(0x7FC0_1234), -0.0],
-                frontier: vec![0],
-                log: ActivationLog::default(),
-                prev_dir: Direction::Push,
-                iteration: 0,
-                edges_examined: 0,
-                stats: ExecutorStats::default(),
-                fusion: (None, false),
+                state: RunState::new(vec![0.25f32, f32::from_bits(0x7FC0_1234), -0.0], vec![0]),
             },
         };
         let back = decode::<f32>(&encode(&frame)).expect("decode");
-        let bits: Vec<u32> = back.checkpoint.meta.iter().map(|m| m.to_bits()).collect();
+        let meta = &back.checkpoint.state.meta;
+        let bits: Vec<u32> = meta.iter().map(|m| m.to_bits()).collect();
         assert_eq!(
             bits,
             vec![0.25f32.to_bits(), 0x7FC0_1234, (-0.0f32).to_bits()]
@@ -1007,6 +1016,34 @@ mod tests {
                 ),
                 "bit flip at byte {byte} went undetected"
             );
+        }
+    }
+
+    #[test]
+    fn sections_that_disagree_are_corrupt_even_with_valid_crcs() {
+        // Length lies with every CRC recomputed: `encode` frames
+        // whatever it is given, so each blob below is well-formed
+        // section by section and wrong only across sections.
+        type Lie = fn(&mut RunCheckpoint<u32>);
+        let lies: [(&str, Lie); 4] = [
+            ("metadata holds 15", |cp| cp.state.meta.resize(15, 0)),
+            ("metadata holds 2", |cp| cp.state.meta.truncate(2)),
+            ("frontier vertex 4000000", |cp| {
+                cp.state.frontier.push(4_000_000)
+            }),
+            ("log holds 1 records at iteration 3", |cp| {
+                cp.state.iteration = 3
+            }),
+        ];
+        for (expect, lie) in lies {
+            let mut frame = sample(4);
+            lie(&mut frame.checkpoint);
+            match decode::<u32>(&encode(&frame)) {
+                Err(SimdxError::CheckpointCorrupt { reason }) => {
+                    assert!(reason.contains(expect), "{expect}: diagnosed as {reason}")
+                }
+                other => panic!("{expect}: expected corrupt, got {other:?}"),
+            }
         }
     }
 

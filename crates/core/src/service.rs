@@ -129,8 +129,8 @@ use crate::error::SimdxError;
 use crate::metrics::RunResult;
 use crate::persist::{self, CheckpointStore, DurableCheckpoint, PersistMeta};
 use crate::scratch::IterScratch;
-use crate::session::BoundGraph;
-use crate::supervise::{CancelToken, RunProgress, Supervisor};
+use crate::session::{BoundGraph, Query};
+use crate::supervise::{CancelToken, RunProgress};
 use crate::sync::Arc;
 use simdx_graph::VertexId;
 
@@ -878,8 +878,8 @@ impl QueryPool {
             };
             shared.close();
             for handle in handles {
-                // Engine panics are contained inside execute_query, so
-                // a serving thread only dies of a harness bug; don't
+                // Engine panics are contained inside the execute path,
+                // so a serving thread only dies of a harness bug; don't
                 // swallow that.
                 if let Err(payload) = handle.join() {
                     std::panic::resume_unwind(payload);
@@ -1146,8 +1146,9 @@ fn cancelled_unserved<M: Copy>(entry: &Entry) -> ServeOutcome<M> {
 }
 
 /// Runs one query to its final outcome: up to `retry.max_attempts`
-/// attempts, each after the first resuming from the previous attempt's
-/// boundary checkpoint (when `arm` captured one).
+/// attempts over one checkpoint slot, so each attempt after the first
+/// continues from the boundary the previous one left there (when `arm`
+/// captured one).
 fn serve_one<P: SourcedProgram>(
     bound: &BoundGraph<'_, '_>,
     program: &P,
@@ -1157,6 +1158,8 @@ fn serve_one<P: SourcedProgram>(
     arm: bool,
     shutdown: &CancelToken,
 ) -> ServeOutcome<P::Meta> {
+    let request = &entry.request;
+    let program = program.clone().with_source(request.seed);
     let mut slot: Option<RunCheckpoint<P::Meta>> = None;
     let mut attempts = 0u32;
     loop {
@@ -1166,44 +1169,26 @@ fn serve_one<P: SourcedProgram>(
         // typed abort when the query waited its whole deadline out in
         // the queue). Retried attempts get the full allowance fresh
         // from their own start — otherwise a deadline-tripped query
-        // would re-trip before resuming a single iteration.
-        let remaining = entry.request.deadline.map(|d| {
+        // would re-trip before resuming a single iteration. The cycle
+        // budget needs no such care: the execute path grants it on top
+        // of what the slot's checkpoint already spent.
+        let deadline = request.deadline.map(|d| {
             if attempts == 1 {
                 d.saturating_sub(entry.submitted.elapsed())
             } else {
                 d
             }
         });
-        let resume = slot.take();
-        // A resumed attempt's cycle budget is granted on top of the
-        // checkpoint's already-spent cycles (the `BoundGraph::resume`
-        // contract), so every retry buys forward progress instead of
-        // re-tripping at the boundary it just aborted at.
-        let cycle_budget = entry
-            .request
-            .cycle_budget
-            .map(|b| b.saturating_add(resume.as_ref().map_or(0, RunCheckpoint::cycles)));
-        let supervisor = Supervisor::new(entry.request.cancel.clone(), remaining, cycle_budget)
-            .with_shutdown(shutdown.clone());
-        let result = if arm {
-            bound.execute_query_resumable(
-                program,
-                entry.request.seed,
-                entry.request.max_iterations,
-                &supervisor,
-                scratch,
-                resume,
-                &mut slot,
-            )
-        } else {
-            bound.execute_query(
-                program,
-                entry.request.seed,
-                entry.request.max_iterations,
-                &supervisor,
-                scratch,
-            )
+        let query = Query {
+            source: Some(request.seed),
+            max_iterations: request.max_iterations,
+            cancel: request.cancel.clone(),
+            deadline,
+            cycle_budget: request.cycle_budget,
+            shutdown: Some(shutdown.clone()),
+            observer: None,
         };
+        let result = bound.execute(&program, query, scratch, arm.then_some(&mut slot));
         match result {
             Ok(run) => {
                 return ServeOutcome {
@@ -1235,7 +1220,7 @@ fn serve_one<P: SourcedProgram>(
                     result: Err(error),
                     latency: entry.submitted.elapsed(),
                     attempts,
-                    checkpoint: slot.take(),
+                    checkpoint: slot,
                 };
             }
         }

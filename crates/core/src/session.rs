@@ -7,7 +7,8 @@
 //! lifetimes:
 //!
 //! * [`Runtime`] — owns the resolved [`EngineConfig`] and the
-//!   persistent [`WorkerPool`]. Built once per process/service.
+//!   persistent [`crate::par::WorkerPool`]. Built once per
+//!   process/service.
 //! * [`BoundGraph`] — [`Runtime::bind`] precomputes the CSR-derived
 //!   per-graph state (degree-balanced push shards, their grid CSR)
 //!   and owns the reusable scratch arenas. Built once per graph.
@@ -27,7 +28,7 @@
 //! queries over one bound graph concurrently. The sharing model:
 //!
 //! * The bind-time artifacts (push fences, grid CSR) are immutable
-//!   after bind and live in an `Arc`-shared core.
+//!   after bind; queries borrow them from the `BoundGraph`.
 //! * Worker pools live in a [`PoolStash`]: each query checks one out
 //!   for its duration, so concurrent queries never share a pool, and a
 //!   pool poisoned by a contained worker panic is discarded at
@@ -110,17 +111,15 @@
 
 use std::time::Duration;
 
-use crate::sync::Arc;
-
 use crate::acc::{AccProgram, SourcedProgram};
 use crate::checkpoint::{RunAborted, RunCheckpoint};
 use crate::config::{DegradePolicy, EngineConfig};
-use crate::engine::{Engine, SessionCtx};
+use crate::engine::{BoundPool, Engine, SessionCtx};
 use crate::error::SimdxError;
 use crate::grid::GridCsr;
 use crate::jit::IterationRecord;
 use crate::metrics::RunResult;
-use crate::par::{payload_string, WorkerPool};
+use crate::par::payload_string;
 use crate::pool::{ArenaPool, PoolStash};
 use crate::scratch::{IterScratch, PushFences};
 use crate::supervise::{AbortReason, CancelToken, Supervisor};
@@ -209,32 +208,33 @@ impl Runtime {
         &'rt self,
         graph: &'g Graph,
     ) -> Result<BoundGraph<'rt, 'g>, SimdxError> {
-        let fences = (self.threads() > 1)
-            .then(|| PushFences::compute(graph.csr(Direction::Pull), self.threads()));
-        // Push always scatters over the out-CSR; the grid buckets
-        // exactly those edges by the destination shards the run-time
-        // sharding will use, so the two views can never disagree.
-        // Deliberately built even under `DirectionPolicy::FixedPull`:
-        // the engine consults `AccProgram::direction` *before* the
-        // policy (k-Core forces Push unconditionally), so any parallel
-        // runtime can reach the grid push path regardless of the
-        // configured policy.
-        let grid = fences
-            .as_ref()
-            .map(|fences| {
-                // A worker panic during the build poisons the
-                // checked-out pool; the lease drop discards it.
-                let pool = self
-                    .pools
-                    .checkout()
-                    .expect("parallel runtime stashes pools");
-                GridCsr::build_with_pool(graph.csr(Direction::Push), &fences.verts, &pool)
-            })
-            .transpose()?;
+        let core = if self.threads() > 1 {
+            let fences = PushFences::compute(graph.csr(Direction::Pull), self.threads());
+            // Push always scatters over the out-CSR; the grid buckets
+            // exactly those edges by the destination shards the
+            // run-time sharding will use, so the two views can never
+            // disagree. Deliberately built even under
+            // `DirectionPolicy::FixedPull`: the engine consults
+            // `AccProgram::direction` *before* the policy (k-Core
+            // forces Push unconditionally), so any parallel runtime can
+            // reach the grid push path regardless of the configured
+            // policy.
+            //
+            // A worker panic during the build poisons the checked-out
+            // pool; the lease drop discards it.
+            let pool = self
+                .pools
+                .checkout()
+                .expect("parallel runtime stashes pools");
+            let grid = GridCsr::build_with_pool(graph.csr(Direction::Push), &fences.verts, &pool)?;
+            Some(BindArtifacts { fences, grid })
+        } else {
+            None
+        };
         Ok(BoundGraph {
             runtime: self,
             graph,
-            core: Arc::new(BindArtifacts { fences, grid }),
+            core,
             scratch: ArenaPool::new(SCRATCH_ARENAS_PER_TYPE),
         })
     }
@@ -249,19 +249,47 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
-/// The immutable bind-time core of a [`BoundGraph`]: everything every
-/// query reads but none mutates, shared via [`Arc`] so serving layers
-/// can hold one handle per thread without re-borrowing the
-/// `BoundGraph` itself.
+/// The bind-time artifacts of a parallel runtime: what every parallel
+/// query reads and none mutates.
 struct BindArtifacts {
-    /// Bind-time destination-shard fences (parallel mode only): the
-    /// degree-balanced partition of `metadata_curr` the push kernels
-    /// shard over.
-    fences: Option<PushFences>,
-    /// Bind-time destination-bucketed grid CSR (parallel mode only):
-    /// one sub-CSR per destination shard, so each push worker
+    /// The degree-balanced partition of `metadata_curr` the push
+    /// kernels shard over.
+    fences: PushFences,
+    /// One sub-CSR per destination shard, so each push worker
     /// traverses only the edges landing in its shard.
-    grid: Option<GridCsr>,
+    grid: GridCsr,
+}
+
+/// One query as the execute path takes it — the run builders', the
+/// batch entry points' and the serving tier's per-query settings in one
+/// shape. Everything defaults to "unset".
+#[derive(Default)]
+pub(crate) struct Query<'o> {
+    /// The source vertex the caller rooted the program at, if any;
+    /// range-checked against the bound graph.
+    pub source: Option<VertexId>,
+    /// Overrides the config's iteration cap.
+    pub max_iterations: Option<u32>,
+    #[allow(clippy::type_complexity)]
+    pub observer: Option<Box<dyn FnMut(&IterationRecord) + 'o>>,
+    pub cancel: Option<CancelToken>,
+    /// Wall-clock allowance, measured from the execute call.
+    pub deadline: Option<Duration>,
+    /// Simulated cycles this execute call may spend, on top of whatever
+    /// the checkpoint it continues from already spent.
+    pub cycle_budget: Option<u64>,
+    /// A serving pool's shutdown token, observed like `cancel`.
+    pub shutdown: Option<CancelToken>,
+}
+
+impl Query<'_> {
+    /// A query with nothing set but the seed its program is rooted at.
+    fn rooted(seed: VertexId) -> Self {
+        Self {
+            source: Some(seed),
+            ..Self::default()
+        }
+    }
 }
 
 /// A graph bound to a [`Runtime`]: the immutable bind-time core plus a
@@ -272,8 +300,8 @@ struct BindArtifacts {
 pub struct BoundGraph<'rt, 'g> {
     runtime: &'rt Runtime,
     graph: &'g Graph,
-    /// The `Arc`-shared immutable bind-time artifacts.
-    core: Arc<BindArtifacts>,
+    /// Present iff the runtime is parallel.
+    core: Option<BindArtifacts>,
     /// Idle scratch arenas keyed by the program's metadata `TypeId`;
     /// each query checks one out for its duration.
     scratch: ArenaPool,
@@ -294,7 +322,7 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
     /// — exposed so harnesses can report its memory cost
     /// ([`GridCsr::footprint_bytes`]).
     pub fn grid(&self) -> Option<&GridCsr> {
-        self.core.grid.as_ref()
+        self.core.as_ref().map(|core| &core.grid)
     }
 
     /// Drops every *idle* scratch arena. Arenas checked out by
@@ -319,12 +347,7 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
         RunBuilder {
             bound: self,
             program,
-            source: None,
-            max_iterations: None,
-            observer: None,
-            cancel: None,
-            deadline: None,
-            cycle_budget: None,
+            query: Query::default(),
         }
     }
 
@@ -375,23 +398,19 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
         seeds: &[VertexId],
     ) -> Result<Vec<RunResult<P::Meta>>, SimdxError> {
         let mut scratch = self.checkout_scratch::<P::Meta>();
-        let mut out = Vec::with_capacity(seeds.len());
-        let mut failed = None;
-        for &seed in seeds {
-            let supervisor = Supervisor::new(None, None, None);
-            match self.execute_query(&program, seed, None, &supervisor, &mut scratch) {
-                Ok(result) => out.push(result),
-                Err(err) => {
-                    failed = Some(err);
-                    break;
-                }
-            }
-        }
+        let out = seeds
+            .iter()
+            .map(|&seed| {
+                self.execute(
+                    &program.clone().with_source(seed),
+                    Query::rooted(seed),
+                    &mut scratch,
+                    None,
+                )
+            })
+            .collect();
         self.checkin_scratch(scratch);
-        match failed {
-            Some(err) => Err(err),
-            None => Ok(out),
-        }
+        out
     }
 
     /// [`Self::run_batch`] without the fail-fast data loss: one
@@ -415,21 +434,17 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
         let out = seeds
             .iter()
             .map(|&seed| {
-                let supervisor = Supervisor::new(None, None, None);
                 let mut slot = None;
-                self.execute_query_resumable(
-                    &program,
-                    seed,
-                    None,
-                    &supervisor,
+                self.execute(
+                    &program.clone().with_source(seed),
+                    Query::rooted(seed),
                     &mut scratch,
-                    None,
-                    &mut slot,
+                    Some(&mut slot),
                 )
                 .map_err(|error| {
                     Box::new(RunAborted {
                         error,
-                        checkpoint: slot.take(),
+                        checkpoint: slot,
                     })
                 })
             })
@@ -455,220 +470,108 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
         self.scratch.checkin(scratch);
     }
 
-    /// One sourced query over caller-held scratch: seed validation,
-    /// supervision and the full execute path (including degrade
-    /// retry). The batch entry points and the serving layer
-    /// ([`crate::service::QueryPool`]) drive this directly so one
-    /// scratch checkout amortizes over many queries.
-    pub(crate) fn execute_query<P: SourcedProgram>(
+    /// The one execute path: every query — a builder's, a batch seed's,
+    /// a serving ticket's attempt, a recovered blob's — runs through
+    /// here, over caller-held scratch (so one checkout amortizes over a
+    /// batch) and the caller's checkpoint slot (`None` = unarmed; see
+    /// [`crate::checkpoint`] for the slot rule). An occupied slot is
+    /// validated against this graph and `program` before anything else,
+    /// whoever filled it, and is left untouched by every rejection.
+    pub(crate) fn execute<P: AccProgram>(
         &self,
         program: &P,
-        seed: VertexId,
-        max_iterations: Option<u32>,
-        supervisor: &Supervisor,
+        query: Query<'_>,
         scratch: &mut IterScratch<P::Meta>,
+        mut slot: Option<&mut Option<RunCheckpoint<P::Meta>>>,
     ) -> Result<RunResult<P::Meta>, SimdxError> {
         let n = self.graph.num_vertices();
-        if seed >= n {
-            return Err(SimdxError::InvalidQuery {
-                reason: format!("source vertex {seed} out of range for a graph with {n} vertices"),
-            });
+        let occupied = slot.as_deref().and_then(Option::as_ref);
+        let invalid = match (occupied, query.source) {
+            (Some(cp), _) if cp.num_vertices() != n => Some(format!(
+                "checkpoint was captured on a graph with {} vertices, this graph has {n}",
+                cp.num_vertices()
+            )),
+            (Some(cp), _) if cp.algorithm() != program.name() => Some(format!(
+                "checkpoint belongs to algorithm `{}`, not `{}`",
+                cp.algorithm(),
+                program.name()
+            )),
+            (_, Some(src)) if src >= n => Some(format!(
+                "source vertex {src} out of range for a graph with {n} vertices"
+            )),
+            _ => None,
+        };
+        if let Some(reason) = invalid {
+            return Err(SimdxError::InvalidQuery { reason });
         }
-        let program = program.clone().with_source(seed);
-        let max_iterations = max_iterations.unwrap_or(self.runtime.config.max_iterations);
-        self.execute_with(
-            &program,
-            max_iterations,
-            None,
-            supervisor,
-            scratch,
-            None,
-            None,
-        )
-    }
-
-    /// [`Self::execute_query`] with the checkpoint machinery exposed:
-    /// `resume` restores a prior boundary snapshot (the run continues
-    /// bit-equally from it), and `slot` is armed so every iteration
-    /// boundary overwrites it — the batch entry points and the serving
-    /// layer's retry loop ([`crate::service::RetryPolicy`]) drive
-    /// this. The slot lives in the *caller's* frame, outside the panic
-    /// guard, so it survives a contained worker panic.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn execute_query_resumable<P: SourcedProgram>(
-        &self,
-        program: &P,
-        seed: VertexId,
-        max_iterations: Option<u32>,
-        supervisor: &Supervisor,
-        scratch: &mut IterScratch<P::Meta>,
-        resume: Option<RunCheckpoint<P::Meta>>,
-        slot: &mut Option<RunCheckpoint<P::Meta>>,
-    ) -> Result<RunResult<P::Meta>, SimdxError> {
-        let n = self.graph.num_vertices();
-        if seed >= n {
-            return Err(SimdxError::InvalidQuery {
-                reason: format!("source vertex {seed} out of range for a graph with {n} vertices"),
-            });
+        let config = &self.runtime.config;
+        let max_iterations = query.max_iterations.unwrap_or(config.max_iterations);
+        // The cycle budget is *relative*: granted on top of the cycles
+        // the slot's checkpoint already spent, so the restored counters
+        // don't re-trip the supervisor at the boundary they aborted at.
+        let spent = occupied.map_or(0, RunCheckpoint::cycles);
+        let budget = query.cycle_budget.map(|b| b.saturating_add(spent));
+        let mut supervisor = Supervisor::new(query.cancel, query.deadline, budget);
+        if let Some(token) = query.shutdown {
+            supervisor = supervisor.with_shutdown(token);
         }
-        let program = program.clone().with_source(seed);
-        let max_iterations = max_iterations.unwrap_or(self.runtime.config.max_iterations);
-        self.execute_with(
-            &program,
-            max_iterations,
-            None,
-            supervisor,
-            scratch,
-            resume,
-            Some(slot),
-        )
-    }
-
-    /// The shared execute path: checks a scratch arena out of the pool
-    /// for the duration of the query.
-    fn execute_inner<P: AccProgram>(
-        &self,
-        program: &P,
-        max_iterations: u32,
-        observer: Option<&mut (dyn FnMut(&IterationRecord) + '_)>,
-        supervisor: &Supervisor,
-    ) -> Result<RunResult<P::Meta>, SimdxError> {
-        let mut scratch = self.checkout_scratch::<P::Meta>();
-        let result = self.execute_with(
-            program,
-            max_iterations,
-            observer,
-            supervisor,
-            &mut scratch,
-            None,
-            None,
-        );
-        self.checkin_scratch(scratch);
-        result
-    }
-
-    /// Runs one query over caller-held scratch: checks a worker pool
-    /// out of the runtime's stash for the first attempt (a panicked
-    /// attempt poisons that pool, so the lease drop discards it
-    /// without touching concurrent queries' pools), then applies the
-    /// degrade policy.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_with<P: AccProgram>(
-        &self,
-        program: &P,
-        max_iterations: u32,
-        mut observer: Option<&mut (dyn FnMut(&IterationRecord) + '_)>,
-        supervisor: &Supervisor,
-        scratch: &mut IterScratch<P::Meta>,
-        resume: Option<RunCheckpoint<P::Meta>>,
-        mut ckpt: Option<&mut Option<RunCheckpoint<P::Meta>>>,
-    ) -> Result<RunResult<P::Meta>, SimdxError> {
-        let first = {
-            let pool = self.runtime.pools.checkout();
-            Self::run_once(
-                program,
-                self.graph,
-                &self.runtime.config,
-                pool.as_deref(),
-                scratch,
-                self.core.fences.as_ref(),
-                self.core.grid.as_ref(),
+        let mut observer = query.observer;
+        // One engine attempt with panic containment: a contained pool
+        // panic is already a typed error, so the guard catches the
+        // *host-side* ones (serial kernels, filters, scratch reset,
+        // restore) as worker 0, the submitting thread. The slot is
+        // borrowed from a frame outside the guard, and every attempt
+        // starts from what it holds.
+        let mut attempt = |pool: Option<BoundPool<'_>>| {
+            let ctx = SessionCtx {
+                pool,
+                scratch: &mut *scratch,
                 max_iterations,
-                match observer {
-                    Some(ref mut hook) => Some(&mut **hook),
-                    None => None,
-                },
-                supervisor,
-                resume.clone(),
-                ckpt.as_deref_mut(),
+                observer: observer.as_deref_mut(),
+                supervisor: &supervisor,
+                checkpoint: slot.as_deref_mut(),
+            };
+            let run = || Engine::run_session(program, self.graph, config, ctx);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+                Err(SimdxError::WorkerPanicked {
+                    worker: 0,
+                    payload: payload_string(&*payload),
+                })
+            })
+        };
+        let first = {
+            // A panicked attempt poisons its pool, so the lease drop
+            // discards it without touching concurrent queries' pools;
+            // the next checkout spawns a replacement.
+            let lease = self.runtime.pools.checkout();
+            attempt(
+                lease
+                    .as_deref()
+                    .zip(self.core.as_ref())
+                    .map(|(pool, core)| BoundPool {
+                        pool,
+                        fences: &core.fences,
+                        grid: &core.grid,
+                    }),
             )
         };
         match first {
             Err(SimdxError::WorkerPanicked { .. })
-                if self.runtime.config.degrade == DegradePolicy::RetrySerial
-                    && self.runtime.threads() > 1 =>
+                if config.degrade == DegradePolicy::RetrySerial && self.runtime.threads() > 1 =>
             {
-                // Opt-in degrade: one serial retry of the same query
-                // over the same (reset-at-entry) scratch — no pool, no
-                // fences, no grid — flagged in the report so callers
-                // can see the query survived a worker fault. The
-                // poisoned pool was already discarded by its lease
-                // drop; the next checkout spawns a replacement. The
-                // checkpoint slot is deliberately *not* cleared: the
-                // panicked attempt's last boundary snapshot stays
-                // valid, and the retry overwrites it at its own first
-                // boundary.
-                let mut result = Self::run_once(
-                    program,
-                    self.graph,
-                    &self.runtime.config,
-                    None,
-                    scratch,
-                    None,
-                    None,
-                    max_iterations,
-                    match observer {
-                        Some(ref mut hook) => Some(&mut **hook),
-                        None => None,
-                    },
-                    supervisor,
-                    resume,
-                    ckpt,
-                )?;
+                // Opt-in degrade: one more attempt, serial, over the
+                // same (reset-at-entry) scratch, flagged in the report
+                // so callers can see the query survived a worker fault.
+                // Armed, it continues from the panicked attempt's last
+                // boundary (bit-equal by the resume contract — a
+                // checkpoint holds no exec-mode state); unarmed, it
+                // restarts.
+                let mut result = attempt(None)?;
                 result.report.aborted = Some(AbortReason::WorkerPanic);
                 Ok(result)
             }
             other => other,
         }
-    }
-
-    /// One engine attempt with panic containment: any panic escaping
-    /// the run — a contained pool panic is already a typed error, so
-    /// this catches the *host-side* ones (serial kernels, filters,
-    /// scratch reset) — comes back as [`SimdxError::WorkerPanicked`]
-    /// with worker 0 (the submitting thread).
-    #[allow(clippy::too_many_arguments)]
-    fn run_once<P: AccProgram>(
-        program: &P,
-        graph: &Graph,
-        config: &EngineConfig,
-        pool: Option<&WorkerPool>,
-        scratch: &mut IterScratch<P::Meta>,
-        fences: Option<&PushFences>,
-        grid: Option<&GridCsr>,
-        max_iterations: u32,
-        observer: Option<&mut (dyn FnMut(&IterationRecord) + '_)>,
-        supervisor: &Supervisor,
-        resume: Option<RunCheckpoint<P::Meta>>,
-        checkpoint: Option<&mut Option<RunCheckpoint<P::Meta>>>,
-    ) -> Result<RunResult<P::Meta>, SimdxError> {
-        // `checkpoint` borrows a slot in a frame *outside* this catch:
-        // when the attempt panics, the slot still holds the last
-        // boundary snapshot the engine wrote before the fault.
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Engine::run_session(
-                program,
-                graph,
-                config,
-                SessionCtx {
-                    pool,
-                    scratch,
-                    fences,
-                    grid,
-                    max_iterations,
-                    observer,
-                    supervisor,
-                    checkpoint,
-                    resume,
-                },
-            )
-        }));
-        attempt.unwrap_or_else(|payload| {
-            Err(SimdxError::WorkerPanicked {
-                worker: 0,
-                payload: payload_string(&*payload),
-            })
-        })
     }
 }
 
@@ -683,11 +586,10 @@ impl std::fmt::Debug for BoundGraph<'_, '_> {
 }
 
 // The ISSUE 7 contract, proved at compile time: the runtime and the
-// bound graph (whose core is the `Arc`-shared bind artifacts) are
-// shareable across serving threads. Removing this block does not make
-// the types `!Sync` — it only removes the proof; conversely, any
-// future field that reintroduces thread confinement (a `RefCell`, an
-// `Rc`) fails compilation here.
+// bound graph are shareable across serving threads. Removing this
+// block does not make the types `!Sync` — it only removes the proof;
+// conversely, any future field that reintroduces thread confinement (a
+// `RefCell`, an `Rc`) fails compilation here.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Runtime>();
@@ -699,19 +601,13 @@ const _: () = {
 pub struct RunBuilder<'b, 'rt, 'g, P: AccProgram> {
     bound: &'b BoundGraph<'rt, 'g>,
     program: P,
-    source: Option<VertexId>,
-    max_iterations: Option<u32>,
-    #[allow(clippy::type_complexity)]
-    observer: Option<Box<dyn FnMut(&IterationRecord) + 'b>>,
-    cancel: Option<CancelToken>,
-    deadline: Option<Duration>,
-    cycle_budget: Option<u64>,
+    query: Query<'b>,
 }
 
 impl<'b, 'rt, 'g, P: AccProgram> RunBuilder<'b, 'rt, 'g, P> {
     /// Overrides the config's iteration cap for this query only.
     pub fn max_iterations(mut self, n: u32) -> Self {
-        self.max_iterations = Some(n);
+        self.query.max_iterations = Some(n);
         self
     }
 
@@ -720,7 +616,7 @@ impl<'b, 'rt, 'g, P: AccProgram> RunBuilder<'b, 'rt, 'g, P> {
     /// aborts at the next supervision check with
     /// [`SimdxError::Cancelled`] carrying the partial progress.
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
+        self.query.cancel = Some(token);
         self
     }
 
@@ -728,7 +624,7 @@ impl<'b, 'rt, 'g, P: AccProgram> RunBuilder<'b, 'rt, 'g, P> {
     /// entry. Exceeding it aborts with
     /// [`SimdxError::DeadlineExceeded`].
     pub fn deadline(mut self, limit: Duration) -> Self {
-        self.deadline = Some(limit);
+        self.query.deadline = Some(limit);
         self
     }
 
@@ -738,7 +634,7 @@ impl<'b, 'rt, 'g, P: AccProgram> RunBuilder<'b, 'rt, 'g, P> {
     /// the budget is deterministic: the same query always aborts at
     /// the same boundary.
     pub fn cycle_budget(mut self, cycles: u64) -> Self {
-        self.cycle_budget = Some(cycles);
+        self.query.cycle_budget = Some(cycles);
         self
     }
 
@@ -748,7 +644,7 @@ impl<'b, 'rt, 'g, P: AccProgram> RunBuilder<'b, 'rt, 'g, P> {
     /// queries from inside the hook are not supported (the session's
     /// scratch is checked out for the duration of the run).
     pub fn observe(mut self, hook: impl FnMut(&IterationRecord) + 'b) -> Self {
-        self.observer = Some(Box::new(hook));
+        self.query.observer = Some(Box::new(hook));
         self
     }
 
@@ -757,8 +653,11 @@ impl<'b, 'rt, 'g, P: AccProgram> RunBuilder<'b, 'rt, 'g, P> {
     /// abort comes back as a [`RunAborted`] carrying the last snapshot
     /// — resumable via [`BoundGraph::resume`]. The plain
     /// [`Self::execute`] path is untouched (zero capture overhead);
-    /// opting in costs one metadata copy per iteration, pinned
-    /// ≤ 5% by the `resilience` snapshot group.
+    /// opting in costs one metadata copy per iteration and a fixed
+    /// number of allocations per run — the snapshot's three buffers and
+    /// their doublings, at most 16 allocator calls on top of the
+    /// unarmed query whatever its iteration count
+    /// (`tests/steady_state_allocs.rs`).
     pub fn checkpoint_on_abort(self) -> ResumableRunBuilder<'b, 'rt, 'g, P> {
         ResumableRunBuilder {
             inner: self,
@@ -768,27 +667,22 @@ impl<'b, 'rt, 'g, P: AccProgram> RunBuilder<'b, 'rt, 'g, P> {
 
     /// Executes the query over the session's shared pool and scratch,
     /// returning the final metadata and run report.
-    pub fn execute(mut self) -> Result<RunResult<P::Meta>, SimdxError> {
-        if let Some(src) = self.source {
-            let n = self.bound.graph.num_vertices();
-            if src >= n {
-                return Err(SimdxError::InvalidQuery {
-                    reason: format!(
-                        "source vertex {src} out of range for a graph with {n} vertices"
-                    ),
-                });
-            }
-        }
-        let max_iterations = self
-            .max_iterations
-            .unwrap_or(self.bound.runtime.config.max_iterations);
-        let supervisor = Supervisor::new(self.cancel.clone(), self.deadline, self.cycle_budget);
-        let observer = self
-            .observer
-            .as_mut()
-            .map(|hook| &mut **hook as &mut dyn FnMut(&IterationRecord));
-        self.bound
-            .execute_inner(&self.program, max_iterations, observer, &supervisor)
+    pub fn execute(self) -> Result<RunResult<P::Meta>, SimdxError> {
+        self.run(None)
+    }
+
+    /// Runs the built query on a scratch arena checked out for its
+    /// duration, checkpointing into `slot` when there is one.
+    fn run(
+        self,
+        slot: Option<&mut Option<RunCheckpoint<P::Meta>>>,
+    ) -> Result<RunResult<P::Meta>, SimdxError> {
+        let mut scratch = self.bound.checkout_scratch::<P::Meta>();
+        let result = self
+            .bound
+            .execute(&self.program, self.query, &mut scratch, slot);
+        self.bound.checkin_scratch(scratch);
+        result
     }
 }
 
@@ -799,7 +693,7 @@ impl<P: SourcedProgram> RunBuilder<'_, '_, '_, P> {
     /// a panic.
     pub fn source(mut self, src: VertexId) -> Self {
         self.program = self.program.with_source(src);
-        self.source = Some(src);
+        self.query.source = Some(src);
         self
     }
 }
@@ -860,82 +754,17 @@ impl<'b, 'rt, 'g, P: AccProgram> ResumableRunBuilder<'b, 'rt, 'g, P> {
     /// Executes the query with boundary checkpointing armed. Success
     /// is the ordinary [`RunResult`]; any abort comes back as a
     /// [`RunAborted`] whose `checkpoint` holds the last boundary
-    /// snapshot (or the validated-but-unusable resume checkpoint when
-    /// validation itself failed, so the snapshot is never lost).
+    /// snapshot. A resume checkpoint is never lost: it starts out *in*
+    /// the slot the engine captures into and is only ever overwritten
+    /// there by a later boundary of the same run, so a failed
+    /// validation, a panic while restoring and an abort before the
+    /// first new boundary all hand it back as it came.
     #[allow(clippy::result_large_err)] // boxed: the Err is pointer-sized
-    pub fn execute(mut self) -> Result<RunResult<P::Meta>, Box<RunAborted<P::Meta>>> {
-        // Validate a resume checkpoint against the graph and program
-        // before touching any run state; hand it back on failure.
-        if let Some(cp) = &self.resume {
-            let n = self.inner.bound.graph.num_vertices();
-            let mismatch = if cp.num_vertices != n {
-                Some(format!(
-                    "checkpoint was captured on a graph with {} vertices, \
-                     this graph has {n}",
-                    cp.num_vertices
-                ))
-            } else if cp.algorithm != self.inner.program.name() {
-                Some(format!(
-                    "checkpoint belongs to algorithm `{}`, not `{}`",
-                    cp.algorithm,
-                    self.inner.program.name()
-                ))
-            } else {
-                None
-            };
-            if let Some(reason) = mismatch {
-                return Err(Box::new(RunAborted {
-                    error: SimdxError::InvalidQuery { reason },
-                    checkpoint: self.resume,
-                }));
-            }
-        }
-        if let Some(src) = self.inner.source {
-            let n = self.inner.bound.graph.num_vertices();
-            if src >= n {
-                return Err(Box::new(RunAborted {
-                    error: SimdxError::InvalidQuery {
-                        reason: format!(
-                            "source vertex {src} out of range for a graph with {n} vertices"
-                        ),
-                    },
-                    checkpoint: self.resume,
-                }));
-            }
-        }
-        let bound = self.inner.bound;
-        let max_iterations = self
-            .inner
-            .max_iterations
-            .unwrap_or(bound.runtime.config.max_iterations);
-        // A resumed run's cycle budget is *relative*: grant it on top
-        // of the cycles the checkpoint already spent, so the restored
-        // counters don't instantly re-trip the supervisor.
-        let cycle_budget = self.inner.cycle_budget.map(|budget| {
-            budget.saturating_add(self.resume.as_ref().map_or(0, RunCheckpoint::cycles))
-        });
-        let supervisor =
-            Supervisor::new(self.inner.cancel.clone(), self.inner.deadline, cycle_budget);
-        let observer = self
-            .inner
-            .observer
-            .as_mut()
-            .map(|hook| &mut **hook as &mut dyn FnMut(&IterationRecord));
-        // The slot outlives the panic guard inside `run_once`: a
-        // contained panic still returns the last boundary snapshot.
-        let mut slot = None;
-        let mut scratch = bound.checkout_scratch::<P::Meta>();
-        let result = bound.execute_with(
-            &self.inner.program,
-            max_iterations,
-            observer,
-            &supervisor,
-            &mut scratch,
-            self.resume,
-            Some(&mut slot),
-        );
-        bound.checkin_scratch(scratch);
-        result.map_err(|error| {
+    pub fn execute(self) -> Result<RunResult<P::Meta>, Box<RunAborted<P::Meta>>> {
+        // The slot lives in this frame, outside the execute path's
+        // panic guard.
+        let mut slot = self.resume;
+        self.inner.run(Some(&mut slot)).map_err(|error| {
             Box::new(RunAborted {
                 error,
                 checkpoint: slot,
@@ -1528,144 +1357,6 @@ mod tests {
         assert_eq!(plain.meta, armed.meta);
         assert_eq!(plain.report.log, armed.report.log);
         assert_eq!(plain.report.stats, armed.report.stats);
-    }
-
-    #[test]
-    fn checkpointed_abort_resumes_bit_equal_to_uninterrupted() {
-        let g = path_graph(200);
-        for exec in [ExecMode::Serial, ExecMode::Parallel { threads: 3 }] {
-            let runtime = Runtime::new(EngineConfig::unscaled().with_exec(exec)).expect("runtime");
-            let bound = runtime.bind(&g);
-            let baseline = bound.run(Levels { src: 0 }).execute().expect("baseline");
-            let aborted = bound
-                .run(Levels { src: 0 })
-                .max_iterations(3)
-                .checkpoint_on_abort()
-                .execute()
-                .expect_err("capped");
-            assert_eq!(
-                aborted.error,
-                SimdxError::IterationLimit { max_iterations: 3 }
-            );
-            let cp = aborted.checkpoint.expect("boundary reached");
-            assert_eq!(cp.iteration(), 3, "limit trips at the capped boundary");
-            let resumed = bound
-                .resume(Levels { src: 0 }, cp)
-                .execute()
-                .expect("resumed");
-            assert_eq!(resumed.meta, baseline.meta);
-            assert_eq!(resumed.report.log, baseline.report.log);
-            assert_eq!(resumed.report.stats, baseline.report.stats);
-            assert_eq!(resumed.report.iterations, baseline.report.iterations);
-            assert_eq!(
-                resumed.report.edges_examined,
-                baseline.report.edges_examined
-            );
-        }
-    }
-
-    #[test]
-    fn mismatched_resume_hands_the_checkpoint_back() {
-        let g = path_graph(64);
-        let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
-        let bound = runtime.bind(&g);
-        let aborted = bound
-            .run(Levels { src: 0 })
-            .max_iterations(2)
-            .checkpoint_on_abort()
-            .execute()
-            .expect_err("capped");
-        let cp = aborted.checkpoint.expect("checkpoint");
-        // Resuming against the wrong graph is a typed error that
-        // returns the snapshot instead of losing it.
-        let other = path_graph(32);
-        let other_bound = runtime.bind(&other);
-        let err = other_bound
-            .resume(Levels { src: 0 }, cp)
-            .execute()
-            .expect_err("wrong graph");
-        assert!(matches!(err.error, SimdxError::InvalidQuery { .. }));
-        let cp = err.checkpoint.expect("handed back");
-        assert_eq!(cp.iteration(), 2);
-        // The recovered checkpoint still resumes on the right graph.
-        let resumed = bound
-            .resume(Levels { src: 0 }, cp)
-            .execute()
-            .expect("resumed");
-        let baseline = bound.run(Levels { src: 0 }).execute().expect("baseline");
-        assert_eq!(resumed.meta, baseline.meta);
-        assert_eq!(resumed.report.stats, baseline.report.stats);
-    }
-
-    #[test]
-    fn resumed_cycle_budget_grants_additional_cycles() {
-        let g = path_graph(40);
-        let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
-        let bound = runtime.bind(&g);
-        let baseline = bound.run(Levels { src: 0 }).execute().expect("baseline");
-        let aborted = bound
-            .run(Levels { src: 0 })
-            .cycle_budget(1)
-            .checkpoint_on_abort()
-            .execute()
-            .expect_err("budget");
-        assert!(matches!(aborted.error, SimdxError::BudgetExhausted { .. }));
-        let cp = aborted.checkpoint.expect("checkpoint");
-        let first = cp.iteration();
-        assert!(first >= 1, "one iteration completed before the trip");
-        // The same per-attempt budget on a resume is granted on top of
-        // the checkpoint's spent cycles — forward progress, not an
-        // instant re-trip at the same boundary.
-        let aborted = bound
-            .resume(Levels { src: 0 }, cp)
-            .cycle_budget(1)
-            .execute()
-            .expect_err("still budgeted");
-        assert!(matches!(aborted.error, SimdxError::BudgetExhausted { .. }));
-        let cp = aborted.checkpoint.expect("checkpoint");
-        assert!(cp.iteration() > first, "resume advanced the run");
-        // An unbudgeted resume finishes bit-equal to the baseline.
-        let resumed = bound
-            .resume(Levels { src: 0 }, cp)
-            .execute()
-            .expect("resumed");
-        assert_eq!(resumed.meta, baseline.meta);
-        assert_eq!(resumed.report.log, baseline.report.log);
-        assert_eq!(resumed.report.stats, baseline.report.stats);
-    }
-
-    #[test]
-    fn run_batch_partial_aborts_carry_resumable_checkpoints() {
-        let g = path_graph(96);
-        let cfg = EngineConfig::unscaled();
-        let runtime = Runtime::new(cfg).expect("runtime");
-        let bound = runtime.bind(&g);
-        // Seed 95 is the far end of the path: a tight global iteration
-        // cap aborts it mid-run while seed 48's shorter run completes.
-        let mut capped = Runtime::new(EngineConfig::unscaled()).expect("capped runtime");
-        capped.config.max_iterations = 60;
-        let capped_bound = capped.bind(&g);
-        let partial = capped_bound.run_batch_partial(Levels { src: 0 }, &[48, 0]);
-        let ok = partial[0].as_ref().expect("short seed completes");
-        let baseline = bound
-            .run(Levels { src: 48 })
-            .execute()
-            .expect("seed 48 baseline");
-        assert_eq!(ok.meta, baseline.meta);
-        let aborted = partial[1].as_ref().expect_err("long seed capped");
-        assert_eq!(
-            aborted.error,
-            SimdxError::IterationLimit { max_iterations: 60 }
-        );
-        let cp = aborted.checkpoint.clone().expect("checkpoint captured");
-        assert_eq!(cp.iteration(), 60);
-        let resumed = bound
-            .resume(Levels { src: 0 }, cp)
-            .execute()
-            .expect("resumed batch member");
-        let full = bound.run(Levels { src: 0 }).execute().expect("baseline");
-        assert_eq!(resumed.meta, full.meta);
-        assert_eq!(resumed.report.stats, full.report.stats);
     }
 
     #[test]

@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 
 use simdx::algos::Bfs;
 use simdx::core::jit::ActivationLog;
+use simdx::core::persist;
 use simdx::core::prelude::*;
 use simdx::graph::gen::Rmat;
 use simdx::graph::{Graph, VertexId};
@@ -373,10 +374,10 @@ fn abort_mode_close_spills_only_real_checkpoints() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// On-disk damage — truncation, a flipped bit, version skew, junk —
-/// is diagnosed per blob: recovery skips exactly the damaged tickets
-/// with typed errors, completes the intact ones, and the store stays
-/// usable.
+/// On-disk damage — truncation, a flipped bit, version skew, and a
+/// well-formed blob whose sections disagree — is diagnosed per blob:
+/// recovery skips exactly the damaged tickets with typed errors,
+/// completes the intact ones, and the store stays usable.
 #[test]
 fn damaged_blobs_are_skipped_with_typed_errors_and_the_rest_recover() {
     let _serial = lock();
@@ -386,16 +387,19 @@ fn damaged_blobs_are_skipped_with_typed_errors_and_the_rest_recover() {
     let bound = runtime.bind(&g);
     let plan = spill_plan(&bound);
     assert!(
-        plan.len() >= 4,
-        "need four spilling seeds, got {}",
+        plan.len() >= 5,
+        "need five spilling seeds, got {}",
         plan.len()
     );
 
     let report = serve_spilling(&bound, &plan, &dir);
     assert_eq!(report.spilled.len(), plan.len());
 
-    // Damage three blobs directly on disk: truncate #0, flip a bit in
-    // #1, skew #2's schema version. #3… stay intact.
+    // Damage four blobs directly on disk: truncate #0, flip a bit in
+    // #1, skew #2's schema version, and make #3 lie — IDENT's
+    // `num_vertices` one short of META's element count, with the
+    // section CRC and the whole-file CRC recomputed, so nothing but the
+    // cross-section check can tell. #4… stay intact.
     let store = DirStore::open(&dir).expect("reopen");
     let blob_path = |t: u64| dir.join(format!("cp-{t:020}.sxcp"));
     let blob0 = std::fs::read(blob_path(0)).expect("read blob 0");
@@ -407,29 +411,45 @@ fn damaged_blobs_are_skipped_with_typed_errors_and_the_rest_recover() {
     let mut blob2 = std::fs::read(blob_path(2)).expect("read blob 2");
     blob2[4] = 0xEE; // version u16 LE low byte
     std::fs::write(blob_path(2), &blob2).expect("skew blob 2");
+    let mut blob3 = std::fs::read(blob_path(3)).expect("read blob 3");
+    // 8-byte header, then IDENT: id u8, length u64, payload (ticket
+    // u64, seed u32, num_vertices u32, …), CRC u32.
+    let payload = 8 + 1 + 8;
+    let ident_len = u64::from_le_bytes(blob3[9..17].try_into().expect("8 bytes")) as usize;
+    let lie = g.num_vertices() - 1;
+    blob3[payload + 12..payload + 16].copy_from_slice(&lie.to_le_bytes());
+    let ident_crc = persist::crc32(&blob3[payload..payload + ident_len]);
+    blob3[payload + ident_len..payload + ident_len + 4].copy_from_slice(&ident_crc.to_le_bytes());
+    let body = blob3.len() - 4;
+    let file_crc = persist::crc32(&blob3[..body]);
+    blob3[body..].copy_from_slice(&file_crc.to_le_bytes());
+    std::fs::write(blob_path(3), &blob3).expect("falsify blob 3");
 
     let recovery = QueryPool::recover(&bound, Bfs::new(0), &store).expect("recover");
-    assert_eq!(recovery.recovered.len(), plan.len() - 3);
-    assert_eq!(recovery.completed(), plan.len() - 3);
+    assert_eq!(recovery.recovered.len(), plan.len() - 4);
+    assert_eq!(recovery.completed(), plan.len() - 4);
     let skipped: Vec<u64> = recovery.skipped.iter().map(|(t, _)| *t).collect();
-    assert_eq!(skipped, vec![0, 1, 2]);
+    assert_eq!(skipped, vec![0, 1, 2, 3]);
     for (ticket, error) in &recovery.skipped {
         match error {
             SimdxError::CheckpointCorrupt { reason } => {
-                if *ticket == 2 {
-                    assert!(
-                        reason.contains("schema version"),
-                        "ticket 2 diagnosed as skew: {reason}"
-                    );
-                }
+                let expect = match ticket {
+                    2 => "schema version",
+                    3 => "metadata holds",
+                    _ => "",
+                };
+                assert!(
+                    reason.contains(expect),
+                    "ticket {ticket} diagnosed as: {reason}"
+                );
             }
             other => panic!("ticket {ticket}: expected CheckpointCorrupt, got {other:?}"),
         }
     }
     // Skipped blobs are left in place for forensics…
-    assert_eq!(store.tickets().expect("scan"), vec![0, 1, 2]);
+    assert_eq!(store.tickets().expect("scan"), vec![0, 1, 2, 3]);
     // …and the store stays fully usable: remove them, spill again.
-    for t in [0u64, 1, 2] {
+    for t in [0u64, 1, 2, 3] {
         store.remove(t).expect("remove damaged blob");
     }
     let again = serve_spilling(&bound, &plan[..1], &dir);
@@ -541,5 +561,71 @@ mod injected {
             assert!(recovery.skipped.is_empty());
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A fault in the *restore* of a retry must not cost the query its
+    /// checkpoint: the first attempt starves on its cycle budget and
+    /// leaves a boundary in the ticket's slot, the retry panics while
+    /// restoring from it, and the final outcome still carries that
+    /// boundary — in memory and, with durability armed, on disk.
+    #[test]
+    fn a_restore_fault_on_the_retry_keeps_and_spills_the_first_attempts_boundary() {
+        use simdx::core::fault::FaultSite;
+
+        let _serial = lock();
+        let dir = scratch_dir("restore-fault");
+        let g = graph();
+        let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
+        let bound = runtime.bind(&g);
+        let (seed, budget) = spill_plan(&bound)[0];
+        // Where the budget cuts a first attempt, from a direct armed run.
+        let boundary = bound
+            .run(Bfs::new(seed))
+            .cycle_budget(budget)
+            .checkpoint_on_abort()
+            .execute()
+            .expect_err("starved")
+            .checkpoint
+            .expect("boundary reached")
+            .iteration();
+
+        let armed = fault::install(FaultPlan::new().panic_on(FaultSite::Restore));
+        let store = DirStore::open(&dir).expect("open");
+        let report = QueryPool::serve(
+            &bound,
+            Bfs::new(0),
+            ServiceConfig::default()
+                .workers(1)
+                .retry(RetryPolicy::default().max_attempts(2))
+                .durability(DurabilityPolicy::spill_to(store)),
+            |client| {
+                client
+                    .submit(QueryRequest::new(seed).cycle_budget(budget))
+                    .map(|_| ())
+            },
+        )
+        .expect("serve");
+        drop(armed);
+
+        let outcome = &report.outcomes[0];
+        assert_eq!(outcome.attempts, 2);
+        assert!(
+            matches!(&outcome.result, Err(SimdxError::WorkerPanicked { payload, .. })
+                if payload.contains("injected fault at restore")),
+            "wrong result: {:?}",
+            outcome.result
+        );
+        let cp = outcome.checkpoint.as_ref().expect("checkpoint survives");
+        assert_eq!(cp.iteration(), boundary, "the first attempt's boundary");
+        assert_eq!(report.spilled, vec![0]);
+        assert!(report.spill_failures.is_empty());
+        // And what was spilled is that boundary: it recovers bit-equal.
+        let store = DirStore::open(&dir).expect("reopen");
+        let recovery = QueryPool::recover(&bound, Bfs::new(0), &store).expect("recover");
+        assert_eq!(recovery.recovered[0].resumed_from, boundary);
+        let run = recovery.recovered[0].result.as_ref().expect("completes");
+        let baseline = bound.run(Bfs::new(seed)).execute().expect("baseline");
+        assert_eq!(fingerprint(run), fingerprint(&baseline));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -350,8 +350,9 @@ fn every_panic_site_recovers_through_checkpoint_resume() {
 }
 
 /// A panic injected at the restore hook is contained like any worker
-/// panic, and the caller-side checkpoint (cloned before the attempt)
-/// still resumes bit-equal once the fault is disarmed.
+/// panic, and the checkpoint being resumed comes back in the
+/// `RunAborted` — it never left the slot — and still resumes bit-equal
+/// once the fault is disarmed.
 #[test]
 fn restore_faults_are_contained_and_the_checkpoint_survives() {
     let _serial = lock();
@@ -374,7 +375,7 @@ fn restore_faults_are_contained_and_the_checkpoint_survives() {
     let err = {
         let _armed = fault::install(FaultPlan::new().panic_on(FaultSite::Restore));
         bound
-            .resume(Bfs::new(0), cp.clone())
+            .resume(Bfs::new(0), cp)
             .execute()
             .expect_err("armed restore fault")
     };
@@ -384,6 +385,10 @@ fn restore_faults_are_contained_and_the_checkpoint_survives() {
         "wrong error: {:?}",
         err.error
     );
+    let cp = err
+        .checkpoint
+        .expect("the resumed checkpoint is handed back");
+    assert_eq!(cp.iteration(), 2);
     let after = fingerprint(
         bound
             .resume(Bfs::new(0), cp)
@@ -391,6 +396,46 @@ fn restore_faults_are_contained_and_the_checkpoint_survives() {
             .expect("clean resume after contained restore fault"),
     );
     assert_eq!(after, baseline, "resume after restore fault diverged");
+}
+
+/// The degrade retry is one more attempt under the slot rule: with
+/// checkpointing armed it continues from the panicked attempt's last
+/// boundary instead of restarting, so the observer sees every iteration
+/// exactly once and the result is still the serial baseline's.
+#[test]
+fn an_armed_degrade_retry_continues_from_the_last_boundary() {
+    let _serial = lock();
+    let g = rmat_graph();
+    let par = EngineConfig::default()
+        .parallel(3)
+        .with_direction(DirectionPolicy::FixedPush)
+        .degrade_serial();
+    let baseline = fresh(Bfs::new(0), &g, par.clone().with_exec(ExecMode::Serial));
+    let runtime = Runtime::new(par).expect("runtime");
+    let bound = runtime.bind(&g);
+    // A parallel push iteration passes the site once per worker per
+    // worklist (3 × 3), so hit 19 is the first of iteration 2: two
+    // iterations complete, the third dies mid-sweep.
+    let _armed = fault::install(FaultPlan::new().panic_at(FaultSite::Push, 19));
+    let mut seen = Vec::new();
+    let recovered = bound
+        .run(Bfs::new(0))
+        .observe(|rec| seen.push(rec.iteration))
+        .checkpoint_on_abort()
+        .execute()
+        .expect("degraded run");
+    assert_eq!(recovered.report.aborted, Some(AbortReason::WorkerPanic));
+    assert!(recovered.report.iterations > 3, "the fault struck mid-run");
+    assert_eq!(
+        seen,
+        (0..recovered.report.iterations).collect::<Vec<_>>(),
+        "each iteration observed exactly once, in order"
+    );
+    assert_eq!(
+        fingerprint(recovered),
+        baseline,
+        "continued degrade retry diverged from the serial baseline"
+    );
 }
 
 #[test]

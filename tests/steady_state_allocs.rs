@@ -12,7 +12,11 @@
 //! doublings on top. The road strip only ever pushes through the
 //! online filter; a second case holds PageRank and BFS on a small
 //! R-MAT — vote pull, aggregation pull with its candidate bitmap, the
-//! ballot scan and both publish strategies — to the same budget.
+//! ballot scan and both publish strategies — to the same budget. A
+//! third case arms boundary checkpointing on the road strip: capturing
+//! every iteration, and resuming from a capture, may cost a fixed
+//! number of allocations on top of the unarmed query — the slot's
+//! buffers and their doublings — and again none per iteration.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -65,12 +69,18 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCS.with(Cell::get) - before)
 }
 
-#[test]
-fn warm_serial_queries_allocate_per_query_not_per_iteration() {
-    // Vertex `y * width + x`: 0 is a corner, `mid` the centre.
+/// The road strip and its centre vertex. Vertex `y * width + x`: 0 is a
+/// corner, a BFS from it runs about twice the iterations of one from
+/// the centre.
+fn road_strip() -> (Graph, u32) {
     let (width, height) = (64, 16);
     let g = Graph::undirected_from_edges(Road::strip(width, height).generate(5));
-    let mid = (height / 2) * width + width / 2;
+    (g, (height / 2) * width + width / 2)
+}
+
+#[test]
+fn warm_serial_queries_allocate_per_query_not_per_iteration() {
+    let (g, mid) = road_strip();
     let runtime = Runtime::new(EngineConfig::default()).expect("runtime");
     let bound = runtime.bind(&g);
     // Warm the arena on both queries (the central source fans out in
@@ -106,6 +116,65 @@ fn warm_serial_queries_allocate_per_query_not_per_iteration() {
     // And the count is a property of the query, not of its position.
     assert_eq!(again_allocs, far_allocs);
     assert_eq!(again.meta, far.meta);
+}
+
+#[test]
+fn armed_capture_and_resume_allocate_per_run_not_per_iteration() {
+    let (g, mid) = road_strip();
+    let runtime = Runtime::new(EngineConfig::default()).expect("runtime");
+    let bound = runtime.bind(&g);
+    for src in [0, mid, 0, mid] {
+        bound.run(Bfs::new(src)).execute().expect("warm-up");
+    }
+    let armed = |src| {
+        bound
+            .run(Bfs::new(src))
+            .checkpoint_on_abort()
+            .execute()
+            .expect("armed")
+    };
+
+    let (plain, plain_allocs) =
+        allocations_during(|| bound.run(Bfs::new(0)).execute().expect("plain"));
+    let (far, far_allocs) = allocations_during(|| armed(0));
+    let (near, near_allocs) = allocations_during(|| armed(mid));
+    assert!(far.report.iterations >= near.report.iterations + 20);
+    assert_eq!(far.meta, plain.meta);
+    // The capture budget: the slot's metadata, frontier and log buffers
+    // and the doublings of the latter two — per run, whatever its
+    // length.
+    assert!(
+        far_allocs <= plain_allocs + 16,
+        "armed: {far_allocs} allocations, unarmed: {plain_allocs}"
+    );
+    assert!(
+        far_allocs.abs_diff(near_allocs) <= 4,
+        "{} armed iterations took {far_allocs} allocations, {} took {near_allocs}",
+        far.report.iterations,
+        near.report.iterations
+    );
+
+    // Cut the far query at half its cycles and finish it from the
+    // checkpoint: restoring copies the boundary once, and the rest is
+    // an armed run like any other.
+    let cp = bound
+        .run(Bfs::new(0))
+        .cycle_budget(plain.report.stats.total_cycles / 2)
+        .checkpoint_on_abort()
+        .execute()
+        .expect_err("starved")
+        .checkpoint
+        .expect("boundary reached");
+    let left = far.report.iterations - cp.iteration();
+    assert!(left >= 20, "the resume must run many iterations ({left})");
+    let (resumed, resumed_allocs) =
+        allocations_during(|| bound.resume(Bfs::new(0), cp).execute().expect("resumed"));
+    assert_eq!(resumed.meta, plain.meta);
+    assert!(
+        resumed_allocs <= far_allocs,
+        "a {left}-iteration resume took {resumed_allocs} allocations, \
+         a fresh armed run {far_allocs}"
+    );
 }
 
 #[test]
