@@ -100,7 +100,7 @@ impl AccProgram for KCore {
 
     /// Deletions propagate along out-edges; the decomposition runs in
     /// push mode (the paper's early pull phase is an optimization for
-    /// the all-active first iterations; see DESIGN.md).
+    /// the all-active first iterations).
     fn direction(&self, _ctx: &DirectionCtx) -> Option<Direction> {
         Some(Direction::Push)
     }

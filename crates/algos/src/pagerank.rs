@@ -7,7 +7,7 @@
 //! pull model and agg_sum as the merge operation."
 //!
 //! This implementation keeps the pull model throughout (the paper's
-//! final push phase is a tail optimization; see DESIGN.md). The Active
+//! final push phase is a tail optimization). The Active
 //! condition is rank movement beyond `eps`, so the frontier shrinks as
 //! ranks stabilize and the run terminates when no rank moves — exactly
 //! the "majority of the vertices are stable" dynamics that drive the

@@ -311,8 +311,7 @@ mod tests {
         let ratio = cu.report.elapsed_ms / sx.report.elapsed_ms;
         // The paper reports 480x on full-scale ER with bucketed
         // Delta-stepping; our frontier Bellman-Ford keeps a wider
-        // wavefront, so an order of magnitude is the expected shape
-        // (see EXPERIMENTS.md).
+        // wavefront, so an order of magnitude is the expected shape.
         assert!(
             ratio > 10.0,
             "expected an order-of-magnitude blowup, got {ratio:.1}x"

@@ -1,5 +1,6 @@
 //! Regenerates **Table 3**: the graph dataset inventory, side by side
-//! with the scaled twins this reproduction actually runs (DESIGN.md §7).
+//! with the scaled twins this reproduction actually runs
+//! (`simdx_graph::datasets`).
 
 use simdx_bench::{load, print_table, GRAPH_ORDER, SEED};
 use simdx_graph::stats;

@@ -2,9 +2,8 @@
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper's evaluation (§7); this library holds the dataset cache, the
-//! system runners and the plain-text table printer they share. See
-//! DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
-//! recorded paper-vs-measured comparison.
+//! system runners and the plain-text table printer they share. Each
+//! binary's module doc names the table or figure it regenerates.
 
 use simdx_algos::{bfs::Bfs, kcore::KCore, pagerank::PageRank, sssp::Sssp};
 use simdx_baselines::cpu::{galois, ligra};

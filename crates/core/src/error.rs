@@ -218,15 +218,15 @@ mod tests {
             }
         );
 
-        let err: SimdxError = GraphError::TargetOutOfRange {
-            edge: 4,
-            target: 9,
+        let err: SimdxError = GraphError::EndpointOutOfRange {
+            src: 4,
+            dst: 9,
             num_vertices: 3,
         }
         .into();
         match err {
             SimdxError::InvalidGraph { reason } => {
-                assert!(reason.contains("target 9"), "reason: {reason}")
+                assert!(reason.contains("(4, 9)"), "reason: {reason}")
             }
             other => panic!("wrong variant: {other:?}"),
         }

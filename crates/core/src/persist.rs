@@ -13,8 +13,8 @@
 //!
 //! # Wire format (`SXCP`, version 1)
 //!
-//! Hand-rolled and dependency-free (the workspace builds offline; the
-//! in-tree `serde` is an API stub). All integers are little-endian.
+//! Hand-rolled and dependency-free (the workspace builds offline). All
+//! integers are little-endian.
 //!
 //! ```text
 //! header   magic "SXCP" · version u16 · meta type tag u8 · meta size u8

@@ -9,8 +9,6 @@
 //! plain write and serializes under contention; a kernel launch costs
 //! microseconds while a barrier costs sub-microsecond.
 
-use serde::{Deserialize, Serialize};
-
 /// Simulated cycles.
 pub type CycleCount = u64;
 
@@ -20,7 +18,7 @@ pub type CycleCount = u64;
 /// lanes cooperating on the task (1 for a thread task, 32 for a warp
 /// task, the CTA width for a CTA task): elapsed cycles divide by it,
 /// while memory traffic — which is physical bytes moved — does not.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cost {
     /// ALU operations (comparisons, adds, lane shuffles).
     pub compute_ops: u64,
@@ -97,7 +95,7 @@ impl Cost {
 }
 
 /// Converts [`Cost`] units to cycles.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CostModel {
     /// Cycles per ALU op.
     pub cycles_per_op: u64,

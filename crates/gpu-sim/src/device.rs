@@ -5,10 +5,8 @@
 //! the public datasheet values for each card. All timing-relevant
 //! constants feed the cost model in [`crate::cost`].
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of a simulated GPU.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DeviceSpec {
     /// Marketing name ("Tesla K40").
     pub name: &'static str,
@@ -35,7 +33,7 @@ pub struct DeviceSpec {
     pub barrier_cycles: u64,
     /// On-board global memory in bytes. Used for the out-of-memory
     /// feasibility checks behind Table 4's blank cells (checked against
-    /// the *paper-scale* dataset sizes; see DESIGN.md §2).
+    /// the *paper-scale* dataset sizes by `simdx_baselines::feasibility`).
     pub global_mem_bytes: u64,
     /// Resident threads needed to saturate the memory system through
     /// latency hiding. Kernels whose occupancy sits below this reach a
@@ -108,11 +106,6 @@ impl DeviceSpec {
     /// Total registers across the device.
     pub fn total_registers(&self) -> u64 {
         self.sm_count as u64 * self.registers_per_sm as u64
-    }
-
-    /// Maximum resident threads across the device.
-    pub fn max_resident_threads(&self) -> u64 {
-        self.sm_count as u64 * self.max_threads_per_sm as u64
     }
 
     /// Converts simulated cycles to simulated milliseconds at this

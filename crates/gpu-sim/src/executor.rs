@@ -240,7 +240,6 @@ impl GpuExecutor {
     /// slot count and aggregate bandwidth by the dataset scale factor
     /// restores the paper-scale ratios while preserving all *relative*
     /// occupancy effects between kernels (register pressure, fusion).
-    /// See DESIGN.md §2.
     ///
     /// # Panics
     ///
@@ -309,12 +308,6 @@ impl GpuExecutor {
     pub fn charge_barrier(&mut self) {
         self.stats.barrier_passes += 1;
         self.stats.total_cycles += self.device.barrier_cycles;
-    }
-
-    /// Charges host-side cycles that are serial with the GPU (e.g. the
-    /// CPU-side decision logic between unfused kernel launches).
-    pub fn charge_host_cycles(&mut self, cycles: CycleCount) {
-        self.stats.total_cycles += cycles;
     }
 
     /// Opens `charge` for one invocation of `kernel` at granularity

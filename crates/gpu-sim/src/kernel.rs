@@ -7,12 +7,10 @@
 //! many CTAs can be simultaneously resident — the quantity the
 //! deadlock-free barrier depends on.
 
-use serde::{Deserialize, Serialize};
-
 /// Scheduling granularity for a worklist, per §4's step II: "a single
 /// thread per small task, a warp per medium task and a CTA per large
 /// task".
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SchedUnit {
     /// One thread per task (small list).
     Thread,
@@ -34,7 +32,7 @@ impl SchedUnit {
 }
 
 /// A compiled kernel's resource footprint.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KernelDesc {
     /// Kernel name for reports.
     pub name: String,
@@ -77,7 +75,7 @@ impl KernelDesc {
 }
 
 /// A concrete launch: how many CTAs of a kernel run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LaunchConfig {
     /// Number of CTAs launched.
     pub ctas: u32,

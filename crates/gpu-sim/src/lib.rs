@@ -21,7 +21,8 @@
 //!
 //! Absolute cycle counts are calibration constants, not measurements;
 //! the model's purpose is preserving *relative* behaviour (who wins,
-//! where crossovers fall). See DESIGN.md §2.
+//! where crossovers fall); the [`cost`] module doc names the ratios the
+//! constants are chosen to keep.
 
 pub mod barrier;
 pub mod cost;

@@ -34,13 +34,6 @@ pub fn coalesced_transactions(start: u64, lanes: u64, elem_bytes: u64) -> u64 {
     last - first + 1
 }
 
-/// Transactions for a warp whose `lanes` accesses are assumed fully
-/// scattered (one transaction each) — the worst case used for random
-/// frontier-order access.
-pub fn scattered_transactions(lanes: u64) -> u64 {
-    lanes
-}
-
 /// A running tally of memory traffic, in transactions, split by kind so
 /// reports can show where bandwidth went.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

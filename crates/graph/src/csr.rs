@@ -10,14 +10,22 @@
 use crate::edgelist::EdgeList;
 use crate::error::GraphError;
 use crate::{EdgeIdx, VertexId, Weight};
-use serde::{Deserialize, Serialize};
 
 /// A graph in compressed sparse row form.
 ///
 /// `offsets` has `num_vertices + 1` entries; the neighbors of vertex `v`
 /// are `targets[offsets[v] .. offsets[v + 1]]`, and, when present,
 /// `weights` is parallel to `targets`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Row order: every row is sorted by `(target, weight)`, whatever order
+/// the edges arrived in — the engine relies on it for coalesced neighbor
+/// access. [`Self::try_build`] establishes it (counting sort by source,
+/// then a per-row sort that skips rows already in order) and
+/// [`Self::transpose`] preserves it by construction; nothing downstream
+/// re-sorts or re-checks. Parallel edges and self-loops are kept here;
+/// [`Graph::directed_from_edges`] / [`Graph::undirected_from_edges`]
+/// drop them.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Csr {
     offsets: Vec<EdgeIdx>,
     targets: Vec<VertexId>,
@@ -25,21 +33,12 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Builds a CSR from an edge list using counting sort, which keeps the
-    /// build `O(V + E)` and produces neighbor lists ordered by insertion.
+    /// Builds a CSR from an edge list: [`Self::build`] over its parts.
     pub fn from_edge_list(el: &EdgeList) -> Self {
-        Self::build(
-            el.num_vertices(),
-            el.edges(),
-            el.weights(),
-            /* sort_neighbors = */ true,
-        )
+        Self::build(el.num_vertices(), el.edges(), el.weights())
     }
 
-    /// Builds a CSR from raw parts.
-    ///
-    /// `sort_neighbors` additionally sorts each adjacency list by target
-    /// ID, which the engine relies on for coalesced neighbor access.
+    /// Builds a CSR from raw parts in `O(V + E)` plus the per-row sort.
     ///
     /// # Panics
     ///
@@ -49,22 +48,18 @@ impl Csr {
         num_vertices: VertexId,
         edges: &[(VertexId, VertexId)],
         weights: Option<&[Weight]>,
-        sort_neighbors: bool,
     ) -> Self {
-        Self::try_build(num_vertices, edges, weights, sort_neighbors)
-            .unwrap_or_else(|err| panic!("{err}"))
+        Self::try_build(num_vertices, edges, weights).unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Fallible [`Self::build`]: validates the inputs and returns a
     /// typed [`GraphError`] instead of panicking — the ingestion path
-    /// for untrusted edge data.
+    /// for untrusted edge data, and the one place endpoints are checked.
     pub fn try_build(
         num_vertices: VertexId,
         edges: &[(VertexId, VertexId)],
         weights: Option<&[Weight]>,
-        sort_neighbors: bool,
     ) -> Result<Self, GraphError> {
-        let n = num_vertices as usize;
         if let Some(w) = weights {
             if w.len() != edges.len() {
                 return Err(GraphError::WeightsLengthMismatch {
@@ -83,100 +78,50 @@ impl Csr {
                 num_vertices,
             });
         }
-        let mut offsets = vec![0 as EdgeIdx; n + 1];
-        for &(s, _) in edges {
-            offsets[s as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor: Vec<EdgeIdx> = offsets[..n].to_vec();
-        let mut targets = vec![0 as VertexId; edges.len()];
-        let mut out_weights = weights.map(|_| vec![0 as Weight; edges.len()]);
-        for (i, &(s, d)) in edges.iter().enumerate() {
-            let at = cursor[s as usize] as usize;
-            cursor[s as usize] += 1;
-            targets[at] = d;
-            if let (Some(ow), Some(w)) = (&mut out_weights, weights) {
-                ow[at] = w[i];
-            }
-        }
-        let mut csr = Self {
-            offsets,
-            targets,
-            weights: out_weights,
-        };
-        if sort_neighbors {
-            csr.sort_adjacency();
-        }
+        let mut csr = Self::scatter(num_vertices, edges.iter().copied(), weights);
+        csr.sort_adjacency();
         Ok(csr)
     }
 
-    /// Wraps pre-built CSR arrays after validating every structural
-    /// invariant the engine relies on: offsets spanning `[0, E]`
-    /// monotonically with every value addressable on this host,
-    /// targets in range, and weights (when present) parallel to
-    /// targets. This is the trusted-boundary constructor for decoded
-    /// or externally produced CSR data — unlike [`Self::try_build`] it
-    /// takes the arrays as-is, with no counting-sort rebuild.
-    pub fn try_new(
-        offsets: Vec<EdgeIdx>,
-        targets: Vec<VertexId>,
-        weights: Option<Vec<Weight>>,
-    ) -> Result<Self, GraphError> {
-        if offsets.is_empty() || offsets.len() - 1 > VertexId::MAX as usize {
-            return Err(GraphError::BadVertexCount {
-                offsets_len: offsets.len(),
-            });
+    /// Stable counting sort of `(row, target)` pairs into CSR arrays:
+    /// count rows, prefix-sum, scatter. `weights[i]` belongs to the
+    /// `i`-th pair. The caller guarantees both endpoints of every pair
+    /// are below `num_vertices`.
+    fn scatter(
+        num_vertices: VertexId,
+        pairs: impl Iterator<Item = (VertexId, VertexId)> + Clone,
+        weights: Option<&[Weight]>,
+    ) -> Self {
+        let n = num_vertices as usize;
+        let mut offsets = vec![0 as EdgeIdx; n + 1];
+        pairs
+            .clone()
+            .for_each(|(row, _)| offsets[row as usize + 1] += 1);
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
         }
-        let num_vertices = (offsets.len() - 1) as VertexId;
-        let num_edges = targets.len() as EdgeIdx;
-        let (first, last) = (offsets[0], *offsets.last().expect("non-empty offsets"));
-        if first != 0 || last != num_edges {
-            return Err(GraphError::OffsetEndpoints {
-                first,
-                last,
-                num_edges,
-            });
-        }
-        if let Some(v) = offsets.windows(2).position(|w| w[0] > w[1]) {
-            return Err(GraphError::NonMonotonicOffsets {
-                vertex: v as VertexId,
-            });
-        }
-        if let Some(&offset) = offsets.iter().find(|&&o| usize::try_from(o).is_err()) {
-            return Err(GraphError::EdgeCountOverflow { offset });
-        }
-        if let Some((edge, &target)) = targets
-            .iter()
-            .enumerate()
-            .find(|&(_, &t)| t >= num_vertices)
-        {
-            return Err(GraphError::TargetOutOfRange {
-                edge: edge as u64,
-                target,
-                num_vertices,
-            });
-        }
-        if let Some(w) = &weights {
-            if w.len() != targets.len() {
-                return Err(GraphError::WeightsLengthMismatch {
-                    weights: w.len(),
-                    edges: targets.len(),
-                });
+        let num_edges = offsets[n] as usize;
+        let mut cursor: Vec<EdgeIdx> = offsets[..n].to_vec();
+        let mut targets = vec![0 as VertexId; num_edges];
+        let mut out_weights = weights.map(|_| vec![0 as Weight; num_edges]);
+        pairs.enumerate().for_each(|(i, (row, target))| {
+            let at = cursor[row as usize] as usize;
+            cursor[row as usize] += 1;
+            targets[at] = target;
+            if let (Some(ow), Some(w)) = (&mut out_weights, weights) {
+                ow[at] = w[i];
             }
-        }
-        Ok(Self {
+        });
+        Self {
             offsets,
             targets,
-            weights,
-        })
+            weights: out_weights,
+        }
     }
 
     /// Sorts every adjacency list by target ID (weights follow targets;
     /// parallel edges order by weight). A list already in order is left
-    /// alone — every list is on the `Graph::*_from_edges` path, where
-    /// `EdgeList::dedup` sorted the pairs and the counting sort is
+    /// alone — generator output arrives sorted and the counting sort is
     /// stable — and the weighted lists that do need sorting share one
     /// buffer.
     fn sort_adjacency(&mut self) {
@@ -204,6 +149,37 @@ impl Csr {
                     }
                 }
             }
+        }
+    }
+
+    /// Drops self-loops and, of each run of equal targets in a row, all
+    /// but the first edge — the lightest, rows being ordered by
+    /// `(target, weight)`. Compacts in place and keeps the allocations:
+    /// generator output has nothing to drop, and shrinking the little a
+    /// symmetrized list does drop is a `realloc` that reshuffles the heap
+    /// under everything bound to the graph afterwards.
+    fn dedup_rows(&mut self) {
+        let (mut read, mut write) = (0usize, 0usize);
+        for v in 0..self.num_vertices() {
+            let row_start = write;
+            let row_end = self.offsets[v as usize + 1] as usize;
+            for i in read..row_end {
+                let t = self.targets[i];
+                if t == v || (write > row_start && self.targets[write - 1] == t) {
+                    continue;
+                }
+                self.targets[write] = t;
+                if let Some(w) = &mut self.weights {
+                    w[write] = w[i];
+                }
+                write += 1;
+            }
+            read = row_end;
+            self.offsets[v as usize + 1] = write as EdgeIdx;
+        }
+        self.targets.truncate(write);
+        if let Some(w) = &mut self.weights {
+            w.truncate(write);
         }
     }
 
@@ -264,23 +240,14 @@ impl Csr {
     }
 
     /// Builds the transpose (in-neighbor) CSR. Weights are carried over so
-    /// pull-mode SSSP sees the same weight on the reversed edge.
+    /// pull-mode SSSP sees the same weight on the reversed edge. Visiting
+    /// rows in ascending source order scatters every in-row out already
+    /// ordered by `(source, weight)`, so nothing is validated or sorted
+    /// again.
     pub fn transpose(&self) -> Csr {
-        let mut edges = Vec::with_capacity(self.targets.len());
-        let mut weights = self
-            .weights
-            .as_ref()
-            .map(|_| Vec::with_capacity(self.targets.len()));
-        for v in 0..self.num_vertices() {
-            let (lo, hi) = self.range(v);
-            for i in lo..hi {
-                edges.push((self.targets[i], v));
-                if let (Some(ws), Some(w)) = (&mut weights, &self.weights) {
-                    ws.push(w[i]);
-                }
-            }
-        }
-        Csr::build(self.num_vertices(), &edges, weights.as_deref(), true)
+        let reversed =
+            (0..self.num_vertices()).flat_map(|v| self.neighbors(v).iter().map(move |&t| (t, v)));
+        Self::scatter(self.num_vertices(), reversed, self.weights())
     }
 
     /// Approximate in-memory footprint in bytes (offsets 8B, targets 4B,
@@ -302,7 +269,7 @@ impl Csr {
 }
 
 /// Orientation of an adjacency scan, matching the engine's push/pull modes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Scatter along out-edges (source-centric).
     Push,
@@ -316,7 +283,7 @@ pub enum Direction {
 /// directions, so the pull view aliases the push view and no transpose is
 /// stored (the paper: "for undirected graph, we only need to store the
 /// out-neighbors", §6).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
     out: Csr,
     /// `None` for undirected graphs (pull view == push view).
@@ -338,18 +305,27 @@ impl Graph {
         }
     }
 
-    /// Builds an undirected graph from an edge list, symmetrizing and
-    /// deduplicating it first.
+    /// Builds an undirected graph from an edge list: the symmetric
+    /// closure, without self-loops, duplicate pairs collapsed to their
+    /// lightest edge.
     pub fn undirected_from_edges(mut el: EdgeList) -> Self {
         el.symmetrize();
-        el.dedup();
-        Self::undirected(Csr::from_edge_list(&el))
+        Self::undirected(Self::simple_csr(el))
     }
 
-    /// Builds a directed graph from an edge list after deduplication.
-    pub fn directed_from_edges(mut el: EdgeList) -> Self {
-        el.dedup();
-        Self::directed(Csr::from_edge_list(&el))
+    /// Builds a directed graph from an edge list, without self-loops,
+    /// duplicate pairs collapsed to their lightest edge.
+    pub fn directed_from_edges(el: EdgeList) -> Self {
+        Self::directed(Self::simple_csr(el))
+    }
+
+    /// The CSR of `el` as a simple graph. Takes the list by value so it
+    /// is freed before the caller's transpose allocates.
+    fn simple_csr(el: EdgeList) -> Csr {
+        let mut csr = Csr::from_edge_list(&el);
+        drop(el);
+        csr.dedup_rows();
+        csr
     }
 
     /// Whether the graph stores a separate transpose (i.e. is directed).
@@ -480,6 +456,69 @@ mod tests {
     }
 
     #[test]
+    fn transpose_of_a_weighted_multigraph_is_the_build_over_reversed_pairs() {
+        // Parallel edges (0→2 ×3, 3→2 ×2), a self-loop and an empty row:
+        // the scatter must order every in-row by (source, weight) exactly
+        // as a sorting build over the reversed pairs does.
+        let edges = vec![
+            (3, 2),
+            (0, 2),
+            (1, 1),
+            (0, 2),
+            (3, 0),
+            (0, 2),
+            (3, 2),
+            (1, 0),
+        ];
+        let weights = vec![6, 9, 3, 2, 8, 5, 1, 7];
+        let csr = Csr::build(5, &edges, Some(&weights));
+        let reversed: Vec<_> = edges.iter().map(|&(s, d)| (d, s)).collect();
+        let t = csr.transpose();
+        assert_eq!(t, Csr::build(5, &reversed, Some(&weights)));
+        assert_eq!(t.neighbors(2), &[0, 0, 0, 3, 3]);
+        assert_eq!(t.neighbor_weights(2), Some(&[2, 5, 9, 1, 6][..]));
+        assert_eq!(t.transpose(), csr);
+    }
+
+    #[test]
+    fn dedup_rows_drops_loops_and_keeps_the_lightest_of_each_run() {
+        // Row 0 is all self-loops, row 1 is clean, row 2 ends in a run.
+        let mut csr = Csr::build(
+            4,
+            &[
+                (0, 0),
+                (2, 3),
+                (0, 0),
+                (1, 0),
+                (2, 3),
+                (1, 3),
+                (2, 1),
+                (2, 3),
+            ],
+            Some(&[1, 8, 2, 3, 6, 4, 5, 7]),
+        );
+        csr.dedup_rows();
+        assert_eq!(csr.offsets(), &[0, 0, 2, 4, 4]);
+        assert_eq!(csr.targets(), &[0, 3, 1, 3]);
+        assert_eq!(csr.weights(), Some(&[3, 4, 5, 6][..]));
+    }
+
+    #[test]
+    fn dedup_rows_leaves_a_clean_csr_untouched() {
+        let mut csr = Csr::from_edge_list(&EdgeList::from_weighted(
+            4,
+            vec![(0, 1), (0, 2), (1, 3), (2, 3)],
+            vec![4, 3, 2, 1],
+        ));
+        let before = csr.clone();
+        let caps = |c: &Csr| (c.targets.capacity(), c.weights.as_ref().map(Vec::capacity));
+        let (ptr, cap) = (csr.targets.as_ptr(), caps(&csr));
+        csr.dedup_rows();
+        assert_eq!(csr, before);
+        assert_eq!((csr.targets.as_ptr(), caps(&csr)), (ptr, cap));
+    }
+
+    #[test]
     fn graph_directed_pull_view() {
         let g = Graph::directed_from_edges(diamond());
         assert!(g.is_directed());
@@ -520,67 +559,9 @@ mod tests {
     }
 
     #[test]
-    fn try_new_accepts_a_valid_csr_verbatim() {
-        let built = Csr::from_edge_list(&diamond());
-        let wrapped = Csr::try_new(
-            built.offsets().to_vec(),
-            built.targets().to_vec(),
-            built.weights().map(<[Weight]>::to_vec),
-        )
-        .expect("valid parts");
-        assert_eq!(wrapped, built);
-    }
-
-    #[test]
-    fn try_new_rejects_each_broken_invariant() {
-        let base = Csr::from_edge_list(&diamond());
-        let offsets = || base.offsets().to_vec();
-        let targets = || base.targets().to_vec();
-
-        assert_eq!(
-            Csr::try_new(vec![], vec![], None),
-            Err(GraphError::BadVertexCount { offsets_len: 0 })
-        );
-
-        let mut bad = offsets();
-        *bad.last_mut().unwrap() += 1;
-        assert!(matches!(
-            Csr::try_new(bad, targets(), None),
-            Err(GraphError::OffsetEndpoints { .. })
-        ));
-
-        let mut bad = offsets();
-        bad[1] = 3;
-        bad[2] = 2;
-        assert_eq!(
-            Csr::try_new(bad, targets(), None),
-            Err(GraphError::NonMonotonicOffsets { vertex: 1 })
-        );
-
-        let mut bad = targets();
-        bad[3] = 99;
-        assert_eq!(
-            Csr::try_new(offsets(), bad, None),
-            Err(GraphError::TargetOutOfRange {
-                edge: 3,
-                target: 99,
-                num_vertices: 4
-            })
-        );
-
-        assert_eq!(
-            Csr::try_new(offsets(), targets(), Some(vec![1, 2])),
-            Err(GraphError::WeightsLengthMismatch {
-                weights: 2,
-                edges: 4
-            })
-        );
-    }
-
-    #[test]
     fn try_build_rejects_out_of_range_endpoints_and_skewed_weights() {
         assert_eq!(
-            Csr::try_build(2, &[(0, 1), (1, 5)], None, true),
+            Csr::try_build(2, &[(0, 1), (1, 5)], None),
             Err(GraphError::EndpointOutOfRange {
                 src: 1,
                 dst: 5,
@@ -588,7 +569,7 @@ mod tests {
             })
         );
         assert_eq!(
-            Csr::try_build(2, &[(0, 1)], Some(&[1, 2]), true),
+            Csr::try_build(2, &[(0, 1)], Some(&[1, 2])),
             Err(GraphError::WeightsLengthMismatch {
                 weights: 2,
                 edges: 1
@@ -599,6 +580,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "weights must be parallel to edges")]
     fn build_still_panics_with_the_legacy_message() {
-        Csr::build(2, &[(0, 1)], Some(&[1, 2]), true);
+        Csr::build(2, &[(0, 1)], Some(&[1, 2]));
     }
 }

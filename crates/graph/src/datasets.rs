@@ -3,8 +3,7 @@
 //! Each entry mirrors the *structural class* of the original graph
 //! (degree skew, diameter class, directedness) at roughly 1/64 of its
 //! vertex count so the whole evaluation suite runs on a CPU-simulated
-//! GPU in minutes. The mapping is documented per entry; DESIGN.md §7
-//! records the substitution rationale.
+//! GPU in minutes. The mapping is documented per entry.
 //!
 //! All built graphs carry random edge weights in the Gunrock range
 //! `[1, 64)` so SSSP runs on every dataset, matching §6.
@@ -108,16 +107,6 @@ impl DatasetSpec {
     pub fn build(&self, seed: u64) -> Graph {
         let el = self.gen.generate(seed);
         let el = weights::assign_default_weights(&el, seed ^ 0x5EED_F00D);
-        if self.directed {
-            Graph::directed_from_edges(el)
-        } else {
-            Graph::undirected_from_edges(el)
-        }
-    }
-
-    /// Builds an unweighted variant (for purely topological algorithms).
-    pub fn build_unweighted(&self, seed: u64) -> Graph {
-        let el = self.gen.generate(seed);
         if self.directed {
             Graph::directed_from_edges(el)
         } else {

@@ -9,6 +9,17 @@
 use crate::error::GraphError;
 use crate::{VertexId, Weight};
 
+/// The vertex count raw pairs imply: one past the largest endpoint,
+/// saturating — `VertexId::MAX` itself then lies outside the graph and
+/// the CSR build rejects it with a typed error.
+pub(crate) fn vertex_span(edges: &[(VertexId, VertexId)]) -> VertexId {
+    edges
+        .iter()
+        .map(|&(s, d)| s.max(d).saturating_add(1))
+        .max()
+        .unwrap_or(0)
+}
+
 /// A list of directed edges, optionally weighted.
 ///
 /// Invariant: if `weights` is `Some`, it has exactly one entry per edge.
@@ -35,13 +46,8 @@ impl EdgeList {
     /// Creates an edge list from raw pairs, inferring the vertex count
     /// from the largest endpoint.
     pub fn from_pairs(edges: Vec<(VertexId, VertexId)>) -> Self {
-        let num_vertices = edges
-            .iter()
-            .map(|&(s, d)| s.max(d).saturating_add(1))
-            .max()
-            .unwrap_or(0);
         Self {
-            num_vertices,
+            num_vertices: vertex_span(&edges),
             edges,
             weights: None,
         }

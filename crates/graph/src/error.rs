@@ -3,12 +3,12 @@
 //! Graph construction historically policed its invariants with
 //! `assert!` — fine for generator-produced inputs, fatal for a service
 //! ingesting untrusted data. Every invariant now has a [`GraphError`]
-//! variant and a fallible constructor (`Csr::try_new`,
-//! `Csr::try_build`, `EdgeList::try_push`, ...); the legacy panicking
-//! entry points delegate to them and panic with the error's `Display`,
-//! preserving their historical messages.
+//! variant and a fallible constructor (`Csr::try_build`,
+//! `EdgeList::try_push`, ...); the legacy panicking entry points
+//! delegate to them and panic with the error's `Display`, preserving
+//! their historical messages.
 
-use crate::{EdgeIdx, VertexId};
+use crate::VertexId;
 
 /// A structural invariant violated while building a graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,39 +33,6 @@ pub enum GraphError {
         /// Vertex count of the list or CSR under construction.
         num_vertices: VertexId,
     },
-    /// A CSR target is outside `0..num_vertices`.
-    TargetOutOfRange {
-        /// Position of the edge in the targets array.
-        edge: u64,
-        /// The out-of-range destination.
-        target: VertexId,
-        /// Vertex count of the CSR under construction.
-        num_vertices: VertexId,
-    },
-    /// The CSR offsets array does not start at 0 / end at the edge count.
-    OffsetEndpoints {
-        /// `offsets.first()`, which must be 0.
-        first: EdgeIdx,
-        /// `offsets.last()`, which must equal `num_edges`.
-        last: EdgeIdx,
-        /// Length of the targets array.
-        num_edges: EdgeIdx,
-    },
-    /// The CSR offsets array decreases at some vertex.
-    NonMonotonicOffsets {
-        /// First vertex whose offset exceeds its successor's.
-        vertex: VertexId,
-    },
-    /// An offset (or edge count) does not fit the host's address space.
-    EdgeCountOverflow {
-        /// The unrepresentable offset value.
-        offset: EdgeIdx,
-    },
-    /// The offsets array is empty or larger than the vertex-ID space.
-    BadVertexCount {
-        /// `offsets.len()` as supplied.
-        offsets_len: usize,
-    },
 }
 
 impl std::fmt::Display for GraphError {
@@ -84,32 +51,6 @@ impl std::fmt::Display for GraphError {
             } => write!(
                 f,
                 "edge ({src}, {dst}) outside a graph with {num_vertices} vertices"
-            ),
-            Self::TargetOutOfRange {
-                edge,
-                target,
-                num_vertices,
-            } => write!(
-                f,
-                "edge {edge}: target {target} out of range for {num_vertices} vertices"
-            ),
-            Self::OffsetEndpoints {
-                first,
-                last,
-                num_edges,
-            } => write!(
-                f,
-                "offsets must span [0, {num_edges}], got [{first}, {last}]"
-            ),
-            Self::NonMonotonicOffsets { vertex } => {
-                write!(f, "offsets not monotone at vertex {vertex}")
-            }
-            Self::EdgeCountOverflow { offset } => {
-                write!(f, "offset {offset} exceeds the host address space")
-            }
-            Self::BadVertexCount { offsets_len } => write!(
-                f,
-                "offsets array of length {offsets_len} encodes no valid vertex count"
             ),
         }
     }
@@ -139,17 +80,5 @@ mod tests {
             GraphError::UnweightedPush.to_string(),
             "edge list already has unweighted edges"
         );
-    }
-
-    #[test]
-    fn display_names_the_offending_edge() {
-        let err = GraphError::TargetOutOfRange {
-            edge: 4,
-            target: 9,
-            num_vertices: 3,
-        };
-        let msg = err.to_string();
-        assert!(msg.contains("target 9"), "got: {msg}");
-        assert!(msg.contains("3 vertices"), "got: {msg}");
     }
 }

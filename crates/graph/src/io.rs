@@ -1,31 +1,17 @@
-//! Graph I/O: a compact binary CSR codec and a text edge-list parser.
+//! Graph input: a text edge-list parser.
 //!
-//! The binary format lets the bench harness cache generated datasets
-//! between runs; the text parser accepts the whitespace-separated
-//! `src dst [weight]` format used by SNAP and GTgraph dumps.
+//! Accepts the whitespace-separated `src dst [weight]` format used by
+//! SNAP and GTgraph dumps. This is where outside input enters the crate
+//! (the `simdx` CLI feeds it a user's file), so every token is parsed
+//! straight into its final type: an id that does not fit
+//! [`VertexId`](crate::VertexId) is an error, never a truncation.
 
-use crate::csr::Csr;
-use crate::edgelist::EdgeList;
-use crate::error::GraphError;
-use crate::{EdgeIdx, VertexId, Weight};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::edgelist::{vertex_span, EdgeList};
+use crate::{VertexId, Weight};
 
-/// Magic prefix of the binary CSR format.
-pub const MAGIC: u32 = 0x5349_4D58; // "SIMX"
-/// Current binary format version.
-pub const VERSION: u32 = 1;
-
-/// Errors produced while decoding graph data.
+/// A text edge list that could not be parsed.
 #[derive(Debug, PartialEq, Eq)]
 pub enum DecodeError {
-    /// Input is shorter than the declared payload.
-    Truncated,
-    /// Magic number mismatch.
-    BadMagic(u32),
-    /// Unsupported format version.
-    BadVersion(u32),
-    /// A structural invariant does not hold (e.g. unsorted offsets).
-    Corrupt(&'static str),
     /// Text parse failure with a line number.
     Parse { line: usize, what: &'static str },
 }
@@ -33,95 +19,12 @@ pub enum DecodeError {
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Truncated => write!(f, "input truncated"),
-            Self::BadMagic(m) => write!(f, "bad magic {m:#x}"),
-            Self::BadVersion(v) => write!(f, "unsupported version {v}"),
-            Self::Corrupt(w) => write!(f, "corrupt payload: {w}"),
             Self::Parse { line, what } => write!(f, "parse error at line {line}: {what}"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
-
-/// Encodes a CSR into the binary format.
-pub fn encode_csr(csr: &Csr) -> Bytes {
-    let mut buf = BytesMut::with_capacity(
-        24 + csr.offsets().len() * 8
-            + csr.targets().len() * 4
-            + csr.weights().map_or(0, |w| w.len() * 4),
-    );
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(csr.num_vertices());
-    buf.put_u8(u8::from(csr.is_weighted()));
-    buf.put_u64_le(csr.num_edges());
-    for &o in csr.offsets() {
-        buf.put_u64_le(o);
-    }
-    for &t in csr.targets() {
-        buf.put_u32_le(t);
-    }
-    if let Some(ws) = csr.weights() {
-        for &w in ws {
-            buf.put_u32_le(w);
-        }
-    }
-    buf.freeze()
-}
-
-/// Decodes a CSR from the binary format.
-pub fn decode_csr(mut data: &[u8]) -> Result<Csr, DecodeError> {
-    if data.remaining() < 21 {
-        return Err(DecodeError::Truncated);
-    }
-    let magic = data.get_u32_le();
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic(magic));
-    }
-    let version = data.get_u32_le();
-    if version != VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let n = data.get_u32_le() as usize;
-    let weighted = data.get_u8() != 0;
-    let m = data.get_u64_le() as usize;
-
-    let need = (n + 1) * 8 + m * 4 + if weighted { m * 4 } else { 0 };
-    if data.remaining() < need {
-        return Err(DecodeError::Truncated);
-    }
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(data.get_u64_le() as EdgeIdx);
-    }
-    let mut targets = Vec::with_capacity(m);
-    for _ in 0..m {
-        targets.push(data.get_u32_le() as VertexId);
-    }
-    let weights = if weighted {
-        let mut ws = Vec::with_capacity(m);
-        for _ in 0..m {
-            ws.push(data.get_u32_le() as Weight);
-        }
-        Some(ws)
-    } else {
-        None
-    };
-
-    // The checked constructor validates every structural invariant and
-    // wraps the decoded arrays in place — no O(E) edge-list rebuild.
-    Csr::try_new(offsets, targets, weights).map_err(|err| {
-        DecodeError::Corrupt(match err {
-            GraphError::OffsetEndpoints { .. } => "offset endpoints",
-            GraphError::NonMonotonicOffsets { .. } => "offsets not monotone",
-            GraphError::TargetOutOfRange { .. } => "target out of range",
-            GraphError::WeightsLengthMismatch { .. } => "weights not parallel to targets",
-            GraphError::EdgeCountOverflow { .. } => "offset overflow",
-            _ => "invalid csr payload",
-        })
-    })
-}
 
 /// Parses a whitespace-separated `src dst [weight]` edge list. Lines
 /// starting with `#` or `%` are comments; blank lines are skipped.
@@ -135,19 +38,14 @@ pub fn parse_edge_list(text: &str) -> Result<EdgeList, DecodeError> {
             continue;
         }
         let mut it = line.split_whitespace();
-        let parse = |tok: Option<&str>, what| -> Result<u64, DecodeError> {
-            tok.ok_or(DecodeError::Parse {
-                line: lineno + 1,
-                what,
-            })?
-            .parse::<u64>()
-            .map_err(|_| DecodeError::Parse {
+        let vertex = |tok: Option<&str>, what| -> Result<VertexId, DecodeError> {
+            tok.and_then(|t| t.parse().ok()).ok_or(DecodeError::Parse {
                 line: lineno + 1,
                 what,
             })
         };
-        let s = parse(it.next(), "source")? as VertexId;
-        let d = parse(it.next(), "destination")? as VertexId;
+        let s = vertex(it.next(), "source")?;
+        let d = vertex(it.next(), "destination")?;
         match it.next() {
             Some(tok) => {
                 let w = tok.parse::<Weight>().map_err(|_| DecodeError::Parse {
@@ -174,8 +72,7 @@ pub fn parse_edge_list(text: &str) -> Result<EdgeList, DecodeError> {
         edges.push((s, d));
     }
     Ok(if any_weight {
-        let n = edges.iter().map(|&(s, d)| s.max(d) + 1).max().unwrap_or(0);
-        EdgeList::from_weighted(n, edges, weights)
+        EdgeList::from_weighted(vertex_span(&edges), edges, weights)
     } else {
         EdgeList::from_pairs(edges)
     })
@@ -184,55 +81,7 @@ pub fn parse_edge_list(text: &str) -> Result<EdgeList, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_csr(weighted: bool) -> Csr {
-        let el = if weighted {
-            EdgeList::from_weighted(4, vec![(0, 1), (0, 2), (1, 3), (2, 3)], vec![1, 2, 3, 4])
-        } else {
-            EdgeList::from_pairs(vec![(0, 1), (0, 2), (1, 3), (2, 3)])
-        };
-        Csr::from_edge_list(&el)
-    }
-
-    #[test]
-    fn roundtrip_unweighted() {
-        let csr = sample_csr(false);
-        let decoded = decode_csr(&encode_csr(&csr)).expect("decode");
-        assert_eq!(decoded, csr);
-    }
-
-    #[test]
-    fn roundtrip_weighted() {
-        let csr = sample_csr(true);
-        let decoded = decode_csr(&encode_csr(&csr)).expect("decode");
-        assert_eq!(decoded, csr);
-    }
-
-    #[test]
-    fn truncated_input_rejected() {
-        let data = encode_csr(&sample_csr(false));
-        assert_eq!(decode_csr(&data[..10]), Err(DecodeError::Truncated));
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut data = encode_csr(&sample_csr(false)).to_vec();
-        data[0] ^= 0xFF;
-        assert!(matches!(decode_csr(&data), Err(DecodeError::BadMagic(_))));
-    }
-
-    #[test]
-    fn corrupt_target_rejected() {
-        let csr = sample_csr(false);
-        let mut data = encode_csr(&csr).to_vec();
-        // Last 4 bytes are the final target; make it out of range.
-        let len = data.len();
-        data[len - 4..].copy_from_slice(&100u32.to_le_bytes());
-        assert_eq!(
-            decode_csr(&data),
-            Err(DecodeError::Corrupt("target out of range"))
-        );
-    }
+    use crate::{Csr, GraphError};
 
     #[test]
     fn parse_text_with_comments() {
@@ -257,5 +106,43 @@ mod tests {
     fn parse_garbage_rejected() {
         let err = parse_edge_list("zero one\n").unwrap_err();
         assert!(matches!(err, DecodeError::Parse { line: 1, .. }));
+    }
+
+    #[test]
+    fn ids_beyond_the_vertex_id_space_are_parse_errors_not_truncations() {
+        // 2^32 used to parse as vertex 0 (`u64 as u32`).
+        let (line, id) = (2, "4294967296");
+        assert_eq!(
+            parse_edge_list(&format!("0 1\n{id} 1\n")),
+            Err(DecodeError::Parse {
+                line,
+                what: "source"
+            })
+        );
+        assert_eq!(
+            parse_edge_list(&format!("0 1 5\n1 {id} 5\n")),
+            Err(DecodeError::Parse {
+                line,
+                what: "destination"
+            })
+        );
+    }
+
+    #[test]
+    fn the_largest_id_saturates_the_vertex_count_and_fails_typed_at_build() {
+        // `max + 1` used to overflow on the weighted path: a panic in
+        // debug builds, a list over 0 vertices in release.
+        for text in ["4294967295 1\n", "4294967295 1 7\n"] {
+            let el = parse_edge_list(text).expect("the id fits a VertexId");
+            assert_eq!(el.num_vertices(), VertexId::MAX);
+            assert_eq!(
+                Csr::try_build(el.num_vertices(), el.edges(), el.weights()),
+                Err(GraphError::EndpointOutOfRange {
+                    src: VertexId::MAX,
+                    dst: 1,
+                    num_vertices: VertexId::MAX
+                })
+            );
+        }
     }
 }

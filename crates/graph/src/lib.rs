@@ -1,9 +1,10 @@
 //! Graph substrate for the SIMD-X reproduction.
 //!
 //! This crate provides everything the engine needs below the programming
-//! model: edge-list ingestion, compressed sparse row (CSR) storage in the
-//! push (out-neighbor) and pull (in-neighbor) orientations the paper's
-//! engine requires, synthetic graph generators matching the structural
+//! model: edge-list ingestion (from a generator or the text parser in
+//! [`io`]), compressed sparse row (CSR) storage in the push
+//! (out-neighbor) and pull (in-neighbor) orientations the paper's engine
+//! requires, synthetic graph generators matching the structural
 //! classes of the paper's Table 3 datasets, a registry of scaled-down
 //! dataset twins, and structural statistics used by the evaluation
 //! harness (degree histograms, diameter estimation, frontier profiles).

@@ -7,8 +7,8 @@ use simdx::algos::{bfs, kcore, reference, sssp, wcc, Bfs};
 use simdx::core::persist::{self, DurableCheckpoint};
 use simdx::core::prelude::*;
 use simdx::core::{FilterPolicy, FrontierBitmap, GridCsr};
-use simdx::graph::{io, weights, Csr, EdgeList, Graph};
-use std::collections::BTreeSet;
+use simdx::graph::{weights, Csr, EdgeList, Graph};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Strategy: an arbitrary directed graph with up to `max_v` vertices.
 fn arb_edges(max_v: u32, max_e: usize) -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
@@ -29,16 +29,57 @@ fn arb_bitmap_ops(max_v: u32, max_ops: usize) -> impl Strategy<Value = (u32, Vec
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// CSR construction round-trips through the binary codec.
+    /// `Graph::*_from_edges` against a map spec, over multigraphs dense
+    /// enough to carry self-loops and duplicate pairs: no self-loop
+    /// survives, each `(src, dst)` pair keeps its lightest edge, out-rows
+    /// list the spec in key order and in-rows are its transpose, sorted.
     #[test]
-    fn csr_codec_roundtrip((n, edges) in arb_edges(64, 200)) {
-        let mut el = EdgeList::new(n);
-        for (s, d) in edges {
-            el.push(s, d);
+    fn graph_ingest_matches_map_spec(
+        (n, edges) in (2u32..12).prop_flat_map(|n| {
+            (Just(n), proptest::collection::vec((0..n, 0..n, 1u32..6), 0..120))
+        })
+    ) {
+        let pairs: Vec<(u32, u32)> = edges.iter().map(|&(s, d, _)| (s, d)).collect();
+        let wts: Vec<u32> = edges.iter().map(|&(_, _, w)| w).collect();
+        for (weighted, directed) in [(false, true), (false, false), (true, true), (true, false)] {
+            let mut spec: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+            for &(s, d, w) in edges.iter().filter(|&&(s, d, _)| s != d) {
+                let w = if weighted { w } else { 0 };
+                for key in [(s, d), (d, s)].into_iter().take(if directed { 1 } else { 2 }) {
+                    spec.entry(key).and_modify(|old| *old = w.min(*old)).or_insert(w);
+                }
+            }
+            let el = if weighted {
+                EdgeList::from_weighted(n, pairs.clone(), wts.clone())
+            } else {
+                let mut el = EdgeList::new(n);
+                pairs.iter().for_each(|&(s, d)| el.push(s, d));
+                el
+            };
+            let g = if directed {
+                Graph::directed_from_edges(el)
+            } else {
+                Graph::undirected_from_edges(el)
+            };
+            prop_assert_eq!(g.is_directed(), directed);
+            prop_assert_eq!(g.out().is_weighted() && g.in_().is_weighted(), weighted);
+            let rows = |csr: &Csr| -> Vec<(u32, u32, u32)> {
+                (0..n)
+                    .flat_map(|v| {
+                        let ws = csr.neighbor_weights(v);
+                        csr.neighbors(v)
+                            .iter()
+                            .enumerate()
+                            .map(move |(i, &t)| (v, t, ws.map_or(0, |w| w[i])))
+                    })
+                    .collect()
+            };
+            let out: Vec<_> = spec.iter().map(|(&(s, d), &w)| (s, d, w)).collect();
+            let mut in_: Vec<_> = out.iter().map(|&(s, d, w)| (d, s, w)).collect();
+            in_.sort_unstable();
+            prop_assert_eq!(rows(g.out()), out);
+            prop_assert_eq!(rows(g.in_()), in_);
         }
-        let csr = Csr::from_edge_list(&el);
-        let decoded = io::decode_csr(&io::encode_csr(&csr)).expect("roundtrip");
-        prop_assert_eq!(decoded, csr);
     }
 
     /// CSR invariants: offsets monotone, degrees sum to |E|, neighbors
