@@ -1,4 +1,4 @@
-//! Shared harness for the per-table / per-figure benchmark binaries.
+//! Shared harness for the per-table / per-figure reproduction binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper's evaluation (§7); this library holds the dataset cache, the
@@ -47,18 +47,6 @@ pub fn run_one<P: simdx_core::AccProgram>(
 ) -> Result<simdx_core::RunResult<P::Meta>, simdx_core::SimdxError> {
     let runtime = Runtime::new(cfg)?;
     runtime.bind(g).run(program).execute()
-}
-
-/// The shared session-reuse A/B workload: a fixed RMAT scale-14 graph
-/// and 16 deterministic BFS sources. Both measurement surfaces — the
-/// `session_reuse` criterion group and the snapshot's `session_reuse`
-/// JSON group — build their batch from this one helper, so a change to
-/// scale, seed stride or batch size can never make them silently
-/// measure different workloads under the same name.
-pub fn session_reuse_workload() -> (Graph, Vec<VertexId>) {
-    let g = Graph::directed_from_edges(simdx_graph::gen::Rmat::gtgraph(14, 8).generate(5));
-    let sources = (0..16u32).map(|i| (i * 1021) % g.num_vertices()).collect();
-    (g, sources)
 }
 
 /// One Table 4 cell: simulated milliseconds, or a blank reason.

@@ -14,16 +14,12 @@
 //! `catch_unwind` in `session.rs`. `tests/fault_injection.rs` drives
 //! the differential matrix with this.
 //!
-//! Plans can also come from the environment: `SIMDX_FAULTS` uses a
-//! comma-separated `site:action` grammar, e.g. `push:panic`,
-//! `ballot:panic@3` (fire on the 3rd hit), `pull:delay=5` (5 ms on
-//! every hit), `grid-build:delay=2@1`. The `persist` site additionally
-//! accepts the storage disturbances `persist:torn_write`,
-//! `persist:corrupt` and `persist:io_err@N`, consumed by the
-//! durable-checkpoint write path through [`persist_disturbance`]. The
-//! env plan is only installed when a test asks for it
-//! ([`FaultPlan::from_env`]) — never implicitly, so ordinary runs are
-//! unaffected by a stray variable.
+//! A plan is built in code, through [`FaultPlan`]'s typed builder
+//! (`panic_at`, `delay_every`, `disturb_at`, …) — there is no string
+//! grammar and no environment variable, so an ordinary run cannot be
+//! disturbed from outside the process. The `persist` site additionally
+//! accepts the storage disturbances of [`PersistDisturbance`], consumed
+//! by the durable-checkpoint write path through [`persist_disturbance`].
 
 #![allow(dead_code)] // the no-op build only uses `hit`
 
@@ -70,7 +66,7 @@ impl FaultSite {
         }
     }
 
-    /// The spelling used by the `SIMDX_FAULTS` grammar and panic payloads.
+    /// The spelling used in panic payloads (`injected fault at <label>`).
     pub fn label(self) -> &'static str {
         match self {
             Self::Ballot => "ballot",
@@ -81,20 +77,6 @@ impl FaultSite {
             Self::Capture => "capture",
             Self::Restore => "restore",
             Self::Persist => "persist",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "ballot" => Some(Self::Ballot),
-            "push" => Some(Self::Push),
-            "pull" => Some(Self::Pull),
-            "grid-build" => Some(Self::GridBuild),
-            "scratch-reset" => Some(Self::ScratchReset),
-            "capture" => Some(Self::Capture),
-            "restore" => Some(Self::Restore),
-            "persist" => Some(Self::Persist),
-            _ => None,
         }
     }
 }
@@ -238,87 +220,6 @@ mod enabled {
             });
             self
         }
-
-        /// Parses the `SIMDX_FAULTS` environment variable:
-        /// comma-separated `site:panic[@N]` or `site:delay=MS[@N]`
-        /// entries. Returns `Ok(None)` when the variable is unset or
-        /// empty, `Err` with a description on a malformed entry.
-        pub fn from_env() -> Result<Option<Self>, String> {
-            match std::env::var("SIMDX_FAULTS") {
-                Ok(v) if !v.trim().is_empty() => Self::parse(&v).map(Some),
-                _ => Ok(None),
-            }
-        }
-
-        /// Parses the `SIMDX_FAULTS` grammar from a string.
-        pub fn parse(spec: &str) -> Result<Self, String> {
-            let mut plan = Self::new();
-            for entry in spec.split(',') {
-                let entry = entry.trim();
-                if entry.is_empty() {
-                    continue;
-                }
-                let (site, action) = entry
-                    .split_once(':')
-                    .ok_or_else(|| format!("SIMDX_FAULTS entry `{entry}`: expected site:action"))?;
-                let site = FaultSite::parse(site).ok_or_else(|| {
-                    format!(
-                        "SIMDX_FAULTS entry `{entry}`: unknown site `{site}` \
-                         (expected ballot|push|pull|grid-build|scratch-reset|capture|restore)"
-                    )
-                })?;
-                let (action, nth) = match action.split_once('@') {
-                    Some((a, n)) => {
-                        let nth: u64 = n.parse().map_err(|_| {
-                            format!("SIMDX_FAULTS entry `{entry}`: bad hit index `{n}`")
-                        })?;
-                        if nth == 0 {
-                            return Err(format!(
-                                "SIMDX_FAULTS entry `{entry}`: hit index is 1-based"
-                            ));
-                        }
-                        (a, Some(nth))
-                    }
-                    None => (action, None),
-                };
-                let disturbance = match action {
-                    "torn_write" => Some(PersistDisturbance::TornWrite),
-                    "corrupt" => Some(PersistDisturbance::Corrupt),
-                    "io_err" => Some(PersistDisturbance::IoErr),
-                    _ => None,
-                };
-                if action == "panic" {
-                    plan = plan.panic_at(site, nth.unwrap_or(1));
-                } else if let Some(ms) = action.strip_prefix("delay=") {
-                    let ms: u64 = ms.parse().map_err(|_| {
-                        format!("SIMDX_FAULTS entry `{entry}`: bad delay `{ms}` (milliseconds)")
-                    })?;
-                    let d = Duration::from_millis(ms);
-                    plan = match nth {
-                        Some(n) => plan.delay_at(site, d, n),
-                        None => plan.delay_every(site, d),
-                    };
-                } else if let Some(disturbance) = disturbance {
-                    if site != FaultSite::Persist {
-                        return Err(format!(
-                            "SIMDX_FAULTS entry `{entry}`: `{action}` only applies to \
-                             the `persist` site"
-                        ));
-                    }
-                    plan = match nth {
-                        Some(n) => plan.disturb_at(disturbance, n),
-                        None => plan.disturb_every(disturbance),
-                    };
-                } else {
-                    return Err(format!(
-                        "SIMDX_FAULTS entry `{entry}`: unknown action `{action}` \
-                         (expected panic[@N], delay=MS[@N], torn_write[@N], \
-                         corrupt[@N] or io_err[@N])"
-                    ));
-                }
-            }
-            Ok(plan)
-        }
     }
 
     /// The armed plan, if any. `RwLock` so the hot [`hit`] path takes a
@@ -436,61 +337,6 @@ mod enabled {
     #[cfg(test)]
     mod tests {
         use super::*;
-
-        #[test]
-        fn parse_accepts_full_grammar() {
-            let plan =
-                FaultPlan::parse("push:panic, ballot:panic@3, pull:delay=5, grid-build:delay=2@1")
-                    .expect("grammar");
-            assert_eq!(plan.faults.len(), 4);
-            assert_eq!(plan.faults[0].site, FaultSite::Push);
-            assert_eq!(plan.faults[0].nth, 1);
-            assert_eq!(plan.faults[1].nth, 3);
-            assert_eq!(
-                plan.faults[2].action,
-                FaultAction::Delay(Duration::from_millis(5))
-            );
-            assert_eq!(plan.faults[2].nth, 0, "bare delay fires every hit");
-            assert_eq!(plan.faults[3].nth, 1);
-        }
-
-        #[test]
-        fn parse_rejects_bad_entries() {
-            assert!(FaultPlan::parse("push").is_err(), "missing action");
-            assert!(FaultPlan::parse("warp:panic").is_err(), "unknown site");
-            assert!(FaultPlan::parse("push:explode").is_err(), "unknown action");
-            assert!(
-                FaultPlan::parse("push:panic@0").is_err(),
-                "0 is not 1-based"
-            );
-            assert!(FaultPlan::parse("pull:delay=xx").is_err(), "bad millis");
-            assert!(
-                FaultPlan::parse("push:torn_write").is_err(),
-                "disturbances are persist-only"
-            );
-        }
-
-        #[test]
-        fn parse_accepts_persist_disturbances() {
-            let plan = FaultPlan::parse("persist:torn_write, persist:corrupt@2, persist:io_err@3")
-                .expect("grammar");
-            assert_eq!(plan.faults.len(), 3);
-            assert_eq!(
-                plan.faults[0].action,
-                FaultAction::Disturb(PersistDisturbance::TornWrite)
-            );
-            assert_eq!(plan.faults[0].nth, 0, "bare disturbance fires every write");
-            assert_eq!(
-                plan.faults[1].action,
-                FaultAction::Disturb(PersistDisturbance::Corrupt)
-            );
-            assert_eq!(plan.faults[1].nth, 2);
-            assert_eq!(
-                plan.faults[2].action,
-                FaultAction::Disturb(PersistDisturbance::IoErr)
-            );
-            assert_eq!(plan.faults[2].nth, 3);
-        }
 
         #[test]
         fn persist_disturbance_fires_on_the_armed_nth_write() {

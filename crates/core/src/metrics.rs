@@ -41,8 +41,9 @@ pub struct RunReport {
     /// still bit-exact, but the parallel attempt was abandoned.
     pub aborted: Option<AbortReason>,
     /// Supervision checks performed (iteration-boundary checks plus
-    /// in-sweep polls): the overhead meter for the supervision layer,
-    /// recorded by the `snapshot` bin. 0 when the run sets no token,
+    /// in-sweep polls): the overhead meter for the supervision layer —
+    /// at most five per iteration plus one per 256 tasks
+    /// (`tests/golden_reports.rs`). 0 when the run sets no token,
     /// deadline or budget.
     pub supervision_checks: u64,
 }

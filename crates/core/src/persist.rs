@@ -54,11 +54,12 @@
 //! order).
 //!
 //! Storage faults are injectable (`--features fault-inject`) through
-//! the `persist` site: `persist:torn_write`, `persist:corrupt` and
-//! `persist:io_err@N` in the `SIMDX_FAULTS` grammar disturb
-//! [`DirStore::put`] deterministically, and the differential matrix in
-//! `tests/durable_recovery.rs` pins that each disturbance yields a
-//! typed error with the store still usable.
+//! the `persist` site: a `FaultPlan` armed with a
+//! `PersistDisturbance` (`TornWrite`, `Corrupt`, `IoErr`, on every
+//! write or the N-th) disturbs [`DirStore::put`] deterministically,
+//! and the differential matrix in `tests/durable_recovery.rs` pins
+//! that each disturbance yields a typed error with the store still
+//! usable.
 
 use std::path::{Path, PathBuf};
 

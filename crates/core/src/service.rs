@@ -20,8 +20,8 @@
 //! * a **batching scheduler**: each serving thread drains up to
 //!   [`ServiceConfig::batch_max`] queued requests per turn and runs
 //!   them over a single scratch checkout (the `run_batch`
-//!   amortization, measured at 1.1–1.2×), without delaying a lone
-//!   request — batches form only from queue backlog;
+//!   amortization), without delaying a lone request — batches form
+//!   only from queue backlog;
 //! * **per-query supervision**: every [`QueryRequest`] carries its own
 //!   optional [`CancelToken`], deadline and cycle budget. Deadlines
 //!   are measured from *submission*, so time spent queued counts
@@ -32,8 +32,8 @@
 //! Results are collected into a [`ServeReport`]: one [`ServeOutcome`]
 //! per accepted ticket (in ticket order) with its submission-to-result
 //! latency, plus the closed-loop elapsed time — everything a harness
-//! needs for queries/sec and p50/p99 latency (the `serving` snapshot
-//! group in `BENCH_engine.json`).
+//! needs for queries/sec and p50/p99 latency (the repo benchmark's
+//! `service.*` layer metrics on `serve_open` are built from it).
 //!
 //! Serving threads are *scoped* (`std::thread::scope`): they borrow
 //! the `BoundGraph` directly, so the service needs no `'static`
@@ -157,10 +157,12 @@ pub enum AdmissionPolicy {
 /// [`SimdxError::WorkerPanicked`], [`SimdxError::DeadlineExceeded`]
 /// and [`SimdxError::BudgetExhausted`]; a cancellation
 /// ([`SimdxError::Cancelled`]) is the caller's decision and is never
-/// retried. On a retried attempt the deadline allowance is granted
-/// fresh from the attempt's start and the cycle budget is granted on
-/// top of the checkpoint's spent cycles — otherwise the retry would
-/// re-trip at the same boundary it just aborted at.
+/// retried — nor, when it came through the request's own token, spilled
+/// by an armed [`DurabilityPolicy`]. On a retried attempt the deadline
+/// allowance is granted fresh from the attempt's start and the cycle
+/// budget is granted on top of the checkpoint's spent cycles —
+/// otherwise the retry would re-trip at the same boundary it just
+/// aborted at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per query, first included. `1` (the default)
@@ -205,7 +207,11 @@ impl RetryPolicy {
 /// cancelling in-flight queries — is encoded
 /// ([`crate::persist::encode`]) and written through the wrapped
 /// [`CheckpointStore`] under the query's ticket, so a later process
-/// can pick the work back up with [`QueryPool::recover`]. Arming
+/// can pick the work back up with [`QueryPool::recover`]. The one
+/// exception is a query cancelled through its *own*
+/// [`QueryRequest::cancel_token`]: its caller withdrew it, so it is not
+/// spilled (recovery would resurrect it) and only the in-memory
+/// [`ServeOutcome::checkpoint`] is handed back. Arming
 /// durability implies checkpoint capture
 /// (like [`ServiceConfig::checkpoint_aborts`]); spilling itself only
 /// touches the store on the failure path, so the success path stays at
@@ -702,6 +708,16 @@ impl SharedQueue {
     }
 }
 
+/// Closes the queue on drop — on the producer's return and on its
+/// unwind alike (see [`QueryPool::serve`]).
+struct CloseOnDrop<'a>(&'a SharedQueue);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 /// The producer's handle into a running [`QueryPool::serve`] call.
 pub struct QueryClient<'a> {
     shared: &'a SharedQueue,
@@ -872,11 +888,18 @@ impl QueryPool {
                     }
                 }
             }
-            let produced = match spawn_failed {
-                None => producer(&QueryClient { shared: &shared }),
-                Some(err) => Err(err),
+            let produced = {
+                // Closes the queue when the producer returns *or
+                // unwinds*: a panicking producer must still release the
+                // serving threads parked on `not_empty`, or the scope
+                // would wait on them forever instead of re-raising the
+                // panic. Admitted queries drain either way.
+                let _close = CloseOnDrop(&shared);
+                match spawn_failed {
+                    None => producer(&QueryClient { shared: &shared }),
+                    Some(err) => Err(err),
+                }
             };
-            shared.close();
             for handle in handles {
                 // Engine panics are contained inside the execute path,
                 // so a serving thread only dies of a harness bug; don't
@@ -1085,8 +1108,18 @@ fn serve_loop<P: SourcedProgram>(
             // process can resume it. The checkpoint travels through
             // the frame and back — no clone, and the submitter still
             // gets the in-memory copy whether or not the spill stuck.
-            if let (Some(policy), Err(_)) = (&config.durability, &outcome.result) {
-                if let Some(checkpoint) = outcome.checkpoint.take() {
+            // A query cancelled through its *own* token was withdrawn
+            // by its caller and is not spilled — recovery would
+            // resurrect it; a shutdown cancellation (the pool's token)
+            // is the crash-survival case and is.
+            if let (Some(policy), Err(error)) = (&config.durability, &outcome.result) {
+                let withdrawn = matches!(error, SimdxError::Cancelled { .. })
+                    && entry
+                        .request
+                        .cancel
+                        .as_ref()
+                        .is_some_and(CancelToken::is_cancelled);
+                if let Some(checkpoint) = outcome.checkpoint.take_if(|_| !withdrawn) {
                     let frame = DurableCheckpoint {
                         ticket: entry.ticket as u64,
                         seed: outcome.seed,

@@ -1180,14 +1180,34 @@ mod tests {
         );
         let supervised = bound
             .run(Levels { src: 0 })
+            .cancel_token(CancelToken::new())
             .deadline(Duration::from_secs(3600))
+            .cycle_budget(u64::MAX)
             .execute()
             .expect("supervised");
         assert_eq!(supervised.report.aborted, None);
-        assert!(supervised.report.supervision_checks > 0);
+        // The meter is bounded by the run's own shape: a boundary and a
+        // mid-iteration check per iteration, plus one poll per
+        // `POLL_STRIDE` tasks (rounded up) of each of the three
+        // worklists — never one per vertex or per edge.
+        let report = &supervised.report;
+        let stride = crate::supervise::POLL_STRIDE as u64;
+        let ceiling: u64 = report
+            .log
+            .records
+            .iter()
+            .map(|r| 5 + r.frontier_len / stride)
+            .sum();
+        assert!(
+            (2 * u64::from(report.iterations)..=ceiling).contains(&report.supervision_checks),
+            "{} checks over {} iterations (ceiling {ceiling})",
+            report.supervision_checks,
+            report.iterations
+        );
         // Supervision is host-side only: results stay bit-equal.
         assert_eq!(plain.meta, supervised.meta);
         assert_eq!(plain.report.stats, supervised.report.stats);
+        assert_eq!(plain.report.log, supervised.report.log);
     }
 
     /// A levels program that panics exactly once (shared flag), to

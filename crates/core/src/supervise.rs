@@ -25,9 +25,12 @@
 //!
 //! Supervision is entirely host-side: it never alters metadata,
 //! activation logs or simulated cycle counts of a run that completes,
-//! so the bit-equality contract is untouched. Its wall-clock cost is
-//! measured by the `snapshot` bin (the `supervision` group in
-//! `BENCH_engine.json`) and pinned ≤ 2% on the reference run.
+//! so the bit-equality contract is untouched. Its cost is bounded by
+//! a deterministic meter rather than a wall-clock percentage:
+//! `RunReport::supervision_checks` is at most five checks per
+//! iteration plus one per [`POLL_STRIDE`] tasks, and 0 for an unarmed
+//! run (`tests/golden_reports.rs`; the last wall-clock A/B is recorded,
+//! dated and ungated, in the crate README).
 //!
 //! Under concurrent serving ([`crate::service::QueryPool`]) every
 //! query gets its own [`Supervisor`], built on the serving thread from

@@ -14,9 +14,10 @@
 //!   (`Ordering::Relaxed` & co.) carries a `// ORDERING:` justification
 //!   nearby. `std::cmp::Ordering` variants are not atomic orderings and
 //!   are ignored. Test modules are exempt.
-//! * **[env-confined]** — `std::env` reads are confined to the
-//!   fault-plan module: the deterministic iteration loop must not grow
-//!   a hidden environment dependence.
+//! * **[env-confined]** — no `std::env` read anywhere in the library
+//!   crates (only the bench/CLI binaries, the lint tool and tests):
+//!   the deterministic iteration loop must not grow a hidden
+//!   environment dependence.
 //! * **[clock-confined]** — `Instant::now` / `SystemTime::now` are
 //!   confined to supervision, the service tier and benches, for the
 //!   same reason.
@@ -80,16 +81,14 @@ impl Policy {
 
     /// Files whose whole content is test code (integration tests).
     pub fn is_test_file(path: &str) -> bool {
-        path.starts_with("tests/") || path.contains("/tests/") || path.contains("/benches/")
+        path.starts_with("tests/") || path.contains("/tests/")
     }
 
-    /// [env-confined] allowlist: the fault-plan grammar (the one env
-    /// read in `crates/core`), the bench/CLI binaries and the lint
-    /// tool itself. Test files may also manipulate the environment
-    /// (they orchestrate fault plans and child processes).
+    /// [env-confined] allowlist: the bench/CLI binaries and the lint
+    /// tool itself — nothing in `crates/core`. Test files may also
+    /// manipulate the environment (they orchestrate child processes).
     pub fn env_allowed(path: &str) -> bool {
-        path == "crates/core/src/fault.rs"
-            || path.starts_with("crates/bench/")
+        path.starts_with("crates/bench/")
             || path.starts_with("crates/lint/")
             || Self::is_test_file(path)
     }
@@ -757,7 +756,6 @@ let b = r#"unsafe { }"#;
             check("crates/core/src/config.rs", env)[0].rule,
             "env-confined"
         );
-        assert!(check("crates/core/src/fault.rs", env).is_empty());
         assert!(check("tests/something.rs", env).is_empty());
         let clock = "let t = Instant::now();";
         assert_eq!(
@@ -765,7 +763,7 @@ let b = r#"unsafe { }"#;
             "clock-confined"
         );
         assert!(check("crates/core/src/supervise.rs", clock).is_empty());
-        assert!(check("crates/bench/src/bin/snapshot.rs", clock).is_empty());
+        assert!(check("crates/bench/src/bin/simdx.rs", clock).is_empty());
     }
 
     #[test]
@@ -784,7 +782,7 @@ let b = r#"unsafe { }"#;
         // tests.
         let io = "use std::fs;\nuse std::io::Write;";
         assert!(check("crates/core/src/persist.rs", io).is_empty());
-        assert!(check("crates/bench/src/bin/snapshot.rs", io).is_empty());
+        assert!(check("crates/bench/src/bin/simdx.rs", io).is_empty());
         assert!(check("crates/lint/src/main.rs", io).is_empty());
         assert!(check("tests/durable_recovery.rs", io).is_empty());
         // Test modules inside scanned files may touch the filesystem

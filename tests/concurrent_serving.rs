@@ -29,8 +29,11 @@ use simdx::algos::{Bfs, Sssp};
 use simdx::core::jit::ActivationLog;
 use simdx::core::prelude::*;
 use simdx::graph::gen::Rmat;
-use simdx::graph::{weights, Graph, VertexId, Weight};
+use simdx::graph::{weights, Graph};
 use simdx_gpu::executor::ExecutorStats;
+
+mod support;
+use support::GatedLevels;
 
 /// Serializes the test bodies in this binary (see the module docs).
 static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -226,53 +229,6 @@ fn cancellation_and_deadlines_abort_only_their_own_query() {
     // The session is untouched: the same seed still serves bit-equal.
     let after = fingerprint(bound.run(Bfs::new(0)).execute().expect("after"));
     assert_eq!(after, baseline);
-}
-
-/// A BFS-by-levels program whose `init` parks on a shared gate: while
-/// one query holds the lone serving thread, the bounded queue fills
-/// deterministically. Results are plain BFS levels, so the admitted
-/// queries still have an exact expected answer.
-#[derive(Clone)]
-struct GatedLevels {
-    src: VertexId,
-    entered: Arc<AtomicBool>,
-    release: Arc<AtomicBool>,
-}
-
-impl AccProgram for GatedLevels {
-    type Meta = u32;
-    type Update = u32;
-    fn name(&self) -> &'static str {
-        "gated-levels"
-    }
-    fn combine_kind(&self) -> CombineKind {
-        CombineKind::Vote
-    }
-    fn init(&self, g: &Graph) -> (Vec<u32>, Vec<VertexId>) {
-        self.entered.store(true, Ordering::SeqCst);
-        while !self.release.load(Ordering::SeqCst) {
-            std::hint::spin_loop();
-        }
-        let mut m = vec![u32::MAX; g.num_vertices() as usize];
-        m[self.src as usize] = 0;
-        (m, vec![self.src])
-    }
-    fn compute(&self, _s: VertexId, _d: VertexId, _w: Weight, ms: &u32, md: &u32) -> Option<u32> {
-        (*ms != u32::MAX && *md == u32::MAX).then(|| ms + 1)
-    }
-    fn combine(&self, a: u32, b: u32) -> u32 {
-        a.min(b)
-    }
-    fn apply(&self, _v: VertexId, c: &u32, u: u32) -> Option<u32> {
-        (u < *c).then_some(u)
-    }
-}
-
-impl SourcedProgram for GatedLevels {
-    fn with_source(mut self, src: VertexId) -> Self {
-        self.src = src;
-        self
-    }
 }
 
 /// [`AdmissionPolicy::Reject`] sheds load deterministically: with one
@@ -472,6 +428,46 @@ fn abort_close_cancels_outstanding_queries_and_hands_back_checkpoints() {
         assert_eq!(outcome.attempts, 0);
         assert!(outcome.checkpoint.is_none());
     }
+}
+
+/// A producer that panics after submitting must not hang `serve`: the
+/// queue closes on the unwind, the serving threads drain what was
+/// admitted and exit, and the scope re-raises the producer's own panic.
+/// `serve` runs on a helper thread so that a regression shows up as a
+/// timeout here instead of a hung test binary.
+#[test]
+fn a_panicking_producer_unwinds_through_serve_and_leaves_the_session_usable() {
+    let _guard = lock();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let g = rmat_graph();
+        let runtime = Runtime::new(EngineConfig::default()).expect("runtime");
+        let bound = runtime.bind(&g);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            QueryPool::serve(
+                &bound,
+                Bfs::new(0),
+                ServiceConfig::default().workers(2),
+                |client| {
+                    client.submit(QueryRequest::new(3))?;
+                    panic!("producer bug");
+                },
+            )
+            .map(|report| report.outcomes.len())
+        }));
+        let after = fingerprint(bound.run(Bfs::new(3)).execute().expect("clean query"));
+        let _ = tx.send((caught, after));
+    });
+    let (caught, after) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("serve never returned from a panicking producer");
+    let payload = caught.expect_err("serve must re-raise the producer's panic");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"producer bug"));
+    assert_eq!(
+        after,
+        solo(&Bfs::new, 3, &rmat_graph(), &EngineConfig::default()),
+        "the session must serve a clean query after the unwind"
+    );
 }
 
 /// Repeated injected panics trip the circuit breaker: after

@@ -21,7 +21,8 @@
 //!    the rest, and the store stays usable afterwards.
 
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use simdx::algos::Bfs;
@@ -31,6 +32,9 @@ use simdx::core::prelude::*;
 use simdx::graph::gen::Rmat;
 use simdx::graph::{Graph, VertexId};
 use simdx_gpu::executor::ExecutorStats;
+
+mod support;
+use support::GatedLevels;
 
 /// Serializes every test body that spills through a `DirStore`: under
 /// `--features fault-inject` the armed fault plan is process-global,
@@ -374,6 +378,75 @@ fn abort_mode_close_spills_only_real_checkpoints() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Whose cancellation it was decides whether it is spilled. A query
+/// cancelled through its *own* token was withdrawn by its caller: the
+/// in-memory checkpoint is handed back, but nothing reaches the store
+/// for a later `recover` to resurrect. A query cancelled in flight by
+/// an abort-mode close (the pool's token; its own is still live) is
+/// the crash-survival case and still spills.
+#[test]
+fn caller_cancellations_are_not_spilled_but_abort_mode_ones_are() {
+    let _serial = lock();
+    let g = graph();
+    let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
+    let bound = runtime.bind(&g);
+    let durable = |dir: &std::path::Path| {
+        let store = DirStore::open(dir).expect("open");
+        ServiceConfig::default()
+            .workers(1)
+            .durability(DurabilityPolicy::spill_to(store))
+    };
+
+    let dir = scratch_dir("withdrawn");
+    let withdrawn = CancelToken::new();
+    withdrawn.cancel();
+    let report = QueryPool::serve(&bound, Bfs::new(0), durable(&dir), |client| {
+        client.submit(QueryRequest::new(SEEDS[0]).cancel_token(withdrawn.clone()))?;
+        Ok(())
+    })
+    .expect("serve");
+    let outcome = &report.outcomes[0];
+    assert!(
+        matches!(outcome.result, Err(SimdxError::Cancelled { .. })),
+        "got {:?}",
+        outcome.result
+    );
+    assert!(outcome.checkpoint.is_some(), "checkpoint still handed back");
+    assert_eq!(report.spilled, Vec::<u64>::new());
+    assert!(report.spill_failures.is_empty());
+    let store = DirStore::open(&dir).expect("reopen");
+    assert_eq!(store.tickets().expect("scan"), Vec::<u64>::new());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = scratch_dir("shutdown");
+    let entered = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let program = GatedLevels {
+        src: 0,
+        entered: entered.clone(),
+        release: release.clone(),
+    };
+    let report = QueryPool::serve(&bound, program, durable(&dir), |client| {
+        client.submit(QueryRequest::new(SEEDS[0]).cancel_token(CancelToken::new()))?;
+        while !entered.load(Ordering::SeqCst) {
+            std::hint::spin_loop();
+        }
+        client.close(CloseMode::Abort);
+        release.store(true, Ordering::SeqCst);
+        Ok(())
+    })
+    .expect("serve");
+    assert!(
+        matches!(report.outcomes[0].result, Err(SimdxError::Cancelled { .. })),
+        "got {:?}",
+        report.outcomes[0].result
+    );
+    assert_eq!(report.spilled, vec![0]);
+    let store = DirStore::open(&dir).expect("reopen");
+    assert_eq!(store.tickets().expect("scan"), vec![0]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// On-disk damage — truncation, a flipped bit, version skew, and a
 /// well-formed blob whose sections disagree — is diagnosed per blob:
 /// recovery skips exactly the damaged tickets with typed errors,
@@ -465,10 +538,10 @@ mod injected {
     use super::*;
     use simdx::core::fault::{self, FaultPlan, PersistDisturbance};
 
-    /// `persist:io_err@1` (armed through the real `SIMDX_FAULTS`
-    /// grammar): the first spill fails with a typed `CheckpointIo`
-    /// surfaced in `spill_failures`, later spills succeed — the store
-    /// is not poisoned by an i/o fault.
+    /// An `IoErr` disturbance on the first durable write: the first
+    /// spill fails with a typed `CheckpointIo` surfaced in
+    /// `spill_failures`, later spills succeed — the store is not
+    /// poisoned by an i/o fault.
     #[test]
     fn injected_io_error_lands_in_spill_failures_and_store_recovers() {
         let _serial = lock();
@@ -479,7 +552,7 @@ mod injected {
         let plan = spill_plan(&bound);
         assert!(plan.len() >= 2);
 
-        let armed = fault::install(FaultPlan::parse("persist:io_err@1").expect("grammar"));
+        let armed = fault::install(FaultPlan::new().disturb_at(PersistDisturbance::IoErr, 1));
         // workers(1): deterministic spill order, so the io_err lands
         // on ticket 0.
         let store = DirStore::open(&dir).expect("open");

@@ -437,41 +437,3 @@ fn an_armed_degrade_retry_continues_from_the_last_boundary() {
         "continued degrade retry diverged from the serial baseline"
     );
 }
-
-#[test]
-fn simdx_faults_env_grammar_drives_the_harness() {
-    let _serial = lock();
-    // Only this test reads SIMDX_FAULTS, and the whole body holds the
-    // test lock, so the process-global variable cannot leak anywhere.
-    std::env::set_var("SIMDX_FAULTS", "push:panic");
-    let plan = FaultPlan::from_env()
-        .expect("valid grammar")
-        .expect("variable is set");
-    std::env::remove_var("SIMDX_FAULTS");
-    assert!(
-        FaultPlan::from_env().expect("unset is fine").is_none(),
-        "unset variable means no plan"
-    );
-
-    let g = rmat_graph();
-    let cfg = EngineConfig::default()
-        .with_exec(ExecMode::Parallel { threads: 3 })
-        .with_direction(DirectionPolicy::FixedPush);
-    let baseline = fresh(Bfs::new(0), &g, cfg.clone());
-    let runtime = Runtime::new(cfg).expect("runtime");
-    let bound = runtime.bind(&g);
-    let err = {
-        let _armed = fault::install(plan);
-        bound
-            .run(Bfs::new(0))
-            .execute()
-            .expect_err("env-armed fault")
-    };
-    assert!(
-        matches!(&err, SimdxError::WorkerPanicked { payload, .. }
-            if payload.contains("injected fault at push")),
-        "wrong error: {err:?}"
-    );
-    let after = fingerprint(bound.run(Bfs::new(0)).execute().expect("recovery"));
-    assert_eq!(after, baseline, "recovery after env-driven fault diverged");
-}

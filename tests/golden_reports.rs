@@ -22,6 +22,7 @@ use simdx::core::FilterKind;
 use simdx::graph::csr::Direction;
 use simdx::graph::gen::{Rmat, Road};
 use simdx::graph::{weights, EdgeList, Graph};
+use std::time::Duration;
 
 /// What the simulated device and the activation log saw of one run.
 #[derive(Debug, PartialEq, Eq)]
@@ -130,6 +131,59 @@ fn bfs_reports_match_the_recorded_ones() {
     assert_golden("bfs/road", &BFS_ROAD, EngineConfig::default(), |cfg| {
         bfs::run(&g, 0, cfg).expect("bfs")
     });
+}
+
+/// Supervision is host-side only and *metered*: with every limit armed
+/// the serial BFS rows still equal their goldens, an unarmed run never
+/// polls, and the armed count is bounded by the run's own activation
+/// log — a boundary and a mid-iteration check per iteration, plus one
+/// poll per 256 tasks (`supervise::POLL_STRIDE`, rounded up) of each
+/// of the three worklists. A poll per vertex or per edge breaks the
+/// ceiling; no wall-clock percentage could say as much.
+#[test]
+fn armed_supervision_keeps_the_goldens_and_its_check_count_is_bounded() {
+    let rows = [
+        (
+            "bfs/rmat",
+            &BFS_RMAT,
+            Graph::directed_from_edges(rmat_edges()),
+            rmat_cfg(),
+        ),
+        (
+            "bfs/road",
+            &BFS_ROAD,
+            Graph::undirected_from_edges(road_edges()),
+            EngineConfig::default(),
+        ),
+    ];
+    for (what, want, g, cfg) in rows {
+        let runtime = Runtime::new(cfg).expect("runtime");
+        let bound = runtime.bind(&g);
+        let plain = bound.run(bfs::Bfs::new(0)).execute().expect("plain");
+        assert_eq!(plain.report.supervision_checks, 0, "{what}: unarmed");
+        let armed = bound
+            .run(bfs::Bfs::new(0))
+            .cancel_token(CancelToken::new())
+            .deadline(Duration::from_secs(3600))
+            .cycle_budget(u64::MAX)
+            .execute()
+            .expect("armed");
+        assert_eq!(&observe(&armed), want, "{what}: armed run left the golden");
+        assert_eq!(armed.meta, plain.meta, "{what}");
+        let report = &armed.report;
+        let ceiling: u64 = report
+            .log
+            .records
+            .iter()
+            .map(|r| 5 + r.frontier_len / 256)
+            .sum();
+        assert!(
+            (2 * u64::from(report.iterations)..=ceiling).contains(&report.supervision_checks),
+            "{what}: {} checks over {} iterations (ceiling {ceiling})",
+            report.supervision_checks,
+            report.iterations
+        );
+    }
 }
 
 #[test]
