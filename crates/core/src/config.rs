@@ -2,7 +2,8 @@
 
 use crate::error::SimdxError;
 use crate::frontier::ClassifyThresholds;
-use crate::fusion::FusionStrategy;
+use crate::fusion::{FusionPlan, FusionStrategy};
+use simdx_gpu::occupancy::try_occupancy;
 use simdx_gpu::DeviceSpec;
 
 /// Which frontier-filter strategy the engine uses each iteration (§4).
@@ -173,6 +174,21 @@ impl EngineConfig {
         if let DirectionPolicy::Adaptive { alpha: 0 } = self.direction {
             return fail("adaptive direction alpha must be at least 1".to_string());
         }
+        // Every kernel the run can launch must fit on the device at this
+        // CTA width; the engine sizes its slots from that occupancy.
+        let plan = FusionPlan::new(self.fusion, self.threads_per_cta);
+        if let Some(k) = plan
+            .kernels()
+            .find(|k| try_occupancy(&self.device, k).is_none())
+        {
+            return fail(format!(
+                "kernel `{}` cannot be resident on the {}: {} regs/CTA at {} threads/CTA",
+                k.name,
+                self.device.name,
+                k.registers_per_cta(),
+                self.threads_per_cta
+            ));
+        }
         Ok(())
     }
 
@@ -312,5 +328,35 @@ mod tests {
             ..EngineConfig::default()
         };
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_cta_width_no_kernel_fits() {
+        let reason = |cfg: EngineConfig| match cfg.validate() {
+            Err(SimdxError::InvalidConfig { reason }) => reason,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        };
+        let wide = EngineConfig {
+            threads_per_cta: 4096,
+            ..EngineConfig::default()
+        };
+        let msg = reason(wide);
+        assert!(
+            msg.contains("`fused-push`") && msg.contains("196608 regs/CTA"),
+            "{msg}"
+        );
+        assert!(msg.contains("Tesla K40"), "{msg}");
+        let all = EngineConfig {
+            threads_per_cta: 1024,
+            ..EngineConfig::default()
+        }
+        .with_fusion(FusionStrategy::All);
+        assert!(reason(all).contains("`all-fused`"));
+        // 50 regs * 1024 threads still fits one CTA per SM.
+        let push_pull = EngineConfig {
+            threads_per_cta: 1024,
+            ..EngineConfig::default()
+        };
+        assert_eq!(push_pull.validate(), Ok(()));
     }
 }

@@ -86,7 +86,9 @@
 //! by list walk or word sweep — both choices read nothing but the
 //! changed count and `|V|`, so serial, parallel and resumed runs pick
 //! alike. Aggregation-pull candidates are deduplicated through a second
-//! bitmap whose drain *is* the sorted candidate list.
+//! bitmap whose drain *is* the sorted candidate list; on a dense serial
+//! iteration that bitmap holds the frontier instead, and a sweep over
+//! every vertex's in-edges finds the same list in the same order.
 //!
 //! # Metadata sweeps
 //!
@@ -161,6 +163,18 @@ pub(crate) struct SessionCtx<'a, 'o, M: Copy + 'static> {
     /// place.
     pub checkpoint: Option<&'a mut Option<RunCheckpoint<M>>>,
 }
+
+/// Frontier out-degree volume per vertex from which serial aggregation
+/// pull finds its candidates bottom-up. The top-down walk tests every
+/// out-edge of the frontier; the bottom-up sweep visits every vertex
+/// and stops at its first in-neighbour in the frontier, so it wins by
+/// far on an all-active frontier and, on R-MAT-17 PageRank, could not
+/// be told from the walk at 1 to 6 out-edges per vertex. 1 keeps the
+/// first iteration of a sparse graph (a road grid, 4 per vertex)
+/// bottom-up. The choice reads only the logged `degree_sum` and `|V|`,
+/// and both ways find the same candidates in the same order, so the
+/// device model and a resumed run cannot tell them apart.
+const BOTTOM_UP_VOLUME: u64 = 1;
 
 /// The SIMD-X engine: the loop driver and the kernels, as associated
 /// functions over one ACC program type. The loop's phases are the
@@ -468,6 +482,30 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                 // sweep visits it.
                 self.executor
                     .begin(charge, k, SchedUnit::Warp, frontier.len());
+                if pool.is_none() && it.degree_sum >= BOTTOM_UP_VOLUME * n as u64 {
+                    // Bottom-up: the frontier goes into the bitmap and
+                    // every candidate with an in-neighbour there is
+                    // classified as the sweep finds it — the drained
+                    // top-down set, in the same ascending order, with
+                    // no out-edge walk. The device model still marks
+                    // top-down, so each entry is charged as below.
+                    for &v in frontier {
+                        cand_bits.set(v);
+                        charge.task(&Engine::<P>::mark_cost(out_csr.degree(v) as usize));
+                    }
+                    lists.clear();
+                    for (u, m) in curr.iter().enumerate() {
+                        let u = u as VertexId;
+                        if program.pull_candidate(u, m)
+                            && scan_csr.neighbors(u).iter().any(|&w| cand_bits.test(w))
+                        {
+                            lists.classify_one(u, scan_csr, thresholds);
+                        }
+                    }
+                    cand_bits.clear_all();
+                    self.executor.commit(charge, false);
+                    return Ok(());
+                }
                 // Candidate dedup is a bit test, and draining the
                 // bitmap yields the sorted candidate list with no sort.
                 match pool {
@@ -1344,6 +1382,9 @@ impl<P: AccProgram> Engine<P> {
     ) -> u64 {
         let m_src = prev[v as usize];
         let bin_base = (task_counter * width) as usize;
+        // Edge `k`'s lane is `k % width`: a mask for the power-of-two
+        // widths every default-config task has.
+        let lane_mask = width.is_power_of_two().then_some(width as usize - 1);
         let mut applied = 0u64;
         for (k, &u) in targets.iter().enumerate() {
             let w = weight(k);
@@ -1358,8 +1399,13 @@ impl<P: AccProgram> Engine<P> {
                     applied += 1;
                     if first_change {
                         chg.mark(u);
-                        if record && program.activates(u, &new) {
-                            bins.record(bin_base + k % width as usize, u);
+                        // An overflowed iteration's bins are never read.
+                        if record && !bins.overflowed() && program.activates(u, &new) {
+                            let lane = match lane_mask {
+                                Some(mask) => k & mask,
+                                None => k % width as usize,
+                            };
+                            bins.record(bin_base + lane, u);
                         }
                     }
                 }
@@ -1395,7 +1441,7 @@ impl<P: AccProgram> Engine<P> {
                 applied = 1;
                 if first_change {
                     chg.mark(v);
-                    if record && program.activates(v, &new) {
+                    if record && !bins.overflowed() && program.activates(v, &new) {
                         bins.record((task_counter * width) as usize, v);
                     }
                 }

@@ -489,7 +489,10 @@ impl Worklists {
 /// Each simulated GPU thread owns a bin of at most `threshold` slots
 /// (the §4 overflow threshold, default 64). Recording into a full bin
 /// raises the overflow flag instead of growing — exactly the behaviour
-/// that forces the switch to the ballot filter.
+/// that forces the switch to the ballot filter. Once the flag is up the
+/// iteration's bins are never read (the ballot filter regenerates the
+/// whole list), so the serial kernels stop recording until
+/// [`Self::clear`]; what a bin holds after an overflow is unspecified.
 ///
 /// There is one bin per Thread-kernel slot (300 at the default device
 /// scale) and a small frontier fills a handful of them, so the bins
@@ -505,9 +508,6 @@ pub struct ThreadBins {
     recorded: u64,
     threshold: usize,
     overflowed: bool,
-    /// Records dropped because of overflow (kept for diagnostics; the
-    /// ballot filter regenerates the full list so nothing is lost).
-    dropped: u64,
 }
 
 impl ThreadBins {
@@ -521,7 +521,6 @@ impl ThreadBins {
             recorded: 0,
             threshold,
             overflowed: false,
-            dropped: 0,
         }
     }
 
@@ -537,12 +536,12 @@ impl ThreadBins {
 
     /// Records vertex `v` from simulated thread `thread`. Returns
     /// `false` (and sets the overflow flag) if the bin was full.
+    #[inline]
     pub fn record(&mut self, thread: usize, v: VertexId) -> bool {
         let idx = thread % self.bins.len();
         let bin = &mut self.bins[idx];
         if bin.len() >= self.threshold {
             self.overflowed = true;
-            self.dropped += 1;
             return false;
         }
         if bin.is_empty() {
@@ -556,11 +555,6 @@ impl ThreadBins {
     /// Whether any bin has overflowed.
     pub fn overflowed(&self) -> bool {
         self.overflowed
-    }
-
-    /// Records dropped due to overflow.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Total recorded entries across bins.
@@ -601,7 +595,6 @@ impl ThreadBins {
         self.nonempty.drain_for_each(|b| bins[b as usize].clear());
         self.recorded = 0;
         self.overflowed = false;
-        self.dropped = 0;
     }
 
     /// Reshapes to `num_threads` bins with `threshold` capacity and
@@ -676,7 +669,6 @@ mod tests {
         assert!(!bins.overflowed());
         assert!(!bins.record(0, 99));
         assert!(bins.overflowed());
-        assert_eq!(bins.dropped(), 1);
         // The other bin is unaffected.
         assert!(bins.record(1, 5));
         assert_eq!(bins.total_recorded(), 4);
@@ -700,7 +692,6 @@ mod tests {
         bins.clear();
         assert!(!bins.overflowed());
         assert_eq!(bins.total_recorded(), 0);
-        assert_eq!(bins.dropped(), 0);
     }
 
     #[test]

@@ -168,6 +168,11 @@ impl FusionPlan {
         &self.kernels[row][col]
     }
 
+    /// Every kernel descriptor of the plan, for configuration checks.
+    pub(crate) fn kernels(&self) -> impl Iterator<Item = &KernelDesc> {
+        self.kernels.iter().flatten()
+    }
+
     /// Whether the next invocation of `role` in `dir` pays a kernel
     /// launch, updating the resident-kernel state.
     ///

@@ -3,9 +3,10 @@
 //!
 //! "SIMD-X always activates the online filter first. Once a thread bin
 //! overflows, SIMD-X will switch on ballot filter to generate the
-//! correct task list for the next iteration." After switching, the
-//! online filter keeps recording (bounded at the threshold) so the
-//! controller can switch back the moment a frontier fits again — the
+//! correct task list for the next iteration." Recording resumes at every
+//! iteration (the bins start empty) and stops at the first overflow
+//! within one, since that iteration's bins are never read: the
+//! controller switches back the moment a frontier fits again — the
 //! ≤2.1% overhead Fig. 9(b) measures.
 
 use crate::config::FilterPolicy;
@@ -32,7 +33,8 @@ impl JitController {
     }
 
     /// Whether the engine should record updates into thread bins this
-    /// iteration (the ballot-only baseline skips recording entirely).
+    /// iteration (the ballot-only baseline skips recording entirely;
+    /// the others record until the bins overflow).
     pub fn records_bins(&self) -> bool {
         !matches!(self.policy, FilterPolicy::BallotOnly)
     }

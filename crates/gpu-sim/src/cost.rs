@@ -86,6 +86,10 @@ impl Cost {
     /// on graph workloads (neighbor metadata exhibits strong reuse), so
     /// they are charged a quarter transaction; atomics, which bypass
     /// part of the hierarchy, are charged half.
+    ///
+    /// Linear in the counters, so the bytes of a sum of costs are the
+    /// sum of their bytes.
+    #[inline]
     pub fn bytes(&self) -> u64 {
         self.coalesced_reads * 4
             + self.random_reads * crate::memory::TRANSACTION_BYTES / 4
@@ -127,6 +131,7 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Raw cycles for `cost`'s total work, ignoring lane cooperation.
+    #[inline]
     pub fn raw_cycles(&self, cost: &Cost) -> CycleCount {
         cost.compute_ops * self.cycles_per_op
             + cost.coalesced_reads * self.cycles_per_coalesced_elem
@@ -137,9 +142,20 @@ impl CostModel {
     }
 
     /// Cycles charged to the owning slot: total work divided across the
-    /// task's cooperating lanes.
+    /// task's cooperating lanes, rounded up.
+    ///
+    /// The engine charges this once per task, and a thread (1), warp
+    /// (32) or default CTA (128) width is a power of two, so those
+    /// divide by a shift and a mask; any other width takes `div_ceil`.
+    #[inline]
     pub fn cycles(&self, cost: &Cost) -> CycleCount {
-        self.raw_cycles(cost).div_ceil(cost.width.max(1))
+        let raw = self.raw_cycles(cost);
+        let width = cost.width.max(1);
+        if width.is_power_of_two() {
+            (raw >> width.trailing_zeros()) + u64::from(raw & (width - 1) != 0)
+        } else {
+            raw.div_ceil(width)
+        }
     }
 }
 
@@ -223,5 +239,36 @@ mod tests {
         let wide = narrow.with_width(32);
         assert_eq!(m.cycles(&narrow), 32 * m.cycles(&wide));
         assert_eq!(narrow.bytes(), wide.bytes());
+    }
+
+    #[test]
+    fn cycles_round_up_at_every_width() {
+        // Power-of-two widths take the shift, the rest `div_ceil`; both
+        // must round up exactly, on and either side of a multiple.
+        let m = CostModel::default();
+        for width in [0u64, 1, 2, 3, 31, 32, 33, 96, 128, 1024] {
+            let w = width.max(1);
+            for multiple in [0u64, 1, 2, 7, 1 << 20] {
+                for raw in [
+                    multiple * w,
+                    multiple * w + 1,
+                    (multiple * w).saturating_sub(1),
+                ] {
+                    let cost = Cost {
+                        compute_ops: raw,
+                        width,
+                        ..Cost::default()
+                    };
+                    assert_eq!(m.raw_cycles(&cost), raw);
+                    assert_eq!(m.cycles(&cost), raw.div_ceil(w), "raw {raw} width {width}");
+                }
+            }
+        }
+        let top = Cost {
+            compute_ops: u64::MAX,
+            width: 32,
+            ..Cost::default()
+        };
+        assert_eq!(m.cycles(&top), u64::MAX.div_ceil(32));
     }
 }

@@ -70,8 +70,12 @@ pub struct ExecutorStats {
 /// Task `i` of the invocation's logical task sequence runs on slot
 /// `i % active_slots` (`active_slots = min(slots, num_tasks)`, at least
 /// one). The accumulator keeps one cycle sum per active slot plus the
-/// byte and traffic totals, and walks the slots with a wrapping cursor,
-/// so charging a task is a handful of adds. Every quantity is a `u64`
+/// traffic totals, and walks the slots with a wrapping cursor.
+/// Charging a task is inlined into the caller's loop: one
+/// [`CostModel::cycles`] (a shift for a power-of-two width, a division
+/// otherwise), seven adds and a cursor step. Bytes are linear in the
+/// counters, so [`GpuExecutor::commit`] derives the byte total from the
+/// summed counters once, not per task. Every quantity is a `u64`
 /// sum, hence order-free: a worker that owns tasks `[t0, t1)` of the
 /// sequence can charge them into its own accumulator opened with
 /// [`Self::begin_part`] at `t0`, and [`Self::absorb`]ing the parts into
@@ -93,7 +97,9 @@ pub struct KernelCharge {
     slot_cycles: Vec<CycleCount>,
     cursor: usize,
     tasks: u64,
-    bytes: u64,
+    /// Coalesced elements read: `traffic` counts them in 32-element
+    /// transactions, and their bytes are per element.
+    coalesced_elems: u64,
     traffic: TrafficCounter,
 }
 
@@ -107,7 +113,7 @@ impl Default for KernelCharge {
             slot_cycles: Vec::new(),
             cursor: 0,
             tasks: 0,
-            bytes: 0,
+            coalesced_elems: 0,
             traffic: TrafficCounter::default(),
         }
     }
@@ -121,7 +127,7 @@ impl KernelCharge {
         self.slot_cycles.resize(active_slots, 0);
         self.cursor = first_task % active_slots;
         self.tasks = 0;
-        self.bytes = 0;
+        self.coalesced_elems = 0;
         self.traffic = TrafficCounter::default();
     }
 
@@ -153,7 +159,7 @@ impl KernelCharge {
     pub fn task(&mut self, cost: &Cost) {
         self.bump(self.model.cycles(cost));
         self.tasks += 1;
-        self.bytes += cost.bytes();
+        self.coalesced_elems += cost.coalesced_reads;
         self.traffic.coalesced_reads += cost.coalesced_reads.div_ceil(32);
         self.traffic.random_reads += cost.random_reads;
         self.traffic.writes += cost.writes;
@@ -179,7 +185,7 @@ impl KernelCharge {
             self.bump(cycles);
         }
         self.tasks += count;
-        self.bytes += cost.bytes() * count;
+        self.coalesced_elems += cost.coalesced_reads * count;
         self.traffic.coalesced_reads += cost.coalesced_reads.div_ceil(32) * count;
         self.traffic.random_reads += cost.random_reads * count;
         self.traffic.writes += cost.writes * count;
@@ -198,8 +204,21 @@ impl KernelCharge {
             *slot += p;
         }
         self.tasks += part.tasks;
-        self.bytes += part.bytes;
+        self.coalesced_elems += part.coalesced_elems;
         self.traffic.add(&part.traffic);
+    }
+
+    /// Bytes the charged tasks move: [`Cost::bytes`] of the summed
+    /// counters, which is the sum of the tasks' bytes.
+    fn bytes(&self) -> u64 {
+        Cost {
+            coalesced_reads: self.coalesced_elems,
+            random_reads: self.traffic.random_reads,
+            writes: self.traffic.writes,
+            atomics: self.traffic.atomics,
+            ..Cost::default()
+        }
+        .bytes()
     }
 }
 
@@ -341,7 +360,7 @@ impl GpuExecutor {
     /// fused kernel).
     pub fn commit(&mut self, charge: &KernelCharge, launch: bool) -> KernelReport {
         let makespan = charge.slot_cycles.iter().copied().max().unwrap_or(0);
-        let bandwidth_floor = (charge.bytes as f64 * self.scale as f64
+        let bandwidth_floor = (charge.bytes() as f64 * self.scale as f64
             / (self.device.bytes_per_cycle as f64 * charge.saturation))
             as u64;
         let mut elapsed = makespan.max(bandwidth_floor);

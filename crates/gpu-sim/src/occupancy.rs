@@ -40,20 +40,18 @@ pub enum Limiter {
     SharedMem,
 }
 
-/// Computes the occupancy of `kernel` on `device`.
-///
-/// # Panics
-///
-/// Panics if the kernel cannot be resident at all (a single CTA exceeds
-/// the register file or shared memory) — such a kernel fails to launch
-/// on real hardware too.
-pub fn occupancy(device: &DeviceSpec, kernel: &KernelDesc) -> Occupancy {
-    let by_regs = if kernel.registers_per_thread == 0 {
-        device.max_ctas_per_sm
-    } else {
-        (device.registers_per_sm as u64 / kernel.registers_per_cta()) as u32
-    };
-    let by_threads = device.max_threads_per_sm / kernel.threads_per_cta;
+/// Computes the occupancy of `kernel` on `device`, or `None` if the
+/// kernel cannot be resident at all: a single CTA exceeds the register
+/// file, the thread ceiling or shared memory (or has no threads) — such
+/// a kernel fails to launch on real hardware too.
+pub fn try_occupancy(device: &DeviceSpec, kernel: &KernelDesc) -> Option<Occupancy> {
+    let by_regs = (device.registers_per_sm as u64)
+        .checked_div(kernel.registers_per_cta())
+        .map_or(device.max_ctas_per_sm, |ctas| ctas as u32);
+    let by_threads = device
+        .max_threads_per_sm
+        .checked_div(kernel.threads_per_cta)
+        .unwrap_or(0);
     let by_slots = device.max_ctas_per_sm;
     let by_shmem = device
         .shared_mem_per_sm
@@ -61,13 +59,9 @@ pub fn occupancy(device: &DeviceSpec, kernel: &KernelDesc) -> Occupancy {
         .unwrap_or(device.max_ctas_per_sm);
 
     let ctas_per_sm = by_regs.min(by_threads).min(by_slots).min(by_shmem);
-    assert!(
-        ctas_per_sm > 0,
-        "kernel `{}` cannot be resident: {} regs/CTA, {} B shmem/CTA",
-        kernel.name,
-        kernel.registers_per_cta(),
-        kernel.shared_mem_per_cta
-    );
+    if ctas_per_sm == 0 {
+        return None;
+    }
 
     let limiter = if ctas_per_sm == by_regs {
         Limiter::Registers
@@ -80,12 +74,29 @@ pub fn occupancy(device: &DeviceSpec, kernel: &KernelDesc) -> Occupancy {
     };
 
     let resident_ctas = ctas_per_sm * device.sm_count;
-    Occupancy {
+    Some(Occupancy {
         ctas_per_sm,
         resident_ctas,
         resident_threads: resident_ctas as u64 * kernel.threads_per_cta as u64,
         limiter,
-    }
+    })
+}
+
+/// [`try_occupancy`] for a kernel known to fit.
+///
+/// # Panics
+///
+/// Panics if the kernel cannot be resident at all. `EngineConfig`
+/// validation rejects a configuration with such a kernel up front.
+pub fn occupancy(device: &DeviceSpec, kernel: &KernelDesc) -> Occupancy {
+    try_occupancy(device, kernel).unwrap_or_else(|| {
+        panic!(
+            "kernel `{}` cannot be resident: {} regs/CTA, {} B shmem/CTA",
+            kernel.name,
+            kernel.registers_per_cta(),
+            kernel.shared_mem_per_cta
+        )
+    })
 }
 
 /// The deadlock-free launch configuration for a *fused, persistent*
@@ -142,6 +153,19 @@ mod tests {
         let occ = occupancy(&k40, &k);
         assert_eq!(occ.ctas_per_sm, 2);
         assert_eq!(occ.limiter, Limiter::SharedMem);
+    }
+
+    #[test]
+    fn impossible_kernels_are_none() {
+        let k40 = DeviceSpec::k40();
+        // 48 regs * 4096 threads: over the register file and the
+        // 2048-thread ceiling alike.
+        let wide = KernelDesc::new("wide", 48).with_threads_per_cta(4096);
+        assert_eq!(try_occupancy(&k40, &wide), None);
+        let empty = KernelDesc::new("empty", 48).with_threads_per_cta(0);
+        assert_eq!(try_occupancy(&k40, &empty), None);
+        let fits = KernelDesc::new("fits", 50).with_threads_per_cta(1024);
+        assert_eq!(try_occupancy(&k40, &fits).map(|o| o.ctas_per_sm), Some(1));
     }
 
     #[test]

@@ -208,6 +208,7 @@ impl Csr {
     }
 
     /// Neighbors of `v`.
+    #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
         let (lo, hi) = self.range(v);
         &self.targets[lo..hi]

@@ -11,12 +11,14 @@
 //! `ActivationLog` — of BFS / SSSP / PageRank / k-Core on two small
 //! fixed graphs to the values the tree produced **before** the
 //! streamed-charging refactor (recorded at commit `e085b9f`), across
-//! {Serial, Parallel 2/3}.
+//! {Serial, Parallel 2/3}. The WCC and 96-thread-CTA rows were recorded
+//! at `18704a7`, before the engine's host-side charging and candidate
+//! marking changed.
 //!
 //! A deliberate cost-model change re-records the table (print
 //! `observe(..)` for each row); anything else that moves it is a bug.
 
-use simdx::algos::{bfs, kcore, pagerank, sssp};
+use simdx::algos::{bfs, kcore, pagerank, sssp, wcc};
 use simdx::core::prelude::*;
 use simdx::core::FilterKind;
 use simdx::graph::csr::Direction;
@@ -109,6 +111,24 @@ fn rmat_cfg() -> EngineConfig {
     EngineConfig::default().with_overflow_threshold(4)
 }
 
+/// A 96-thread CTA, a width that is not a power of two, so CTA tasks
+/// take the general path of the cost model's cycle division and of the
+/// online filter's bin-slot modulo. This graph's largest degree is 53,
+/// so the worklist thresholds drop to 8 / 24 to make CTA tasks of its
+/// hubs, and a 1-entry bin threshold makes the BFS source's 53 records
+/// overflow unless each lands in a slot of its own. The bandwidth floor
+/// hides a CTA kernel's makespan on a graph this small; `simdx_gpu`'s
+/// cost tests pin the division itself.
+fn rmat_cta96_cfg() -> EngineConfig {
+    let mut cfg = EngineConfig {
+        threads_per_cta: 96,
+        ..EngineConfig::default().with_overflow_threshold(1)
+    };
+    cfg.thresholds.small_max = 8;
+    cfg.thresholds.med_max = 24;
+    cfg
+}
+
 fn rmat_edges() -> EdgeList {
     Rmat::gtgraph(11, 8).generate(5)
 }
@@ -125,6 +145,9 @@ fn weighted(el: &EdgeList) -> Graph {
 fn bfs_reports_match_the_recorded_ones() {
     let g = Graph::directed_from_edges(rmat_edges());
     assert_golden("bfs/rmat", &BFS_RMAT, rmat_cfg(), |cfg| {
+        bfs::run(&g, 0, cfg).expect("bfs")
+    });
+    assert_golden("bfs/rmat/cta96", &BFS_RMAT_CTA96, rmat_cta96_cfg(), |cfg| {
         bfs::run(&g, 0, cfg).expect("bfs")
     });
     let g = Graph::undirected_from_edges(road_edges());
@@ -198,12 +221,35 @@ fn sssp_reports_match_the_recorded_ones() {
     });
 }
 
+/// The PageRank rows also cover both ways the serial engine finds
+/// aggregation-pull candidates: a frontier whose out-degree volume
+/// reaches `|V|` is marked bottom-up (an in-edge sweep over every
+/// vertex), a thinner one top-down (an out-edge walk from the frontier).
+/// The log's `degree_sum` is that volume, so the rows must hold pull
+/// iterations on both sides of it.
 #[test]
 fn pagerank_reports_match_the_recorded_ones() {
+    let mut dense = Vec::new();
+    let mut log_density = |g: &Graph, cfg: EngineConfig| {
+        let n = u64::from(g.num_vertices());
+        let log = pagerank::run(g, cfg).expect("pagerank").report.log;
+        let pulls = log
+            .records
+            .iter()
+            .filter(|r| r.direction == Direction::Pull);
+        dense.extend(pulls.map(|r| r.degree_sum >= n));
+    };
     let g = Graph::directed_from_edges(rmat_edges());
     assert_golden("pagerank/rmat", &PAGERANK_RMAT, rmat_cfg(), |cfg| {
         pagerank::run(&g, cfg).expect("pagerank")
     });
+    assert_golden(
+        "pagerank/rmat/cta96",
+        &PAGERANK_RMAT_CTA96,
+        rmat_cta96_cfg(),
+        |cfg| pagerank::run(&g, cfg).expect("pagerank"),
+    );
+    log_density(&g, rmat_cfg());
     let g = Graph::undirected_from_edges(road_edges());
     assert_golden(
         "pagerank/road",
@@ -211,6 +257,25 @@ fn pagerank_reports_match_the_recorded_ones() {
         EngineConfig::default(),
         |cfg| pagerank::run(&g, cfg).expect("pagerank"),
     );
+    log_density(&g, EngineConfig::default());
+    assert!(
+        dense.contains(&true) && dense.contains(&false),
+        "pull iterations by dense frontier: {dense:?}"
+    );
+}
+
+/// WCC pulls with every vertex a candidate: the vote sweep classifies
+/// all of `|V|` and each gather stops at its first smaller label.
+#[test]
+fn wcc_reports_match_the_recorded_ones() {
+    let g = Graph::undirected_from_edges(rmat_edges());
+    assert_golden("wcc/rmat", &WCC_RMAT, rmat_cfg(), |cfg| {
+        wcc::run(&g, cfg).expect("wcc")
+    });
+    let g = Graph::undirected_from_edges(road_edges());
+    assert_golden("wcc/road", &WCC_ROAD, EngineConfig::default(), |cfg| {
+        wcc::run(&g, cfg).expect("wcc")
+    });
 }
 
 #[test]
@@ -305,4 +370,45 @@ const KCORE_ROAD: Golden = Golden {
     kernel_invocations: 292,
     traffic: [2_253, 6_845, 4_386, 0],
     log_digest: 0x2706c07a06b8f36a,
+};
+// Recorded at commit 18704a7 (every cell equalled the serial one).
+const BFS_RMAT_CTA96: Golden = Golden {
+    iterations: 7,
+    edges_examined: 12_511,
+    total_cycles: 138_307,
+    kernel_launches: 3,
+    barrier_passes: 14,
+    kernel_invocations: 32,
+    traffic: [4_439, 12_525, 5_095, 0],
+    log_digest: 0x6af4419c473362f3,
+};
+const PAGERANK_RMAT_CTA96: Golden = Golden {
+    iterations: 18,
+    edges_examined: 185_744,
+    total_cycles: 2_008_069,
+    kernel_launches: 1,
+    barrier_passes: 36,
+    kernel_invocations: 90,
+    traffic: [36_822, 185_744, 138_674, 0],
+    log_digest: 0xfb9cb214e2d250bb,
+};
+const WCC_RMAT: Golden = Golden {
+    iterations: 8,
+    edges_examined: 102_497,
+    total_cycles: 738_543,
+    kernel_launches: 2,
+    barrier_passes: 16,
+    kernel_invocations: 38,
+    traffic: [14_024, 102_571, 15_245, 0],
+    log_digest: 0x4283a952e2ffd33b,
+};
+const WCC_ROAD: Golden = Golden {
+    iterations: 76,
+    edges_examined: 152_637,
+    total_cycles: 1_619_311,
+    kernel_launches: 2,
+    barrier_passes: 152,
+    kernel_invocations: 373,
+    traffic: [75_060, 152_804, 88_968, 0],
+    log_digest: 0x1c9fe0a9e83165f1,
 };
