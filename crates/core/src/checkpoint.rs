@@ -24,10 +24,11 @@
 //! It is overwritten in place at the top of every iteration, before any
 //! check that can abort that iteration. Nothing ever moves a checkpoint
 //! out of the slot while an attempt runs, and the overwrite is a
-//! sequence of plain `Copy`-element copies that cannot unwind, so a
-//! panic anywhere — in restore, mid-sweep, in capture's own fault hook
-//! — leaves the slot holding a complete boundary: the one it was
-//! entered with, or a later one. Every further attempt (degrade retry,
+//! sequence of plain `Copy`-element copies that cannot unwind (it never
+//! calls the metadata type's `Clone`, which is user code), so a panic
+//! anywhere — in restore, mid-sweep, in any `AccProgram` method — leaves
+//! the slot holding a complete boundary: the one it was entered with,
+//! or a later one. Every further attempt (degrade retry,
 //! service retry, a resume in a restarted process) follows the same
 //! rule.
 //!
@@ -127,8 +128,11 @@ impl<M: Copy> Clone for RunState<M> {
     /// Overwrites `self` in place, reusing its buffers: the three
     /// vectors copy `Copy` elements into existing capacity and grow by
     /// doubling, so a whole run of boundary captures allocates
-    /// O(log iterations) times, not per iteration. The exhaustive
-    /// pattern makes a new field a compile error here.
+    /// O(log iterations) times, not per iteration. The metadata is
+    /// copied, not cloned: `Vec::clone_from` would call `M::clone` per
+    /// element, and a `Clone` that panics half-way would leave a capture
+    /// torn between two boundaries. The exhaustive pattern makes a new
+    /// field a compile error here.
     fn clone_from(&mut self, source: &Self) {
         let Self {
             meta,
@@ -140,7 +144,8 @@ impl<M: Copy> Clone for RunState<M> {
             stats,
             fusion,
         } = source;
-        self.meta.clone_from(meta);
+        self.meta.clear();
+        self.meta.extend(meta.iter().copied());
         self.frontier.clone_from(frontier);
         // Not `log.clone_from`: `ActivationLog` derives `Clone`, whose
         // `clone_from` is a fresh `clone()` — a new buffer every time.

@@ -107,7 +107,6 @@ use crate::acc::{AccProgram, CombineKind, DirectionCtx};
 use crate::checkpoint::{RunCheckpoint, RunState};
 use crate::config::{DirectionPolicy, EngineConfig};
 use crate::error::SimdxError;
-use crate::fault::{self, FaultSite};
 use crate::filters::{ballot, online, FilterKind};
 use crate::frontier::{
     ChangedSet, ChangedView, ClassifyThresholds, ThreadBins, Worklists, WORD_BITS,
@@ -302,7 +301,6 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
         );
         let state = match ctx.checkpoint.as_deref() {
             Some(Some(cp)) => {
-                fault::hit(FaultSite::Restore);
                 // The execute path validated the slot against this
                 // graph and program before the attempt.
                 debug_assert_eq!(cp.num_vertices() as usize, n);
@@ -341,7 +339,6 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
         let Some(slot) = self.ctx.checkpoint.as_deref_mut() else {
             return;
         };
-        fault::hit(FaultSite::Capture);
         self.state.stats.clone_from(self.executor.stats());
         self.state.fusion = self.plan.launch_state();
         RunCheckpoint::capture(slot, self.program.name(), &self.state);
@@ -720,7 +717,6 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                 next.clear();
                 let occ = changed.sparse_occupancy();
                 let scan = |lo, hi, active: &mut Vec<VertexId>, part: &mut KernelCharge| {
-                    fault::hit(FaultSite::Ballot);
                     let mut sink = |c: Cost| part.task(&c);
                     match occ {
                         Some(occ) => ballot::scan_range_sparse(
@@ -861,10 +857,6 @@ impl<P: AccProgram> Engine<P> {
         examined: &mut u64,
         sup: &Supervisor,
     ) {
-        fault::hit(match dir {
-            Direction::Push => FaultSite::Push,
-            Direction::Pull => FaultSite::Pull,
-        });
         for (t, &v) in list.iter().enumerate() {
             // In-sweep supervision: a tripped token or deadline bails
             // out of the task list mid-sweep; the iteration's second
@@ -1002,7 +994,6 @@ impl<P: AccProgram> Engine<P> {
         task_base: u64,
         sup: &Supervisor,
     ) {
-        fault::hit(FaultSite::Push);
         records.clear();
         applied_out.clear();
         *examined = 0;
@@ -1180,7 +1171,6 @@ impl<P: AccProgram> Engine<P> {
         {
             let (curr, whole, changed) = (&*curr, &*charge, &*changed);
             pool.try_for_each_worker(workers, |w, ws| {
-                fault::hit(FaultSite::Pull);
                 ws.changed.clear();
                 ws.records.clear();
                 ws.writebacks.clear();

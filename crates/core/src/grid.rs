@@ -143,7 +143,6 @@ impl GridCsr {
         let shard_of = Self::shard_map(csr, fences);
         let mut partials: Vec<Vec<ShardCsr>> = (0..threads).map(|_| Vec::new()).collect();
         pool.try_for_each_worker(&mut partials, |w, out| {
-            crate::fault::hit(crate::fault::FaultSite::GridBuild);
             let (lo, hi) = chunk_range(n, threads, w);
             *out = Self::build_range(csr, &shard_of, parts, lo as VertexId, hi as VertexId);
         })?;

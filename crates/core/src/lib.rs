@@ -82,7 +82,6 @@ pub mod checkpoint;
 pub mod config;
 mod engine;
 pub mod error;
-pub mod fault;
 pub mod filters;
 pub mod frontier;
 pub mod fusion;

@@ -53,19 +53,18 @@
 //! (`cp-<ticket>.sxcp`, zero-padded so lexicographic order is ticket
 //! order).
 //!
-//! Storage faults are injectable (`--features fault-inject`) through
-//! the `persist` site: a `FaultPlan` armed with a
-//! `PersistDisturbance` (`TornWrite`, `Corrupt`, `IoErr`, on every
-//! write or the N-th) disturbs [`DirStore::put`] deterministically,
-//! and the differential matrix in `tests/durable_recovery.rs` pins
-//! that each disturbance yields a typed error with the store still
-//! usable.
+//! Storage faults enter where every store does: through
+//! [`CheckpointStore`]. `tests/durable_recovery.rs` wraps a
+//! [`DirStore`] in a store that fails its k-th `put` with
+//! [`SimdxError::CheckpointIo`], or writes that blob truncated to half
+//! or with its middle bit flipped, and pins that each surfaces as a
+//! typed error — in `ServeReport::spill_failures` or
+//! `RecoveryReport::skipped` — with the store still usable.
 
 use std::path::{Path, PathBuf};
 
 use crate::checkpoint::{RunCheckpoint, RunState};
 use crate::error::SimdxError;
-use crate::fault;
 use crate::filters::FilterKind;
 use crate::jit::{ActivationLog, IterationRecord};
 use simdx_gpu::executor::ExecutorStats;
@@ -715,35 +714,6 @@ impl DirStore {
 impl CheckpointStore for DirStore {
     fn put(&self, ticket: u64, blob: &[u8]) -> Result<(), SimdxError> {
         use std::io::Write;
-
-        // Deterministic storage-fault hook (`--features fault-inject`):
-        // a torn write drops the blob's tail (the crash the atomic
-        // protocol exists for), a corruption flips one payload bit,
-        // and an i/o error fails the operation outright.
-        let mut disturbed: Vec<u8>;
-        let mut blob = blob;
-        match fault::persist_disturbance() {
-            None => {}
-            Some(fault::PersistDisturbance::TornWrite) => {
-                blob = &blob[..blob.len() / 2];
-            }
-            Some(fault::PersistDisturbance::Corrupt) => {
-                disturbed = blob.to_vec();
-                let mid = disturbed.len() / 2;
-                if let Some(byte) = disturbed.get_mut(mid) {
-                    *byte ^= 0x01;
-                }
-                blob = &disturbed;
-            }
-            Some(fault::PersistDisturbance::IoErr) => {
-                return Err(SimdxError::CheckpointIo {
-                    reason: format!(
-                        "write {}: injected i/o fault",
-                        self.blob_path(ticket).display()
-                    ),
-                });
-            }
-        }
 
         let tmp = self.tmp_path(ticket);
         let path = self.blob_path(ticket);

@@ -216,7 +216,6 @@ impl<M> IterScratch<M> {
     /// the next `execute()` entry makes aborted runs indistinguishable
     /// from fresh engines.
     pub fn reset_for_run(&mut self) {
-        crate::fault::hit(crate::fault::FaultSite::ScratchReset);
         self.lists.clear();
         self.cands.clear();
         self.applied.clear();

@@ -45,8 +45,8 @@
 //! Every query served concurrently remains **bit-equal** to running it
 //! alone on a fresh engine — same metadata, activation logs and
 //! simulated cycles (`tests/concurrent_serving.rs` asserts the matrix,
-//! including mid-stream cancellations and fault-injected worker
-//! panics).
+//! including mid-stream cancellations and worker panics raised by a
+//! query's own program).
 //!
 //! With [`ServiceConfig::durability`] armed, the pool also survives
 //! its own process: final-failure checkpoints (retries exhausted, or
@@ -217,7 +217,7 @@ impl RetryPolicy {
 /// touches the store on the failure path, so the success path stays at
 /// capture cost.
 ///
-/// Spill failures (a full disk, an injected `persist` fault) never
+/// Spill failures (a full disk, a store's i/o error) never
 /// fail the serve call: the outcome still lands in the report with its
 /// in-memory checkpoint attached, and the failed spill is surfaced in
 /// [`ServeReport::spill_failures`].

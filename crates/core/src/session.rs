@@ -518,10 +518,12 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
         let mut observer = query.observer;
         // One engine attempt with panic containment: a contained pool
         // panic is already a typed error, so the guard catches the
-        // *host-side* ones (serial kernels, filters, scratch reset,
-        // restore) as worker 0, the submitting thread. The slot is
-        // borrowed from a frame outside the guard, and every attempt
-        // starts from what it holds.
+        // *host-side* ones as worker 0, the submitting thread — the
+        // program's own code (an `AccProgram` method or the metadata
+        // `Clone`) called from a serial kernel, a filter, `init`, the
+        // capture or the restore. The slot is borrowed from a frame
+        // outside the guard, and every attempt starts from what it
+        // holds.
         let mut attempt = |pool: Option<BoundPool<'_>>| {
             let ctx = SessionCtx {
                 pool,
@@ -1210,8 +1212,8 @@ mod tests {
         assert_eq!(plain.report.log, supervised.report.log);
     }
 
-    /// A levels program that panics exactly once (shared flag), to
-    /// model a transient worker fault without the fault-inject feature.
+    /// A levels program that panics exactly once (shared flag): a
+    /// transient worker fault, entering where faults do — the program.
     #[derive(Clone)]
     struct PanicOnce {
         inner: Levels,

@@ -24,7 +24,7 @@
 // Lock types are never shimmed: the model harness drives its scenarios
 // cooperatively (one step at a time on one OS thread), so `std`'s
 // mutexes and condvars behave identically under it.
-pub use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+pub use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Atomic types and memory orderings; `std::sync::atomic` by default,
 /// instrumented shims under the `model` feature.

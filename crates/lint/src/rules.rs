@@ -535,8 +535,8 @@ fn rule_env_clock(fc: &FileCheck<'_>, out: &mut Vec<Finding>) {
                     fc,
                     i,
                     "env-confined",
-                    "std::env access outside the fault module breaks the determinism \
-                     contract (route it through EngineConfig or FaultPlan)"
+                    "std::env access in a library crate breaks the determinism \
+                     contract (route it through EngineConfig)"
                         .to_string(),
                 ));
             }

@@ -1,22 +1,20 @@
 //! Durable serving: spill final failures, restart, recover.
 //!
 //! Stands up a `QueryPool` with a `DurabilityPolicy` spilling into a
-//! directory-backed `CheckpointStore`, drives a batch where several
-//! queries fail past their retry budget — a panic storm on every pull
-//! sweep when built with `--features fault-inject`, starvation cycle
-//! budgets otherwise — and then plays the crash: throws the pool away,
-//! reopens the store from the directory alone (as a restarted process
-//! would), and `QueryPool::recover`s every spilled ticket to completion
-//! from its durable iteration-boundary checkpoint.
+//! directory-backed `CheckpointStore`, drives a batch where every other
+//! query starves on a cycle budget past its retry allowance, and then
+//! plays the crash: throws the pool away, reopens the store from the
+//! directory alone (as a restarted process would), and
+//! `QueryPool::recover`s every spilled ticket to completion from its
+//! durable iteration-boundary checkpoint.
 //!
 //! ```text
 //! cargo run --release --example durable_serving
-//! cargo run --release --features fault-inject --example durable_serving
 //! ```
 //!
-//! Either way, every admitted query completes: some inside the original
-//! pool, the rest via cross-"process" recovery — and the store is
-//! drained at the end.
+//! Every admitted query completes: some inside the original pool, the
+//! rest via cross-"process" recovery — and the store is drained at the
+//! end.
 
 use std::path::PathBuf;
 
@@ -49,42 +47,16 @@ fn main() -> Result<(), SimdxError> {
         store.remove(stale)?;
     }
 
-    // A panic storm the retry policy cannot outlast: every pull sweep
-    // dies. BFS on this graph flips push→pull once the frontier grows,
-    // so each query survives its opening push iterations (capturing
-    // boundary checkpoints), then both attempts die at their first pull
-    // sweep — a deterministic final failure that spills the checkpoint.
-    #[cfg(feature = "fault-inject")]
-    let faults = {
-        use simdx::core::fault::{self, FaultPlan, FaultSite};
-        std::panic::set_hook(Box::new(|info| {
-            let payload = info
-                .payload()
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| info.payload().downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("<non-string payload>");
-            eprintln!("[worker panic contained] {payload}");
-        }));
-        println!("fault injection: every pull sweep panics\n");
-        let mut plan = FaultPlan::new();
-        for nth in 1..=100 {
-            plan = plan.panic_at(FaultSite::Pull, nth);
-        }
-        fault::install(plan)
-    };
-
     let seeds: Vec<u32> = (0..10).map(|i| (i * 131) % graph.num_vertices()).collect();
 
-    // Without the harness, starve every other query instead: a cycle
-    // budget equal to the first iteration's cost passes at least one
-    // checkpoint boundary per attempt, and the filter keeps only seeds
-    // whose runs are long enough that two budgeted attempts still
-    // exhaust before convergence.
-    #[cfg(not(feature = "fault-inject"))]
-    println!("fault injection disabled: starving every other query via cycle budgets\n");
+    // Starve every other query: a cycle budget equal to the first
+    // iteration's cost passes at least one checkpoint boundary per
+    // attempt, and the filter keeps only seeds whose runs are long
+    // enough that two budgeted attempts still exhaust before
+    // convergence — a deterministic final failure that spills.
+    println!("starving every other query via cycle budgets\n");
     let budget_for = |idx: usize, seed: u32| -> Option<u64> {
-        if cfg!(feature = "fault-inject") || idx % 2 == 1 {
+        if idx % 2 == 1 {
             return None;
         }
         let solo = bound.run(Bfs::new(seed)).execute().ok()?;
@@ -119,11 +91,6 @@ fn main() -> Result<(), SimdxError> {
             Ok(())
         },
     )?;
-
-    // Stand the storm down before recovery: the restarted process is
-    // healthy; only the durable damage remains.
-    #[cfg(feature = "fault-inject")]
-    drop(faults);
 
     println!("serve: per-ticket outcomes:");
     for (ticket, outcome) in report.outcomes.iter().enumerate() {

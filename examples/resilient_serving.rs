@@ -1,29 +1,89 @@
-//! Resilient serving: checkpointed retries under injected faults.
+//! Resilient serving: checkpointed retries under transient faults.
 //!
-//! Stands up a `QueryPool` with a `RetryPolicy`, arms deterministic
-//! worker panics mid-stream (when built with `--features fault-inject`)
-//! and gives every query a deadline — then shows that every ticket
-//! still completes, because a tripped attempt hands its
-//! iteration-boundary checkpoint back to the scheduler and the retry
-//! resumes from it instead of starting over. Per-ticket attempt counts
-//! make the recovery visible.
+//! Stands up a `QueryPool` with a `RetryPolicy`, serves a program whose
+//! workers panic mid-stream while a small fault budget lasts, and gives
+//! every query a deadline — then shows that every ticket still
+//! completes, because a tripped attempt hands its iteration-boundary
+//! checkpoint back to the scheduler and the retry resumes from it
+//! instead of starting over. Per-ticket attempt counts make the
+//! recovery visible.
 //!
 //! ```text
-//! cargo run --release --features fault-inject --example resilient_serving
+//! cargo run --release --example resilient_serving
 //! ```
-//!
-//! Without the feature the same binary runs clean: no faults fire and
-//! every ticket completes on its first attempt.
 
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use simdx::algos::Bfs;
 use simdx::core::{
-    EngineConfig, ExecMode, QueryPool, QueryRequest, RetryPolicy, Runtime, ServiceConfig,
-    SimdxError,
+    AccProgram, CombineKind, EngineConfig, ExecMode, QueryPool, QueryRequest, RetryPolicy, Runtime,
+    ServiceConfig, SimdxError, SourcedProgram,
 };
 use simdx::graph::gen::Rmat;
-use simdx::graph::Graph;
+use simdx::graph::{Graph, VertexId, Weight};
+
+/// BFS whose Compute panics on an edge out of a level-2 vertex while a
+/// fault budget, shared by every ticket's copy of the program, lasts: a
+/// transient worker fault, raised where faults in a real deployment
+/// come from — the program's own code.
+#[derive(Clone)]
+struct Flaky {
+    bfs: Bfs,
+    faults_left: Arc<AtomicU32>,
+}
+
+impl AccProgram for Flaky {
+    type Meta = u32;
+    type Update = u32;
+
+    fn name(&self) -> &'static str {
+        self.bfs.name()
+    }
+
+    fn combine_kind(&self) -> CombineKind {
+        self.bfs.combine_kind()
+    }
+
+    fn init(&self, graph: &Graph) -> (Vec<u32>, Vec<VertexId>) {
+        self.bfs.init(graph)
+    }
+
+    fn compute(&self, src: VertexId, dst: VertexId, w: Weight, ms: &u32, md: &u32) -> Option<u32> {
+        let spend = |n: u32| n.checked_sub(1);
+        // ORDERING: the budget only needs atomicity, so each fault is
+        // spent exactly once; nothing else is published under it.
+        let faults = &self.faults_left;
+        if *ms == 2
+            && faults
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, spend)
+                .is_ok()
+        {
+            panic!("transient fault on an edge out of vertex {src}");
+        }
+        self.bfs.compute(src, dst, w, ms, md)
+    }
+
+    fn combine(&self, a: u32, b: u32) -> u32 {
+        self.bfs.combine(a, b)
+    }
+
+    fn apply(&self, v: VertexId, current: &u32, update: u32) -> Option<u32> {
+        self.bfs.apply(v, current, update)
+    }
+
+    fn pull_candidate(&self, v: VertexId, meta: &u32) -> bool {
+        self.bfs.pull_candidate(v, meta)
+    }
+}
+
+impl SourcedProgram for Flaky {
+    fn with_source(mut self, src: VertexId) -> Self {
+        self.bfs = self.bfs.with_source(src);
+        self
+    }
+}
 
 fn main() -> Result<(), SimdxError> {
     let graph = Graph::directed_from_edges(Rmat::gtgraph(12, 8).generate(5));
@@ -37,32 +97,26 @@ fn main() -> Result<(), SimdxError> {
         Runtime::new(EngineConfig::default().with_exec(ExecMode::Parallel { threads: 2 }))?;
     let bound = runtime.bind(&graph);
 
-    // Arm two mid-stream worker panics: the 3rd and 9th push sweeps
-    // die. Each kills one in-flight attempt; the retry resumes from the
-    // checkpoint captured at the last iteration boundary.
-    #[cfg(feature = "fault-inject")]
-    let _faults = {
-        use simdx::core::fault::{self, FaultPlan, FaultSite};
-        // The pool contains worker panics; keep the demo output to one
-        // line per fault instead of a full backtrace.
-        std::panic::set_hook(Box::new(|info| {
-            let payload = info
-                .payload()
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| info.payload().downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("<non-string payload>");
-            eprintln!("[worker panic contained] {payload}");
-        }));
-        println!("fault injection: push sweeps 3 and 9 will panic\n");
-        fault::install(
-            FaultPlan::new()
-                .panic_at(FaultSite::Push, 3)
-                .panic_at(FaultSite::Push, 9),
-        )
+    // Two transient worker panics: the first two edges computed out of
+    // a level-2 vertex. Each kills an in-flight attempt; the retry
+    // resumes from the checkpoint captured at the last iteration
+    // boundary.
+    let program = Flaky {
+        bfs: Bfs::new(0),
+        faults_left: Arc::new(AtomicU32::new(2)),
     };
-    #[cfg(not(feature = "fault-inject"))]
-    println!("fault injection disabled (rebuild with --features fault-inject)\n");
+    // The pool contains worker panics; keep the demo output to one line
+    // per fault instead of a full backtrace.
+    std::panic::set_hook(Box::new(|info| {
+        let payload = info
+            .payload()
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| info.payload().downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("<non-string payload>");
+        eprintln!("[worker panic contained] {payload}");
+    }));
+    println!("fault budget: the first 2 edges out of a level-2 vertex panic\n");
 
     // Up to three attempts per ticket with a short backoff between
     // them. A retry policy past one attempt arms checkpoint capture,
@@ -71,7 +125,7 @@ fn main() -> Result<(), SimdxError> {
     let seeds: Vec<u32> = (0..12).map(|i| (i * 97) % graph.num_vertices()).collect();
     let report = QueryPool::serve(
         &bound,
-        Bfs::new(0),
+        program,
         ServiceConfig::default().workers(2).batch_max(2).retry(
             RetryPolicy::default()
                 .max_attempts(3)
@@ -111,8 +165,9 @@ fn main() -> Result<(), SimdxError> {
     assert_eq!(
         report.completed(),
         report.outcomes.len(),
-        "every query must complete despite injected faults"
+        "every query must complete despite the faults"
     );
+    assert!(retried >= 1, "a fault must have forced a retry");
 
     Ok(())
 }

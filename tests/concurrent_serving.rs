@@ -12,17 +12,17 @@
 //! * admission control — a full bounded queue under
 //!   [`AdmissionPolicy::Reject`] sheds load deterministically and
 //!   never corrupts the queries it did admit;
-//! * fault containment (`--features fault-inject`) — a worker panic
-//!   injected mid-stream poisons only its own leased pool: exactly one
-//!   outcome fails typed, every peer stays bit-equal, and the session
-//!   serves the failed seed cleanly afterwards.
+//! * fault containment — a worker panic raised mid-stream by a query's
+//!   own program (`tests/support`'s `Faulty`) poisons only its own
+//!   leased pool: exactly one outcome fails typed, every peer stays
+//!   bit-equal, and the session serves the failed seed cleanly
+//!   afterwards.
 //!
-//! Fault state is process-global, so every test body holds
-//! [`TEST_LOCK`]: a clean test racing the armed plan would absorb the
-//! single injected panic.
+//! Each fault belongs to the program value of the serve call that arms
+//! it, so the tests share no state and run concurrently.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use simdx::algos::{Bfs, Sssp};
@@ -33,16 +33,7 @@ use simdx::graph::{weights, Graph};
 use simdx_gpu::executor::ExecutorStats;
 
 mod support;
-use support::GatedLevels;
-
-/// Serializes the test bodies in this binary (see the module docs).
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    TEST_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use support::{panic_payload, Action, Faulty, GatedLevels, Seam};
 
 /// Everything that must match bit for bit.
 #[derive(Debug, PartialEq)]
@@ -100,7 +91,6 @@ fn weighted_rmat_graph() -> Graph {
 /// confinement). Every result must match a solo baseline bit for bit.
 #[test]
 fn thread_fanout_is_bit_equal_to_solo_baselines() {
-    let _guard = lock();
     const THREADS: usize = 4;
     let g = weighted_rmat_graph();
     let seeds: Vec<u32> = vec![0, 5, 9, 0, 13, 2];
@@ -142,7 +132,6 @@ fn thread_fanout_is_bit_equal_to_solo_baselines() {
 /// is filled in order, and the closed loop accounts its batching.
 #[test]
 fn query_pool_serves_bit_equal_outcomes() {
-    let _guard = lock();
     let g = rmat_graph();
     let seeds: Vec<u32> = vec![0, 3, 7, 11, 0, 5, 9, 2];
     for (label, cfg) in config_matrix() {
@@ -188,7 +177,6 @@ fn query_pool_serves_bit_equal_outcomes() {
 /// clean peers in the same serve call stay bit-equal.
 #[test]
 fn cancellation_and_deadlines_abort_only_their_own_query() {
-    let _guard = lock();
     let g = rmat_graph();
     let cfg = EngineConfig::default().with_exec(ExecMode::Parallel { threads: 2 });
     let baseline = solo(&Bfs::new, 0, &g, &cfg);
@@ -237,7 +225,6 @@ fn cancellation_and_deadlines_abort_only_their_own_query() {
 /// the two admitted queries still complete exactly.
 #[test]
 fn reject_admission_sheds_load_without_corrupting_admitted_queries() {
-    let _guard = lock();
     let g = rmat_graph();
     let entered = Arc::new(AtomicBool::new(false));
     let release = Arc::new(AtomicBool::new(false));
@@ -306,7 +293,6 @@ fn reject_admission_sheds_load_without_corrupting_admitted_queries() {
 /// a typed error instead of being silently dropped.
 #[test]
 fn drain_close_finishes_admitted_work_and_rejects_new_submissions() {
-    let _guard = lock();
     let g = rmat_graph();
     let cfg = EngineConfig::default();
     let baseline = solo(&Bfs::new, 0, &g, &cfg);
@@ -350,7 +336,6 @@ fn drain_close_finishes_admitted_work_and_rejects_new_submissions() {
 /// cancellations — every admitted ticket still gets an outcome.
 #[test]
 fn abort_close_cancels_outstanding_queries_and_hands_back_checkpoints() {
-    let _guard = lock();
     let g = rmat_graph();
     let entered = Arc::new(AtomicBool::new(false));
     let release = Arc::new(AtomicBool::new(false));
@@ -437,7 +422,6 @@ fn abort_close_cancels_outstanding_queries_and_hands_back_checkpoints() {
 /// timeout here instead of a hung test binary.
 #[test]
 fn a_panicking_producer_unwinds_through_serve_and_leaves_the_session_usable() {
-    let _guard = lock();
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let g = rmat_graph();
@@ -470,16 +454,12 @@ fn a_panicking_producer_unwinds_through_serve_and_leaves_the_session_usable() {
     );
 }
 
-/// Repeated injected panics trip the circuit breaker: after
+/// Repeated worker panics trip the circuit breaker: after
 /// `breaker_threshold` consecutive worker-panic outcomes the pool sheds
 /// further submissions with [`SimdxError::Unavailable`] carrying a
 /// retry-after hint bounded by the cooldown.
-#[cfg(feature = "fault-inject")]
 #[test]
 fn breaker_opens_under_repeated_panics_and_sheds() {
-    use simdx::core::fault::{self, FaultPlan, FaultSite};
-
-    let _guard = lock();
     let g = rmat_graph();
     let cfg = EngineConfig::default()
         .with_exec(ExecMode::Parallel { threads: 3 })
@@ -487,44 +467,42 @@ fn breaker_opens_under_repeated_panics_and_sheds() {
     let runtime = Runtime::new(cfg).expect("runtime");
     let bound = runtime.bind(&g);
     let cooldown = Duration::from_secs(30);
-    // Arm a panic on every one of the first 20 push-sweep hits so each
-    // admitted query fails — the breaker's consecutive count can only
-    // grow, making the open state deterministic regardless of timing.
-    let mut plan = FaultPlan::new();
-    for nth in 1..=20 {
-        plan = plan.panic_at(FaultSite::Push, nth);
-    }
-    let shed = {
-        let _armed = fault::install(plan);
-        let mut shed = None;
-        QueryPool::serve(
-            &bound,
-            Bfs::new(0),
-            ServiceConfig::default()
-                .workers(1)
-                .batch_max(1)
-                .breaker(2, cooldown),
-            |client| {
-                client.submit(QueryRequest::new(0))?;
-                client.submit(QueryRequest::new(0))?;
-                // Both queries panic; once their outcomes land the
-                // breaker is open and every further submission sheds.
-                for _ in 0..2000 {
-                    match client.submit(QueryRequest::new(0)) {
-                        Err(SimdxError::Unavailable { retry_after }) => {
-                            shed = Some(retry_after);
-                            break;
-                        }
-                        Ok(_) => std::thread::sleep(Duration::from_millis(5)),
-                        Err(other) => panic!("unexpected submit error: {other:?}"),
+    // Every query panics on its first push sweep, so the breaker's
+    // consecutive count can only grow, making the open state
+    // deterministic regardless of timing.
+    let seam = Seam::Compute(0);
+    let program = Faulty::new(Bfs::new(0), seam, Action::Panic).every_time();
+    let mut shed = None;
+    let report = QueryPool::serve(
+        &bound,
+        program,
+        ServiceConfig::default()
+            .workers(1)
+            .batch_max(1)
+            .breaker(2, cooldown),
+        |client| {
+            client.submit(QueryRequest::new(0))?;
+            client.submit(QueryRequest::new(0))?;
+            // Both queries panic; once their outcomes land the breaker
+            // is open and every further submission sheds.
+            for _ in 0..2000 {
+                match client.submit(QueryRequest::new(0)) {
+                    Err(SimdxError::Unavailable { retry_after }) => {
+                        shed = Some(retry_after);
+                        break;
                     }
+                    Ok(_) => std::thread::sleep(Duration::from_millis(5)),
+                    Err(other) => panic!("unexpected submit error: {other:?}"),
                 }
-                Ok(())
-            },
-        )
-        .expect("serve");
-        shed
-    };
+            }
+            Ok(())
+        },
+    )
+    .expect("serve");
+    for outcome in &report.outcomes {
+        let err = outcome.result.as_ref().expect_err("every query panics");
+        assert_eq!(panic_payload(err), seam.payload());
+    }
     let retry_after = shed.expect("breaker never opened");
     assert!(
         retry_after <= cooldown,
@@ -538,50 +516,44 @@ fn breaker_opens_under_repeated_panics_and_sheds() {
         |client| client.submit(QueryRequest::new(0)).map(|_| ()),
     )
     .expect("fresh serve");
-    assert_eq!(report.completed(), 1, "disarmed session serves cleanly");
+    assert_eq!(report.completed(), 1, "a clean program serves cleanly");
 }
 
-/// A worker panic injected mid-stream (`--features fault-inject`)
-/// fails exactly one query with a typed error, poisons only that
-/// query's leased pool, leaves every concurrent peer bit-equal, and
-/// the session serves the failed seed cleanly on the next call.
-#[cfg(feature = "fault-inject")]
+/// A worker panic raised mid-stream fails exactly one query with a
+/// typed error, poisons only that query's leased pool, leaves every
+/// concurrent peer bit-equal, and the session serves the failed seed
+/// cleanly on the next call.
 #[test]
 fn injected_worker_panic_spares_concurrent_peers() {
-    use simdx::core::fault::{self, FaultPlan, FaultSite};
-
-    let _guard = lock();
     let g = rmat_graph();
-    // Parallel push, pinned: the armed site is on every query's path.
+    // Parallel push, pinned: the fault's seam is on every query's path.
     let cfg = EngineConfig::default()
         .with_exec(ExecMode::Parallel { threads: 3 })
         .with_direction(DirectionPolicy::FixedPush);
     let baseline = solo(&Bfs::new, 0, &g, &cfg);
     let runtime = Runtime::new(cfg).expect("runtime");
     let bound = runtime.bind(&g);
-    let report = {
-        // `panic_on` fires exactly once process-wide, on whichever
-        // serving thread reaches the push sweep first.
-        let _armed = fault::install(FaultPlan::new().panic_on(FaultSite::Push));
-        QueryPool::serve(
-            &bound,
-            Bfs::new(0),
-            ServiceConfig::default().workers(3).batch_max(2),
-            |client| {
-                for _ in 0..9 {
-                    client.submit(QueryRequest::new(0))?;
-                }
-                Ok(())
-            },
-        )
-        .expect("serve survives an injected panic")
-    };
+    // One fault, shared by the nine tickets' clones of the program: it
+    // strikes whichever query first pushes from a level-1 vertex.
+    let seam = Seam::Compute(1);
+    let report = QueryPool::serve(
+        &bound,
+        Faulty::new(Bfs::new(0), seam, Action::Panic),
+        ServiceConfig::default().workers(3).batch_max(2),
+        |client| {
+            for _ in 0..9 {
+                client.submit(QueryRequest::new(0))?;
+            }
+            Ok(())
+        },
+    )
+    .expect("serve survives a worker panic");
     assert_eq!(report.outcomes.len(), 9);
     let mut panics = 0;
     for outcome in &report.outcomes {
         match &outcome.result {
-            Err(SimdxError::WorkerPanicked { payload, .. }) => {
-                assert!(payload.contains("injected"), "payload: {payload}");
+            Err(err) => {
+                assert_eq!(panic_payload(err), seam.payload());
                 panics += 1;
             }
             Ok(got) => assert_eq!(
@@ -589,10 +561,9 @@ fn injected_worker_panic_spares_concurrent_peers() {
                 (&baseline.meta, baseline.iterations, &baseline.log),
                 "peer of the panicked query diverged"
             ),
-            Err(other) => panic!("unexpected error beside the panic: {other:?}"),
         }
     }
-    assert_eq!(panics, 1, "the single armed fault must fail one query");
+    assert_eq!(panics, 1, "the single fault must fail one query");
     // The poisoned pool was discarded at lease check-in; the very next
     // query over the same session is clean and bit-equal.
     let after = fingerprint(bound.run(Bfs::new(0)).execute().expect("rerun"));
@@ -600,16 +571,11 @@ fn injected_worker_panic_spares_concurrent_peers() {
 }
 
 /// The same 9-query matrix with `RetryPolicy { max_attempts: 2 }`: the
-/// injected mid-stream worker panic is absorbed by a checkpointed
-/// retry, so **zero** queries fail — the hit query reports two
-/// attempts, its peers one, and every result stays bit-equal to the
-/// solo baseline.
-#[cfg(feature = "fault-inject")]
+/// mid-stream worker panic is absorbed by a checkpointed retry, so
+/// **zero** queries fail — the hit query reports two attempts, its
+/// peers one, and every result stays bit-equal to the solo baseline.
 #[test]
 fn retry_policy_absorbs_an_injected_worker_panic() {
-    use simdx::core::fault::{self, FaultPlan, FaultSite};
-
-    let _guard = lock();
     let g = rmat_graph();
     let cfg = EngineConfig::default()
         .with_exec(ExecMode::Parallel { threads: 3 })
@@ -617,24 +583,23 @@ fn retry_policy_absorbs_an_injected_worker_panic() {
     let baseline = solo(&Bfs::new, 0, &g, &cfg);
     let runtime = Runtime::new(cfg).expect("runtime");
     let bound = runtime.bind(&g);
-    let report = {
-        let _armed = fault::install(FaultPlan::new().panic_on(FaultSite::Push));
-        QueryPool::serve(
-            &bound,
-            Bfs::new(0),
-            ServiceConfig::default()
-                .workers(3)
-                .batch_max(2)
-                .retry(RetryPolicy::default().max_attempts(2)),
-            |client| {
-                for _ in 0..9 {
-                    client.submit(QueryRequest::new(0))?;
-                }
-                Ok(())
-            },
-        )
-        .expect("serve")
-    };
+    let program = Faulty::new(Bfs::new(0), Seam::Compute(1), Action::Panic);
+    let report = QueryPool::serve(
+        &bound,
+        program.clone(),
+        ServiceConfig::default()
+            .workers(3)
+            .batch_max(2)
+            .retry(RetryPolicy::default().max_attempts(2)),
+        |client| {
+            for _ in 0..9 {
+                client.submit(QueryRequest::new(0))?;
+            }
+            Ok(())
+        },
+    )
+    .expect("serve");
+    assert!(program.struck(), "the fault never struck");
     assert_eq!(report.outcomes.len(), 9);
     assert_eq!(report.completed(), 9, "retries must leave zero failures");
     let mut retried = 0;

@@ -13,16 +13,20 @@
 //!    activation log, simulated cycles), in {Serial, Parallel}.
 //!
 //! 2. **Persist fault matrix** — on-disk tampering (truncation, bit
-//!    flips, version skew) in every build, plus the injected `persist`
-//!    disturbances (`persist:torn_write`, `persist:corrupt`,
-//!    `persist:io_err@N`) under `--features fault-inject`: every fault
-//!    surfaces as a typed `CheckpointCorrupt` / `CheckpointIo`, never a
-//!    panic, recovery skips exactly the damaged blobs while completing
-//!    the rest, and the store stays usable afterwards.
+//!    flips, version skew, a well-framed lie), plus writes spoiled at
+//!    the `CheckpointStore` seam (`tests/support`'s `FaultyStore`: an
+//!    i/o error, a torn write, a flipped bit) and a restore that
+//!    panics on a retry: every fault surfaces as a typed
+//!    `CheckpointCorrupt` / `CheckpointIo` / `WorkerPanicked`, never a
+//!    process panic, recovery skips exactly the damaged blobs while
+//!    completing the rest, and the store stays usable afterwards.
+//!
+//! Every test spills into a directory of its own, so they share no
+//! state and run concurrently.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use simdx::algos::Bfs;
@@ -34,19 +38,9 @@ use simdx::graph::{Graph, VertexId};
 use simdx_gpu::executor::ExecutorStats;
 
 mod support;
-use support::GatedLevels;
-
-/// Serializes every test body that spills through a `DirStore`: under
-/// `--features fault-inject` the armed fault plan is process-global,
-/// so an unrelated spill racing an armed `persist` disturbance would
-/// absorb the wrong test's fault.
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    TEST_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use support::{
+    panic_payload, Action, Faulty, FaultyStore, GatedLevels, Level, Levels, Seam, Spoil,
+};
 
 /// The graph both processes rebuild — deterministic by construction,
 /// which is what makes cross-process bit-equality checkable at all.
@@ -73,14 +67,14 @@ fn cell_config(cell: &str) -> EngineConfig {
 
 /// Everything that must match bit for bit after recovery.
 #[derive(Debug, PartialEq)]
-struct Fingerprint {
-    meta: Vec<u32>,
+struct Fingerprint<M> {
+    meta: Vec<M>,
     iterations: u32,
     stats: ExecutorStats,
     log: ActivationLog,
 }
 
-fn fingerprint(r: &RunResult<u32>) -> Fingerprint {
+fn fingerprint<M: Copy>(r: &RunResult<M>) -> Fingerprint<M> {
     Fingerprint {
         meta: r.meta.clone(),
         iterations: r.report.iterations,
@@ -121,11 +115,21 @@ fn serve_spilling(
     dir: &std::path::Path,
 ) -> ServeReport<u32> {
     let store = DirStore::open(dir).expect("open spill dir");
+    serve_spilling_into(bound, plan, store, 2)
+}
+
+/// [`serve_spilling`] through any store, on `workers` serving threads.
+fn serve_spilling_into(
+    bound: &BoundGraph<'_, '_>,
+    plan: &[(VertexId, u64)],
+    store: impl CheckpointStore + 'static,
+    workers: usize,
+) -> ServeReport<u32> {
     QueryPool::serve(
         bound,
         Bfs::new(0),
         ServiceConfig::default()
-            .workers(2)
+            .workers(workers)
             .durability(DurabilityPolicy::spill_to(store)),
         |client| {
             for &(seed, budget) in plan {
@@ -189,7 +193,6 @@ fn child_serve_spill_and_hang() {
 /// ticket bit-equal to the uninterrupted baseline, in both exec modes.
 #[test]
 fn sigkilled_serving_process_recovers_bit_equal_across_matrix() {
-    let _serial = lock();
     let exe = std::env::current_exe().expect("current test binary");
     for cell in CELLS {
         let dir = scratch_dir(&format!("kill-{cell}"));
@@ -272,14 +275,13 @@ fn sigkilled_serving_process_recovers_bit_equal_across_matrix() {
 }
 
 // ---------------------------------------------------------------------
-// Half 2a: on-disk fault matrix (every build)
+// Half 2a: on-disk fault matrix
 
 /// In-process spill → recover round trip, including an abort-mode
 /// close racing the spill path: the budgeted queries spill and recover
 /// bit-equal; abort-orphaned queued entries spill nothing.
 #[test]
 fn spill_then_recover_in_process_is_bit_equal() {
-    let _serial = lock();
     let dir = scratch_dir("inproc");
     let g = graph();
     let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
@@ -316,7 +318,6 @@ fn spill_then_recover_in_process_is_bit_equal() {
 /// (they have no checkpoint); everything spilled recovers bit-equal.
 #[test]
 fn abort_mode_close_spills_only_real_checkpoints() {
-    let _serial = lock();
     let dir = scratch_dir("abort");
     let g = graph();
     let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
@@ -386,7 +387,6 @@ fn abort_mode_close_spills_only_real_checkpoints() {
 /// the crash-survival case and still spills.
 #[test]
 fn caller_cancellations_are_not_spilled_but_abort_mode_ones_are() {
-    let _serial = lock();
     let g = graph();
     let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
     let bound = runtime.bind(&g);
@@ -453,7 +453,6 @@ fn caller_cancellations_are_not_spilled_but_abort_mode_ones_are() {
 /// completes the intact ones, and the store stays usable.
 #[test]
 fn damaged_blobs_are_skipped_with_typed_errors_and_the_rest_recover() {
-    let _serial = lock();
     let dir = scratch_dir("damage");
     let g = graph();
     let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
@@ -531,174 +530,151 @@ fn damaged_blobs_are_skipped_with_typed_errors_and_the_rest_recover() {
 }
 
 // ---------------------------------------------------------------------
-// Half 2b: injected persist disturbances (--features fault-inject)
+// Half 2b: writes spoiled at the store seam, a restore that panics
 
-#[cfg(feature = "fault-inject")]
-mod injected {
-    use super::*;
-    use simdx::core::fault::{self, FaultPlan, PersistDisturbance};
+/// An i/o error on the first durable write: the first spill fails with
+/// a typed `CheckpointIo` surfaced in `spill_failures`, later spills
+/// succeed — the store is not poisoned by an i/o fault.
+#[test]
+fn injected_io_error_lands_in_spill_failures_and_store_recovers() {
+    let dir = scratch_dir("ioerr");
+    let g = graph();
+    let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
+    let bound = runtime.bind(&g);
+    let plan = spill_plan(&bound);
+    assert!(plan.len() >= 2);
 
-    /// An `IoErr` disturbance on the first durable write: the first
-    /// spill fails with a typed `CheckpointIo` surfaced in
-    /// `spill_failures`, later spills succeed — the store is not
-    /// poisoned by an i/o fault.
-    #[test]
-    fn injected_io_error_lands_in_spill_failures_and_store_recovers() {
-        let _serial = lock();
-        let dir = scratch_dir("ioerr");
-        let g = graph();
-        let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
-        let bound = runtime.bind(&g);
-        let plan = spill_plan(&bound);
-        assert!(plan.len() >= 2);
+    // One serving thread: deterministic spill order, so the i/o error
+    // lands on ticket 0.
+    let store = DirStore::open(&dir).expect("open");
+    let report = serve_spilling_into(&bound, &plan, FaultyStore::new(store, Spoil::IoError, 1), 1);
 
-        let armed = fault::install(FaultPlan::new().disturb_at(PersistDisturbance::IoErr, 1));
-        // workers(1): deterministic spill order, so the io_err lands
-        // on ticket 0.
+    assert_eq!(report.spill_failures.len(), 1);
+    let (ticket, error) = &report.spill_failures[0];
+    assert_eq!(*ticket, 0);
+    assert!(
+        matches!(error, SimdxError::CheckpointIo { reason } if reason.contains("injected")),
+        "typed i/o error, got {error:?}"
+    );
+    // The failed ticket still hands its checkpoint back in memory.
+    assert!(report.outcomes[0].checkpoint.is_some());
+    // Every later spill stuck.
+    let expected: Vec<u64> = (1..plan.len() as u64).collect();
+    assert_eq!(report.spilled, expected);
+    let store = DirStore::open(&dir).expect("reopen");
+    assert_eq!(store.tickets().expect("scan"), expected);
+    let recovery = QueryPool::recover(&bound, Bfs::new(0), &store).expect("recover");
+    assert!(recovery.skipped.is_empty());
+    assert_eq!(recovery.completed(), plan.len() - 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Torn writes and in-flight corruption produce blobs that decode
+/// rejects with typed errors at recovery time — never a panic, never a
+/// silently-wrong restore — and a clean re-spill heals the ticket.
+#[test]
+fn injected_torn_and_corrupt_writes_are_diagnosed_at_recovery() {
+    let g = graph();
+    let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
+    let bound = runtime.bind(&g);
+    let plan = spill_plan(&bound);
+    for spoil in [Spoil::Truncate, Spoil::FlipBit] {
+        let dir = scratch_dir(&format!("spoil-{spoil:?}"));
         let store = DirStore::open(&dir).expect("open");
-        let report = QueryPool::serve(
-            &bound,
-            Bfs::new(0),
-            ServiceConfig::default()
-                .workers(1)
-                .durability(DurabilityPolicy::spill_to(store)),
-            |client| {
-                for &(seed, budget) in &plan {
-                    client.submit(QueryRequest::new(seed).cycle_budget(budget))?;
-                }
-                Ok(())
-            },
-        )
-        .expect("serve");
-        drop(armed);
-
-        assert_eq!(report.spill_failures.len(), 1);
-        let (ticket, error) = &report.spill_failures[0];
-        assert_eq!(*ticket, 0);
-        assert!(
-            matches!(error, SimdxError::CheckpointIo { .. }),
-            "typed i/o error, got {error:?}"
-        );
-        // The failed ticket still hands its checkpoint back in memory.
-        assert!(report.outcomes[0].checkpoint.is_some());
-        // Every later spill stuck.
-        let expected: Vec<u64> = (1..plan.len() as u64).collect();
-        assert_eq!(report.spilled, expected);
-        let store = DirStore::open(&dir).expect("reopen");
-        assert_eq!(store.tickets().expect("scan"), expected);
-        let recovery = QueryPool::recover(&bound, Bfs::new(0), &store).expect("recover");
-        assert!(recovery.skipped.is_empty());
-        assert_eq!(recovery.completed(), plan.len() - 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Torn writes and in-flight corruption produce blobs that decode
-    /// rejects with typed errors at recovery time — never a panic,
-    /// never a silently-wrong restore — and a clean re-spill heals the
-    /// ticket.
-    #[test]
-    fn injected_torn_and_corrupt_writes_are_diagnosed_at_recovery() {
-        let _serial = lock();
-        for (tag, disturbance) in [
-            ("torn", PersistDisturbance::TornWrite),
-            ("corrupt", PersistDisturbance::Corrupt),
-        ] {
-            let dir = scratch_dir(&format!("dist-{tag}"));
-            let g = graph();
-            let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
-            let bound = runtime.bind(&g);
-            let plan = spill_plan(&bound);
-
-            let armed = fault::install(FaultPlan::new().disturb_every(disturbance));
-            let report = serve_spilling(&bound, &plan[..1], &dir);
-            drop(armed);
-            // The disturbed write "succeeded" from the writer's side —
-            // the damage is what recovery must diagnose.
-            assert_eq!(report.spilled, vec![0]);
-
-            let store = DirStore::open(&dir).expect("reopen");
-            let recovery = QueryPool::recover(&bound, Bfs::new(0), &store).expect("recover");
-            assert!(recovery.recovered.is_empty());
-            assert_eq!(recovery.skipped.len(), 1);
-            assert!(
-                matches!(recovery.skipped[0].1, SimdxError::CheckpointCorrupt { .. }),
-                "{tag}: typed corruption, got {:?}",
-                recovery.skipped[0].1
-            );
-            // Store still usable: a clean re-spill of the same ticket
-            // overwrites the damaged blob and recovers.
-            let healed = serve_spilling(&bound, &plan[..1], &dir);
-            assert_eq!(healed.spilled, vec![0]);
-            let recovery = QueryPool::recover(&bound, Bfs::new(0), &store).expect("recover");
-            assert_eq!(recovery.completed(), 1);
-            assert!(recovery.skipped.is_empty());
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    /// A fault in the *restore* of a retry must not cost the query its
-    /// checkpoint: the first attempt starves on its cycle budget and
-    /// leaves a boundary in the ticket's slot, the retry panics while
-    /// restoring from it, and the final outcome still carries that
-    /// boundary — in memory and, with durability armed, on disk.
-    #[test]
-    fn a_restore_fault_on_the_retry_keeps_and_spills_the_first_attempts_boundary() {
-        use simdx::core::fault::FaultSite;
-
-        let _serial = lock();
-        let dir = scratch_dir("restore-fault");
-        let g = graph();
-        let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
-        let bound = runtime.bind(&g);
-        let (seed, budget) = spill_plan(&bound)[0];
-        // Where the budget cuts a first attempt, from a direct armed run.
-        let boundary = bound
-            .run(Bfs::new(seed))
-            .cycle_budget(budget)
-            .checkpoint_on_abort()
-            .execute()
-            .expect_err("starved")
-            .checkpoint
-            .expect("boundary reached")
-            .iteration();
-
-        let armed = fault::install(FaultPlan::new().panic_on(FaultSite::Restore));
-        let store = DirStore::open(&dir).expect("open");
-        let report = QueryPool::serve(
-            &bound,
-            Bfs::new(0),
-            ServiceConfig::default()
-                .workers(1)
-                .retry(RetryPolicy::default().max_attempts(2))
-                .durability(DurabilityPolicy::spill_to(store)),
-            |client| {
-                client
-                    .submit(QueryRequest::new(seed).cycle_budget(budget))
-                    .map(|_| ())
-            },
-        )
-        .expect("serve");
-        drop(armed);
-
-        let outcome = &report.outcomes[0];
-        assert_eq!(outcome.attempts, 2);
-        assert!(
-            matches!(&outcome.result, Err(SimdxError::WorkerPanicked { payload, .. })
-                if payload.contains("injected fault at restore")),
-            "wrong result: {:?}",
-            outcome.result
-        );
-        let cp = outcome.checkpoint.as_ref().expect("checkpoint survives");
-        assert_eq!(cp.iteration(), boundary, "the first attempt's boundary");
+        let report = serve_spilling_into(&bound, &plan[..1], FaultyStore::new(store, spoil, 1), 2);
+        // The spoiled write "succeeded" from the writer's side — the
+        // damage is what recovery must diagnose.
         assert_eq!(report.spilled, vec![0]);
-        assert!(report.spill_failures.is_empty());
-        // And what was spilled is that boundary: it recovers bit-equal.
+
         let store = DirStore::open(&dir).expect("reopen");
         let recovery = QueryPool::recover(&bound, Bfs::new(0), &store).expect("recover");
-        assert_eq!(recovery.recovered[0].resumed_from, boundary);
-        let run = recovery.recovered[0].result.as_ref().expect("completes");
-        let baseline = bound.run(Bfs::new(seed)).execute().expect("baseline");
-        assert_eq!(fingerprint(run), fingerprint(&baseline));
+        assert!(recovery.recovered.is_empty());
+        assert_eq!(recovery.skipped.len(), 1);
+        assert!(
+            matches!(recovery.skipped[0].1, SimdxError::CheckpointCorrupt { .. }),
+            "{spoil:?}: typed corruption, got {:?}",
+            recovery.skipped[0].1
+        );
+        // Store still usable: a clean re-spill of the same ticket
+        // overwrites the damaged blob and recovers.
+        let healed = serve_spilling(&bound, &plan[..1], &dir);
+        assert_eq!(healed.spilled, vec![0]);
+        let recovery = QueryPool::recover(&bound, Bfs::new(0), &store).expect("recover");
+        assert_eq!(recovery.completed(), 1);
+        assert!(recovery.skipped.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A fault in the *restore* of a retry must not cost the query its
+/// checkpoint: the first attempt starves on its cycle budget and leaves
+/// a boundary in the ticket's slot, the retry panics while restoring
+/// from it, and the final outcome still carries that boundary — in
+/// memory and, with durability armed, on disk. The first attempt's
+/// opening push arms the serving thread's `Level::clone`, which the
+/// retry's restore is the next to call.
+#[test]
+fn a_restore_fault_on_the_retry_keeps_and_spills_the_first_attempts_boundary() {
+    let dir = scratch_dir("restore-fault");
+    let g = graph();
+    let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
+    let bound = runtime.bind(&g);
+    let seed = spill_plan(&bound)[0].0;
+    // Where a first-iteration budget cuts a first attempt, from a
+    // direct armed run.
+    let solo = bound.run(Levels { src: seed }).execute().expect("solo");
+    let budget = solo.report.log.records[0].cycles;
+    let boundary = bound
+        .run(Levels { src: seed })
+        .cycle_budget(budget)
+        .checkpoint_on_abort()
+        .execute()
+        .expect_err("starved")
+        .checkpoint
+        .expect("boundary reached")
+        .iteration();
+
+    let program = Faulty::new(
+        Levels { src: 0 },
+        Seam::Compute(Level(0)),
+        Action::ArmCloneFault,
+    );
+    let store = DirStore::open(&dir).expect("open");
+    let report = QueryPool::serve(
+        &bound,
+        program.clone(),
+        ServiceConfig::default()
+            .workers(1)
+            .retry(RetryPolicy::default().max_attempts(2))
+            .durability(DurabilityPolicy::spill_to(store)),
+        |client| {
+            client
+                .submit(QueryRequest::new(seed).cycle_budget(budget))
+                .map(|_| ())
+        },
+    )
+    .expect("serve");
+    assert!(
+        program.struck(),
+        "the first attempt never armed the restore"
+    );
+
+    let outcome = &report.outcomes[0];
+    assert_eq!(outcome.attempts, 2);
+    let err = outcome
+        .result
+        .as_ref()
+        .expect_err("the retry's restore panics");
+    assert_eq!(panic_payload(err), "injected fault in Level::clone");
+    let cp = outcome.checkpoint.as_ref().expect("checkpoint survives");
+    assert_eq!(cp.iteration(), boundary, "the first attempt's boundary");
+    assert_eq!(report.spilled, vec![0]);
+    assert!(report.spill_failures.is_empty());
+    // And what was spilled is that boundary: it recovers bit-equal.
+    let store = DirStore::open(&dir).expect("reopen");
+    let recovery = QueryPool::recover(&bound, Levels { src: 0 }, &store).expect("recover");
+    assert_eq!(recovery.recovered[0].resumed_from, boundary);
+    let run = recovery.recovered[0].result.as_ref().expect("completes");
+    assert_eq!(fingerprint(run), fingerprint(&solo));
+    let _ = std::fs::remove_dir_all(&dir);
 }

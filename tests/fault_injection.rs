@@ -1,42 +1,44 @@
-//! Fault-injection differential matrix (`--features fault-inject`).
+//! Fault containment, driven through the public seams.
 //!
-//! Arms deterministic faults (`crates/core/src/fault.rs`) at the named
-//! engine sites — the ballot filter, the push and pull sweeps, the
-//! bind-time grid build and the scratch reset — and asserts the three
-//! guarantees the supervision subsystem makes about a contained fault:
+//! The only code a run executes that the engine does not own is the
+//! caller's: the `AccProgram` methods and the metadata type's `Clone`.
+//! So that is where every fault here enters (`tests/support`), each at
+//! the seam that reaches one engine handler:
+//!
+//! | seam | handler |
+//! |---|---|
+//! | `compute`, direction pinned to push / pull | the push / pull sweep (pool worker or submitter) |
+//! | `active`, `FilterPolicy::BallotOnly` | the ballot scan |
+//! | `init` | the submitter's `catch_unwind`, after the scratch reset |
+//! | `name`, armed from `observe` | the boundary capture, before it writes the slot |
+//! | `Level::clone` | the restore (`Run::init` copies the restored metadata) |
+//!
+//! and asserts the three guarantees the supervision subsystem makes
+//! about a contained fault:
 //!
 //! 1. the run comes back as a *typed* [`SimdxError::WorkerPanicked`]
-//!    (never a process abort, never a hung pool);
+//!    carrying the fault's own payload (never a process abort, never a
+//!    hung pool; a seam that stopped firing fails the payload check);
 //! 2. the `Runtime` and `BoundGraph` stay usable — the poisoned pool is
 //!    rebuilt transparently before the next query;
-//! 3. the next clean run over the *same* session is bit-equal to a
-//!    fresh engine, in both exec modes.
+//! 3. the next clean run over the *same* session, or the resume of the
+//!    handed-back checkpoint, is bit-equal to a fresh engine, in both
+//!    exec modes.
 //!
-//! Fault state is process-global, so every test body holds
-//! [`TEST_LOCK`] for its whole duration: a baseline run racing another
-//! test's armed plan would absorb that test's panic.
+//! Every trigger belongs to one program value or one thread, so the
+//! tests share no state and run concurrently.
 
-#![cfg(feature = "fault-inject")]
-
-use std::sync::Mutex;
 use std::time::Duration;
 
 use simdx::algos::{Bfs, Sssp};
-use simdx::core::fault::{self, FaultPlan, FaultSite};
 use simdx::core::jit::ActivationLog;
 use simdx::core::prelude::*;
 use simdx::graph::gen::Rmat;
 use simdx::graph::{weights, Graph};
 use simdx_gpu::executor::ExecutorStats;
 
-/// Serializes the test bodies in this binary (see the module docs).
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    TEST_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+mod support;
+use support::{arm_clone_fault, disarm_clone_fault, panic_payload, Action, Faulty, Levels, Seam};
 
 /// Everything that must match bit for bit after recovery.
 #[derive(Debug, PartialEq)]
@@ -72,88 +74,57 @@ fn config_matrix() -> Vec<(String, EngineConfig)> {
         .into()
 }
 
-/// The per-site config tweak that makes the site deterministically
-/// reachable on the first iteration, regardless of the JIT's choices.
-fn aim_at(site: FaultSite, cfg: EngineConfig) -> EngineConfig {
-    match site {
-        // BFS opens with a tiny frontier, but pin the direction anyway
-        // so the adaptive heuristic can never route around the fault.
-        FaultSite::Push => cfg.with_direction(DirectionPolicy::FixedPush),
-        FaultSite::Pull => cfg.with_direction(DirectionPolicy::FixedPull),
-        FaultSite::Ballot => cfg.with_filter(FilterPolicy::BallotOnly),
-        // Fires at `execute()` entry / bind time under any config.
-        FaultSite::ScratchReset | FaultSite::GridBuild => cfg,
-        // Fires whenever checkpoint capture / restore is armed,
-        // regardless of the engine knobs.
-        FaultSite::Capture | FaultSite::Restore => cfg,
-        // Fires on spill, not inside a run; exercised end-to-end by
-        // tests/durable_recovery.rs.
-        FaultSite::Persist => cfg,
-    }
+/// A BFS from vertex 0 that panics once at `seam`.
+fn bfs_fault(seam: Seam<u32>) -> Faulty<Bfs> {
+    Faulty::new(Bfs::new(0), seam, Action::Panic)
 }
 
-/// Arms a first-hit panic at `site`, drives one query into it over a
-/// reused session, and asserts the typed error plus bit-equal recovery.
-fn assert_contained_and_recovered(label: &str, g: &Graph, cfg: EngineConfig, site: FaultSite) {
+/// Drives one query into `seam` over a reused session and asserts the
+/// typed error plus bit-equal recovery.
+fn assert_contained_and_recovered(label: &str, g: &Graph, cfg: EngineConfig, seam: Seam<u32>) {
     let baseline = fresh(Bfs::new(0), g, cfg.clone());
     let runtime = Runtime::new(cfg).expect("runtime");
     let bound = runtime.bind(g);
 
-    let err = {
-        let _armed = fault::install(FaultPlan::new().panic_on(site));
-        bound
-            .run(Bfs::new(0))
-            .execute()
-            .expect_err("armed fault must abort the run")
-    };
-    match &err {
-        SimdxError::WorkerPanicked { worker, payload } => {
-            assert!(
-                payload.contains(&format!("injected fault at {}", site.label())),
-                "{label}/{}: wrong payload: {payload}",
-                site.label()
-            );
-            if site == FaultSite::ScratchReset {
-                assert_eq!(
-                    *worker, 0,
-                    "{label}: scratch reset runs on the submitter thread"
-                );
-            }
-        }
-        other => panic!(
-            "{label}/{}: expected WorkerPanicked, got {other:?}",
-            site.label()
-        ),
+    let err = bound
+        .run(bfs_fault(seam))
+        .execute()
+        .expect_err("the fault must abort the run");
+    assert_eq!(panic_payload(&err), seam.payload(), "{label}");
+    if seam == Seam::Init {
+        assert!(
+            matches!(err, SimdxError::WorkerPanicked { worker: 0, .. }),
+            "{label}: init runs on the submitter thread: {err:?}"
+        );
     }
 
-    // Disarmed: the same session (pool rebuilt if the panic poisoned
-    // it) must serve the next query bit-equal to a fresh engine.
+    // The same session (pool rebuilt if the panic poisoned it) must
+    // serve the next query bit-equal to a fresh engine.
     let after = fingerprint(bound.run(Bfs::new(0)).execute().expect("recovery run"));
     assert_eq!(
-        after,
-        baseline,
-        "{label}/{}: recovery run diverged from fresh engine",
-        site.label()
+        after, baseline,
+        "{label}: recovery run diverged from fresh engine"
     );
 }
 
 #[test]
 fn injected_panics_are_typed_and_recovery_is_bit_equal_across_the_matrix() {
-    let _serial = lock();
     let g = rmat_graph();
     for (label, cfg) in config_matrix() {
-        for site in [FaultSite::Push, FaultSite::Ballot, FaultSite::ScratchReset] {
-            assert_contained_and_recovered(&label, &g, aim_at(site, cfg.clone()), site);
-        }
+        let push = cfg.clone().with_direction(DirectionPolicy::FixedPush);
+        let ballot = cfg.clone().with_filter(FilterPolicy::BallotOnly);
+        assert_contained_and_recovered(&label, &g, push, Seam::Compute(0));
+        assert_contained_and_recovered(&label, &g, ballot, Seam::Active(1));
+        assert_contained_and_recovered(&label, &g, cfg, Seam::Init);
     }
 }
 
 #[test]
 fn pull_sweep_faults_are_contained_in_both_exec_modes() {
-    let _serial = lock();
     let g = rmat_graph();
     for (label, cfg) in config_matrix() {
-        assert_contained_and_recovered(&label, &g, aim_at(FaultSite::Pull, cfg), FaultSite::Pull);
+        let pull = cfg.with_direction(DirectionPolicy::FixedPull);
+        assert_contained_and_recovered(&label, &g, pull, Seam::Compute(0));
     }
 }
 
@@ -162,24 +133,21 @@ fn sssp_recovers_bit_equal_after_a_push_fault() {
     // A second algorithm through the same harness: SSSP's aggregation
     // combine exercises the dirty-stamp path the recovery run must
     // leave pristine.
-    let _serial = lock();
     let g = Graph::directed_from_edges(weights::assign_default_weights(
         &Rmat::gtgraph(11, 8).generate(5),
         9,
     ));
     for (label, cfg) in config_matrix() {
-        let cfg = aim_at(FaultSite::Push, cfg);
+        let cfg = cfg.with_direction(DirectionPolicy::FixedPush);
         let baseline = fresh(Sssp::new(0), &g, cfg.clone());
         let runtime = Runtime::new(cfg).expect("runtime");
         let bound = runtime.bind(&g);
-        let err = {
-            let _armed = fault::install(FaultPlan::new().panic_on(FaultSite::Push));
-            bound.run(Sssp::new(0)).execute().expect_err("armed fault")
-        };
-        assert!(
-            matches!(err, SimdxError::WorkerPanicked { .. }),
-            "{label}: {err:?}"
-        );
+        let seam = Seam::Compute(0);
+        let err = bound
+            .run(Faulty::new(Sssp::new(0), seam, Action::Panic))
+            .execute()
+            .expect_err("the fault must abort the run");
+        assert_eq!(panic_payload(&err), seam.payload(), "{label}");
         let after = fingerprint(bound.run(Sssp::new(0)).execute().expect("recovery"));
         assert_eq!(after, baseline, "{label}: sssp recovery diverged");
     }
@@ -193,94 +161,67 @@ fn a_push_panic_deep_into_a_run_leaves_no_charge_behind() {
     // times, and while one of them is open for the sweep that dies (in
     // the parallel cells the surviving workers feed theirs to the end).
     // Whatever they hold must not reach the next query.
-    let _serial = lock();
     let g = rmat_graph();
     for (label, cfg) in config_matrix() {
-        let cfg = aim_at(FaultSite::Push, cfg);
+        let cfg = cfg.with_direction(DirectionPolicy::FixedPush);
         let baseline = fresh(Bfs::new(0), &g, cfg.clone());
         let runtime = Runtime::new(cfg).expect("runtime");
         let bound = runtime.bind(&g);
-        for nth in [5, 11] {
-            let err = {
-                let _armed = fault::install(FaultPlan::new().panic_at(FaultSite::Push, nth));
-                bound.run(Bfs::new(0)).execute().expect_err("armed fault")
-            };
-            assert!(
-                matches!(err, SimdxError::WorkerPanicked { .. }),
-                "{label}/hit {nth}: {err:?}"
-            );
+        for level in [1, 3] {
+            assert!(baseline.iterations > level + 1, "{label}: run too shallow");
+            let seam = Seam::Compute(level);
+            let err = bound
+                .run(bfs_fault(seam))
+                .execute()
+                .expect_err("the fault must abort the run");
+            assert_eq!(panic_payload(&err), seam.payload(), "{label}/level {level}");
             let after = fingerprint(bound.run(Bfs::new(0)).execute().expect("recovery"));
-            assert_eq!(after, baseline, "{label}/hit {nth}: recovery diverged");
+            assert_eq!(after, baseline, "{label}/level {level}: recovery diverged");
         }
     }
 }
 
 #[test]
-fn grid_build_faults_surface_from_try_bind_and_the_runtime_recovers() {
-    let _serial = lock();
-    let g = rmat_graph();
-    let cfg = EngineConfig::default().with_exec(ExecMode::Parallel { threads: 3 });
-    let baseline = fresh(Bfs::new(0), &g, cfg.clone());
-    let runtime = Runtime::new(cfg).expect("runtime");
-
-    {
-        let _armed = fault::install(FaultPlan::new().panic_on(FaultSite::GridBuild));
-        let err = runtime.try_bind(&g).expect_err("bind-time fault");
-        assert!(
-            matches!(&err, SimdxError::WorkerPanicked { payload, .. }
-                if payload.contains("injected fault at grid-build")),
-            "wrong error: {err:?}"
-        );
-    }
-
-    // The panic poisoned the pool mid-bind; the next bind must rebuild
-    // it and produce a fully working session.
-    let bound = runtime.try_bind(&g).expect("clean rebind");
-    let after = fingerprint(bound.run(Bfs::new(0)).execute().expect("run after rebind"));
-    assert_eq!(after, baseline, "post-recovery bind diverged");
-}
-
-#[test]
 fn delay_faults_model_stragglers_without_changing_results() {
-    // A straggler worker (delay, not panic) must not affect anything
+    // A straggler worker (sleep, not panic) must not affect anything
     // the bit-equality contract covers — results depend on the merge
     // order, never on worker timing.
-    let _serial = lock();
     let g = rmat_graph();
     for (label, cfg) in config_matrix() {
+        let cfg = cfg.with_filter(FilterPolicy::BallotOnly);
         let baseline = fresh(Bfs::new(0), &g, cfg.clone());
         let runtime = Runtime::new(cfg).expect("runtime");
         let bound = runtime.bind(&g);
-        let _armed = fault::install(
-            FaultPlan::new()
-                .delay_at(FaultSite::Push, Duration::from_millis(2), 1)
-                .delay_at(FaultSite::Ballot, Duration::from_millis(2), 1),
+        let stall = Action::Sleep(Duration::from_millis(2));
+        let in_compute = Faulty::new(Bfs::new(0), Seam::Compute(0), stall);
+        let in_ballot = Faulty::new(in_compute.clone(), Seam::Active(1), stall);
+        let delayed = fingerprint(bound.run(&in_ballot).execute().expect("delayed run"));
+        assert!(
+            in_compute.struck() && in_ballot.struck(),
+            "{label}: a straggler never stalled"
         );
-        let delayed = fingerprint(bound.run(Bfs::new(0)).execute().expect("delayed run"));
         assert_eq!(delayed, baseline, "{label}: straggler changed results");
     }
 }
 
 #[test]
 fn degrade_policy_retries_an_injected_worker_panic_serially() {
-    // End-to-end through the injection harness: a parallel query eats a
-    // worker panic, DegradePolicy::RetrySerial replays it serially, and
-    // the answer matches the serial baseline with the abort flagged.
-    let _serial = lock();
+    // A parallel query eats a worker panic, DegradePolicy::RetrySerial
+    // replays it serially, and the answer matches the serial baseline
+    // with the abort flagged. The fault strikes once, so the parallel
+    // attempt absorbs it and the serial retry runs clean.
     let g = rmat_graph();
     let par = EngineConfig::default()
         .with_exec(ExecMode::Parallel { threads: 3 })
         .with_direction(DirectionPolicy::FixedPush)
         .degrade_serial();
     let serial_cfg = par.clone().with_exec(ExecMode::Serial);
-    // The serial retry re-enters the push sweep, so arm the panic for
-    // exactly one hit: the parallel attempt absorbs it, the retry runs
-    // clean.
     let baseline = fresh(Bfs::new(0), &g, serial_cfg);
     let runtime = Runtime::new(par).expect("runtime");
     let bound = runtime.bind(&g);
-    let _armed = fault::install(FaultPlan::new().panic_on(FaultSite::Push));
-    let recovered = bound.run(Bfs::new(0)).execute().expect("degraded run");
+    let program = bfs_fault(Seam::Compute(0));
+    let recovered = bound.run(&program).execute().expect("degraded run");
+    assert!(program.struck(), "the parallel attempt hit the fault");
     assert_eq!(
         recovered.report.aborted,
         Some(AbortReason::WorkerPanic),
@@ -293,76 +234,89 @@ fn degrade_policy_retries_an_injected_worker_panic_serially() {
     );
 }
 
-/// Every injected-panic site recovers through the checkpoint path: the
-/// armed run aborts with a typed `WorkerPanicked` carrying its last
-/// boundary snapshot (when one was reached), and resuming from it —
-/// or rerunning fresh when the panic struck before the first boundary
-/// — is bit-equal to an uninterrupted fresh engine, across the knob
-/// matrix. This includes a panic injected inside the capture itself.
+/// Every seam's fault recovers through the checkpoint path: the armed
+/// run aborts with a typed `WorkerPanicked` carrying its last boundary
+/// snapshot (none when the fault struck before the first boundary), and
+/// resuming from it — or rerunning fresh — is bit-equal to an
+/// uninterrupted fresh engine, across the knob matrix. This includes a
+/// fault raised by the capture itself: the `name` seam, armed once
+/// iteration 1 is observed, strikes in the capture at the top of
+/// iteration 2 before it writes, so the slot keeps boundary 1.
 #[test]
 fn every_panic_site_recovers_through_checkpoint_resume() {
-    let _serial = lock();
     let g = rmat_graph();
     for (label, cfg) in config_matrix() {
-        for site in [
-            FaultSite::Push,
-            FaultSite::Pull,
-            FaultSite::Ballot,
-            FaultSite::ScratchReset,
-            FaultSite::Capture,
-        ] {
-            let cfg = aim_at(site, cfg.clone());
+        // (seam, aimed config, boundary the slot must hold)
+        let cases = [
+            (
+                Seam::Compute(2),
+                cfg.clone().with_direction(DirectionPolicy::FixedPush),
+                Some(2),
+            ),
+            (
+                Seam::Compute(2),
+                cfg.clone().with_direction(DirectionPolicy::FixedPull),
+                Some(2),
+            ),
+            (
+                Seam::Active(2),
+                cfg.clone().with_filter(FilterPolicy::BallotOnly),
+                Some(1),
+            ),
+            (Seam::Init, cfg.clone(), None),
+            (Seam::Name, cfg.clone(), Some(1)),
+        ];
+        for (seam, cfg, boundary) in cases {
+            let case = format!("{label}/{seam:?}");
             let baseline = fresh(Bfs::new(0), &g, cfg.clone());
             let runtime = Runtime::new(cfg).expect("runtime");
             let bound = runtime.bind(&g);
-            let aborted = {
-                let _armed = fault::install(FaultPlan::new().panic_on(site));
-                bound
-                    .run(Bfs::new(0))
-                    .checkpoint_on_abort()
-                    .execute()
-                    .expect_err("armed fault must abort the run")
-            };
-            assert!(
-                matches!(aborted.error, SimdxError::WorkerPanicked { .. }),
-                "{label}/{}: expected WorkerPanicked, got {:?}",
-                site.label(),
-                aborted.error
+            let program = bfs_fault(seam);
+            let aborted = bound
+                .run(&program)
+                .observe(|rec| {
+                    if seam == Seam::Name && rec.iteration == 1 {
+                        program.arm();
+                    }
+                })
+                .checkpoint_on_abort()
+                .execute()
+                .expect_err("the fault must abort the run");
+            assert_eq!(panic_payload(&aborted.error), seam.payload(), "{case}");
+            assert_eq!(
+                aborted.checkpoint.as_ref().map(RunCheckpoint::iteration),
+                boundary,
+                "{case}: wrong boundary in the slot"
             );
-            // A panic before the first boundary (scratch reset at
-            // execute() entry, the capture hook itself at iteration 0)
-            // leaves no snapshot; everything later must.
             let after = match aborted.checkpoint {
                 Some(cp) => bound
                     .resume(Bfs::new(0), cp)
                     .execute()
-                    .unwrap_or_else(|e| panic!("{label}/{}: resume failed: {}", site.label(), e)),
+                    .unwrap_or_else(|e| panic!("{case}: resume failed: {e}")),
                 None => bound.run(Bfs::new(0)).execute().expect("fresh rerun"),
             };
             assert_eq!(
                 fingerprint(after),
                 baseline,
-                "{label}/{}: checkpointed recovery diverged from fresh engine",
-                site.label()
+                "{case}: checkpointed recovery diverged from fresh engine"
             );
         }
     }
 }
 
-/// A panic injected at the restore hook is contained like any worker
-/// panic, and the checkpoint being resumed comes back in the
-/// `RunAborted` — it never left the slot — and still resumes bit-equal
-/// once the fault is disarmed.
+/// A panic while restoring — here the metadata `Clone` the restore's
+/// `metadata_prev` copy calls — is contained like any worker panic, and
+/// the checkpoint being resumed comes back in the `RunAborted` — it
+/// never left the slot — and still resumes bit-equal afterwards.
 #[test]
 fn restore_faults_are_contained_and_the_checkpoint_survives() {
-    let _serial = lock();
     let g = rmat_graph();
     let cfg = EngineConfig::default().with_exec(ExecMode::Parallel { threads: 3 });
-    let baseline = fresh(Bfs::new(0), &g, cfg.clone());
+    let baseline = fresh(Levels { src: 0 }, &g, cfg.clone());
     let runtime = Runtime::new(cfg).expect("runtime");
     let bound = runtime.bind(&g);
     let aborted = bound
-        .run(Bfs::new(0))
+        .run(Levels { src: 0 })
         .max_iterations(2)
         .checkpoint_on_abort()
         .execute()
@@ -372,17 +326,15 @@ fn restore_faults_are_contained_and_the_checkpoint_survives() {
         SimdxError::IterationLimit { max_iterations: 2 }
     );
     let cp = aborted.checkpoint.expect("boundary snapshot");
-    let err = {
-        let _armed = fault::install(FaultPlan::new().panic_on(FaultSite::Restore));
-        bound
-            .resume(Bfs::new(0), cp)
-            .execute()
-            .expect_err("armed restore fault")
-    };
+    arm_clone_fault(0);
+    let err = bound
+        .resume(Levels { src: 0 }, cp)
+        .execute()
+        .expect_err("the armed restore must abort");
+    assert_eq!(panic_payload(&err.error), "injected fault in Level::clone");
     assert!(
-        matches!(&err.error, SimdxError::WorkerPanicked { payload, .. }
-            if payload.contains("injected fault at restore")),
-        "wrong error: {:?}",
+        matches!(err.error, SimdxError::WorkerPanicked { worker: 0, .. }),
+        "restore runs on the submitter thread: {:?}",
         err.error
     );
     let cp = err
@@ -391,11 +343,44 @@ fn restore_faults_are_contained_and_the_checkpoint_survives() {
     assert_eq!(cp.iteration(), 2);
     let after = fingerprint(
         bound
-            .resume(Bfs::new(0), cp)
+            .resume(Levels { src: 0 }, cp)
             .execute()
             .expect("clean resume after contained restore fault"),
     );
     assert_eq!(after, baseline, "resume after restore fault diverged");
+}
+
+/// The boundary capture copies metadata by `Copy`, never through the
+/// metadata type's `Clone`: a `Clone` armed to panic half-way through
+/// the capture at the top of iteration 2 never fires, so no user code
+/// can leave the slot torn between two boundaries, and the run
+/// completes bit-equal.
+#[test]
+fn capture_never_runs_the_metadata_clone() {
+    let g = rmat_graph();
+    for (label, cfg) in config_matrix() {
+        let baseline = fresh(Levels { src: 0 }, &g, cfg.clone());
+        let runtime = Runtime::new(cfg).expect("runtime");
+        let bound = runtime.bind(&g);
+        let half = g.num_vertices() as usize / 2;
+        let run = bound
+            .run(Levels { src: 0 })
+            .observe(|rec| {
+                if rec.iteration == 1 {
+                    arm_clone_fault(half);
+                }
+            })
+            .checkpoint_on_abort()
+            .execute()
+            .unwrap_or_else(|a| panic!("{label}: the armed capture aborted: {}", a.error));
+        assert!(disarm_clone_fault(), "{label}: a capture cloned metadata");
+        assert!(baseline.iterations > 2, "{label}: run too shallow");
+        assert_eq!(
+            fingerprint(run),
+            baseline,
+            "{label}: armed capture diverged"
+        );
+    }
 }
 
 /// The degrade retry is one more attempt under the slot rule: with
@@ -404,7 +389,6 @@ fn restore_faults_are_contained_and_the_checkpoint_survives() {
 /// exactly once and the result is still the serial baseline's.
 #[test]
 fn an_armed_degrade_retry_continues_from_the_last_boundary() {
-    let _serial = lock();
     let g = rmat_graph();
     let par = EngineConfig::default()
         .parallel(3)
@@ -413,17 +397,17 @@ fn an_armed_degrade_retry_continues_from_the_last_boundary() {
     let baseline = fresh(Bfs::new(0), &g, par.clone().with_exec(ExecMode::Serial));
     let runtime = Runtime::new(par).expect("runtime");
     let bound = runtime.bind(&g);
-    // A parallel push iteration passes the site once per worker per
-    // worklist (3 × 3), so hit 19 is the first of iteration 2: two
-    // iterations complete, the third dies mid-sweep.
-    let _armed = fault::install(FaultPlan::new().panic_at(FaultSite::Push, 19));
+    // Level-2 sources are pushed in iteration 2: two iterations
+    // complete, the third dies mid-sweep.
+    let program = bfs_fault(Seam::Compute(2));
     let mut seen = Vec::new();
     let recovered = bound
-        .run(Bfs::new(0))
+        .run(&program)
         .observe(|rec| seen.push(rec.iteration))
         .checkpoint_on_abort()
         .execute()
         .expect("degraded run");
+    assert!(program.struck(), "the parallel attempt hit the fault");
     assert_eq!(recovered.report.aborted, Some(AbortReason::WorkerPanic));
     assert!(recovered.report.iterations > 3, "the fault struck mid-run");
     assert_eq!(
