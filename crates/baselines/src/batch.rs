@@ -9,8 +9,9 @@
 //!    SSSP OOMs in Table 4);
 //! 2. the resulting next-frontier is unsorted and redundant.
 //!
-//! This module provides the expansion step and its memory accounting;
-//! the Gunrock-style engine in `simdx-baselines` drives it.
+//! This module provides the expansion step; the Gunrock-style engine
+//! ([`crate::gunrock`]) drives it, and [`crate::feasibility`] prices
+//! the `2·|E|` bound at paper scale.
 
 use simdx_gpu::{Cost, GpuExecutor, KernelDesc, SchedUnit, WARP_SIZE};
 use simdx_graph::csr::Csr;
@@ -18,29 +19,15 @@ use simdx_graph::{VertexId, Weight};
 
 /// An explicit active-edge list: one entry per edge of an active vertex.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EdgeFrontier {
+pub(crate) struct EdgeFrontier {
     /// `(source, destination, weight)` triples. Weight is 1 for
     /// unweighted graphs.
-    pub edges: Vec<(VertexId, VertexId, Weight)>,
-}
-
-impl EdgeFrontier {
-    /// Bytes of GPU memory this frontier occupies (4 B source + 4 B
-    /// destination + 4 B weight per entry).
-    pub fn footprint_bytes(&self) -> u64 {
-        self.edges.len() as u64 * 12
-    }
-}
-
-/// Worst-case bytes a batch filter may need for a graph with `num_edges`
-/// directed edges: the paper's `2·|E|` bound (§4) with 4-byte entries.
-pub fn worst_case_footprint_bytes(num_edges: u64) -> u64 {
-    2 * num_edges * 4
+    pub(crate) edges: Vec<(VertexId, VertexId, Weight)>,
 }
 
 /// Expands `active` into the explicit edge frontier, charging the
 /// load-balanced gather kernel.
-pub fn expand(
+pub(crate) fn expand(
     active: &[VertexId],
     csr: &Csr,
     executor: &mut GpuExecutor,
@@ -90,7 +77,6 @@ mod tests {
         let csr = Csr::from_edge_list(&EdgeList::from_pairs(vec![(0, 1), (0, 2), (1, 2), (2, 0)]));
         let ef = expand(&[0, 2], &csr, &mut ex, &k, true);
         assert_eq!(ef.edges, vec![(0, 1, 1), (0, 2, 1), (2, 0, 1)]);
-        assert_eq!(ef.footprint_bytes(), 36);
     }
 
     #[test]
@@ -100,14 +86,6 @@ mod tests {
         let csr = Csr::from_edge_list(&el);
         let ef = expand(&[0], &csr, &mut ex, &k, false);
         assert_eq!(ef.edges, vec![(0, 1, 7), (0, 2, 9)]);
-    }
-
-    #[test]
-    fn worst_case_is_two_e() {
-        // 775M-edge Facebook at paper scale needs ~6.2 GB of frontier —
-        // over half a K40.
-        let bytes = worst_case_footprint_bytes(775_824_943);
-        assert!(bytes > 6_000_000_000);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The three mechanism differences from SIMD-X, each priced explicitly:
 //!
 //! 1. **Batch filter** (§4): the frontier is expanded into an explicit
-//!    active-edge list every iteration (`filters::batch::expand`), with
+//!    active-edge list every iteration (`batch::expand`), with
 //!    its `2·|E|` worst-case memory appetite (the Table 4 SSSP OOMs,
 //!    checked at paper scale by [`crate::feasibility`]);
 //! 2. **Atomic updates** (§3.3 "Comparison"): Compute results are
@@ -15,9 +15,9 @@
 //! Functionally the engine executes the same ACC program as SIMD-X with
 //! identical BSP snapshot semantics, so final metadata matches exactly.
 
+use crate::batch;
 use crate::BaselineError;
 use simdx_core::acc::{AccProgram, DirectionCtx};
-use simdx_core::filters::batch;
 use simdx_core::metrics::{RunReport, RunResult};
 use simdx_core::ActivationLog;
 use simdx_gpu::{Cost, DeviceSpec, GpuExecutor, KernelDesc, SchedUnit};

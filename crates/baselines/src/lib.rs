@@ -23,6 +23,7 @@
 //! [`feasibility`] encodes the paper-scale out-of-memory and
 //! non-convergence rules behind Table 4's blank cells.
 
+mod batch;
 pub mod cpu;
 pub mod cusha;
 pub mod feasibility;

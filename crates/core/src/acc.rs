@@ -216,15 +216,6 @@ pub trait SourcedProgram: AccProgram + Clone {
     fn with_source(self, src: VertexId) -> Self;
 }
 
-/// Folds updates with a program's Combine using the warp-reduction pair
-/// ordering, asserting the result is independent of operand grouping in
-/// debug builds (the §3.2 requirement on `⊕`).
-pub fn combine_all<P: AccProgram>(program: &P, updates: &[P::Update]) -> Option<P::Update> {
-    let mut it = updates.iter().copied();
-    let first = it.next()?;
-    Some(it.fold(first, |acc, u| program.combine(acc, u)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,13 +290,6 @@ mod tests {
         assert_eq!(p.compute(0, 1, 5, &10, &12), None);
         // Overflow-safe: an unreached source yields no update.
         assert_eq!(p.compute(0, 1, 5, &u32::MAX, &1), None);
-    }
-
-    #[test]
-    fn combine_all_folds() {
-        let p = MinPlus;
-        assert_eq!(combine_all(&p, &[7, 3, 9]), Some(3));
-        assert_eq!(combine_all(&p, &[] as &[u32]), None);
     }
 
     #[test]

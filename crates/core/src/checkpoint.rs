@@ -74,37 +74,37 @@ use simdx_graph::VertexId;
 pub(crate) struct RunState<M> {
     /// `metadata_curr`; at a boundary also `metadata_prev` (the publish
     /// step just ran), so one copy restores both.
-    pub meta: Vec<M>,
+    pub(crate) meta: Vec<M>,
     /// The frontier the next iteration expands (after an online-filter
     /// iteration it carries that filter's duplicates, in concatenation
     /// order).
-    pub frontier: Vec<VertexId>,
+    pub(crate) frontier: Vec<VertexId>,
     /// Activation log of every completed iteration.
-    pub log: ActivationLog,
+    pub(crate) log: ActivationLog,
     /// Direction of the last completed iteration.
-    pub prev_dir: Direction,
+    pub(crate) prev_dir: Direction,
     /// The iteration executed next — the number completed so far.
-    pub iteration: u32,
+    pub(crate) iteration: u32,
     /// Host edge-traversal meter. Deliberately outside the bit-equality
     /// contract — it is how the tests pin the grid push replay's
     /// work-optimality — but carried, so a resumed run's final report
     /// matches the uninterrupted run's.
-    pub edges_examined: u64,
+    pub(crate) edges_examined: u64,
     /// Simulated-device counters. The executor owns the live ones; the
     /// engine syncs them in just before a capture and out just after a
     /// restore, so a resumed run charges on top of them.
-    pub stats: ExecutorStats,
+    pub(crate) stats: ExecutorStats,
     /// Fusion launch residency `(running direction, all-launched)`,
     /// synced with the plan like `stats` — without it a resumed fused
     /// run would re-charge a kernel launch the uninterrupted run never
     /// paid.
-    pub fusion: (Option<Direction>, bool),
+    pub(crate) fusion: (Option<Direction>, bool),
 }
 
 impl<M> RunState<M> {
     /// The state of a run that has executed nothing yet, over
     /// `AccProgram::init`'s metadata and frontier.
-    pub fn new(meta: Vec<M>, frontier: Vec<VertexId>) -> Self {
+    pub(crate) fn new(meta: Vec<M>, frontier: Vec<VertexId>) -> Self {
         Self {
             meta,
             frontier,
@@ -226,12 +226,12 @@ impl<M: Copy> RunCheckpoint<M> {
     }
 
     /// `AccProgram::name()` of the checkpointed run.
-    pub fn algorithm(&self) -> &str {
+    pub(crate) fn algorithm(&self) -> &str {
         &self.algorithm
     }
 
     /// Vertex count of the graph the checkpoint was captured on.
-    pub fn num_vertices(&self) -> u32 {
+    pub(crate) fn num_vertices(&self) -> u32 {
         self.num_vertices
     }
 
@@ -242,17 +242,17 @@ impl<M: Copy> RunCheckpoint<M> {
     }
 
     /// Frontier size at the checkpointed boundary.
-    pub fn frontier_len(&self) -> usize {
+    pub(crate) fn frontier_len(&self) -> usize {
         self.state.frontier.len()
     }
 
     /// Simulated device cycles completed before the boundary.
-    pub fn cycles(&self) -> u64 {
+    pub(crate) fn cycles(&self) -> u64 {
         self.state.stats.total_cycles
     }
 
     /// Host edge traversals completed before the boundary.
-    pub fn edges_examined(&self) -> u64 {
+    pub(crate) fn edges_examined(&self) -> u64 {
         self.state.edges_examined
     }
 }

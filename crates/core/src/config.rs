@@ -1,7 +1,9 @@
 //! Engine configuration.
 
 use crate::error::SimdxError;
-use crate::frontier::ClassifyThresholds;
+// Defined beside the worklists it classifies into; named here, where
+// `EngineConfig::thresholds` uses it.
+pub use crate::frontier::ClassifyThresholds;
 use crate::fusion::{FusionPlan, FusionStrategy};
 use simdx_gpu::occupancy::try_occupancy;
 use simdx_gpu::DeviceSpec;
@@ -42,7 +44,7 @@ pub enum ExecMode {
 impl ExecMode {
     /// Resolved worker count: `Serial` is 1, `Parallel { threads: 0 }`
     /// asks the OS.
-    pub fn worker_count(&self) -> usize {
+    pub(crate) fn worker_count(&self) -> usize {
         match *self {
             Self::Serial => 1,
             Self::Parallel { threads: 0 } => std::thread::available_parallelism()
@@ -157,7 +159,7 @@ impl EngineConfig {
     /// Checks the configuration for internal consistency; the session
     /// API ([`crate::session::Runtime::new`]) rejects broken configs up
     /// front instead of letting the engine panic mid-run.
-    pub fn validate(&self) -> Result<(), SimdxError> {
+    pub(crate) fn validate(&self) -> Result<(), SimdxError> {
         let fail = |reason: String| Err(SimdxError::InvalidConfig { reason });
         if self.threads_per_cta == 0 {
             return fail("threads_per_cta must be at least 1".to_string());
@@ -245,7 +247,7 @@ impl EngineConfig {
     }
 
     /// Builder: set the worker-panic degradation policy.
-    pub fn with_degrade(mut self, degrade: DegradePolicy) -> Self {
+    pub(crate) fn with_degrade(mut self, degrade: DegradePolicy) -> Self {
         self.degrade = degrade;
         self
     }

@@ -128,11 +128,11 @@ use simdx_graph::{Graph, VertexId, Weight};
 /// every parallel runtime, so a run has all three or runs serially.
 #[derive(Clone, Copy)]
 pub(crate) struct BoundPool<'a> {
-    pub pool: &'a WorkerPool,
+    pub(crate) pool: &'a WorkerPool,
     /// Destination-shard fences over `metadata_curr`.
-    pub fences: &'a PushFences,
+    pub(crate) fences: &'a PushFences,
     /// Destination-bucketed grid CSR over those fences.
-    pub grid: &'a GridCsr,
+    pub(crate) grid: &'a GridCsr,
 }
 
 /// Borrowed per-run resources handed to [`Engine::run_session`].
@@ -142,25 +142,25 @@ pub(crate) struct BoundPool<'a> {
 /// push fences and grid are computed once at bind time.
 pub(crate) struct SessionCtx<'a, 'o, M: Copy + 'static> {
     /// The parallel backend (`None` = serial path).
-    pub pool: Option<BoundPool<'a>>,
+    pub(crate) pool: Option<BoundPool<'a>>,
     /// Reusable scratch arenas, with at least one worker slot per pool
     /// thread.
-    pub scratch: &'a mut IterScratch<M>,
+    pub(crate) scratch: &'a mut IterScratch<M>,
     /// Per-run iteration cap (the run builder can override the
     /// config's).
-    pub max_iterations: u32,
+    pub(crate) max_iterations: u32,
     /// Per-iteration observer, called right after each iteration's
     /// record is appended to the activation log.
-    pub observer: Option<&'a mut (dyn FnMut(&IterationRecord) + 'o)>,
+    pub(crate) observer: Option<&'a mut (dyn FnMut(&IterationRecord) + 'o)>,
     /// Run supervision (cancellation, deadline, cycle budget). An
     /// unlimited supervisor makes every check a cheap early-out, so
     /// unsupervised runs pay nothing measurable.
-    pub supervisor: &'a Supervisor,
+    pub(crate) supervisor: &'a Supervisor,
     /// The caller's checkpoint slot (`None` = unarmed), see
     /// [`crate::checkpoint`]: occupied at entry means "continue from
     /// this boundary", and the top of every iteration overwrites it in
     /// place.
-    pub checkpoint: Option<&'a mut Option<RunCheckpoint<M>>>,
+    pub(crate) checkpoint: Option<&'a mut Option<RunCheckpoint<M>>>,
 }
 
 /// Frontier out-degree volume per vertex from which serial aggregation

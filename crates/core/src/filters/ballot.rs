@@ -11,7 +11,7 @@
 use crate::acc::AccProgram;
 use crate::frontier::WORD_BITS;
 use simdx_gpu::warp::{ballot, popc};
-use simdx_gpu::{Cost, GpuExecutor, KernelCharge, KernelDesc, SchedUnit, WARP_SIZE};
+use simdx_gpu::{Cost, WARP_SIZE};
 use simdx_graph::VertexId;
 
 /// Per-warp-chunk scan cost: two coalesced metadata loads per lane,
@@ -39,7 +39,7 @@ fn chunk_cost(chunk: usize, votes: u32) -> Cost {
 /// the same chunk boundaries the whole-array scan uses — partitions
 /// concatenated in range order are then bit-identical (same actives,
 /// same cost sequence) to one scan of the full range.
-pub fn scan_range<P: AccProgram>(
+pub(crate) fn scan_range<P: AccProgram>(
     program: &P,
     curr: &[P::Meta],
     prev: &[P::Meta],
@@ -87,7 +87,7 @@ pub fn scan_range<P: AccProgram>(
 /// order inside each chunk (ascending, the bit order `ballot` packs),
 /// same `chunk_cost` per chunk. `start` must be warp-aligned for the
 /// same reason.
-pub fn scan_range_chunked<P: AccProgram>(
+pub(crate) fn scan_range_chunked<P: AccProgram>(
     program: &P,
     curr: &[P::Meta],
     prev: &[P::Meta],
@@ -142,7 +142,7 @@ pub fn scan_range_chunked<P: AccProgram>(
 /// words; partitions concatenated in range order remain bit-identical
 /// to one scan of the full range.
 #[allow(clippy::too_many_arguments)]
-pub fn scan_range_sparse<P: AccProgram>(
+pub(crate) fn scan_range_sparse<P: AccProgram>(
     program: &P,
     curr: &[P::Meta],
     prev: &[P::Meta],
@@ -181,41 +181,11 @@ pub fn scan_range_sparse<P: AccProgram>(
     }
 }
 
-/// Scans `curr` vs `prev` metadata with the program's Active condition
-/// and returns the sorted, duplicate-free active list, charging the scan
-/// kernel to `executor`.
-///
-/// # Panics
-///
-/// Panics if the metadata arrays have different lengths.
-pub fn scan<P: AccProgram>(
-    program: &P,
-    curr: &[P::Meta],
-    prev: &[P::Meta],
-    executor: &mut GpuExecutor,
-    kernel: &KernelDesc,
-    launch: bool,
-) -> Vec<VertexId> {
-    let mut active = Vec::new();
-    let mut charge = KernelCharge::default();
-    executor.begin(
-        &mut charge,
-        kernel,
-        SchedUnit::Warp,
-        curr.len().div_ceil(WARP_SIZE),
-    );
-    scan_range_chunked(program, curr, prev, 0, curr.len(), &mut active, &mut |c| {
-        charge.task(&c)
-    });
-    executor.commit(&charge, launch);
-    active
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::acc::CombineKind;
-    use simdx_gpu::DeviceSpec;
+    use simdx_gpu::{DeviceSpec, GpuExecutor, KernelCharge, KernelDesc, SchedUnit};
     use simdx_graph::{Graph, Weight};
 
     /// Trivial program whose Active is the default curr != prev.
@@ -262,6 +232,36 @@ mod tests {
             GpuExecutor::new(DeviceSpec::k40()),
             KernelDesc::new("taskmgmt", 24),
         )
+    }
+
+    /// Scans `curr` vs `prev` metadata with the program's Active condition
+    /// and returns the sorted, duplicate-free active list, charging the scan
+    /// kernel to `executor`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the metadata arrays have different lengths.
+    fn scan<P: AccProgram>(
+        program: &P,
+        curr: &[P::Meta],
+        prev: &[P::Meta],
+        executor: &mut GpuExecutor,
+        kernel: &KernelDesc,
+        launch: bool,
+    ) -> Vec<VertexId> {
+        let mut active = Vec::new();
+        let mut charge = KernelCharge::default();
+        executor.begin(
+            &mut charge,
+            kernel,
+            SchedUnit::Warp,
+            curr.len().div_ceil(WARP_SIZE),
+        );
+        scan_range_chunked(program, curr, prev, 0, curr.len(), &mut active, &mut |c| {
+            charge.task(&c)
+        });
+        executor.commit(&charge, launch);
+        active
     }
 
     /// What one scan produced: the actives and the cost sequence it

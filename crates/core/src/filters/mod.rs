@@ -1,23 +1,16 @@
-//! Frontier filters: SIMD-X's online and ballot filters plus the three
-//! prior-work baselines the paper compares against (§4, §8).
+//! Frontier filters: SIMD-X's online and ballot filters (§4).
 //!
 //! | Filter | Produces | Cost shape | Weakness |
 //! |---|---|---|---|
 //! | [`online`] | unsorted, possibly redundant list | ∝ recorded actives | bounded bins overflow on big frontiers |
 //! | [`ballot`] | sorted, duplicate-free list | ∝ `V/32` coalesced scan | scan dominates when frontiers are tiny |
-//! | [`strided`] | sorted, duplicate-free list | ∝ `V` uncoalesced scan | up to 16× slower than ballot (§8) |
-//! | [`atomic_filter`] | unsorted list | serialized global atomics | orders of magnitude slower (§8) |
-//! | [`batch`] | active *edge* list | ∝ frontier degree sum, 2·E memory | OOM on big graphs (§4) |
 //!
 //! Every function both performs the real data movement (so results are
 //! exact) and charges the corresponding simulated cost through the
 //! [`GpuExecutor`](simdx_gpu::GpuExecutor).
 
-pub mod atomic_filter;
-pub mod ballot;
-pub mod batch;
-pub mod online;
-pub mod strided;
+pub(crate) mod ballot;
+pub(crate) mod online;
 
 /// Which filter generated an iteration's worklist (Fig. 8's legend).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

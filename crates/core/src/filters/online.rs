@@ -8,7 +8,6 @@
 
 use crate::frontier::ThreadBins;
 use simdx_gpu::{Cost, GpuExecutor, KernelCharge, KernelDesc, SchedUnit};
-use simdx_graph::VertexId;
 
 /// One warp's share of the exclusive scan over the bin sizes.
 fn scan_warp_cost() -> Cost {
@@ -31,29 +30,16 @@ fn copy_warp_cost() -> Cost {
     }
 }
 
-/// Concatenates all thread bins into the next active list, charging the
-/// prefix-scan + copy kernel to `executor`.
-pub fn concatenate(
-    bins: &ThreadBins,
-    executor: &mut GpuExecutor,
-    kernel: &KernelDesc,
-    launch: bool,
-) -> Vec<VertexId> {
-    charge_concatenation(bins, executor, kernel, launch, &mut KernelCharge::default());
-    bins.concatenate()
-}
-
 /// Charges the concatenation kernel: the cost depends only on the bin
 /// count and the recorded total, so the engine — which concatenates
 /// into a reused buffer ([`ThreadBins::concatenate_into`]) — pays for
-/// task management here. [`concatenate`] charges through this function,
-/// so the two cannot drift apart.
+/// task management here.
 ///
 /// The kernel is a warp-cooperative exclusive scan over the bin sizes
 /// followed by a coalesced copy of every recorded vertex to its offset:
 /// two runs of identical warp tasks, charged in closed form
 /// ([`KernelCharge::uniform`]) — no per-warp loop, no cost vector.
-pub fn charge_concatenation(
+pub(crate) fn charge_concatenation(
     bins: &ThreadBins,
     executor: &mut GpuExecutor,
     kernel: &KernelDesc,
@@ -77,12 +63,25 @@ pub fn charge_concatenation(
 mod tests {
     use super::*;
     use simdx_gpu::DeviceSpec;
+    use simdx_graph::VertexId;
 
     fn setup() -> (GpuExecutor, KernelDesc) {
         (
             GpuExecutor::new(DeviceSpec::k40()),
             KernelDesc::new("taskmgmt", 24),
         )
+    }
+
+    /// Concatenates all thread bins into the next active list, charging
+    /// the prefix-scan + copy kernel through [`charge_concatenation`].
+    fn concatenate(
+        bins: &ThreadBins,
+        executor: &mut GpuExecutor,
+        kernel: &KernelDesc,
+        launch: bool,
+    ) -> Vec<VertexId> {
+        charge_concatenation(bins, executor, kernel, launch, &mut KernelCharge::default());
+        bins.concatenate()
     }
 
     #[test]

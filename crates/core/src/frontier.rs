@@ -23,7 +23,7 @@ use simdx_graph::VertexId;
 
 /// Bits per [`FrontierBitmap`] word: 64 vertices, i.e. two warp chunks
 /// of the ballot filter's [`simdx_gpu::WARP_SIZE`] granularity.
-pub const WORD_BITS: usize = 64;
+pub(crate) const WORD_BITS: usize = 64;
 
 // The engine leans on "one bitmap word = two ballot warp chunks"
 // everywhere (warp-aligned scan starts inside word-aligned partitions,
@@ -34,22 +34,21 @@ const _: () = assert!(2 * simdx_gpu::WARP_SIZE == WORD_BITS);
 /// A dense frontier: bit `v % 64` of word `v / 64` is set iff vertex
 /// `v` is in the set.
 ///
-/// All iteration orders ([`Self::iter`], [`Self::collect_into`],
-/// [`Self::drain_for_each`]) are ascending vertex order — the same
-/// order the ballot filter emits — so a bitmap and a sorted,
-/// duplicate-free worklist are interchangeable representations of the
-/// same frontier. Membership is an O(1) word load; cardinality is a
+/// Both iteration orders ([`Self::iter`], [`Self::drain_for_each`])
+/// are ascending vertex order — the same order the ballot filter emits
+/// — so a bitmap and a sorted, duplicate-free worklist are
+/// interchangeable representations of the same frontier. Membership is an O(1) word load; cardinality is a
 /// popcount sweep; and empty regions are skipped a word (64 vertices)
 /// at a time.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FrontierBitmap {
+pub(crate) struct FrontierBitmap {
     words: Vec<u64>,
     num_vertices: usize,
 }
 
 impl FrontierBitmap {
     /// An empty bitmap over `num_vertices` vertices.
-    pub fn new(num_vertices: usize) -> Self {
+    pub(crate) fn new(num_vertices: usize) -> Self {
         Self {
             words: vec![0; num_vertices.div_ceil(WORD_BITS)],
             num_vertices,
@@ -59,68 +58,64 @@ impl FrontierBitmap {
     /// Reshapes to `num_vertices` and clears every bit, reusing the
     /// word allocation (the engine calls this once per run; in steady
     /// state it never allocates).
-    pub fn reset(&mut self, num_vertices: usize) {
+    pub(crate) fn reset(&mut self, num_vertices: usize) {
         self.words.clear();
         self.words.resize(num_vertices.div_ceil(WORD_BITS), 0);
         self.num_vertices = num_vertices;
     }
 
     /// Number of vertices the bitmap covers.
-    pub fn num_vertices(&self) -> usize {
+    pub(crate) fn num_vertices(&self) -> usize {
         self.num_vertices
-    }
-
-    /// Number of backing words (`ceil(num_vertices / 64)`).
-    pub fn num_words(&self) -> usize {
-        self.words.len()
     }
 
     /// Sets bit `v`. Panics when `v` is out of range — including in
     /// release builds, where the partial tail word would otherwise
     /// silently accept phantom vertices.
     #[inline]
-    pub fn set(&mut self, v: VertexId) {
+    pub(crate) fn set(&mut self, v: VertexId) {
         assert!((v as usize) < self.num_vertices, "vertex out of range");
         self.words[v as usize / WORD_BITS] |= 1u64 << (v as usize % WORD_BITS);
     }
 
     /// Tests bit `v`. Panics when `v` is out of range.
     #[inline]
-    pub fn test(&self, v: VertexId) -> bool {
+    pub(crate) fn test(&self, v: VertexId) -> bool {
         assert!((v as usize) < self.num_vertices, "vertex out of range");
         self.words[v as usize / WORD_BITS] & (1u64 << (v as usize % WORD_BITS)) != 0
     }
 
     /// Clears bit `v`. Panics when `v` is out of range.
-    #[inline]
-    pub fn unset(&mut self, v: VertexId) {
+    #[cfg(test)]
+    fn unset(&mut self, v: VertexId) {
         assert!((v as usize) < self.num_vertices, "vertex out of range");
         self.words[v as usize / WORD_BITS] &= !(1u64 << (v as usize % WORD_BITS));
     }
 
     /// Clears every bit, keeping the shape.
-    pub fn clear_all(&mut self) {
+    pub(crate) fn clear_all(&mut self) {
         self.words.fill(0);
     }
 
     /// Popcount-based cardinality.
-    pub fn count(&self) -> u64 {
+    #[cfg(test)]
+    fn count(&self) -> u64 {
         self.words.iter().map(|w| w.count_ones() as u64).sum()
     }
 
     /// Whether no bit is set.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
 
     /// The backing words for word-level iteration (e.g. the ballot
     /// scan's all-zero-word skip).
-    pub fn words(&self) -> &[u64] {
+    pub(crate) fn words(&self) -> &[u64] {
         &self.words
     }
 
     /// Iterates set bits in ascending vertex order.
-    pub fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &word)| {
             std::iter::successors((word != 0).then_some(word), |w| {
                 let w = w & (w - 1);
@@ -130,25 +125,9 @@ impl FrontierBitmap {
         })
     }
 
-    /// Rebuilds the bitmap over `num_vertices` from a worklist (any
-    /// order, duplicates collapse).
-    pub fn fill_from_list(&mut self, num_vertices: usize, list: &[VertexId]) {
-        self.reset(num_vertices);
-        for &v in list {
-            self.set(v);
-        }
-    }
-
-    /// Appends the set vertices to `out` in ascending order.
-    pub fn collect_into(&self, out: &mut Vec<VertexId>) {
-        for v in self.iter() {
-            out.push(v);
-        }
-    }
-
     /// Visits set bits in ascending order, clearing each word after it
     /// is consumed — one "read out and reset" sweep.
-    pub fn drain_for_each(&mut self, mut f: impl FnMut(VertexId)) {
+    pub(crate) fn drain_for_each(&mut self, mut f: impl FnMut(VertexId)) {
         for (i, word) in self.words.iter_mut().enumerate() {
             let mut w = *word;
             while w != 0 {
@@ -161,7 +140,7 @@ impl FrontierBitmap {
 
     /// [`Self::drain_for_each`] into a vector (appended in ascending
     /// order).
-    pub fn drain_into(&mut self, out: &mut Vec<VertexId>) {
+    pub(crate) fn drain_into(&mut self, out: &mut Vec<VertexId>) {
         self.drain_for_each(|v| out.push(v));
     }
 }
@@ -198,7 +177,7 @@ pub(crate) struct ChangedSet {
 
 impl ChangedSet {
     /// An empty set over `num_vertices` vertices.
-    pub fn new(num_vertices: usize) -> Self {
+    pub(crate) fn new(num_vertices: usize) -> Self {
         Self {
             bits: FrontierBitmap::new(num_vertices),
             list: Vec::new(),
@@ -206,37 +185,37 @@ impl ChangedSet {
     }
 
     /// Number of vertices the set covers.
-    pub fn num_vertices(&self) -> usize {
+    pub(crate) fn num_vertices(&self) -> usize {
         self.bits.num_vertices()
     }
 
     /// Empties the set without publishing (an aborted run's leftovers).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.bits.clear_all();
         self.list.clear();
     }
 
     /// Whether nothing is marked — list and bitmap both.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.list.is_empty() && self.bits.is_empty()
     }
 
     /// Whether `v` has not changed yet this iteration.
     #[inline]
-    pub fn is_first(&self, v: VertexId) -> bool {
+    pub(crate) fn is_first(&self, v: VertexId) -> bool {
         !self.bits.test(v)
     }
 
     /// Records `v` as changed (at most once per iteration: callers
     /// test [`Self::is_first`] before the apply that changes it).
     #[inline]
-    pub fn mark(&mut self, v: VertexId) {
+    pub(crate) fn mark(&mut self, v: VertexId) {
         self.view().mark(v);
     }
 
     /// Appends a shard's marked vertices — their bits were set through
     /// the shard's [`ChangedView`].
-    pub fn extend_marked(&mut self, marked: &[VertexId]) {
+    pub(crate) fn extend_marked(&mut self, marked: &[VertexId]) {
         self.list.extend_from_slice(marked);
     }
 
@@ -254,26 +233,26 @@ impl ChangedSet {
     /// The bitmap's backing words as the ballot scan's occupancy —
     /// `None` on a dense iteration, where skipping zero words saves
     /// less than testing them costs and the dense scan runs instead.
-    pub fn sparse_occupancy(&self) -> Option<&[u64]> {
+    pub(crate) fn sparse_occupancy(&self) -> Option<&[u64]> {
         (!self.is_dense()).then(|| self.bits.words())
     }
 
     /// The whole set as a one-shard view, for the serial kernels.
-    pub fn view(&mut self) -> ChangedView<'_> {
+    pub(crate) fn view(&mut self) -> ChangedView<'_> {
         ChangedView::new(0, &mut self.bits.words, &mut self.list)
     }
 
     /// The backing words, for [`crate::par::SliceShards`] to cut into
     /// the word-aligned windows parallel push hands its
     /// [`ChangedView`]s.
-    pub fn words_mut(&mut self) -> &mut [u64] {
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
         &mut self.bits.words
     }
 
     /// Publishes the iteration: `prev[v] = curr[v]` for every changed
     /// vertex, leaving the set empty. Sparse iterations walk the list,
     /// dense ones sweep the words — the same cells either way.
-    pub fn publish<M: Copy>(&mut self, prev: &mut [M], curr: &[M]) {
+    pub(crate) fn publish<M: Copy>(&mut self, prev: &mut [M], curr: &[M]) {
         if self.is_dense() {
             self.publish_word_sweep(prev, curr);
         } else {
@@ -319,7 +298,7 @@ pub(crate) struct ChangedView<'a> {
 
 impl<'a> ChangedView<'a> {
     /// A view starting at word `word_off` of the set's bitmap.
-    pub fn new(word_off: usize, words: &'a mut [u64], list: &'a mut Vec<VertexId>) -> Self {
+    pub(crate) fn new(word_off: usize, words: &'a mut [u64], list: &'a mut Vec<VertexId>) -> Self {
         Self {
             word_off,
             words,
@@ -330,7 +309,7 @@ impl<'a> ChangedView<'a> {
     /// Whether `v` (inside the window) has not changed yet this
     /// iteration — called *before* the apply that may change it.
     #[inline]
-    pub fn is_first(&self, v: VertexId) -> bool {
+    pub(crate) fn is_first(&self, v: VertexId) -> bool {
         let w = v as usize / WORD_BITS;
         debug_assert!((self.word_off..self.word_off + self.words.len()).contains(&w));
         self.words[w - self.word_off] & (1u64 << (v as usize % WORD_BITS)) == 0
@@ -338,7 +317,7 @@ impl<'a> ChangedView<'a> {
 
     /// Records `v` (inside the window) as changed.
     #[inline]
-    pub fn mark(&mut self, v: VertexId) {
+    pub(crate) fn mark(&mut self, v: VertexId) {
         let w = v as usize / WORD_BITS;
         debug_assert!((self.word_off..self.word_off + self.words.len()).contains(&w));
         self.words[w - self.word_off] |= 1u64 << (v as usize % WORD_BITS);
@@ -371,7 +350,7 @@ impl Default for ClassifyThresholds {
 
 impl ClassifyThresholds {
     /// The worklist for a vertex of degree `d`.
-    pub fn classify(&self, d: u32) -> SchedUnit {
+    pub(crate) fn classify(&self, d: u32) -> SchedUnit {
         if d <= self.small_max {
             SchedUnit::Thread
         } else if d <= self.med_max {
@@ -384,28 +363,21 @@ impl ClassifyThresholds {
 
 /// The three active worklists of one iteration.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Worklists {
+pub(crate) struct Worklists {
     /// Vertices processed one-per-thread (small degrees).
-    pub small: Vec<VertexId>,
+    pub(crate) small: Vec<VertexId>,
     /// Vertices processed one-per-warp (medium degrees).
-    pub med: Vec<VertexId>,
+    pub(crate) med: Vec<VertexId>,
     /// Vertices processed one-per-CTA (large degrees).
-    pub large: Vec<VertexId>,
+    pub(crate) large: Vec<VertexId>,
 }
 
 impl Worklists {
-    /// Builds worklists by classifying `active` against the degrees in
-    /// `csr` (in the scan direction the next iteration will use).
-    pub fn classify(active: &[VertexId], csr: &Csr, thresholds: ClassifyThresholds) -> Self {
-        let mut lists = Self::default();
-        lists.classify_into(active, csr, thresholds);
-        lists
-    }
-
-    /// In-place [`Self::classify`]: clears the lists (keeping their
-    /// capacity) and refills them — the zero-allocation path the engine
-    /// scratch uses every iteration.
-    pub fn classify_into(
+    /// Classifies `active` against the degrees in `csr` (in the scan
+    /// direction the next iteration will use): clears the lists (keeping
+    /// their capacity) and refills them — the zero-allocation path the
+    /// engine scratch uses every iteration.
+    pub(crate) fn classify_into(
         &mut self,
         active: &[VertexId],
         csr: &Csr,
@@ -421,7 +393,7 @@ impl Worklists {
     /// streaming form backing [`Self::classify_into`] and the pull-vote
     /// candidate sweep, which classifies each candidate as it finds it.
     #[inline]
-    pub fn classify_one(&mut self, v: VertexId, csr: &Csr, thresholds: ClassifyThresholds) {
+    pub(crate) fn classify_one(&mut self, v: VertexId, csr: &Csr, thresholds: ClassifyThresholds) {
         match thresholds.classify(csr.degree(v)) {
             SchedUnit::Thread => self.small.push(v),
             SchedUnit::Warp => self.med.push(v),
@@ -430,7 +402,7 @@ impl Worklists {
     }
 
     /// Clears all three lists, keeping capacity.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.small.clear();
         self.med.clear();
         self.large.clear();
@@ -439,48 +411,29 @@ impl Worklists {
     /// Appends another set of worklists (used to merge per-worker
     /// classification results in worker order, which reproduces the
     /// serial order because workers own contiguous chunks).
-    pub fn append(&mut self, other: &Self) {
+    pub(crate) fn append(&mut self, other: &Self) {
         self.small.extend_from_slice(&other.small);
         self.med.extend_from_slice(&other.med);
         self.large.extend_from_slice(&other.large);
     }
 
     /// Total entries across the three lists.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         (self.small.len() + self.med.len() + self.large.len()) as u64
     }
 
     /// Whether every list is empty (BSP termination signal).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.small.is_empty() && self.med.is_empty() && self.large.is_empty()
     }
 
     /// The list processed at the given granularity.
-    pub fn list(&self, unit: SchedUnit) -> &[VertexId] {
+    pub(crate) fn list(&self, unit: SchedUnit) -> &[VertexId] {
         match unit {
             SchedUnit::Thread => &self.small,
             SchedUnit::Warp => &self.med,
             SchedUnit::Cta => &self.large,
         }
-    }
-
-    /// Iterates `(unit, list)` pairs in small→med→large order.
-    pub fn iter_units(&self) -> impl Iterator<Item = (SchedUnit, &[VertexId])> {
-        [
-            (SchedUnit::Thread, self.small.as_slice()),
-            (SchedUnit::Warp, self.med.as_slice()),
-            (SchedUnit::Cta, self.large.as_slice()),
-        ]
-        .into_iter()
-    }
-
-    /// Sum of scan-direction degrees over all entries — the frontier
-    /// workload volume used by the direction heuristic.
-    pub fn degree_sum(&self, csr: &Csr) -> u64 {
-        self.iter_units()
-            .flat_map(|(_, l)| l.iter())
-            .map(|&v| csr.degree(v) as u64)
-            .sum()
     }
 }
 
@@ -500,7 +453,7 @@ impl Worklists {
 /// the bins that hold entries, in ascending bin order —
 /// the same order a walk over every bin would produce.
 #[derive(Clone, Debug)]
-pub struct ThreadBins {
+pub(crate) struct ThreadBins {
     bins: Vec<Vec<VertexId>>,
     /// Bit `b` is set iff bin `b` holds entries.
     nonempty: FrontierBitmap,
@@ -513,7 +466,7 @@ pub struct ThreadBins {
 impl ThreadBins {
     /// Creates `num_threads` empty bins with the given overflow
     /// threshold.
-    pub fn new(num_threads: usize, threshold: usize) -> Self {
+    pub(crate) fn new(num_threads: usize, threshold: usize) -> Self {
         let num_threads = num_threads.max(1);
         Self {
             bins: vec![Vec::new(); num_threads],
@@ -525,19 +478,14 @@ impl ThreadBins {
     }
 
     /// Number of bins (simulated threads).
-    pub fn num_threads(&self) -> usize {
+    pub(crate) fn num_threads(&self) -> usize {
         self.bins.len()
-    }
-
-    /// The overflow threshold in force.
-    pub fn threshold(&self) -> usize {
-        self.threshold
     }
 
     /// Records vertex `v` from simulated thread `thread`. Returns
     /// `false` (and sets the overflow flag) if the bin was full.
     #[inline]
-    pub fn record(&mut self, thread: usize, v: VertexId) -> bool {
+    pub(crate) fn record(&mut self, thread: usize, v: VertexId) -> bool {
         let idx = thread % self.bins.len();
         let bin = &mut self.bins[idx];
         if bin.len() >= self.threshold {
@@ -553,12 +501,12 @@ impl ThreadBins {
     }
 
     /// Whether any bin has overflowed.
-    pub fn overflowed(&self) -> bool {
+    pub(crate) fn overflowed(&self) -> bool {
         self.overflowed
     }
 
     /// Total recorded entries across bins.
-    pub fn total_recorded(&self) -> u64 {
+    pub(crate) fn total_recorded(&self) -> u64 {
         self.recorded
     }
 
@@ -573,15 +521,16 @@ impl ThreadBins {
     /// concatenation of Fig. 4(b) line 20). The result may contain
     /// duplicates and is generally unsorted — the documented online
     /// filter trade-off (§4).
-    pub fn concatenate(&self) -> Vec<VertexId> {
+    #[cfg(test)]
+    pub(crate) fn concatenate(&self) -> Vec<VertexId> {
         let mut out = Vec::with_capacity(self.total_recorded() as usize);
         self.concatenate_into(&mut out);
         out
     }
 
-    /// In-place [`Self::concatenate`] into a reused buffer (cleared
-    /// first, capacity kept).
-    pub fn concatenate_into(&self, out: &mut Vec<VertexId>) {
+    /// Concatenates all bins in thread order into a reused buffer
+    /// (cleared first, capacity kept).
+    pub(crate) fn concatenate_into(&self, out: &mut Vec<VertexId>) {
         out.clear();
         for bin in self.nonempty_bins() {
             out.extend_from_slice(bin);
@@ -590,7 +539,7 @@ impl ThreadBins {
 
     /// Clears the bins that hold entries and the overflow flag for the
     /// next iteration.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         let bins = &mut self.bins;
         self.nonempty.drain_for_each(|b| bins[b as usize].clear());
         self.recorded = 0;
@@ -600,7 +549,7 @@ impl ThreadBins {
     /// Reshapes to `num_threads` bins with `threshold` capacity and
     /// clears, reusing existing bin allocations (the engine calls this
     /// every iteration; growing/shrinking only moves empty `Vec`s).
-    pub fn reset_to(&mut self, num_threads: usize, threshold: usize) {
+    pub(crate) fn reset_to(&mut self, num_threads: usize, threshold: usize) {
         self.clear();
         let num_threads = num_threads.max(1);
         if num_threads != self.bins.len() {
@@ -614,7 +563,9 @@ impl ThreadBins {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use simdx_graph::EdgeList;
+    use std::collections::BTreeSet;
 
     fn star_csr(leaves: u32) -> Csr {
         Csr::from_edge_list(&EdgeList::from_pairs(
@@ -638,19 +589,13 @@ mod tests {
     fn classify_splits_by_degree() {
         let csr = star_csr(200);
         // Vertex 0 has degree 200 (large); leaves have degree 0 (small).
-        let lists = Worklists::classify(&[0, 1, 2], &csr, ClassifyThresholds::default());
+        let mut lists = Worklists::default();
+        lists.classify_into(&[0, 1, 2], &csr, ClassifyThresholds::default());
         assert_eq!(lists.large, vec![0]);
         assert_eq!(lists.small, vec![1, 2]);
         assert!(lists.med.is_empty());
         assert_eq!(lists.len(), 3);
         assert!(!lists.is_empty());
-    }
-
-    #[test]
-    fn degree_sum_counts_scan_volume() {
-        let csr = star_csr(200);
-        let lists = Worklists::classify(&[0, 1], &csr, ClassifyThresholds::default());
-        assert_eq!(lists.degree_sum(&csr), 200);
     }
 
     #[test]
@@ -746,7 +691,7 @@ mod tests {
     #[test]
     fn bitmap_set_test_unset() {
         let mut b = FrontierBitmap::new(130);
-        assert_eq!(b.num_words(), 3);
+        assert_eq!(b.words().len(), 3);
         for v in [0u32, 63, 64, 129] {
             assert!(!b.test(v));
             b.set(v);
@@ -770,21 +715,6 @@ mod tests {
         }
         let got: Vec<VertexId> = b.iter().collect();
         assert_eq!(got, vec![0, 3, 63, 64, 130, 199]);
-        let mut out = Vec::new();
-        b.collect_into(&mut out);
-        assert_eq!(out, got);
-    }
-
-    #[test]
-    fn bitmap_roundtrips_worklist_at_misaligned_len() {
-        // 97 is warp- and word-misaligned: the tail word is partial.
-        let list = vec![1u32, 5, 31, 32, 64, 95, 96];
-        let mut b = FrontierBitmap::default();
-        b.fill_from_list(97, &list);
-        assert_eq!(b.count(), list.len() as u64);
-        let mut out = Vec::new();
-        b.collect_into(&mut out);
-        assert_eq!(out, list);
     }
 
     #[test]
@@ -859,7 +789,7 @@ mod tests {
     }
 
     /// Deterministic xorshift: the property below needs arbitrary, not
-    /// unpredictable, inputs (core has no dev-dependencies).
+    /// unpredictable, inputs.
     fn xorshift(state: &mut u64) -> u64 {
         *state ^= *state << 13;
         *state ^= *state >> 7;
@@ -895,6 +825,45 @@ mod tests {
             assert_eq!(by_walk, curr, "n={n} marks={marks}");
             assert_eq!(by_sweep, curr, "n={n} marks={marks}");
             assert!(walk.is_empty() && sweep.is_empty());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// [`FrontierBitmap`] agrees with a `BTreeSet` model under
+        /// arbitrary set/clear/test sequences over a (mostly word- and
+        /// warp-misaligned) size: same membership, same popcount
+        /// cardinality, same ascending iteration and drain order.
+        #[test]
+        fn bitmap_matches_btreeset_model(
+            (n, ops) in (2u32..300).prop_flat_map(|n| {
+                (Just(n), proptest::collection::vec((0u8..3, 0..n), 0..120))
+            })
+        ) {
+            let mut bm = FrontierBitmap::new(n as usize);
+            let mut model: BTreeSet<u32> = BTreeSet::new();
+            for (op, v) in ops {
+                match op {
+                    0 => {
+                        bm.set(v);
+                        model.insert(v);
+                    }
+                    1 => {
+                        bm.unset(v);
+                        model.remove(&v);
+                    }
+                    _ => prop_assert_eq!(bm.test(v), model.contains(&v)),
+                }
+            }
+            let expected: Vec<u32> = model.iter().copied().collect();
+            prop_assert_eq!(bm.count(), expected.len() as u64);
+            prop_assert_eq!(bm.is_empty(), expected.is_empty());
+            prop_assert_eq!(bm.iter().collect::<Vec<_>>(), expected.clone());
+            let mut drained = Vec::new();
+            bm.drain_into(&mut drained);
+            prop_assert_eq!(drained, expected);
+            prop_assert!(bm.is_empty());
         }
     }
 }

@@ -103,11 +103,6 @@ impl FusionPlan {
         }
     }
 
-    /// The strategy in force.
-    pub fn strategy(&self) -> FusionStrategy {
-        self.strategy
-    }
-
     /// Name and register count (Table 2) of the kernel that runs `role`
     /// in `dir` under `strategy`. Fused strategies map every role onto
     /// the single fused kernel (whose register pressure they all
@@ -180,7 +175,7 @@ impl FusionPlan {
     /// * `All`: only the very first invocation launches.
     /// * `PushPull`: launches when the direction changes (the fused
     ///   kernel for the previous phase terminated at the switch).
-    pub fn needs_launch(&mut self, dir: Direction) -> bool {
+    pub(crate) fn needs_launch(&mut self, dir: Direction) -> bool {
         match self.strategy {
             FusionStrategy::None => true,
             FusionStrategy::All => {
@@ -199,7 +194,7 @@ impl FusionPlan {
     /// Whether iterations synchronize through the software global
     /// barrier (fused strategies) rather than through kernel-launch
     /// boundaries (unfused).
-    pub fn uses_global_barrier(&self) -> bool {
+    pub(crate) fn uses_global_barrier(&self) -> bool {
         !matches!(self.strategy, FusionStrategy::None)
     }
 

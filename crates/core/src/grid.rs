@@ -42,7 +42,7 @@ use simdx_graph::{VertexId, Weight};
 /// contiguous run of its out-edges whose destination falls inside the
 /// shard's vertex range, in original adjacency order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardCsr {
+pub(crate) struct ShardCsr {
     /// `V + 1` cell fences: source `v`'s edges into this shard are
     /// `targets[offsets[v] .. offsets[v + 1]]`.
     offsets: Vec<u32>,
@@ -71,7 +71,7 @@ impl ShardCsr {
     /// Raw `[start, end)` index range of `v`'s cell in the shard
     /// arrays.
     #[inline]
-    pub fn range(&self, v: VertexId) -> (usize, usize) {
+    pub(crate) fn range(&self, v: VertexId) -> (usize, usize) {
         (
             self.offsets[v as usize] as usize,
             self.offsets[v as usize + 1] as usize,
@@ -79,23 +79,23 @@ impl ShardCsr {
     }
 
     /// The full bucketed targets array.
-    pub fn targets(&self) -> &[VertexId] {
+    pub(crate) fn targets(&self) -> &[VertexId] {
         &self.targets
     }
 
     /// Per-edge offsets within the source's full adjacency, parallel
     /// to [`Self::targets`].
-    pub fn edge_offs(&self) -> &[u32] {
+    pub(crate) fn edge_offs(&self) -> &[u32] {
         &self.edge_offs
     }
 
     /// The bucketed weights, if the source CSR is weighted.
-    pub fn weights(&self) -> Option<&[Weight]> {
+    pub(crate) fn weights(&self) -> Option<&[Weight]> {
         self.weights.as_deref()
     }
 
     /// Number of edges bucketed into this shard.
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.targets.len()
     }
 }
@@ -116,8 +116,10 @@ impl GridCsr {
     /// One pass over the CSR in (source, adjacency) order appends each
     /// edge to its destination shard, so every `(source, shard)` cell
     /// inherits the original edge order — the property the bit-equality
-    /// argument rests on. `O(|E| + |V| × shards)` time.
-    pub fn build(csr: &Csr, fences: &[u32]) -> Self {
+    /// argument rests on. `O(|E| + |V| × shards)` time. The serial
+    /// reference [`Self::build_with_pool`] is tested against.
+    #[cfg(test)]
+    fn build(csr: &Csr, fences: &[u32]) -> Self {
         let shard_of = Self::shard_map(csr, fences);
         Self {
             shards: Self::build_range(csr, &shard_of, fences.len() - 1, 0, csr.num_vertices()),
@@ -235,18 +237,20 @@ impl GridCsr {
     }
 
     /// Number of destination shards.
-    pub fn num_shards(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_shards(&self) -> usize {
         self.shards.len()
     }
 
     /// Shard `s`'s sub-CSR.
     #[inline]
-    pub fn shard(&self, s: usize) -> &ShardCsr {
+    pub(crate) fn shard(&self, s: usize) -> &ShardCsr {
         &self.shards[s]
     }
 
     /// Total bucketed edges (equals the source CSR's edge count).
-    pub fn num_edges(&self) -> u64 {
+    #[cfg(test)]
+    fn num_edges(&self) -> u64 {
         self.shards.iter().map(|s| s.num_edges() as u64).sum()
     }
 
@@ -269,7 +273,8 @@ impl GridCsr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simdx_graph::EdgeList;
+    use proptest::prelude::*;
+    use simdx_graph::{weights, EdgeList};
 
     fn skewed_csr() -> Csr {
         // Vertex 0 fans out across every shard; the rest form chains
@@ -386,5 +391,31 @@ mod tests {
         let grid = GridCsr::build(&csr, &[0, 3, 6]);
         // 2 shards × 7 fences × 4 B + 7 edges × (4 + 4 + 4) B.
         assert_eq!(grid.footprint_bytes(), 2 * 7 * 4 + 7 * 12);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// [`GridCsr::build`] partitions the adjacency losslessly for
+        /// *any* weighted graph and *any* monotone fences, empty shards
+        /// included.
+        #[test]
+        fn grid_csr_partitions_any_adjacency(
+            edges in (2u32..48).prop_flat_map(|n| {
+                proptest::collection::vec((0..n, 0..n), 0..150)
+            }),
+            cuts in proptest::collection::vec(0u32..48, 0..5),
+            wseed in 0u64..100,
+        ) {
+            let el = weights::assign_default_weights(&EdgeList::from_pairs(edges), wseed);
+            let csr = Csr::from_edge_list(&el);
+            let n = csr.num_vertices();
+            let mut fences: Vec<u32> = cuts.into_iter().map(|c| c % (n + 1)).collect();
+            fences.extend([0, n]);
+            fences.sort_unstable();
+            let grid = GridCsr::build(&csr, &fences);
+            prop_assert_eq!(grid.num_shards(), fences.len() - 1);
+            assert_partitions(&csr, &grid, &fences);
+        }
     }
 }

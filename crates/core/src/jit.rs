@@ -17,31 +17,30 @@ use simdx_graph::csr::Direction;
 
 /// Per-iteration JIT decision.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct JitController {
+pub(crate) struct JitController {
     policy: FilterPolicy,
 }
 
 impl JitController {
     /// Creates a controller for the given policy.
-    pub fn new(policy: FilterPolicy) -> Self {
+    pub(crate) fn new(policy: FilterPolicy) -> Self {
         Self { policy }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> FilterPolicy {
-        self.policy
     }
 
     /// Whether the engine should record updates into thread bins this
     /// iteration (the ballot-only baseline skips recording entirely;
     /// the others record until the bins overflow).
-    pub fn records_bins(&self) -> bool {
+    pub(crate) fn records_bins(&self) -> bool {
         !matches!(self.policy, FilterPolicy::BallotOnly)
     }
 
     /// Picks the filter for this iteration's task management, given the
     /// bins' state after computation.
-    pub fn decide(&self, bins: &ThreadBins, iteration: u32) -> Result<FilterKind, SimdxError> {
+    pub(crate) fn decide(
+        &self,
+        bins: &ThreadBins,
+        iteration: u32,
+    ) -> Result<FilterKind, SimdxError> {
         match self.policy {
             FilterPolicy::BallotOnly => Ok(FilterKind::Ballot),
             FilterPolicy::OnlineOnly => {
@@ -93,7 +92,7 @@ impl ActivationLog {
     }
 
     /// Iterations that used the ballot filter.
-    pub fn ballot_iterations(&self) -> u32 {
+    pub(crate) fn ballot_iterations(&self) -> u32 {
         self.records
             .iter()
             .filter(|r| r.filter == FilterKind::Ballot)
@@ -111,15 +110,6 @@ impl ActivationLog {
             .windows(2)
             .filter(|w| w[0].filter != w[1].filter)
             .count() as u32
-    }
-
-    /// Largest frontier observed.
-    pub fn max_frontier(&self) -> u64 {
-        self.records
-            .iter()
-            .map(|r| r.frontier_len)
-            .max()
-            .unwrap_or(0)
     }
 
     /// A compact pattern string, one character per iteration:
@@ -224,7 +214,6 @@ mod tests {
         assert_eq!(log.ballot_iterations(), 2);
         assert_eq!(log.online_iterations(), 2);
         assert_eq!(log.filter_switches(), 2);
-        assert_eq!(log.max_frontier(), 30);
         assert_eq!(log.pattern(), "oBBo");
         assert_eq!(log.pattern_rle(), "ox1 Bx2 ox1");
     }

@@ -16,15 +16,32 @@
 //!                      GPU (simdx-gpu)
 //! ```
 //!
+//! # Public modules
+//!
+//! A program is written against [`acc`] and run through [`session`],
+//! configured by [`config`] and [`supervise`], served by [`service`]
+//! and persisted by [`checkpoint`] / [`persist`]; what comes back is
+//! [`metrics`] and [`error`]. [`jit`] exports the per-iteration
+//! record an observer sees and [`fusion`] the register model the
+//! Table 2 bin prints. The task-management internals — worklists,
+//! thread bins, the changed set (`frontier`), the online and ballot
+//! filters (`filters`), the parallel push layout (`grid`) and the
+//! atomic facade (`sync`) — are private.
+//!
+//! Three modules stay public for callers that import them by path:
+//! [`par`] for `WorkerPool::{new, run}` (the benchmark's empty-epoch
+//! probe), [`jit`] for the `IterationRecord` path and [`persist`] for
+//! `encode` / `decode` and `DurableCheckpoint`, which the benchmark's
+//! codec probe times.
+//!
 //! # Example: a session serving repeated queries
 //!
 //! The public surface is the session API ([`session`]): a long-lived
-//! [`Runtime`](session::Runtime) owns the worker pool and validated
-//! configuration, [`Runtime::bind`](session::Runtime::bind)
-//! precomputes per-graph engine state, and every query through the run
-//! builder reuses those resources — the paper's own design, where task
-//! management state persists so per-iteration decisions stay cheap,
-//! extended across whole queries.
+//! [`Runtime`] owns the worker pool and validated configuration,
+//! [`Runtime::bind`] precomputes per-graph engine state, and every
+//! query through the run builder reuses those resources — the paper's
+//! own design, where task management state persists so per-iteration
+//! decisions stay cheap, extended across whole queries.
 //!
 //! ```
 //! use simdx_core::prelude::*;
@@ -82,42 +99,49 @@ pub mod checkpoint;
 pub mod config;
 mod engine;
 pub mod error;
-pub mod filters;
-pub mod frontier;
+mod filters;
+mod frontier;
 pub mod fusion;
-pub mod grid;
+mod grid;
 pub mod jit;
 pub mod metrics;
 pub mod par;
 pub mod persist;
+// Only the interleaving harness reaches the pools (re-exported below,
+// `--features model`); in every other build they stay private.
+#[cfg_attr(not(feature = "model"), allow(unreachable_pub))]
 mod pool;
 mod scratch;
 pub mod service;
 pub mod session;
 pub mod supervise;
+// Public only to the interleaving harness, which reads the atomic
+// operation counter of the instrumented facade.
+#[cfg(feature = "model")]
 pub mod sync;
+#[cfg(not(feature = "model"))]
+mod sync;
 
 // The deterministic interleaving harness (`tests/model_interleave.rs`
 // at the workspace root, `--features model`) drives the internal pools
-// through explicitly enumerated schedules; the types stay private in
-// every other build.
+// and the service breaker through explicitly enumerated schedules.
 #[cfg(feature = "model")]
 pub use pool::{PoolLease, PoolStash, MAX_IDLE_POOLS};
+#[cfg(feature = "model")]
+pub use service::Breaker;
 
 pub use acc::{AccProgram, CombineKind, DirectionCtx, SourcedProgram};
 pub use checkpoint::{RunAborted, RunCheckpoint};
 pub use config::{DegradePolicy, DirectionPolicy, EngineConfig, ExecMode, FilterPolicy};
 pub use error::SimdxError;
 pub use filters::FilterKind;
-pub use frontier::FrontierBitmap;
 pub use fusion::FusionStrategy;
-pub use grid::GridCsr;
 pub use jit::{ActivationLog, IterationRecord};
 pub use metrics::{RunReport, RunResult};
 pub use par::WorkerPanic;
 pub use persist::{CheckpointStore, DirStore, DurableCheckpoint, PersistMeta};
 pub use service::{
-    AdmissionPolicy, Breaker, CloseMode, DurabilityPolicy, QueryClient, QueryPool, QueryRequest,
+    AdmissionPolicy, CloseMode, DurabilityPolicy, QueryClient, QueryPool, QueryRequest,
     QueryTicket, RecoveredQuery, RecoveryReport, RetryPolicy, ServeOutcome, ServeReport,
     ServiceConfig,
 };
@@ -130,9 +154,7 @@ pub mod prelude {
     pub use crate::checkpoint::{RunAborted, RunCheckpoint};
     pub use crate::config::{DegradePolicy, DirectionPolicy, EngineConfig, ExecMode, FilterPolicy};
     pub use crate::error::SimdxError;
-    pub use crate::frontier::FrontierBitmap;
     pub use crate::fusion::FusionStrategy;
-    pub use crate::grid::GridCsr;
     pub use crate::jit::IterationRecord;
     pub use crate::metrics::{RunReport, RunResult};
     pub use crate::persist::{CheckpointStore, DirStore, DurableCheckpoint, PersistMeta};

@@ -68,11 +68,6 @@ impl RunReport {
     pub fn ballot_iterations(&self) -> u32 {
         self.log.ballot_iterations()
     }
-
-    /// Host-side compute-kernel edge traversals (see the field docs).
-    pub fn edges_examined(&self) -> u64 {
-        self.edges_examined
-    }
 }
 
 /// A finished run: final metadata plus its report.

@@ -12,7 +12,7 @@
 //!   submitting thread participates as worker 0, so `threads = N` means
 //!   `N` CPUs busy, and the pool is reused across all iterations of a
 //!   run (no per-region spawn cost).
-//! * [`chunk_range`] — the static, contiguous partition both modes use.
+//! * `chunk_range` — the static, contiguous partition both modes use.
 //!   Contiguous chunks concatenated in worker order reproduce the serial
 //!   processing order exactly; every parallel stage in the engine merges
 //!   its per-worker output that way (or replays it in an explicit
@@ -20,9 +20,15 @@
 //!
 //! Worker closures are `Fn(usize) + Sync` borrowed for the duration of
 //! one [`WorkerPool::run`] call. Mutable state is handed out through
-//! [`SliceShards`], which splits a slice into disjoint per-worker
+//! `SliceShards`, which splits a slice into disjoint per-worker
 //! ranges; the pool's "one invocation per worker index per region"
 //! guarantee makes that aliasing-free.
+//!
+//! Only [`WorkerPool::new`] / [`WorkerPool::run`] and [`WorkerPanic`]
+//! are public API (plus [`WorkerPool::try_run`] and
+//! [`WorkerPool::is_poisoned`], which the interleaving harness drives);
+//! the engine's sharded regions, the partition helpers and
+//! `SliceShards` are crate-internal.
 
 //! Worker panics are *contained*: [`WorkerPool::try_run`] catches a
 //! panic on any worker (including the submitting thread), still drains
@@ -76,7 +82,7 @@ pub(crate) fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Contiguous chunk `[start, end)` of `len` items for worker `w` of
 /// `parts`: the canonical deterministic partition.
-pub fn chunk_range(len: usize, parts: usize, w: usize) -> (usize, usize) {
+pub(crate) fn chunk_range(len: usize, parts: usize, w: usize) -> (usize, usize) {
     debug_assert!(w < parts);
     let chunk = len.div_ceil(parts.max(1)).max(1);
     ((w * chunk).min(len), ((w + 1) * chunk).min(len))
@@ -87,7 +93,12 @@ pub fn chunk_range(len: usize, parts: usize, w: usize) -> (usize, usize) {
 /// units, so no worker range ever splits a unit. The engine uses this
 /// to keep ballot-scan and candidate-sweep partitions on 32-vertex
 /// warp chunks and bitmap partitions on 64-vertex words.
-pub fn chunk_range_aligned(len: usize, parts: usize, w: usize, align: usize) -> (usize, usize) {
+pub(crate) fn chunk_range_aligned(
+    len: usize,
+    parts: usize,
+    w: usize,
+    align: usize,
+) -> (usize, usize) {
     debug_assert!(align > 0);
     let (u0, u1) = chunk_range(len.div_ceil(align), parts, w);
     let lo = u0 * align;
@@ -171,17 +182,10 @@ impl WorkerPool {
         }
     }
 
-    /// Runs `f(w, &mut workers[w])` on every worker concurrently.
-    /// `workers.len()` must equal [`Self::threads`].
-    pub fn for_each_worker<T: Send>(&self, workers: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
-        if let Err(p) = self.try_for_each_worker(workers, f) {
-            panic!("engine worker {} panicked: {}", p.worker, p.payload);
-        }
-    }
-
-    /// Fallible form of [`Self::for_each_worker`]: a contained worker
-    /// panic comes back as `Err` instead of aborting.
-    pub fn try_for_each_worker<T: Send>(
+    /// Runs `f(w, &mut workers[w])` on every worker concurrently
+    /// (`workers.len()` must equal [`Self::threads`]). A contained
+    /// worker panic comes back as `Err`.
+    pub(crate) fn try_for_each_worker<T: Send>(
         &self,
         workers: &mut [T],
         f: impl Fn(usize, &mut T) + Sync,
@@ -206,7 +210,7 @@ impl WorkerPool {
     /// `threads + 1` entries covering its slice. A worker panic is
     /// contained and returned, as in [`Self::try_for_each_worker`].
     #[allow(clippy::too_many_arguments)]
-    pub fn try_for_each_worker_sharded2<T: Send, U: Send, V: Send>(
+    pub(crate) fn try_for_each_worker_sharded2<T: Send, U: Send, V: Send>(
         &self,
         workers: &mut [T],
         data: &mut [U],
@@ -233,7 +237,7 @@ impl WorkerPool {
     }
 
     /// Number of workers (including the submitting thread).
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 
@@ -380,7 +384,7 @@ fn worker_loop(shared: &Shared, w: usize) {
 /// non-overlapping (checked at construction) and on each worker taking
 /// only its own shard (the pool invokes each worker index exactly once
 /// per region).
-pub struct SliceShards<'a, T> {
+pub(crate) struct SliceShards<'a, T> {
     ptr: *mut T,
     len: usize,
     bounds: &'a [u32],
@@ -399,7 +403,7 @@ unsafe impl<T: Send> Sync for SliceShards<'_, T> {}
 impl<'a, T> SliceShards<'a, T> {
     /// Splits `slice` at `bounds` (a monotone fence list of `parts + 1`
     /// entries starting at 0 and ending at `slice.len()`).
-    pub fn new(slice: &'a mut [T], bounds: &'a [u32]) -> Self {
+    pub(crate) fn new(slice: &'a mut [T], bounds: &'a [u32]) -> Self {
         assert!(bounds.len() >= 2, "need at least one shard");
         assert_eq!(bounds[0], 0);
         assert_eq!(*bounds.last().expect("non-empty") as usize, slice.len());
@@ -439,7 +443,7 @@ impl<'a, T> SliceShards<'a, T> {
     // above onto the caller; the body itself only materializes the
     // `&mut` after the debug guards run.
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn shard(&self, w: usize) -> (usize, &mut [T]) {
+    pub(crate) unsafe fn shard(&self, w: usize) -> (usize, &mut [T]) {
         debug_assert!(
             w + 1 < self.bounds.len(),
             "worker index {w} out of range for {} shards",

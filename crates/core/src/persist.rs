@@ -73,10 +73,10 @@ use simdx_graph::csr::Direction;
 use simdx_graph::VertexId;
 
 /// File magic: the first four bytes of every durable checkpoint.
-pub const MAGIC: [u8; 4] = *b"SXCP";
+pub(crate) const MAGIC: [u8; 4] = *b"SXCP";
 
 /// Current wire-format schema version.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 
 const SECTION_IDENT: u8 = 1;
 const SECTION_META: u8 = 2;
@@ -697,11 +697,6 @@ impl DirStore {
         Ok(Self { dir })
     }
 
-    /// The directory blobs live in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn blob_path(&self, ticket: u64) -> PathBuf {
         self.dir.join(format!("cp-{ticket:020}.sxcp"))
     }
@@ -780,7 +775,7 @@ impl CheckpointStore for DirStore {
 }
 
 /// Encodes and persists one durable checkpoint.
-pub fn spill<M: PersistMeta>(
+pub(crate) fn spill<M: PersistMeta>(
     store: &dyn CheckpointStore,
     frame: &DurableCheckpoint<M>,
 ) -> Result<(), SimdxError> {
@@ -788,7 +783,7 @@ pub fn spill<M: PersistMeta>(
 }
 
 /// Reads and decodes one ticket's durable checkpoint.
-pub fn load<M: PersistMeta>(
+pub(crate) fn load<M: PersistMeta>(
     store: &dyn CheckpointStore,
     ticket: u64,
 ) -> Result<DurableCheckpoint<M>, SimdxError> {

@@ -25,8 +25,7 @@
 //! Both stashes cap their *idle* inventory ([`MAX_IDLE_POOLS`],
 //! [`ArenaPool::cap_per_type`]): a burst of concurrency allocates
 //! freely, but the steady state retains only a bounded set, so a
-//! long-lived service cannot accumulate dead pools or arenas
-//! (`BoundGraph::clear_scratch` drops even those).
+//! long-lived service cannot accumulate dead pools or arenas.
 //!
 //! Lock discipline: each stash holds its mutex only to push/pop — never
 //! across a spawn, a run or an arena reset — so the stashes cannot
@@ -153,7 +152,7 @@ pub(crate) struct ArenaPool {
 impl ArenaPool {
     /// An empty pool retaining at most `cap_per_type` idle arenas per
     /// metadata type.
-    pub fn new(cap_per_type: usize) -> Self {
+    pub(crate) fn new(cap_per_type: usize) -> Self {
         Self {
             idle: Mutex::new(HashMap::new()),
             cap_per_type: cap_per_type.max(1),
@@ -167,14 +166,14 @@ impl ArenaPool {
     /// Pops an idle arena of type `T`, or `None` when the caller should
     /// create one (the pool itself cannot: construction needs the
     /// session's worker count and bitmap pre-sizing).
-    pub fn checkout<T: Any + Send>(&self) -> Option<T> {
+    pub(crate) fn checkout<T: Any + Send>(&self) -> Option<T> {
         let boxed = self.lock().get_mut(&TypeId::of::<T>())?.pop()?;
         Some(*boxed.downcast::<T>().expect("arena stash keyed by TypeId"))
     }
 
     /// Returns an arena to the stash; beyond [`Self::cap_per_type`]
     /// idle entries of its type, it is dropped instead.
-    pub fn checkin<T: Any + Send>(&self, arena: T) {
+    pub(crate) fn checkin<T: Any + Send>(&self, arena: T) {
         let mut idle = self.lock();
         let slot = idle.entry(TypeId::of::<T>()).or_default();
         if slot.len() < self.cap_per_type {
@@ -182,14 +181,8 @@ impl ArenaPool {
         }
     }
 
-    /// Drops every idle arena (checked-out arenas are unaffected and
-    /// will be re-admitted at check-in, up to the cap).
-    pub fn clear(&self) {
-        self.lock().clear();
-    }
-
     /// Total idle arenas across every metadata type.
-    pub fn idle_count(&self) -> usize {
+    pub(crate) fn idle_count(&self) -> usize {
         self.lock().values().map(Vec::len).sum()
     }
 }
@@ -291,7 +284,5 @@ mod tests {
         assert_eq!(pool.idle_count(), 2, "per-type cap holds");
         pool.checkin(vec![0.0f32]);
         assert_eq!(pool.idle_count(), 3, "cap is per type, not global");
-        pool.clear();
-        assert_eq!(pool.idle_count(), 0);
     }
 }

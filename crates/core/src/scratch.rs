@@ -33,9 +33,9 @@ pub(crate) struct PushFences {
     /// Vertex fences over `metadata_curr` (`threads + 1` entries); the
     /// inner fences are word (64) multiples, so every shard covers
     /// whole words of the changed set's bitmap.
-    pub verts: Vec<u32>,
+    pub(crate) verts: Vec<u32>,
     /// The matching word fences over that bitmap's backing words.
-    pub words: Vec<u32>,
+    pub(crate) words: Vec<u32>,
 }
 
 impl PushFences {
@@ -49,7 +49,7 @@ impl PushFences {
     /// sharding is exact for *any* fence positions (each destination's
     /// update sequence is independent of them), so the rounding cannot
     /// affect results.
-    pub fn compute(rev_csr: &Csr, parts: usize) -> Self {
+    pub(crate) fn compute(rev_csr: &Csr, parts: usize) -> Self {
         let n = rev_csr.num_vertices();
         // +1 per vertex keeps zero-degree stretches from collapsing
         // every shard boundary onto the hubs.
@@ -84,87 +84,87 @@ impl PushFences {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RecordEntry {
     /// (task counter, edge offset) sort key.
-    pub key: (u64, u32),
+    pub(crate) key: (u64, u32),
     /// Simulated-thread bin slot (`ThreadBins::record`'s first arg).
-    pub slot: usize,
+    pub(crate) slot: usize,
     /// Recorded vertex.
-    pub v: VertexId,
+    pub(crate) v: VertexId,
 }
 
 /// Per-worker private buffers for one parallel region.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerScratch<M> {
     /// Classification output (merged in worker order).
-    pub lists: Worklists,
+    pub(crate) lists: Worklists,
     /// Pull-candidate output (merged in worker order).
-    pub cands: Vec<VertexId>,
+    pub(crate) cands: Vec<VertexId>,
     /// This worker's part of the open kernel charge: opened at its
     /// first task (`KernelCharge::begin_part`), fed a cost per task,
     /// absorbed into [`IterScratch::charge`] by the submitter — `u64`
     /// slot sums, so the absorb order is immaterial.
-    pub charge: KernelCharge,
+    pub(crate) charge: KernelCharge,
     /// Vertices this worker marked changed this iteration (its bits
     /// are set in the shared [`ChangedSet`]'s window; the list is
     /// appended at merge).
-    pub changed: Vec<VertexId>,
+    pub(crate) changed: Vec<VertexId>,
     /// Deferred online-filter records.
-    pub records: Vec<RecordEntry>,
+    pub(crate) records: Vec<RecordEntry>,
     /// Push mode: this destination shard's successful-apply counts
     /// `(task, applied)`, summed into [`IterScratch::applied`].
-    pub applied: Vec<(u32, u32)>,
+    pub(crate) applied: Vec<(u32, u32)>,
     /// Pull mode: deferred metadata writes (disjoint vertices).
-    pub writebacks: Vec<(VertexId, M)>,
+    pub(crate) writebacks: Vec<(VertexId, M)>,
     /// Ballot-scan partition output (active vertices, ascending).
-    pub active: Vec<VertexId>,
+    pub(crate) active: Vec<VertexId>,
     /// Degree-sum partial.
-    pub degree_sum: u64,
+    pub(crate) degree_sum: u64,
     /// Host edge traversals this worker performed in the last compute
     /// region (assigned per region, summed into
     /// [`crate::metrics::RunReport::edges_examined`]).
-    pub edges_examined: u64,
+    pub(crate) edges_examined: u64,
 }
 
 /// All buffers the engine loop reuses across iterations.
 #[derive(Debug)]
 pub(crate) struct IterScratch<M> {
     /// The iteration's three worklists.
-    pub lists: Worklists,
+    pub(crate) lists: Worklists,
     /// Pull-mode candidate list.
-    pub cands: Vec<VertexId>,
+    pub(crate) cands: Vec<VertexId>,
     /// The accumulator of the kernel invocation being charged: opened
     /// (`GpuExecutor::begin`) with the sweep's task count, fed as the
     /// sweep goes, committed after it. Every `begin` zeroes it, so an
     /// aborted sweep leaves nothing for the next one.
-    pub charge: KernelCharge,
+    pub(crate) charge: KernelCharge,
     /// Parallel push: applies per task, summed over the destination
     /// shards. A task's cycles are `ceil(raw / width)` — not linear in
     /// its writes — so it is charged only once this total is known (4
     /// bytes a task; a final pass streams `push_cost(degree, applied)`).
-    pub applied: Vec<u32>,
+    pub(crate) applied: Vec<u32>,
     /// Vertices whose metadata changed this iteration: first-change
     /// dedup, the ballot scan's occupancy and the publish worklist.
     /// Sized once, at arena creation; empty at every iteration
     /// boundary.
-    pub changed: ChangedSet,
+    pub(crate) changed: ChangedSet,
     /// Aggregation-pull candidate dedup, sized with `changed`; drained
     /// into the sorted candidate list each aggregation-pull iteration.
-    pub cand_bits: FrontierBitmap,
+    pub(crate) cand_bits: FrontierBitmap,
     /// Merged record list (sort + replay buffer).
-    pub records: Vec<RecordEntry>,
+    pub(crate) records: Vec<RecordEntry>,
     /// Online-filter thread bins (persistent, reshaped in place).
-    pub bins: ThreadBins,
+    pub(crate) bins: ThreadBins,
     /// Next-frontier buffer, swapped with the live frontier each
     /// iteration.
-    pub next: Vec<VertexId>,
+    pub(crate) next: Vec<VertexId>,
     /// Per-worker partitions (len = worker count; 1 in serial mode).
-    pub workers: Vec<WorkerScratch<M>>,
+    pub(crate) workers: Vec<WorkerScratch<M>>,
 }
 
 impl<M> IterScratch<M> {
     /// Creates scratch for `threads` workers over a graph of
     /// `num_vertices` vertices; the arena lives in that graph's
     /// `BoundGraph` pool, so the bitmaps never need reshaping.
-    pub fn new(threads: usize, num_vertices: usize) -> Self {
+    pub(crate) fn new(threads: usize, num_vertices: usize) -> Self {
         Self {
             lists: Worklists::default(),
             cands: Vec::new(),
@@ -215,7 +215,7 @@ impl<M> IterScratch<M> {
     /// leaves partial per-worker output behind. Clearing everything at
     /// the next `execute()` entry makes aborted runs indistinguishable
     /// from fresh engines.
-    pub fn reset_for_run(&mut self) {
+    pub(crate) fn reset_for_run(&mut self) {
         self.lists.clear();
         self.cands.clear();
         self.applied.clear();
@@ -242,7 +242,7 @@ impl<M> IterScratch<M> {
     /// [`Self::reset_for_run`] establishes it; this guards against a
     /// future scratch field being added without a matching reset (which
     /// would let one query observe a previous query's state).
-    pub fn debug_assert_clean(&self) {
+    pub(crate) fn debug_assert_clean(&self) {
         debug_assert!(self.lists.is_empty(), "worklists carry stale entries");
         debug_assert!(
             self.cands.is_empty(),

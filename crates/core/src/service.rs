@@ -236,7 +236,7 @@ impl DurabilityPolicy {
     }
 
     /// The wrapped store.
-    pub fn store(&self) -> &dyn CheckpointStore {
+    pub(crate) fn store(&self) -> &dyn CheckpointStore {
         &*self.store
     }
 }
@@ -413,7 +413,6 @@ impl ServiceConfig {
 #[derive(Clone, Debug, Default)]
 pub struct QueryRequest {
     seed: VertexId,
-    max_iterations: Option<u32>,
     cancel: Option<CancelToken>,
     deadline: Option<Duration>,
     cycle_budget: Option<u64>,
@@ -427,12 +426,6 @@ impl QueryRequest {
             seed,
             ..Self::default()
         }
-    }
-
-    /// Overrides the config's iteration cap for this query only.
-    pub fn max_iterations(mut self, n: u32) -> Self {
-        self.max_iterations = Some(n);
-        self
     }
 
     /// Attaches a cancellation token (keep a clone to cancel the query
@@ -1214,12 +1207,11 @@ fn serve_one<P: SourcedProgram>(
         });
         let query = Query {
             source: Some(request.seed),
-            max_iterations: request.max_iterations,
             cancel: request.cancel.clone(),
             deadline,
             cycle_budget: request.cycle_budget,
             shutdown: Some(shutdown.clone()),
-            observer: None,
+            ..Query::default()
         };
         let result = bound.execute(&program, query, scratch, arm.then_some(&mut slot));
         match result {

@@ -29,15 +29,15 @@
 //!
 //! * The bind-time artifacts (push fences, grid CSR) are immutable
 //!   after bind; queries borrow them from the `BoundGraph`.
-//! * Worker pools live in a [`PoolStash`]: each query checks one out
+//! * Worker pools live in a pool stash: each query checks one out
 //!   for its duration, so concurrent queries never share a pool, and a
 //!   pool poisoned by a contained worker panic is discarded at
 //!   check-in (replaced at the next checkout) without touching
 //!   in-flight peers.
-//! * Scratch arenas live in an [`ArenaPool`] keyed by the program's
+//! * Scratch arenas live in an arena pool keyed by the program's
 //!   metadata `TypeId`: checked out per query, created on a dry stash,
 //!   returned at completion (idle inventory capped; see
-//!   [`BoundGraph::clear_scratch`]).
+//!   [`BoundGraph::idle_scratch_arenas`]).
 //!
 //! Concurrent queries remain under the bit-equality contract below —
 //! a query's result is independent of what runs beside it
@@ -171,19 +171,14 @@ impl Runtime {
         Ok(Self { config, pools })
     }
 
-    /// The validated configuration in force for every query.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// Resolved host worker count (1 = serial).
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.pools.width()
     }
 
     /// Binds a graph: precomputes the CSR-derived state every query
     /// needs — degree-balanced push destination shards with their
-    /// partition fences and the destination-bucketed [`GridCsr`] those
+    /// partition fences and the destination-bucketed grid CSR those
     /// fences define (parallel mode) — and allocates the reusable
     /// scratch arenas lazily per metadata type.
     ///
@@ -204,7 +199,7 @@ impl Runtime {
     /// grid bucketing sweep comes back as
     /// [`SimdxError::WorkerPanicked`] (and poisons the pool, which the
     /// next bind or run rebuilds) instead of aborting the caller.
-    pub fn try_bind<'rt, 'g>(
+    pub(crate) fn try_bind<'rt, 'g>(
         &'rt self,
         graph: &'g Graph,
     ) -> Result<BoundGraph<'rt, 'g>, SimdxError> {
@@ -267,19 +262,19 @@ struct BindArtifacts {
 pub(crate) struct Query<'o> {
     /// The source vertex the caller rooted the program at, if any;
     /// range-checked against the bound graph.
-    pub source: Option<VertexId>,
+    pub(crate) source: Option<VertexId>,
     /// Overrides the config's iteration cap.
-    pub max_iterations: Option<u32>,
+    pub(crate) max_iterations: Option<u32>,
     #[allow(clippy::type_complexity)]
-    pub observer: Option<Box<dyn FnMut(&IterationRecord) + 'o>>,
-    pub cancel: Option<CancelToken>,
+    pub(crate) observer: Option<Box<dyn FnMut(&IterationRecord) + 'o>>,
+    pub(crate) cancel: Option<CancelToken>,
     /// Wall-clock allowance, measured from the execute call.
-    pub deadline: Option<Duration>,
+    pub(crate) deadline: Option<Duration>,
     /// Simulated cycles this execute call may spend, on top of whatever
     /// the checkpoint it continues from already spent.
-    pub cycle_budget: Option<u64>,
+    pub(crate) cycle_budget: Option<u64>,
     /// A serving pool's shutdown token, observed like `cancel`.
-    pub shutdown: Option<CancelToken>,
+    pub(crate) shutdown: Option<CancelToken>,
 }
 
 impl Query<'_> {
@@ -313,30 +308,16 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
         self.graph
     }
 
-    /// The owning runtime.
-    pub fn runtime(&self) -> &'rt Runtime {
-        self.runtime
-    }
-
     /// The bind-time grid CSR, present iff this is a parallel runtime
-    /// — exposed so harnesses can report its memory cost
-    /// ([`GridCsr::footprint_bytes`]).
+    /// — exposed so harnesses can report its memory cost through its
+    /// one public method, `footprint_bytes`.
     pub fn grid(&self) -> Option<&GridCsr> {
         self.core.as_ref().map(|core| &core.grid)
     }
 
-    /// Drops every *idle* scratch arena. Arenas checked out by
-    /// in-flight queries are unaffected (they re-enter the pool at
-    /// completion, up to the per-type cap), so this is safe to call
-    /// from a maintenance thread of a live service — e.g. after a
-    /// program type stops being queried, to release its dead arenas.
-    pub fn clear_scratch(&self) {
-        self.scratch.clear();
-    }
-
     /// Idle scratch arenas currently pooled, across all metadata
-    /// types. Bounded: at most [`SCRATCH_ARENAS_PER_TYPE`] per type
-    /// regardless of how many queries ever ran.
+    /// types. Bounded: at most 8 per type regardless of how many
+    /// queries ever ran.
     pub fn idle_scratch_arenas(&self) -> usize {
         self.scratch.idle_count()
     }
@@ -363,11 +344,9 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
     /// loses the snapshot. The resumed run is itself checkpoint-armed:
     /// a second abort yields a fresh, further-along checkpoint.
     ///
-    /// Supervision budgets compose naturally: a
-    /// [`ResumableRunBuilder::cycle_budget`] on a resumed run is
+    /// A [`ResumableRunBuilder::cycle_budget`] on a resumed run is
     /// *additional* simulated cycles on top of the checkpoint's spent
-    /// count, and a [`ResumableRunBuilder::deadline`] is measured from
-    /// the resumed `execute()` entry.
+    /// count.
     ///
     /// The checkpoint need not come from this process: one decoded
     /// from a durable [`crate::persist::CheckpointStore`] blob resumes
@@ -711,29 +690,6 @@ pub struct ResumableRunBuilder<'b, 'rt, 'g, P: AccProgram> {
 }
 
 impl<'b, 'rt, 'g, P: AccProgram> ResumableRunBuilder<'b, 'rt, 'g, P> {
-    /// Overrides the config's iteration cap for this query only. On a
-    /// resumed run the cap counts *total* iterations from the original
-    /// start — the same meaning the uninterrupted run gives it.
-    pub fn max_iterations(mut self, n: u32) -> Self {
-        self.inner = self.inner.max_iterations(n);
-        self
-    }
-
-    /// Attaches a shareable cancellation token
-    /// ([`RunBuilder::cancel_token`]).
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.inner = self.inner.cancel_token(token);
-        self
-    }
-
-    /// Caps this attempt's wall-clock time, measured from `execute()`
-    /// entry ([`RunBuilder::deadline`]) — a resumed attempt gets a
-    /// fresh allowance.
-    pub fn deadline(mut self, limit: Duration) -> Self {
-        self.inner = self.inner.deadline(limit);
-        self
-    }
-
     /// Caps this attempt's *additional* simulated GPU cycles. On a
     /// fresh run this is [`RunBuilder::cycle_budget`]; on a resumed
     /// run the allowance is granted on top of the checkpoint's
@@ -772,16 +728,6 @@ impl<'b, 'rt, 'g, P: AccProgram> ResumableRunBuilder<'b, 'rt, 'g, P> {
                 checkpoint: slot,
             })
         })
-    }
-}
-
-impl<P: SourcedProgram> ResumableRunBuilder<'_, '_, '_, P> {
-    /// Re-roots the query at `src` ([`RunBuilder::source`]). Only
-    /// meaningful for fresh checkpoint-armed runs: a resumed run's
-    /// state already encodes its source.
-    pub fn source(mut self, src: VertexId) -> Self {
-        self.inner = self.inner.source(src);
-        self
     }
 }
 
@@ -1073,7 +1019,7 @@ mod tests {
         let bound = serial.bind(&g);
         assert!(bound.grid().is_none(), "serial");
         assert_eq!(bound.graph().num_vertices(), 130);
-        assert_eq!(bound.runtime().threads(), 1);
+        assert_eq!(serial.threads(), 1);
         for threads in [2usize, 3] {
             let runtime =
                 Runtime::new(EngineConfig::unscaled().parallel(threads)).expect("runtime");
@@ -1396,20 +1342,6 @@ mod tests {
         // A second metadata type adds exactly one more.
         bound.run(Mass).execute().expect("mass");
         assert_eq!(bound.idle_scratch_arenas(), 2);
-        // clear_scratch drops the idle inventory; the next query
-        // recreates its arena and stays bit-equal.
-        bound.clear_scratch();
-        assert_eq!(bound.idle_scratch_arenas(), 0);
-        let after = bound.run(Levels { src: 0 }).execute().expect("post-clear");
-        let fresh_rt = Runtime::new(EngineConfig::unscaled()).expect("runtime");
-        let fresh = fresh_rt
-            .bind(&g)
-            .run(Levels { src: 0 })
-            .execute()
-            .expect("fresh");
-        assert_eq!(after.meta, fresh.meta);
-        assert_eq!(after.report.stats, fresh.report.stats);
-        assert_eq!(bound.idle_scratch_arenas(), 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   any thread makes the run return [`SimdxError::Cancelled`] at the
 //!   next supervision check.
 //! * `RunBuilder::deadline(Duration)` — a wall-clock bound checked at
-//!   iteration boundaries *and* every [`POLL_STRIDE`] tasks inside the
+//!   iteration boundaries *and* every 256 tasks inside the
 //!   compute sweeps, so a single huge iteration cannot run away.
 //! * `RunBuilder::cycle_budget(u64)` — a bound on *simulated* device
 //!   cycles, checked at iteration boundaries (the executor's cycle
@@ -28,12 +28,12 @@
 //! so the bit-equality contract is untouched. Its cost is bounded by
 //! a deterministic meter rather than a wall-clock percentage:
 //! `RunReport::supervision_checks` is at most five checks per
-//! iteration plus one per [`POLL_STRIDE`] tasks, and 0 for an unarmed
+//! iteration plus one per 256 tasks, and 0 for an unarmed
 //! run (`tests/golden_reports.rs`; the last wall-clock A/B is recorded,
 //! dated and ungated, in the crate README).
 //!
 //! Under concurrent serving ([`crate::service::QueryPool`]) every
-//! query gets its own [`Supervisor`], built on the serving thread from
+//! query gets its own `Supervisor`, built on the serving thread from
 //! the submitter's token/deadline — so `CancelToken` must be usable
 //! across threads and `Supervisor` shareable into pool workers; both
 //! are `Sync` (asserted at the bottom of this module). A service
@@ -139,7 +139,7 @@ pub(crate) struct Supervisor {
 
 impl Supervisor {
     /// Builds the supervisor for one query; `started` is now.
-    pub fn new(
+    pub(crate) fn new(
         cancel: Option<CancelToken>,
         deadline: Option<Duration>,
         cycle_budget: Option<u64>,
@@ -160,14 +160,14 @@ impl Supervisor {
     /// [`SimdxError::Cancelled`] — indistinguishable from a per-query
     /// cancellation, which is the point: an abort-mode pool shutdown
     /// reuses the whole cancellation path, checkpoints included.
-    pub fn with_shutdown(mut self, token: CancelToken) -> Self {
+    pub(crate) fn with_shutdown(mut self, token: CancelToken) -> Self {
         self.shutdown = Some(token);
         self
     }
 
     /// A supervisor with no limits: every check is a cheap early-out.
     #[cfg(test)]
-    pub fn unlimited() -> Self {
+    pub(crate) fn unlimited() -> Self {
         Self::new(None, None, None)
     }
 
@@ -184,7 +184,7 @@ impl Supervisor {
     /// from pool workers — so it must stay cheap: with no token and no
     /// deadline it is a two-branch early-out.
     #[inline]
-    pub fn poll(&self) -> bool {
+    pub(crate) fn poll(&self) -> bool {
         if !self.polls() {
             return false;
         }
@@ -208,7 +208,7 @@ impl Supervisor {
 
     /// Full boundary check (token, deadline, then cycle budget against
     /// `cycles`). `None` means keep running.
-    pub fn check_boundary(&self, cycles: u64) -> Option<AbortReason> {
+    pub(crate) fn check_boundary(&self, cycles: u64) -> Option<AbortReason> {
         if !self.polls() && self.cycle_budget.is_none() {
             return None;
         }
@@ -240,7 +240,7 @@ impl Supervisor {
     /// budget is granted on top of the checkpoint's spent cycles) is
     /// guaranteed to clear the iteration it re-executes instead of
     /// re-tripping mid-sweep at the same cycle count forever.
-    pub fn check_mid_iteration(&self) -> Option<AbortReason> {
+    pub(crate) fn check_mid_iteration(&self) -> Option<AbortReason> {
         if !self.polls() {
             return None;
         }
@@ -263,7 +263,7 @@ impl Supervisor {
     }
 
     /// Supervision checks performed so far.
-    pub fn checks(&self) -> u64 {
+    pub(crate) fn checks(&self) -> u64 {
         // ORDERING: read after the run's workers have been joined (or
         // from the owning thread mid-run for a monotone lower bound);
         // a diagnostic counter needs no synchronization.
@@ -271,12 +271,12 @@ impl Supervisor {
     }
 
     /// Wall-clock time since the query started.
-    pub fn elapsed(&self) -> Duration {
+    pub(crate) fn elapsed(&self) -> Duration {
         self.started.elapsed()
     }
 
     /// The typed error for an abort observed at a supervision check.
-    pub fn abort_error(
+    pub(crate) fn abort_error(
         &self,
         reason: AbortReason,
         iterations: u32,

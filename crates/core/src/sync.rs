@@ -7,14 +7,15 @@
 //!
 //! Under the `model` feature the atomic types are replaced by thin
 //! instrumented shims with the same API: every atomic operation
-//! delegates to `std` *and* reports to [`model`] — a global operation
-//! counter plus an optional yield hook. The deterministic interleaving
-//! harness (`tests/model_interleave.rs` at the workspace root, run via
-//! `cargo test --features model`) uses that to observe how many atomic
-//! transitions a scenario performs and to inject schedule points, so
-//! the `Ordering::Relaxed` choices documented at each `// ORDERING:`
-//! site are exercised under explicitly enumerated interleavings rather
-//! than whatever the test machine happens to produce.
+//! delegates to `std` *and* reports to the `model` submodule — a global
+//! operation counter plus an optional yield hook. The deterministic
+//! interleaving harness (`tests/model_interleave.rs` at the workspace
+//! root, run via `cargo test --features model`) uses that to observe
+//! how many atomic transitions a scenario performs and to inject
+//! schedule points, so the `Ordering::Relaxed` choices documented at
+//! each `// ORDERING:` site are exercised under explicitly enumerated
+//! interleavings rather than whatever the test machine happens to
+//! produce.
 //!
 //! The shims intentionally preserve the caller-requested memory
 //! ordering when delegating (they never silently upgrade to `SeqCst`),
@@ -24,13 +25,13 @@
 // Lock types are never shimmed: the model harness drives its scenarios
 // cooperatively (one step at a time on one OS thread), so `std`'s
 // mutexes and condvars behave identically under it.
-pub use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+pub(crate) use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Atomic types and memory orderings; `std::sync::atomic` by default,
 /// instrumented shims under the `model` feature.
 #[cfg(not(feature = "model"))]
-pub mod atomic {
-    pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+pub(crate) mod atomic {
+    pub(crate) use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 }
 
 /// Instrumentation surface for the `model` feature: a process-global
@@ -165,12 +166,8 @@ pub mod atomic {
     }
 
     shim_atomic!(AtomicBool, std::sync::atomic::AtomicBool, bool);
-    shim_atomic!(AtomicU32, std::sync::atomic::AtomicU32, u32);
     shim_atomic!(AtomicU64, std::sync::atomic::AtomicU64, u64);
-    shim_atomic!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
-    shim_fetch_ops!(AtomicU32, u32);
     shim_fetch_ops!(AtomicU64, u64);
-    shim_fetch_ops!(AtomicUsize, usize);
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! transactions: if the 32 lanes touch consecutive words the warp pays
 //! one transaction; if they scatter, it pays up to 32. This single
 //! mechanism is behind most of the paper's filter results — the ballot
-//! filter's *coalesced* metadata scan vs the strided filter's scattered
-//! one (§8: "up to 16× worse"), and the sorted frontiers that make "the
+//! filter's *coalesced* metadata scan (§8 measures a strided, scattered
+//! scan "up to 16× worse"), and the sorted frontiers that make "the
 //! computation of next iteration" sequential (§1).
 
 /// Size of one global-memory transaction in bytes.

@@ -4,7 +4,7 @@
 //! SNAP and GTgraph dumps. This is where outside input enters the crate
 //! (the `simdx` CLI feeds it a user's file), so every token is parsed
 //! straight into its final type: an id that does not fit
-//! [`VertexId`](crate::VertexId) is an error, never a truncation.
+//! [`VertexId`] is an error, never a truncation.
 
 use crate::edgelist::{vertex_span, EdgeList};
 use crate::{VertexId, Weight};

@@ -1,13 +1,10 @@
 //! CLI for the repo lint. Exit codes: 0 clean, 1 findings, 2 usage or
 //! I/O error.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simdx_lint::ratchet;
-use simdx_lint::rules::{check_file, FileCheck, Finding, Policy};
-
-const BASELINE_PATH: &str = "crates/lint/baseline.txt";
+use simdx_lint::{lint, ratchet, read_baseline, BASELINE_PATH};
 
 struct Args {
     root: PathBuf,
@@ -56,92 +53,38 @@ fn find_workspace_root() -> PathBuf {
     }
 }
 
-/// Collects every `.rs` file under the policy's scan roots, skipping
-/// excluded subtrees. Returned paths are workspace-relative with `/`
-/// separators, sorted for stable output.
-fn collect_sources(root: &Path) -> Result<Vec<PathBuf>, String> {
-    let mut out = Vec::new();
-    for scan in Policy::SCAN_ROOTS {
-        let dir = root.join(scan);
-        if dir.is_dir() {
-            walk(root, &dir, &mut out)?;
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
-fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
-        let path = entry.path();
-        let rel = rel_str(root, &path);
-        if path.is_dir() {
-            if Policy::SKIP_DIRS.iter().any(|s| rel == *s) {
-                continue;
-            }
-            walk(root, &path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-fn rel_str(root: &Path, path: &Path) -> String {
-    path.strip_prefix(root)
-        .unwrap_or(path)
-        .to_string_lossy()
-        .replace('\\', "/")
-}
-
 fn run() -> Result<ExitCode, String> {
     let args = parse_args()?;
     let root = &args.root;
 
-    let mut findings: Vec<Finding> = Vec::new();
-    let mut scanned = 0usize;
-    for path in collect_sources(root)? {
-        let src =
-            std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let fc = FileCheck::new(rel_str(root, &path), &src);
-        findings.extend(check_file(&fc));
-        scanned += 1;
-    }
-    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    let report = lint(root)?;
+    let current = ratchet::tally(report.ratcheted.iter());
 
-    // `panic-free` is ratcheted against the baseline; every other rule
-    // is hard-fail.
-    let (ratcheted, hard): (Vec<_>, Vec<_>) = findings.iter().partition(|f| f.rule == "panic-free");
-    let current = ratchet::tally(ratcheted.iter().copied());
-
-    let baseline_file = root.join(BASELINE_PATH);
     if args.update_baseline {
+        let baseline_file = root.join(BASELINE_PATH);
         std::fs::write(&baseline_file, ratchet::render(&current))
             .map_err(|e| format!("write {}: {e}", baseline_file.display()))?;
         println!(
             "baseline updated: {} entr{} ({} ratcheted finding(s))",
             current.len(),
             if current.len() == 1 { "y" } else { "ies" },
-            ratcheted.len()
+            report.ratcheted.len()
         );
     }
 
-    let baseline = match std::fs::read_to_string(&baseline_file) {
-        Ok(text) => ratchet::parse(&text)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => ratchet::Baseline::new(),
-        Err(e) => return Err(format!("read {}: {e}", baseline_file.display())),
-    };
+    let baseline = read_baseline(root)?;
     let (regressions, improvements) = ratchet::compare(&current, &baseline);
 
-    for f in &hard {
+    for f in &report.hard {
         println!("{f}");
     }
     if !regressions.is_empty() {
-        println!("panic-free ratchet regressions:");
-        for f in &ratcheted {
-            println!("  {f}");
+        println!("ratchet regressions:");
+        for f in &report.ratcheted {
+            let key = (f.file.clone(), f.rule.to_string());
+            if current[&key] > baseline.get(&key).copied().unwrap_or(0) {
+                println!("  {f}");
+            }
         }
         for r in &regressions {
             println!("  {r}");
@@ -151,10 +94,11 @@ fn run() -> Result<ExitCode, String> {
         println!("note: {i}");
     }
 
-    let failed = !hard.is_empty() || !regressions.is_empty();
+    let failed = !report.hard.is_empty() || !regressions.is_empty();
     println!(
-        "simdx-lint: {scanned} files scanned, {} hard finding(s), {} ratchet regression(s){}",
-        hard.len(),
+        "simdx-lint: {} files scanned, {} hard finding(s), {} ratchet regression(s){}",
+        report.scanned,
+        report.hard.len(),
         regressions.len(),
         if failed { "" } else { " — clean" }
     );

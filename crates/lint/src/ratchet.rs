@@ -1,7 +1,9 @@
-//! The ratchet baseline: pre-existing `panic-free` debt is pinned in
-//! `crates/lint/baseline.txt` so the count can only go down. New
-//! violations (a file/rule pair exceeding its baselined count) fail
-//! `--check`; improvements print a nudge to re-run `--update-baseline`.
+//! The ratchet baseline: the findings of the ratcheted rules
+//! (`Policy::RATCHETED`: pre-existing `panic-free` debt and the
+//! `surface` count) are pinned per file in `crates/lint/baseline.txt`
+//! so the counts can only go down. New findings (a file/rule pair
+//! exceeding its baselined count) fail `--check`; improvements print a
+//! nudge to re-run `--update-baseline`.
 //!
 //! Format: one `path<TAB>rule<TAB>count` per line, sorted, `#` comments
 //! allowed. Tab-separated so paths with spaces would not break parsing

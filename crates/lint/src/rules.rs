@@ -33,6 +33,12 @@
 //!   macros in the non-test code of the core hot-path modules. Existing
 //!   debt is pinned by the ratchet baseline (`crates/lint/baseline.txt`);
 //!   only *new* violations fail.
+//! * **\[surface\]** — one finding per bare `pub` (a `pub` not followed
+//!   by `(`: `pub(crate)`, `pub(super)` and `pub(in …)` are not
+//!   surface) and one per `unsafe` keyword, in the non-test code of the
+//!   library crates. Ratcheted like `[panic-free]`: the baseline pins
+//!   each file's count, so a change that grows the public or unsafe
+//!   surface shows it in the baseline's diff.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -119,6 +125,23 @@ impl Policy {
     /// itself.
     pub fn facade_scoped(path: &str) -> bool {
         path.starts_with("crates/core/src/") && path != "crates/core/src/sync.rs"
+    }
+
+    /// Rules whose findings are pinned per file by the ratchet baseline
+    /// instead of failing outright.
+    pub const RATCHETED: &'static [&'static str] = &["panic-free", "surface"];
+
+    /// \[surface\] scope: the library crates' sources (not the bench
+    /// bins, the lint tool, tests or examples).
+    pub fn surface_scoped(path: &str) -> bool {
+        const LIBS: &[&str] = &[
+            "crates/graph/src/",
+            "crates/gpu-sim/src/",
+            "crates/core/src/",
+            "crates/algos/src/",
+            "crates/baselines/src/",
+        ];
+        LIBS.iter().any(|dir| path.starts_with(dir))
     }
 
     /// [panic-free] scope: the core hot-path modules — everything on
@@ -425,6 +448,7 @@ pub fn check_file(fc: &FileCheck<'_>) -> Vec<Finding> {
     rule_io_confined(fc, &mut out);
     rule_atomic_facade(fc, &mut out);
     rule_panic_free(fc, &mut out);
+    rule_surface(fc, &mut out);
     out
 }
 
@@ -668,12 +692,42 @@ fn rule_panic_free(fc: &FileCheck<'_>, out: &mut Vec<Finding>) {
     }
 }
 
+/// [surface] — ratcheted; see [`crate::ratchet`].
+fn rule_surface(fc: &FileCheck<'_>, out: &mut Vec<Finding>) {
+    if !Policy::surface_scoped(&fc.path) {
+        return;
+    }
+    for i in 0..fc.toks.len() {
+        if fc.in_test[i] {
+            continue;
+        }
+        if fc.is_ident(i, "pub") && !fc.is_punct(i + 1, '(') {
+            out.push(finding(fc, i, "surface", "bare `pub` item".to_string()));
+        } else if fc.is_ident(i, "unsafe") {
+            out.push(finding(fc, i, "surface", "`unsafe` keyword".to_string()));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every finding but `[surface]`'s, which most snippets below trip
+    /// and [`surface`] counts on its own.
     fn check(path: &str, src: &str) -> Vec<Finding> {
         check_file(&FileCheck::new(path.to_string(), src))
+            .into_iter()
+            .filter(|f| f.rule != "surface")
+            .collect()
+    }
+
+    /// The number of `[surface]` findings.
+    fn surface(path: &str, src: &str) -> usize {
+        check_file(&FileCheck::new(path.to_string(), src))
+            .iter()
+            .filter(|f| f.rule == "surface")
+            .count()
     }
 
     #[test]
@@ -816,5 +870,44 @@ let b = r#"unsafe { }"#;
         // unwrap_or_else is not unwrap.
         let ok = "fn f() { let x = o.unwrap_or_else(PoisonError::into_inner); }";
         assert!(check("crates/core/src/engine.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn surface_counts_bare_pub_and_unsafe_outside_tests() {
+        let src = "pub struct S { pub x: u32, y: u32 }\n\
+                   pub(crate) fn f() {}\n\
+                   pub(super) fn g() {}\n\
+                   pub(in crate::m) fn h() {}\n\
+                   // SAFETY: test.\nunsafe impl Send for S {}\n\
+                   #[cfg(test)]\nmod tests { pub fn t() {} }";
+        // `pub struct`, `pub x` and the `unsafe impl`; the restricted
+        // forms and the test module do not count.
+        assert_eq!(surface("crates/graph/src/x.rs", src), 3);
+        // Only library sources are in scope.
+        for path in [
+            "crates/bench/src/bin/simdx.rs",
+            "crates/lint/src/rules.rs",
+            "tests/support/mod.rs",
+            "examples/quickstart.rs",
+            "src/lib.rs",
+        ] {
+            assert_eq!(surface(path, src), 0, "{path}");
+        }
+        // Comments and strings are not surface.
+        assert_eq!(
+            surface("crates/core/src/x.rs", "// pub unsafe\nlet s = \"pub\";"),
+            0
+        );
+    }
+
+    #[test]
+    fn surface_and_panic_free_are_the_ratcheted_rules() {
+        let src = "pub fn f() { o.unwrap(); }";
+        let rules: Vec<_> = check_file(&FileCheck::new("crates/core/src/engine.rs".into(), src))
+            .iter()
+            .map(|f| f.rule)
+            .collect();
+        assert_eq!(rules, ["panic-free", "surface"]);
+        assert!(rules.iter().all(|r| Policy::RATCHETED.contains(r)));
     }
 }

@@ -5,6 +5,11 @@
 use simdx_lint::lexer::{tokenize, TokKind};
 use simdx_lint::rules::{check_file, FileCheck};
 
+/// The rule ids of every finding, in report order.
+fn rules(fc: &FileCheck<'_>) -> Vec<&'static str> {
+    check_file(fc).iter().map(|f| f.rule).collect()
+}
+
 fn idents(src: &str) -> Vec<&str> {
     tokenize(src)
         .iter()
@@ -45,11 +50,10 @@ fn raw_strings_with_multi_hash_fences_end_at_the_matching_fence() {
         .map(|t| t.text(src))
         .collect();
     assert_eq!(strings, [r####"r##"contains "# inside"##"####]);
-    // The `unsafe` after the string is real code and must be flagged.
+    // The `unsafe` after the string is real code: it must be flagged,
+    // and it counts as surface.
     let fc = FileCheck::new("crates/core/src/x.rs".to_string(), src);
-    let findings = check_file(&fc);
-    assert_eq!(findings.len(), 1);
-    assert_eq!(findings[0].rule, "safety-comment");
+    assert_eq!(rules(&fc), ["safety-comment", "surface"]);
 }
 
 #[test]
@@ -58,13 +62,11 @@ fn line_comment_markers_inside_string_literals_are_string_content() {
     // The `//` in the URL must not comment out the rest of the line:
     // the unsafe block is live code and gets flagged.
     let fc = FileCheck::new("crates/core/src/x.rs".to_string(), src);
-    let findings = check_file(&fc);
-    assert_eq!(findings.len(), 1);
-    assert_eq!(findings[0].rule, "safety-comment");
+    assert_eq!(rules(&fc), ["safety-comment", "surface"]);
     // And `SAFETY:` inside a string is not a justification.
     let fake = "let s = \"// SAFETY: not a comment\"; let x = unsafe { g() };";
     let fc = FileCheck::new("crates/core/src/x.rs".to_string(), fake);
-    assert_eq!(check_file(&fc).len(), 1);
+    assert_eq!(rules(&fc), ["safety-comment", "surface"]);
 }
 
 #[test]

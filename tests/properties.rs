@@ -6,24 +6,13 @@ use proptest::prelude::*;
 use simdx::algos::{bfs, kcore, reference, sssp, wcc, Bfs};
 use simdx::core::persist::{self, DurableCheckpoint};
 use simdx::core::prelude::*;
-use simdx::core::{FilterPolicy, FrontierBitmap, GridCsr};
+use simdx::core::FilterPolicy;
 use simdx::graph::{weights, Csr, EdgeList, Graph};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Strategy: an arbitrary directed graph with up to `max_v` vertices.
 fn arb_edges(max_v: u32, max_e: usize) -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
     (2..max_v).prop_flat_map(move |n| (Just(n), proptest::collection::vec((0..n, 0..n), 0..max_e)))
-}
-
-/// Strategy: a bitmap size (deliberately word- and warp-misaligned most
-/// of the time) plus an arbitrary set/clear/test op sequence over it.
-fn arb_bitmap_ops(max_v: u32, max_ops: usize) -> impl Strategy<Value = (u32, Vec<(u8, u32)>)> {
-    (2..max_v).prop_flat_map(move |n| {
-        (
-            Just(n),
-            proptest::collection::vec((0u8..3, 0..n), 0..max_ops),
-        )
-    })
 }
 
 proptest! {
@@ -109,106 +98,6 @@ proptest! {
         el.dedup();
         let csr = Csr::from_edge_list(&el);
         prop_assert_eq!(csr.transpose().transpose(), csr);
-    }
-
-    /// [`FrontierBitmap`] agrees with a `BTreeSet` model under
-    /// arbitrary set/clear/test sequences: same membership, same
-    /// popcount cardinality, same ascending iteration and drain order.
-    #[test]
-    fn bitmap_matches_btreeset_model((n, ops) in arb_bitmap_ops(300, 120)) {
-        let mut bm = FrontierBitmap::new(n as usize);
-        let mut model: BTreeSet<u32> = BTreeSet::new();
-        for (op, v) in ops {
-            match op {
-                0 => {
-                    bm.set(v);
-                    model.insert(v);
-                }
-                1 => {
-                    bm.unset(v);
-                    model.remove(&v);
-                }
-                _ => prop_assert_eq!(bm.test(v), model.contains(&v)),
-            }
-        }
-        let expected: Vec<u32> = model.iter().copied().collect();
-        prop_assert_eq!(bm.count(), expected.len() as u64);
-        prop_assert_eq!(bm.is_empty(), expected.is_empty());
-        prop_assert_eq!(bm.iter().collect::<Vec<_>>(), expected.clone());
-        let mut drained = Vec::new();
-        bm.drain_into(&mut drained);
-        prop_assert_eq!(drained, expected);
-        prop_assert!(bm.is_empty());
-    }
-
-    /// A sorted, duplicate-free worklist round-trips through the
-    /// bitmap representation unchanged, including at warp-misaligned
-    /// lengths (partial tail words).
-    #[test]
-    fn bitmap_roundtrips_sorted_worklists((n, raw) in arb_bitmap_ops(200, 80)) {
-        let mut list: Vec<u32> = raw.into_iter().map(|(_, v)| v).collect();
-        list.sort_unstable();
-        list.dedup();
-        let mut bm = FrontierBitmap::default();
-        bm.fill_from_list(n as usize, &list);
-        prop_assert_eq!(bm.num_words(), (n as usize).div_ceil(64));
-        prop_assert_eq!(bm.count(), list.len() as u64);
-        let mut out = Vec::new();
-        bm.collect_into(&mut out);
-        prop_assert_eq!(out, list);
-    }
-
-    /// The grid CSR is a lossless destination-bucketed partition of
-    /// the adjacency for *any* monotone fences: every shard's cell
-    /// holds exactly the source's edges into the shard's vertex range,
-    /// in original adjacency order with original offsets and weights,
-    /// and reassembling the cells by offset reproduces the CSR.
-    #[test]
-    fn grid_csr_partitions_any_adjacency(
-        (n, edges) in arb_edges(48, 150),
-        cuts in proptest::collection::vec(0u32..48, 0..5),
-        wseed in 0u64..100,
-    ) {
-        let el = EdgeList::from_pairs(
-            edges.iter().map(|&(s, d)| (s % n, d % n)).collect::<Vec<_>>(),
-        );
-        let el = weights::assign_default_weights(&el, wseed);
-        let csr = Csr::from_edge_list(&el);
-        let n = csr.num_vertices();
-        let mut fences: Vec<u32> = cuts.into_iter().map(|c| c % (n + 1)).collect();
-        fences.push(0);
-        fences.push(n);
-        fences.sort_unstable();
-        let grid = GridCsr::build(&csr, &fences);
-        prop_assert_eq!(grid.num_shards(), fences.len() - 1);
-        prop_assert_eq!(grid.num_edges(), csr.num_edges());
-        for v in 0..n {
-            let mut rebuilt: Vec<(u32, u32, u32)> = Vec::new();
-            for s in 0..grid.num_shards() {
-                let sh = grid.shard(s);
-                let (lo, hi) = sh.range(v);
-                // Cell edges stay inside the shard's vertex range, in
-                // strictly ascending adjacency-offset order.
-                prop_assert!(sh.edge_offs()[lo..hi].windows(2).all(|w| w[0] < w[1]));
-                for i in lo..hi {
-                    let t = sh.targets()[i];
-                    prop_assert!((fences[s]..fences[s + 1]).contains(&t));
-                    rebuilt.push((
-                        sh.edge_offs()[i],
-                        t,
-                        sh.weights().expect("weighted grid")[i],
-                    ));
-                }
-            }
-            rebuilt.sort_unstable_by_key(|&(off, _, _)| off);
-            let expect: Vec<(u32, u32, u32)> = csr
-                .neighbors(v)
-                .iter()
-                .enumerate()
-                .map(|(k, &t)| (k as u32, t, csr.neighbor_weights(v).expect("weighted")[k]))
-                .collect();
-            prop_assert_eq!(rebuilt, expect, "vertex {} cells do not partition", v);
-        }
     }
 
     /// The parallel grid push replay is bit-equal to the serial path on

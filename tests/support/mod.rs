@@ -29,10 +29,10 @@ use simdx::graph::{Graph, VertexId, Weight};
 /// plain BFS levels, so the admitted queries still have an exact
 /// expected answer.
 #[derive(Clone)]
-pub struct GatedLevels {
-    pub src: VertexId,
-    pub entered: Arc<AtomicBool>,
-    pub release: Arc<AtomicBool>,
+pub(crate) struct GatedLevels {
+    pub(crate) src: VertexId,
+    pub(crate) entered: Arc<AtomicBool>,
+    pub(crate) release: Arc<AtomicBool>,
 }
 
 impl AccProgram for GatedLevels {
@@ -78,7 +78,7 @@ impl SourcedProgram for GatedLevels {
 /// metadata, not on call counts, so they pick the same iteration under
 /// every exec mode and worker schedule.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Seam<M> {
+pub(crate) enum Seam<M> {
     /// `compute` with this source metadata: the push and pull sweeps
     /// (pool workers under `ExecMode::Parallel`).
     Compute(M),
@@ -93,7 +93,7 @@ pub enum Seam<M> {
 
 impl<M> Seam<M> {
     /// The panic payload of a fault struck here.
-    pub fn payload(&self) -> String {
+    pub(crate) fn payload(&self) -> String {
         let method = match self {
             Seam::Compute(_) => "compute",
             Seam::Active(_) => "active",
@@ -106,7 +106,7 @@ impl<M> Seam<M> {
 
 /// What a [`Faulty`] program does when its seam is reached.
 #[derive(Clone, Copy, Debug)]
-pub enum Action {
+pub(crate) enum Action {
     /// Panics with [`Seam::payload`].
     Panic,
     /// Sleeps: a straggler worker.
@@ -122,8 +122,8 @@ pub enum Action {
 /// shared by every clone, so one fault fires per serve call, not per
 /// ticket — or at every matching call after [`Self::every_time`].
 #[derive(Clone)]
-pub struct Faulty<P: AccProgram> {
-    pub inner: P,
+pub(crate) struct Faulty<P: AccProgram> {
+    pub(crate) inner: P,
     seam: Seam<P::Meta>,
     action: Action,
     repeat: bool,
@@ -133,7 +133,7 @@ pub struct Faulty<P: AccProgram> {
 impl<P: AccProgram> Faulty<P> {
     /// Armed at once, except [`Seam::Name`], which waits for
     /// [`Self::arm`].
-    pub fn new(inner: P, seam: Seam<P::Meta>, action: Action) -> Self {
+    pub(crate) fn new(inner: P, seam: Seam<P::Meta>, action: Action) -> Self {
         Self {
             inner,
             seam,
@@ -144,18 +144,18 @@ impl<P: AccProgram> Faulty<P> {
     }
 
     /// Strikes at every matching call instead of only the first.
-    pub fn every_time(mut self) -> Self {
+    pub(crate) fn every_time(mut self) -> Self {
         self.repeat = true;
         self
     }
 
     /// Arms the fault (for every clone of this program).
-    pub fn arm(&self) {
+    pub(crate) fn arm(&self) {
         self.armed.store(true, Ordering::SeqCst);
     }
 
     /// Whether a one-shot fault has struck.
-    pub fn struck(&self) -> bool {
+    pub(crate) fn struck(&self) -> bool {
         !self.armed.load(Ordering::SeqCst)
     }
 
@@ -247,7 +247,7 @@ impl<P: SourcedProgram> SourcedProgram for Faulty<P> {
 
 /// The payload of a contained panic, or a test failure naming what came
 /// back instead.
-pub fn panic_payload(err: &SimdxError) -> &str {
+pub(crate) fn panic_payload(err: &SimdxError) -> &str {
     match err {
         SimdxError::WorkerPanicked { payload, .. } => payload,
         other => panic!("expected WorkerPanicked, got {other:?}"),
@@ -266,12 +266,12 @@ thread_local! {
 /// Arms this thread's `Level::clone` to panic after `skip` more clones.
 /// The engine copies metadata on the thread that submitted the run, so
 /// a trigger armed there reaches exactly that run's copies.
-pub fn arm_clone_fault(skip: usize) {
+pub(crate) fn arm_clone_fault(skip: usize) {
     CLONE_FAULT.set(Some(skip));
 }
 
 /// Disarms this thread's trigger; `true` if it had not fired.
-pub fn disarm_clone_fault() -> bool {
+pub(crate) fn disarm_clone_fault() -> bool {
     CLONE_FAULT.take().is_some()
 }
 
@@ -280,10 +280,10 @@ pub fn disarm_clone_fault() -> bool {
 /// makes of a metadata array through `Clone` — `Run::init`'s
 /// `metadata_prev`, on a fresh run and on a restore alike.
 #[derive(Copy, Debug, PartialEq)]
-pub struct Level(pub u32);
+pub(crate) struct Level(pub(crate) u32);
 
 impl Level {
-    pub const UNVISITED: Level = Level(u32::MAX);
+    pub(crate) const UNVISITED: Level = Level(u32::MAX);
 }
 
 #[allow(clippy::non_canonical_clone_impl)] // the hand-written clone is the seam
@@ -315,8 +315,8 @@ impl PersistMeta for Level {
 /// BFS over [`Level`] metadata: the same levels, activations and costs
 /// as `simdx::algos::Bfs`.
 #[derive(Clone, Copy, Debug)]
-pub struct Levels {
-    pub src: VertexId,
+pub(crate) struct Levels {
+    pub(crate) src: VertexId,
 }
 
 impl AccProgram for Levels {
@@ -368,7 +368,7 @@ impl SourcedProgram for Levels {
 
 /// How a [`FaultyStore`] spoils its armed write.
 #[derive(Clone, Copy, Debug)]
-pub enum Spoil {
+pub(crate) enum Spoil {
     /// Fail the `put` with a typed `CheckpointIo`.
     IoError,
     /// Write the first half of the blob: a torn write.
@@ -380,7 +380,7 @@ pub enum Spoil {
 
 /// A [`DirStore`] whose `nth` `put` (1-based) is spoiled; every other
 /// operation passes through.
-pub struct FaultyStore {
+pub(crate) struct FaultyStore {
     inner: DirStore,
     spoil: Spoil,
     nth: u64,
@@ -388,7 +388,7 @@ pub struct FaultyStore {
 }
 
 impl FaultyStore {
-    pub fn new(inner: DirStore, spoil: Spoil, nth: u64) -> Self {
+    pub(crate) fn new(inner: DirStore, spoil: Spoil, nth: u64) -> Self {
         assert!(nth >= 1, "nth is 1-based");
         Self {
             inner,
