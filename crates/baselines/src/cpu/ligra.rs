@@ -481,7 +481,6 @@ fn finish<M>(
             log: ActivationLog::default(),
             // Baselines run unsupervised.
             elapsed: std::time::Duration::ZERO,
-            aborted: None,
             supervision_checks: 0,
         },
     })

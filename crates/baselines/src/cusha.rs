@@ -186,7 +186,6 @@ impl<'g, P: AccProgram> CushaEngine<'g, P> {
                 log: ActivationLog::default(),
                 // Baselines run unsupervised.
                 elapsed: std::time::Duration::ZERO,
-                aborted: None,
                 supervision_checks: 0,
             },
         })

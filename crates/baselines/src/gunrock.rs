@@ -226,7 +226,6 @@ impl<'g, P: AccProgram> GunrockEngine<'g, P> {
                 log: ActivationLog::default(),
                 // Baselines run unsupervised.
                 elapsed: std::time::Duration::ZERO,
-                aborted: None,
                 supervision_checks: 0,
             },
         })

@@ -16,8 +16,8 @@
 //! # The slot
 //!
 //! One `Option<RunCheckpoint>` per query, owned by whoever issued the
-//! query (the resumable builder's `execute`, `run_batch_partial` per
-//! seed, a serving thread per ticket) in a frame *outside* every panic
+//! query (the resumable builder's `execute`, a serving thread per
+//! ticket) in a frame *outside* every panic
 //! guard, is both the capture target and the only resume input. It is
 //! read once, when an attempt starts: occupied means "continue from
 //! this" and the engine restores a *copy*; empty means `program.init`.
@@ -28,9 +28,8 @@
 //! calls the metadata type's `Clone`, which is user code), so a panic
 //! anywhere — in restore, mid-sweep, in any `AccProgram` method — leaves
 //! the slot holding a complete boundary: the one it was entered with,
-//! or a later one. Every further attempt (degrade retry,
-//! service retry, a resume in a restarted process) follows the same
-//! rule.
+//! or a later one. Every further attempt (a service retry, a resume in
+//! a restarted process) follows the same rule.
 //!
 //! # The resume contract
 //!
@@ -273,8 +272,7 @@ impl<M: Copy> std::fmt::Debug for RunCheckpoint<M> {
 /// reached, the snapshot to resume from.
 ///
 /// Returned (boxed — the snapshot is as big as the metadata array) by
-/// [`crate::session::ResumableRunBuilder::execute`] and per seed by
-/// [`crate::session::BoundGraph::run_batch_partial`]. `checkpoint` is
+/// [`crate::session::ResumableRunBuilder::execute`]. `checkpoint` is
 /// `None` when the run aborted before its first boundary capture
 /// (e.g. a pre-cancelled token, or a malformed query that never
 /// started) — resuming from nothing is just a fresh run.

@@ -64,26 +64,6 @@ impl ExecMode {
     }
 }
 
-/// What a session does when a parallel run fails with a contained
-/// worker panic ([`crate::error::SimdxError::WorkerPanicked`]).
-///
-/// Either way the pool is poisoned and transparently rebuilt before
-/// the next run; the policy only decides whether the *failed query*
-/// comes back as an error or is retried. The retry is safe to offer
-/// because the serial path is the bit-equality reference: a successful
-/// retry returns exactly what the parallel run would have.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DegradePolicy {
-    /// Surface the typed error to the caller (default).
-    #[default]
-    Fail,
-    /// Retry the failed query once in [`ExecMode::Serial`] — graceful
-    /// degradation instead of a failed query. A successful retry is
-    /// flagged via [`crate::metrics::RunReport::aborted`] with
-    /// [`crate::supervise::AbortReason::WorkerPanic`].
-    RetrySerial,
-}
-
 /// Push/pull direction selection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DirectionPolicy {
@@ -131,9 +111,6 @@ pub struct EngineConfig {
     pub max_iterations: u32,
     /// Host execution backend (serial reference vs worker pool).
     pub exec: ExecMode,
-    /// Reaction to a contained worker panic (fail the query vs retry
-    /// it once serially).
-    pub degrade: DegradePolicy,
 }
 
 impl Default for EngineConfig {
@@ -150,7 +127,6 @@ impl Default for EngineConfig {
             direction: DirectionPolicy::default(),
             max_iterations: 100_000,
             exec: ExecMode::Serial,
-            degrade: DegradePolicy::Fail,
         }
     }
 }
@@ -245,17 +221,6 @@ impl EngineConfig {
     pub fn parallel(self, threads: usize) -> Self {
         self.with_exec(ExecMode::Parallel { threads })
     }
-
-    /// Builder: set the worker-panic degradation policy.
-    pub(crate) fn with_degrade(mut self, degrade: DegradePolicy) -> Self {
-        self.degrade = degrade;
-        self
-    }
-
-    /// Builder: retry panicked parallel queries once serially.
-    pub fn degrade_serial(self) -> Self {
-        self.with_degrade(DegradePolicy::RetrySerial)
-    }
 }
 
 #[cfg(test)]
@@ -272,7 +237,6 @@ mod tests {
         assert_eq!(c.filter, FilterPolicy::Jit);
         assert_eq!(c.fusion, FusionStrategy::PushPull);
         assert_eq!(c.device.name, "Tesla K40");
-        assert_eq!(c.degrade, DegradePolicy::Fail);
         assert_eq!(c.exec, ExecMode::Serial);
         assert_eq!(c.validate(), Ok(()));
     }
@@ -283,19 +247,14 @@ mod tests {
             .with_filter(FilterPolicy::BallotOnly)
             .with_fusion(FusionStrategy::None)
             .with_overflow_threshold(8)
-            .parallel(2)
-            .degrade_serial();
+            .parallel(2);
         assert_eq!(c.parallelism_scale, 1);
         assert_eq!(c.filter, FilterPolicy::BallotOnly);
         assert_eq!(c.fusion, FusionStrategy::None);
         assert_eq!(c.overflow_threshold, 8);
         assert_eq!(c.exec, ExecMode::Parallel { threads: 2 });
-        assert_eq!(c.degrade, DegradePolicy::RetrySerial);
-        let c = c
-            .with_exec(ExecMode::Serial)
-            .with_degrade(DegradePolicy::Fail);
+        let c = c.with_exec(ExecMode::Serial);
         assert_eq!(c.exec, ExecMode::Serial);
-        assert_eq!(c.degrade, DegradePolicy::Fail);
     }
 
     #[test]

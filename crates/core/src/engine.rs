@@ -254,7 +254,6 @@ impl<P: AccProgram> Engine<P> {
                 edges_examined: state.edges_examined,
                 log: state.log,
                 elapsed: ctx.supervisor.elapsed(),
-                aborted: None,
                 supervision_checks: ctx.supervisor.checks(),
             },
         })
@@ -278,11 +277,10 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
         let mut plan = FusionPlan::new(config.fusion, config.threads_per_cta);
         let threads = ctx.pool.map_or(1, |bp| bp.pool.threads());
         let scratch = &mut *ctx.scratch;
-        // `>=`, not `==`: a serial degrade retry after a worker panic
-        // reuses the session's N-worker scratch with no pool.
-        debug_assert!(
-            scratch.workers.len() >= threads,
-            "scratch sized for a smaller worker count"
+        debug_assert_eq!(
+            scratch.workers.len(),
+            threads,
+            "scratch sized for another worker count"
         );
         // Session-reuse invariant: a reused scratch must be logically
         // indistinguishable from a fresh allocation — clear every

@@ -132,7 +132,7 @@ pub use service::Breaker;
 
 pub use acc::{AccProgram, CombineKind, DirectionCtx, SourcedProgram};
 pub use checkpoint::{RunAborted, RunCheckpoint};
-pub use config::{DegradePolicy, DirectionPolicy, EngineConfig, ExecMode, FilterPolicy};
+pub use config::{DirectionPolicy, EngineConfig, ExecMode, FilterPolicy};
 pub use error::SimdxError;
 pub use filters::FilterKind;
 pub use fusion::FusionStrategy;
@@ -145,14 +145,14 @@ pub use service::{
     QueryTicket, RecoveredQuery, RecoveryReport, RetryPolicy, ServeOutcome, ServeReport,
     ServiceConfig,
 };
-pub use session::{BoundGraph, ResumableRunBuilder, RunBuilder, Runtime, SeedOutcome};
-pub use supervise::{AbortReason, CancelToken, RunProgress};
+pub use session::{BoundGraph, ResumableRunBuilder, RunBuilder, Runtime};
+pub use supervise::{CancelToken, RunProgress};
 
 /// Convenience re-exports for programs and harnesses.
 pub mod prelude {
     pub use crate::acc::{AccProgram, CombineKind, DirectionCtx, SourcedProgram};
     pub use crate::checkpoint::{RunAborted, RunCheckpoint};
-    pub use crate::config::{DegradePolicy, DirectionPolicy, EngineConfig, ExecMode, FilterPolicy};
+    pub use crate::config::{DirectionPolicy, EngineConfig, ExecMode, FilterPolicy};
     pub use crate::error::SimdxError;
     pub use crate::fusion::FusionStrategy;
     pub use crate::jit::IterationRecord;
@@ -162,6 +162,6 @@ pub mod prelude {
         AdmissionPolicy, CloseMode, DurabilityPolicy, QueryPool, QueryRequest, RecoveryReport,
         RetryPolicy, ServeReport, ServiceConfig,
     };
-    pub use crate::session::{BoundGraph, ResumableRunBuilder, RunBuilder, Runtime, SeedOutcome};
-    pub use crate::supervise::{AbortReason, CancelToken, RunProgress};
+    pub use crate::session::{BoundGraph, ResumableRunBuilder, RunBuilder, Runtime};
+    pub use crate::supervise::{CancelToken, RunProgress};
 }

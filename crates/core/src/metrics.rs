@@ -1,7 +1,6 @@
 //! Run-level reports returned by the engine.
 
 use crate::jit::ActivationLog;
-use crate::supervise::AbortReason;
 use simdx_gpu::executor::ExecutorStats;
 use std::time::Duration;
 
@@ -35,11 +34,6 @@ pub struct RunReport {
     /// entry. Like `edges_examined`, host-side and outside the
     /// bit-equality contract (the simulated time is `elapsed_ms`).
     pub elapsed: Duration,
-    /// `None` for a run that converged normally. `Some(WorkerPanic)`
-    /// when the result came from a successful serial retry under
-    /// [`crate::config::DegradePolicy::RetrySerial`] — the answer is
-    /// still bit-exact, but the parallel attempt was abandoned.
-    pub aborted: Option<AbortReason>,
     /// Supervision checks performed (iteration-boundary checks plus
     /// in-sweep polls): the overhead meter for the supervision layer —
     /// at most five per iteration plus one per 256 tasks

@@ -15,13 +15,12 @@
 //!   shed load;
 //! * **N serving threads** ([`ServiceConfig::workers`]), each running
 //!   independent queries over the shared bind-time core — every thread
-//!   checks its own worker pool and scratch arena out of the session's
-//!   stashes, so queries never contend on engine state;
-//! * a **batching scheduler**: each serving thread drains up to
-//!   [`ServiceConfig::batch_max`] queued requests per turn and runs
-//!   them over a single scratch checkout (the `run_batch`
-//!   amortization), without delaying a lone request — batches form
-//!   only from queue backlog;
+//!   checks one scratch arena out of the session's stash at its first
+//!   ticket and keeps it until it exits, and checks a worker pool out
+//!   per query, so queries never contend on engine state;
+//! * **one ticket per turn**: a serving thread pops the oldest queued
+//!   request, runs it to its final outcome and comes back for the next,
+//!   so no thread holds queued work while a peer idles;
 //! * **per-query supervision**: every [`QueryRequest`] carries its own
 //!   optional [`CancelToken`], deadline and cycle budget. Deadlines
 //!   are measured from *submission*, so time spent queued counts
@@ -120,7 +119,6 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::acc::SourcedProgram;
@@ -276,9 +274,6 @@ pub struct ServiceConfig {
     /// Bounded submission-queue capacity (requests admitted but not
     /// yet picked up by a serving thread).
     pub queue_depth: usize,
-    /// Most queued requests one serving thread drains per turn onto a
-    /// single scratch checkout. `1` disables batching.
-    pub batch_max: usize,
     /// Reaction to a full queue at submit time.
     pub admission: AdmissionPolicy,
     /// Per-query retry-with-resume policy. The default single attempt
@@ -306,13 +301,12 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// Two serving threads, a 64-deep queue, batches of up to 8,
-    /// blocking admission; no retries, no breaker, no checkpointing.
+    /// Two serving threads, a 64-deep queue, blocking admission; no
+    /// retries, no breaker, no checkpointing.
     fn default() -> Self {
         Self {
             workers: 2,
             queue_depth: 64,
-            batch_max: 8,
             admission: AdmissionPolicy::Block,
             retry: RetryPolicy::default(),
             breaker_threshold: 0,
@@ -333,12 +327,6 @@ impl ServiceConfig {
     /// Builder: set the submission-queue capacity.
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
-        self
-    }
-
-    /// Builder: set the per-turn batching cap.
-    pub fn batch_max(mut self, batch_max: usize) -> Self {
-        self.batch_max = batch_max;
         self
     }
 
@@ -386,9 +374,6 @@ impl ServiceConfig {
         }
         if self.queue_depth == 0 {
             return fail("service queue_depth must be at least 1".to_string());
-        }
-        if self.batch_max == 0 {
-            return fail("service batch_max must be at least 1".to_string());
         }
         if self.retry.max_attempts == 0 {
             return fail("retry max_attempts must be at least 1 (1 = no retries)".to_string());
@@ -497,8 +482,10 @@ pub struct ServeReport<M: Copy> {
     /// ([`AdmissionPolicy::Reject`]) never got a ticket and do not
     /// appear.
     pub outcomes: Vec<ServeOutcome<M>>,
-    /// Serving-thread turns taken — `outcomes.len() / batches` is the
-    /// achieved batching factor.
+    /// Serving-thread turns taken: one per ticket a serving thread ran
+    /// (a queued ticket an abort-mode close hands back unserved takes
+    /// none), so `outcomes.len() / batches` reads 1 whenever every
+    /// admitted ticket ran.
     pub batches: u64,
     /// Wall-clock time of the whole closed loop (first submission
     /// possible to last query drained).
@@ -848,21 +835,15 @@ impl QueryPool {
             }),
             shutdown: CancelToken::new(),
         };
-        let slots: Mutex<Vec<Option<ServeOutcome<P::Meta>>>> = Mutex::new(Vec::new());
-        let spills: Mutex<SpillLog> = Mutex::new(SpillLog::default());
-        let batches = AtomicU64::new(0);
         let started = Instant::now();
-        let produced = std::thread::scope(|scope| {
+        let (produced, served) = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(config.workers);
             let mut spawn_failed = None;
             for w in 0..config.workers {
-                let (shared, slots, spills, batches, program, config) =
-                    (&shared, &slots, &spills, &batches, &program, &config);
+                let (shared, program, config) = (&shared, &program, &config);
                 let spawned = std::thread::Builder::new()
                     .name(format!("simdx-serve-{w}"))
-                    .spawn_scoped(scope, move || {
-                        serve_loop(bound, program, config, shared, slots, spills, batches);
-                    });
+                    .spawn_scoped(scope, move || serve_loop(bound, program, config, shared));
                 match spawned {
                     Ok(handle) => handles.push(handle),
                     Err(e) => {
@@ -893,26 +874,45 @@ impl QueryPool {
                     Some(err) => Err(err),
                 }
             };
-            for handle in handles {
-                // Engine panics are contained inside the execute path,
-                // so a serving thread only dies of a harness bug; don't
-                // swallow that.
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-            produced
+            // Engine panics are contained inside the execute path, so a
+            // serving thread only dies of a harness bug; don't swallow
+            // that.
+            let served: Vec<Served<P::Meta>> = handles
+                .into_iter()
+                .map(|handle| {
+                    handle
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p))
+                })
+                .collect();
+            (produced, served)
         });
         produced?;
-        let slots = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let mut outcomes = Vec::with_capacity(slots.len());
+        let admitted = shared.lock().next_ticket;
+        let mut slots: Vec<Option<ServeOutcome<P::Meta>>> = Vec::new();
+        slots.resize_with(admitted, || None);
+        let mut report = ServeReport {
+            outcomes: Vec::with_capacity(admitted),
+            batches: 0,
+            elapsed: started.elapsed(),
+            spilled: Vec::new(),
+            spill_failures: Vec::new(),
+        };
+        for thread in served {
+            for (ticket, outcome) in thread.outcomes {
+                slots[ticket] = Some(outcome);
+            }
+            report.batches += thread.turns;
+            report.spilled.extend(thread.spilled);
+            report.spill_failures.extend(thread.spill_failures);
+        }
         for (ticket, slot) in slots.into_iter().enumerate() {
             match slot {
-                Some(outcome) => outcomes.push(outcome),
-                // Unreachable by construction (every drained entry is
-                // published, abort-mode orphans included); surface a
-                // typed error rather than panicking if the invariant
-                // ever breaks.
+                Some(outcome) => report.outcomes.push(outcome),
+                // Unreachable by construction (every popped entry is
+                // served, abort-mode orphans included); surface a typed
+                // error rather than panicking if the invariant ever
+                // breaks.
                 None => {
                     return Err(SimdxError::InvalidQuery {
                         reason: format!(
@@ -923,16 +923,11 @@ impl QueryPool {
                 }
             }
         }
-        let mut spills = spills.into_inner().unwrap_or_else(PoisonError::into_inner);
-        spills.spilled.sort_unstable();
-        spills.failures.sort_unstable_by_key(|(ticket, _)| *ticket);
-        Ok(ServeReport {
-            outcomes,
-            batches: batches.into_inner(),
-            elapsed: started.elapsed(),
-            spilled: spills.spilled,
-            spill_failures: spills.failures,
-        })
+        report.spilled.sort_unstable();
+        report
+            .spill_failures
+            .sort_unstable_by_key(|(ticket, _)| *ticket);
+        Ok(report)
     }
 
     /// Scans `store` for checkpoints spilled by an earlier process
@@ -1028,128 +1023,125 @@ impl<M: Copy> RecoveryReport<M> {
     }
 }
 
-/// Spill bookkeeping shared by the serving threads.
-#[derive(Default)]
-struct SpillLog {
+/// What one serving thread hands back to [`QueryPool::serve`] through
+/// `join`.
+struct Served<M: Copy> {
+    /// Every entry this thread took off the queue — run, or handed back
+    /// unserved by an abort-mode close — under its ticket.
+    outcomes: Vec<(usize, ServeOutcome<M>)>,
+    /// Tickets whose final-failure checkpoints this thread spilled.
     spilled: Vec<u64>,
-    failures: Vec<(u64, SimdxError)>,
+    /// Spills that failed, with the store's typed error.
+    spill_failures: Vec<(u64, SimdxError)>,
+    /// Tickets this thread ran, one per turn.
+    turns: u64,
 }
 
-/// One serving thread: drain up to `batch_max` requests per turn, run
-/// them over a single scratch checkout, publish each outcome (spilling
-/// final-failure checkpoints when durability is armed).
+/// One serving thread: pop one request per turn and run it to its
+/// final outcome (spilling a final-failure checkpoint when durability
+/// is armed), over one scratch arena checked out at the first ticket
+/// and checked back in when the thread exits.
 fn serve_loop<P: SourcedProgram>(
     bound: &BoundGraph<'_, '_>,
     program: &P,
     config: &ServiceConfig,
     shared: &SharedQueue,
-    slots: &Mutex<Vec<Option<ServeOutcome<P::Meta>>>>,
-    spills: &Mutex<SpillLog>,
-    batches: &AtomicU64,
-) where
+) -> Served<P::Meta>
+where
     P::Meta: PersistMeta,
 {
     let arm = config.arms_checkpoints();
-    loop {
-        let batch: Vec<Entry> = {
-            let mut st = shared.lock();
-            loop {
-                if st.aborted {
-                    // Abort-mode close: hand every still-queued entry
-                    // back as a zero-progress cancellation instead of
-                    // running it. In-flight peers abort on their own
-                    // via the shutdown token.
-                    let orphans: Vec<Entry> = st.queue.drain(..).collect();
-                    drop(st);
-                    shared.not_full.notify_all();
-                    for entry in orphans {
-                        publish(slots, entry.ticket, cancelled_unserved(&entry));
-                    }
-                    return;
+    let mut served = Served {
+        outcomes: Vec::new(),
+        spilled: Vec::new(),
+        spill_failures: Vec::new(),
+        turns: 0,
+    };
+    let mut scratch = None;
+    while let Some(entry) = next_entry(shared, &mut served) {
+        let scratch = scratch.get_or_insert_with(|| bound.checkout_scratch::<P::Meta>());
+        let mut outcome = serve_one(
+            bound,
+            program,
+            &entry,
+            scratch,
+            config.retry,
+            arm,
+            &shared.shutdown,
+        );
+        shared.breaker_record(matches!(
+            outcome.result,
+            Err(SimdxError::WorkerPanicked { .. })
+        ));
+        // Durable spill: a final failure that carries a boundary
+        // checkpoint is persisted under its ticket so a later process
+        // can resume it. The checkpoint travels through the frame and
+        // back — no clone, and the submitter still gets the in-memory
+        // copy whether or not the spill stuck. A query cancelled
+        // through its *own* token was withdrawn by its caller and is
+        // not spilled — recovery would resurrect it; a shutdown
+        // cancellation (the pool's token) is the crash-survival case
+        // and is.
+        if let (Some(policy), Err(error)) = (&config.durability, &outcome.result) {
+            let withdrawn = matches!(error, SimdxError::Cancelled { .. })
+                && entry
+                    .request
+                    .cancel
+                    .as_ref()
+                    .is_some_and(CancelToken::is_cancelled);
+            if let Some(checkpoint) = outcome.checkpoint.take_if(|_| !withdrawn) {
+                let frame = DurableCheckpoint {
+                    ticket: entry.ticket as u64,
+                    seed: outcome.seed,
+                    checkpoint,
+                };
+                match persist::spill(policy.store(), &frame) {
+                    Ok(()) => served.spilled.push(frame.ticket),
+                    Err(error) => served.spill_failures.push((frame.ticket, error)),
                 }
-                if !st.queue.is_empty() {
-                    let n = config.batch_max.min(st.queue.len());
-                    break st.queue.drain(..n).collect();
-                }
-                if st.closed {
-                    return;
-                }
-                st = shared
-                    .not_empty
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
+                outcome.checkpoint = Some(frame.checkpoint);
             }
-        };
-        shared.not_full.notify_all();
-        let mut scratch = bound.checkout_scratch::<P::Meta>();
-        for entry in batch {
-            let mut outcome = serve_one(
-                bound,
-                program,
-                &entry,
-                &mut scratch,
-                config.retry,
-                arm,
-                &shared.shutdown,
-            );
-            shared.breaker_record(matches!(
-                outcome.result,
-                Err(SimdxError::WorkerPanicked { .. })
-            ));
-            // Durable spill: a final failure that carries a boundary
-            // checkpoint is persisted under its ticket so a later
-            // process can resume it. The checkpoint travels through
-            // the frame and back — no clone, and the submitter still
-            // gets the in-memory copy whether or not the spill stuck.
-            // A query cancelled through its *own* token was withdrawn
-            // by its caller and is not spilled — recovery would
-            // resurrect it; a shutdown cancellation (the pool's token)
-            // is the crash-survival case and is.
-            if let (Some(policy), Err(error)) = (&config.durability, &outcome.result) {
-                let withdrawn = matches!(error, SimdxError::Cancelled { .. })
-                    && entry
-                        .request
-                        .cancel
-                        .as_ref()
-                        .is_some_and(CancelToken::is_cancelled);
-                if let Some(checkpoint) = outcome.checkpoint.take_if(|_| !withdrawn) {
-                    let frame = DurableCheckpoint {
-                        ticket: entry.ticket as u64,
-                        seed: outcome.seed,
-                        checkpoint,
-                    };
-                    let spill_result = persist::spill(policy.store(), &frame);
-                    let mut log = spills.lock().unwrap_or_else(PoisonError::into_inner);
-                    match spill_result {
-                        Ok(()) => log.spilled.push(frame.ticket),
-                        Err(error) => log.failures.push((frame.ticket, error)),
-                    }
-                    drop(log);
-                    outcome.checkpoint = Some(frame.checkpoint);
-                }
-            }
-            publish(slots, entry.ticket, outcome);
         }
-        bound.checkin_scratch(scratch);
-        // ORDERING: `batches` is a diagnostic counter aggregated into
-        // the serve report after `thread::scope` has joined every
-        // serving thread (a full synchronization point); the increments
-        // guard no data, so Relaxed is sufficient.
-        batches.fetch_add(1, Ordering::Relaxed);
+        served.outcomes.push((entry.ticket, outcome));
+        served.turns += 1;
     }
+    if let Some(scratch) = scratch {
+        bound.checkin_scratch(scratch);
+    }
+    served
 }
 
-/// Lands one outcome in its ticket's slot.
-fn publish<M: Copy>(
-    slots: &Mutex<Vec<Option<ServeOutcome<M>>>>,
-    ticket: usize,
-    outcome: ServeOutcome<M>,
-) {
-    let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
-    if slots.len() <= ticket {
-        slots.resize_with(ticket + 1, || None);
-    }
-    slots[ticket] = Some(outcome);
+/// Blocks until there is a request to run and pops it; `None` once the
+/// queue is closed and empty, or the pool was closed with
+/// [`CloseMode::Abort`] — in which case every still-queued entry is
+/// handed back into `served` as a zero-progress cancellation instead of
+/// running it. In-flight peers abort on their own via the shutdown
+/// token.
+fn next_entry<M: Copy>(shared: &SharedQueue, served: &mut Served<M>) -> Option<Entry> {
+    let mut st = shared.lock();
+    let entry = loop {
+        if st.aborted {
+            let orphans = st
+                .queue
+                .drain(..)
+                .map(|e| (e.ticket, cancelled_unserved(&e)));
+            served.outcomes.extend(orphans);
+            break None;
+        }
+        if let Some(entry) = st.queue.pop_front() {
+            break Some(entry);
+        }
+        if st.closed {
+            return None;
+        }
+        st = shared
+            .not_empty
+            .wait(st)
+            .unwrap_or_else(PoisonError::into_inner);
+    };
+    drop(st);
+    shared.not_full.notify_all();
+    entry
 }
 
 /// The outcome of a queued query orphaned by an abort-mode close: a
@@ -1261,7 +1253,6 @@ mod tests {
         let cfg = ServiceConfig::default()
             .workers(4)
             .queue_depth(16)
-            .batch_max(2)
             .admission(AdmissionPolicy::Reject)
             .retry(
                 RetryPolicy::default()
@@ -1272,7 +1263,6 @@ mod tests {
             .checkpoint_aborts(true);
         assert_eq!(cfg.workers, 4);
         assert_eq!(cfg.queue_depth, 16);
-        assert_eq!(cfg.batch_max, 2);
         assert_eq!(cfg.admission, AdmissionPolicy::Reject);
         assert_eq!(
             cfg.retry,
@@ -1288,7 +1278,6 @@ mod tests {
         for broken in [
             ServiceConfig::default().workers(0),
             ServiceConfig::default().queue_depth(0),
-            ServiceConfig::default().batch_max(0),
             ServiceConfig::default().retry(RetryPolicy::default().max_attempts(0)),
             ServiceConfig::default().breaker(1, Duration::ZERO),
         ] {

@@ -17,9 +17,11 @@
 //!   of the query itself; every allocation is reused.
 //!
 //! [`BoundGraph::run_batch`] executes a slice of query seeds over the
-//! shared scratch, returning one [`RunResult`] per seed (fail-fast);
-//! [`BoundGraph::run_batch_partial`] returns one `Result` per seed, so
-//! completed reports survive a failing seed.
+//! shared scratch, returning one [`RunResult`] per seed (fail-fast). A
+//! caller that needs every seed's own outcome runs
+//! `run(p).source(s).checkpoint_on_abort().execute()` per seed: a
+//! failing seed then costs only its own result and hands back its last
+//! boundary checkpoint.
 //!
 //! # Concurrency
 //!
@@ -35,8 +37,9 @@
 //!   check-in (replaced at the next checkout) without touching
 //!   in-flight peers.
 //! * Scratch arenas live in an arena pool keyed by the program's
-//!   metadata `TypeId`: checked out per query, created on a dry stash,
-//!   returned at completion (idle inventory capped; see
+//!   metadata `TypeId`: checked out per query (per batch for
+//!   `run_batch`, per serving thread for the service tier), created on
+//!   a dry stash, returned at completion (idle inventory capped; see
 //!   [`BoundGraph::idle_scratch_arenas`]).
 //!
 //! Concurrent queries remain under the bit-equality contract below —
@@ -113,7 +116,7 @@ use std::time::Duration;
 
 use crate::acc::{AccProgram, SourcedProgram};
 use crate::checkpoint::{RunAborted, RunCheckpoint};
-use crate::config::{DegradePolicy, EngineConfig};
+use crate::config::EngineConfig;
 use crate::engine::{BoundPool, Engine, SessionCtx};
 use crate::error::SimdxError;
 use crate::grid::GridCsr;
@@ -122,14 +125,9 @@ use crate::metrics::RunResult;
 use crate::par::payload_string;
 use crate::pool::{ArenaPool, PoolStash};
 use crate::scratch::{IterScratch, PushFences};
-use crate::supervise::{AbortReason, CancelToken, Supervisor};
+use crate::supervise::{CancelToken, Supervisor};
 use simdx_graph::csr::Direction;
 use simdx_graph::{Graph, VertexId};
-
-/// One entry of [`BoundGraph::run_batch_partial`]'s return value: the
-/// seed's completed report, or a boxed [`RunAborted`] carrying that
-/// seed's last boundary checkpoint (when one was reached).
-pub type SeedOutcome<M> = Result<RunResult<M>, Box<RunAborted<M>>>;
 
 /// Idle scratch arenas retained per metadata type by a
 /// [`BoundGraph`]'s arena pool. Bursts of concurrent queries beyond
@@ -256,7 +254,7 @@ struct BindArtifacts {
 }
 
 /// One query as the execute path takes it — the run builders', the
-/// batch entry points' and the serving tier's per-query settings in one
+/// batch entry point's and the serving tier's per-query settings in one
 /// shape. Everything defaults to "unset".
 #[derive(Default)]
 pub(crate) struct Query<'o> {
@@ -368,9 +366,9 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
     /// one report per query — bit-identical to running the seeds
     /// through individual [`Self::run`] calls (or fresh engines), just
     /// without any per-query setup. Fails fast on the first seed whose
-    /// run fails, discarding the completed reports — use
-    /// [`Self::run_batch_partial`] when a typed abort on one seed must
-    /// not cost the others' results.
+    /// run fails, discarding the completed reports — run the seeds one
+    /// by one through [`RunBuilder::checkpoint_on_abort`] when a typed
+    /// abort on one seed must not cost the others' results.
     pub fn run_batch<P: SourcedProgram>(
         &self,
         program: P,
@@ -386,46 +384,6 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
                     &mut scratch,
                     None,
                 )
-            })
-            .collect();
-        self.checkin_scratch(scratch);
-        out
-    }
-
-    /// [`Self::run_batch`] without the fail-fast data loss: one
-    /// `Result` per seed, in seed order, over one shared scratch
-    /// checkout. A seed that aborts (bad seed, deadline, worker panic)
-    /// costs only its own slot; every completed report survives, and
-    /// successful entries remain bit-identical to individual
-    /// [`Self::run`] calls.
-    ///
-    /// Checkpointing is armed per seed: an aborted seed's `Err` is a
-    /// [`RunAborted`] carrying that seed's last boundary
-    /// [`RunCheckpoint`] (if one was reached), so callers can
-    /// [`Self::resume`] individual batch members instead of discarding
-    /// them.
-    pub fn run_batch_partial<P: SourcedProgram>(
-        &self,
-        program: P,
-        seeds: &[VertexId],
-    ) -> Vec<SeedOutcome<P::Meta>> {
-        let mut scratch = self.checkout_scratch::<P::Meta>();
-        let out = seeds
-            .iter()
-            .map(|&seed| {
-                let mut slot = None;
-                self.execute(
-                    &program.clone().with_source(seed),
-                    Query::rooted(seed),
-                    &mut scratch,
-                    Some(&mut slot),
-                )
-                .map_err(|error| {
-                    Box::new(RunAborted {
-                        error,
-                        checkpoint: slot,
-                    })
-                })
             })
             .collect();
         self.checkin_scratch(scratch);
@@ -449,19 +407,22 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
         self.scratch.checkin(scratch);
     }
 
-    /// The one execute path: every query — a builder's, a batch seed's,
-    /// a serving ticket's attempt, a recovered blob's — runs through
-    /// here, over caller-held scratch (so one checkout amortizes over a
-    /// batch) and the caller's checkpoint slot (`None` = unarmed; see
-    /// [`crate::checkpoint`] for the slot rule). An occupied slot is
-    /// validated against this graph and `program` before anything else,
-    /// whoever filled it, and is left untouched by every rejection.
+    /// The one execute path: every query attempt — a builder's, a batch
+    /// seed's, a serving ticket's, a recovered blob's — runs through
+    /// here exactly once, over caller-held scratch (so one checkout
+    /// amortizes over a batch or a serving thread's tickets) and the
+    /// caller's checkpoint slot (`None` = unarmed; see
+    /// [`crate::checkpoint`] for the slot rule). Retrying is the
+    /// caller's business: the serving tier's [`crate::service::RetryPolicy`]
+    /// re-enters with the same slot. An occupied slot is validated
+    /// against this graph and `program` before anything else, whoever
+    /// filled it, and is left untouched by every rejection.
     pub(crate) fn execute<P: AccProgram>(
         &self,
         program: &P,
         query: Query<'_>,
         scratch: &mut IterScratch<P::Meta>,
-        mut slot: Option<&mut Option<RunCheckpoint<P::Meta>>>,
+        slot: Option<&mut Option<RunCheckpoint<P::Meta>>>,
     ) -> Result<RunResult<P::Meta>, SimdxError> {
         let n = self.graph.num_vertices();
         let occupied = slot.as_deref().and_then(Option::as_ref);
@@ -495,64 +456,39 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
             supervisor = supervisor.with_shutdown(token);
         }
         let mut observer = query.observer;
-        // One engine attempt with panic containment: a contained pool
-        // panic is already a typed error, so the guard catches the
-        // *host-side* ones as worker 0, the submitting thread — the
-        // program's own code (an `AccProgram` method or the metadata
-        // `Clone`) called from a serial kernel, a filter, `init`, the
-        // capture or the restore. The slot is borrowed from a frame
-        // outside the guard, and every attempt starts from what it
-        // holds.
-        let mut attempt = |pool: Option<BoundPool<'_>>| {
-            let ctx = SessionCtx {
-                pool,
-                scratch: &mut *scratch,
-                max_iterations,
-                observer: observer.as_deref_mut(),
-                supervisor: &supervisor,
-                checkpoint: slot.as_deref_mut(),
-            };
-            let run = || Engine::run_session(program, self.graph, config, ctx);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
-                Err(SimdxError::WorkerPanicked {
-                    worker: 0,
-                    payload: payload_string(&*payload),
-                })
+        // A panicked run poisons its pool, so the lease drop discards it
+        // without touching concurrent queries' pools; the next checkout
+        // spawns a replacement.
+        let lease = self.runtime.pools.checkout();
+        let ctx = SessionCtx {
+            pool: lease
+                .as_deref()
+                .zip(self.core.as_ref())
+                .map(|(pool, core)| BoundPool {
+                    pool,
+                    fences: &core.fences,
+                    grid: &core.grid,
+                }),
+            scratch,
+            max_iterations,
+            observer: observer.as_deref_mut(),
+            supervisor: &supervisor,
+            checkpoint: slot,
+        };
+        // Panic containment: a contained pool panic is already a typed
+        // error, so the guard catches the *host-side* ones as worker 0,
+        // the submitting thread — the program's own code (an
+        // `AccProgram` method or the metadata `Clone`) called from a
+        // serial kernel, a filter, `init`, the capture or the restore.
+        // The slot is borrowed from a frame outside the guard, so a
+        // retry (the caller's) starts from the boundary it holds.
+        let run = || Engine::run_session(program, self.graph, config, ctx);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+            Err(SimdxError::WorkerPanicked {
+                worker: 0,
+                payload: payload_string(&*payload),
             })
-        };
-        let first = {
-            // A panicked attempt poisons its pool, so the lease drop
-            // discards it without touching concurrent queries' pools;
-            // the next checkout spawns a replacement.
-            let lease = self.runtime.pools.checkout();
-            attempt(
-                lease
-                    .as_deref()
-                    .zip(self.core.as_ref())
-                    .map(|(pool, core)| BoundPool {
-                        pool,
-                        fences: &core.fences,
-                        grid: &core.grid,
-                    }),
-            )
-        };
-        match first {
-            Err(SimdxError::WorkerPanicked { .. })
-                if config.degrade == DegradePolicy::RetrySerial && self.runtime.threads() > 1 =>
-            {
-                // Opt-in degrade: one more attempt, serial, over the
-                // same (reset-at-entry) scratch, flagged in the report
-                // so callers can see the query survived a worker fault.
-                // Armed, it continues from the panicked attempt's last
-                // boundary (bit-equal by the resume contract — a
-                // checkpoint holds no exec-mode state); unarmed, it
-                // restarts.
-                let mut result = attempt(None)?;
-                result.report.aborted = Some(AbortReason::WorkerPanic);
-                Ok(result)
-            }
-            other => other,
-        }
+        })
     }
 }
 
@@ -1059,7 +995,6 @@ mod tests {
             .expect("fresh");
         assert_eq!(ok.meta, fresh.meta);
         assert_eq!(ok.report.stats, fresh.report.stats);
-        assert_eq!(ok.report.aborted, None);
     }
 
     #[test]
@@ -1121,7 +1056,6 @@ mod tests {
         let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
         let bound = runtime.bind(&g);
         let plain = bound.run(Levels { src: 0 }).execute().expect("plain");
-        assert_eq!(plain.report.aborted, None);
         assert_eq!(
             plain.report.supervision_checks, 0,
             "unsupervised runs never poll"
@@ -1133,7 +1067,6 @@ mod tests {
             .cycle_budget(u64::MAX)
             .execute()
             .expect("supervised");
-        assert_eq!(supervised.report.aborted, None);
         // The meter is bounded by the run's own shape: a boundary and a
         // mid-iteration check per iteration, plus one poll per
         // `POLL_STRIDE` tasks (rounded up) of each of the three
@@ -1210,50 +1143,7 @@ mod tests {
     }
 
     #[test]
-    fn degrade_retry_recovers_from_a_transient_worker_panic() {
-        let g = path_graph(150);
-        let armed = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let program = PanicOnce {
-            inner: Levels { src: 0 },
-            armed: armed.clone(),
-        };
-        let cfg = EngineConfig::unscaled()
-            .with_exec(ExecMode::Parallel { threads: 3 })
-            .degrade_serial();
-        let runtime = Runtime::new(cfg.clone()).expect("runtime");
-        let bound = runtime.bind(&g);
-        let recovered = bound.run(program.clone()).execute().expect("retried run");
-        assert!(
-            !armed.load(std::sync::atomic::Ordering::SeqCst),
-            "fault fired"
-        );
-        assert_eq!(recovered.report.aborted, Some(AbortReason::WorkerPanic));
-        // The retry ran serially over the reset scratch: bit-equal to
-        // a clean serial baseline.
-        let serial_rt = Runtime::new(EngineConfig::unscaled()).expect("serial runtime");
-        let baseline = serial_rt
-            .bind(&g)
-            .run(Levels { src: 0 })
-            .execute()
-            .expect("serial baseline");
-        assert_eq!(recovered.meta, baseline.meta);
-        assert_eq!(recovered.report.stats, baseline.report.stats);
-        // The poisoned pool is rebuilt transparently: the next query
-        // runs parallel again and matches the parallel baseline.
-        let next = bound.run(program).execute().expect("rebuilt pool run");
-        assert_eq!(next.report.aborted, None);
-        let parallel_rt = Runtime::new(cfg).expect("parallel runtime");
-        let parallel = parallel_rt
-            .bind(&g)
-            .run(Levels { src: 0 })
-            .execute()
-            .expect("parallel baseline");
-        assert_eq!(next.meta, parallel.meta);
-        assert_eq!(next.report.stats, parallel.report.stats);
-    }
-
-    #[test]
-    fn without_degrade_policy_a_worker_panic_is_a_typed_error() {
+    fn a_worker_panic_is_a_typed_error_and_the_pool_is_rebuilt() {
         let g = path_graph(150);
         let armed = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
         let program = PanicOnce {
@@ -1261,7 +1151,7 @@ mod tests {
             armed,
         };
         let cfg = EngineConfig::unscaled().with_exec(ExecMode::Parallel { threads: 3 });
-        let runtime = Runtime::new(cfg).expect("runtime");
+        let runtime = Runtime::new(cfg.clone()).expect("runtime");
         let bound = runtime.bind(&g);
         let err = bound.run(program.clone()).execute().expect_err("contained");
         match err {
@@ -1273,42 +1163,29 @@ mod tests {
             }
             other => panic!("expected WorkerPanicked, got {other:?}"),
         }
-        // Pool rebuilt on the next run; the disarmed program succeeds.
-        bound.run(program).execute().expect("recovered run");
+        // The poisoned pool is rebuilt transparently: the next query
+        // runs parallel again and matches the parallel baseline.
+        let next = bound.run(program).execute().expect("rebuilt pool run");
+        let parallel_rt = Runtime::new(cfg).expect("parallel runtime");
+        let parallel = parallel_rt
+            .bind(&g)
+            .run(Levels { src: 0 })
+            .execute()
+            .expect("parallel baseline");
+        assert_eq!(next.meta, parallel.meta);
+        assert_eq!(next.report.stats, parallel.report.stats);
     }
 
     #[test]
-    fn run_batch_partial_preserves_completed_reports() {
+    fn run_batch_fails_fast_on_a_bad_seed() {
         let g = path_graph(128);
         let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
         let bound = runtime.bind(&g);
-        let seeds = [3u32, 999, 64];
-        // The fail-fast wrapper loses seed 3's report to seed 999...
+        // The fail-fast batch loses seed 3's report to seed 999.
         assert!(matches!(
-            bound.run_batch(Levels { src: 0 }, &seeds),
+            bound.run_batch(Levels { src: 0 }, &[3u32, 999, 64]),
             Err(SimdxError::InvalidQuery { .. })
         ));
-        // ...the partial form returns every slot. The bad seed aborted
-        // before any boundary, so its `RunAborted` carries no
-        // checkpoint.
-        let partial = bound.run_batch_partial(Levels { src: 0 }, &seeds);
-        assert_eq!(partial.len(), seeds.len());
-        match &partial[1] {
-            Err(aborted) => {
-                assert!(matches!(aborted.error, SimdxError::InvalidQuery { .. }));
-                assert!(aborted.checkpoint.is_none());
-            }
-            Ok(_) => panic!("the bad seed must abort"),
-        }
-        for idx in [0usize, 2] {
-            let got = partial[idx].as_ref().expect("good seed");
-            let single = bound
-                .run(Levels { src: seeds[idx] })
-                .execute()
-                .expect("single run");
-            assert_eq!(got.meta, single.meta, "seed {}", seeds[idx]);
-            assert_eq!(got.report.stats, single.report.stats, "seed {}", seeds[idx]);
-        }
     }
 
     #[test]

@@ -93,18 +93,15 @@ impl CancelToken {
     }
 }
 
-/// Why a run stopped before convergence.
+/// Why a supervision check stopped a run before convergence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AbortReason {
+pub(crate) enum AbortReason {
     /// A [`CancelToken`] was cancelled.
     Cancelled,
     /// The wall-clock deadline expired.
     DeadlineExceeded,
     /// The simulated-cycle budget was exhausted.
     BudgetExhausted,
-    /// A worker panicked (the run may have been retried serially under
-    /// [`crate::config::DegradePolicy::RetrySerial`]).
-    WorkerPanic,
 }
 
 /// Partial-progress summary carried by every supervision abort.
@@ -185,25 +182,26 @@ impl Supervisor {
     /// deadline it is a two-branch early-out.
     #[inline]
     pub(crate) fn poll(&self) -> bool {
-        if !self.polls() {
-            return false;
-        }
+        self.polls() && self.tripped().is_some()
+    }
+
+    /// Counts one check, then runs the tests every check shares: the
+    /// query's token, the pool's shutdown token, then the deadline.
+    #[inline]
+    fn tripped(&self) -> Option<AbortReason> {
         // ORDERING: `checks` is a diagnostic counter summed into the
         // run report after the run has joined all workers; it guards no
         // data, so Relaxed increments are sufficient (and keep the
         // in-sweep poll off the coherence critical path).
         self.checks.fetch_add(1, Ordering::Relaxed);
-        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            return true;
+        let cancelled =
+            |token: &Option<CancelToken>| token.as_ref().is_some_and(CancelToken::is_cancelled);
+        if cancelled(&self.cancel) || cancelled(&self.shutdown) {
+            return Some(AbortReason::Cancelled);
         }
-        if self
-            .shutdown
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled)
-        {
-            return true;
-        }
-        self.deadline.is_some_and(|d| Instant::now() >= d)
+        self.deadline
+            .is_some_and(|d| Instant::now() >= d)
+            .then_some(AbortReason::DeadlineExceeded)
     }
 
     /// Full boundary check (token, deadline, then cycle budget against
@@ -212,25 +210,11 @@ impl Supervisor {
         if !self.polls() && self.cycle_budget.is_none() {
             return None;
         }
-        // ORDERING: diagnostic counter; see `poll`.
-        self.checks.fetch_add(1, Ordering::Relaxed);
-        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            return Some(AbortReason::Cancelled);
-        }
-        if self
-            .shutdown
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled)
-        {
-            return Some(AbortReason::Cancelled);
-        }
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Some(AbortReason::DeadlineExceeded);
-        }
-        if self.cycle_budget.is_some_and(|b| cycles >= b) {
-            return Some(AbortReason::BudgetExhausted);
-        }
-        None
+        self.tripped().or_else(|| {
+            self.cycle_budget
+                .is_some_and(|b| cycles >= b)
+                .then_some(AbortReason::BudgetExhausted)
+        })
     }
 
     /// Mid-iteration re-check: token, shutdown and deadline only. The
@@ -244,22 +228,7 @@ impl Supervisor {
         if !self.polls() {
             return None;
         }
-        // ORDERING: diagnostic counter; see `poll`.
-        self.checks.fetch_add(1, Ordering::Relaxed);
-        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            return Some(AbortReason::Cancelled);
-        }
-        if self
-            .shutdown
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled)
-        {
-            return Some(AbortReason::Cancelled);
-        }
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Some(AbortReason::DeadlineExceeded);
-        }
-        None
+        self.tripped()
     }
 
     /// Supervision checks performed so far.
@@ -294,9 +263,6 @@ impl Supervisor {
                 budget: self.cycle_budget.unwrap_or(0),
                 progress,
             },
-            // Panics are surfaced by the pool, not by a supervision
-            // check; mapping one here would lose the worker index.
-            AbortReason::WorkerPanic => unreachable!("worker panics carry their own error"),
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Concurrent serving: one shared `BoundGraph`, many clients.
 //!
 //! Stands up a `QueryPool` over a generated R-MAT graph and drives it
-//! with a burst of BFS queries — bounded queue, batching scheduler,
-//! per-query deadlines — then prints the throughput and latency
+//! with a burst of BFS queries — bounded queue, one ticket per
+//! serving-thread turn, per-query deadlines — then prints the throughput and latency
 //! figures a service operator would watch. Also shows load shedding:
 //! the same burst against a tiny queue under `AdmissionPolicy::Reject`
 //! turns the overflow into typed `Overloaded` errors instead of
@@ -43,7 +43,7 @@ fn main() -> Result<(), SimdxError> {
         let report = QueryPool::serve(
             &bound,
             Bfs::new(0),
-            ServiceConfig::default().workers(workers).batch_max(4),
+            ServiceConfig::default().workers(workers),
             |client| {
                 for &seed in &seeds {
                     client.submit(QueryRequest::new(seed).deadline(Duration::from_secs(60)))?;
@@ -52,7 +52,7 @@ fn main() -> Result<(), SimdxError> {
             },
         )?;
         println!(
-            "\n{workers} serving thread(s): {} queries in {:.1} ms over {} batches",
+            "\n{workers} serving thread(s): {} queries in {:.1} ms over {} turns",
             report.outcomes.len(),
             report.elapsed.as_secs_f64() * 1e3,
             report.batches,

@@ -126,7 +126,7 @@ fn main() -> Result<(), SimdxError> {
     let report = QueryPool::serve(
         &bound,
         program,
-        ServiceConfig::default().workers(2).batch_max(2).retry(
+        ServiceConfig::default().workers(2).retry(
             RetryPolicy::default()
                 .max_attempts(3)
                 .backoff(Duration::from_millis(2)),

@@ -113,8 +113,11 @@ fn resumed_cycle_budget_grants_additional_cycles() {
     assert_eq!(resumed.report.stats, baseline.report.stats);
 }
 
+/// A batch whose seeds each keep their own outcome: one armed run per
+/// seed, so an aborted seed hands back its own resumable checkpoint and
+/// costs none of the others' results.
 #[test]
-fn run_batch_partial_aborts_carry_resumable_checkpoints() {
+fn per_seed_armed_runs_hand_back_resumable_checkpoints() {
     let g = path_graph(96);
     let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
     let bound = runtime.bind(&g);
@@ -126,7 +129,15 @@ fn run_batch_partial_aborts_carry_resumable_checkpoints() {
     })
     .expect("capped runtime");
     let capped_bound = capped.bind(&g);
-    let partial = capped_bound.run_batch_partial(Bfs::new(0), &[48, 0]);
+    let partial: Vec<_> = [48, 0]
+        .map(|seed| {
+            capped_bound
+                .run(Bfs::new(0))
+                .source(seed)
+                .checkpoint_on_abort()
+                .execute()
+        })
+        .into();
     let ok = partial[0].as_ref().expect("short seed completes");
     let baseline = bound.run(Bfs::new(48)).execute().expect("seed 48 baseline");
     assert_eq!(ok.meta, baseline.meta);

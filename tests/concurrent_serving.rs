@@ -3,10 +3,13 @@
 //! [`QueryPool`] front-end alike — must stay **bit-identical** to a
 //! fresh runtime and bind per query, no matter what runs beside them.
 //!
-//! The suite covers the four ways concurrency could break that:
+//! The suite covers the five ways concurrency could break that:
 //!
 //! * plain interleaving — N threads × M queries over the shared core
 //!   vs. solo baselines, in both exec modes;
+//! * scheduling — a serving thread takes one ticket per turn, so an
+//!   idle thread never waits behind a busy peer and an abort-mode close
+//!   finds every ticket it did not start still queued;
 //! * supervision cross-talk — a cancelled or deadline-expired query
 //!   serving next to clean peers must abort *alone*;
 //! * admission control — a full bounded queue under
@@ -21,8 +24,6 @@
 //! Each fault belongs to the program value of the serve call that arms
 //! it, so the tests share no state and run concurrently.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use simdx::algos::{Bfs, Sssp};
@@ -129,7 +130,7 @@ fn thread_fanout_is_bit_equal_to_solo_baselines() {
 
 /// The `QueryPool` front-end serves the same bits: every outcome in
 /// the report equals the solo baseline of its seed, every ticket slot
-/// is filled in order, and the closed loop accounts its batching.
+/// is filled in order, and every ticket takes one serving-thread turn.
 #[test]
 fn query_pool_serves_bit_equal_outcomes() {
     let g = rmat_graph();
@@ -144,7 +145,7 @@ fn query_pool_serves_bit_equal_outcomes() {
         let report = QueryPool::serve(
             &bound,
             Bfs::new(0),
-            ServiceConfig::default().workers(3).batch_max(2),
+            ServiceConfig::default().workers(3),
             |client| {
                 for &seed in &seeds {
                     let ticket = client.submit(QueryRequest::new(seed))?;
@@ -156,7 +157,11 @@ fn query_pool_serves_bit_equal_outcomes() {
         .expect("serve");
         assert_eq!(report.outcomes.len(), seeds.len(), "{label}");
         assert_eq!(report.completed(), seeds.len(), "{label}");
-        assert!(report.batches as usize <= seeds.len(), "{label}");
+        assert_eq!(
+            report.batches as usize,
+            seeds.len(),
+            "{label}: one turn per ticket"
+        );
         assert!(report.queries_per_sec() > 0.0, "{label}");
         assert!(report.latency_percentile(99.0) >= report.latency_percentile(50.0));
         for (i, (outcome, baseline)) in report.outcomes.iter().zip(&baselines).enumerate() {
@@ -226,37 +231,27 @@ fn cancellation_and_deadlines_abort_only_their_own_query() {
 #[test]
 fn reject_admission_sheds_load_without_corrupting_admitted_queries() {
     let g = rmat_graph();
-    let entered = Arc::new(AtomicBool::new(false));
-    let release = Arc::new(AtomicBool::new(false));
-    let program = GatedLevels {
-        src: 0,
-        entered: entered.clone(),
-        release: release.clone(),
-    };
+    let program = GatedLevels::new(&[0]);
     let runtime = Runtime::new(EngineConfig::default()).expect("runtime");
     let bound = runtime.bind(&g);
-    let baseline = fingerprint({
-        release.store(true, Ordering::SeqCst);
-        let r = bound.run(program.clone()).execute().expect("baseline");
-        release.store(false, Ordering::SeqCst);
-        entered.store(false, Ordering::SeqCst);
-        r
-    });
+    let baseline = fingerprint(
+        bound
+            .run(GatedLevels::new(&[]))
+            .execute()
+            .expect("baseline"),
+    );
     let report = QueryPool::serve(
         &bound,
-        program,
+        program.clone(),
         ServiceConfig::default()
             .workers(1)
             .queue_depth(1)
-            .batch_max(1)
             .admission(AdmissionPolicy::Reject),
         |client| {
             // First query: picked up by the lone serving thread, which
             // parks on the gate inside `init`.
             client.submit(QueryRequest::new(0))?;
-            while !entered.load(Ordering::SeqCst) {
-                std::hint::spin_loop();
-            }
+            program.wait_entered(0);
             // Second query: admitted into the depth-1 queue.
             let queued = client.submit(QueryRequest::new(0))?;
             assert_eq!(queued.index(), 1);
@@ -271,7 +266,7 @@ fn reject_admission_sheds_load_without_corrupting_admitted_queries() {
                     other => panic!("expected Overloaded, got {other:?}"),
                 }
             }
-            release.store(true, Ordering::SeqCst);
+            program.release(0);
             Ok(())
         },
     )
@@ -337,22 +332,15 @@ fn drain_close_finishes_admitted_work_and_rejects_new_submissions() {
 #[test]
 fn abort_close_cancels_outstanding_queries_and_hands_back_checkpoints() {
     let g = rmat_graph();
-    let entered = Arc::new(AtomicBool::new(false));
-    let release = Arc::new(AtomicBool::new(false));
-    let program = GatedLevels {
-        src: 0,
-        entered: entered.clone(),
-        release: release.clone(),
-    };
+    let program = GatedLevels::new(&[0]);
     let runtime = Runtime::new(EngineConfig::default()).expect("runtime");
     let bound = runtime.bind(&g);
-    let baseline = fingerprint({
-        release.store(true, Ordering::SeqCst);
-        let r = bound.run(program.clone()).execute().expect("baseline");
-        release.store(false, Ordering::SeqCst);
-        entered.store(false, Ordering::SeqCst);
-        r
-    });
+    let baseline = fingerprint(
+        bound
+            .run(GatedLevels::new(&[]))
+            .execute()
+            .expect("baseline"),
+    );
     let report = QueryPool::serve(
         &bound,
         program.clone(),
@@ -364,9 +352,7 @@ fn abort_close_cancels_outstanding_queries_and_hands_back_checkpoints() {
             // First query: picked up by the lone serving thread, which
             // parks on the gate inside `init`.
             client.submit(QueryRequest::new(0))?;
-            while !entered.load(Ordering::SeqCst) {
-                std::hint::spin_loop();
-            }
+            program.wait_entered(0);
             // Two more queries queue behind it, then the pool aborts.
             client.submit(QueryRequest::new(0))?;
             client.submit(QueryRequest::new(0))?;
@@ -378,7 +364,7 @@ fn abort_close_cancels_outstanding_queries_and_hands_back_checkpoints() {
                 ),
                 "submit after abort-close must fail typed"
             );
-            release.store(true, Ordering::SeqCst);
+            program.release(0);
             Ok(())
         },
     )
@@ -413,6 +399,107 @@ fn abort_close_cancels_outstanding_queries_and_hands_back_checkpoints() {
         assert_eq!(outcome.attempts, 0);
         assert!(outcome.checkpoint.is_none());
     }
+}
+
+/// A serving thread takes one ticket per turn, so `CloseMode::Abort`
+/// finds the tickets queued behind the in-flight one still in the
+/// queue: with A served, B in flight and C, D queued, the close cancels
+/// B — checkpoint captured and, since the pool's own token cancelled
+/// it, spilled — while C and D come back as zero-attempt cancellations
+/// with no checkpoint and nothing in the store.
+#[test]
+fn abort_close_leaves_queued_tickets_unserved_and_unspilled() {
+    let (a, b, c, d) = (0, 1, 2, 3);
+    let dir = std::env::temp_dir().join(format!("simdx-serving-abort-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let g = rmat_graph();
+    let program = GatedLevels::new(&[a, b]);
+    let runtime = Runtime::new(EngineConfig::default()).expect("runtime");
+    let bound = runtime.bind(&g);
+    let store = DirStore::open(&dir).expect("open store");
+    let report = QueryPool::serve(
+        &bound,
+        program.clone(),
+        ServiceConfig::default()
+            .workers(1)
+            .checkpoint_aborts(true)
+            .durability(DurabilityPolicy::spill_to(store)),
+        |client| {
+            client.submit(QueryRequest::new(a))?;
+            program.wait_entered(a);
+            for seed in [b, c, d] {
+                client.submit(QueryRequest::new(seed))?;
+            }
+            program.release(a);
+            program.wait_entered(b);
+            client.close(CloseMode::Abort);
+            program.release(b);
+            Ok(())
+        },
+    )
+    .expect("serve");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(report.outcomes.len(), 4, "every admitted ticket reports");
+    assert!(
+        report.outcomes[0].result.is_ok(),
+        "A finished before the close"
+    );
+    let inflight = &report.outcomes[1];
+    assert!(
+        matches!(inflight.result, Err(SimdxError::Cancelled { .. })),
+        "B aborts as Cancelled, got {:?}",
+        inflight.result
+    );
+    assert_eq!(inflight.attempts, 1);
+    assert!(inflight.checkpoint.is_some(), "B hands its boundary back");
+    for (ticket, outcome) in report.outcomes.iter().enumerate().skip(2) {
+        assert!(
+            matches!(outcome.result, Err(SimdxError::Cancelled { .. })),
+            "ticket {ticket}: {:?}",
+            outcome.result
+        );
+        assert_eq!(outcome.attempts, 0, "ticket {ticket} ran after the close");
+        assert!(outcome.checkpoint.is_none(), "ticket {ticket}");
+    }
+    assert_eq!(report.spilled, vec![1], "only B's ticket spills");
+}
+
+/// No serving thread holds queued work while a peer idles: with both
+/// threads held on A and B and tickets C, D queued, releasing A and B
+/// lets each thread take one of C and D, so D starts while C is still
+/// held in `init`.
+#[test]
+fn an_idle_serving_thread_takes_the_next_ticket_while_its_peer_is_busy() {
+    let (a, b, c, d) = (0, 1, 2, 3);
+    let g = rmat_graph();
+    let program = GatedLevels::new(&[a, b, c, d]);
+    let runtime = Runtime::new(EngineConfig::default()).expect("runtime");
+    let bound = runtime.bind(&g);
+    let mut overlapped = false;
+    let report = QueryPool::serve(
+        &bound,
+        program.clone(),
+        ServiceConfig::default().workers(2),
+        |client| {
+            for seed in [a, b] {
+                client.submit(QueryRequest::new(seed))?;
+                program.wait_entered(seed);
+            }
+            client.submit(QueryRequest::new(c))?;
+            client.submit(QueryRequest::new(d))?;
+            program.release(a);
+            program.release(b);
+            program.wait_entered(c);
+            overlapped = program.entered_within(d, Duration::from_secs(30));
+            program.release(c);
+            program.release(d);
+            Ok(())
+        },
+    )
+    .expect("serve");
+    assert!(overlapped, "D waited behind C on one serving thread");
+    assert_eq!(report.completed(), 4);
+    assert_eq!(report.batches, 4, "one turn per ticket");
 }
 
 /// A producer that panics after submitting must not hang `serve`: the
@@ -476,10 +563,7 @@ fn breaker_opens_under_repeated_panics_and_sheds() {
     let report = QueryPool::serve(
         &bound,
         program,
-        ServiceConfig::default()
-            .workers(1)
-            .batch_max(1)
-            .breaker(2, cooldown),
+        ServiceConfig::default().workers(1).breaker(2, cooldown),
         |client| {
             client.submit(QueryRequest::new(0))?;
             client.submit(QueryRequest::new(0))?;
@@ -539,7 +623,7 @@ fn injected_worker_panic_spares_concurrent_peers() {
     let report = QueryPool::serve(
         &bound,
         Faulty::new(Bfs::new(0), seam, Action::Panic),
-        ServiceConfig::default().workers(3).batch_max(2),
+        ServiceConfig::default().workers(3),
         |client| {
             for _ in 0..9 {
                 client.submit(QueryRequest::new(0))?;
@@ -589,7 +673,6 @@ fn retry_policy_absorbs_an_injected_worker_panic() {
         program.clone(),
         ServiceConfig::default()
             .workers(3)
-            .batch_max(2)
             .retry(RetryPolicy::default().max_attempts(2)),
         |client| {
             for _ in 0..9 {

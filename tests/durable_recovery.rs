@@ -25,8 +25,6 @@
 //! state and run concurrently.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use simdx::algos::Bfs;
@@ -419,20 +417,12 @@ fn caller_cancellations_are_not_spilled_but_abort_mode_ones_are() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let dir = scratch_dir("shutdown");
-    let entered = Arc::new(AtomicBool::new(false));
-    let release = Arc::new(AtomicBool::new(false));
-    let program = GatedLevels {
-        src: 0,
-        entered: entered.clone(),
-        release: release.clone(),
-    };
-    let report = QueryPool::serve(&bound, program, durable(&dir), |client| {
+    let program = GatedLevels::new(&[SEEDS[0]]);
+    let report = QueryPool::serve(&bound, program.clone(), durable(&dir), |client| {
         client.submit(QueryRequest::new(SEEDS[0]).cancel_token(CancelToken::new()))?;
-        while !entered.load(Ordering::SeqCst) {
-            std::hint::spin_loop();
-        }
+        program.wait_entered(SEEDS[0]);
         client.close(CloseMode::Abort);
-        release.store(true, Ordering::SeqCst);
+        program.release(SEEDS[0]);
         Ok(())
     })
     .expect("serve");

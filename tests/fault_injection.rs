@@ -204,36 +204,6 @@ fn delay_faults_model_stragglers_without_changing_results() {
     }
 }
 
-#[test]
-fn degrade_policy_retries_an_injected_worker_panic_serially() {
-    // A parallel query eats a worker panic, DegradePolicy::RetrySerial
-    // replays it serially, and the answer matches the serial baseline
-    // with the abort flagged. The fault strikes once, so the parallel
-    // attempt absorbs it and the serial retry runs clean.
-    let g = rmat_graph();
-    let par = EngineConfig::default()
-        .with_exec(ExecMode::Parallel { threads: 3 })
-        .with_direction(DirectionPolicy::FixedPush)
-        .degrade_serial();
-    let serial_cfg = par.clone().with_exec(ExecMode::Serial);
-    let baseline = fresh(Bfs::new(0), &g, serial_cfg);
-    let runtime = Runtime::new(par).expect("runtime");
-    let bound = runtime.bind(&g);
-    let program = bfs_fault(Seam::Compute(0));
-    let recovered = bound.run(&program).execute().expect("degraded run");
-    assert!(program.struck(), "the parallel attempt hit the fault");
-    assert_eq!(
-        recovered.report.aborted,
-        Some(AbortReason::WorkerPanic),
-        "degrade retry must be flagged"
-    );
-    assert_eq!(
-        fingerprint(recovered),
-        baseline,
-        "serial degrade retry diverged from the serial baseline"
-    );
-}
-
 /// Every seam's fault recovers through the checkpoint path: the armed
 /// run aborts with a typed `WorkerPanicked` carrying its last boundary
 /// snapshot (none when the fault struck before the first boundary), and
@@ -381,43 +351,4 @@ fn capture_never_runs_the_metadata_clone() {
             "{label}: armed capture diverged"
         );
     }
-}
-
-/// The degrade retry is one more attempt under the slot rule: with
-/// checkpointing armed it continues from the panicked attempt's last
-/// boundary instead of restarting, so the observer sees every iteration
-/// exactly once and the result is still the serial baseline's.
-#[test]
-fn an_armed_degrade_retry_continues_from_the_last_boundary() {
-    let g = rmat_graph();
-    let par = EngineConfig::default()
-        .parallel(3)
-        .with_direction(DirectionPolicy::FixedPush)
-        .degrade_serial();
-    let baseline = fresh(Bfs::new(0), &g, par.clone().with_exec(ExecMode::Serial));
-    let runtime = Runtime::new(par).expect("runtime");
-    let bound = runtime.bind(&g);
-    // Level-2 sources are pushed in iteration 2: two iterations
-    // complete, the third dies mid-sweep.
-    let program = bfs_fault(Seam::Compute(2));
-    let mut seen = Vec::new();
-    let recovered = bound
-        .run(&program)
-        .observe(|rec| seen.push(rec.iteration))
-        .checkpoint_on_abort()
-        .execute()
-        .expect("degraded run");
-    assert!(program.struck(), "the parallel attempt hit the fault");
-    assert_eq!(recovered.report.aborted, Some(AbortReason::WorkerPanic));
-    assert!(recovered.report.iterations > 3, "the fault struck mid-run");
-    assert_eq!(
-        seen,
-        (0..recovered.report.iterations).collect::<Vec<_>>(),
-        "each iteration observed exactly once, in order"
-    );
-    assert_eq!(
-        fingerprint(recovered),
-        baseline,
-        "continued degrade retry diverged from the serial baseline"
-    );
 }

@@ -13,41 +13,102 @@
 #![allow(dead_code)] // each suite uses a subset
 
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use simdx::core::acc::DirectionCtx;
 use simdx::core::prelude::*;
 use simdx::graph::csr::Direction;
 use simdx::graph::{Graph, VertexId, Weight};
 
-/// A BFS-by-levels program whose `init` parks on a shared gate: while
-/// one query holds the lone serving thread it is deterministically *in
-/// flight* — the bounded queue fills behind it, and a close or cancel
-/// issued meanwhile lands at its first supervision check. Results are
-/// plain BFS levels, so the admitted queries still have an exact
+/// How long a test waits for a gated run to reach `init`.
+const GATE_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// One seed's gate in a [`GatedLevels`].
+#[derive(Default)]
+struct Gate {
+    entered: AtomicBool,
+    release: AtomicBool,
+}
+
+/// A BFS-by-levels program whose `init` parks on a per-seed gate: a
+/// run from a seed given a gate at construction waits in `init` until
+/// the test releases that seed, and every other run goes straight
+/// through. While a gated query holds a serving thread it is
+/// deterministically *in flight* — the queue fills behind it, and a
+/// close or cancel issued meanwhile lands at its first supervision
+/// check. Every clone shares the gates, and a released gate stays open.
+/// Results are plain BFS levels, so every query still has an exact
 /// expected answer.
 #[derive(Clone)]
 pub(crate) struct GatedLevels {
-    pub(crate) src: VertexId,
-    pub(crate) entered: Arc<AtomicBool>,
-    pub(crate) release: Arc<AtomicBool>,
+    src: VertexId,
+    gates: Arc<HashMap<VertexId, Gate>>,
+}
+
+impl GatedLevels {
+    /// A program rooted at vertex 0 whose runs from `seeds` park.
+    pub(crate) fn new(seeds: &[VertexId]) -> Self {
+        Self {
+            src: 0,
+            gates: Arc::new(seeds.iter().map(|&s| (s, Gate::default())).collect()),
+        }
+    }
+
+    fn gate(&self, seed: VertexId) -> &Gate {
+        self.gates
+            .get(&seed)
+            .unwrap_or_else(|| panic!("seed {seed} has no gate"))
+    }
+
+    /// Whether the run from `seed` reaches `init` within `timeout`.
+    pub(crate) fn entered_within(&self, seed: VertexId, timeout: Duration) -> bool {
+        let gate = self.gate(seed);
+        let deadline = Instant::now() + timeout;
+        while !gate.entered.load(Ordering::SeqCst) {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    /// Waits for the run from `seed` to reach `init`. On a timeout every
+    /// gate opens before the panic, so the serve call around the test
+    /// can still finish and report it.
+    pub(crate) fn wait_entered(&self, seed: VertexId) {
+        if !self.entered_within(seed, GATE_TIMEOUT) {
+            for gate in self.gates.values() {
+                gate.release.store(true, Ordering::SeqCst);
+            }
+            panic!("the run from seed {seed} never started");
+        }
+    }
+
+    /// Lets the run from `seed` leave `init`.
+    pub(crate) fn release(&self, seed: VertexId) {
+        self.gate(seed).release.store(true, Ordering::SeqCst);
+    }
 }
 
 impl AccProgram for GatedLevels {
     type Meta = u32;
     type Update = u32;
     fn name(&self) -> &'static str {
-        "gated-levels"
+        "seed-gated-levels"
     }
     fn combine_kind(&self) -> CombineKind {
         CombineKind::Vote
     }
     fn init(&self, g: &Graph) -> (Vec<u32>, Vec<VertexId>) {
-        self.entered.store(true, Ordering::SeqCst);
-        while !self.release.load(Ordering::SeqCst) {
-            std::hint::spin_loop();
+        if let Some(gate) = self.gates.get(&self.src) {
+            gate.entered.store(true, Ordering::SeqCst);
+            while !gate.release.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_micros(100));
+            }
         }
         let mut m = vec![u32::MAX; g.num_vertices() as usize];
         m[self.src as usize] = 0;
