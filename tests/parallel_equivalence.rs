@@ -1,31 +1,19 @@
-//! The determinism contract of the parallel host backend and of the
-//! changed set (`crates/core/README.md`): for every algorithm, graph
-//! class, filter policy and thread count, `ExecMode::Parallel` must be
-//! **bit-equal** to `ExecMode::Serial` — identical final metadata
-//! (float bit patterns included), identical per-iteration activation
-//! logs (directions, filters, frontier sizes, per-iteration cycles) and
-//! identical total simulated cycle counts.
-//!
-//! Each matrix runs two filter policies. `Jit` is the default, and
-//! reaches the ballot filter only on a bin overflow. `BallotOnly` runs
-//! the ballot filter on *every* iteration — sparse wavefronts through
-//! the occupancy-skipping scan, dense middles through the chunked one,
-//! word-aligned partitions in the parallel cells — so every changed-set
-//! strategy an iteration can select is exercised, and the final
-//! metadata must not depend on the policy at all.
-//! `tests/changed_set.rs` pins the threshold between the strategies.
+//! The determinism contract of the parallel host backend
+//! (`crates/core/README.md`): for every algorithm, graph class and
+//! thread count, `ExecMode::Parallel` must be **bit-equal** to
+//! `ExecMode::Serial` — identical final metadata, identical per-iteration
+//! activation logs (directions, filters, frontier sizes, per-iteration
+//! cycles) and identical total simulated cycle counts.
 //!
 //! The graphs cover the structural classes that stress different engine
 //! paths: RMAT (skewed degrees → CTA worklists, ballot switches, pull
 //! phases), road strips (tiny frontiers over many iterations → online
-//! filter steady state; warp-misaligned vertex counts, so the chunk
-//! sweeps' tails always run), and Erdős–Rényi (uniform mid-size
-//! frontiers → push/pull direction flips). The five algorithms cover
-//! both Combine kinds, the aggregation-pull candidate bitmap, the
-//! non-idempotent decrement path (k-Core) and float accumulation order
-//! (PageRank).
+//! filter steady state), and Erdős–Rényi (uniform mid-size frontiers →
+//! push/pull direction flips). PageRank additionally locks the
+//! aggregation float path (f32 accumulation order), and k-Core the
+//! non-idempotent decrement path.
 
-use simdx::algos::{bfs, kcore, pagerank, sssp, wcc};
+use simdx::algos::{bfs, kcore, pagerank, sssp};
 use simdx::core::jit::ActivationLog;
 use simdx::core::prelude::*;
 use simdx::graph::gen::{Erdos, Rmat, Road};
@@ -52,32 +40,23 @@ fn fingerprint<M: PartialEq + std::fmt::Debug>(r: RunResult<M>) -> Fingerprint<M
     }
 }
 
-/// Runs `run` under both filter policies, each serial and at every
-/// thread count, and asserts the parallel runs equal their serial run
-/// and the two policies give the same metadata. The ballot scan and the
-/// push destination shards are partitioned on 64-vertex word
-/// boundaries, and that partitioning must be thread-count-independent.
+/// Runs `run` under serial and parallel modes and asserts equality.
+/// The ballot scan and the push destination shards are partitioned on
+/// 64-vertex word boundaries, and that partitioning must be
+/// thread-count-independent.
 fn assert_equivalent<M, F>(what: &str, run: F)
 where
     M: PartialEq + std::fmt::Debug,
     F: Fn(EngineConfig) -> RunResult<M>,
 {
-    let mut jit_meta = None;
-    for policy in [FilterPolicy::Jit, FilterPolicy::BallotOnly] {
-        let cfg = EngineConfig::default().with_filter(policy);
-        let serial = fingerprint(run(cfg.clone()));
-        assert!(serial.iterations > 0, "{what}: trivial run proves nothing");
-        for threads in THREAD_COUNTS {
-            let par = fingerprint(run(cfg.clone().parallel(threads)));
-            assert_eq!(
-                par, serial,
-                "{what} under {policy:?} with {threads} threads diverged from serial"
-            );
-        }
-        match &jit_meta {
-            None => jit_meta = Some(serial.meta),
-            Some(jit) => assert_eq!(&serial.meta, jit, "{what}: {policy:?} changed the result"),
-        }
+    let serial = fingerprint(run(EngineConfig::default()));
+    assert!(serial.iterations > 0, "{what}: trivial run proves nothing");
+    for threads in THREAD_COUNTS {
+        let par = fingerprint(run(EngineConfig::default().parallel(threads)));
+        assert_eq!(
+            par, serial,
+            "{what} with {threads} threads diverged from serial"
+        );
     }
 }
 
@@ -178,18 +157,6 @@ fn kcore_parallel_equals_serial_on_road() {
 }
 
 #[test]
-fn wcc_parallel_equals_serial_on_rmat() {
-    let g = Graph::undirected_from_edges(Rmat::gtgraph(12, 8).generate(5));
-    assert_equivalent("wcc/rmat", |cfg| wcc::run(&g, cfg).expect("wcc"));
-}
-
-#[test]
-fn wcc_parallel_equals_serial_on_er() {
-    let g = Graph::undirected_from_edges(Erdos::new(4096, 8).generate(5));
-    assert_equivalent("wcc/er", |cfg| wcc::run(&g, cfg).expect("wcc"));
-}
-
-#[test]
 fn grid_push_is_work_optimal() {
     // The work-optimality regression guard: a push iteration's edge
     // work is the frontier's out-degree sum (what the serial engine
@@ -231,6 +198,30 @@ fn grid_examined_matches_serial_under_direction_switches() {
     };
     check(&|cfg| bfs::run(&g, 0, cfg).expect("bfs").report);
     check(&|cfg| pagerank::run(&g, cfg).expect("pr").report);
+}
+
+#[test]
+fn filter_policies_stay_equivalent_in_parallel() {
+    // The ballot-only and online-only paths skip/force bin recording;
+    // both must stay bit-equal under the parallel backend too.
+    let g = er_graph();
+    for policy in [FilterPolicy::Jit, FilterPolicy::BallotOnly] {
+        let serial =
+            fingerprint(bfs::run(&g, 0, EngineConfig::default().with_filter(policy)).expect("bfs"));
+        for threads in THREAD_COUNTS {
+            let par = fingerprint(
+                bfs::run(
+                    &g,
+                    0,
+                    EngineConfig::default()
+                        .with_filter(policy)
+                        .parallel(threads),
+                )
+                .expect("bfs"),
+            );
+            assert_eq!(par, serial, "{policy:?} with {threads} threads diverged");
+        }
+    }
 }
 
 #[test]
