@@ -12,13 +12,13 @@ use simdx_core::{EngineConfig, RunResult, Runtime, SimdxError};
 use simdx_graph::{Graph, VertexId, Weight};
 
 /// Level metadata for unvisited vertices.
-pub const UNVISITED: u32 = u32::MAX;
+pub(crate) const UNVISITED: u32 = u32::MAX;
 
 /// BFS from a source vertex.
 #[derive(Clone, Copy, Debug)]
 pub struct Bfs {
     /// Source vertex.
-    pub src: VertexId,
+    pub(crate) src: VertexId,
 }
 
 impl Bfs {

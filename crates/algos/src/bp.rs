@@ -24,11 +24,11 @@ use simdx_graph::{Graph, VertexId, Weight};
 #[derive(Clone, Debug)]
 pub struct BeliefPropagation {
     /// Per-vertex prior probabilities.
-    pub priors: Vec<f32>,
+    pub(crate) priors: Vec<f32>,
     /// Damping (mixing) factor λ.
-    pub lambda: f32,
+    pub(crate) lambda: f32,
     /// Number of message-passing rounds.
-    pub rounds: u32,
+    pub(crate) rounds: u32,
 }
 
 impl BeliefPropagation {
@@ -37,7 +37,7 @@ impl BeliefPropagation {
     /// # Panics
     ///
     /// Panics if `lambda` is outside `(0, 1)`.
-    pub fn new(priors: Vec<f32>, lambda: f32, rounds: u32) -> Self {
+    pub(crate) fn new(priors: Vec<f32>, lambda: f32, rounds: u32) -> Self {
         assert!(lambda > 0.0 && lambda < 1.0, "lambda must be in (0, 1)");
         Self {
             priors,

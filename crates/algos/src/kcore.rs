@@ -24,16 +24,13 @@ use simdx_graph::csr::Direction;
 use simdx_graph::{Graph, VertexId, Weight};
 
 /// Sentinel marking a deleted vertex.
-pub const DELETED: u32 = u32::MAX;
-
-/// Default k used by the evaluation figures (§6; Table 4 uses k = 32).
-pub const DEFAULT_K: u32 = 16;
+pub(crate) const DELETED: u32 = u32::MAX;
 
 /// k-Core decomposition.
 #[derive(Clone, Copy, Debug)]
 pub struct KCore {
     /// The core order.
-    pub k: u32,
+    pub(crate) k: u32,
 }
 
 impl KCore {
@@ -123,6 +120,9 @@ mod tests {
     use super::*;
     use crate::reference;
     use simdx_graph::{datasets, EdgeList};
+
+    /// The k the dataset-twin tests peel with (Table 4 uses k = 32).
+    const DEFAULT_K: u32 = 16;
 
     #[test]
     fn triangle_with_pendant() {

@@ -45,9 +45,7 @@ pub mod sssp;
 pub mod wcc;
 
 pub use bfs::Bfs;
-pub use bp::BeliefPropagation;
 pub use kcore::KCore;
 pub use pagerank::PageRank;
-pub use spmv::Spmv;
 pub use sssp::Sssp;
 pub use wcc::Wcc;

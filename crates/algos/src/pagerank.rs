@@ -22,9 +22,9 @@ use simdx_graph::{Graph, VertexId, Weight};
 #[derive(Clone, Debug)]
 pub struct PageRank {
     /// Damping factor (0.85 conventionally).
-    pub damping: f32,
+    pub(crate) damping: f32,
     /// Rank-movement threshold below which a vertex is stable.
-    pub eps: f32,
+    pub(crate) eps: f32,
     /// Reciprocal out-degrees, indexed by vertex.
     inv_out_degree: Vec<f32>,
     /// `(1 - damping) / |V|`.

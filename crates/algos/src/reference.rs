@@ -1,15 +1,15 @@
 //! Sequential reference implementations used to validate every ACC
 //! program. These are deliberately simple, textbook versions — the
 //! ground truth the simulated engine must reproduce bit-for-bit (BFS,
-//! SSSP, k-Core, WCC) or within floating-point tolerance (PageRank, BP,
-//! SpMV).
+//! SSSP, k-Core, WCC) or within floating-point tolerance (PageRank, and
+//! the test-only BP and SpMV oracles).
 
 use simdx_graph::csr::Csr;
 use simdx_graph::{Graph, VertexId};
 use std::collections::BinaryHeap;
 
 /// Sentinel for unreachable vertices in BFS and SSSP outputs.
-pub const UNREACHED: u32 = u32::MAX;
+pub(crate) const UNREACHED: u32 = u32::MAX;
 
 /// Level-synchronous BFS distances from `src`.
 pub fn bfs(csr: &Csr, src: VertexId) -> Vec<u32> {
@@ -152,7 +152,13 @@ pub fn wcc(csr: &Csr) -> Vec<u32> {
 /// averaging over in-neighbors (the simplified sum-product variant the
 /// BP program implements; see `crate::bp`). Runs exactly `rounds`
 /// Jacobi rounds.
-pub fn belief_propagation(graph: &Graph, priors: &[f32], lambda: f32, rounds: u32) -> Vec<f32> {
+#[cfg(test)]
+pub(crate) fn belief_propagation(
+    graph: &Graph,
+    priors: &[f32],
+    lambda: f32,
+    rounds: u32,
+) -> Vec<f32> {
     let n = graph.num_vertices() as usize;
     assert_eq!(priors.len(), n, "one prior per vertex");
     let in_ = graph.in_();
@@ -181,7 +187,8 @@ pub fn belief_propagation(graph: &Graph, priors: &[f32], lambda: f32, rounds: u3
 
 /// Sparse matrix-vector product `y = A·x` where `A` is the weighted
 /// in-orientation adjacency (so `y[v] = Σ_{(u,v)} w_uv · x[u]`).
-pub fn spmv(graph: &Graph, x: &[f32]) -> Vec<f32> {
+#[cfg(test)]
+pub(crate) fn spmv(graph: &Graph, x: &[f32]) -> Vec<f32> {
     let n = graph.num_vertices() as usize;
     assert_eq!(x.len(), n, "input vector length must equal |V|");
     let in_ = graph.in_();

@@ -14,20 +14,15 @@ use simdx_graph::{Graph, VertexId, Weight};
 
 /// One SpMV round.
 #[derive(Clone, Debug)]
-pub struct Spmv {
+pub(crate) struct Spmv {
     /// The input vector `x`.
-    pub x: Vec<f32>,
+    pub(crate) x: Vec<f32>,
 }
 
 impl Spmv {
     /// Creates an SpMV program for input vector `x`.
-    pub fn new(x: Vec<f32>) -> Self {
+    pub(crate) fn new(x: Vec<f32>) -> Self {
         Self { x }
-    }
-
-    /// Creates an SpMV with the all-ones vector (row sums).
-    pub fn ones(graph: &Graph) -> Self {
-        Self::new(vec![1.0; graph.num_vertices() as usize])
     }
 }
 

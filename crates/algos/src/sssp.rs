@@ -12,13 +12,13 @@ use simdx_core::{EngineConfig, RunResult, Runtime, SimdxError};
 use simdx_graph::{Graph, VertexId, Weight};
 
 /// Distance metadata for unreached vertices.
-pub const INF: u32 = u32::MAX;
+pub(crate) const INF: u32 = u32::MAX;
 
 /// SSSP from a source vertex.
 #[derive(Clone, Copy, Debug)]
 pub struct Sssp {
     /// Source vertex.
-    pub src: VertexId,
+    pub(crate) src: VertexId,
 }
 
 impl Sssp {

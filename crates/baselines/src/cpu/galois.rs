@@ -25,9 +25,9 @@ use simdx_graph::{Graph, VertexId};
 #[derive(Clone, Copy, Debug)]
 pub struct GaloisConfig {
     /// Device scale divisor (match the dataset twin scale).
-    pub parallelism_scale: u32,
+    pub(crate) parallelism_scale: u32,
     /// Cap on priority rounds.
-    pub max_rounds: u32,
+    pub(crate) max_rounds: u32,
 }
 
 impl Default for GaloisConfig {

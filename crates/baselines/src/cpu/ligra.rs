@@ -22,9 +22,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 #[derive(Clone, Copy, Debug)]
 pub struct LigraConfig {
     /// Device scale divisor (match the dataset twin scale).
-    pub parallelism_scale: u32,
+    pub(crate) parallelism_scale: u32,
     /// Iteration cap.
-    pub max_iterations: u32,
+    pub(crate) max_iterations: u32,
 }
 
 impl Default for LigraConfig {

@@ -2,10 +2,10 @@
 //!
 //! The paper's evaluation machine is "two Intel Xeon E5-2683 CPUs (14
 //! physical cores with 28 hyperthreads) and 512 GB main memory" (§7).
-//! [`host_device`] models it with the same [`DeviceSpec`] machinery the
+//! `host_device` models it with the same [`DeviceSpec`] machinery the
 //! GPU uses: 28 cores × 2 hyperthreads = 56 scheduling slots, ~120 GB/s
 //! of aggregate memory bandwidth, microsecond-class parallel-for spawn
-//! and barrier costs. [`host_cost_model`] reprices the cost units for a
+//! and barrier costs. `host_cost_model` reprices the cost units for a
 //! cache-hierarchy machine (cheap sequential access, DRAM-latency
 //! random access, moderately cheap atomics).
 //!
@@ -22,7 +22,7 @@ use simdx_gpu::cost::CostModel;
 use simdx_gpu::{DeviceSpec, GpuExecutor, KernelDesc};
 
 /// The simulated evaluation host: 2× Intel Xeon E5-2683 v3.
-pub fn host_device() -> DeviceSpec {
+pub(crate) fn host_device() -> DeviceSpec {
     DeviceSpec {
         name: "2x Xeon E5-2683",
         // One "SM" per physical core.
@@ -51,7 +51,7 @@ pub fn host_device() -> DeviceSpec {
 /// random traffic pays DRAM latency (partially hidden by out-of-order
 /// execution), atomics are cheaper than on the GPU but contended ones
 /// still serialize.
-pub fn host_cost_model() -> CostModel {
+pub(crate) fn host_cost_model() -> CostModel {
     CostModel {
         cycles_per_op: 1,
         cycles_per_coalesced_elem: 1,
@@ -63,7 +63,7 @@ pub fn host_cost_model() -> CostModel {
 }
 
 /// An executor for the host device at the given twin scale.
-pub fn host_executor(parallelism_scale: u32) -> GpuExecutor {
+pub(crate) fn host_executor(parallelism_scale: u32) -> GpuExecutor {
     let mut ex = GpuExecutor::with_model(host_device(), host_cost_model());
     ex.set_scale(parallelism_scale);
     ex
@@ -71,12 +71,12 @@ pub fn host_executor(parallelism_scale: u32) -> GpuExecutor {
 
 /// The kernel descriptor standing in for a host parallel-for region
 /// (one thread per slot; registers are not a constraint).
-pub fn host_kernel(name: &str) -> KernelDesc {
+pub(crate) fn host_kernel(name: &str) -> KernelDesc {
     KernelDesc::new(name, 0).with_threads_per_cta(1)
 }
 
 /// Number of real worker threads for the functional computation.
-pub fn real_threads() -> usize {
+pub(crate) fn real_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)

@@ -67,7 +67,7 @@ pub enum Infeasible {
 /// Paper-scale bytes of the weighted CSR: uint64 offsets and uint32
 /// targets for each stored orientation (out + in for directed graphs,
 /// §6), with one shared weight array.
-pub fn csr_bytes(spec: &DatasetSpec) -> u64 {
+pub(crate) fn csr_bytes(spec: &DatasetSpec) -> u64 {
     let orientations = if spec.directed { 2 } else { 1 };
     orientations * ((spec.paper_vertices + 1) * 8 + spec.paper_edges * 4) + spec.paper_edges * 4
 }
@@ -75,14 +75,14 @@ pub fn csr_bytes(spec: &DatasetSpec) -> u64 {
 /// Paper-scale bytes of a CuSha G-Shards image: a 16-byte shard entry
 /// (source index, destination index, source value, edge value) plus
 /// ~6 B/edge of window bookkeeping, and per-vertex window arrays.
-pub fn cusha_bytes(spec: &DatasetSpec) -> u64 {
+pub(crate) fn cusha_bytes(spec: &DatasetSpec) -> u64 {
     spec.paper_edges * 22 + spec.paper_vertices * 8
 }
 
 /// Paper-scale bytes Gunrock needs for an algorithm: weighted CSR plus,
 /// for SSSP, the worst-case `2·|E|` batch-filter frontier of
 /// (vertex, distance) pairs (§4's "up to 2·|E| memory space").
-pub fn gunrock_bytes(spec: &DatasetSpec, algo: Algo) -> u64 {
+pub(crate) fn gunrock_bytes(spec: &DatasetSpec, algo: Algo) -> u64 {
     let frontier = match algo {
         Algo::Sssp => 2 * spec.paper_edges * 8,
         _ => spec.paper_vertices * 8,

@@ -60,10 +60,10 @@ impl std::error::Error for BarrierError {}
 pub struct BarrierStats {
     /// Scheduling rounds the simulation took (1 when every CTA is
     /// resident, which is always the case for deadlock-free configs).
-    pub rounds: u32,
+    pub(crate) rounds: u32,
     /// Total lock-array stores performed (one arrival per worker plus
     /// one departure flip per worker by the monitor).
-    pub lock_stores: u64,
+    pub(crate) lock_stores: u64,
 }
 
 /// A software global barrier over a launch.
@@ -85,9 +85,9 @@ impl GlobalBarrier {
         }
     }
 
-    /// Creates a barrier with an explicit residency limit (used by tests
-    /// and by the naive-barrier demonstrations).
-    pub fn with_resident_limit(launch: LaunchConfig, resident_limit: u32) -> Self {
+    /// Creates a barrier with an explicit residency limit.
+    #[cfg(test)]
+    pub(crate) fn with_resident_limit(launch: LaunchConfig, resident_limit: u32) -> Self {
         Self {
             launch,
             resident_limit,
@@ -138,16 +138,6 @@ impl GlobalBarrier {
             rounds: 1,
             lock_stores,
         })
-    }
-
-    /// The launch this barrier coordinates.
-    pub fn launch(&self) -> LaunchConfig {
-        self.launch
-    }
-
-    /// The residency limit in force.
-    pub fn resident_limit(&self) -> u32 {
-        self.resident_limit
     }
 }
 

@@ -53,29 +53,11 @@ impl Default for Cost {
 
 impl Cost {
     /// A pure-compute cost.
-    pub fn compute(ops: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn compute(ops: u64) -> Self {
         Self {
             compute_ops: ops,
             ..Self::default()
-        }
-    }
-
-    /// Builder: sets the cooperating lane count.
-    pub fn with_width(mut self, width: u64) -> Self {
-        self.width = width.max(1);
-        self
-    }
-
-    /// Component-wise sum (keeps the wider of the two widths).
-    pub fn add(&self, other: &Cost) -> Cost {
-        Cost {
-            compute_ops: self.compute_ops + other.compute_ops,
-            coalesced_reads: self.coalesced_reads + other.coalesced_reads,
-            random_reads: self.random_reads + other.random_reads,
-            writes: self.writes + other.writes,
-            atomics: self.atomics + other.atomics,
-            atomic_conflicts: self.atomic_conflicts + other.atomic_conflicts,
-            width: self.width.max(other.width),
         }
     }
 
@@ -90,7 +72,7 @@ impl Cost {
     /// Linear in the counters, so the bytes of a sum of costs are the
     /// sum of their bytes.
     #[inline]
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.coalesced_reads * 4
             + self.random_reads * crate::memory::TRANSACTION_BYTES / 4
             + self.writes * crate::memory::TRANSACTION_BYTES / 4
@@ -132,7 +114,7 @@ impl Default for CostModel {
 impl CostModel {
     /// Raw cycles for `cost`'s total work, ignoring lane cooperation.
     #[inline]
-    pub fn raw_cycles(&self, cost: &Cost) -> CycleCount {
+    pub(crate) fn raw_cycles(&self, cost: &Cost) -> CycleCount {
         cost.compute_ops * self.cycles_per_op
             + cost.coalesced_reads * self.cycles_per_coalesced_elem
             + cost.random_reads * self.cycles_per_random_elem
@@ -148,7 +130,7 @@ impl CostModel {
     /// (32) or default CTA (128) width is a power of two, so those
     /// divide by a shift and a mask; any other width takes `div_ceil`.
     #[inline]
-    pub fn cycles(&self, cost: &Cost) -> CycleCount {
+    pub(crate) fn cycles(&self, cost: &Cost) -> CycleCount {
         let raw = self.raw_cycles(cost);
         let width = cost.width.max(1);
         if width.is_power_of_two() {
@@ -207,24 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn add_is_componentwise() {
-        let a = Cost {
-            compute_ops: 1,
-            coalesced_reads: 2,
-            random_reads: 3,
-            writes: 4,
-            atomics: 5,
-            atomic_conflicts: 6,
-            ..Cost::default()
-        };
-        let s = a.add(&a);
-        assert_eq!(s.compute_ops, 2);
-        assert_eq!(s.atomic_conflicts, 12);
-        let m = CostModel::default();
-        assert_eq!(m.cycles(&s), 2 * m.cycles(&a));
-    }
-
-    #[test]
     fn zero_cost_is_zero_cycles() {
         assert_eq!(CostModel::default().cycles(&Cost::default()), 0);
     }
@@ -236,7 +200,10 @@ mod tests {
             random_reads: 64,
             ..Cost::default()
         };
-        let wide = narrow.with_width(32);
+        let wide = Cost {
+            width: 32,
+            ..narrow
+        };
         assert_eq!(m.cycles(&narrow), 32 * m.cycles(&wide));
         assert_eq!(narrow.bytes(), wide.bytes());
     }

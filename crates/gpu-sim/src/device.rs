@@ -103,14 +103,9 @@ impl DeviceSpec {
         }
     }
 
-    /// Total registers across the device.
-    pub fn total_registers(&self) -> u64 {
-        self.sm_count as u64 * self.registers_per_sm as u64
-    }
-
     /// Converts simulated cycles to simulated milliseconds at this
     /// device's clock.
-    pub fn cycles_to_ms(&self, cycles: u64) -> f64 {
+    pub(crate) fn cycles_to_ms(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.clock_mhz as f64 * 1_000.0)
     }
 }
@@ -122,8 +117,9 @@ mod tests {
     #[test]
     fn presets_are_ordered_by_capability() {
         let (k20, k40, p100) = (DeviceSpec::k20(), DeviceSpec::k40(), DeviceSpec::p100());
-        assert!(k20.total_registers() < k40.total_registers());
-        assert!(k40.total_registers() < p100.total_registers());
+        let registers = |d: &DeviceSpec| u64::from(d.sm_count) * u64::from(d.registers_per_sm);
+        assert!(registers(&k20) < registers(&k40));
+        assert!(registers(&k40) < registers(&p100));
         assert!(k20.bytes_per_cycle < k40.bytes_per_cycle);
         assert!(k40.bytes_per_cycle < p100.bytes_per_cycle);
         assert!(k20.sm_count < k40.sm_count && k40.sm_count < p100.sm_count);

@@ -35,19 +35,19 @@ use crate::occupancy::occupancy;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelReport {
     /// Scheduling granularity used.
-    pub unit: SchedUnit,
+    pub(crate) unit: SchedUnit,
     /// Number of tasks charged.
-    pub tasks: u64,
+    pub(crate) tasks: u64,
     /// Parallel slots available at this granularity.
-    pub slots: u64,
+    pub(crate) slots: u64,
     /// Slowest-slot cycles (load imbalance shows up here).
-    pub makespan_cycles: CycleCount,
+    pub(crate) makespan_cycles: CycleCount,
     /// Bandwidth-floor cycles (total bytes / device bytes-per-cycle).
-    pub bandwidth_floor_cycles: CycleCount,
+    pub(crate) bandwidth_floor_cycles: CycleCount,
     /// Final elapsed cycles charged, including launch overhead.
-    pub elapsed_cycles: CycleCount,
+    pub(crate) elapsed_cycles: CycleCount,
     /// Whether a host-side launch overhead was charged.
-    pub launched: bool,
+    pub(crate) launched: bool,
 }
 
 /// Cumulative statistics across an executor's lifetime.
@@ -72,7 +72,7 @@ pub struct ExecutorStats {
 /// one). The accumulator keeps one cycle sum per active slot plus the
 /// traffic totals, and walks the slots with a wrapping cursor.
 /// Charging a task is inlined into the caller's loop: one
-/// [`CostModel::cycles`] (a shift for a power-of-two width, a division
+/// `CostModel::cycles` (a shift for a power-of-two width, a division
 /// otherwise), seven adds and a cursor step. Bytes are linear in the
 /// counters, so [`GpuExecutor::commit`] derives the byte total from the
 /// summed counters once, not per task. Every quantity is a `u64`
@@ -268,11 +268,6 @@ impl GpuExecutor {
         self.scale = scale;
     }
 
-    /// The current device scale divisor.
-    pub fn scale(&self) -> u32 {
-        self.scale
-    }
-
     /// Parallel slots available to `kernel` at granularity `unit`,
     /// after occupancy and device scaling.
     pub fn slots_for(&self, kernel: &KernelDesc, unit: SchedUnit) -> u64 {
@@ -291,11 +286,6 @@ impl GpuExecutor {
     /// The device being simulated.
     pub fn device(&self) -> &DeviceSpec {
         &self.device
-    }
-
-    /// The cost model in force.
-    pub fn model(&self) -> &CostModel {
-        &self.model
     }
 
     /// Cumulative statistics so far.

@@ -41,7 +41,7 @@ pub struct KernelDesc {
     /// Threads per CTA. The paper's default is 128 (§5).
     pub threads_per_cta: u32,
     /// Shared memory per CTA in bytes.
-    pub shared_mem_per_cta: u32,
+    pub(crate) shared_mem_per_cta: u32,
 }
 
 impl KernelDesc {
@@ -63,7 +63,8 @@ impl KernelDesc {
     }
 
     /// Builder: overrides shared-memory use.
-    pub fn with_shared_mem(mut self, bytes: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_shared_mem(mut self, bytes: u32) -> Self {
         self.shared_mem_per_cta = bytes;
         self
     }
@@ -81,18 +82,6 @@ pub struct LaunchConfig {
     pub ctas: u32,
     /// Threads per CTA.
     pub threads_per_cta: u32,
-}
-
-impl LaunchConfig {
-    /// Total threads in the launch.
-    pub fn total_threads(&self) -> u64 {
-        self.ctas as u64 * self.threads_per_cta as u64
-    }
-
-    /// Total warps in the launch.
-    pub fn total_warps(&self) -> u64 {
-        self.total_threads() / crate::WARP_SIZE as u64
-    }
 }
 
 #[cfg(test)]
@@ -113,15 +102,5 @@ mod tests {
         assert_eq!(k.registers_per_cta(), 48 * 128);
         let k = k.with_threads_per_cta(256);
         assert_eq!(k.registers_per_cta(), 48 * 256);
-    }
-
-    #[test]
-    fn launch_totals() {
-        let lc = LaunchConfig {
-            ctas: 60,
-            threads_per_cta: 128,
-        };
-        assert_eq!(lc.total_threads(), 7_680);
-        assert_eq!(lc.total_warps(), 240);
     }
 }

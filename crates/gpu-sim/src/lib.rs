@@ -3,12 +3,10 @@
 //! This crate substitutes for the CUDA hardware the paper evaluates on
 //! (NVIDIA K20/K40/P100). It provides two things:
 //!
-//! 1. **Functional warp semantics** — [`warp`] implements the lane-level
-//!    primitives SIMD-X's mechanisms are built from (`__ballot`,
-//!    `__shfl_down`, warp-wide reductions and prefix scans), so the
-//!    filters and combiners in `simdx-core` execute the *same logic* a
-//!    CUDA kernel would, bit for bit.
-//! 2. **An architectural cost model** — [`device`], [`occupancy`],
+//! 1. **Warp vote semantics** — [`warp`] implements `__ballot` and
+//!    `__popc` with CUDA's lane semantics; the ballot filter in
+//!    `simdx-core` builds its coalesced metadata scan from them.
+//! 2. **An architectural cost model** — `device`, [`occupancy`],
 //!    [`memory`], [`cost`] and [`executor`] charge simulated cycles for
 //!    compute, coalesced/uncoalesced memory transactions, atomics,
 //!    kernel launches and global barriers, with parallelism bounded by
@@ -26,7 +24,7 @@
 
 pub mod barrier;
 pub mod cost;
-pub mod device;
+pub(crate) mod device;
 pub mod executor;
 pub mod kernel;
 pub mod memory;

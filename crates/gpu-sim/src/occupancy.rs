@@ -18,18 +18,18 @@ use crate::kernel::{KernelDesc, LaunchConfig};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Occupancy {
     /// Resident CTAs per SM.
-    pub ctas_per_sm: u32,
+    pub(crate) ctas_per_sm: u32,
     /// Resident CTAs across the device (`ctas_per_sm * sm_count`).
     pub resident_ctas: u32,
     /// Resident threads across the device.
     pub resident_threads: u64,
     /// Which resource limits residency.
-    pub limiter: Limiter,
+    pub(crate) limiter: Limiter,
 }
 
 /// The resource that bounds occupancy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Limiter {
+pub(crate) enum Limiter {
     /// Register file (the paper's Eq. 1 term).
     Registers,
     /// Per-SM thread ceiling.

@@ -1,17 +1,15 @@
-//! Warp-level primitives with CUDA semantics.
+//! Warp vote primitives with CUDA semantics.
 //!
-//! SIMD-X's two signature mechanisms are built directly on these:
-//! the **ballot filter** (§4) uses `__ballot` over coalesced metadata
-//! chunks, and the **Combine** stage (§3) uses `__shfl_down` tree
-//! reductions so that one lane applies the final update without atomics.
-//! Implementing them with the exact lane semantics lets `simdx-core`
-//! execute the same logic a CUDA kernel would.
+//! The **ballot filter** (§4) in `simdx-core` is built on these two:
+//! `__ballot` condenses a warp-sized, coalesced chunk of metadata
+//! comparisons into a lane mask, and `__popc` counts the lanes that
+//! voted to enqueue their vertex.
 
 use crate::WARP_SIZE;
 
 /// A lane-activity mask, as returned by `__ballot`. Bit `i` corresponds
 /// to lane `i`.
-pub type LaneMask = u32;
+pub(crate) type LaneMask = u32;
 
 /// `__ballot(predicate)`: returns a mask with bit `i` set iff lane `i`'s
 /// predicate is true. Lanes beyond `predicates.len()` are inactive
@@ -36,73 +34,6 @@ pub fn popc(mask: LaneMask) -> u32 {
     mask.count_ones()
 }
 
-/// Position of lane `lane`'s bit among the set bits of `mask` — the
-/// classic warp-scan offset used to compact votes into a dense output
-/// (the enqueue position within a warp's reservation).
-pub fn rank_in_mask(mask: LaneMask, lane: u32) -> u32 {
-    debug_assert!(lane < WARP_SIZE as u32);
-    (mask & ((1u32 << lane) - 1)).count_ones()
-}
-
-/// `__shfl_down`-based tree reduction across a warp.
-///
-/// Reduces the lane values with `op` exactly as the canonical CUDA
-/// pattern does (`for (d = 16; d > 0; d >>= 1) v = op(v, shfl_down(v, d))`),
-/// including the ordering of operand pairs — so a non-commutative `op`
-/// would misbehave here precisely as it would on hardware. Lane 0's
-/// final value is returned.
-///
-/// Inactive lanes (beyond `values.len()`) are skipped, matching the
-/// guarded version used for ragged edges.
-pub fn reduce<T: Copy, F: Fn(T, T) -> T>(values: &[T], op: F) -> Option<T> {
-    assert!(values.len() <= WARP_SIZE, "a warp has 32 lanes");
-    if values.is_empty() {
-        return None;
-    }
-    let mut regs: Vec<Option<T>> = values.iter().copied().map(Some).collect();
-    regs.resize(WARP_SIZE, None);
-    let mut delta = WARP_SIZE / 2;
-    while delta > 0 {
-        for lane in 0..WARP_SIZE - delta {
-            // `shfl_down(v, delta)` reads lane + delta; guarded on activity.
-            if let (Some(a), Some(b)) = (regs[lane], regs[lane + delta]) {
-                regs[lane] = Some(op(a, b));
-            }
-        }
-        delta /= 2;
-    }
-    regs[0]
-}
-
-/// Inclusive prefix scan across a warp (Hillis-Steele), the building
-/// block of the prefix-scan worklist concatenation in Fig. 4(b) line 20.
-pub fn inclusive_scan<T: Copy, F: Fn(T, T) -> T>(values: &[T], op: F) -> Vec<T> {
-    assert!(values.len() <= WARP_SIZE, "a warp has 32 lanes");
-    let mut regs: Vec<T> = values.to_vec();
-    let mut delta = 1;
-    while delta < regs.len() {
-        // Upward pass: lane i reads lane i - delta.
-        for lane in (delta..regs.len()).rev() {
-            regs[lane] = op(regs[lane - delta], regs[lane]);
-        }
-        delta *= 2;
-    }
-    regs
-}
-
-/// Executes `f` once per active lane over a slice of work items,
-/// warp-by-warp, returning the number of warps processed. This is the
-/// shape of a warp-cooperative loop (`for each edge set e[32]`,
-/// Fig. 4(b) line 3) and is used by the engine to walk adjacency lists.
-pub fn for_each_warp<T, F: FnMut(usize, &[T])>(items: &[T], mut f: F) -> usize {
-    let mut warps = 0;
-    for (w, chunk) in items.chunks(WARP_SIZE).enumerate() {
-        f(w, chunk);
-        warps += 1;
-    }
-    warps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,6 +42,7 @@ mod tests {
     fn ballot_sets_expected_bits() {
         let preds = [true, false, true, true];
         assert_eq!(ballot(&preds), 0b1101);
+        assert_eq!(popc(ballot(&preds)), 3);
     }
 
     #[test]
@@ -128,58 +60,5 @@ mod tests {
     #[should_panic(expected = "32 lanes")]
     fn ballot_oversized_panics() {
         ballot(&[false; 33]);
-    }
-
-    #[test]
-    fn popc_and_rank() {
-        let mask = 0b1101;
-        assert_eq!(popc(mask), 3);
-        assert_eq!(rank_in_mask(mask, 0), 0);
-        assert_eq!(rank_in_mask(mask, 2), 1);
-        assert_eq!(rank_in_mask(mask, 3), 2);
-        // Rank of an unset lane is where it *would* insert.
-        assert_eq!(rank_in_mask(mask, 1), 1);
-    }
-
-    #[test]
-    fn reduce_sum_full_warp() {
-        let vals: Vec<u64> = (0..32).collect();
-        assert_eq!(reduce(&vals, |a, b| a + b), Some(31 * 32 / 2));
-    }
-
-    #[test]
-    fn reduce_min_partial_warp() {
-        let vals = [9u32, 4, 7];
-        assert_eq!(reduce(&vals, u32::min), Some(4));
-    }
-
-    #[test]
-    fn reduce_empty_is_none() {
-        assert_eq!(reduce::<u32, _>(&[], u32::min), None);
-    }
-
-    #[test]
-    fn reduce_single_lane() {
-        assert_eq!(reduce(&[42u32], u32::max), Some(42));
-    }
-
-    #[test]
-    fn inclusive_scan_sum() {
-        let vals = [1u32, 2, 3, 4];
-        assert_eq!(inclusive_scan(&vals, |a, b| a + b), vec![1, 3, 6, 10]);
-    }
-
-    #[test]
-    fn inclusive_scan_empty() {
-        assert!(inclusive_scan::<u32, _>(&[], |a, b| a + b).is_empty());
-    }
-
-    #[test]
-    fn for_each_warp_chunks() {
-        let items: Vec<u32> = (0..70).collect();
-        let mut seen = Vec::new();
-        let warps = for_each_warp(&items, |w, chunk| seen.push((w, chunk.len())));
-        assert_eq!(warps, 3);
-        assert_eq!(seen, vec![(0, 32), (1, 32), (2, 6)]);
     }
 }

@@ -19,7 +19,7 @@ use crate::{EdgeIdx, VertexId, Weight};
 ///
 /// Row order: every row is sorted by `(target, weight)`, whatever order
 /// the edges arrived in — the engine relies on it for coalesced neighbor
-/// access. [`Self::try_build`] establishes it (counting sort by source,
+/// access. `Self::try_build` establishes it (counting sort by source,
 /// then a per-row sort that skips rows already in order) and
 /// [`Self::transpose`] preserves it by construction; nothing downstream
 /// re-sorts or re-checks. Parallel edges and self-loops are kept here;
@@ -33,7 +33,7 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Builds a CSR from an edge list: [`Self::build`] over its parts.
+    /// Builds a CSR from an edge list: `Self::build` over its parts.
     pub fn from_edge_list(el: &EdgeList) -> Self {
         Self::build(el.num_vertices(), el.edges(), el.weights())
     }
@@ -44,7 +44,7 @@ impl Csr {
     ///
     /// Panics on any input [`Self::try_build`] rejects (weights not
     /// parallel to edges, endpoint out of range).
-    pub fn build(
+    pub(crate) fn build(
         num_vertices: VertexId,
         edges: &[(VertexId, VertexId)],
         weights: Option<&[Weight]>,
@@ -55,7 +55,7 @@ impl Csr {
     /// Fallible [`Self::build`]: validates the inputs and returns a
     /// typed [`GraphError`] instead of panicking — the ingestion path
     /// for untrusted edge data, and the one place endpoints are checked.
-    pub fn try_build(
+    pub(crate) fn try_build(
         num_vertices: VertexId,
         edges: &[(VertexId, VertexId)],
         weights: Option<&[Weight]>,
@@ -254,7 +254,7 @@ impl Csr {
     /// Approximate in-memory footprint in bytes (offsets 8B, targets 4B,
     /// weights 4B) — the quantity behind the paper's "CSR saves ~50% over
     /// edge list" observation.
-    pub fn footprint_bytes(&self) -> u64 {
+    pub(crate) fn footprint_bytes(&self) -> u64 {
         self.offsets.len() as u64 * 8
             + self.targets.len() as u64 * 4
             + self.weights.as_ref().map_or(0, |w| w.len() as u64 * 4)
@@ -293,12 +293,12 @@ pub struct Graph {
 
 impl Graph {
     /// Wraps an undirected (symmetric) CSR.
-    pub fn undirected(out: Csr) -> Self {
+    pub(crate) fn undirected(out: Csr) -> Self {
         Self { out, in_: None }
     }
 
     /// Wraps a directed CSR, materializing the transpose for pull mode.
-    pub fn directed(out: Csr) -> Self {
+    pub(crate) fn directed(out: Csr) -> Self {
         let in_ = out.transpose();
         Self {
             out,
@@ -548,9 +548,9 @@ mod tests {
                 }
             }
         }
-        let el = EdgeList::from_pairs(edges);
-        let csr = Csr::from_edge_list(&el);
-        assert!(csr.footprint_bytes() < el.footprint_bytes() * 7 / 10);
+        let edge_list_bytes = 8 * edges.len() as u64;
+        let csr = Csr::from_edge_list(&EdgeList::from_pairs(edges));
+        assert!(csr.footprint_bytes() < edge_list_bytes * 7 / 10);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub enum GraphClass {
 
 /// Generator configuration for a dataset twin.
 #[derive(Clone, Copy, Debug)]
-pub enum GenSpec {
+pub(crate) enum GenSpec {
     /// Chung-Lu power-law (social graphs).
     ChungLu(ChungLu),
     /// Grid road network.
@@ -43,7 +43,7 @@ pub enum GenSpec {
 
 impl GenSpec {
     /// Generates the raw (unweighted, directed) edge list.
-    pub fn generate(&self, seed: u64) -> EdgeList {
+    pub(crate) fn generate(&self, seed: u64) -> EdgeList {
         match self {
             Self::ChungLu(g) => g.generate(seed),
             Self::Road(g) => g.generate(seed),
@@ -55,7 +55,7 @@ impl GenSpec {
 
     /// Returns a copy shrunk by `2^shift` in vertex count (edge factors
     /// kept), for fast test runs that preserve the structural class.
-    pub fn scaled_down(&self, shift: u32) -> Self {
+    pub(crate) fn scaled_down(&self, shift: u32) -> Self {
         match *self {
             Self::ChungLu(mut g) => {
                 g.num_vertices = (g.num_vertices >> shift).max(64);
@@ -95,7 +95,7 @@ pub struct DatasetSpec {
     /// transpose CSR for pull mode, per §6).
     pub directed: bool,
     /// Generator.
-    pub gen: GenSpec,
+    pub(crate) gen: GenSpec,
     /// Original vertex count (for the Table 3 report).
     pub paper_vertices: u64,
     /// Original edge count (for the Table 3 report).

@@ -68,7 +68,7 @@ impl EdgeList {
 
     /// Fallible [`Self::from_weighted`]: a skewed weights vector comes
     /// back as [`GraphError::WeightsLengthMismatch`].
-    pub fn try_from_weighted(
+    pub(crate) fn try_from_weighted(
         num_vertices: VertexId,
         edges: Vec<(VertexId, VertexId)>,
         weights: Vec<Weight>,
@@ -92,7 +92,7 @@ impl EdgeList {
     }
 
     /// Number of directed edges.
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.edges.len()
     }
 
@@ -102,12 +102,12 @@ impl EdgeList {
     }
 
     /// The edge pairs.
-    pub fn edges(&self) -> &[(VertexId, VertexId)] {
+    pub(crate) fn edges(&self) -> &[(VertexId, VertexId)] {
         &self.edges
     }
 
     /// The weights, if present.
-    pub fn weights(&self) -> Option<&[Weight]> {
+    pub(crate) fn weights(&self) -> Option<&[Weight]> {
         self.weights.as_deref()
     }
 
@@ -126,7 +126,7 @@ impl EdgeList {
     /// Fallible [`Self::push`]: mixing weightedness or an out-of-range
     /// endpoint is a typed [`GraphError`], and the list is left
     /// unmodified on error.
-    pub fn try_push(&mut self, src: VertexId, dst: VertexId) -> Result<(), GraphError> {
+    pub(crate) fn try_push(&mut self, src: VertexId, dst: VertexId) -> Result<(), GraphError> {
         if self.weights.is_some() {
             return Err(GraphError::WeightedPush);
         }
@@ -148,7 +148,7 @@ impl EdgeList {
 
     /// Fallible [`Self::push_weighted`]; the list is left unmodified
     /// on error.
-    pub fn try_push_weighted(
+    pub(crate) fn try_push_weighted(
         &mut self,
         src: VertexId,
         dst: VertexId,
@@ -183,7 +183,7 @@ impl EdgeList {
     /// Adds the reverse of every edge, turning a directed list into the
     /// symmetric closure used for undirected graphs. Weights are copied
     /// onto the mirrored edge.
-    pub fn symmetrize(&mut self) {
+    pub(crate) fn symmetrize(&mut self) {
         let n = self.edges.len();
         self.edges.reserve(n);
         for i in 0..n {
@@ -230,13 +230,6 @@ impl EdgeList {
             }
         }
         before - self.edges.len()
-    }
-
-    /// Approximate in-memory footprint in bytes when stored as an edge
-    /// list (the CuSha input format): 8 bytes per edge plus 4 per weight.
-    pub fn footprint_bytes(&self) -> u64 {
-        let per_edge = 8 + if self.is_weighted() { 4 } else { 0 };
-        self.edges.len() as u64 * per_edge
     }
 }
 
@@ -345,13 +338,5 @@ mod tests {
                 edges: 1
             })
         );
-    }
-
-    #[test]
-    fn footprint_counts_weights() {
-        let un = EdgeList::from_pairs(vec![(0, 1), (1, 0)]);
-        assert_eq!(un.footprint_bytes(), 16);
-        let w = EdgeList::from_weighted(2, vec![(0, 1)], vec![1]);
-        assert_eq!(w.footprint_bytes(), 12);
     }
 }

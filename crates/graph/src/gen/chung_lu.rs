@@ -15,23 +15,24 @@ use rand::{Rng, SeedableRng};
 
 /// Chung-Lu power-law configuration.
 #[derive(Clone, Copy, Debug)]
-pub struct ChungLu {
+pub(crate) struct ChungLu {
     /// Vertex count.
-    pub num_vertices: VertexId,
+    pub(crate) num_vertices: VertexId,
     /// Average directed edges per vertex.
-    pub edge_factor: u32,
+    pub(crate) edge_factor: u32,
     /// Power-law exponent of the expected-degree sequence. Lower values
     /// are heavier-tailed; social graphs sit in `1.7..=2.2`.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Cap on a single vertex's expected degree, as a fraction of the
     /// total edge count. Twitter-class graphs use a high cap; capping low
     /// flattens hubs (used for graphs like LiveJournal).
-    pub max_degree_fraction: f64,
+    pub(crate) max_degree_fraction: f64,
 }
 
 impl ChungLu {
     /// A social-network preset with the given size and skew exponent.
-    pub fn social(num_vertices: VertexId, edge_factor: u32, alpha: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn social(num_vertices: VertexId, edge_factor: u32, alpha: f64) -> Self {
         Self {
             num_vertices,
             edge_factor,
@@ -41,7 +42,7 @@ impl ChungLu {
     }
 
     /// Generates the edge list.
-    pub fn generate(&self, seed: u64) -> EdgeList {
+    pub(crate) fn generate(&self, seed: u64) -> EdgeList {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = self.num_vertices as usize;
         let m = n as u64 * self.edge_factor as u64;

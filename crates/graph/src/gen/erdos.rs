@@ -16,9 +16,9 @@ use rand::{Rng, SeedableRng};
 #[derive(Clone, Copy, Debug)]
 pub struct Erdos {
     /// Vertex count.
-    pub num_vertices: VertexId,
+    pub(crate) num_vertices: VertexId,
     /// Out-degree of every vertex.
-    pub edge_factor: u32,
+    pub(crate) edge_factor: u32,
 }
 
 impl Erdos {

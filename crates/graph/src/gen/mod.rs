@@ -5,20 +5,23 @@
 //! directed or undirected [`Graph`](crate::Graph) from it. The generators
 //! cover all four structural classes of the paper's Table 3:
 //!
-//! * [`chung_lu`] — power-law social networks (FB, LJ, OR, PK, TW),
-//! * [`road`] — high-diameter road maps (ER, RC),
-//! * [`web`] — hyperlink web graphs with community structure (UK),
-//! * [`rmat`] — R-MAT and Graph500 Kronecker graphs (RM, KR),
-//! * [`erdos`] — uniform-degree random graphs (RD).
+//! * `ChungLu` — power-law social networks (FB, LJ, OR, PK, TW),
+//! * [`Road`] — high-diameter road maps (ER, RC),
+//! * `Web` — hyperlink web graphs with community structure (UK),
+//! * [`Rmat`] — R-MAT and Graph500 Kronecker graphs (RM, KR),
+//! * [`Erdos`] — uniform-degree random graphs (RD).
+//!
+//! `ChungLu` and `Web` are reached only through the dataset registry
+//! ([`crate::datasets`]).
 
-pub mod chung_lu;
-pub mod erdos;
-pub mod rmat;
-pub mod road;
-pub mod web;
+pub(crate) mod chung_lu;
+pub(crate) mod erdos;
+pub(crate) mod rmat;
+pub(crate) mod road;
+pub(crate) mod web;
 
-pub use chung_lu::ChungLu;
+pub(crate) use chung_lu::ChungLu;
 pub use erdos::Erdos;
 pub use rmat::Rmat;
 pub use road::Road;
-pub use web::Web;
+pub(crate) use web::Web;

@@ -16,23 +16,24 @@ use rand::{Rng, SeedableRng};
 #[derive(Clone, Copy, Debug)]
 pub struct Rmat {
     /// `log2` of the vertex count.
-    pub scale: u32,
+    pub(crate) scale: u32,
     /// Average directed edges per vertex (edge factor).
-    pub edge_factor: u32,
+    pub(crate) edge_factor: u32,
     /// Quadrant probabilities; `d` is implied as `1 - a - b - c`.
-    pub a: f64,
+    pub(crate) a: f64,
     /// Upper-right quadrant probability.
-    pub b: f64,
+    pub(crate) b: f64,
     /// Lower-left quadrant probability.
-    pub c: f64,
+    pub(crate) c: f64,
     /// Perturb quadrant probabilities per level (Graph500-style noise),
     /// which avoids the "staircase" degree artifacts of plain R-MAT.
-    pub noise: f64,
+    pub(crate) noise: f64,
 }
 
 impl Rmat {
     /// Graph500 Kronecker parameters at the given scale.
-    pub fn kronecker(scale: u32, edge_factor: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn kronecker(scale: u32, edge_factor: u32) -> Self {
         Self {
             scale,
             edge_factor,
@@ -56,7 +57,7 @@ impl Rmat {
     }
 
     /// Number of vertices this configuration produces.
-    pub fn num_vertices(&self) -> VertexId {
+    pub(crate) fn num_vertices(&self) -> VertexId {
         1u32 << self.scale
     }
 

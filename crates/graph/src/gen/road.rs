@@ -20,13 +20,13 @@ use rand::{Rng, SeedableRng};
 #[derive(Clone, Copy, Debug)]
 pub struct Road {
     /// Grid width (the long axis; diameter grows with `width + height`).
-    pub width: u32,
+    pub(crate) width: u32,
     /// Grid height.
-    pub height: u32,
+    pub(crate) height: u32,
     /// Probability of keeping each non-spanning lattice edge.
-    pub edge_keep_prob: f64,
+    pub(crate) edge_keep_prob: f64,
     /// Probability of adding a diagonal shortcut at each cell.
-    pub diagonal_prob: f64,
+    pub(crate) diagonal_prob: f64,
 }
 
 impl Road {
@@ -42,7 +42,7 @@ impl Road {
     }
 
     /// Vertex count (`width * height`).
-    pub fn num_vertices(&self) -> VertexId {
+    pub(crate) fn num_vertices(&self) -> VertexId {
         self.width * self.height
     }
 

@@ -15,20 +15,21 @@ use rand::{Rng, SeedableRng};
 
 /// Web-graph generator configuration.
 #[derive(Clone, Copy, Debug)]
-pub struct Web {
+pub(crate) struct Web {
     /// Vertex count.
-    pub num_vertices: VertexId,
+    pub(crate) num_vertices: VertexId,
     /// Average directed edges per vertex.
-    pub edge_factor: u32,
+    pub(crate) edge_factor: u32,
     /// Average host (community) size.
-    pub mean_host_size: u32,
+    pub(crate) mean_host_size: u32,
     /// Fraction of edges that leave their host.
-    pub cross_host_fraction: f64,
+    pub(crate) cross_host_fraction: f64,
 }
 
 impl Web {
     /// A UK-2002-class preset.
-    pub fn uk_style(num_vertices: VertexId, edge_factor: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn uk_style(num_vertices: VertexId, edge_factor: u32) -> Self {
         Self {
             num_vertices,
             edge_factor,
@@ -38,7 +39,7 @@ impl Web {
     }
 
     /// Generates the edge list.
-    pub fn generate(&self, seed: u64) -> EdgeList {
+    pub(crate) fn generate(&self, seed: u64) -> EdgeList {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = self.num_vertices;
 

@@ -7,7 +7,7 @@
 //! requires, synthetic graph generators matching the structural
 //! classes of the paper's Table 3 datasets, a registry of scaled-down
 //! dataset twins, and structural statistics used by the evaluation
-//! harness (degree histograms, diameter estimation, frontier profiles).
+//! harness (BFS levels, diameter estimation, degree skew).
 //!
 //! # Quick example
 //!
@@ -22,8 +22,8 @@
 
 pub mod csr;
 pub mod datasets;
-pub mod edgelist;
-pub mod error;
+pub(crate) mod edgelist;
+pub(crate) mod error;
 pub mod gen;
 pub mod io;
 pub mod stats;
@@ -38,7 +38,7 @@ pub type VertexId = u32;
 
 /// Edge index type. The paper uses `uint64` indices (§7) so that graphs
 /// with more than 4B edges stay addressable.
-pub type EdgeIdx = u64;
+pub(crate) type EdgeIdx = u64;
 
 /// Integral edge weight, as used by SSSP. The paper generates a random
 /// weight per edge for unweighted inputs, "similar to Gunrock" (§6).

@@ -1,5 +1,5 @@
-//! Structural statistics: degree distributions, diameter estimation and
-//! frontier profiles.
+//! Structural statistics: BFS levels, diameter estimation and degree
+//! skew.
 //!
 //! The evaluation harness uses these to verify that each synthetic twin
 //! lands in the right structural class (Table 3 reports vertex/edge
@@ -79,47 +79,6 @@ fn farthest(dist: &[u32]) -> (VertexId, u32) {
     (far, ecc)
 }
 
-/// A degree histogram in power-of-two buckets.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct DegreeHistogram {
-    /// `buckets[i]` counts vertices with degree in `[2^i, 2^(i+1))`;
-    /// bucket 0 also includes degree-0 vertices.
-    pub buckets: Vec<u64>,
-    /// Maximum degree seen.
-    pub max_degree: u32,
-    /// Average degree.
-    pub avg_degree: f64,
-}
-
-/// Computes the power-of-two degree histogram of `csr`.
-pub fn degree_histogram(csr: &Csr) -> DegreeHistogram {
-    let mut buckets = vec![0u64; 33];
-    let mut max_degree = 0u32;
-    let n = csr.num_vertices();
-    for v in 0..n {
-        let d = csr.degree(v);
-        max_degree = max_degree.max(d);
-        let b = if d <= 1 {
-            0
-        } else {
-            32 - (d - 1).leading_zeros()
-        } as usize;
-        buckets[b] += 1;
-    }
-    while buckets.len() > 1 && *buckets.last().expect("non-empty") == 0 {
-        buckets.pop();
-    }
-    DegreeHistogram {
-        buckets,
-        max_degree,
-        avg_degree: if n == 0 {
-            0.0
-        } else {
-            csr.num_edges() as f64 / n as f64
-        },
-    }
-}
-
 /// The Gini coefficient of the degree distribution — a single-number skew
 /// measure (0 = perfectly uniform, → 1 = all edges on one hub).
 pub fn degree_gini(csr: &Csr) -> f64 {
@@ -141,21 +100,6 @@ pub fn degree_gini(csr: &Csr) -> f64 {
     }
     let g = (2.0 * weighted as f64) / (n as f64 * total as f64) - (n as f64 + 1.0) / n as f64;
     g.clamp(0.0, 1.0)
-}
-
-/// Frontier sizes per BFS level from `src` — the workload-volume profile
-/// behind Fig. 8's filter-activation patterns.
-pub fn frontier_profile(csr: &Csr, src: VertexId) -> Vec<u64> {
-    let dist = bfs_levels(csr, src);
-    let max = dist.iter().copied().filter(|&d| d != u32::MAX).max();
-    let Some(max) = max else { return Vec::new() };
-    let mut profile = vec![0u64; max as usize + 1];
-    for &d in &dist {
-        if d != u32::MAX {
-            profile[d as usize] += 1;
-        }
-    }
-    profile
 }
 
 #[cfg(test)]
@@ -194,15 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_all_vertices() {
-        let csr = path(10);
-        let h = degree_histogram(&csr);
-        let total: u64 = h.buckets.iter().sum();
-        assert_eq!(total, 10);
-        assert_eq!(h.max_degree, 2);
-    }
-
-    #[test]
     fn gini_uniform_vs_star() {
         let uniform = path(64);
         let star = {
@@ -213,18 +148,9 @@ mod tests {
     }
 
     #[test]
-    fn frontier_profile_sums_to_reachable() {
-        let csr = path(8);
-        let p = frontier_profile(&csr, 0);
-        assert_eq!(p.iter().sum::<u64>(), 8);
-        assert_eq!(p, vec![1; 8]);
-    }
-
-    #[test]
     fn empty_graph_stats() {
         let csr = Csr::from_edge_list(&EdgeList::new(0));
         assert_eq!(estimate_diameter(&csr, 2, 0), 0);
-        assert_eq!(frontier_profile(&csr, 0).len(), 0);
         assert_eq!(degree_gini(&csr), 0.0);
     }
 }

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Default weight range (inclusive low, exclusive high), following Gunrock.
-pub const DEFAULT_WEIGHT_RANGE: (Weight, Weight) = (1, 64);
+pub(crate) const DEFAULT_WEIGHT_RANGE: (Weight, Weight) = (1, 64);
 
 /// Returns a weighted copy of `el`, drawing each weight uniformly from
 /// `range`.
@@ -19,7 +19,7 @@ pub const DEFAULT_WEIGHT_RANGE: (Weight, Weight) = (1, 64);
 /// # Panics
 ///
 /// Panics if the range is empty.
-pub fn assign_random_weights(el: &EdgeList, range: (Weight, Weight), seed: u64) -> EdgeList {
+pub(crate) fn assign_random_weights(el: &EdgeList, range: (Weight, Weight), seed: u64) -> EdgeList {
     assert!(range.0 < range.1, "weight range must be non-empty");
     let mut rng = StdRng::seed_from_u64(seed);
     let weights: Vec<Weight> = (0..el.num_edges())
@@ -28,7 +28,7 @@ pub fn assign_random_weights(el: &EdgeList, range: (Weight, Weight), seed: u64) 
     EdgeList::from_weighted(el.num_vertices(), el.edges().to_vec(), weights)
 }
 
-/// Convenience wrapper using [`DEFAULT_WEIGHT_RANGE`].
+/// Convenience wrapper using `DEFAULT_WEIGHT_RANGE`.
 pub fn assign_default_weights(el: &EdgeList, seed: u64) -> EdgeList {
     assign_random_weights(el, DEFAULT_WEIGHT_RANGE, seed)
 }

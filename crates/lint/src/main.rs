@@ -73,7 +73,7 @@ fn run() -> Result<ExitCode, String> {
     }
 
     let baseline = read_baseline(root)?;
-    let (regressions, improvements) = ratchet::compare(&current, &baseline);
+    let (regressions, stale) = ratchet::compare(&current, &baseline);
 
     for f in &report.hard {
         println!("{f}");
@@ -90,16 +90,20 @@ fn run() -> Result<ExitCode, String> {
             println!("  {r}");
         }
     }
-    for i in &improvements {
-        println!("note: {i}");
+    if !stale.is_empty() {
+        println!("stale baseline rows:");
+        for s in &stale {
+            println!("  {s}");
+        }
     }
 
-    let failed = !report.hard.is_empty() || !regressions.is_empty();
+    let failed = !report.hard.is_empty() || !regressions.is_empty() || !stale.is_empty();
     println!(
-        "simdx-lint: {} files scanned, {} hard finding(s), {} ratchet regression(s){}",
+        "simdx-lint: {} files scanned, {} hard finding(s), {} ratchet regression(s), {} stale row(s){}",
         report.scanned,
         report.hard.len(),
         regressions.len(),
+        stale.len(),
         if failed { "" } else { " — clean" }
     );
     Ok(if failed {

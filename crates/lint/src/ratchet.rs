@@ -2,8 +2,10 @@
 //! (`Policy::RATCHETED`: pre-existing `panic-free` debt and the
 //! `surface` count) are pinned per file in `crates/lint/baseline.txt`
 //! so the counts can only go down. New findings (a file/rule pair
-//! exceeding its baselined count) fail `--check`; improvements print a
-//! nudge to re-run `--update-baseline`.
+//! exceeding its baselined count) fail `--check`, and so does a stale
+//! row (a count that fell below its baseline): the room it leaves could
+//! otherwise be refilled later without showing in a diff, so the fix
+//! lands together with its `--update-baseline`.
 //!
 //! Format: one `path<TAB>rule<TAB>count` per line, sorted, `#` comments
 //! allowed. Tab-separated so paths with spaces would not break parsing
@@ -63,10 +65,10 @@ pub fn tally<'a>(findings: impl Iterator<Item = &'a crate::rules::Finding>) -> B
 }
 
 /// Compares current findings to the baseline. Returns
-/// `(regressions, improvements)` as human-readable lines.
+/// `(regressions, stale)` as human-readable lines; both fail a check.
 pub fn compare(current: &Baseline, baseline: &Baseline) -> (Vec<String>, Vec<String>) {
     let mut regressions = Vec::new();
-    let mut improvements = Vec::new();
+    let mut stale = Vec::new();
     for (key, &now) in current {
         let was = baseline.get(key).copied().unwrap_or(0);
         if now > was {
@@ -75,7 +77,7 @@ pub fn compare(current: &Baseline, baseline: &Baseline) -> (Vec<String>, Vec<Str
                 key.0, key.1, now, was
             ));
         } else if now < was {
-            improvements.push(format!(
+            stale.push(format!(
                 "{}: [{}] down to {} from {} — run --update-baseline to ratchet",
                 key.0, key.1, now, was
             ));
@@ -83,13 +85,13 @@ pub fn compare(current: &Baseline, baseline: &Baseline) -> (Vec<String>, Vec<Str
     }
     for (key, &was) in baseline {
         if !current.contains_key(key) && was > 0 {
-            improvements.push(format!(
+            stale.push(format!(
                 "{}: [{}] down to 0 from {} — run --update-baseline to ratchet",
                 key.0, key.1, was
             ));
         }
     }
-    (regressions, improvements)
+    (regressions, stale)
 }
 
 #[cfg(test)]
@@ -117,7 +119,7 @@ mod tests {
     }
 
     #[test]
-    fn compare_detects_regressions_and_improvements() {
+    fn compare_detects_regressions_and_stale_rows() {
         let mut baseline = Baseline::new();
         baseline.insert(key("a.rs", "panic-free"), 2);
         baseline.insert(key("b.rs", "panic-free"), 1);
@@ -125,8 +127,26 @@ mod tests {
         current.insert(key("a.rs", "panic-free"), 3); // regression
                                                       // b.rs fixed entirely; c.rs is brand new debt.
         current.insert(key("c.rs", "panic-free"), 1);
-        let (reg, imp) = compare(&current, &baseline);
+        let (reg, stale) = compare(&current, &baseline);
         assert_eq!(reg.len(), 2); // a.rs worse + c.rs new
-        assert_eq!(imp.len(), 1); // b.rs gone
+        assert_eq!(stale.len(), 1); // b.rs gone
+    }
+
+    #[test]
+    fn a_count_below_its_row_is_a_stale_row() {
+        let mut baseline = Baseline::new();
+        baseline.insert(key("a.rs", "surface"), 5);
+        baseline.insert(key("b.rs", "surface"), 2);
+        let mut current = Baseline::new();
+        current.insert(key("a.rs", "surface"), 3);
+        current.insert(key("b.rs", "surface"), 2);
+        let (reg, stale) = compare(&current, &baseline);
+        assert!(reg.is_empty());
+        assert_eq!(
+            stale,
+            ["a.rs: [surface] down to 3 from 5 — run --update-baseline to ratchet"]
+        );
+        // An exact match leaves nothing to report.
+        assert_eq!(compare(&baseline, &baseline), (vec![], vec![]));
     }
 }
