@@ -19,12 +19,13 @@ use crate::{EdgeIdx, VertexId, Weight};
 ///
 /// Row order: every row is sorted by `(target, weight)`, whatever order
 /// the edges arrived in — the engine relies on it for coalesced neighbor
-/// access. `Self::try_build` establishes it (counting sort by source,
-/// then a per-row sort that skips rows already in order) and
-/// [`Self::transpose`] preserves it by construction; nothing downstream
-/// re-sorts or re-checks. Parallel edges and self-loops are kept here;
-/// [`Graph::directed_from_edges`] / [`Graph::undirected_from_edges`]
-/// drop them.
+/// access. `Self::try_build` and the [`Graph`] builds establish it (one
+/// counting sort by source — for an undirected graph over every pair in
+/// both directions, read straight from the list — then a per-row sort
+/// that skips rows already in order) and [`Self::transpose`] preserves it
+/// by construction; nothing downstream re-sorts or re-checks. Parallel
+/// edges and self-loops are kept here; [`Graph::directed_from_edges`] /
+/// [`Graph::undirected_from_edges`] drop them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Csr {
     offsets: Vec<EdgeIdx>,
@@ -52,13 +53,27 @@ impl Csr {
         Self::try_build(num_vertices, edges, weights).unwrap_or_else(|err| panic!("{err}"))
     }
 
-    /// Fallible [`Self::build`]: validates the inputs and returns a
-    /// typed [`GraphError`] instead of panicking — the ingestion path
-    /// for untrusted edge data, and the one place endpoints are checked.
+    /// Fallible [`Self::build`]: returns a typed [`GraphError`] instead
+    /// of panicking — the ingestion path for untrusted edge data.
     pub(crate) fn try_build(
         num_vertices: VertexId,
         edges: &[(VertexId, VertexId)],
         weights: Option<&[Weight]>,
+    ) -> Result<Self, GraphError> {
+        let mut csr = Self::try_scatter(num_vertices, edges, weights, false)?;
+        csr.sort_adjacency();
+        Ok(csr)
+    }
+
+    /// Validates the inputs — weights parallel to edges, every endpoint
+    /// below `num_vertices`; the one place endpoints are checked — then
+    /// scatters each pair, and its reverse too when `symmetric`, into
+    /// rows not yet sorted.
+    fn try_scatter(
+        num_vertices: VertexId,
+        edges: &[(VertexId, VertexId)],
+        weights: Option<&[Weight]>,
+        symmetric: bool,
     ) -> Result<Self, GraphError> {
         if let Some(w) = weights {
             if w.len() != edges.len() {
@@ -78,40 +93,43 @@ impl Csr {
                 num_vertices,
             });
         }
-        let mut csr = Self::scatter(num_vertices, edges.iter().copied(), weights);
-        csr.sort_adjacency();
-        Ok(csr)
+        let mirrored = if symmetric { edges } else { &[] };
+        let reversed = mirrored.iter().enumerate().map(|(i, &(s, d))| (i, (d, s)));
+        let pairs = edges.iter().copied().enumerate().chain(reversed);
+        Ok(Self::scatter(num_vertices, pairs, weights))
     }
 
     /// Stable counting sort of `(row, target)` pairs into CSR arrays:
-    /// count rows, prefix-sum, scatter. `weights[i]` belongs to the
-    /// `i`-th pair. The caller guarantees both endpoints of every pair
-    /// are below `num_vertices`.
+    /// count rows, prefix-sum, scatter. A pair tagged `i` carries
+    /// `weights[i]`. The caller guarantees both endpoints of every pair
+    /// are below `num_vertices`. Each row's start is its own write
+    /// cursor, left at the next row's start and shifted back after.
     fn scatter(
         num_vertices: VertexId,
-        pairs: impl Iterator<Item = (VertexId, VertexId)> + Clone,
+        pairs: impl Iterator<Item = (usize, (VertexId, VertexId))> + Clone,
         weights: Option<&[Weight]>,
     ) -> Self {
         let n = num_vertices as usize;
         let mut offsets = vec![0 as EdgeIdx; n + 1];
         pairs
             .clone()
-            .for_each(|(row, _)| offsets[row as usize + 1] += 1);
+            .for_each(|(_, (row, _))| offsets[row as usize + 1] += 1);
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
         let num_edges = offsets[n] as usize;
-        let mut cursor: Vec<EdgeIdx> = offsets[..n].to_vec();
         let mut targets = vec![0 as VertexId; num_edges];
         let mut out_weights = weights.map(|_| vec![0 as Weight; num_edges]);
-        pairs.enumerate().for_each(|(i, (row, target))| {
-            let at = cursor[row as usize] as usize;
-            cursor[row as usize] += 1;
+        pairs.for_each(|(i, (row, target))| {
+            let at = offsets[row as usize] as usize;
+            offsets[row as usize] += 1;
             targets[at] = target;
             if let (Some(ow), Some(w)) = (&mut out_weights, weights) {
                 ow[at] = w[i];
             }
         });
+        offsets.copy_within(..n, 1);
+        offsets[0] = 0;
         Self {
             offsets,
             targets,
@@ -156,8 +174,8 @@ impl Csr {
     /// but the first edge — the lightest, rows being ordered by
     /// `(target, weight)`. Compacts in place and keeps the allocations:
     /// generator output has nothing to drop, and shrinking the little a
-    /// symmetrized list does drop is a `realloc` that reshuffles the heap
-    /// under everything bound to the graph afterwards.
+    /// symmetric closure does drop is a `realloc` that reshuffles the
+    /// heap under everything bound to the graph afterwards.
     fn dedup_rows(&mut self) {
         let (mut read, mut write) = (0usize, 0usize);
         for v in 0..self.num_vertices() {
@@ -248,7 +266,7 @@ impl Csr {
     pub fn transpose(&self) -> Csr {
         let reversed =
             (0..self.num_vertices()).flat_map(|v| self.neighbors(v).iter().map(move |&t| (t, v)));
-        Self::scatter(self.num_vertices(), reversed, self.weights())
+        Self::scatter(self.num_vertices(), reversed.enumerate(), self.weights())
     }
 
     /// Approximate in-memory footprint in bytes (offsets 8B, targets 4B,
@@ -308,23 +326,27 @@ impl Graph {
 
     /// Builds an undirected graph from an edge list: the symmetric
     /// closure, without self-loops, duplicate pairs collapsed to their
-    /// lightest edge.
-    pub fn undirected_from_edges(mut el: EdgeList) -> Self {
-        el.symmetrize();
-        Self::undirected(Self::simple_csr(el))
+    /// lightest edge, each pair scattered both ways straight from `el`.
+    /// Peak bytes above the input ≤ the output's (`steady_state_allocs`'
+    /// `undirected_builds_peak_at_their_output_bytes`).
+    pub fn undirected_from_edges(el: EdgeList) -> Self {
+        Self::undirected(Self::simple_csr(el, true))
     }
 
     /// Builds a directed graph from an edge list, without self-loops,
     /// duplicate pairs collapsed to their lightest edge.
     pub fn directed_from_edges(el: EdgeList) -> Self {
-        Self::directed(Self::simple_csr(el))
+        Self::directed(Self::simple_csr(el, false))
     }
 
-    /// The CSR of `el` as a simple graph. Takes the list by value so it
-    /// is freed before the caller's transpose allocates.
-    fn simple_csr(el: EdgeList) -> Csr {
-        let mut csr = Csr::from_edge_list(&el);
+    /// The CSR of `el` as a simple graph, every pair also scattered
+    /// reversed when `symmetric`. Takes the list by value so it is freed
+    /// before the rows are sorted and the caller's transpose allocates.
+    fn simple_csr(el: EdgeList, symmetric: bool) -> Csr {
+        let scattered = Csr::try_scatter(el.num_vertices(), el.edges(), el.weights(), symmetric);
+        let mut csr = scattered.unwrap_or_else(|err| panic!("{err}"));
         drop(el);
+        csr.sort_adjacency();
         csr.dedup_rows();
         csr
     }

@@ -180,25 +180,6 @@ impl EdgeList {
         Ok(())
     }
 
-    /// Adds the reverse of every edge, turning a directed list into the
-    /// symmetric closure used for undirected graphs. Weights are copied
-    /// onto the mirrored edge.
-    pub(crate) fn symmetrize(&mut self) {
-        let n = self.edges.len();
-        self.edges.reserve(n);
-        for i in 0..n {
-            let (s, d) = self.edges[i];
-            self.edges.push((d, s));
-        }
-        if let Some(w) = &mut self.weights {
-            w.reserve(n);
-            for i in 0..n {
-                let wi = w[i];
-                w.push(wi);
-            }
-        }
-    }
-
     /// Removes self-loops and collapses duplicate `(src, dst)` pairs to
     /// one edge each, leaving the list sorted by `(src, dst)`. Returns
     /// the number of edges removed.
@@ -278,16 +259,6 @@ mod tests {
     fn out_of_range_endpoint_panics() {
         let mut el = EdgeList::new(2);
         el.push(0, 2);
-    }
-
-    #[test]
-    fn symmetrize_doubles_edges_and_copies_weights() {
-        let mut el = EdgeList::from_weighted(3, vec![(0, 1), (1, 2)], vec![5, 7]);
-        el.symmetrize();
-        assert_eq!(el.num_edges(), 4);
-        assert_eq!(el.edges()[2], (1, 0));
-        assert_eq!(el.edges()[3], (2, 1));
-        assert_eq!(el.weights(), Some(&[5, 7, 5, 7][..]));
     }
 
     #[test]

@@ -50,7 +50,9 @@ impl Road {
         y * self.width + x
     }
 
-    /// Generates the (directed, to-be-symmetrized) edge list.
+    /// Generates the edge list, one direction per road: build it with
+    /// [`Graph::undirected_from_edges`](crate::Graph::undirected_from_edges),
+    /// which adds the reverse of each.
     ///
     /// # Panics
     ///

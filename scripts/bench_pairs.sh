@@ -2,7 +2,7 @@
 # Paired runs of the repository benchmark: a git ref against the working
 # tree, on one workload, alternating which side runs first per seed.
 #
-#   scripts/bench_pairs.sh <ref> <workload> <seed>...
+#   scripts/bench_pairs.sh [--rss] <ref> <workload> <seed>...
 #
 # Builds crates/bench/benchmark from `git archive <ref>` (extracted under
 # target/bench-pairs/) and from the working tree, copies both binaries
@@ -12,7 +12,15 @@
 # sides' median [q1, q3] (Python's `statistics.quantiles(n=4)`), the
 # ratio of medians (base: <ref>) and the pairs the working tree read
 # lower in. Only paired ratios compare: the host drifts between sessions.
+#
+# With --rss each run is only the memory probe behind `peak_rss_mib`:
+# the binary's own child invocation (`--seconds 1 --trace 0 --rss-probe`
+# under MALLOC_MMAP_THRESHOLD_=131072, as the probe's parent sets it),
+# a few seconds instead of 25. It prints every pair's MiB, the ratio of
+# medians and the pairs the working tree read lower in.
 set -euo pipefail
+rss=
+if [ "${1:-}" = --rss ]; then rss=1 && shift; fi
 [ $# -ge 3 ] || { sed -n '5p' "$0" >&2; exit 2; }
 ref=$1 workload=$2
 shift 2
@@ -32,14 +40,33 @@ build "$src" "$out/base"
 build . "$out/head"
 run() { # <side> <seed>
   echo "# $workload seed $2: $1" >&2
-  "$out/$1" --workload "$workload" --seed "$2" --seconds 25 --trace 0 |
-    tail -n 1 >"$out/runs/$workload-$2-$1.json"
+  if [ -n "$rss" ]; then
+    MALLOC_MMAP_THRESHOLD_=131072 "$out/$1" --workload "$workload" --seed "$2" \
+      --seconds 1 --trace 0 --rss-probe >"$out/runs/$workload-$2-$1.rss"
+  else
+    "$out/$1" --workload "$workload" --seed "$2" --seconds 25 --trace 0 |
+      tail -n 1 >"$out/runs/$workload-$2-$1.json"
+  fi
 }
 i=0
 for seed in "$@"; do
   if [ $((i % 2)) -eq 0 ]; then run base "$seed" && run head "$seed"; else run head "$seed" && run base "$seed"; fi
   i=$((i + 1))
 done
+if [ -n "$rss" ]; then
+  python3 - "$out/runs" "$workload" "$ref" "$@" <<'EOF'
+import statistics, sys
+runs, workload, ref, seeds = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
+base, head = ([float(open(f"{runs}/{workload}-{x}-{s}.rss").read()) for x in seeds] for s in ("base", "head"))
+print(f"# {workload} peak_rss_mib, {len(seeds)} pairs, {ref} -> working tree")
+for x, a, b in zip(seeds, base, head):
+    print(f"seed {x:>4}  {a:.2f} -> {b:.2f} MiB  {b / a:.3f}x")
+ratio = statistics.median(head) / statistics.median(base)
+wins = sum(b < a for a, b in zip(base, head))
+print(f"median {statistics.median(base):.2f} -> {statistics.median(head):.2f} MiB  {ratio:.3f}x  ({wins}/{len(seeds)} lower)")
+EOF
+  exit
+fi
 python3 - "$out/runs" "$workload" "$ref" "$@" <<'EOF'
 import json, statistics, sys
 runs, workload, ref, seeds = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]

@@ -71,6 +71,52 @@ proptest! {
         }
     }
 
+    /// `Graph::undirected_from_edges` against the closure built the
+    /// naive way: every pair pushed in both directions, sorted by
+    /// `(src, dst, weight)`, loops dropped, the first of each
+    /// `(src, dst)` kept. The multigraphs carry loops and duplicates in
+    /// no order, and up to three isolated vertices above every endpoint;
+    /// offsets, targets and weights must match exactly.
+    #[test]
+    fn undirected_build_equals_the_naive_closure(
+        (n, edges) in (1u32..16).prop_flat_map(|span| {
+            (span..span + 4, proptest::collection::vec((0..span, 0..span, 1u32..6), 0..80))
+        })
+    ) {
+        for weighted in [false, true] {
+            let mut closure: Vec<(u32, u32, u32)> = edges
+                .iter()
+                .map(|&(s, d, w)| (s, d, if weighted { w } else { 0 }))
+                .flat_map(|(s, d, w)| [(s, d, w), (d, s, w)])
+                .collect();
+            closure.sort_unstable();
+            closure.retain(|&(s, d, _)| s != d);
+            closure.dedup_by_key(|&mut (s, d, _)| (s, d));
+            let mut offsets = vec![0; n as usize + 1];
+            for &(s, _, _) in &closure {
+                offsets[s as usize + 1] += 1;
+            }
+            for v in 0..n as usize {
+                offsets[v + 1] += offsets[v];
+            }
+            let targets: Vec<u32> = closure.iter().map(|&(_, d, _)| d).collect();
+            let wts: Vec<u32> = closure.iter().map(|&(_, _, w)| w).collect();
+
+            let mut el = EdgeList::new(n);
+            for &(s, d, w) in &edges {
+                if weighted {
+                    el.push_weighted(s, d, w);
+                } else {
+                    el.push(s, d);
+                }
+            }
+            let g = Graph::undirected_from_edges(el);
+            prop_assert_eq!(g.out().offsets(), &offsets[..]);
+            prop_assert_eq!(g.out().targets(), &targets[..]);
+            prop_assert_eq!(g.out().weights(), weighted.then_some(&wts[..]));
+        }
+    }
+
     /// CSR invariants: offsets monotone, degrees sum to |E|, neighbors
     /// sorted.
     #[test]
@@ -432,4 +478,10 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "edge (1, 5) outside a graph with 2 vertices")]
+fn undirected_build_keeps_the_legacy_out_of_range_panic() {
+    Graph::undirected_from_edges(EdgeList::from_weighted(2, vec![(0, 1), (1, 5)], vec![3, 4]));
 }

@@ -17,6 +17,14 @@
 //! every iteration, and resuming from a capture, may cost a fixed
 //! number of allocations on top of the unarmed query — the slot's
 //! buffers and their doublings — and again none per iteration.
+//!
+//! The same allocator meters bytes: the thread's live bytes and their
+//! peak, a moving `realloc` holding both blocks at once. Each graph
+//! build must peak above its input at no more than the bytes of the
+//! graph it returns, and each session phase — bind, the first query of
+//! each metadata type, a warm query, an armed one — within a budget of
+//! `|V|`-sized vectors. Unlike a process's resident peak, this fails the
+//! moment a phase holds an array twice.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -26,27 +34,43 @@ use simdx::core::prelude::*;
 use simdx::core::FilterKind;
 use simdx::graph::csr::Direction;
 use simdx::graph::gen::{Rmat, Road};
-use simdx::graph::Graph;
+use simdx::graph::weights::assign_default_weights;
+use simdx::graph::{Csr, EdgeList, Graph};
 
 thread_local! {
     /// `alloc` + `realloc` calls made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated less the bytes it freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE` has been since [`peak_above_entry`] last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Moves this thread's live bytes by `delta`, raising the peak with them.
+fn add_live(delta: i64) {
+    let live = LIVE.with(|l| {
+        l.set(l.get() + delta);
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
 }
 
 struct CountingAlloc;
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the only addition is a
-// thread-local counter bump that neither allocates (const-initialised
-// `Cell`, no destructor) nor touches the returned memory.
+// which upholds the `GlobalAlloc` contract; the only additions are
+// thread-local counter updates that neither allocate (const-initialised
+// `Cell`s, no destructor) nor touch the memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        add_live(layout.size() as i64);
         // SAFETY: the caller's `alloc` contract is passed through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add_live(-(layout.size() as i64));
         // SAFETY: `ptr` came from `System` through this allocator with
         // this `layout`, as the caller's contract guarantees.
         unsafe { System.dealloc(ptr, layout) }
@@ -55,7 +79,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
         // SAFETY: the caller's `realloc` contract is passed through as is.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        let (old, grown) = (layout.size() as i64, new_size as i64);
+        if new == ptr {
+            add_live(grown - old);
+        } else if !new.is_null() {
+            // A moving realloc holds both blocks while it copies.
+            add_live(grown);
+            add_live(-old);
+        }
+        new
     }
 }
 
@@ -67,6 +100,15 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// The most bytes this thread held above its entry level while `f` ran,
+/// `f`'s output included.
+fn peak_above_entry<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let entry = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(entry));
+    let out = f();
+    (out, (PEAK.with(Cell::get) - entry) as u64)
 }
 
 /// The road strip and its centre vertex. Vertex `y * width + x`: 0 is a
@@ -229,4 +271,95 @@ fn warm_rmat_queries_allocate_nothing_per_pull_or_ballot_iteration() {
         long_allocs.abs_diff(short_allocs) <= 5,
         "{long_iters} iterations took {long_allocs} allocations, {short_iters} took {short_allocs}"
     );
+}
+
+/// The build meter's fixtures as fresh edge lists: an R-MAT and a road
+/// strip, each weighted and unweighted.
+fn build_inputs() -> Vec<(&'static str, EdgeList)> {
+    let rmat = Rmat::gtgraph(12, 8).generate(5);
+    let road = Road::strip(64, 16).generate(5);
+    vec![
+        ("weighted R-MAT", assign_default_weights(&rmat, 9)),
+        ("R-MAT", rmat),
+        ("weighted road", assign_default_weights(&road, 9)),
+        ("road", road),
+    ]
+}
+
+/// Builds every fixture with `build`, which scatters each input pair
+/// `copies` times, and holds the build's peak above entry — the input
+/// list live there and freed inside — to the bytes the output holds:
+/// its footprint plus the capacity `dedup_rows` keeps for the loops and
+/// duplicates it drops.
+fn assert_builds_peak_at_their_output_bytes(build: fn(EdgeList) -> Graph, copies: u64) {
+    for (name, el) in build_inputs() {
+        let per_edge = if el.is_weighted() { 8 } else { 4 };
+        // A plain CSR keeps every pair of the list, loops and duplicates.
+        let pairs = copies * Csr::from_edge_list(&el).num_edges();
+        let (g, peak) = peak_above_entry(|| build(el));
+        let budget = g.footprint_bytes() + (pairs - g.num_edges()) * per_edge;
+        assert!(
+            peak <= budget,
+            "{name}: the build peaked {peak} B above its input, budget {budget} B"
+        );
+    }
+}
+
+#[test]
+fn undirected_builds_peak_at_their_output_bytes() {
+    // Measured, in `build_inputs` order: 544 072, 288 424, 37 912 and
+    // 23 056 B, each its budget to the byte — the scatter's output, with
+    // the list still live and nothing else beside it.
+    assert_builds_peak_at_their_output_bytes(Graph::undirected_from_edges, 2);
+}
+
+#[test]
+fn directed_builds_peak_at_their_output_bytes() {
+    // Measured: 288 424, 160 600, 23 828 and 15 628 B against budgets of
+    // 576 848, 321 200, 46 112 and 31 256. The out-CSR's scatter sets
+    // the peak, or, on the sparse weighted road, the transpose built once
+    // the list is freed.
+    assert_builds_peak_at_their_output_bytes(Graph::directed_from_edges, 1);
+}
+
+#[test]
+fn session_phases_peak_within_their_vertex_vector_budgets() {
+    // Budgets in `|V|`-sized vectors of 4 B, measured peaks beside them:
+    //            bind     first u32    first f32    warm BFS    armed BFS
+    // R-MAT-12   ¼ (0)    7½ (6.91)    5¼ (4.70)    4 (3.48)    5¼ (4.78)
+    // road       ¼ (0)    6¼ (5.72)    7 (6.56)     4 (3.43)    6 (5.46)
+    // A serial bind allocates nothing; each metadata type's first query
+    // parks an arena of its own, and a warm query hands back its answer
+    // and activation log.
+    let fixtures = [
+        (
+            "R-MAT",
+            Graph::directed_from_edges(Rmat::gtgraph(12, 8).generate(5)),
+            [0.25, 7.5, 5.25, 4.0, 5.25],
+        ),
+        ("road", road_strip().0, [0.25, 6.25, 7.0, 4.0, 6.0]),
+    ];
+    for (name, g, budgets) in &fixtures {
+        let runtime = Runtime::new(EngineConfig::default()).expect("runtime");
+        let pr = PageRank::with_params(g, 0.85, 1e-3);
+        let bfs = |bound: &BoundGraph| bound.run(Bfs::new(0)).execute().expect("bfs");
+        let (bound, bind) = peak_above_entry(|| runtime.bind(g));
+        let (_, first_u32) = peak_above_entry(|| bfs(&bound));
+        let (_, first_f32) = peak_above_entry(|| bound.run(&pr).execute().expect("pagerank"));
+        let (_, warm) = peak_above_entry(|| bfs(&bound));
+        let (_, armed) = peak_above_entry(|| {
+            let armed = bound.run(Bfs::new(0)).checkpoint_on_abort();
+            armed.execute().expect("armed bfs")
+        });
+        let phases = ["bind", "first u32", "first f32", "warm", "armed"];
+        let peaks = [bind, first_u32, first_f32, warm, armed];
+        for ((phase, peak), budget) in phases.into_iter().zip(peaks).zip(budgets) {
+            let vectors = peak as f64 / (4.0 * g.num_vertices() as f64);
+            assert!(
+                vectors <= *budget,
+                "{name}, {phase}: {peak} B above entry is {vectors:.2} |V|-vectors, \
+                 budget {budget}"
+            );
+        }
+    }
 }
