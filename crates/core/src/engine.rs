@@ -137,15 +137,16 @@ pub(crate) struct BoundPool<'a> {
 
 /// Borrowed per-run resources handed to [`Engine::run_session`].
 ///
-/// The session API ([`crate::session::BoundGraph`]) owns these across
-/// queries — the pool outlives runs, the scratch arenas are reused, the
-/// push fences and grid are computed once at bind time.
+/// The session API ([`crate::session::Runtime`] and
+/// [`crate::session::BoundGraph`]) owns these across queries — the pool
+/// outlives runs, the scratch arenas are reused, the push fences and
+/// grid are computed once at bind time.
 pub(crate) struct SessionCtx<'a, 'o, M: Copy + 'static> {
     /// The parallel backend (`None` = serial path).
     pub(crate) pool: Option<BoundPool<'a>>,
     /// Reusable scratch arenas, with at least one worker slot per pool
     /// thread.
-    pub(crate) scratch: &'a mut IterScratch<M>,
+    pub(crate) scratch: &'a mut IterScratch,
     /// Per-run iteration cap (the run builder can override the
     /// config's).
     pub(crate) max_iterations: u32,
@@ -197,6 +198,9 @@ struct Run<'a, 'o, P: AccProgram> {
     /// `state.meta` is `metadata_curr`.
     state: RunState<P::Meta>,
     prev: Vec<P::Meta>,
+    /// Parallel pull's deferred metadata writes, one list per worker
+    /// (disjoint vertices), allocated by the run's first parallel pull.
+    writebacks: Vec<Vec<(VertexId, P::Meta)>>,
 }
 
 /// What [`Run::direction`] decides for one iteration and the later
@@ -287,16 +291,8 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
         // transient buffer, then assert nothing survived (so a future
         // scratch field without a matching reset is caught here, not as
         // cross-query state leakage).
-        scratch.reset_for_run();
+        scratch.reset_for_run(n);
         scratch.debug_assert_clean();
-        debug_assert_eq!(
-            (
-                scratch.changed.num_vertices(),
-                scratch.cand_bits.num_vertices()
-            ),
-            (n, n),
-            "scratch arena sized for a different graph"
-        );
         let state = match ctx.checkpoint.as_deref() {
             Some(Some(cp)) => {
                 // The execute path validated the slot against this
@@ -324,6 +320,7 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
             jit: JitController::new(config.filter),
             prev: state.meta.clone(),
             state,
+            writebacks: Vec::new(),
         }
     }
 
@@ -580,6 +577,7 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
             workers,
             ..
         } = &mut *self.ctx.scratch;
+        let writebacks = &mut self.writebacks;
         let scan_csr = self.graph.csr(dir);
         // An ascending frontier (the first one, or a ballot filter's):
         // push tasks read their source coalesced.
@@ -643,6 +641,7 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                     bp.pool,
                     self.threads,
                     workers,
+                    writebacks,
                     list,
                     scan_csr,
                     prev,
@@ -818,7 +817,7 @@ impl<P: AccProgram> Engine<P> {
     fn classify_parallel(
         pool: &WorkerPool,
         threads: usize,
-        workers: &mut [WorkerScratch<P::Meta>],
+        workers: &mut [WorkerScratch],
         lists: &mut Worklists,
         active: &[VertexId],
         csr: &Csr,
@@ -909,7 +908,7 @@ impl<P: AccProgram> Engine<P> {
     fn push_unit_parallel_grid(
         program: &P,
         pool: &WorkerPool,
-        workers: &mut [WorkerScratch<P::Meta>],
+        workers: &mut [WorkerScratch],
         list: &[VertexId],
         grid: &GridCsr,
         prev: &[P::Meta],
@@ -1118,7 +1117,7 @@ impl<P: AccProgram> Engine<P> {
     /// examined-edge counts sum into the run meter on the way.
     #[allow(clippy::too_many_arguments)]
     fn push_charge(
-        workers: &[WorkerScratch<P::Meta>],
+        workers: &[WorkerScratch],
         list: &[VertexId],
         csr: &Csr,
         applied: &mut Vec<u32>,
@@ -1152,7 +1151,8 @@ impl<P: AccProgram> Engine<P> {
         program: &P,
         pool: &WorkerPool,
         threads: usize,
-        workers: &mut [WorkerScratch<P::Meta>],
+        workers: &mut [WorkerScratch],
+        writebacks: &mut Vec<Vec<(VertexId, P::Meta)>>,
         list: &[VertexId],
         csr: &Csr,
         prev: &[P::Meta],
@@ -1166,12 +1166,13 @@ impl<P: AccProgram> Engine<P> {
         examined: &mut u64,
         sup: &Supervisor,
     ) -> Result<(), SimdxError> {
+        writebacks.resize_with(threads, Vec::new);
         {
             let (curr, whole, changed) = (&*curr, &*charge, &*changed);
-            pool.try_for_each_worker(workers, |w, ws| {
+            pool.try_for_each_worker_zip(workers, writebacks, |w, ws, wb| {
                 ws.changed.clear();
                 ws.records.clear();
-                ws.writebacks.clear();
+                wb.clear();
                 ws.edges_examined = 0;
                 let (t0, t1) = chunk_range(list.len(), threads, w);
                 ws.charge.begin_part(whole, t0);
@@ -1188,6 +1189,7 @@ impl<P: AccProgram> Engine<P> {
                         curr,
                         changed,
                         ws,
+                        wb,
                         record,
                         width,
                         task_counter,
@@ -1196,9 +1198,9 @@ impl<P: AccProgram> Engine<P> {
                 }
             })?;
         }
-        for ws in workers.iter() {
+        for (ws, wb) in workers.iter().zip(writebacks.iter()) {
             *examined += ws.edges_examined;
-            for &(v, new) in &ws.writebacks {
+            for &(v, new) in wb {
                 curr[v as usize] = new;
             }
             // Pull tasks touch disjoint candidate vertices, so the
@@ -1439,8 +1441,9 @@ impl<P: AccProgram> Engine<P> {
     }
 
     /// The pull-task variant for parallel workers: the same gather, but
-    /// the metadata write, changed entry and filter record are deferred
-    /// into the worker's scratch for deterministic merging.
+    /// the metadata write (into `writebacks`), changed entry and filter
+    /// record (into the worker's scratch) are deferred for
+    /// deterministic merging.
     #[allow(clippy::too_many_arguments)]
     fn pull_task_collect(
         program: &P,
@@ -1449,7 +1452,8 @@ impl<P: AccProgram> Engine<P> {
         prev: &[P::Meta],
         curr: &[P::Meta],
         changed: &ChangedSet,
-        ws: &mut WorkerScratch<P::Meta>,
+        ws: &mut WorkerScratch,
+        writebacks: &mut Vec<(VertexId, P::Meta)>,
         record: bool,
         width: u64,
         task_counter: u64,
@@ -1460,7 +1464,7 @@ impl<P: AccProgram> Engine<P> {
         if let Some(up) = acc {
             let first_change = changed.is_first(v);
             if let Some(new) = program.apply(v, &curr[v as usize], up) {
-                ws.writebacks.push((v, new));
+                writebacks.push((v, new));
                 applied = 1;
                 if first_change {
                     ws.changed.push(v);

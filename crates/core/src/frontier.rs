@@ -189,9 +189,11 @@ impl ChangedSet {
         self.bits.num_vertices()
     }
 
-    /// Empties the set without publishing (an aborted run's leftovers).
-    pub(crate) fn clear(&mut self) {
-        self.bits.clear_all();
+    /// Reshapes to `num_vertices` and empties the set without
+    /// publishing (an aborted run's leftovers), reusing both
+    /// allocations.
+    pub(crate) fn reset(&mut self, num_vertices: usize) {
+        self.bits.reset(num_vertices);
         self.list.clear();
     }
 
@@ -782,7 +784,7 @@ mod tests {
         assert!(!set.is_dense());
         set.mark(8);
         assert!(set.is_dense());
-        set.clear();
+        set.reset(200);
         assert!(set.is_empty() && !set.is_dense());
         // Fewer than 64 vertices: every iteration is dense.
         assert!(ChangedSet::new(63).is_dense());

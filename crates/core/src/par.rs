@@ -199,6 +199,21 @@ impl WorkerPool {
         })
     }
 
+    /// [`Self::try_for_each_worker`] over two slot slices at once:
+    /// `f(w, &mut a[w], &mut b[w])`. The sharded form over unit fences;
+    /// its second pair, a slice of `()`, never allocates.
+    pub(crate) fn try_for_each_worker_zip<T: Send, U: Send>(
+        &self,
+        a: &mut [T],
+        b: &mut [U],
+        f: impl Fn(usize, &mut T, &mut U) + Sync,
+    ) -> Result<(), WorkerPanic> {
+        let (units, mut none) = (&self.unit_fences, vec![(); self.threads]);
+        self.try_for_each_worker_sharded2(a, b, units, &mut none, units, |w, t, _, u, _, _| {
+            f(w, t, &mut u[0])
+        })
+    }
+
     /// Runs `f(w, &mut workers[w], off, shard, off2, shard2)` on every
     /// worker concurrently, where `shard` is the `[bounds[w],
     /// bounds[w+1])` range of `data` and `shard2` the `[bounds2[w],

@@ -1,40 +1,28 @@
-//! Shared, poison-safe resource pools backing concurrent query serving.
+//! The poison-safe worker-pool stash backing concurrent query serving.
 //!
-//! The session API (PR 4) kept its two mutable resources — the
-//! [`WorkerPool`] and the per-metadata-type scratch arenas — in
-//! `RefCell`s, which made [`crate::session::Runtime`] and
-//! [`crate::session::BoundGraph`] accidentally `!Sync`: only one query
-//! could ever be in flight per bound graph. This module replaces both
-//! cells with check-out/check-in pools that are `Sync` by construction:
+//! [`PoolStash`] is a mutex-guarded stash of idle [`WorkerPool`]s of
+//! one width, which makes [`crate::session::Runtime`] `Sync`: every
+//! query checks a pool out for its duration, so two concurrent queries
+//! never share one pool (a pool runs exactly one parallel region at a
+//! time — `WorkerPool::try_run` asserts it). Poison safety falls out of
+//! the protocol: a pool poisoned by a contained worker panic is
+//! *discarded* at check-in instead of returned, so the next checkout
+//! spawns a fresh pool and in-flight peers — each holding their own
+//! pool — never observe the fault.
 //!
-//! * [`PoolStash`] — a mutex-guarded stash of idle [`WorkerPool`]s of
-//!   one width. Every query checks a pool out for its duration, so two
-//!   concurrent queries never share one pool (a pool runs exactly one
-//!   parallel region at a time — `WorkerPool::try_run` asserts it).
-//!   Poison safety falls out of the protocol: a pool poisoned by a
-//!   contained worker panic is *discarded* at check-in instead of
-//!   returned, so the next checkout spawns a fresh pool and in-flight
-//!   peers — each holding their own pool — never observe the fault.
-//! * [`ArenaPool`] — a mutex-guarded stash of idle scratch arenas keyed
-//!   by the program's metadata [`TypeId`]. Queries check an arena out
-//!   (or create one on a dry stash) and return it at completion, so `N`
-//!   concurrent queries cost at most `N` live arenas per metadata type
-//!   while a lone sequential caller reuses a single arena forever —
-//!   the PR 4 amortization, minus the thread confinement.
+//! The stash caps its *idle* inventory ([`MAX_IDLE_POOLS`]): a burst of
+//! concurrency spawns freely, but the steady state retains only a
+//! bounded set, so a long-lived service cannot accumulate dead pools.
+//! The runtime's scratch-arena stash (`crate::session`) follows the
+//! same protocol without the poison rule: an arena holds no state
+//! across runs.
 //!
-//! Both stashes cap their *idle* inventory ([`MAX_IDLE_POOLS`],
-//! [`ArenaPool::cap_per_type`]): a burst of concurrency allocates
-//! freely, but the steady state retains only a bounded set, so a
-//! long-lived service cannot accumulate dead pools or arenas.
-//!
-//! Lock discipline: each stash holds its mutex only to push/pop — never
-//! across a spawn, a run or an arena reset — so the stashes cannot
-//! deadlock against each other or the pool's own state lock, and lock
-//! poisoning from a panicking *holder* is impossible by construction
-//! (we still recover defensively via [`PoisonError::into_inner`]).
+//! Lock discipline: the stash holds its mutex only to push/pop — never
+//! across a spawn or a run — so it cannot deadlock against the pool's
+//! own state lock, and lock poisoning from a panicking *holder* is
+//! impossible by construction (we still recover defensively via
+//! [`PoisonError::into_inner`]).
 
-use std::any::{Any, TypeId};
-use std::collections::HashMap;
 use std::ops::Deref;
 
 use crate::sync::{Mutex, MutexGuard, PoisonError};
@@ -137,63 +125,12 @@ impl Drop for PoolLease<'_> {
     }
 }
 
-/// A stash of idle scratch arenas keyed by metadata [`TypeId`]; see the
-/// module docs. Arenas are type-erased as `Box<dyn Any + Send>`
-/// (`AccProgram::Meta: Send + 'static` makes every
-/// `IterScratch<P::Meta>` satisfy that), so one pool serves interleaved
-/// BFS (`u32`) and PageRank (`f32`) queries without mixing their
-/// buffers.
-#[derive(Debug)]
-pub(crate) struct ArenaPool {
-    idle: Mutex<HashMap<TypeId, Vec<Box<dyn Any + Send>>>>,
-    cap_per_type: usize,
-}
-
-impl ArenaPool {
-    /// An empty pool retaining at most `cap_per_type` idle arenas per
-    /// metadata type.
-    pub(crate) fn new(cap_per_type: usize) -> Self {
-        Self {
-            idle: Mutex::new(HashMap::new()),
-            cap_per_type: cap_per_type.max(1),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, HashMap<TypeId, Vec<Box<dyn Any + Send>>>> {
-        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Pops an idle arena of type `T`, or `None` when the caller should
-    /// create one (the pool itself cannot: construction needs the
-    /// session's worker count and bitmap pre-sizing).
-    pub(crate) fn checkout<T: Any + Send>(&self) -> Option<T> {
-        let boxed = self.lock().get_mut(&TypeId::of::<T>())?.pop()?;
-        Some(*boxed.downcast::<T>().expect("arena stash keyed by TypeId"))
-    }
-
-    /// Returns an arena to the stash; beyond [`Self::cap_per_type`]
-    /// idle entries of its type, it is dropped instead.
-    pub(crate) fn checkin<T: Any + Send>(&self, arena: T) {
-        let mut idle = self.lock();
-        let slot = idle.entry(TypeId::of::<T>()).or_default();
-        if slot.len() < self.cap_per_type {
-            slot.push(Box::new(arena));
-        }
-    }
-
-    /// Total idle arenas across every metadata type.
-    pub(crate) fn idle_count(&self) -> usize {
-        self.lock().values().map(Vec::len).sum()
-    }
-}
-
-// The whole point of these pools: both are shareable across serving
-// threads. (Their contents are `Send`; the stash mutexes provide the
+// The whole point of the stash: it is shareable across serving
+// threads. (Its pools are `Send`; the mutex provides the
 // synchronization.)
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<PoolStash>();
-    assert_send_sync::<ArenaPool>();
 };
 
 #[cfg(test)]
@@ -261,28 +198,5 @@ mod tests {
             .collect();
         drop(burst);
         assert_eq!(stash.idle_pools(), MAX_IDLE_POOLS);
-    }
-
-    #[test]
-    fn arena_pool_roundtrips_by_type() {
-        let pool = ArenaPool::new(4);
-        assert_eq!(pool.checkout::<Vec<u32>>(), None, "dry stash");
-        pool.checkin(vec![1u32, 2, 3]);
-        pool.checkin(vec![0.5f32]);
-        assert_eq!(pool.idle_count(), 2);
-        assert_eq!(pool.checkout::<Vec<u32>>(), Some(vec![1u32, 2, 3]));
-        assert_eq!(pool.checkout::<Vec<u32>>(), None, "u32 arena checked out");
-        assert_eq!(pool.checkout::<Vec<f32>>(), Some(vec![0.5f32]));
-    }
-
-    #[test]
-    fn arena_pool_caps_idle_inventory_per_type() {
-        let pool = ArenaPool::new(2);
-        for i in 0..5u32 {
-            pool.checkin(vec![i]);
-        }
-        assert_eq!(pool.idle_count(), 2, "per-type cap holds");
-        pool.checkin(vec![0.0f32]);
-        assert_eq!(pool.idle_count(), 3, "cap is per type, not global");
     }
 }

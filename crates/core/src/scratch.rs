@@ -12,14 +12,17 @@
 //! streaming [`KernelCharge`] accumulators (the submitter's and one per
 //! worker, owned here for their slot vectors) as they go.
 //!
-//! Across runs, the session API pools arenas: a `BoundGraph` keeps a
-//! capped per-metadata-type inventory of idle [`IterScratch`] values
-//! (`crate::pool::ArenaPool`), so concurrent queries each check out
-//! their own arena and steady-state serving allocates nothing. This is
-//! why the arena must be `Send` whenever the metadata type is (see the
-//! compile-time assertion at the bottom of this module) — it travels
-//! between serving threads through the pool, though never *shared*:
-//! exactly one query owns an arena at a time.
+//! No buffer holds metadata either (parallel pull's deferred writes
+//! live in the run), so one arena serves every metadata type.
+//!
+//! Across runs, the session API pools arenas: a `Runtime` keeps a
+//! capped stash of idle [`IterScratch`] values that every graph bound
+//! to it draws on (each run's reset fits the two bitmaps to its graph),
+//! so concurrent queries each check out their own arena and
+//! steady-state serving allocates nothing. This is why the arena must
+//! be `Send` (see the compile-time assertion at the bottom of this
+//! module) — it travels between serving threads through the stash,
+//! though never *shared*: exactly one query owns an arena at a time.
 
 use crate::frontier::{ChangedSet, FrontierBitmap, ThreadBins, Worklists, WORD_BITS};
 use simdx_gpu::KernelCharge;
@@ -93,7 +96,7 @@ pub(crate) struct RecordEntry {
 
 /// Per-worker private buffers for one parallel region.
 #[derive(Debug, Default)]
-pub(crate) struct WorkerScratch<M> {
+pub(crate) struct WorkerScratch {
     /// Classification output (merged in worker order).
     pub(crate) lists: Worklists,
     /// Pull-candidate output (merged in worker order).
@@ -112,8 +115,6 @@ pub(crate) struct WorkerScratch<M> {
     /// Push mode: this destination shard's successful-apply counts
     /// `(task, applied)`, summed into [`IterScratch::applied`].
     pub(crate) applied: Vec<(u32, u32)>,
-    /// Pull mode: deferred metadata writes (disjoint vertices).
-    pub(crate) writebacks: Vec<(VertexId, M)>,
     /// Ballot-scan partition output (active vertices, ascending).
     pub(crate) active: Vec<VertexId>,
     /// Degree-sum partial.
@@ -126,7 +127,7 @@ pub(crate) struct WorkerScratch<M> {
 
 /// All buffers the engine loop reuses across iterations.
 #[derive(Debug)]
-pub(crate) struct IterScratch<M> {
+pub(crate) struct IterScratch {
     /// The iteration's three worklists.
     pub(crate) lists: Worklists,
     /// Pull-mode candidate list.
@@ -143,8 +144,8 @@ pub(crate) struct IterScratch<M> {
     pub(crate) applied: Vec<u32>,
     /// Vertices whose metadata changed this iteration: first-change
     /// dedup, the ballot scan's occupancy and the publish worklist.
-    /// Sized once, at arena creation; empty at every iteration
-    /// boundary.
+    /// Sized for the graph at each run's reset; empty at every
+    /// iteration boundary.
     pub(crate) changed: ChangedSet,
     /// Aggregation-pull candidate dedup, sized with `changed`; drained
     /// into the sorted candidate list each aggregation-pull iteration.
@@ -157,13 +158,12 @@ pub(crate) struct IterScratch<M> {
     /// iteration.
     pub(crate) next: Vec<VertexId>,
     /// Per-worker partitions (len = worker count; 1 in serial mode).
-    pub(crate) workers: Vec<WorkerScratch<M>>,
+    pub(crate) workers: Vec<WorkerScratch>,
 }
 
-impl<M> IterScratch<M> {
+impl IterScratch {
     /// Creates scratch for `threads` workers over a graph of
-    /// `num_vertices` vertices; the arena lives in that graph's
-    /// `BoundGraph` pool, so the bitmaps never need reshaping.
+    /// `num_vertices` vertices.
     pub(crate) fn new(threads: usize, num_vertices: usize) -> Self {
         Self {
             lists: Worklists::default(),
@@ -176,20 +176,15 @@ impl<M> IterScratch<M> {
             bins: ThreadBins::new(1, 0),
             next: Vec::new(),
             workers: (0..threads.max(1))
-                .map(|_| WorkerScratch {
-                    lists: Worklists::default(),
-                    cands: Vec::new(),
-                    charge: KernelCharge::default(),
-                    changed: Vec::new(),
-                    records: Vec::new(),
-                    applied: Vec::new(),
-                    writebacks: Vec::new(),
-                    active: Vec::new(),
-                    degree_sum: 0,
-                    edges_examined: 0,
-                })
+                .map(|_| WorkerScratch::default())
                 .collect(),
         }
+    }
+
+    /// The vertex count the two bitmaps cover: that of the graph the
+    /// arena last ran on (or was created for).
+    pub(crate) fn num_vertices(&self) -> usize {
+        self.changed.num_vertices()
     }
 
     /// Clears every buffer a previous run could have left *observable*
@@ -206,7 +201,9 @@ impl<M> IterScratch<M> {
     ///
     /// The two bitmaps are empty after every completed iteration; a
     /// run aborted mid-iteration can leave bits behind, and this is the
-    /// one place that clears them.
+    /// one place that clears them — and shapes them for the run's
+    /// graph of `num_vertices` vertices, so an arena serves graphs of
+    /// any size in turn (reusing its words; it allocates only to grow).
     ///
     /// The per-worker partitions are cleared here too. Every parallel
     /// region clears the fields it uses before writing them, so for a
@@ -215,12 +212,12 @@ impl<M> IterScratch<M> {
     /// leaves partial per-worker output behind. Clearing everything at
     /// the next `execute()` entry makes aborted runs indistinguishable
     /// from fresh engines.
-    pub(crate) fn reset_for_run(&mut self) {
+    pub(crate) fn reset_for_run(&mut self, num_vertices: usize) {
         self.lists.clear();
         self.cands.clear();
         self.applied.clear();
-        self.changed.clear();
-        self.cand_bits.clear_all();
+        self.changed.reset(num_vertices);
+        self.cand_bits.reset(num_vertices);
         self.records.clear();
         self.bins.clear();
         self.next.clear();
@@ -230,7 +227,6 @@ impl<M> IterScratch<M> {
             ws.changed.clear();
             ws.records.clear();
             ws.applied.clear();
-            ws.writebacks.clear();
             ws.active.clear();
             ws.degree_sum = 0;
             ws.edges_examined = 0;
@@ -264,10 +260,6 @@ impl<M> IterScratch<M> {
                 ws.applied.is_empty(),
                 "worker {w} applied counts not cleared"
             );
-            debug_assert!(
-                ws.writebacks.is_empty(),
-                "worker {w} writebacks not cleared"
-            );
             debug_assert!(ws.active.is_empty(), "worker {w} ballot output not cleared");
             debug_assert_eq!(ws.degree_sum, 0, "worker {w} degree sum not cleared");
             debug_assert_eq!(ws.edges_examined, 0, "worker {w} edge meter not cleared");
@@ -275,13 +267,12 @@ impl<M> IterScratch<M> {
     }
 }
 
-// The session arena pool moves `IterScratch` between serving threads
-// (checkout on one, check-in possibly on another); `Send` for any
-// sendable metadata type is what makes that hand-off sound. Removing
-// any auto-trait here is an API break for `crate::session` — fail the
-// build rather than letting it regress silently.
+// The runtime's arena stash moves `IterScratch` between serving
+// threads (checkout on one, check-in possibly on another); `Send` is
+// what makes that hand-off sound. Removing any auto-trait here is an
+// API break for `crate::session` — fail the build rather than letting
+// it regress silently.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<IterScratch<u32>>();
-    assert_send::<WorkerScratch<u32>>();
+    assert_send::<IterScratch>();
 };

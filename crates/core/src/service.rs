@@ -15,7 +15,7 @@
 //!   shed load;
 //! * **N serving threads** ([`ServiceConfig::workers`]), each running
 //!   independent queries over the shared bind-time core — every thread
-//!   checks one scratch arena out of the session's stash at its first
+//!   checks one scratch arena out of the runtime's stash at its first
 //!   ticket and keeps it until it exits, and checks a worker pool out
 //!   per query, so queries never contend on engine state;
 //! * **one ticket per turn**: a serving thread pops the oldest queued
@@ -1059,7 +1059,7 @@ where
     };
     let mut scratch = None;
     while let Some(entry) = next_entry(shared, &mut served) {
-        let scratch = scratch.get_or_insert_with(|| bound.checkout_scratch::<P::Meta>());
+        let scratch = scratch.get_or_insert_with(|| bound.checkout_scratch());
         let mut outcome = serve_one(
             bound,
             program,
@@ -1171,7 +1171,7 @@ fn serve_one<P: SourcedProgram>(
     bound: &BoundGraph<'_, '_>,
     program: &P,
     entry: &Entry,
-    scratch: &mut IterScratch<P::Meta>,
+    scratch: &mut IterScratch,
     retry: RetryPolicy,
     arm: bool,
     shutdown: &CancelToken,

@@ -6,12 +6,12 @@
 //! afford per query. This module splits that cost into three
 //! lifetimes:
 //!
-//! * [`Runtime`] — owns the resolved [`EngineConfig`] and the
-//!   persistent [`crate::par::WorkerPool`]. Built once per
-//!   process/service.
+//! * [`Runtime`] — owns the resolved [`EngineConfig`], the persistent
+//!   [`crate::par::WorkerPool`] and the reusable scratch arenas. Built
+//!   once per process/service.
 //! * [`BoundGraph`] — [`Runtime::bind`] precomputes the CSR-derived
-//!   per-graph state (degree-balanced push shards, their grid CSR)
-//!   and owns the reusable scratch arenas. Built once per graph.
+//!   per-graph state (degree-balanced push shards, their grid CSR).
+//!   Built once per graph.
 //! * [`RunBuilder`] — one query: `bound.run(program).source(v)
 //!   .max_iterations(n).observe(hook).execute()`. Costs only the work
 //!   of the query itself; every allocation is reused.
@@ -36,10 +36,12 @@
 //!   pool poisoned by a contained worker panic is discarded at
 //!   check-in (replaced at the next checkout) without touching
 //!   in-flight peers.
-//! * Scratch arenas live in an arena pool keyed by the program's
-//!   metadata `TypeId`: checked out per query (per batch for
-//!   `run_batch`, per serving thread for the service tier), created on
-//!   a dry stash, returned at completion (idle inventory capped; see
+//! * Scratch arenas live in one stash per runtime, shared by every
+//!   graph bound to it and every metadata type (an arena holds no
+//!   metadata): checked out per query (per batch for `run_batch`, per
+//!   serving thread for the service tier), preferring an arena sized
+//!   for the graph, else refitting any idle one, created on a dry
+//!   stash, returned at completion (idle inventory capped; see
 //!   [`BoundGraph::idle_scratch_arenas`]).
 //!
 //! Concurrent queries remain under the bit-equality contract below —
@@ -123,21 +125,23 @@ use crate::grid::GridCsr;
 use crate::jit::IterationRecord;
 use crate::metrics::RunResult;
 use crate::par::payload_string;
-use crate::pool::{ArenaPool, PoolStash};
+use crate::pool::PoolStash;
 use crate::scratch::{IterScratch, PushFences};
 use crate::supervise::{CancelToken, Supervisor};
+use crate::sync::{Mutex, MutexGuard, PoisonError};
 use simdx_graph::csr::Direction;
 use simdx_graph::{Graph, VertexId};
 
-/// Idle scratch arenas retained per metadata type by a
-/// [`BoundGraph`]'s arena pool. Bursts of concurrent queries beyond
-/// this still run (each creates an arena); only the *idle* inventory
-/// is capped, so a long-lived service cannot accumulate dead arenas.
-const SCRATCH_ARENAS_PER_TYPE: usize = 8;
+/// Idle scratch arenas a [`Runtime`] retains. Bursts of concurrent
+/// queries beyond this still run (each creates an arena); only the
+/// *idle* inventory is capped, so a long-lived service cannot
+/// accumulate dead arenas.
+const MAX_IDLE_ARENAS: usize = 8;
 
-/// The long-lived engine runtime: a validated [`EngineConfig`] plus a
+/// The long-lived engine runtime: a validated [`EngineConfig`], a
 /// poison-safe stash of persistent worker pools backing
-/// `ExecMode::Parallel`.
+/// `ExecMode::Parallel`, and a stash of scratch arenas every bound
+/// graph's queries draw on.
 ///
 /// Build one per service (or per configuration under test), then
 /// [`bind`](Self::bind) graphs and run queries. `Runtime` is
@@ -154,6 +158,10 @@ pub struct Runtime {
     /// Idle worker pools of the resolved width; every query (and the
     /// bind-time grid build) checks one out for its duration.
     pools: PoolStash,
+    /// Idle scratch arenas, each with one worker slot per pool worker,
+    /// sized for whichever graph last used it; every query checks one
+    /// out for its duration.
+    arenas: Mutex<Vec<IterScratch>>,
 }
 
 impl Runtime {
@@ -166,7 +174,11 @@ impl Runtime {
         // query) pays the thread-spawn cost.
         let pools = PoolStash::new(config.exec.worker_count().max(1));
         drop(pools.checkout());
-        Ok(Self { config, pools })
+        Ok(Self {
+            config,
+            pools,
+            arenas: Mutex::new(Vec::new()),
+        })
     }
 
     /// Resolved host worker count (1 = serial).
@@ -174,11 +186,15 @@ impl Runtime {
         self.pools.width()
     }
 
+    fn idle_arenas(&self) -> MutexGuard<'_, Vec<IterScratch>> {
+        self.arenas.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Binds a graph: precomputes the CSR-derived state every query
     /// needs — degree-balanced push destination shards with their
     /// partition fences and the destination-bucketed grid CSR those
-    /// fences define (parallel mode) — and allocates the reusable
-    /// scratch arenas lazily per metadata type.
+    /// fences define (parallel mode). Scratch arenas come from the
+    /// runtime's stash at query time.
     ///
     /// The fence and grid computations are deliberately *eager*: bind
     /// is the amortization point, so the one O(V) degree walk and the
@@ -187,7 +203,8 @@ impl Runtime {
     /// parallel push. The corner case this trades away — a
     /// parallel-mode bind whose queries never push — costs one extra
     /// sweep, noise next to any engine run (whose `init` alone is
-    /// O(V)).
+    /// O(V)). The fences balance in-degrees, so a parallel bind builds a
+    /// directed graph's transpose too.
     pub fn bind<'rt, 'g>(&'rt self, graph: &'g Graph) -> BoundGraph<'rt, 'g> {
         self.try_bind(graph)
             .unwrap_or_else(|err| panic!("bind failed: {err}"))
@@ -228,7 +245,6 @@ impl Runtime {
             runtime: self,
             graph,
             core,
-            scratch: ArenaPool::new(SCRATCH_ARENAS_PER_TYPE),
         })
     }
 }
@@ -285,19 +301,16 @@ impl Query<'_> {
     }
 }
 
-/// A graph bound to a [`Runtime`]: the immutable bind-time core plus a
-/// check-out/check-in pool of reusable scratch arenas. Queries against
-/// the same `BoundGraph` reuse every allocation and the runtime's
-/// pools — from one thread or many: `BoundGraph` is `Send + Sync`, and
-/// concurrent queries stay bit-equal to running them serially.
+/// A graph bound to a [`Runtime`]: the immutable bind-time core. Queries
+/// against the same `BoundGraph` reuse every allocation through the
+/// runtime's pool and arena stashes — from one thread or many:
+/// `BoundGraph` is `Send + Sync`, and concurrent queries stay bit-equal
+/// to running them serially.
 pub struct BoundGraph<'rt, 'g> {
     runtime: &'rt Runtime,
     graph: &'g Graph,
     /// Present iff the runtime is parallel.
     core: Option<BindArtifacts>,
-    /// Idle scratch arenas keyed by the program's metadata `TypeId`;
-    /// each query checks one out for its duration.
-    scratch: ArenaPool,
 }
 
 impl<'rt, 'g> BoundGraph<'rt, 'g> {
@@ -313,11 +326,14 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
         self.core.as_ref().map(|core| &core.grid)
     }
 
-    /// Idle scratch arenas currently pooled, across all metadata
-    /// types. Bounded: at most 8 per type regardless of how many
-    /// queries ever ran.
+    /// Idle scratch arenas the runtime holds last sized for a graph of
+    /// this one's `|V|` — the ones its next query takes first. Bounded:
+    /// the runtime keeps at most 8 idle arenas, whatever graphs and
+    /// metadata types its queries ran on.
     pub fn idle_scratch_arenas(&self) -> usize {
-        self.scratch.idle_count()
+        let n = self.graph.num_vertices() as usize;
+        let idle = self.runtime.idle_arenas();
+        idle.iter().filter(|a| a.num_vertices() == n).count()
     }
 
     /// Starts building one query. Terminal [`RunBuilder::execute`]
@@ -374,7 +390,7 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
         program: P,
         seeds: &[VertexId],
     ) -> Result<Vec<RunResult<P::Meta>>, SimdxError> {
-        let mut scratch = self.checkout_scratch::<P::Meta>();
+        let mut scratch = self.checkout_scratch();
         let out = seeds
             .iter()
             .map(|&seed| {
@@ -390,21 +406,29 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
         out
     }
 
-    /// Checks out (or creates, on a dry stash) a scratch arena for
-    /// metadata type `M`, its bitmaps sized for this graph — the only
-    /// place they are ever sized.
-    pub(crate) fn checkout_scratch<M: Send + 'static>(&self) -> IterScratch<M> {
-        self.scratch
-            .checkout::<IterScratch<M>>()
-            .unwrap_or_else(|| {
-                IterScratch::new(self.runtime.threads(), self.graph.num_vertices() as usize)
-            })
+    /// Checks a scratch arena out of the runtime's stash: an idle arena
+    /// last sized for a graph of this one's `|V|` if there is one, else
+    /// any idle arena (each run's reset refits its two bitmaps), else —
+    /// a dry stash — a new one.
+    pub(crate) fn checkout_scratch(&self) -> IterScratch {
+        let n = self.graph.num_vertices() as usize;
+        let mut idle = self.runtime.idle_arenas();
+        let fits = idle.iter().rposition(|a| a.num_vertices() == n);
+        let arena = match fits {
+            Some(at) => Some(idle.swap_remove(at)),
+            None => idle.pop(),
+        };
+        drop(idle);
+        arena.unwrap_or_else(|| IterScratch::new(self.runtime.threads(), n))
     }
 
-    /// Returns a scratch arena to the pool for the next query (idle
-    /// inventory capped per type).
-    pub(crate) fn checkin_scratch<M: Send + 'static>(&self, scratch: IterScratch<M>) {
-        self.scratch.checkin(scratch);
+    /// Returns a scratch arena to the runtime's stash for the next query
+    /// (idle inventory capped at 8).
+    pub(crate) fn checkin_scratch(&self, scratch: IterScratch) {
+        let mut idle = self.runtime.idle_arenas();
+        if idle.len() < MAX_IDLE_ARENAS {
+            idle.push(scratch);
+        }
     }
 
     /// The one execute path: every query attempt — a builder's, a batch
@@ -421,7 +445,7 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
         &self,
         program: &P,
         query: Query<'_>,
-        scratch: &mut IterScratch<P::Meta>,
+        scratch: &mut IterScratch,
         slot: Option<&mut Option<RunCheckpoint<P::Meta>>>,
     ) -> Result<RunResult<P::Meta>, SimdxError> {
         let n = self.graph.num_vertices();
@@ -594,7 +618,7 @@ impl<'b, 'rt, 'g, P: AccProgram> RunBuilder<'b, 'rt, 'g, P> {
         self,
         slot: Option<&mut Option<RunCheckpoint<P::Meta>>>,
     ) -> Result<RunResult<P::Meta>, SimdxError> {
-        let mut scratch = self.bound.checkout_scratch::<P::Meta>();
+        let mut scratch = self.bound.checkout_scratch();
         let result = self
             .bound
             .execute(&self.program, self.query, &mut scratch, slot);
@@ -730,7 +754,7 @@ mod tests {
     }
 
     /// A rank-sum aggregation program over `f32` metadata, used to
-    /// exercise the per-metadata-type scratch cache.
+    /// exercise one arena serving two metadata types.
     #[derive(Clone)]
     struct Mass;
 
@@ -827,18 +851,32 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_metadata_types_keep_separate_scratch() {
+    fn u32_and_f32_programs_share_one_arena_bit_equal_to_fresh_runtimes() {
         let g = path_graph(96);
-        let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
-        let bound = runtime.bind(&g);
-        let levels_a = bound.run(Levels { src: 0 }).execute().expect("levels");
-        let mass_a = bound.run(Mass).execute().expect("mass");
-        let levels_b = bound.run(Levels { src: 0 }).execute().expect("levels");
-        let mass_b = bound.run(Mass).execute().expect("mass");
-        assert_eq!(levels_a.meta, levels_b.meta);
-        assert_eq!(levels_a.report.stats, levels_b.report.stats);
-        assert_eq!(mass_a.meta, mass_b.meta);
-        assert_eq!(mass_a.report.stats, mass_b.report.stats);
+        for exec in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
+            let cfg = EngineConfig::unscaled().with_exec(exec);
+            let fresh = || Runtime::new(cfg.clone()).expect("runtime");
+            let levels = fresh().bind(&g).run(Levels { src: 0 }).execute();
+            let levels = levels.expect("levels");
+            let mass = fresh().bind(&g).run(Mass).execute().expect("mass");
+            let runtime = fresh();
+            let bound = runtime.bind(&g);
+            for _ in 0..2 {
+                let l = bound.run(Levels { src: 0 }).execute().expect("levels");
+                let m = bound.run(Mass).execute().expect("mass");
+                assert_eq!(bound.idle_scratch_arenas(), 1, "{exec:?}: one arena");
+                assert_eq!(l.meta, levels.meta);
+                assert_eq!(l.report.log, levels.report.log);
+                assert_eq!(l.report.stats, levels.report.stats);
+                assert!(m
+                    .meta
+                    .iter()
+                    .zip(&mass.meta)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()));
+                assert_eq!(m.report.log, mass.report.log);
+                assert_eq!(m.report.stats, mass.report.stats);
+            }
+        }
     }
 
     #[test]
@@ -1216,9 +1254,43 @@ mod tests {
             bound.run(Levels { src: 0 }).execute().expect("levels");
         }
         assert_eq!(bound.idle_scratch_arenas(), 1);
-        // A second metadata type adds exactly one more.
+        // A second metadata type reuses the same arena.
         bound.run(Mass).execute().expect("mass");
-        assert_eq!(bound.idle_scratch_arenas(), 2);
+        assert_eq!(bound.idle_scratch_arenas(), 1);
+    }
+
+    #[test]
+    fn runtime_arena_stash_caps_prefers_a_matching_size_and_refits() {
+        let (small, large) = (path_graph(70), path_graph(300));
+        let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
+        let (bs, bl) = (runtime.bind(&small), runtime.bind(&large));
+        let idle = || (bs.idle_scratch_arenas(), bl.idle_scratch_arenas());
+        // Bit-equal to a fresh runtime's run, whichever arena it got.
+        let run = |bound: &BoundGraph, g: &Graph| {
+            let fresh_rt = Runtime::new(EngineConfig::unscaled()).expect("runtime");
+            let fresh = fresh_rt.bind(g).run(Mass).execute().expect("fresh");
+            let got = bound.run(Mass).execute().expect("reused");
+            assert!(got
+                .meta
+                .iter()
+                .zip(&fresh.meta)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!(got.report.stats, fresh.report.stats);
+        };
+        // The cap: a burst's check-ins beyond 8 are dropped.
+        let burst: Vec<_> = (0..MAX_IDLE_ARENAS + 3)
+            .map(|_| bs.checkout_scratch())
+            .collect();
+        burst.into_iter().for_each(|a| bs.checkin_scratch(a));
+        assert_eq!(idle(), (MAX_IDLE_ARENAS, 0));
+        // A graph of another size refits an idle arena, creating none.
+        run(&bl, &large);
+        assert_eq!(idle(), (MAX_IDLE_ARENAS - 1, 1));
+        // The refitted arena sits on top of the stash, yet each graph
+        // takes one sized for it.
+        run(&bs, &small);
+        run(&bl, &large);
+        assert_eq!(idle(), (MAX_IDLE_ARENAS - 1, 1));
     }
 
     #[test]

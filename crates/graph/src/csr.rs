@@ -4,8 +4,11 @@
 //! space over edge list format" (§3.1). For directed graphs SIMD-X keeps
 //! *both* the out-neighbor CSR (used by push-mode computation) and the
 //! in-neighbor CSR (used by pull-mode computation) (§6, Storage Format).
-//! [`Graph`] packages the two together; undirected graphs share a single
-//! CSR for both orientations.
+//! [`Graph`] packages the two together, building the in-neighbor CSR
+//! when a pull first reads it; undirected graphs share a single CSR for
+//! both orientations.
+
+use std::sync::OnceLock;
 
 use crate::edgelist::EdgeList;
 use crate::error::GraphError;
@@ -301,59 +304,68 @@ pub enum Direction {
 /// For undirected inputs, the out-CSR already contains each edge in both
 /// directions, so the pull view aliases the push view and no transpose is
 /// stored (the paper: "for undirected graph, we only need to store the
-/// out-neighbors", §6).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// out-neighbors", §6). A directed graph builds its transpose on the
+/// first call that reads the pull view — [`Self::in_`] or
+/// [`Self::csr`]`(Direction::Pull)`, from any thread, once — so a graph
+/// only ever pushed never holds it. A parallel `Runtime::bind` reads it
+/// at bind time (its push shards balance in-degrees).
+///
+/// Equality compares the orientation and the out-CSR only: the
+/// transpose is a function of them, built or not.
+#[derive(Clone, Debug)]
 pub struct Graph {
     out: Csr,
-    /// `None` for undirected graphs (pull view == push view).
-    in_: Option<Csr>,
+    directed: bool,
+    /// The transpose of a directed graph, once a pull has read it;
+    /// never set for an undirected one.
+    in_: OnceLock<Csr>,
 }
 
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.directed == other.directed && self.out == other.out
+    }
+}
+
+impl Eq for Graph {}
+
 impl Graph {
-    /// Wraps an undirected (symmetric) CSR.
-    pub(crate) fn undirected(out: Csr) -> Self {
-        Self { out, in_: None }
-    }
-
-    /// Wraps a directed CSR, materializing the transpose for pull mode.
-    pub(crate) fn directed(out: Csr) -> Self {
-        let in_ = out.transpose();
-        Self {
-            out,
-            in_: Some(in_),
-        }
-    }
-
     /// Builds an undirected graph from an edge list: the symmetric
     /// closure, without self-loops, duplicate pairs collapsed to their
     /// lightest edge, each pair scattered both ways straight from `el`.
     /// Peak bytes above the input ≤ the output's (`steady_state_allocs`'
     /// `undirected_builds_peak_at_their_output_bytes`).
     pub fn undirected_from_edges(el: EdgeList) -> Self {
-        Self::undirected(Self::simple_csr(el, true))
+        Self::simple(el, false)
     }
 
     /// Builds a directed graph from an edge list, without self-loops,
-    /// duplicate pairs collapsed to their lightest edge.
+    /// duplicate pairs collapsed to their lightest edge. The transpose
+    /// waits for the first pull.
     pub fn directed_from_edges(el: EdgeList) -> Self {
-        Self::directed(Self::simple_csr(el, false))
+        Self::simple(el, true)
     }
 
-    /// The CSR of `el` as a simple graph, every pair also scattered
-    /// reversed when `symmetric`. Takes the list by value so it is freed
-    /// before the rows are sorted and the caller's transpose allocates.
-    fn simple_csr(el: EdgeList, symmetric: bool) -> Csr {
-        let scattered = Csr::try_scatter(el.num_vertices(), el.edges(), el.weights(), symmetric);
-        let mut csr = scattered.unwrap_or_else(|err| panic!("{err}"));
+    /// The graph of `el` as a simple graph, every pair also scattered
+    /// reversed when undirected. Takes the list by value so it is freed
+    /// before the rows are sorted.
+    fn simple(el: EdgeList, directed: bool) -> Self {
+        let scattered = Csr::try_scatter(el.num_vertices(), el.edges(), el.weights(), !directed);
+        let mut out = scattered.unwrap_or_else(|err| panic!("{err}"));
         drop(el);
-        csr.sort_adjacency();
-        csr.dedup_rows();
-        csr
+        out.sort_adjacency();
+        out.dedup_rows();
+        Self {
+            out,
+            directed,
+            in_: OnceLock::new(),
+        }
     }
 
-    /// Whether the graph stores a separate transpose (i.e. is directed).
+    /// Whether the graph is directed: its pull view is a transpose of
+    /// its own, built on first use, not the out-CSR.
     pub fn is_directed(&self) -> bool {
-        self.in_.is_some()
+        self.directed
     }
 
     /// The push-orientation (out-neighbor) CSR.
@@ -361,9 +373,14 @@ impl Graph {
         &self.out
     }
 
-    /// The pull-orientation (in-neighbor) CSR.
+    /// The pull-orientation (in-neighbor) CSR; a directed graph's first
+    /// call builds it.
     pub fn in_(&self) -> &Csr {
-        self.in_.as_ref().unwrap_or(&self.out)
+        if self.directed {
+            self.in_.get_or_init(|| self.out.transpose())
+        } else {
+            &self.out
+        }
     }
 
     /// CSR for the given scan direction.
@@ -384,9 +401,11 @@ impl Graph {
         self.out.num_edges()
     }
 
-    /// Total footprint of all stored CSRs in bytes.
+    /// Footprint in bytes of the CSRs built so far: the out-CSR, plus a
+    /// directed graph's transpose once a pull (or a parallel bind) has
+    /// built it.
     pub fn footprint_bytes(&self) -> u64 {
-        self.out.footprint_bytes() + self.in_.as_ref().map_or(0, |c| c.footprint_bytes())
+        self.out.footprint_bytes() + self.in_.get().map_or(0, Csr::footprint_bytes)
     }
 }
 

@@ -2,8 +2,9 @@
 # Paired runs of the repository benchmark: a git ref against the working
 # tree, on one workload, alternating which side runs first per seed.
 #
-#   scripts/bench_pairs.sh [--rss] <ref> <workload> <seed>...
+#   scripts/bench_pairs.sh [--rss] <ref> <workload|all> <seed>...
 #
+# `all` runs every workload BENCHMARK.json declares, one after another.
 # Builds crates/bench/benchmark from `git archive <ref>` (extracted under
 # target/bench-pairs/) and from the working tree, copies both binaries
 # aside, runs each seed once per side with `--seconds 25 --trace 0` from
@@ -16,15 +17,19 @@
 # With --rss each run is only the memory probe behind `peak_rss_mib`:
 # the binary's own child invocation (`--seconds 1 --trace 0 --rss-probe`
 # under MALLOC_MMAP_THRESHOLD_=131072, as the probe's parent sets it),
-# a few seconds instead of 25. It prints every pair's MiB, the ratio of
-# medians and the pairs the working tree read lower in.
+# a few seconds instead of 25. It prints every pair's MiB, then one row
+# per workload: both medians, their ratio and the pairs the working tree
+# read lower in.
 set -euo pipefail
 rss=
 if [ "${1:-}" = --rss ]; then rss=1 && shift; fi
 [ $# -ge 3 ] || { sed -n '5p' "$0" >&2; exit 2; }
-ref=$1 workload=$2
+ref=$1 workloads=$2
 shift 2
 cd "$(git rev-parse --show-toplevel)"
+if [ "$workloads" = all ]; then
+  workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+fi
 out=target/bench-pairs
 src=$out/src-$(git rev-parse --short "$ref")
 mkdir -p "$out/runs"
@@ -48,25 +53,32 @@ run() { # <side> <seed>
       tail -n 1 >"$out/runs/$workload-$2-$1.json"
   fi
 }
-i=0
-for seed in "$@"; do
-  if [ $((i % 2)) -eq 0 ]; then run base "$seed" && run head "$seed"; else run head "$seed" && run base "$seed"; fi
-  i=$((i + 1))
+for workload in $workloads; do
+  i=0
+  for seed in "$@"; do
+    if [ $((i % 2)) -eq 0 ]; then run base "$seed" && run head "$seed"; else run head "$seed" && run base "$seed"; fi
+    i=$((i + 1))
+  done
 done
 if [ -n "$rss" ]; then
-  python3 - "$out/runs" "$workload" "$ref" "$@" <<'EOF'
+  python3 - "$out/runs" "$workloads" "$ref" "$@" <<'EOF'
 import statistics, sys
-runs, workload, ref, seeds = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
-base, head = ([float(open(f"{runs}/{workload}-{x}-{s}.rss").read()) for x in seeds] for s in ("base", "head"))
-print(f"# {workload} peak_rss_mib, {len(seeds)} pairs, {ref} -> working tree")
-for x, a, b in zip(seeds, base, head):
-    print(f"seed {x:>4}  {a:.2f} -> {b:.2f} MiB  {b / a:.3f}x")
-ratio = statistics.median(head) / statistics.median(base)
-wins = sum(b < a for a, b in zip(base, head))
-print(f"median {statistics.median(base):.2f} -> {statistics.median(head):.2f} MiB  {ratio:.3f}x  ({wins}/{len(seeds)} lower)")
+runs, workloads, ref, seeds = sys.argv[1], sys.argv[2].split(), sys.argv[3], sys.argv[4:]
+rows = []
+for workload in workloads:
+    base, head = ([float(open(f"{runs}/{workload}-{x}-{s}.rss").read()) for x in seeds] for s in ("base", "head"))
+    print(f"# {workload} peak_rss_mib, {len(seeds)} pairs, {ref} -> working tree")
+    for x, a, b in zip(seeds, base, head):
+        print(f"seed {x:>4}  {a:.2f} -> {b:.2f} MiB  {b / a:.3f}x")
+    ratio = statistics.median(head) / statistics.median(base)
+    wins = sum(b < a for a, b in zip(base, head))
+    rows.append(f"{workload:<18} {statistics.median(base):7.2f} -> {statistics.median(head):7.2f} MiB  {ratio:.3f}x  ({wins}/{len(seeds)} lower)")
+print("# median peak_rss_mib per workload")
+print("\n".join(rows))
 EOF
   exit
 fi
+for workload in $workloads; do
 python3 - "$out/runs" "$workload" "$ref" "$@" <<'EOF'
 import json, statistics, sys
 runs, workload, ref, seeds = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
@@ -83,3 +95,4 @@ for name in side["base"][0]["metrics"]:
     ratio = statistics.median(b) / statistics.median(a)
     print(f"{name:<22} {cell(a)} -> {cell(b)}  {ratio:.3f}x  ({wins}/{len(a)} lower)")
 EOF
+done

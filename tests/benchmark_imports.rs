@@ -44,6 +44,7 @@ fn every_name_the_benchmark_package_imports_is_public() {
     let _: fn(&Graph) -> u64 = Graph::num_edges;
     let _: fn(&Graph) -> &Csr = Graph::out;
     let _: fn(&Graph) -> u64 = Graph::footprint_bytes;
+    graph_bounds::<Graph>();
     let _: fn(&Csr, VertexId) -> u32 = Csr::degree;
     let _ = [Direction::Push, Direction::Pull];
 
@@ -86,6 +87,7 @@ fn every_name_the_benchmark_package_imports_is_public() {
         let bound: BoundGraph<'_, '_> = runtime.bind(graph);
         let _ = bound.graph().out();
         let _ = bound.grid().map_or(0, |g| g.footprint_bytes());
+        let _: usize = bound.idle_scratch_arenas();
         let mut hook = |r: &IterationRecord| {
             let _ = (r.iteration, r.direction == Direction::Push);
             let _ = (
@@ -169,6 +171,9 @@ fn run_report(report: &RunReport) -> u64 {
     let _ = (report.elapsed_ms, report.iterations);
     report.stats.total_cycles + report.stats.kernel_launches + report.stats.barrier_passes
 }
+
+/// The package's input test compares two builds with `assert_eq!`.
+fn graph_bounds<G: PartialEq + std::fmt::Debug>() {}
 
 /// The package's generic query runner bounds its program by `AccProgram`.
 fn program_bound<P: AccProgram>(_: P) {}

@@ -26,9 +26,10 @@
 
 use std::time::Duration;
 
-use simdx::algos::{Bfs, Sssp};
+use simdx::algos::{Bfs, PageRank, Sssp};
 use simdx::core::jit::ActivationLog;
 use simdx::core::prelude::*;
+use simdx::graph::csr::Direction;
 use simdx::graph::gen::Rmat;
 use simdx::graph::{weights, Graph};
 use simdx_gpu::executor::ExecutorStats;
@@ -126,6 +127,66 @@ fn thread_fanout_is_bit_equal_to_solo_baselines() {
             }
         });
     }
+}
+
+/// Four threads race their first pulling queries on one bound graph
+/// whose transpose nobody has built: one builds it, every query reads
+/// it, each stays bit-equal to its serial baseline on a graph of its
+/// own, and the graph ends up holding the transpose once.
+#[test]
+fn racing_first_pulls_build_one_transpose() {
+    let g = rmat_graph();
+    let out_bytes = g.footprint_bytes();
+    let cfg = EngineConfig::default();
+    let seeds = [0u32, 5, 9, 13];
+    let pagerank = PageRank::new(&g);
+    let pulls = |log: &ActivationLog| log.records.iter().any(|r| r.direction == Direction::Pull);
+    let bfs_baselines: Vec<_> = seeds
+        .iter()
+        .map(|&s| solo(&Bfs::new, s, &rmat_graph(), &cfg))
+        .collect();
+    let pr_baseline = {
+        let (own, runtime) = (rmat_graph(), Runtime::new(cfg.clone()).expect("runtime"));
+        fingerprint(
+            runtime
+                .bind(&own)
+                .run(&pagerank)
+                .execute()
+                .expect("pagerank"),
+        )
+    };
+    assert!(pulls(&pr_baseline.log) && bfs_baselines.iter().all(|b| pulls(&b.log)));
+    assert_eq!(
+        g.footprint_bytes(),
+        out_bytes,
+        "the baselines ran on copies"
+    );
+    let runtime = Runtime::new(cfg).expect("runtime");
+    let bound = runtime.bind(&g);
+    let start = std::sync::Barrier::new(seeds.len());
+    std::thread::scope(|scope| {
+        for (t, (&seed, bfs_baseline)) in seeds.iter().zip(&bfs_baselines).enumerate() {
+            let (bound, start, pagerank, pr_baseline) = (&bound, &start, &pagerank, &pr_baseline);
+            scope.spawn(move || {
+                let bfs = || fingerprint(bound.run(Bfs::new(seed)).execute().expect("bfs"));
+                let pr = || fingerprint(bound.run(pagerank).execute().expect("pagerank"));
+                start.wait();
+                // Even threads open with PageRank, which pulls from its
+                // first iteration; odd ones with a BFS, which pulls
+                // mid-run.
+                if t % 2 == 0 {
+                    assert_eq!(&pr(), pr_baseline, "thread {t}: pagerank");
+                }
+                assert_eq!(&bfs(), bfs_baseline, "thread {t}: bfs from {seed}");
+                assert_eq!(&pr(), pr_baseline, "thread {t}: pagerank");
+            });
+        }
+    });
+    assert_eq!(
+        g.footprint_bytes(),
+        2 * out_bytes,
+        "out-CSR and one transpose"
+    );
 }
 
 /// The `QueryPool` front-end serves the same bits: every outcome in

@@ -19,8 +19,9 @@ use simdx::algos::{Bfs, PageRank, Sssp};
 use simdx::core::acc::CombineKind;
 use simdx::core::jit::ActivationLog;
 use simdx::core::prelude::*;
+use simdx::graph::csr::Direction;
 use simdx::graph::gen::{Rmat, Road};
-use simdx::graph::{weights, Graph, VertexId, Weight};
+use simdx::graph::{weights, EdgeList, Graph, VertexId, Weight};
 use simdx_gpu::executor::ExecutorStats;
 
 /// Everything that must match bit for bit.
@@ -121,12 +122,77 @@ fn sssp_session_matrix_on_rmat() {
     assert_session_matrix("sssp/rmat", &g, &[0, 5, 0], Sssp::new);
 }
 
+/// A directed graph builds its transpose on the first pull, so runs
+/// that only push — a `FixedPush` BFS, SSSP on a weighted R-MAT (an
+/// aggregation program, which pulls only past `|E|` of frontier
+/// volume) — leave the graph at its out-CSR's bytes.
+#[test]
+fn push_only_runs_leave_a_directed_graph_at_its_out_csr_bytes() {
+    let weighted = Graph::directed_from_edges(weights::assign_default_weights(
+        &Rmat::gtgraph(12, 8).generate(5),
+        9,
+    ));
+    let push = EngineConfig::default().with_direction(DirectionPolicy::FixedPush);
+    let cases = [
+        ("fixed-push bfs", rmat_graph(), push, false),
+        ("sssp", weighted, EngineConfig::default(), true),
+    ];
+    for (label, g, cfg, sssp) in cases {
+        let out_bytes = g.footprint_bytes();
+        let runtime = Runtime::new(cfg).expect("runtime");
+        let bound = runtime.bind(&g);
+        for seed in [0, 7] {
+            let report = if sssp {
+                bound.run(Sssp::new(seed)).execute().expect("sssp").report
+            } else {
+                bound.run(Bfs::new(seed)).execute().expect("bfs").report
+            };
+            assert!(report.iterations > 2, "{label}: seed {seed} ran");
+            let pulls = report.log.records.iter();
+            let pulls = pulls.filter(|r| r.direction == Direction::Pull).count();
+            assert_eq!(pulls, 0, "{label}: seed {seed} pulled");
+        }
+        assert_eq!(g.footprint_bytes(), out_bytes, "{label}");
+        // The first pull builds it: the same rows in reverse, weights
+        // carried over, so as many bytes again.
+        let _ = g.in_();
+        assert_eq!(g.footprint_bytes(), 2 * out_bytes, "{label}");
+    }
+}
+
+/// `==` and `Clone` see a graph's orientation and out-CSR, never
+/// whether its transpose was built yet.
+#[test]
+fn graph_equality_and_clone_ignore_whether_the_transpose_is_built() {
+    let (cold, warm) = (rmat_graph(), rmat_graph());
+    let pulled = warm.in_().clone();
+    assert_eq!(cold, warm);
+    let (cold_copy, warm_copy) = (cold.clone(), warm.clone());
+    assert_eq!(cold_copy, warm);
+    assert_eq!(warm_copy, cold);
+    // Each copy holds what its original held, and builds the same
+    // transpose when it lacks one.
+    assert_eq!(cold_copy.footprint_bytes(), cold.footprint_bytes());
+    assert_eq!(warm_copy.footprint_bytes(), warm.footprint_bytes());
+    assert!(cold.footprint_bytes() < warm.footprint_bytes());
+    assert_eq!(cold_copy.in_(), &pulled);
+    assert_eq!(warm_copy.in_(), &pulled);
+    assert_eq!(cold_copy.footprint_bytes(), warm.footprint_bytes());
+    // The orientation is part of equality: a symmetric directed graph
+    // and the undirected graph of the same rows differ.
+    let both_ways = Graph::directed_from_edges(EdgeList::from_pairs(vec![(0, 1), (1, 0)]));
+    let undirected = Graph::undirected_from_edges(EdgeList::from_pairs(vec![(0, 1)]));
+    assert_eq!(both_ways.out(), undirected.out());
+    assert_ne!(both_ways, undirected);
+}
+
 #[test]
 fn pagerank_interleaved_with_bfs_stays_bit_equal() {
     // Interleaving programs with different metadata types (u32 levels,
     // f32 ranks) over one BoundGraph must keep each stream bit-equal
-    // to fresh engines — the typed scratch arenas may not bleed into
-    // each other. PageRank's float accumulation is the sharpest probe.
+    // to fresh engines — the one arena both share may carry nothing
+    // from one program to the next. PageRank's float accumulation is the
+    // sharpest probe.
     let g = rmat_graph();
     for (label, cfg) in config_matrix() {
         let runtime = Runtime::new(cfg.clone()).expect("runtime");

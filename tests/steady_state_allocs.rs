@@ -21,9 +21,11 @@
 //! The same allocator meters bytes: the thread's live bytes and their
 //! peak, a moving `realloc` holding both blocks at once. Each graph
 //! build must peak above its input at no more than the bytes of the
-//! graph it returns, and each session phase — bind, the first query of
-//! each metadata type, a warm query, an armed one — within a budget of
-//! `|V|`-sized vectors. Unlike a process's resident peak, this fails the
+//! graph it returns, a directed graph's first pull at exactly the
+//! transpose it builds, and each session phase — bind, the first query
+//! of each metadata type, a warm query, an armed one, the first query on
+//! a second graph of the runtime — within a budget of `|V|`-sized
+//! vectors. Unlike a process's resident peak, this fails the
 //! moment a phase holds an array twice.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -315,31 +317,42 @@ fn undirected_builds_peak_at_their_output_bytes() {
 
 #[test]
 fn directed_builds_peak_at_their_output_bytes() {
-    // Measured: 288 424, 160 600, 23 828 and 15 628 B against budgets of
-    // 576 848, 321 200, 46 112 and 31 256. The out-CSR's scatter sets
-    // the peak, or, on the sparse weighted road, the transpose built once
-    // the list is freed.
+    // Measured: 288 424, 160 600, 23 056 and 15 628 B, each its budget to
+    // the byte — the out-CSR's scatter with the list still live. The
+    // transpose waits for the first pull (priced in
+    // `session_phases_peak_within_their_vertex_vector_budgets`).
     assert_builds_peak_at_their_output_bytes(Graph::directed_from_edges, 1);
 }
 
 #[test]
 fn session_phases_peak_within_their_vertex_vector_budgets() {
     // Budgets in `|V|`-sized vectors of 4 B, measured peaks beside them:
-    //            bind     first u32    first f32    warm BFS    armed BFS
-    // R-MAT-12   ¼ (0)    7½ (6.91)    5¼ (4.70)    4 (3.48)    5¼ (4.78)
-    // road       ¼ (0)    6¼ (5.72)    7 (6.56)     4 (3.43)    6 (5.46)
-    // A serial bind allocates nothing; each metadata type's first query
-    // parks an arena of its own, and a warm query hands back its answer
-    // and activation log.
+    //            bind     first u32    first f32    warm BFS    armed BFS   2nd graph
+    // R-MAT-12   ¼ (0)    7½ (6.91)    3¼ (3.02)    4 (2.53)    5¼ (4.81)   4 (3.51)
+    // road       ¼ (0)    6¼ (5.71)    4¾ (4.57)    4 (3.55)    6 (5.58)    4 (3.55)
+    // Before bind, a directed graph's first pull builds its transpose,
+    // held here to exactly the bytes it adds (R-MAT 9.80 vectors, road
+    // none: undirected). A serial bind allocates nothing; the first
+    // query parks the runtime's arena, which every later query reuses,
+    // whatever its metadata type or graph — a second graph of the same
+    // `|V|` bound to the runtime included, whose first query is a warm
+    // one; a warm query hands back its answer and activation log.
     let fixtures = [
         (
             "R-MAT",
             Graph::directed_from_edges(Rmat::gtgraph(12, 8).generate(5)),
-            [0.25, 7.5, 5.25, 4.0, 5.25],
+            [0.25, 7.5, 3.25, 4.0, 5.25, 4.0],
         ),
-        ("road", road_strip().0, [0.25, 6.25, 7.0, 4.0, 6.0]),
+        ("road", road_strip().0, [0.25, 6.25, 4.75, 4.0, 6.0, 4.0]),
     ];
     for (name, g, budgets) in &fixtures {
+        let out_bytes = g.footprint_bytes();
+        let (_, transpose) = peak_above_entry(|| g.csr(Direction::Pull).num_edges());
+        assert_eq!(
+            transpose,
+            g.footprint_bytes() - out_bytes,
+            "{name}: the first pull peaks at the transpose's bytes"
+        );
         let runtime = Runtime::new(EngineConfig::default()).expect("runtime");
         let pr = PageRank::with_params(g, 0.85, 1e-3);
         let bfs = |bound: &BoundGraph| bound.run(Bfs::new(0)).execute().expect("bfs");
@@ -351,8 +364,18 @@ fn session_phases_peak_within_their_vertex_vector_budgets() {
             let armed = bound.run(Bfs::new(0)).checkpoint_on_abort();
             armed.execute().expect("armed bfs")
         });
-        let phases = ["bind", "first u32", "first f32", "warm", "armed"];
-        let peaks = [bind, first_u32, first_f32, warm, armed];
+        let twin = g.clone();
+        let second = runtime.bind(&twin);
+        let (_, second_graph) = peak_above_entry(|| bfs(&second));
+        let phases = [
+            "bind",
+            "first u32",
+            "first f32",
+            "warm",
+            "armed",
+            "2nd graph",
+        ];
+        let peaks = [bind, first_u32, first_f32, warm, armed, second_graph];
         for ((phase, peak), budget) in phases.into_iter().zip(peaks).zip(budgets) {
             let vectors = peak as f64 / (4.0 * g.num_vertices() as f64);
             assert!(
