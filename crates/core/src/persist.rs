@@ -31,7 +31,14 @@
 //!
 //! Sections appear exactly once, in order. The per-section CRCs
 //! localize a diagnosis; the whole-file CRC catches anything they
-//! cannot (bit flips in the framing itself). Every decode failure —
+//! cannot (bit flips in the framing itself). It cannot see a whole
+//! framed section swapped for another valid one of the same length: a
+//! section ends with its own CRC, and a CRC-32 register run over
+//! `payload ‖ crc32(payload)` ends in a state that depends on the
+//! payload's length, not its bytes. Such a splice is a well-framed
+//! lie, caught (or not) by the cross-section checks below
+//! (`tests/properties.rs`' `durable_checkpoint_section_splices_*`).
+//! Every decode failure —
 //! truncation at any byte offset, any single-bit flip, a version or
 //! metadata-type skew — surfaces as a typed
 //! [`SimdxError::CheckpointCorrupt`], never a panic and never a
@@ -42,6 +49,21 @@
 //! IDENT vertex, frontier vertices in range, one log record per
 //! completed iteration), so a well-framed lie cannot index out of
 //! bounds inside the engine.
+//!
+//! # Codec cost
+//!
+//! A checkpoint costs about what it moves. The CRC is slicing-by-8
+//! (eight table lookups per 8-byte word, the same IEEE values as the
+//! byte-at-a-time table), and every byte is hashed once: [`encode`]
+//! writes each section's payload straight into the blob and hashes it
+//! there, and both [`encode`] and [`decode`] derive the whole-file
+//! trailer from the section CRCs and the framing bytes with a
+//! zlib-style `crc32_combine` instead of a second pass. The format is
+//! unchanged: the blob is byte-identical to the one earlier builds
+//! wrote (`tests/durable_recovery.rs` pins a golden blob's length and
+//! CRC). `encode` allocates once, the blob at its exact size; `decode`
+//! allocates only what it returns, formatting diagnostics on the error
+//! path only (`tests/steady_state_allocs.rs`).
 //!
 //! # Crash-safe writes
 //!
@@ -61,6 +83,7 @@
 //! typed error — in `ServeReport::spill_failures` or
 //! `RecoveryReport::skipped` — with the store still usable.
 
+use std::fmt;
 use std::path::{Path, PathBuf};
 
 use crate::checkpoint::{RunCheckpoint, RunState};
@@ -92,38 +115,130 @@ const LOG_RECORD_BYTES: usize = 4 + 1 + 8 + 8 + 1 + 1 + 8;
 const IDENT_FIXED_BYTES: usize = 8 + 4 + 4 + 4 + 8 + 1 + 1 + 1 + 1 + 1 + 4;
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3 polynomial, reflected, table-driven)
+// CRC-32 (IEEE 802.3 polynomial, reflected, slicing-by-8)
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The reflected IEEE 802.3 generator polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the register after byte `b` followed by `k`
+/// zero bytes, so eight lookups advance the register a whole word.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
+                (crc >> 1) ^ CRC_POLY
             } else {
                 crc >> 1
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 over `bytes` (IEEE polynomial — detects all single-bit
 /// errors, which the corruption property test leans on).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    crc32_update(0, bytes)
+}
+
+/// Continues `crc`, the finished CRC-32 of some prefix, over `bytes`:
+/// `crc32_update(crc32(a), b) == crc32(a‖b)`.
+fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !crc;
+    let (words, tail) = bytes.as_chunks::<8>();
+    for &w in words {
+        let v = u64::from_le_bytes(w) ^ u64::from(crc);
+        crc = t[7][(v & 0xFF) as usize]
+            ^ t[6][((v >> 8) & 0xFF) as usize]
+            ^ t[5][((v >> 16) & 0xFF) as usize]
+            ^ t[4][((v >> 24) & 0xFF) as usize]
+            ^ t[3][((v >> 32) & 0xFF) as usize]
+            ^ t[2][((v >> 40) & 0xFF) as usize]
+            ^ t[1][((v >> 48) & 0xFF) as usize]
+            ^ t[0][(v >> 56) as usize];
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
+}
+
+/// `a · b` modulo the CRC polynomial, both in the reflected
+/// representation (bit 31 is `x^0`).
+const fn crc32_mul(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            product ^= b;
+        }
+        m >>= 1;
+        b = if b & 1 != 0 {
+            (b >> 1) ^ CRC_POLY
+        } else {
+            b >> 1
+        };
+    }
+    product
+}
+
+/// `CRC_X2N[k]` is `x^(2^k)` modulo the CRC polynomial.
+const CRC_X2N: [u32; 32] = {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        table[k] = p;
+        p = crc32_mul(p, p);
+        k += 1;
+    }
+    table
+};
+
+/// The CRC-32 of `a‖b` from `crc32(a)`, `crc32(b)` and `|b|`, without
+/// reading either (zlib's `crc32_combine`): shifting `a`'s register
+/// past `|b|` zero bytes is a multiplication by `x^(8·|b|)`, built from
+/// `CRC_X2N` in `log2 |b|` steps.
+fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    let mut shift = 1u32 << 31; // x^0
+    let (mut n, mut k) = (len_b, 3); // 2^3 bits per byte
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = crc32_mul(CRC_X2N[k & 31], shift);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    crc32_mul(shift, crc_a) ^ crc_b
+}
+
+/// Extends the whole-file CRC `file` over one framed section whose
+/// payload CRC is already known: the id + length `prefix` and the CRC
+/// suffix are hashed, the payload is combined in, never re-read.
+fn crc32_after_section(file: u32, prefix: &[u8], payload_crc: u32, payload_len: usize) -> u32 {
+    let file = crc32_combine(crc32_update(file, prefix), payload_crc, payload_len as u64);
+    crc32_update(file, &payload_crc.to_le_bytes())
 }
 
 // ---------------------------------------------------------------------
@@ -225,12 +340,21 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends one framed section: id, payload length, payload, CRC.
-fn put_section(out: &mut Vec<u8>, id: u8, payload: &[u8]) {
+/// Appends one framed section — id, payload length, payload, CRC — with
+/// `write` putting the payload straight into `out`, and folds it into
+/// the running whole-file CRC. The length is patched in after `write`
+/// so the frame always matches the bytes actually written.
+fn put_section(out: &mut Vec<u8>, file_crc: &mut u32, id: u8, write: impl FnOnce(&mut Vec<u8>)) {
+    let head = out.len();
     out.push(id);
-    put_u64(out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    put_u32(out, crc32(payload));
+    put_u64(out, 0);
+    let start = out.len();
+    write(out);
+    let len = out.len() - start;
+    out[head + 1..start].copy_from_slice(&(len as u64).to_le_bytes());
+    let crc = crc32(&out[start..]);
+    put_u32(out, crc);
+    *file_crc = crc32_after_section(*file_crc, &out[head..start], crc, len);
 }
 
 fn dir_byte(dir: Direction) -> u8 {
@@ -267,64 +391,69 @@ pub fn encode<M: PersistMeta>(frame: &DurableCheckpoint<M>) -> Vec<u8> {
     put_u16(&mut out, VERSION);
     out.push(M::TAG);
     out.push(M::SIZE as u8);
+    let mut file_crc = crc32(&out);
 
-    let mut ident = Vec::with_capacity(ident_len);
-    put_u64(&mut ident, frame.ticket);
-    put_u32(&mut ident, frame.seed);
-    put_u32(&mut ident, cp.num_vertices);
-    put_u32(&mut ident, state.iteration);
-    put_u64(&mut ident, state.edges_examined);
-    ident.push(dir_byte(state.prev_dir));
-    ident.push(state.fusion.0.is_some() as u8);
-    ident.push(state.fusion.0.map_or(0, dir_byte));
-    ident.push(state.fusion.1 as u8);
-    // Reserved: v1 blobs written before the metadata-layout axis was
-    // removed carry the layout here (0 flat, 1 chunked).
-    ident.push(0);
-    put_u32(&mut ident, algo.len() as u32);
-    ident.extend_from_slice(algo);
-    put_section(&mut out, SECTION_IDENT, &ident);
+    put_section(&mut out, &mut file_crc, SECTION_IDENT, |out| {
+        put_u64(out, frame.ticket);
+        put_u32(out, frame.seed);
+        put_u32(out, cp.num_vertices);
+        put_u32(out, state.iteration);
+        put_u64(out, state.edges_examined);
+        out.push(dir_byte(state.prev_dir));
+        out.push(state.fusion.0.is_some() as u8);
+        out.push(state.fusion.0.map_or(0, dir_byte));
+        out.push(state.fusion.1 as u8);
+        // Reserved: v1 blobs written before the metadata-layout axis
+        // was removed carry the layout here (0 flat, 1 chunked).
+        out.push(0);
+        put_u32(out, algo.len() as u32);
+        out.extend_from_slice(algo);
+    });
 
-    let mut meta_bytes = Vec::with_capacity(meta_len);
-    put_u64(&mut meta_bytes, meta.len() as u64);
-    for &m in meta {
-        m.write_le(&mut meta_bytes);
-    }
-    put_section(&mut out, SECTION_META, &meta_bytes);
+    put_section(&mut out, &mut file_crc, SECTION_META, |out| {
+        put_u64(out, meta.len() as u64);
+        for &m in meta {
+            m.write_le(out);
+        }
+    });
 
-    let mut frontier = Vec::with_capacity(frontier_len);
-    put_u64(&mut frontier, state.frontier.len() as u64);
-    for &v in &state.frontier {
-        put_u32(&mut frontier, v);
-    }
-    put_section(&mut out, SECTION_FRONTIER, &frontier);
+    put_section(&mut out, &mut file_crc, SECTION_FRONTIER, |out| {
+        put_u64(out, state.frontier.len() as u64);
+        for &v in &state.frontier {
+            put_u32(out, v);
+        }
+    });
 
-    let mut log = Vec::with_capacity(log_len);
-    put_u64(&mut log, state.log.records.len() as u64);
-    for rec in &state.log.records {
-        put_u32(&mut log, rec.iteration);
-        log.push(dir_byte(rec.direction));
-        put_u64(&mut log, rec.frontier_len);
-        put_u64(&mut log, rec.degree_sum);
-        log.push(filter_byte(rec.filter));
-        log.push(rec.overflowed as u8);
-        put_u64(&mut log, rec.cycles);
-    }
-    put_section(&mut out, SECTION_LOG, &log);
+    put_section(&mut out, &mut file_crc, SECTION_LOG, |out| {
+        put_u64(out, state.log.records.len() as u64);
+        for rec in &state.log.records {
+            put_u32(out, rec.iteration);
+            out.push(dir_byte(rec.direction));
+            put_u64(out, rec.frontier_len);
+            put_u64(out, rec.degree_sum);
+            out.push(filter_byte(rec.filter));
+            out.push(rec.overflowed as u8);
+            put_u64(out, rec.cycles);
+        }
+    });
 
-    let mut stats = Vec::with_capacity(stats_len);
-    put_u64(&mut stats, state.stats.total_cycles);
-    put_u64(&mut stats, state.stats.kernel_launches);
-    put_u64(&mut stats, state.stats.barrier_passes);
-    put_u64(&mut stats, state.stats.kernel_invocations);
-    put_u64(&mut stats, state.stats.traffic.coalesced_reads);
-    put_u64(&mut stats, state.stats.traffic.random_reads);
-    put_u64(&mut stats, state.stats.traffic.writes);
-    put_u64(&mut stats, state.stats.traffic.atomics);
-    put_section(&mut out, SECTION_STATS, &stats);
+    put_section(&mut out, &mut file_crc, SECTION_STATS, |out| {
+        let stats = &state.stats;
+        for v in [
+            stats.total_cycles,
+            stats.kernel_launches,
+            stats.barrier_passes,
+            stats.kernel_invocations,
+            stats.traffic.coalesced_reads,
+            stats.traffic.random_reads,
+            stats.traffic.writes,
+            stats.traffic.atomics,
+        ] {
+            put_u64(out, v);
+        }
+    });
 
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
+    put_u32(&mut out, file_crc);
     out
 }
 
@@ -345,8 +474,10 @@ struct Reader<'a> {
     pos: usize,
 }
 
+// Every `what` below is a diagnostic label, formatted only into an
+// error: a successful decode allocates nothing but what it returns.
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], SimdxError> {
+    fn take(&mut self, n: usize, what: impl fmt::Display) -> Result<&'a [u8], SimdxError> {
         let end = self
             .pos
             .checked_add(n)
@@ -363,21 +494,21 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self, what: &str) -> Result<u8, SimdxError> {
+    fn u8(&mut self, what: impl fmt::Display) -> Result<u8, SimdxError> {
         Ok(self.take(1, what)?[0])
     }
 
-    fn u16(&mut self, what: &str) -> Result<u16, SimdxError> {
+    fn u16(&mut self, what: impl fmt::Display) -> Result<u16, SimdxError> {
         let b = self.take(2, what)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
-    fn u32(&mut self, what: &str) -> Result<u32, SimdxError> {
+    fn u32(&mut self, what: impl fmt::Display) -> Result<u32, SimdxError> {
         let b = self.take(4, what)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn u64(&mut self, what: &str) -> Result<u64, SimdxError> {
+    fn u64(&mut self, what: impl fmt::Display) -> Result<u64, SimdxError> {
         let b = self.take(8, what)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
@@ -389,9 +520,15 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Reads one framed section, verifies its CRC, and returns its
-/// payload.
-fn read_section<'a>(r: &mut Reader<'a>, expect_id: u8) -> Result<&'a [u8], SimdxError> {
+/// Reads one framed section, verifies its CRC, folds it into the
+/// running whole-file CRC `file_crc` (each byte is hashed once), and
+/// returns its payload.
+fn read_section<'a>(
+    r: &mut Reader<'a>,
+    file_crc: &mut u32,
+    expect_id: u8,
+) -> Result<&'a [u8], SimdxError> {
+    let head = r.pos;
     let id = r.u8("section id")?;
     if id != expect_id {
         return Err(corrupt(format!(
@@ -402,18 +539,20 @@ fn read_section<'a>(r: &mut Reader<'a>, expect_id: u8) -> Result<&'a [u8], Simdx
     // The length is untrusted until it fits the bytes present; a
     // flipped length bit must fail here, not drive an allocation.
     let len = usize::try_from(len).map_err(|_| corrupt("section length exceeds usize"))?;
-    let payload = r.take(len, &format!("section {expect_id} payload"))?;
-    let stored = r.u32(&format!("section {expect_id} CRC"))?;
+    let prefix = &r.bytes[head..r.pos];
+    let payload = r.take(len, format_args!("section {expect_id} payload"))?;
+    let stored = r.u32(format_args!("section {expect_id} CRC"))?;
     let computed = crc32(payload);
     if stored != computed {
         return Err(corrupt(format!(
             "section {expect_id} CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"
         )));
     }
+    *file_crc = crc32_after_section(*file_crc, prefix, computed, len);
     Ok(payload)
 }
 
-fn decode_dir(b: u8, what: &str) -> Result<Direction, SimdxError> {
+fn decode_dir(b: u8, what: impl fmt::Display) -> Result<Direction, SimdxError> {
     match b {
         0 => Ok(Direction::Push),
         1 => Ok(Direction::Pull),
@@ -421,7 +560,7 @@ fn decode_dir(b: u8, what: &str) -> Result<Direction, SimdxError> {
     }
 }
 
-fn decode_bool(b: u8, what: &str) -> Result<bool, SimdxError> {
+fn decode_bool(b: u8, what: impl fmt::Display) -> Result<bool, SimdxError> {
     match b {
         0 => Ok(false),
         1 => Ok(true),
@@ -464,11 +603,12 @@ pub fn decode<M: PersistMeta>(bytes: &[u8]) -> Result<DurableCheckpoint<M>, Simd
         )));
     }
 
-    let ident = read_section(&mut r, SECTION_IDENT)?;
-    let meta_bytes = read_section(&mut r, SECTION_META)?;
-    let frontier_bytes = read_section(&mut r, SECTION_FRONTIER)?;
-    let log_bytes = read_section(&mut r, SECTION_LOG)?;
-    let stats_bytes = read_section(&mut r, SECTION_STATS)?;
+    let mut file_crc = crc32(&bytes[..r.pos]);
+    let ident = read_section(&mut r, &mut file_crc, SECTION_IDENT)?;
+    let meta_bytes = read_section(&mut r, &mut file_crc, SECTION_META)?;
+    let frontier_bytes = read_section(&mut r, &mut file_crc, SECTION_FRONTIER)?;
+    let log_bytes = read_section(&mut r, &mut file_crc, SECTION_LOG)?;
+    let stats_bytes = read_section(&mut r, &mut file_crc, SECTION_STATS)?;
 
     // Exactly the whole-file CRC may remain; stray trailing bytes are
     // as suspect as missing ones.
@@ -479,10 +619,9 @@ pub fn decode<M: PersistMeta>(bytes: &[u8]) -> Result<DurableCheckpoint<M>, Simd
         )));
     }
     let stored = r.u32("whole-file CRC")?;
-    let computed = crc32(&bytes[..bytes.len() - 4]);
-    if stored != computed {
+    if stored != file_crc {
         return Err(corrupt(format!(
-            "whole-file CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"
+            "whole-file CRC mismatch (stored {stored:#010x}, computed {file_crc:#010x})"
         )));
     }
 
@@ -543,10 +682,7 @@ pub fn decode<M: PersistMeta>(bytes: &[u8]) -> Result<DurableCheckpoint<M>, Simd
             mr.remaining()
         )));
     }
-    let mut meta = Vec::with_capacity(count);
-    for chunk in elems.chunks_exact(M::SIZE) {
-        meta.push(M::read_le(chunk));
-    }
+    let meta: Vec<M> = elems.chunks_exact(M::SIZE).map(M::read_le).collect();
 
     // FRONTIER
     let mut fr = Reader {
@@ -566,10 +702,12 @@ pub fn decode<M: PersistMeta>(bytes: &[u8]) -> Result<DurableCheckpoint<M>, Simd
             fr.remaining()
         )));
     }
-    let mut frontier = Vec::with_capacity(count);
-    for chunk in verts.chunks_exact(4) {
-        frontier.push(u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
-    }
+    let frontier: Vec<u32> = verts
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|&v| u32::from_le_bytes(v))
+        .collect();
 
     // LOG
     let mut lr = Reader {
@@ -588,19 +726,19 @@ pub fn decode<M: PersistMeta>(bytes: &[u8]) -> Result<DurableCheckpoint<M>, Simd
     }
     let mut records = Vec::with_capacity(count);
     for i in 0..count {
-        let what = format!("log record {i}");
+        let what = format_args!("log record {i}");
         records.push(IterationRecord {
-            iteration: lr.u32(&what)?,
-            direction: decode_dir(lr.u8(&what)?, &what)?,
-            frontier_len: lr.u64(&what)?,
-            degree_sum: lr.u64(&what)?,
-            filter: match lr.u8(&what)? {
+            iteration: lr.u32(what)?,
+            direction: decode_dir(lr.u8(what)?, what)?,
+            frontier_len: lr.u64(what)?,
+            degree_sum: lr.u64(what)?,
+            filter: match lr.u8(what)? {
                 0 => FilterKind::Online,
                 1 => FilterKind::Ballot,
                 other => return Err(corrupt(format!("{what}: bad filter byte {other}"))),
             },
-            overflowed: decode_bool(lr.u8(&what)?, &what)?,
-            cycles: lr.u64(&what)?,
+            overflowed: decode_bool(lr.u8(what)?, what)?,
+            cycles: lr.u64(what)?,
         });
     }
     let log = ActivationLog { records };
@@ -1073,5 +1211,23 @@ mod tests {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_combine_joins_split_inputs() {
+        let data: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+            .collect();
+        for split in [0, 1, 7, 8, 9, 64, 150, 299, 300] {
+            let (a, b) = data.split_at(split);
+            let whole = crc32(&data);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                whole,
+                "split at {split}"
+            );
+            assert_eq!(crc32_update(crc32(a), b), whole, "split at {split}");
+        }
+        assert_eq!(crc32_combine(crc32(b""), crc32(b""), 0), crc32(b""));
     }
 }

@@ -519,6 +519,59 @@ fn damaged_blobs_are_skipped_with_typed_errors_and_the_rest_recover() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// SXCP v1 is a wire format, so its bytes are pinned, not just its
+/// round trip: one fixed frame — a serial BFS on [`graph`] from vertex
+/// 0, cancelled at its iteration-2 boundary — must encode to exactly
+/// the blob every earlier build wrote: its length and the CRC-32 of
+/// everything ahead of the trailer below, which is also the trailer.
+/// (The CRC-32 of a whole blob, trailer included, is the polynomial's
+/// residue `0x2144DF1C` for every valid blob, so it pins nothing.) A
+/// codec change that moves a byte fails here even if it decodes its
+/// own output.
+#[test]
+fn sxcp_v1_golden_blob_is_byte_stable() {
+    let g = graph();
+    let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
+    let bound = runtime.bind(&g);
+    let token = CancelToken::new();
+    let hook_token = token.clone();
+    let checkpoint = bound
+        .run(Bfs::new(0))
+        .cancel_token(token)
+        .checkpoint_on_abort()
+        .observe(move |rec| {
+            if rec.iteration >= 2 {
+                hook_token.cancel();
+            }
+        })
+        .execute()
+        .expect_err("cancelled at iteration 2")
+        .checkpoint
+        .expect("a boundary was reached");
+    assert_eq!(checkpoint.iteration(), 3);
+    let frame = persist::DurableCheckpoint {
+        ticket: 7,
+        seed: 0,
+        checkpoint,
+    };
+    let blob = persist::encode(&frame);
+    let body = blob.len() - 4;
+    let body_crc = persist::crc32(&blob[..body]);
+    assert_eq!(
+        (blob.len(), body_crc),
+        (GOLDEN_LEN, GOLDEN_BODY_CRC),
+        "the SXCP v1 encoding of the golden frame moved"
+    );
+    assert_eq!(blob[body..], body_crc.to_le_bytes(), "trailer");
+    let back = persist::decode::<u32>(&blob).expect("decode the golden blob");
+    assert_eq!(persist::encode(&back), blob);
+}
+
+/// The golden frame's blob as the byte-at-a-time codec at `a4bc8a9`
+/// wrote it.
+const GOLDEN_LEN: usize = 12_822;
+const GOLDEN_BODY_CRC: u32 = 0x21A2_DC5E;
+
 // ---------------------------------------------------------------------
 // Half 2b: writes spoiled at the store seam, a restore that panics
 

@@ -391,9 +391,7 @@ proptest! {
         (n, edges) in arb_edges(40, 120),
         cut in 0u32..4,
     ) {
-        let g = Graph::directed_from_edges(EdgeList::from_pairs(
-            edges.iter().map(|&(s, d)| (s % n, d % n)).collect::<Vec<_>>(),
-        ));
+        let g = graph_of(n, &edges);
         if g.num_vertices() == 0 {
             return Ok(());
         }
@@ -402,22 +400,9 @@ proptest! {
             let baseline = bfs::run(&g, 0, cfg.clone()).expect("fresh baseline");
             let runtime = Runtime::new(cfg).expect("runtime");
             let bound = runtime.bind(&g);
-            let token = CancelToken::new();
-            let hook_token = token.clone();
-            let outcome = bound
-                .run(Bfs::new(0))
-                .cancel_token(token)
-                .checkpoint_on_abort()
-                .observe(move |rec| {
-                    if rec.iteration >= cut {
-                        hook_token.cancel();
-                    }
-                })
-                .execute();
             // Converged before the cut, or aborted before the first
             // boundary: no checkpoint to serialize this round.
-            let Err(aborted) = outcome else { continue };
-            let Some(cp) = aborted.checkpoint else { continue };
+            let Some(cp) = cut_bfs(&bound, cut) else { continue };
 
             let frame = DurableCheckpoint {
                 ticket: 42 + cut as u64,
@@ -425,6 +410,9 @@ proptest! {
                 checkpoint: cp,
             };
             let blob = persist::encode(&frame);
+            // The trailer, combined from the section CRCs, equals a
+            // direct pass over every byte ahead of it.
+            prop_assert_eq!(trailer(&blob), persist::crc32(&blob[..blob.len() - 4]));
             let back = persist::decode::<u32>(&blob).expect("decode own encoding");
             prop_assert_eq!(back.ticket, frame.ticket);
             prop_assert_eq!(back.seed, frame.seed);
@@ -474,6 +462,208 @@ proptest! {
                         byte,
                         other.map(|f| f.ticket)
                     ),
+                }
+            }
+        }
+    }
+}
+
+/// CRC-32 one bit at a time, straight from the IEEE 802.3 definition
+/// (reflected, polynomial `0xEDB88320`, inverted in and out).
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = u32::MAX;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// An SXCP blob's stored whole-file CRC.
+fn trailer(blob: &[u8]) -> u32 {
+    let body = blob.len() - 4;
+    u32::from_le_bytes(blob[body..].try_into().expect("4 bytes"))
+}
+
+/// `blob` with its whole-file CRC rewritten to match its body.
+fn with_recomputed_trailer(mut blob: Vec<u8>) -> Vec<u8> {
+    let body = blob.len() - 4;
+    let crc = persist::crc32(&blob[..body]);
+    blob[body..].copy_from_slice(&crc.to_le_bytes());
+    blob
+}
+
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"))
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+/// The byte ranges of an SXCP v1 blob's five framed sections, each
+/// `id u8 · len u64 · payload · CRC u32`, after the 8-byte header.
+fn framed_sections(blob: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut at = 8;
+    (0..5)
+        .map(|_| {
+            let len = le_u64(&blob[at + 1..]) as usize;
+            let section = at..at + 1 + 8 + len + 4;
+            at = section.end;
+            section
+        })
+        .collect()
+}
+
+/// Whether a well-framed blob's sections agree with each other the way
+/// `RunCheckpoint::check_invariants` demands, read from the bytes: one
+/// metadata element per IDENT vertex, every frontier vertex in range,
+/// one log record per completed iteration.
+fn sections_agree(blob: &[u8]) -> bool {
+    let payload = |k: usize| {
+        let s = &framed_sections(blob)[k];
+        &blob[s.start + 9..s.end - 4]
+    };
+    let ident = payload(0);
+    let (num_vertices, iteration) = (le_u32(&ident[12..]), le_u32(&ident[16..]));
+    let frontier = payload(2);
+    le_u64(payload(1)) == u64::from(num_vertices)
+        && frontier[8..]
+            .chunks_exact(4)
+            .all(|v| le_u32(v) < num_vertices)
+        && le_u64(payload(3)) == u64::from(iteration)
+}
+
+/// The checkpoint of a BFS from vertex 0 cancelled at its `cut`
+/// boundary, if it has one.
+fn cut_bfs(bound: &BoundGraph<'_, '_>, cut: u32) -> Option<RunCheckpoint<u32>> {
+    let token = CancelToken::new();
+    let hook_token = token.clone();
+    bound
+        .run(Bfs::new(0))
+        .cancel_token(token)
+        .checkpoint_on_abort()
+        .observe(move |rec| {
+            if rec.iteration >= cut {
+                hook_token.cancel();
+            }
+        })
+        .execute()
+        .err()?
+        .checkpoint
+}
+
+/// A directed graph over `n` vertices from generated pairs.
+fn graph_of(n: u32, edges: &[(u32, u32)]) -> Graph {
+    Graph::directed_from_edges(EdgeList::from_pairs(
+        edges
+            .iter()
+            .map(|&(s, d)| (s % n, d % n))
+            .collect::<Vec<_>>(),
+    ))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The slicing-by-8 `persist::crc32` equals the bitwise definition
+    /// on byte strings of 0..=2 KiB, starting at every offset mod 8 and
+    /// ending at every length mod 8, so each word/tail split is hit.
+    #[test]
+    fn durable_checkpoint_crc32_matches_a_bitwise_reference(
+        bytes in proptest::collection::vec(0u16..256, 0..2049 + 14),
+    ) {
+        let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+        for start in 0..8.min(bytes.len() + 1) {
+            for trim in 0..8.min(bytes.len() - start + 1) {
+                let slice = &bytes[start..bytes.len() - trim];
+                prop_assert_eq!(
+                    persist::crc32(slice),
+                    crc32_bitwise(slice),
+                    "bytes [{}, {})",
+                    start,
+                    bytes.len() - trim
+                );
+            }
+        }
+    }
+
+    /// Section splices (ROADMAP item 6): framed section k of blob A —
+    /// id, length, payload, CRC, each valid on its own — replaced by
+    /// blob B's, for k = 1..=5, where A and B are real mid-run BFS
+    /// checkpoints (same graph or not, cut at the same boundary or
+    /// not). A section of another length breaks A's trailer, so decode
+    /// must report `CheckpointCorrupt`. A section of the same length
+    /// cannot: a framed section ends with its own CRC, and a CRC-32
+    /// register run over `payload ‖ crc32(payload)` ends in a state
+    /// that depends on the payload's length but not its bytes, so the
+    /// whole-file CRC is blind to the splice and A's trailer already
+    /// is the recomputed one. Once the trailer matches, the blob is
+    /// well-framed throughout: decode must either reject it or return a
+    /// frame that re-encodes to exactly these bytes, whose sections
+    /// agree with each other, and that resumes on A's graph to a result
+    /// or a typed error — never a panic.
+    #[test]
+    fn durable_checkpoint_section_splices_are_rejected_or_consistent(
+        (n, edges) in arb_edges(40, 120),
+        (n_b, edges_b) in arb_edges(40, 120),
+        same_graph in 0u8..2,
+        cut_a in 0u32..4,
+        cut_b in 0u32..4,
+    ) {
+        let g_a = graph_of(n, &edges);
+        let g_b = if same_graph == 1 { g_a.clone() } else { graph_of(n_b, &edges_b) };
+        let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
+        let (bound_a, bound_b) = (runtime.bind(&g_a), runtime.bind(&g_b));
+        let (Some(cp_a), Some(cp_b)) = (cut_bfs(&bound_a, cut_a), cut_bfs(&bound_b, cut_b)) else {
+            return Ok(());
+        };
+        let blob_a = persist::encode(&DurableCheckpoint { ticket: 1, seed: 0, checkpoint: cp_a });
+        let blob_b = persist::encode(&DurableCheckpoint { ticket: 2, seed: 0, checkpoint: cp_b });
+        prop_assert_eq!(trailer(&blob_b), persist::crc32(&blob_b[..blob_b.len() - 4]));
+        let (sections_a, sections_b) = (framed_sections(&blob_a), framed_sections(&blob_b));
+        prop_assert_eq!(sections_a.last().map(|s| s.end), Some(blob_a.len() - 4));
+        for k in 0..5 {
+            let (a, b) = (&sections_a[k], &sections_b[k]);
+            if blob_a[a.clone()] == blob_b[b.clone()] {
+                continue; // an identical section splices to A itself
+            }
+            let spliced: Vec<u8> = [&blob_a[..a.start], &blob_b[b.clone()], &blob_a[a.end..]].concat();
+            let resealed = with_recomputed_trailer(spliced.clone());
+            if a.len() == b.len() {
+                prop_assert_eq!(&spliced, &resealed, "section {} splice moved the trailer", k + 1);
+            } else {
+                match persist::decode::<u32>(&spliced) {
+                    Err(SimdxError::CheckpointCorrupt { .. }) => {}
+                    other => prop_assert!(
+                        false,
+                        "section {} spliced under A's trailer: expected CheckpointCorrupt, got {:?}",
+                        k + 1,
+                        other.map(|f| f.ticket)
+                    ),
+                }
+            }
+            match persist::decode::<u32>(&resealed) {
+                Err(SimdxError::CheckpointCorrupt { .. }) => {}
+                Err(e) => prop_assert!(false, "section {}: untyped rejection {:?}", k + 1, e),
+                Ok(frame) => {
+                    prop_assert_eq!(&persist::encode(&frame), &resealed);
+                    prop_assert!(sections_agree(&resealed), "section {} accepted a lie", k + 1);
+                    let resumed = bound_a.resume(Bfs::new(0), frame.checkpoint).execute();
+                    prop_assert!(
+                        !matches!(
+                            resumed.map_err(|aborted| aborted.error),
+                            Err(SimdxError::WorkerPanicked { .. })
+                        ),
+                        "section {}: resuming the splice panicked",
+                        k + 1
+                    );
                 }
             }
         }

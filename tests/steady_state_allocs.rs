@@ -32,6 +32,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use simdx::algos::{Bfs, PageRank};
+use simdx::core::persist;
 use simdx::core::prelude::*;
 use simdx::core::FilterKind;
 use simdx::graph::csr::Direction;
@@ -219,6 +220,53 @@ fn armed_capture_and_resume_allocate_per_run_not_per_iteration() {
         "a {left}-iteration resume took {resumed_allocs} allocations, \
          a fresh armed run {far_allocs}"
     );
+}
+
+/// The durable codec's allocation budget: `encode` allocates its blob
+/// once, at exactly its final size, and `decode` allocates only what it
+/// returns — the algorithm string and the metadata, frontier and log
+/// vectors — however many log records the blob carries. Diagnostic
+/// strings are formatted on the error path only.
+#[test]
+fn checkpoint_codec_allocates_only_what_it_returns() {
+    let (g, _) = road_strip();
+    let runtime = Runtime::new(EngineConfig::default()).expect("runtime");
+    let bound = runtime.bind(&g);
+    let cut_at = |last: u32| {
+        let token = CancelToken::new();
+        let hook_token = token.clone();
+        let checkpoint = bound
+            .run(Bfs::new(0))
+            .cancel_token(token)
+            .checkpoint_on_abort()
+            .observe(move |rec| {
+                if rec.iteration >= last {
+                    hook_token.cancel();
+                }
+            })
+            .execute()
+            .expect_err("cancelled")
+            .checkpoint
+            .expect("a boundary was reached");
+        persist::DurableCheckpoint {
+            ticket: 1,
+            seed: 0,
+            checkpoint,
+        }
+    };
+    for (last, records) in [(5, 6), (29, 30)] {
+        let frame = cut_at(last);
+        let (blob, encode_allocs) = allocations_during(|| persist::encode(&frame));
+        assert_eq!(encode_allocs, 1, "encode of a {records}-record checkpoint");
+        assert_eq!(blob.capacity(), blob.len(), "the blob is sized exactly");
+        let (back, decode_allocs) =
+            allocations_during(|| persist::decode::<u32>(&blob).expect("decode"));
+        assert_eq!(back.checkpoint.iteration(), records);
+        assert_eq!(
+            decode_allocs, 4,
+            "decode of a {records}-record checkpoint: algorithm, metadata, frontier, log"
+        );
+    }
 }
 
 #[test]
