@@ -85,9 +85,9 @@ pub(crate) struct RunState<M> {
     /// The iteration executed next — the number completed so far.
     pub(crate) iteration: u32,
     /// Host edge-traversal meter. Deliberately outside the bit-equality
-    /// contract — it is how the tests pin the grid push replay's
-    /// work-optimality — but carried, so a resumed run's final report
-    /// matches the uninterrupted run's.
+    /// contract — it is how the tests pin every exec mode's push to one
+    /// traversal per frontier edge — but carried, so a resumed run's
+    /// final report matches the uninterrupted run's.
     pub(crate) edges_examined: u64,
     /// Simulated-device counters. The executor owns the live ones; the
     /// engine syncs them in just before a capture and out just after a

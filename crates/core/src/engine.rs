@@ -31,30 +31,20 @@
 //!
 //! [`crate::config::ExecMode`] selects how the *host* computes an
 //! iteration. `Serial` is the single-threaded reference; `Parallel`
-//! hands the run a [`BoundPool`] and distributes every hot step over
-//! its persistent [`WorkerPool`] while producing **bit-equal reports**
-//! — identical metadata, logs and simulated cycle counts. The
-//! strategies (documented in `crates/core/README.md`):
+//! hands the run a [`WorkerPool`] and distributes the task-chunked
+//! steps over it while producing **bit-equal reports** — identical
+//! metadata, logs and simulated cycle counts. The strategies
+//! (documented in `crates/core/README.md`):
 //!
-//! * *Push compute is destination-sharded.* Each worker owns a
-//!   contiguous vertex range of `metadata_curr` (balanced by
-//!   in-degree) and iterates the bind-time destination-bucketed
-//!   [`GridCsr`], which holds exactly the edges that land in its range
-//!   — each frontier edge is traversed once per iteration. Sources
-//!   read the immutable `metadata_prev` snapshot, so a destination's
-//!   update sequence depends only on the edges that target it — every
-//!   worker observes exactly the serial subsequence for its vertices,
-//!   preserving order-sensitive results (PageRank's float
-//!   accumulation, cost `writes` counts) bit for bit. Costs are
-//!   charged from the full per-task degrees, so the simulated device
-//!   cannot tell the backends apart; the *host* edge-traversal meter
-//!   ([`RunReport::edges_examined`]) is equal too.
+//! * *Push compute runs the serial kernel.* A push iteration is
+//!   [`Engine::serial_unit`] on the submitting thread in both modes,
+//!   so it is the reference by construction — host edge meter
+//!   ([`RunReport::edges_examined`]) included.
 //! * *Pull compute, classification, candidate sweeps, degree sums and
 //!   the ballot scan are task-chunked.* Contiguous chunks concatenated
-//!   in worker order reproduce the serial order exactly.
-//! * *Online-filter records are deferred and replayed.* Workers emit
-//!   `(task, edge)`-keyed records; the engine sorts and replays them
-//!   into [`ThreadBins`] in serial order, reproducing bin contents and
+//!   in worker order reproduce the serial order exactly; parallel
+//!   pull's deferred metadata writes, changed entries and online-filter
+//!   records are merged in that order, reproducing bin contents and
 //!   overflow behaviour exactly.
 //! * *Costs are streamed, and the sums commute.* No sweep stores a
 //!   per-task [`Cost`]: before a sweep the engine opens the arena's
@@ -65,12 +55,7 @@
 //!   lands on slot `i % active_slots` and everything accumulated is a
 //!   `u64` sum, so a worker that owns tasks `[t0, t1)` charges its own
 //!   accumulator opened at `t0` and the submitter adds the parts in —
-//!   no ordering argument needed. Parallel push is the one kernel that
-//!   cannot charge as it goes: a task's cycles are `ceil(raw / width)`,
-//!   not linear in its writes, and its writes are spread over the
-//!   destination shards — so the shards' per-task applied counts are
-//!   summed first (4 bytes a task) and one final pass over the list
-//!   streams the serial cost sequence.
+//!   no ordering argument needed.
 //!
 //! # The changed set
 //!
@@ -78,9 +63,9 @@
 //! is one structure, [`ChangedSet`] (a bitmap *and* the list of marked
 //! vertices), owned by `frontier.rs`; the engine only calls it. Every
 //! compute kernel asks it `is_first(v)` before an apply and `mark(v)`s
-//! after a first change; parallel push gives each destination shard a
-//! word-aligned window of it, so that test stays an atomic-free bit
-//! load. At the end of the iteration the ballot filter (when it runs)
+//! after a first change (parallel pull workers only test it, and the
+//! submitter marks their deferred entries). At the end of the
+//! iteration the ballot filter (when it runs)
 //! skips the set's all-zero occupancy words unless the iteration was
 //! dense, and `publish` copies the changed cells into `metadata_prev`
 //! by list walk or word sweep — both choices read nothing but the
@@ -108,42 +93,26 @@ use crate::checkpoint::{RunCheckpoint, RunState};
 use crate::config::{DirectionPolicy, EngineConfig};
 use crate::error::SimdxError;
 use crate::filters::{ballot, online, FilterKind};
-use crate::frontier::{
-    ChangedSet, ChangedView, ClassifyThresholds, ThreadBins, Worklists, WORD_BITS,
-};
+use crate::frontier::{ChangedSet, ClassifyThresholds, ThreadBins, Worklists, WORD_BITS};
 use crate::fusion::{FusionPlan, KernelRole};
-use crate::grid::{GridCsr, ShardCsr};
 use crate::jit::{IterationRecord, JitController};
 use crate::metrics::{RunReport, RunResult};
 use crate::par::{chunk_range, chunk_range_aligned, WorkerPool};
-use crate::scratch::{IterScratch, PushFences, RecordEntry, WorkerScratch};
+use crate::scratch::{IterScratch, RecordEntry, WorkerScratch};
 use crate::supervise::{Supervisor, POLL_STRIDE};
 use simdx_gpu::{Cost, GpuExecutor, KernelCharge, SchedUnit, WARP_SIZE};
 use simdx_graph::csr::{Csr, Direction};
 use simdx_graph::{Graph, VertexId, Weight};
 
-/// The `ExecMode::Parallel` backend of one run: a worker pool checked
-/// out for the query plus the bind-time artifacts its push kernel
-/// shards over. `Runtime::bind` computes the fences and the grid for
-/// every parallel runtime, so a run has all three or runs serially.
-#[derive(Clone, Copy)]
-pub(crate) struct BoundPool<'a> {
-    pub(crate) pool: &'a WorkerPool,
-    /// Destination-shard fences over `metadata_curr`.
-    pub(crate) fences: &'a PushFences,
-    /// Destination-bucketed grid CSR over those fences.
-    pub(crate) grid: &'a GridCsr,
-}
-
 /// Borrowed per-run resources handed to [`Engine::run_session`].
 ///
 /// The session API ([`crate::session::Runtime`] and
 /// [`crate::session::BoundGraph`]) owns these across queries — the pool
-/// outlives runs, the scratch arenas are reused, the push fences and
-/// grid are computed once at bind time.
+/// outlives runs and the scratch arenas are reused.
 pub(crate) struct SessionCtx<'a, 'o, M: Copy + 'static> {
-    /// The parallel backend (`None` = serial path).
-    pub(crate) pool: Option<BoundPool<'a>>,
+    /// The `ExecMode::Parallel` backend, a worker pool checked out for
+    /// the query (`None` = serial path).
+    pub(crate) pool: Option<&'a WorkerPool>,
     /// Reusable scratch arenas, with at least one worker slot per pool
     /// thread.
     pub(crate) scratch: &'a mut IterScratch,
@@ -279,7 +248,7 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
         let mut executor = GpuExecutor::new(config.device.clone());
         executor.set_scale(config.parallelism_scale);
         let mut plan = FusionPlan::new(config.fusion, config.threads_per_cta);
-        let threads = ctx.pool.map_or(1, |bp| bp.pool.threads());
+        let threads = ctx.pool.map_or(1, WorkerPool::threads);
         let scratch = &mut *ctx.scratch;
         debug_assert_eq!(
             scratch.workers.len(),
@@ -363,9 +332,9 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
         let frontier = &state.frontier;
         let degree_sum: u64 = match self.ctx.pool {
             None => frontier.iter().map(|&v| out_csr.degree(v) as u64).sum(),
-            Some(bp) => {
+            Some(pool) => {
                 let workers = &mut self.ctx.scratch.workers;
-                bp.pool.try_for_each_worker(workers, |w, ws| {
+                pool.try_for_each_worker(workers, |w, ws| {
                     let (lo, hi) = chunk_range(frontier.len(), threads, w);
                     ws.degree_sum = frontier[lo..hi]
                         .iter()
@@ -412,8 +381,8 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
         if it.dir == Direction::Push {
             match pool {
                 None => lists.classify_into(frontier, scan_csr, thresholds),
-                Some(bp) => Engine::<P>::classify_parallel(
-                    bp.pool, threads, workers, lists, frontier, scan_csr, thresholds,
+                Some(pool) => Engine::<P>::classify_parallel(
+                    pool, threads, workers, lists, frontier, scan_csr, thresholds,
                 )?,
             }
             return Ok(());
@@ -435,12 +404,12 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                             lists.classify_one(v, scan_csr, thresholds)
                         });
                     }
-                    Some(bp) => {
+                    Some(pool) => {
                         // Partition on chunk boundaries so no worker's
                         // fixed-width sweep splits a chunk (merged
                         // chunks in worker order are the serial order
                         // either way).
-                        bp.pool.try_for_each_worker(workers, |w, ws| {
+                        pool.try_for_each_worker(workers, |w, ws| {
                             ws.lists.clear();
                             let (lo, hi) = chunk_range_aligned(n, threads, w, WARP_SIZE);
                             Engine::vote_candidates(program, curr, lo, hi, |v| {
@@ -514,9 +483,9 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                             charge.task(&Engine::<P>::mark_cost(nbrs.len()));
                         }
                     }
-                    Some(bp) => {
+                    Some(pool) => {
                         let whole = &*charge;
-                        bp.pool.try_for_each_worker(workers, |w, ws| {
+                        pool.try_for_each_worker(workers, |w, ws| {
                             ws.cands.clear();
                             let (lo, hi) = chunk_range(frontier.len(), threads, w);
                             ws.charge.begin_part(whole, lo);
@@ -546,8 +515,8 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                 self.executor.commit(charge, false);
                 match pool {
                     None => lists.classify_into(cands, scan_csr, thresholds),
-                    Some(bp) => Engine::<P>::classify_parallel(
-                        bp.pool, threads, workers, lists, cands, scan_csr, thresholds,
+                    Some(pool) => Engine::<P>::classify_parallel(
+                        pool, threads, workers, lists, cands, scan_csr, thresholds,
                     )?,
                 }
                 Ok(())
@@ -570,9 +539,7 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
         let IterScratch {
             lists,
             charge,
-            applied,
             changed,
-            records,
             bins,
             workers,
             ..
@@ -603,7 +570,8 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
             let width = unit.threads(config.threads_per_cta) as u64;
             self.executor.begin(charge, kernel, unit, list.len());
             match (self.ctx.pool, dir) {
-                (None, _) => Engine::serial_unit(
+                // Push runs the serial kernel in both exec modes.
+                (None, _) | (Some(_), Direction::Push) => Engine::serial_unit(
                     program,
                     dir,
                     list,
@@ -611,7 +579,7 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                     prev,
                     curr,
                     bins,
-                    &mut changed.view(),
+                    changed,
                     charge,
                     record,
                     width,
@@ -620,25 +588,9 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                     edges_examined,
                     sup,
                 ),
-                (Some(bp), Direction::Push) => {
-                    Engine::push_unit_parallel_grid(
-                        program, bp.pool, workers, list, bp.grid, prev, curr, bp.fences, changed,
-                        records, bins, record, width, task_base, sup,
-                    )?;
-                    Engine::<P>::push_charge(
-                        workers,
-                        list,
-                        scan_csr,
-                        applied,
-                        charge,
-                        width,
-                        frontier_sorted,
-                        edges_examined,
-                    );
-                }
-                (Some(bp), Direction::Pull) => Engine::pull_unit_parallel(
+                (Some(pool), Direction::Pull) => Engine::pull_unit_parallel(
                     program,
-                    bp.pool,
+                    pool,
                     self.threads,
                     workers,
                     writebacks,
@@ -726,12 +678,12 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                 };
                 match pool {
                     None => scan(0, n, next, charge),
-                    Some(bp) => {
+                    Some(pool) => {
                         let whole = &*charge;
                         // Partition on occupancy-word (64) boundaries,
                         // so every worker's range covers whole words
                         // and whole warp chunks.
-                        bp.pool.try_for_each_worker(workers, |w, ws| {
+                        pool.try_for_each_worker(workers, |w, ws| {
                             let (lo, hi) = chunk_range_aligned(n, threads, w, WORD_BITS);
                             ws.active.clear();
                             ws.charge.begin_part(whole, lo / WARP_SIZE);
@@ -845,7 +797,7 @@ impl<P: AccProgram> Engine<P> {
         prev: &[P::Meta],
         curr: &mut [P::Meta],
         bins: &mut ThreadBins,
-        chg: &mut ChangedView<'_>,
+        chg: &mut ChangedSet,
         charge: &mut KernelCharge,
         record: bool,
         width: u64,
@@ -891,251 +843,6 @@ impl<P: AccProgram> Engine<P> {
                     examined,
                 ),
             };
-            charge.task(&cost);
-        }
-    }
-
-    /// One parallel push-mode compute-kernel loop (see the module
-    /// docs): worker `s` iterates only `grid.shard(s)` — the bind-time
-    /// bucket of edges whose destination falls in its contiguous vertex
-    /// shard of `curr` — so each frontier edge is traversed exactly
-    /// once per iteration. The fences are word-aligned, so the worker
-    /// also owns its shard's window of the changed set and detects
-    /// first changes with **atomic-free** bit tests. Marked lists and
-    /// deferred filter records are then merged deterministically; the
-    /// kernel is charged afterwards by [`Self::push_charge`].
-    #[allow(clippy::too_many_arguments)]
-    fn push_unit_parallel_grid(
-        program: &P,
-        pool: &WorkerPool,
-        workers: &mut [WorkerScratch],
-        list: &[VertexId],
-        grid: &GridCsr,
-        prev: &[P::Meta],
-        curr: &mut [P::Meta],
-        fences: &PushFences,
-        changed: &mut ChangedSet,
-        records: &mut Vec<RecordEntry>,
-        bins: &mut ThreadBins,
-        record: bool,
-        width: u64,
-        task_base: u64,
-        sup: &Supervisor,
-    ) -> Result<(), SimdxError> {
-        pool.try_for_each_worker_sharded2(
-            workers,
-            curr,
-            &fences.verts,
-            changed.words_mut(),
-            &fences.words,
-            |w, ws, off, curr_shard, word_off, word_shard| {
-                ws.changed.clear();
-                let WorkerScratch {
-                    changed,
-                    records,
-                    applied,
-                    edges_examined,
-                    ..
-                } = ws;
-                Self::push_replay_grid(
-                    program,
-                    list,
-                    grid.shard(w),
-                    prev,
-                    off,
-                    curr_shard,
-                    records,
-                    applied,
-                    edges_examined,
-                    &mut ChangedView::new(word_off, word_shard, changed),
-                    record,
-                    width,
-                    task_base,
-                    sup,
-                );
-            },
-        )?;
-        // The record replay sorts by (task, edge) so the bins see the
-        // serial sequence.
-        records.clear();
-        for ws in workers.iter() {
-            changed.extend_marked(&ws.changed);
-            records.extend_from_slice(&ws.records);
-        }
-        records.sort_unstable_by_key(|r| r.key);
-        for r in records.iter() {
-            bins.record(r.slot, r.v);
-        }
-        Ok(())
-    }
-
-    /// One worker's destination shard of the parallel push replay:
-    /// every task contributes only its `(source, shard)` cell of the
-    /// bind-time [`GridCsr`], so no edge is scanned and skipped. The
-    /// cell carries each edge's original adjacency offset, which keeps
-    /// record keys and bin slots identical to the serial path's.
-    #[allow(clippy::too_many_arguments)]
-    fn push_replay_grid(
-        program: &P,
-        list: &[VertexId],
-        shard: &ShardCsr,
-        prev: &[P::Meta],
-        off: usize,
-        curr_shard: &mut [P::Meta],
-        records: &mut Vec<RecordEntry>,
-        applied_out: &mut Vec<(u32, u32)>,
-        examined: &mut u64,
-        chg: &mut ChangedView<'_>,
-        record: bool,
-        width: u64,
-        task_base: u64,
-        sup: &Supervisor,
-    ) {
-        records.clear();
-        applied_out.clear();
-        *examined = 0;
-        for (t, &v) in list.iter().enumerate() {
-            if t % POLL_STRIDE == 0 && sup.poll() {
-                break;
-            }
-            let task_counter = task_base + t as u64;
-            let (lo, hi) = shard.range(v);
-            if lo == hi {
-                continue;
-            }
-            let targets = &shard.targets()[lo..hi];
-            let eoffs = &shard.edge_offs()[lo..hi];
-            *examined += targets.len() as u64;
-            let applied = match shard.weights() {
-                None => Self::replay_task_edges(
-                    program,
-                    v,
-                    targets,
-                    |_| 1,
-                    |k| eoffs[k],
-                    prev,
-                    off,
-                    curr_shard,
-                    records,
-                    chg,
-                    record,
-                    width,
-                    task_counter,
-                ),
-                Some(ws) => {
-                    let ws = &ws[lo..hi];
-                    Self::replay_task_edges(
-                        program,
-                        v,
-                        targets,
-                        |k| ws[k],
-                        |k| eoffs[k],
-                        prev,
-                        off,
-                        curr_shard,
-                        records,
-                        chg,
-                        record,
-                        width,
-                        task_counter,
-                    )
-                }
-            };
-            if applied > 0 {
-                applied_out.push((t as u32, applied));
-            }
-        }
-    }
-
-    /// The edge loop of the parallel push replay: applies one grid
-    /// cell's targets (in-shard by construction) against the worker's
-    /// destination shard, deferring online-filter records under
-    /// `(task, edge)` keys. `weight` and `edge_off` resolve per-edge
-    /// metadata by position (monomorphized per weighted/unweighted
-    /// split). Returns the number of successful applies.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn replay_task_edges(
-        program: &P,
-        v: VertexId,
-        targets: &[VertexId],
-        weight: impl Fn(usize) -> Weight,
-        edge_off: impl Fn(usize) -> u32,
-        prev: &[P::Meta],
-        off: usize,
-        curr_shard: &mut [P::Meta],
-        records: &mut Vec<RecordEntry>,
-        chg: &mut ChangedView<'_>,
-        record: bool,
-        width: u64,
-        task_counter: u64,
-    ) -> u32 {
-        let m_src = prev[v as usize];
-        let bin_base = (task_counter * width) as usize;
-        let mut applied = 0u32;
-        for (k, &u) in targets.iter().enumerate() {
-            let ui = u as usize;
-            debug_assert!(
-                (off..off + curr_shard.len()).contains(&ui),
-                "edge destination outside the worker's shard"
-            );
-            let w = weight(k);
-            let m_dst = &curr_shard[ui - off];
-            if let Some(up) = program.compute(v, u, w, &m_src, m_dst) {
-                // First-change detection: a vertex is enqueued exactly
-                // once per iteration even when several sources update
-                // it (duplicate frontier entries would double-apply
-                // non-idempotent aggregations like k-Core's
-                // decrements).
-                let first_change = chg.is_first(u);
-                if let Some(new) = program.apply(u, &curr_shard[ui - off], up) {
-                    curr_shard[ui - off] = new;
-                    applied += 1;
-                    if first_change {
-                        chg.mark(u);
-                        if record && program.activates(u, &new) {
-                            let e = edge_off(k);
-                            records.push(RecordEntry {
-                                key: (task_counter, e),
-                                slot: bin_base + e as usize % width as usize,
-                                v: u,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        applied
-    }
-
-    /// Charges one parallel push kernel after its replay. A task's
-    /// cycles are `ceil(raw / width)` — not linear in its write count —
-    /// so a shard cannot charge its share of a task: the per-shard
-    /// applied counts are summed per task first (4 bytes a task), then
-    /// one pass over the list streams the same `push_cost(degree,
-    /// applied)` sequence the serial sweep charges. Per-worker
-    /// examined-edge counts sum into the run meter on the way.
-    #[allow(clippy::too_many_arguments)]
-    fn push_charge(
-        workers: &[WorkerScratch],
-        list: &[VertexId],
-        csr: &Csr,
-        applied: &mut Vec<u32>,
-        charge: &mut KernelCharge,
-        width: u64,
-        frontier_sorted: bool,
-        examined: &mut u64,
-    ) {
-        applied.clear();
-        applied.resize(list.len(), 0);
-        for ws in workers {
-            for &(t, a) in &ws.applied {
-                applied[t as usize] += a;
-            }
-            *examined += ws.edges_examined;
-        }
-        for (&v, &a) in list.iter().zip(applied.iter()) {
-            let cost = Self::push_cost(csr.degree(v) as u64, a as u64, width, frontier_sorted);
             charge.task(&cost);
         }
     }
@@ -1307,7 +1014,7 @@ impl<P: AccProgram> Engine<P> {
         prev: &[P::Meta],
         curr: &mut [P::Meta],
         bins: &mut ThreadBins,
-        chg: &mut ChangedView<'_>,
+        chg: &mut ChangedSet,
         record: bool,
         width: u64,
         task_counter: u64,
@@ -1365,7 +1072,7 @@ impl<P: AccProgram> Engine<P> {
         prev: &[P::Meta],
         curr: &mut [P::Meta],
         bins: &mut ThreadBins,
-        chg: &mut ChangedView<'_>,
+        chg: &mut ChangedSet,
         record: bool,
         width: u64,
         task_counter: u64,
@@ -1415,7 +1122,7 @@ impl<P: AccProgram> Engine<P> {
         prev: &[P::Meta],
         curr: &mut [P::Meta],
         bins: &mut ThreadBins,
-        chg: &mut ChangedView<'_>,
+        chg: &mut ChangedSet,
         record: bool,
         width: u64,
         task_counter: u64,
@@ -1470,7 +1177,6 @@ impl<P: AccProgram> Engine<P> {
                     ws.changed.push(v);
                     if record && program.activates(v, &new) {
                         ws.records.push(RecordEntry {
-                            key: (task_counter, 0),
                             slot: (task_counter * width) as usize,
                             v,
                         });
@@ -1873,23 +1579,5 @@ mod tests {
         let auto = run_levels(&g, EngineConfig::unscaled().parallel(0));
         assert_eq!(serial.meta, auto.meta);
         assert_eq!(serial.report.stats, auto.report.stats);
-    }
-
-    #[test]
-    fn word_aligned_fences_cover_all_vertices() {
-        let g = path_graph(1000);
-        let fences = PushFences::compute(g.in_(), 4);
-        assert_eq!(fences.verts[0], 0);
-        assert_eq!(*fences.verts.last().unwrap(), 1000);
-        assert!(fences.verts.windows(2).all(|w| w[0] <= w[1]));
-        // Inner fences land on word boundaries; word fences mirror them.
-        for (i, &f) in fences.verts.iter().enumerate().take(4).skip(1) {
-            assert_eq!(f % 64, 0, "fence {i} not word-aligned");
-            assert_eq!(fences.words[i], f / 64);
-        }
-        assert_eq!(
-            *fences.words.last().unwrap() as usize,
-            1000usize.div_ceil(64)
-        );
     }
 }

@@ -26,9 +26,9 @@ use simdx_graph::VertexId;
 pub(crate) const WORD_BITS: usize = 64;
 
 // The engine leans on "one bitmap word = two ballot warp chunks"
-// everywhere (warp-aligned scan starts inside word-aligned partitions,
-// word-aligned fences that are therefore chunk-aligned); lock the
-// constants together so no one can move one without the other.
+// (warp-aligned scan starts inside the ballot scan's word-aligned
+// partitions); lock the constants together so no one can move one
+// without the other.
 const _: () = assert!(2 * simdx_gpu::WARP_SIZE == WORD_BITS);
 
 /// A dense frontier: bit `v % 64` of word `v / 64` is set iff vertex
@@ -202,23 +202,24 @@ impl ChangedSet {
         self.list.is_empty() && self.bits.is_empty()
     }
 
-    /// Whether `v` has not changed yet this iteration.
+    /// Whether `v` has not changed yet this iteration — called
+    /// *before* the apply that may change it. One word load: the
+    /// compute kernels ask it on every successful edge, so it skips
+    /// the bitmap's range assertion (a kernel's `v` is an edge target
+    /// or a candidate, in range by construction).
     #[inline]
     pub(crate) fn is_first(&self, v: VertexId) -> bool {
-        !self.bits.test(v)
+        debug_assert!((v as usize) < self.bits.num_vertices, "vertex out of range");
+        self.bits.words[v as usize / WORD_BITS] & (1u64 << (v as usize % WORD_BITS)) == 0
     }
 
     /// Records `v` as changed (at most once per iteration: callers
     /// test [`Self::is_first`] before the apply that changes it).
     #[inline]
     pub(crate) fn mark(&mut self, v: VertexId) {
-        self.view().mark(v);
-    }
-
-    /// Appends a shard's marked vertices — their bits were set through
-    /// the shard's [`ChangedView`].
-    pub(crate) fn extend_marked(&mut self, marked: &[VertexId]) {
-        self.list.extend_from_slice(marked);
+        debug_assert!((v as usize) < self.bits.num_vertices, "vertex out of range");
+        self.bits.words[v as usize / WORD_BITS] |= 1u64 << (v as usize % WORD_BITS);
+        self.list.push(v);
     }
 
     /// Whether this iteration changed at least one vertex per bitmap
@@ -237,18 +238,6 @@ impl ChangedSet {
     /// less than testing them costs and the dense scan runs instead.
     pub(crate) fn sparse_occupancy(&self) -> Option<&[u64]> {
         (!self.is_dense()).then(|| self.bits.words())
-    }
-
-    /// The whole set as a one-shard view, for the serial kernels.
-    pub(crate) fn view(&mut self) -> ChangedView<'_> {
-        ChangedView::new(0, &mut self.bits.words, &mut self.list)
-    }
-
-    /// The backing words, for [`crate::par::SliceShards`] to cut into
-    /// the word-aligned windows parallel push hands its
-    /// [`ChangedView`]s.
-    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.bits.words
     }
 
     /// Publishes the iteration: `prev[v] = curr[v]` for every changed
@@ -280,50 +269,6 @@ impl ChangedSet {
         self.bits
             .drain_for_each(|v| prev[v as usize] = curr[v as usize]);
         self.list.clear();
-    }
-}
-
-/// A word-aligned window of a [`ChangedSet`] covering vertices
-/// `[64 * word_off, 64 * (word_off + words.len()))`, with the list its
-/// marks append to.
-///
-/// Disjoint windows alias nothing, so the parallel push backend hands
-/// one to each destination shard (whose fences are word-aligned) for
-/// **atomic-free** first-change detection; the serial kernels use the
-/// whole-set window of [`ChangedSet::view`].
-#[derive(Debug)]
-pub(crate) struct ChangedView<'a> {
-    word_off: usize,
-    words: &'a mut [u64],
-    list: &'a mut Vec<VertexId>,
-}
-
-impl<'a> ChangedView<'a> {
-    /// A view starting at word `word_off` of the set's bitmap.
-    pub(crate) fn new(word_off: usize, words: &'a mut [u64], list: &'a mut Vec<VertexId>) -> Self {
-        Self {
-            word_off,
-            words,
-            list,
-        }
-    }
-
-    /// Whether `v` (inside the window) has not changed yet this
-    /// iteration — called *before* the apply that may change it.
-    #[inline]
-    pub(crate) fn is_first(&self, v: VertexId) -> bool {
-        let w = v as usize / WORD_BITS;
-        debug_assert!((self.word_off..self.word_off + self.words.len()).contains(&w));
-        self.words[w - self.word_off] & (1u64 << (v as usize % WORD_BITS)) == 0
-    }
-
-    /// Records `v` (inside the window) as changed.
-    #[inline]
-    pub(crate) fn mark(&mut self, v: VertexId) {
-        let w = v as usize / WORD_BITS;
-        debug_assert!((self.word_off..self.word_off + self.words.len()).contains(&w));
-        self.words[w - self.word_off] |= 1u64 << (v as usize % WORD_BITS);
-        self.list.push(v);
     }
 }
 
@@ -750,21 +695,15 @@ mod tests {
     }
 
     #[test]
-    fn changed_views_are_offset_aware_and_feed_one_list() {
+    fn changed_set_marks_tests_and_publishes_the_whole_set() {
         let mut set = ChangedSet::new(256);
-        let (mut lo_list, mut hi_list) = (Vec::new(), Vec::new());
-        let (lo, hi) = set.words_mut().split_at_mut(2);
-        let mut w0 = ChangedView::new(0, lo, &mut lo_list);
-        let mut w1 = ChangedView::new(2, hi, &mut hi_list);
-        assert!(w0.is_first(5) && w1.is_first(128));
-        w0.mark(5);
-        w1.mark(128);
-        w1.mark(255);
-        assert!(!w0.is_first(5));
-        assert!(w1.is_first(129));
-        assert!(!w1.is_first(255));
-        set.extend_marked(&lo_list);
-        set.extend_marked(&hi_list);
+        assert!(set.is_first(5) && set.is_first(128));
+        set.mark(5);
+        set.mark(128);
+        set.mark(255);
+        assert!(!set.is_first(5));
+        assert!(set.is_first(129));
+        assert!(!set.is_first(255));
         assert!(!set.is_first(128) && set.is_first(6));
         let curr: Vec<u32> = (0..256).collect();
         let mut prev = vec![0u32; 256];
@@ -812,7 +751,7 @@ mod tests {
                 let v = (xorshift(&mut rng) % n as u64) as VertexId;
                 let first = curr[v as usize] == start[v as usize];
                 assert_eq!(walk.is_first(v), first, "bit test vs metadata compare");
-                assert_eq!(sweep.view().is_first(v), first);
+                assert_eq!(sweep.is_first(v), first);
                 // Monotone progress: a changed value never returns to
                 // its iteration-start value.
                 curr[v as usize] = curr[v as usize].wrapping_add(1);

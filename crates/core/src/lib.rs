@@ -25,8 +25,7 @@
 //! record an observer sees and [`fusion`] the register model the
 //! Table 2 bin prints. The task-management internals — worklists,
 //! thread bins, the changed set (`frontier`), the online and ballot
-//! filters (`filters`), the parallel push layout (`grid`) and the
-//! atomic facade (`sync`) — are private.
+//! filters (`filters`) and the atomic facade (`sync`) — are private.
 //!
 //! Three modules stay public for callers that import them by path:
 //! [`par`] for `WorkerPool::{new, run}` (the benchmark's empty-epoch
@@ -37,8 +36,8 @@
 //! # Example: a session serving repeated queries
 //!
 //! The public surface is the session API ([`session`]): a long-lived
-//! [`Runtime`] owns the worker pool and validated configuration,
-//! [`Runtime::bind`] precomputes per-graph engine state, and every
+//! [`Runtime`] owns the worker pools, scratch arenas and validated
+//! configuration, [`Runtime::bind`] ties a graph to it, and every
 //! query through the run builder reuses those resources — the paper's
 //! own design, where task management state persists so per-iteration
 //! decisions stay cheap, extended across whole queries.
@@ -82,7 +81,7 @@
 //!     EdgeList::from_pairs(vec![(0, 1), (1, 2), (2, 3)]));
 //!
 //! // One runtime, one bind — then as many queries as you like,
-//! // amortizing the pool, scratch arenas and push shards.
+//! // amortizing the pool and the scratch arenas.
 //! let runtime = Runtime::new(EngineConfig::unscaled())?;
 //! let bound = runtime.bind(&g);
 //! let result = bound.run(Levels { src: 0 }).execute()?;
@@ -102,7 +101,6 @@ pub mod error;
 mod filters;
 mod frontier;
 pub mod fusion;
-mod grid;
 pub mod jit;
 pub mod metrics;
 pub mod par;

@@ -1,8 +1,8 @@
 //! Deterministic host-side parallel runtime for the engine.
 //!
 //! The engine's per-iteration hot path (worklist classification, the
-//! three compute-kernel task loops, the pull-candidate sweeps and the
-//! warp-chunked ballot scan) is data-parallel, but the *report* must be
+//! three pull compute-kernel task loops, the pull-candidate sweeps and
+//! the warp-chunked ballot scan) is data-parallel, but the *report* must be
 //! bit-equal to the serial engine: identical metadata, identical bins,
 //! identical simulated cycle counts. The runtime here provides the two
 //! building blocks that make that possible:
@@ -15,8 +15,7 @@
 //! * `chunk_range` — the static, contiguous partition both modes use.
 //!   Contiguous chunks concatenated in worker order reproduce the serial
 //!   processing order exactly; every parallel stage in the engine merges
-//!   its per-worker output that way (or replays it in an explicit
-//!   deterministic sort order, for the online-filter bin records).
+//!   its per-worker output that way.
 //!
 //! Worker closures are `Fn(usize) + Sync` borrowed for the duration of
 //! one [`WorkerPool::run`] call. Mutable state is handed out through
@@ -27,7 +26,7 @@
 //! Only [`WorkerPool::new`] / [`WorkerPool::run`] and [`WorkerPanic`]
 //! are public API (plus [`WorkerPool::try_run`] and
 //! [`WorkerPool::is_poisoned`], which the interleaving harness drives);
-//! the engine's sharded regions, the partition helpers and
+//! the engine's per-worker regions, the partition helpers and
 //! `SliceShards` are crate-internal.
 
 //! Worker panics are *contained*: [`WorkerPool::try_run`] catches a
@@ -200,54 +199,25 @@ impl WorkerPool {
     }
 
     /// [`Self::try_for_each_worker`] over two slot slices at once:
-    /// `f(w, &mut a[w], &mut b[w])`. The sharded form over unit fences;
-    /// its second pair, a slice of `()`, never allocates.
+    /// `f(w, &mut a[w], &mut b[w])` (both `len()` must equal
+    /// [`Self::threads`]).
     pub(crate) fn try_for_each_worker_zip<T: Send, U: Send>(
         &self,
         a: &mut [T],
         b: &mut [U],
         f: impl Fn(usize, &mut T, &mut U) + Sync,
     ) -> Result<(), WorkerPanic> {
-        let (units, mut none) = (&self.unit_fences, vec![(); self.threads]);
-        self.try_for_each_worker_sharded2(a, b, units, &mut none, units, |w, t, _, u, _, _| {
-            f(w, t, &mut u[0])
-        })
-    }
-
-    /// Runs `f(w, &mut workers[w], off, shard, off2, shard2)` on every
-    /// worker concurrently, where `shard` is the `[bounds[w],
-    /// bounds[w+1])` range of `data` and `shard2` the `[bounds2[w],
-    /// bounds2[w+1])` range of `data2` — the destination-sharded form
-    /// the push kernel uses: each worker gets its vertex range of
-    /// `metadata_curr` and the matching word-aligned window of the
-    /// changed set's bitmap, so first-change dedup is an atomic-free
-    /// bit test. Each `bounds` must be a monotone fence list with
-    /// `threads + 1` entries covering its slice. A worker panic is
-    /// contained and returned, as in [`Self::try_for_each_worker`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn try_for_each_worker_sharded2<T: Send, U: Send, V: Send>(
-        &self,
-        workers: &mut [T],
-        data: &mut [U],
-        bounds: &[u32],
-        data2: &mut [V],
-        bounds2: &[u32],
-        f: impl Fn(usize, &mut T, usize, &mut [U], usize, &mut [V]) + Sync,
-    ) -> Result<(), WorkerPanic> {
-        assert_eq!(workers.len(), self.threads, "one scratch slot per worker");
-        assert_eq!(bounds.len(), self.threads + 1, "one shard per worker");
-        assert_eq!(bounds2.len(), self.threads + 1, "one shard per worker");
-        let slots = SliceShards::new(workers, &self.unit_fences);
-        let shards = SliceShards::new(data, bounds);
-        let shards2 = SliceShards::new(data2, bounds2);
+        // `SliceShards::new` checks both lengths against the fences.
+        let (a, b) = (
+            SliceShards::new(a, &self.unit_fences),
+            SliceShards::new(b, &self.unit_fences),
+        );
         self.try_run(&|w| {
             // SAFETY: each worker index runs exactly once per region.
-            let (_, slot) = unsafe { slots.shard(w) };
-            // SAFETY: same claim, second shard set.
-            let (off, shard) = unsafe { shards.shard(w) };
-            // SAFETY: same claim, third shard set.
-            let (off2, shard2) = unsafe { shards2.shard(w) };
-            f(w, &mut slot[0], off, shard, off2, shard2);
+            let (_, t) = unsafe { a.shard(w) };
+            // SAFETY: same claim, second slot slice.
+            let (_, u) = unsafe { b.shard(w) };
+            f(w, &mut t[0], &mut u[0]);
         })
     }
 
@@ -683,36 +653,6 @@ mod tests {
             })
             .expect_err("contained");
         assert_eq!(err.payload, "formatted 42");
-    }
-
-    #[test]
-    fn sharded2_hands_out_both_slices() {
-        let pool = WorkerPool::new(2);
-        let mut scratch = vec![0usize; 2];
-        let mut verts = vec![0u32; 10];
-        let vbounds = [0u32, 6, 10];
-        let mut words = vec![0u64; 3];
-        let wbounds = [0u32, 1, 3];
-        pool.try_for_each_worker_sharded2(
-            &mut scratch,
-            &mut verts,
-            &vbounds,
-            &mut words,
-            &wbounds,
-            |w, slot, off, shard, woff, wshard| {
-                *slot = w + 1;
-                for (i, x) in shard.iter_mut().enumerate() {
-                    *x = (off + i) as u32;
-                }
-                for word in wshard.iter_mut() {
-                    *word = woff as u64 + 1;
-                }
-            },
-        )
-        .expect("no worker panics");
-        assert_eq!(scratch, vec![1, 2]);
-        assert_eq!(verts, (0..10).collect::<Vec<u32>>());
-        assert_eq!(words, vec![1, 2, 2]);
     }
 
     #[test]

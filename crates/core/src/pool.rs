@@ -70,7 +70,7 @@ impl PoolStash {
         self.idle.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Checks a pool out for one query (or one bind-time build): pops
+    /// Checks a pool out for one query: pops
     /// an idle pool or spawns a fresh one of the stash width. `None`
     /// iff this is a serial (width 1) stash. Dropping the lease checks
     /// the pool back in; a poisoned pool is discarded there.

@@ -24,70 +24,18 @@
 //! module) — it travels between serving threads through the stash,
 //! though never *shared*: exactly one query owns an arena at a time.
 
-use crate::frontier::{ChangedSet, FrontierBitmap, ThreadBins, Worklists, WORD_BITS};
+use crate::frontier::{ChangedSet, FrontierBitmap, ThreadBins, Worklists};
 use simdx_gpu::KernelCharge;
-use simdx_graph::csr::Csr;
 use simdx_graph::VertexId;
 
-/// Destination-shard fences for parallel push, computed from the
-/// pull-orientation degrees once per graph at `Runtime::bind` time.
-#[derive(Clone, Debug)]
-pub(crate) struct PushFences {
-    /// Vertex fences over `metadata_curr` (`threads + 1` entries); the
-    /// inner fences are word (64) multiples, so every shard covers
-    /// whole words of the changed set's bitmap.
-    pub(crate) verts: Vec<u32>,
-    /// The matching word fences over that bitmap's backing words.
-    pub(crate) words: Vec<u32>,
-}
-
-impl PushFences {
-    /// Destination-shard fences over `rev_csr` (the transpose of the
-    /// push scan direction): contiguous vertex ranges balanced by
-    /// incoming-edge volume, so push workers see comparable apply load.
-    ///
-    /// The inner fences are rounded down to word (64) multiples — like
-    /// the ballot scan's warp alignment, one level up — so every shard
-    /// owns whole words of the changed set's bitmap. Destination
-    /// sharding is exact for *any* fence positions (each destination's
-    /// update sequence is independent of them), so the rounding cannot
-    /// affect results.
-    pub(crate) fn compute(rev_csr: &Csr, parts: usize) -> Self {
-        let n = rev_csr.num_vertices();
-        // +1 per vertex keeps zero-degree stretches from collapsing
-        // every shard boundary onto the hubs.
-        let total: u64 = rev_csr.num_edges() + n as u64;
-        let mut verts = Vec::with_capacity(parts + 1);
-        verts.push(0u32);
-        let mut acc = 0u64;
-        let mut v = 0u32;
-        for p in 1..parts as u64 {
-            let target = total * p / parts as u64;
-            while v < n && acc < target {
-                acc += rev_csr.degree(v) as u64 + 1;
-                v += 1;
-            }
-            verts.push(v - v % WORD_BITS as u32);
-        }
-        verts.push(n);
-        let mut words: Vec<u32> = verts.iter().map(|&f| f / WORD_BITS as u32).collect();
-        words[parts] = (n as usize).div_ceil(WORD_BITS) as u32;
-        PushFences { verts, words }
-    }
-}
-
-/// One online-filter activation record, deferred by a parallel worker
-/// and replayed into [`ThreadBins`] in deterministic order.
-///
-/// `key` is `(global task index, edge offset within the task)` — the
-/// exact order in which the serial engine calls `ThreadBins::record`,
-/// so sorting by `key` and replaying reproduces the serial bins (and
-/// therefore the same overflow behaviour and the same concatenated
-/// next-frontier) bit for bit.
+/// One online-filter activation record, deferred by a parallel pull
+/// worker and replayed into [`ThreadBins`] in worker order. Workers own
+/// contiguous task ranges, so worker order is the order in which the
+/// serial engine calls `ThreadBins::record`: the replay reproduces the
+/// serial bins (and therefore the same overflow behaviour and the same
+/// concatenated next-frontier) bit for bit.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RecordEntry {
-    /// (task counter, edge offset) sort key.
-    pub(crate) key: (u64, u32),
     /// Simulated-thread bin slot (`ThreadBins::record`'s first arg).
     pub(crate) slot: usize,
     /// Recorded vertex.
@@ -106,15 +54,11 @@ pub(crate) struct WorkerScratch {
     /// absorbed into [`IterScratch::charge`] by the submitter — `u64`
     /// slot sums, so the absorb order is immaterial.
     pub(crate) charge: KernelCharge,
-    /// Vertices this worker marked changed this iteration (its bits
-    /// are set in the shared [`ChangedSet`]'s window; the list is
-    /// appended at merge).
+    /// Pull mode: the vertices this worker changed first this
+    /// iteration, marked in the shared [`ChangedSet`] at merge.
     pub(crate) changed: Vec<VertexId>,
-    /// Deferred online-filter records.
+    /// Pull mode: deferred online-filter records.
     pub(crate) records: Vec<RecordEntry>,
-    /// Push mode: this destination shard's successful-apply counts
-    /// `(task, applied)`, summed into [`IterScratch::applied`].
-    pub(crate) applied: Vec<(u32, u32)>,
     /// Ballot-scan partition output (active vertices, ascending).
     pub(crate) active: Vec<VertexId>,
     /// Degree-sum partial.
@@ -137,11 +81,6 @@ pub(crate) struct IterScratch {
     /// sweep goes, committed after it. Every `begin` zeroes it, so an
     /// aborted sweep leaves nothing for the next one.
     pub(crate) charge: KernelCharge,
-    /// Parallel push: applies per task, summed over the destination
-    /// shards. A task's cycles are `ceil(raw / width)` — not linear in
-    /// its writes — so it is charged only once this total is known (4
-    /// bytes a task; a final pass streams `push_cost(degree, applied)`).
-    pub(crate) applied: Vec<u32>,
     /// Vertices whose metadata changed this iteration: first-change
     /// dedup, the ballot scan's occupancy and the publish worklist.
     /// Sized for the graph at each run's reset; empty at every
@@ -150,8 +89,6 @@ pub(crate) struct IterScratch {
     /// Aggregation-pull candidate dedup, sized with `changed`; drained
     /// into the sorted candidate list each aggregation-pull iteration.
     pub(crate) cand_bits: FrontierBitmap,
-    /// Merged record list (sort + replay buffer).
-    pub(crate) records: Vec<RecordEntry>,
     /// Online-filter thread bins (persistent, reshaped in place).
     pub(crate) bins: ThreadBins,
     /// Next-frontier buffer, swapped with the live frontier each
@@ -169,10 +106,8 @@ impl IterScratch {
             lists: Worklists::default(),
             cands: Vec::new(),
             charge: KernelCharge::default(),
-            applied: Vec::new(),
             changed: ChangedSet::new(num_vertices),
             cand_bits: FrontierBitmap::new(num_vertices),
-            records: Vec::new(),
             bins: ThreadBins::new(1, 0),
             next: Vec::new(),
             workers: (0..threads.max(1))
@@ -195,10 +130,6 @@ impl IterScratch {
     /// The kernel-charge accumulators are deliberately untouched:
     /// opening one zeroes it.
     ///
-    /// (The push destination fences live on the `BoundGraph`, not
-    /// here: `Runtime::bind` computes them once per graph for every
-    /// parallel runtime.)
-    ///
     /// The two bitmaps are empty after every completed iteration; a
     /// run aborted mid-iteration can leave bits behind, and this is the
     /// one place that clears them — and shapes them for the run's
@@ -215,10 +146,8 @@ impl IterScratch {
     pub(crate) fn reset_for_run(&mut self, num_vertices: usize) {
         self.lists.clear();
         self.cands.clear();
-        self.applied.clear();
         self.changed.reset(num_vertices);
         self.cand_bits.reset(num_vertices);
-        self.records.clear();
         self.bins.clear();
         self.next.clear();
         for ws in &mut self.workers {
@@ -226,7 +155,6 @@ impl IterScratch {
             ws.cands.clear();
             ws.changed.clear();
             ws.records.clear();
-            ws.applied.clear();
             ws.active.clear();
             ws.degree_sum = 0;
             ws.edges_examined = 0;
@@ -244,10 +172,8 @@ impl IterScratch {
             self.cands.is_empty(),
             "candidate list carries stale entries"
         );
-        debug_assert!(self.applied.is_empty(), "applied counts not cleared");
         debug_assert!(self.changed.is_empty(), "changed set not published");
         debug_assert!(self.cand_bits.is_empty(), "candidate bitmap not drained");
-        debug_assert!(self.records.is_empty(), "deferred records not replayed");
         debug_assert_eq!(self.bins.total_recorded(), 0, "thread bins carry entries");
         debug_assert!(!self.bins.overflowed(), "thread-bin overflow flag stuck");
         debug_assert!(self.next.is_empty(), "next-frontier buffer not cleared");
@@ -256,10 +182,6 @@ impl IterScratch {
             debug_assert!(ws.cands.is_empty(), "worker {w} candidates not cleared");
             debug_assert!(ws.changed.is_empty(), "worker {w} changed list not cleared");
             debug_assert!(ws.records.is_empty(), "worker {w} records not cleared");
-            debug_assert!(
-                ws.applied.is_empty(),
-                "worker {w} applied counts not cleared"
-            );
             debug_assert!(ws.active.is_empty(), "worker {w} ballot output not cleared");
             debug_assert_eq!(ws.degree_sum, 0, "worker {w} degree sum not cleared");
             debug_assert_eq!(ws.edges_examined, 0, "worker {w} edge meter not cleared");

@@ -14,7 +14,7 @@
 //!   the submission with [`SimdxError::Overloaded`] so the caller can
 //!   shed load;
 //! * **N serving threads** ([`ServiceConfig::workers`]), each running
-//!   independent queries over the shared bind-time core — every thread
+//!   independent queries over one shared bound graph — every thread
 //!   checks one scratch arena out of the runtime's stash at its first
 //!   ticket and keeps it until it exits, and checks a worker pool out
 //!   per query, so queries never contend on engine state;
@@ -194,6 +194,17 @@ impl RetryPolicy {
     pub fn backoff(mut self, base: Duration) -> Self {
         self.backoff = base;
         self
+    }
+
+    /// The wait before attempt `attempt` (≥ 2): `backoff ×
+    /// 2^(attempt − 2)`, or `None` when that overflows a [`Duration`].
+    /// Waits grow with the attempt, so the policy's longest is the one
+    /// before attempt `max_attempts`.
+    fn wait_before(&self, attempt: u32) -> Option<Duration> {
+        if self.backoff.is_zero() {
+            return Some(Duration::ZERO);
+        }
+        (2..attempt).try_fold(self.backoff, |wait, _| wait.checked_mul(2))
     }
 }
 
@@ -377,6 +388,12 @@ impl ServiceConfig {
         }
         if self.retry.max_attempts == 0 {
             return fail("retry max_attempts must be at least 1 (1 = no retries)".to_string());
+        }
+        if self.retry.wait_before(self.retry.max_attempts).is_none() {
+            return fail(format!(
+                "retry backoff {:?} doubled up to attempt {} overflows a Duration",
+                self.retry.backoff, self.retry.max_attempts
+            ));
         }
         if self.breaker_threshold > 0 && self.breaker_cooldown.is_zero() {
             return fail("breaker_cooldown must be non-zero when the breaker is armed".to_string());
@@ -1227,8 +1244,12 @@ fn serve_one<P: SourcedProgram>(
                         | SimdxError::BudgetExhausted { .. }
                 );
                 if transient && attempts < retry.max_attempts && !shutdown.is_cancelled() {
-                    if !retry.backoff.is_zero() {
-                        std::thread::sleep(retry.backoff * 2u32.saturating_pow(attempts - 1));
+                    // `ServiceConfig::validate` rejected every policy
+                    // whose wait overflows.
+                    if let Some(wait) = retry.wait_before(attempts + 1) {
+                        if !wait.is_zero() {
+                            std::thread::sleep(wait);
+                        }
                     }
                     continue;
                 }
@@ -1275,10 +1296,19 @@ mod tests {
         assert_eq!(cfg.breaker_cooldown, Duration::from_millis(50));
         assert!(cfg.checkpoint_aborts);
         assert!(cfg.validate().is_ok());
+        // Attempt k waits backoff × 2^(k − 2).
+        assert_eq!(cfg.retry.wait_before(2), Some(Duration::from_millis(5)));
+        assert_eq!(cfg.retry.wait_before(3), Some(Duration::from_millis(10)));
         for broken in [
             ServiceConfig::default().workers(0),
             ServiceConfig::default().queue_depth(0),
             ServiceConfig::default().retry(RetryPolicy::default().max_attempts(0)),
+            // 1 s × 2^98 before the 100th attempt overflows a Duration.
+            ServiceConfig::default().retry(
+                RetryPolicy::default()
+                    .max_attempts(100)
+                    .backoff(Duration::from_secs(1)),
+            ),
             ServiceConfig::default().breaker(1, Duration::ZERO),
         ] {
             assert!(matches!(

@@ -1,17 +1,15 @@
 //! The session API: amortized engine reuse for repeated queries.
 //!
-//! An engine run needs a worker pool, scratch arenas, degree-balanced
-//! destination fences and a grid CSR — setup a service answering many
-//! small queries (multi-source SSSP, BFS per user request) cannot
-//! afford per query. This module splits that cost into three
-//! lifetimes:
+//! An engine run needs a worker pool and scratch arenas — setup a
+//! service answering many small queries (multi-source SSSP, BFS per
+//! user request) cannot afford per query. This module splits that cost
+//! into three lifetimes:
 //!
 //! * [`Runtime`] — owns the resolved [`EngineConfig`], the persistent
 //!   [`crate::par::WorkerPool`] and the reusable scratch arenas. Built
 //!   once per process/service.
-//! * [`BoundGraph`] — [`Runtime::bind`] precomputes the CSR-derived
-//!   per-graph state (degree-balanced push shards, their grid CSR).
-//!   Built once per graph.
+//! * [`BoundGraph`] — [`Runtime::bind`] ties one graph to the runtime;
+//!   it builds nothing, so it costs no allocation in either exec mode.
 //! * [`RunBuilder`] — one query: `bound.run(program).source(v)
 //!   .max_iterations(n).observe(hook).execute()`. Costs only the work
 //!   of the query itself; every allocation is reused.
@@ -29,8 +27,8 @@
 //! at the bottom of this module): any number of threads may run
 //! queries over one bound graph concurrently. The sharing model:
 //!
-//! * The bind-time artifacts (push fences, grid CSR) are immutable
-//!   after bind; queries borrow them from the `BoundGraph`.
+//! * A `BoundGraph` holds only borrows (its runtime and its graph);
+//!   queries mutate nothing it owns.
 //! * Worker pools live in a pool stash: each query checks one out
 //!   for its duration, so concurrent queries never share a pool, and a
 //!   pool poisoned by a contained worker panic is discarded at
@@ -101,7 +99,7 @@
 //! let runtime = Runtime::new(EngineConfig::unscaled())?;
 //! let bound = runtime.bind(&graph);
 //!
-//! // Repeated queries reuse the pool, scratch and fences.
+//! // Repeated queries reuse the pool and the scratch.
 //! let a = bound.run(Levels { src: 0 }).execute()?;
 //! let b = bound.run(Levels { src: 0 }).source(1).execute()?;
 //! assert_eq!(a.meta, vec![0, 1, 2, 3]);
@@ -119,17 +117,15 @@ use std::time::Duration;
 use crate::acc::{AccProgram, SourcedProgram};
 use crate::checkpoint::{RunAborted, RunCheckpoint};
 use crate::config::EngineConfig;
-use crate::engine::{BoundPool, Engine, SessionCtx};
+use crate::engine::{Engine, SessionCtx};
 use crate::error::SimdxError;
-use crate::grid::GridCsr;
 use crate::jit::IterationRecord;
 use crate::metrics::RunResult;
 use crate::par::payload_string;
 use crate::pool::PoolStash;
-use crate::scratch::{IterScratch, PushFences};
+use crate::scratch::IterScratch;
 use crate::supervise::{CancelToken, Supervisor};
 use crate::sync::{Mutex, MutexGuard, PoisonError};
-use simdx_graph::csr::Direction;
 use simdx_graph::{Graph, VertexId};
 
 /// Idle scratch arenas a [`Runtime`] retains. Bursts of concurrent
@@ -155,8 +151,8 @@ const MAX_IDLE_ARENAS: usize = 8;
 /// query.
 pub struct Runtime {
     config: EngineConfig,
-    /// Idle worker pools of the resolved width; every query (and the
-    /// bind-time grid build) checks one out for its duration.
+    /// Idle worker pools of the resolved width; every query checks one
+    /// out for its duration.
     pools: PoolStash,
     /// Idle scratch arenas, each with one worker slot per pool worker,
     /// sized for whichever graph last used it; every query checks one
@@ -190,62 +186,16 @@ impl Runtime {
         self.arenas.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Binds a graph: precomputes the CSR-derived state every query
-    /// needs — degree-balanced push destination shards with their
-    /// partition fences and the destination-bucketed grid CSR those
-    /// fences define (parallel mode). Scratch arenas come from the
-    /// runtime's stash at query time.
-    ///
-    /// The fence and grid computations are deliberately *eager*: bind
-    /// is the amortization point, so the one O(V) degree walk and the
-    /// one O(E) bucketing sweep (itself split over the worker pool)
-    /// are paid once per graph instead of on some query's first
-    /// parallel push. The corner case this trades away — a
-    /// parallel-mode bind whose queries never push — costs one extra
-    /// sweep, noise next to any engine run (whose `init` alone is
-    /// O(V)). The fences balance in-degrees, so a parallel bind builds a
-    /// directed graph's transpose too.
+    /// Binds a graph to this runtime. Nothing is precomputed: push
+    /// runs the serial kernel in both exec modes, so bind builds no
+    /// per-graph state, allocates nothing and cannot fail — and a
+    /// directed graph's transpose still waits for its first pull.
+    /// Scratch arenas come from the runtime's stash at query time.
     pub fn bind<'rt, 'g>(&'rt self, graph: &'g Graph) -> BoundGraph<'rt, 'g> {
-        self.try_bind(graph)
-            .unwrap_or_else(|err| panic!("bind failed: {err}"))
-    }
-
-    /// Fallible [`Self::bind`]: a worker panic during the bind-time
-    /// grid bucketing sweep comes back as
-    /// [`SimdxError::WorkerPanicked`] (and poisons the pool, which the
-    /// next bind or run rebuilds) instead of aborting the caller.
-    pub(crate) fn try_bind<'rt, 'g>(
-        &'rt self,
-        graph: &'g Graph,
-    ) -> Result<BoundGraph<'rt, 'g>, SimdxError> {
-        let core = if self.threads() > 1 {
-            let fences = PushFences::compute(graph.csr(Direction::Pull), self.threads());
-            // Push always scatters over the out-CSR; the grid buckets
-            // exactly those edges by the destination shards the
-            // run-time sharding will use, so the two views can never
-            // disagree. Deliberately built even under
-            // `DirectionPolicy::FixedPull`: the engine consults
-            // `AccProgram::direction` *before* the policy (k-Core
-            // forces Push unconditionally), so any parallel runtime can
-            // reach the grid push path regardless of the configured
-            // policy.
-            //
-            // A worker panic during the build poisons the checked-out
-            // pool; the lease drop discards it.
-            let pool = self
-                .pools
-                .checkout()
-                .expect("parallel runtime stashes pools");
-            let grid = GridCsr::build_with_pool(graph.csr(Direction::Push), &fences.verts, &pool)?;
-            Some(BindArtifacts { fences, grid })
-        } else {
-            None
-        };
-        Ok(BoundGraph {
+        BoundGraph {
             runtime: self,
             graph,
-            core,
-        })
+        }
     }
 }
 
@@ -258,16 +208,21 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
-/// The bind-time artifacts of a parallel runtime: what every parallel
-/// query reads and none mutates.
-struct BindArtifacts {
-    /// The degree-balanced partition of `metadata_curr` the push
-    /// kernels shard over.
-    fences: PushFences,
-    /// One sub-CSR per destination shard, so each push worker
-    /// traverses only the edges landing in its shard.
-    grid: GridCsr,
+/// The retired bind-time grid CSR. Uninhabited: nothing builds one, so
+/// [`BoundGraph::grid`] is always `None`, and the type says so.
+mod retired {
+    /// A value of this type cannot exist.
+    pub enum GridCsr {}
+
+    impl GridCsr {
+        /// The grid's memory cost; there is no grid to ask.
+        pub fn footprint_bytes(&self) -> u64 {
+            match *self {}
+        }
+    }
 }
+
+use retired::GridCsr;
 
 /// One query as the execute path takes it — the run builders', the
 /// batch entry point's and the serving tier's per-query settings in one
@@ -301,16 +256,14 @@ impl Query<'_> {
     }
 }
 
-/// A graph bound to a [`Runtime`]: the immutable bind-time core. Queries
-/// against the same `BoundGraph` reuse every allocation through the
-/// runtime's pool and arena stashes — from one thread or many:
+/// A graph bound to a [`Runtime`]. Queries against the same
+/// `BoundGraph` reuse every allocation through the runtime's pool and
+/// arena stashes — from one thread or many:
 /// `BoundGraph` is `Send + Sync`, and concurrent queries stay bit-equal
 /// to running them serially.
 pub struct BoundGraph<'rt, 'g> {
     runtime: &'rt Runtime,
     graph: &'g Graph,
-    /// Present iff the runtime is parallel.
-    core: Option<BindArtifacts>,
 }
 
 impl<'rt, 'g> BoundGraph<'rt, 'g> {
@@ -319,11 +272,10 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
         self.graph
     }
 
-    /// The bind-time grid CSR, present iff this is a parallel runtime
-    /// — exposed so harnesses can report its memory cost through its
-    /// one public method, `footprint_bytes`.
+    /// The bind-time grid CSR: always `None`, since no exec mode
+    /// builds one. Kept for callers that report its memory cost.
     pub fn grid(&self) -> Option<&GridCsr> {
-        self.core.as_ref().map(|core| &core.grid)
+        None
     }
 
     /// Idle scratch arenas the runtime holds last sized for a graph of
@@ -485,14 +437,7 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
         // spawns a replacement.
         let lease = self.runtime.pools.checkout();
         let ctx = SessionCtx {
-            pool: lease
-                .as_deref()
-                .zip(self.core.as_ref())
-                .map(|(pool, core)| BoundPool {
-                    pool,
-                    fences: &core.fences,
-                    grid: &core.grid,
-                }),
+            pool: lease.as_deref(),
             scratch,
             max_iterations,
             observer: observer.as_deref_mut(),
@@ -987,24 +932,6 @@ mod tests {
     }
 
     #[test]
-    fn bind_builds_the_grid_for_every_parallel_runtime_and_only_those() {
-        let g = path_graph(130);
-        let serial = Runtime::new(EngineConfig::unscaled()).expect("runtime");
-        let bound = serial.bind(&g);
-        assert!(bound.grid().is_none(), "serial");
-        assert_eq!(bound.graph().num_vertices(), 130);
-        assert_eq!(serial.threads(), 1);
-        for threads in [2usize, 3] {
-            let runtime =
-                Runtime::new(EngineConfig::unscaled().parallel(threads)).expect("runtime");
-            let bound = runtime.bind(&g);
-            let grid = bound.grid().expect("parallel bind builds the grid");
-            assert_eq!(grid.num_shards(), threads, "{threads} threads");
-            assert!(grid.footprint_bytes() > 0);
-        }
-    }
-
-    #[test]
     fn precancelled_token_aborts_before_the_first_iteration() {
         let g = path_graph(64);
         let runtime = Runtime::new(EngineConfig::unscaled()).expect("runtime");
@@ -1188,8 +1115,15 @@ mod tests {
             inner: Levels { src: 0 },
             armed,
         };
-        let cfg = EngineConfig::unscaled().with_exec(ExecMode::Parallel { threads: 3 });
+        // Pull compute stays task-chunked on the pool, so under
+        // `FixedPull` the fault lands inside a pool region and poisons
+        // the pool (a push fault would land on the submitting thread,
+        // outside any region).
+        let cfg = EngineConfig::unscaled()
+            .with_exec(ExecMode::Parallel { threads: 3 })
+            .with_direction(DirectionPolicy::FixedPull);
         let runtime = Runtime::new(cfg.clone()).expect("runtime");
+        assert_eq!(runtime.pools.idle_pools(), 1, "the pre-spawned pool");
         let bound = runtime.bind(&g);
         let err = bound.run(program.clone()).execute().expect_err("contained");
         match err {
@@ -1201,9 +1135,16 @@ mod tests {
             }
             other => panic!("expected WorkerPanicked, got {other:?}"),
         }
+        assert_eq!(
+            runtime.pools.idle_pools(),
+            0,
+            "the poisoned pool is discarded at check-in"
+        );
         // The poisoned pool is rebuilt transparently: the next query
-        // runs parallel again and matches the parallel baseline.
+        // spawns a fresh pool, runs parallel again, checks the new pool
+        // in and matches the parallel baseline.
         let next = bound.run(program).execute().expect("rebuilt pool run");
+        assert_eq!(runtime.pools.idle_pools(), 1, "the rebuilt pool");
         let parallel_rt = Runtime::new(cfg).expect("parallel runtime");
         let parallel = parallel_rt
             .bind(&g)

@@ -148,22 +148,25 @@ impl Policy {
     /// the per-iteration critical path plus the resource pools the
     /// serving tier leans on.
     pub fn panic_free_scoped(path: &str) -> bool {
-        const HOT: &[&str] = &[
-            "crates/core/src/engine.rs",
-            "crates/core/src/par.rs",
-            "crates/core/src/frontier.rs",
-            "crates/core/src/grid.rs",
-            "crates/core/src/scratch.rs",
-            "crates/core/src/pool.rs",
-            "crates/core/src/fusion.rs",
-            "crates/core/src/jit.rs",
-            "crates/core/src/checkpoint.rs",
-            "crates/core/src/service.rs",
-            "crates/core/src/persist.rs",
-        ];
-        HOT.contains(&path) || path.starts_with("crates/core/src/filters/")
+        PANIC_FREE_HOT.contains(&path) || path.starts_with("crates/core/src/filters/")
     }
 }
+
+/// The files [`Policy::panic_free_scoped`] names one by one. Every
+/// entry must exist in the workspace (a unit test checks): an entry
+/// left behind by a deleted module would silently scope nothing.
+const PANIC_FREE_HOT: &[&str] = &[
+    "crates/core/src/engine.rs",
+    "crates/core/src/par.rs",
+    "crates/core/src/frontier.rs",
+    "crates/core/src/scratch.rs",
+    "crates/core/src/pool.rs",
+    "crates/core/src/fusion.rs",
+    "crates/core/src/jit.rs",
+    "crates/core/src/checkpoint.rs",
+    "crates/core/src/service.rs",
+    "crates/core/src/persist.rs",
+];
 
 /// One file prepared for rule passes: tokens plus test-span marking.
 pub struct FileCheck<'a> {
@@ -728,6 +731,15 @@ mod tests {
             .iter()
             .filter(|f| f.rule == "surface")
             .count()
+    }
+
+    #[test]
+    fn every_panic_free_scope_entry_exists_in_the_workspace() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for path in PANIC_FREE_HOT {
+            assert!(root.join(path).is_file(), "{path} is scoped but absent");
+            assert!(Policy::panic_free_scoped(path));
+        }
     }
 
     #[test]

@@ -79,10 +79,9 @@ fn push_iterations_on_either_side_of_the_threshold() {
 fn hub_overflow_replays_identically() {
     // One CTA task activates 10 000 leaves at once, far over its lanes'
     // bin thresholds (the Twitter hub effect of §4): the overflow flag
-    // must replay identically in parallel, which keeps recording past
-    // it where the serial kernels stop, and
-    // the JIT switch to the ballot scan — on a dense iteration — must
-    // regenerate the full frontier.
+    // must replay identically in parallel, and the JIT switch to the
+    // ballot scan — on a dense iteration — must regenerate the full
+    // frontier.
     let g = star(20_001, 10_000);
     let cfg = EngineConfig::unscaled().with_direction(DirectionPolicy::FixedPush);
     let r = assert_cells_agree("hub", &g, cfg);

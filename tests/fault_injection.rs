@@ -158,9 +158,12 @@ fn a_push_panic_deep_into_a_run_leaves_no_charge_behind() {
     // The matrix above panics on the very first sweep. Here the panic
     // lands several sweeps in, after the session's kernel-charge
     // accumulators have been opened, fed and committed a number of
-    // times, and while one of them is open for the sweep that dies (in
-    // the parallel cells the surviving workers feed theirs to the end).
-    // Whatever they hold must not reach the next query.
+    // times, and while one of them is open for the sweep that dies.
+    // Push runs the serial kernel in both exec modes, so in the
+    // parallel cells too the panic unwinds the submitting thread
+    // mid-sweep, with the pool idle and the parallel classification's
+    // per-worker output left behind. Whatever they hold must not reach
+    // the next query.
     let g = rmat_graph();
     for (label, cfg) in config_matrix() {
         let cfg = cfg.with_direction(DirectionPolicy::FixedPush);

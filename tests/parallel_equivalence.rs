@@ -41,8 +41,8 @@ fn fingerprint<M: PartialEq + std::fmt::Debug>(r: RunResult<M>) -> Fingerprint<M
 }
 
 /// Runs `run` under serial and parallel modes and asserts equality.
-/// The ballot scan and the push destination shards are partitioned on
-/// 64-vertex word boundaries, and that partitioning must be
+/// The ballot scan is partitioned on 64-vertex word boundaries and the
+/// pull sweeps on contiguous task chunks, and that partitioning must be
 /// thread-count-independent.
 fn assert_equivalent<M, F>(what: &str, run: F)
 where
@@ -160,9 +160,10 @@ fn kcore_parallel_equals_serial_on_road() {
 fn grid_push_is_work_optimal() {
     // The work-optimality regression guard: a push iteration's edge
     // work is the frontier's out-degree sum (what the serial engine
-    // examines and what every `IterationRecord` logs). The parallel
-    // grid replay must examine exactly that — one traversal of each
-    // frontier edge per iteration, regardless of the worker count.
+    // examines and what every `IterationRecord` logs). A parallel run
+    // pushes through the same serial kernel and must examine exactly
+    // that too — one traversal of each frontier edge per iteration,
+    // regardless of the worker count.
     let g = rmat_graph();
     let cfg = EngineConfig::default().with_direction(DirectionPolicy::FixedPush);
     let serial = bfs::run(&g, 0, cfg.clone().with_exec(ExecMode::Serial)).expect("bfs");
@@ -173,17 +174,18 @@ fn grid_push_is_work_optimal() {
         let par = bfs::run(&g, 0, cfg.clone().parallel(threads)).expect("bfs");
         assert_eq!(
             par.report.edges_examined, frontier_edges,
-            "{threads} threads: grid push must examine each frontier edge exactly once"
+            "{threads} threads: push must examine each frontier edge exactly once"
         );
     }
 }
 
 #[test]
 fn grid_examined_matches_serial_under_direction_switches() {
-    // With adaptive direction the run mixes push scatters and pull
-    // gathers (whose early-termination scan counts are deterministic):
-    // the parallel backend's total host edge work must equal the serial
-    // engine's in every phase, not just pure push.
+    // With adaptive direction the run mixes push scatters (the serial
+    // kernel in both modes) and task-chunked parallel pull gathers
+    // (whose early-termination scan counts are deterministic): the
+    // parallel backend's total host edge work must equal the serial
+    // engine's across the switches, not just in pure push.
     let g = er_graph();
     let check = |run: &dyn Fn(EngineConfig) -> RunReport| {
         let serial = run(EngineConfig::default().with_exec(ExecMode::Serial));

@@ -146,10 +146,12 @@ proptest! {
         prop_assert_eq!(csr.transpose().transpose(), csr);
     }
 
-    /// The parallel grid push replay is bit-equal to the serial path on
+    /// A push-only parallel run is bit-equal to the serial path on
     /// arbitrary graphs: same metadata, same activation log, same
     /// simulated cycle counts, same host edge work (the exec axis of
-    /// the determinism contract, at property scale).
+    /// the determinism contract, at property scale). Push runs the
+    /// serial kernel under both modes while classification, degree sums
+    /// and any ballot scan run on the pool.
     #[test]
     fn parallel_push_bit_equal_to_serial_on_arbitrary_graphs((n, edges) in arb_edges(48, 150)) {
         let g = Graph::directed_from_edges(EdgeList::from_pairs(

@@ -43,9 +43,9 @@ fn fingerprint<M: PartialEq + std::fmt::Debug>(r: RunResult<M>) -> Fingerprint<M
 }
 
 /// The knob matrix each session-reuse scenario runs under. In the
-/// parallel cells the reused `BoundGraph` carries a bind-time grid CSR
-/// across queries, exactly the cached state this suite exists to
-/// distrust.
+/// parallel cells a reused `BoundGraph` hands every query a pool and a
+/// scratch arena with per-worker partitions that earlier queries wrote,
+/// exactly the cached state this suite exists to distrust.
 fn config_matrix() -> Vec<(String, EngineConfig)> {
     [ExecMode::Serial, ExecMode::Parallel { threads: 3 }]
         .map(|exec| (exec.label(), EngineConfig::default().with_exec(exec)))

@@ -25,8 +25,9 @@
 //! transpose it builds, and each session phase — bind, the first query
 //! of each metadata type, a warm query, an armed one, the first query on
 //! a second graph of the runtime — within a budget of `|V|`-sized
-//! vectors. Unlike a process's resident peak, this fails the
-//! moment a phase holds an array twice.
+//! vectors. A parallel bind, like a serial one, allocates nothing and
+//! leaves a directed graph's transpose unbuilt. Unlike a process's
+//! resident peak, this fails the moment a phase holds an array twice.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -370,6 +371,25 @@ fn directed_builds_peak_at_their_output_bytes() {
     // transpose waits for the first pull (priced in
     // `session_phases_peak_within_their_vertex_vector_budgets`).
     assert_builds_peak_at_their_output_bytes(Graph::directed_from_edges, 1);
+}
+
+#[test]
+fn parallel_bind_allocates_nothing_and_builds_no_transpose() {
+    // Push runs the serial kernel in both exec modes, so a parallel
+    // bind has nothing to precompute: no shard fences, no
+    // destination-bucketed edge copy, and no transpose to balance
+    // fences by.
+    let g = Graph::directed_from_edges(Rmat::gtgraph(12, 8).generate(5));
+    let out_bytes = g.footprint_bytes();
+    let runtime = Runtime::new(EngineConfig::default().parallel(2)).expect("runtime");
+    let (bound, bind) = peak_above_entry(|| runtime.bind(&g));
+    assert_eq!(bind, 0, "a Parallel(2) bind allocated {bind} B");
+    assert_eq!(
+        g.footprint_bytes(),
+        out_bytes,
+        "a Parallel(2) bind built the transpose"
+    );
+    assert!(bound.grid().is_none());
 }
 
 #[test]
