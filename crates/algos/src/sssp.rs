@@ -115,8 +115,8 @@ pub fn run(
 }
 
 /// Runs SSSP from every source over one bound session — one distance
-/// array per source, with the pool, scratch arenas and push shards
-/// amortized across the whole batch.
+/// array per source, with the pool and scratch arenas amortized across
+/// the whole batch.
 pub fn run_batch(
     graph: &Graph,
     sources: &[VertexId],

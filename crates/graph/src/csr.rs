@@ -8,6 +8,7 @@
 //! when a pull first reads it; undirected graphs share a single CSR for
 //! both orientations.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::edgelist::EdgeList;
@@ -22,13 +23,18 @@ use crate::{EdgeIdx, VertexId, Weight};
 ///
 /// Row order: every row is sorted by `(target, weight)`, whatever order
 /// the edges arrived in — the engine relies on it for coalesced neighbor
-/// access. `Self::try_build` and the [`Graph`] builds establish it (one
-/// counting sort by source — for an undirected graph over every pair in
-/// both directions, read straight from the list — then a per-row sort
-/// that skips rows already in order) and [`Self::transpose`] preserves it
-/// by construction; nothing downstream re-sorts or re-checks. Parallel
-/// edges and self-loops are kept here; [`Graph::directed_from_edges`] /
-/// [`Graph::undirected_from_edges`] drop them.
+/// access. A build reads its list three times: it validates it, counts
+/// rows (noting whether the list is presorted: strictly increasing in
+/// `(src, dst)` and loop-free) and places each pair in its row — an
+/// undirected graph every pair in both directions, straight from the
+/// list. A presorted list's rows are then in order: `Self::try_build`
+/// sorts the rows of any other list, skipping those already in order,
+/// and the [`Graph`] builds normalise rows in one more pass, which a
+/// directed build of a presorted list skips. [`Self::transpose`]
+/// preserves the order by construction; nothing downstream re-sorts or
+/// re-checks. Parallel edges and self-loops are kept here;
+/// [`Graph::directed_from_edges`] / [`Graph::undirected_from_edges`]
+/// drop them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Csr {
     offsets: Vec<EdgeIdx>,
@@ -63,21 +69,26 @@ impl Csr {
         edges: &[(VertexId, VertexId)],
         weights: Option<&[Weight]>,
     ) -> Result<Self, GraphError> {
-        let mut csr = Self::try_scatter(num_vertices, edges, weights, false)?;
-        csr.sort_adjacency();
+        let (mut csr, presorted) = Self::try_scatter(num_vertices, edges, weights, false)?;
+        if !presorted {
+            csr.sort_adjacency();
+        }
         Ok(csr)
     }
 
     /// Validates the inputs — weights parallel to edges, every endpoint
-    /// below `num_vertices`; the one place endpoints are checked — then
-    /// scatters each pair, and its reverse too when `symmetric`, into
-    /// rows not yet sorted.
+    /// below `num_vertices`; the one place endpoints are checked, read
+    /// only, before anything is allocated — then scatters each pair, and
+    /// its reverse too when `symmetric`, into rows not yet normalised:
+    /// one pass counts rows, one places pairs. Also returns whether the
+    /// count pass found the list presorted and simple (strictly
+    /// increasing in `(src, dst)`, loop-free): its forward rows are final.
     fn try_scatter(
         num_vertices: VertexId,
         edges: &[(VertexId, VertexId)],
         weights: Option<&[Weight]>,
         symmetric: bool,
-    ) -> Result<Self, GraphError> {
+    ) -> Result<(Self, bool), GraphError> {
         if let Some(w) = weights {
             if w.len() != edges.len() {
                 return Err(GraphError::WeightsLengthMismatch {
@@ -96,48 +107,86 @@ impl Csr {
                 num_vertices,
             });
         }
-        let mirrored = if symmetric { edges } else { &[] };
-        let reversed = mirrored.iter().enumerate().map(|(i, &(s, d))| (i, (d, s)));
-        let pairs = edges.iter().copied().enumerate().chain(reversed);
-        Ok(Self::scatter(num_vertices, pairs, weights))
+        let mut offsets = vec![0 as EdgeIdx; num_vertices as usize + 1];
+        // `least` is the smallest key the next pair may have. Endpoints
+        // lie below `num_vertices` ≤ `u32::MAX`, so `key + 1` cannot
+        // overflow.
+        let (mut presorted, mut least) = (true, 0u64);
+        for &(s, d) in edges {
+            offsets[s as usize + 1] += 1;
+            if symmetric {
+                offsets[d as usize + 1] += 1;
+            }
+            let key = u64::from(s) << 32 | u64::from(d);
+            presorted &= s != d && key >= least;
+            least = key + 1;
+        }
+        let mut csr = Self::with_row_lengths(offsets, weights.is_some());
+        csr.place(edges.iter().copied(), weights);
+        if symmetric {
+            csr.place(edges.iter().map(|&(s, d)| (d, s)), weights);
+        }
+        csr.rewind_cursors();
+        Ok((csr, presorted))
     }
 
-    /// Stable counting sort of `(row, target)` pairs into CSR arrays:
-    /// count rows, prefix-sum, scatter. A pair tagged `i` carries
-    /// `weights[i]`. The caller guarantees both endpoints of every pair
-    /// are below `num_vertices`. Each row's start is its own write
-    /// cursor, left at the next row's start and shifted back after.
-    fn scatter(
-        num_vertices: VertexId,
-        pairs: impl Iterator<Item = (usize, (VertexId, VertexId))> + Clone,
-        weights: Option<&[Weight]>,
-    ) -> Self {
-        let n = num_vertices as usize;
-        let mut offsets = vec![0 as EdgeIdx; n + 1];
-        pairs
-            .clone()
-            .for_each(|(_, (row, _))| offsets[row as usize + 1] += 1);
+    /// A CSR to place rows into, from `offsets[v + 1]` = row `v`'s
+    /// length: prefix-summed, `offsets[v]` is row `v`'s start and its
+    /// write cursor for [`Self::place`].
+    fn with_row_lengths(mut offsets: Vec<EdgeIdx>, weighted: bool) -> Self {
+        let n = offsets.len() - 1;
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
         let num_edges = offsets[n] as usize;
-        let mut targets = vec![0 as VertexId; num_edges];
-        let mut out_weights = weights.map(|_| vec![0 as Weight; num_edges]);
-        pairs.for_each(|(i, (row, target))| {
-            let at = offsets[row as usize] as usize;
-            offsets[row as usize] += 1;
-            targets[at] = target;
-            if let (Some(ow), Some(w)) = (&mut out_weights, weights) {
-                ow[at] = w[i];
-            }
-        });
-        offsets.copy_within(..n, 1);
-        offsets[0] = 0;
         Self {
+            targets: vec![0; num_edges],
+            weights: weighted.then(|| vec![0; num_edges]),
+            offsets,
+        }
+    }
+
+    /// Stable counting-sort placement: pair `i`, `(row, target)`, goes
+    /// to its row's cursor, which advances, with `weights[i]` beside it.
+    /// The caller guarantees both endpoints are below the vertex count
+    /// and `weights` is present exactly when `self` is weighted.
+    fn place(
+        &mut self,
+        pairs: impl Iterator<Item = (VertexId, VertexId)>,
+        weights: Option<&[Weight]>,
+    ) {
+        let Self {
             offsets,
             targets,
-            weights: out_weights,
+            weights: out,
+        } = self;
+        let mut cursor = |row: VertexId| {
+            let at = offsets[row as usize] as usize;
+            offsets[row as usize] += 1;
+            at
+        };
+        match (out, weights) {
+            (Some(out), Some(weights)) => {
+                for ((row, target), &w) in pairs.zip(weights) {
+                    let at = cursor(row);
+                    targets[at] = target;
+                    out[at] = w;
+                }
+            }
+            _ => {
+                for (row, target) in pairs {
+                    targets[cursor(row)] = target;
+                }
+            }
         }
+    }
+
+    /// Shifts the cursors [`Self::place`] leaves at each row's end back
+    /// into row starts.
+    fn rewind_cursors(&mut self) {
+        let n = self.offsets.len() - 1;
+        self.offsets.copy_within(..n, 1);
+        self.offsets[0] = 0;
     }
 
     /// Sorts every adjacency list by target ID (weights follow targets;
@@ -173,35 +222,27 @@ impl Csr {
         }
     }
 
-    /// Drops self-loops and, of each run of equal targets in a row, all
-    /// but the first edge — the lightest, rows being ordered by
-    /// `(target, weight)`. Compacts in place and keeps the allocations:
-    /// generator output has nothing to drop, and shrinking the little a
-    /// symmetric closure does drop is a `realloc` that reshuffles the
-    /// heap under everything bound to the graph afterwards.
-    fn dedup_rows(&mut self) {
-        let (mut read, mut write) = (0usize, 0usize);
-        for v in 0..self.num_vertices() {
-            let row_start = write;
-            let row_end = self.offsets[v as usize + 1] as usize;
-            for i in read..row_end {
-                let t = self.targets[i];
-                if t == v || (write > row_start && self.targets[write - 1] == t) {
-                    continue;
-                }
-                self.targets[write] = t;
-                if let Some(w) = &mut self.weights {
-                    w[write] = w[i];
-                }
-                write += 1;
+    /// Brings every row to its simple form in one pass: ordered by
+    /// target, loops dropped, each run of equal targets collapsed to its
+    /// lightest edge (as sorting by `(target, weight)` and keeping the
+    /// first would), compacted in place. The allocations are kept: the
+    /// `realloc` of a shrink would reshuffle the heap under everything
+    /// bound to the graph afterwards.
+    fn normalize_rows(&mut self) {
+        let Self {
+            offsets,
+            targets,
+            weights,
+        } = self;
+        let len = match weights {
+            None => normalize(offsets, targets, &mut ()),
+            Some(w) => {
+                let len = normalize(offsets, targets, &mut w[..]);
+                w.truncate(len);
+                len
             }
-            read = row_end;
-            self.offsets[v as usize + 1] = write as EdgeIdx;
-        }
-        self.targets.truncate(write);
-        if let Some(w) = &mut self.weights {
-            w.truncate(write);
-        }
+        };
+        targets.truncate(len);
     }
 
     /// Number of vertices.
@@ -267,9 +308,18 @@ impl Csr {
     /// ordered by `(source, weight)`, so nothing is validated or sorted
     /// again.
     pub fn transpose(&self) -> Csr {
-        let reversed =
-            (0..self.num_vertices()).flat_map(|v| self.neighbors(v).iter().map(move |&t| (t, v)));
-        Self::scatter(self.num_vertices(), reversed.enumerate(), self.weights())
+        let mut offsets = vec![0 as EdgeIdx; self.offsets.len()];
+        for &t in &self.targets {
+            offsets[t as usize + 1] += 1;
+        }
+        let mut transposed = Self::with_row_lengths(offsets, self.is_weighted());
+        for v in 0..self.num_vertices() {
+            let (lo, hi) = self.range(v);
+            let reversed = self.targets[lo..hi].iter().map(|&t| (t, v));
+            transposed.place(reversed, self.weights().map(|w| &w[lo..hi]));
+        }
+        transposed.rewind_cursors();
+        transposed
     }
 
     /// Approximate in-memory footprint in bytes (offsets 8B, targets 4B,
@@ -290,6 +340,154 @@ impl Csr {
     }
 }
 
+/// Rows up to this length are insertion-sorted in place, as
+/// `sort_unstable` does: copying one out to merge costs more than it
+/// saves (a road strip's rows hold ≤ 8 entries; merging those of 5–8
+/// read its closure about 10 % slower).
+const SHORT_ROW: usize = 8;
+
+/// The weights [`normalize`] moves with their targets. An unweighted
+/// CSR passes `()`, on which every weight move compiles away, so each
+/// loop is monomorphic (testing for weights per entry read the pass
+/// about 20 % slower on R-MAT-17 and 40 % on the road strip).
+trait RowWeights {
+    fn get(&self, i: usize) -> Weight;
+    fn set(&mut self, i: usize, w: Weight);
+    fn copy_within(&mut self, src: Range<usize>, dest: usize);
+}
+
+impl RowWeights for () {
+    fn get(&self, _: usize) -> Weight {
+        0
+    }
+    fn set(&mut self, _: usize, _: Weight) {}
+    fn copy_within(&mut self, _: Range<usize>, _: usize) {}
+}
+
+impl RowWeights for [Weight] {
+    fn get(&self, i: usize) -> Weight {
+        self[i]
+    }
+    fn set(&mut self, i: usize, w: Weight) {
+        self[i] = w;
+    }
+    fn copy_within(&mut self, src: Range<usize>, dest: usize) {
+        <[Weight]>::copy_within(self, src, dest);
+    }
+}
+
+/// [`Csr::normalize_rows`] over the arrays; returns the entries kept.
+/// Each row is ordered by the cheapest means its shape allows:
+/// - a long row (> [`SHORT_ROW`]) that rises strictly and holds no loop
+///   is only moved down, if an earlier row dropped something;
+/// - a short one, or one that rises but holds its loop, is
+///   insertion-sorted in place if need be and compacted;
+/// - one of two ascending runs — what the symmetric scatter of a
+///   presorted list leaves — is copied to `run` and merged back, and any
+///   other is copied, sorted there and written back, both compacted on
+///   the way. `run` serves every row, reserved once to the longest left.
+fn normalize<W: RowWeights + ?Sized>(
+    offsets: &mut [EdgeIdx],
+    targets: &mut [VertexId],
+    weights: &mut W,
+) -> usize {
+    let mut run: Vec<(VertexId, Weight)> = Vec::new();
+    let (mut read, mut write) = (0usize, 0usize);
+    for v in 0..offsets.len() - 1 {
+        let end = offsets[v + 1] as usize;
+        let (row, vertex, start) = (&targets[read..end], v as VertexId, write);
+        let rising = 1 + row.windows(2).take_while(|p| p[0] < p[1]).count();
+        if rising >= row.len() && row.len() > SHORT_ROW && row.binary_search(&vertex).is_err() {
+            if write < read {
+                targets.copy_within(read..end, write);
+                weights.copy_within(read..end, write);
+            }
+            write += end - read;
+        } else if rising >= row.len() || row.len() <= SHORT_ROW {
+            if rising < row.len() {
+                insertion_sort(targets, weights, read..end);
+            }
+            for i in read..end {
+                let next = (targets[i], weights.get(i));
+                write = keep(targets, weights, vertex, start, write, next);
+            }
+        } else {
+            let two_runs = row[rising..].is_sorted();
+            if run.capacity() == 0 {
+                // The longest row left: this one starts at `read`.
+                let ends = offsets[v + 1..].iter().map(|&end| end as usize);
+                let lengths =
+                    ends.scan(read, |start, end| Some(end - std::mem::replace(start, end)));
+                run.reserve_exact(lengths.max().unwrap_or(0));
+            }
+            run.clear();
+            run.extend((read..end).map(|i| (targets[i], weights.get(i))));
+            if !two_runs {
+                run.sort_unstable();
+            }
+            let (first, second) = run.split_at(if two_runs { rising } else { run.len() });
+            let (mut i, mut j) = (0, 0);
+            while i < first.len() && j < second.len() {
+                // Branch-free: the two runs interleave at random.
+                let take_second = second[j].0 < first[i].0;
+                let next = if take_second { second[j] } else { first[i] };
+                i += usize::from(!take_second);
+                j += usize::from(take_second);
+                write = keep(targets, weights, vertex, start, write, next);
+            }
+            for &next in first[i..].iter().chain(&second[j..]) {
+                write = keep(targets, weights, vertex, start, write, next);
+            }
+        }
+        read = end;
+        offsets[v + 1] = write as EdgeIdx;
+    }
+    write
+}
+
+/// Appends `(t, w)` to row `v`, written from `start` to `write`, unless
+/// it is a loop or repeats the last target, whose weight then becomes
+/// the lesser. Returns the row's new end.
+#[inline]
+fn keep<W: RowWeights + ?Sized>(
+    targets: &mut [VertexId],
+    weights: &mut W,
+    v: VertexId,
+    start: usize,
+    write: usize,
+    (t, w): (VertexId, Weight),
+) -> usize {
+    if t == v {
+        return write;
+    }
+    if write > start && targets[write - 1] == t {
+        weights.set(write - 1, weights.get(write - 1).min(w));
+        return write;
+    }
+    targets[write] = t;
+    weights.set(write, w);
+    write + 1
+}
+
+/// Sorts `targets[row]` in place, weights moving with their targets.
+fn insertion_sort<W: RowWeights + ?Sized>(
+    targets: &mut [VertexId],
+    weights: &mut W,
+    row: Range<usize>,
+) {
+    for i in row.start + 1..row.end {
+        let (t, w) = (targets[i], weights.get(i));
+        let mut j = i;
+        while j > row.start && targets[j - 1] > t {
+            targets[j] = targets[j - 1];
+            weights.set(j, weights.get(j - 1));
+            j -= 1;
+        }
+        targets[j] = t;
+        weights.set(j, w);
+    }
+}
+
 /// Orientation of an adjacency scan, matching the engine's push/pull modes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Direction {
@@ -307,8 +505,8 @@ pub enum Direction {
 /// out-neighbors", §6). A directed graph builds its transpose on the
 /// first call that reads the pull view — [`Self::in_`] or
 /// [`Self::csr`]`(Direction::Pull)`, from any thread, once — so a graph
-/// only ever pushed never holds it. A parallel `Runtime::bind` reads it
-/// at bind time (its push shards balance in-degrees).
+/// only ever pushed never holds it; a bind, serial or parallel, builds
+/// nothing.
 ///
 /// Equality compares the orientation and the out-CSR only: the
 /// transpose is a function of them, built or not.
@@ -340,21 +538,26 @@ impl Graph {
     }
 
     /// Builds a directed graph from an edge list, without self-loops,
-    /// duplicate pairs collapsed to their lightest edge. The transpose
-    /// waits for the first pull.
+    /// duplicate pairs collapsed to their lightest edge. A list strictly
+    /// increasing in `(src, dst)` and loop-free, as [`EdgeList::dedup`]
+    /// and every generator leave it, is read three times and its rows
+    /// are final as placed. The transpose waits for the first pull.
     pub fn directed_from_edges(el: EdgeList) -> Self {
         Self::simple(el, true)
     }
 
-    /// The graph of `el` as a simple graph, every pair also scattered
-    /// reversed when undirected. Takes the list by value so it is freed
-    /// before the rows are sorted.
+    /// The graph of `el` as a simple graph, every pair also placed
+    /// reversed when undirected: validate, count and place (see
+    /// [`Csr`]'s row order), then one pass normalising the rows, skipped
+    /// for a directed list the count found presorted — its rows are
+    /// final. Takes the list by value so it is freed before that pass.
     fn simple(el: EdgeList, directed: bool) -> Self {
         let scattered = Csr::try_scatter(el.num_vertices(), el.edges(), el.weights(), !directed);
-        let mut out = scattered.unwrap_or_else(|err| panic!("{err}"));
+        let (mut out, presorted) = scattered.unwrap_or_else(|err| panic!("{err}"));
         drop(el);
-        out.sort_adjacency();
-        out.dedup_rows();
+        if !(directed && presorted) {
+            out.normalize_rows();
+        }
         Self {
             out,
             directed,
@@ -402,8 +605,7 @@ impl Graph {
     }
 
     /// Footprint in bytes of the CSRs built so far: the out-CSR, plus a
-    /// directed graph's transpose once a pull (or a parallel bind) has
-    /// built it.
+    /// directed graph's transpose once a pull has built it.
     pub fn footprint_bytes(&self) -> u64 {
         self.out.footprint_bytes() + self.in_.get().map_or(0, Csr::footprint_bytes)
     }
@@ -523,7 +725,7 @@ mod tests {
     }
 
     #[test]
-    fn dedup_rows_drops_loops_and_keeps_the_lightest_of_each_run() {
+    fn normalize_rows_drops_loops_and_keeps_the_lightest_of_each_run() {
         // Row 0 is all self-loops, row 1 is clean, row 2 ends in a run.
         let mut csr = Csr::build(
             4,
@@ -539,14 +741,14 @@ mod tests {
             ],
             Some(&[1, 8, 2, 3, 6, 4, 5, 7]),
         );
-        csr.dedup_rows();
+        csr.normalize_rows();
         assert_eq!(csr.offsets(), &[0, 0, 2, 4, 4]);
         assert_eq!(csr.targets(), &[0, 3, 1, 3]);
         assert_eq!(csr.weights(), Some(&[3, 4, 5, 6][..]));
     }
 
     #[test]
-    fn dedup_rows_leaves_a_clean_csr_untouched() {
+    fn normalize_rows_leaves_a_clean_csr_untouched() {
         let mut csr = Csr::from_edge_list(&EdgeList::from_weighted(
             4,
             vec![(0, 1), (0, 2), (1, 3), (2, 3)],
@@ -555,9 +757,69 @@ mod tests {
         let before = csr.clone();
         let caps = |c: &Csr| (c.targets.capacity(), c.weights.as_ref().map(Vec::capacity));
         let (ptr, cap) = (csr.targets.as_ptr(), caps(&csr));
-        csr.dedup_rows();
+        csr.normalize_rows();
         assert_eq!(csr, before);
         assert_eq!((csr.targets.as_ptr(), caps(&csr)), (ptr, cap));
+    }
+
+    #[test]
+    fn the_count_pass_proves_a_list_presorted_and_simple() {
+        let presorted = |edges: &[(VertexId, VertexId)]| {
+            let (_, presorted) = Csr::try_scatter(3, edges, None, false).expect("in range");
+            presorted
+        };
+        assert!(presorted(&[(0, 1), (0, 2), (1, 0), (2, 1)]));
+        assert!(presorted(&[]));
+        assert!(!presorted(&[(0, 1), (0, 1)]), "a repeat");
+        assert!(!presorted(&[(0, 2), (0, 1)]), "a descent in a row");
+        assert!(!presorted(&[(1, 0), (0, 2)]), "a descent across rows");
+        assert!(!presorted(&[(0, 1), (1, 1)]), "a loop");
+    }
+
+    #[test]
+    fn normalize_rows_equals_the_naive_simple_form_on_every_row_shape() {
+        // Long rows of each shape: two runs repeating targets across
+        // them (merged), rising with a loop (compacted in place), rising
+        // after rows that dropped entries (moved down), three runs
+        // (sorted); then short rows, one out of order.
+        let rows: [Vec<VertexId>; 6] = [
+            (1..20).chain((2..30).step_by(3)).collect(),
+            (0..12).collect(),
+            (3..15).collect(),
+            (10..16).chain(0..3).chain(5..12).collect(),
+            vec![5, 1, 4, 4, 0],
+            vec![1, 2],
+        ];
+        let edges: Vec<_> = (0..)
+            .zip(&rows)
+            .flat_map(|(v, row)| row.iter().map(move |&t| (v, t)))
+            .collect();
+        let weights: Vec<Weight> = (0..edges.len() as Weight).map(|i| i * 7 % 11).collect();
+        let mut spec: Vec<_> = edges
+            .iter()
+            .zip(&weights)
+            .map(|(&(s, d), &w)| (s, d, w))
+            .collect();
+        spec.sort_unstable();
+        spec.retain(|&(s, d, _)| s != d);
+        spec.dedup_by_key(|&mut (s, d, _)| (s, d));
+        for weighted in [false, true] {
+            let w = weighted.then_some(&weights[..]);
+            let (mut csr, presorted) = Csr::try_scatter(30, &edges, w, false).expect("in range");
+            assert!(!presorted);
+            csr.normalize_rows();
+            let built: Vec<_> = (0..30)
+                .flat_map(|v| {
+                    let ws = csr.neighbor_weights(v).map(<[Weight]>::to_vec);
+                    let row = csr.neighbors(v).iter().enumerate();
+                    row.map(move |(i, &t)| (v, t, ws.as_ref().map_or(0, |ws| ws[i])))
+                })
+                .collect();
+            let expected = spec
+                .iter()
+                .map(|&(s, d, w)| (s, d, if weighted { w } else { 0 }));
+            assert_eq!(built, expected.collect::<Vec<_>>(), "weighted: {weighted}");
+        }
     }
 
     #[test]

@@ -50,9 +50,9 @@ fn main() -> Result<(), SimdxError> {
     );
 
     // Multi-source SSSP as one batch: one distance array per source,
-    // with the worker pool, scratch arenas and push shards reused
-    // across all queries — the amortization a fresh runtime per query
-    // could never give you.
+    // with the worker pool and scratch arenas reused across all
+    // queries — the amortization a fresh runtime per query could never
+    // give you.
     let sources = [0, 4, 8];
     let batch = bound.run_batch(Sssp::new(0), &sources)?;
     println!("\nSSSP batch over sources {sources:?}:");

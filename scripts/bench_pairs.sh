@@ -20,22 +20,65 @@
 # a few seconds instead of 25. It prints every pair's MiB, then one row
 # per workload: both medians, their ratio and the pairs the working tree
 # read lower in.
+#
+#   scripts/bench_pairs.sh --ingest <ref> <rounds>
+#
+# With --ingest the pairs are in-process graph builds instead: the
+# working tree's crates/bench/src/bin/ingest_timing.rs is copied into
+# <ref>'s extracted tree and built in both, and the two binaries
+# alternate for <rounds> rounds, each run printing every build's median
+# time. It prints, per build, both sides' median of the round medians,
+# their ratio and the rounds the working tree read lower in.
 set -euo pipefail
-rss=
+rss= ingest=
 if [ "${1:-}" = --rss ]; then rss=1 && shift; fi
-[ $# -ge 3 ] || { sed -n '5p' "$0" >&2; exit 2; }
+if [ "${1:-}" = --ingest ]; then ingest=1 && shift; fi
+if [ -n "$ingest" ]; then want=2; else want=3; fi
+[ $# -ge $want ] || { sed -n '5p;24p' "$0" >&2; exit 2; }
 ref=$1 workloads=$2
 shift 2
 cd "$(git rev-parse --show-toplevel)"
-if [ "$workloads" = all ]; then
-  workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
-fi
 out=target/bench-pairs
 src=$out/src-$(git rev-parse --short "$ref")
 mkdir -p "$out/runs"
 if [ ! -d "$src" ]; then
   mkdir -p "$src"
   git archive "$ref" | tar -x -C "$src"
+fi
+if [ -n "$ingest" ]; then
+  rounds=$workloads timer=crates/bench/src/bin/ingest_timing.rs
+  cp "$timer" "$src/$timer"
+  for side in base head; do
+    tree=.
+    if [ $side = base ]; then tree=$src; fi
+    cargo build --release --offline --quiet --manifest-path "$tree/Cargo.toml" -p simdx_bench --bin ingest_timing
+    cp "$tree/target/release/ingest_timing" "$out/ingest-$side"
+  done
+  for round in $(seq 1 "$rounds"); do
+    sides="base head"
+    if [ $((round % 2)) -eq 0 ]; then sides="head base"; fi
+    for side in $sides; do
+      echo "# ingest round $round: $side" >&2
+      "$out/ingest-$side" >"$out/runs/ingest-$round-$side.txt"
+    done
+  done
+  python3 - "$out/runs" "$rounds" "$ref" <<'EOF'
+import statistics, sys
+runs, rounds, ref = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+def read(r, side):
+    return dict((name, float(ms)) for name, ms in (l.split() for l in open(f"{runs}/ingest-{r}-{side}.txt")))
+base, head = ([read(r, s) for r in range(1, rounds + 1)] for s in ("base", "head"))
+print(f"# in-process builds, {rounds} rounds, median ms of the round medians, {ref} -> working tree")
+for name in base[0]:
+    a, b = [r[name] for r in base], [r[name] for r in head]
+    wins = sum(y < x for x, y in zip(a, b))
+    ratio = statistics.median(b) / statistics.median(a)
+    print(f"{name:<26} {statistics.median(a):8.3f} -> {statistics.median(b):8.3f} ms  {ratio:.3f}x  ({wins}/{rounds} lower)")
+EOF
+  exit
+fi
+if [ "$workloads" = all ]; then
+  workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 fi
 build() { # <checkout> <binary copy>
   cargo build --release --offline --quiet --manifest-path "$1/crates/bench/benchmark/Cargo.toml"

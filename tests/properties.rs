@@ -117,6 +117,81 @@ proptest! {
         }
     }
 
+    /// Build-order invariance: a multigraph with loops and repeats builds
+    /// the same graph, weighted or not, from its list as generated (rows
+    /// out of order: sorted in place or in the row buffer), sorted with
+    /// its loops and repeats (rows in order, compacted or moved down), as
+    /// `EdgeList::dedup` leaves it (strictly increasing and loop-free:
+    /// the directed build's presorted skip, and rows of two runs for the
+    /// undirected merge) and shuffled. The lists are dense enough for
+    /// rows past the insertion-sorted length. A directed graph's in-rows
+    /// are a naive sort of its reversed out-edges.
+    #[test]
+    fn graph_builds_are_invariant_under_input_order(
+        (n, edges) in (2u32..24).prop_flat_map(|n| {
+            (Just(n), proptest::collection::vec((0..n, 0..n, 1u32..6), 0..400))
+        }),
+        seed in 0u64..u64::MAX,
+    ) {
+        let pairs: Vec<(u32, u32)> = edges.iter().map(|&(s, d, _)| (s, d)).collect();
+        let wts: Vec<u32> = edges.iter().map(|&(_, _, w)| w).collect();
+        let mut sorted: Vec<usize> = (0..edges.len()).collect();
+        sorted.sort_by_key(|&i| pairs[i]);
+        let mut shuffled: Vec<usize> = (0..edges.len()).collect();
+        let mut state = seed | 1;
+        for i in (1..shuffled.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            shuffled.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        for weighted in [false, true] {
+            let list = |order: &[usize]| {
+                if weighted {
+                    let wts = order.iter().map(|&i| wts[i]).collect();
+                    EdgeList::from_weighted(n, order.iter().map(|&i| pairs[i]).collect(), wts)
+                } else {
+                    let mut el = EdgeList::new(n);
+                    order.iter().for_each(|&i| el.push(pairs[i].0, pairs[i].1));
+                    el
+                }
+            };
+            let generated = list(&(0..edges.len()).collect::<Vec<_>>());
+            let mut deduped = generated.clone();
+            deduped.dedup();
+            let orders = [generated, list(&sorted), deduped, list(&shuffled)];
+            for directed in [false, true] {
+                let build = |el: &EdgeList| {
+                    let el = el.clone();
+                    if directed { Graph::directed_from_edges(el) } else { Graph::undirected_from_edges(el) }
+                };
+                let csr = |g: &Graph| {
+                    let out = g.out();
+                    (out.offsets().to_vec(), out.targets().to_vec(), out.weights().map(<[u32]>::to_vec))
+                };
+                let graphs: Vec<Graph> = orders.iter().map(build).collect();
+                for g in &graphs[1..] {
+                    prop_assert_eq!(csr(g), csr(&graphs[0]), "directed {}, weighted {}", directed, weighted);
+                }
+                let g = &graphs[0];
+                let mut reversed: Vec<(u32, u32, u32)> = (0..n)
+                    .flat_map(|v| {
+                        let ws = g.out().neighbor_weights(v);
+                        g.out().neighbors(v).iter().enumerate().map(move |(i, &t)| (t, v, ws.map_or(0, |w| w[i])))
+                    })
+                    .collect();
+                reversed.sort_unstable();
+                let in_: Vec<(u32, u32, u32)> = (0..n)
+                    .flat_map(|v| {
+                        let ws = g.in_().neighbor_weights(v);
+                        g.in_().neighbors(v).iter().enumerate().map(move |(i, &s)| (v, s, ws.map_or(0, |w| w[i])))
+                    })
+                    .collect();
+                prop_assert_eq!(in_, reversed);
+            }
+        }
+    }
+
     /// CSR invariants: offsets monotone, degrees sum to |E|, neighbors
     /// sorted.
     #[test]

@@ -31,6 +31,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use simdx::algos::{Bfs, PageRank};
 use simdx::core::persist;
@@ -114,6 +115,25 @@ fn peak_above_entry<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let out = f();
     (out, (PEAK.with(Cell::get) - entry) as u64)
 }
+
+/// Runs `f` with this thread's panics unreported: under
+/// `RUST_BACKTRACE` the default hook's backtrace alone allocates
+/// megabytes. Other threads' panics still reach the previous hook.
+fn quietly<T>(f: impl FnOnce() -> T) -> T {
+    let this = std::thread::current().id();
+    let previous: Arc<PanicHook> = Arc::from(std::panic::take_hook());
+    let others = Arc::clone(&previous);
+    std::panic::set_hook(Box::new(move |info| {
+        if std::thread::current().id() != this {
+            others(info);
+        }
+    }));
+    let out = f();
+    std::panic::set_hook(Box::new(move |info| previous(info)));
+    out
+}
+
+type PanicHook = dyn Fn(&std::panic::PanicHookInfo<'_>) + Send + Sync;
 
 /// The road strip and its centre vertex. Vertex `y * width + x`: 0 is a
 /// corner, a BFS from it runs about twice the iterations of one from
@@ -371,6 +391,51 @@ fn directed_builds_peak_at_their_output_bytes() {
     // transpose waits for the first pull (priced in
     // `session_phases_peak_within_their_vertex_vector_budgets`).
     assert_builds_peak_at_their_output_bytes(Graph::directed_from_edges, 1);
+}
+
+#[test]
+fn presorted_builds_allocate_only_their_output_arrays() {
+    // Generator lists arrive strictly sorted and loop-free. The count
+    // pass proves it, so a directed build makes exactly its output
+    // arrays — offsets, targets and weights if any — and never touches
+    // its rows again; an undirected build may add the one row buffer
+    // that merges its rows' two runs (targets and weights side by side).
+    for (name, el) in build_inputs() {
+        let outputs = if el.is_weighted() { 3 } else { 2 };
+        let copy = el.clone();
+        let (_, directed) = allocations_during(|| Graph::directed_from_edges(copy));
+        assert_eq!(directed, outputs, "{name}: directed build");
+        let (_, undirected) = allocations_during(|| Graph::undirected_from_edges(el));
+        assert!(
+            (outputs..=outputs + 1).contains(&undirected),
+            "{name}: undirected build made {undirected} allocations, {outputs} outputs"
+        );
+    }
+}
+
+#[test]
+fn a_saturated_vertex_count_fails_before_the_build_allocates() {
+    // An endpoint of `u32::MAX` saturates the list's vertex count and
+    // lies outside it. Validation reads the list before `offsets` (of
+    // `(2^32 - 1) + 1` entries) is allocated, so each build fails with
+    // the legacy panic having allocated next to nothing.
+    let directed: fn(EdgeList) -> Graph = Graph::directed_from_edges;
+    for (name, build) in [
+        ("directed", directed),
+        ("undirected", Graph::undirected_from_edges),
+    ] {
+        let el = EdgeList::from_pairs(vec![(0, 1), (1, u32::MAX)]);
+        assert_eq!(el.num_vertices(), u32::MAX);
+        let (panic, peak) = quietly(|| {
+            peak_above_entry(|| std::panic::catch_unwind(|| build(el)).expect_err("out of range"))
+        });
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert_eq!(
+            message, "edge (1, 4294967295) outside a graph with 4294967295 vertices",
+            "{name}"
+        );
+        assert!(peak < 64 << 10, "{name}: {peak} B above entry");
+    }
 }
 
 #[test]
