@@ -235,9 +235,9 @@ impl Csr {
             weights,
         } = self;
         let len = match weights {
-            None => normalize(offsets, targets, &mut ()),
+            None => normalize::<false>(offsets, targets, &mut []),
             Some(w) => {
-                let len = normalize(offsets, targets, &mut w[..]);
+                let len = normalize::<true>(offsets, targets, w);
                 w.truncate(len);
                 len
             }
@@ -346,70 +346,35 @@ impl Csr {
 /// read its closure about 10 % slower).
 const SHORT_ROW: usize = 8;
 
-/// The weights [`normalize`] moves with their targets. An unweighted
-/// CSR passes `()`, on which every weight move compiles away, so each
-/// loop is monomorphic (testing for weights per entry read the pass
-/// about 20 % slower on R-MAT-17 and 40 % on the road strip).
-trait RowWeights {
-    fn get(&self, i: usize) -> Weight;
-    fn set(&mut self, i: usize, w: Weight);
-    fn copy_within(&mut self, src: Range<usize>, dest: usize);
-}
-
-impl RowWeights for () {
-    fn get(&self, _: usize) -> Weight {
-        0
-    }
-    fn set(&mut self, _: usize, _: Weight) {}
-    fn copy_within(&mut self, _: Range<usize>, _: usize) {}
-}
-
-impl RowWeights for [Weight] {
-    fn get(&self, i: usize) -> Weight {
-        self[i]
-    }
-    fn set(&mut self, i: usize, w: Weight) {
-        self[i] = w;
-    }
-    fn copy_within(&mut self, src: Range<usize>, dest: usize) {
-        <[Weight]>::copy_within(self, src, dest);
-    }
-}
-
-/// [`Csr::normalize_rows`] over the arrays; returns the entries kept.
-/// Each row is ordered by the cheapest means its shape allows:
-/// - a long row (> [`SHORT_ROW`]) that rises strictly and holds no loop
-///   is only moved down, if an earlier row dropped something;
-/// - a short one, or one that rises but holds its loop, is
-///   insertion-sorted in place if need be and compacted;
-/// - one of two ascending runs — what the symmetric scatter of a
-///   presorted list leaves — is copied to `run` and merged back, and any
-///   other is copied, sorted there and written back, both compacted on
-///   the way. `run` serves every row, reserved once to the longest left.
-fn normalize<W: RowWeights + ?Sized>(
+/// [`Csr::normalize_rows`] over the arrays, `weights` empty unless
+/// `WEIGHTED` (a compile-time flag, so each loop is monomorphic: testing
+/// for weights per entry read the pass about 20 % slower on R-MAT-17 and
+/// 40 % on the road strip); returns the entries kept. A row that rises
+/// strictly, or is short, is insertion-sorted in place if need be and
+/// compacted. A longer one of two ascending runs — what the symmetric
+/// scatter of a presorted list leaves — is copied to `run` and merged
+/// back, and any other is copied, sorted there and written back, both
+/// compacted on the way. `run` serves every row, reserved once to the
+/// longest left.
+fn normalize<const WEIGHTED: bool>(
     offsets: &mut [EdgeIdx],
     targets: &mut [VertexId],
-    weights: &mut W,
+    weights: &mut [Weight],
 ) -> usize {
+    let weight = |weights: &[Weight], i: usize| if WEIGHTED { weights[i] } else { 0 };
     let mut run: Vec<(VertexId, Weight)> = Vec::new();
     let (mut read, mut write) = (0usize, 0usize);
     for v in 0..offsets.len() - 1 {
         let end = offsets[v + 1] as usize;
         let (row, vertex, start) = (&targets[read..end], v as VertexId, write);
         let rising = 1 + row.windows(2).take_while(|p| p[0] < p[1]).count();
-        if rising >= row.len() && row.len() > SHORT_ROW && row.binary_search(&vertex).is_err() {
-            if write < read {
-                targets.copy_within(read..end, write);
-                weights.copy_within(read..end, write);
-            }
-            write += end - read;
-        } else if rising >= row.len() || row.len() <= SHORT_ROW {
+        if rising >= row.len() || row.len() <= SHORT_ROW {
             if rising < row.len() {
-                insertion_sort(targets, weights, read..end);
+                insertion_sort::<WEIGHTED>(targets, weights, read..end);
             }
             for i in read..end {
-                let next = (targets[i], weights.get(i));
-                write = keep(targets, weights, vertex, start, write, next);
+                let next = (targets[i], weight(weights, i));
+                write = keep::<WEIGHTED>(targets, weights, vertex, start, write, next);
             }
         } else {
             let two_runs = row[rising..].is_sorted();
@@ -421,7 +386,7 @@ fn normalize<W: RowWeights + ?Sized>(
                 run.reserve_exact(lengths.max().unwrap_or(0));
             }
             run.clear();
-            run.extend((read..end).map(|i| (targets[i], weights.get(i))));
+            run.extend((read..end).map(|i| (targets[i], weight(weights, i))));
             if !two_runs {
                 run.sort_unstable();
             }
@@ -433,10 +398,10 @@ fn normalize<W: RowWeights + ?Sized>(
                 let next = if take_second { second[j] } else { first[i] };
                 i += usize::from(!take_second);
                 j += usize::from(take_second);
-                write = keep(targets, weights, vertex, start, write, next);
+                write = keep::<WEIGHTED>(targets, weights, vertex, start, write, next);
             }
             for &next in first[i..].iter().chain(&second[j..]) {
-                write = keep(targets, weights, vertex, start, write, next);
+                write = keep::<WEIGHTED>(targets, weights, vertex, start, write, next);
             }
         }
         read = end;
@@ -449,9 +414,9 @@ fn normalize<W: RowWeights + ?Sized>(
 /// it is a loop or repeats the last target, whose weight then becomes
 /// the lesser. Returns the row's new end.
 #[inline]
-fn keep<W: RowWeights + ?Sized>(
+fn keep<const WEIGHTED: bool>(
     targets: &mut [VertexId],
-    weights: &mut W,
+    weights: &mut [Weight],
     v: VertexId,
     start: usize,
     write: usize,
@@ -461,30 +426,39 @@ fn keep<W: RowWeights + ?Sized>(
         return write;
     }
     if write > start && targets[write - 1] == t {
-        weights.set(write - 1, weights.get(write - 1).min(w));
+        if WEIGHTED {
+            weights[write - 1] = weights[write - 1].min(w);
+        }
         return write;
     }
     targets[write] = t;
-    weights.set(write, w);
+    if WEIGHTED {
+        weights[write] = w;
+    }
     write + 1
 }
 
 /// Sorts `targets[row]` in place, weights moving with their targets.
-fn insertion_sort<W: RowWeights + ?Sized>(
+fn insertion_sort<const WEIGHTED: bool>(
     targets: &mut [VertexId],
-    weights: &mut W,
+    weights: &mut [Weight],
     row: Range<usize>,
 ) {
     for i in row.start + 1..row.end {
-        let (t, w) = (targets[i], weights.get(i));
+        let t = targets[i];
+        let w = if WEIGHTED { weights[i] } else { 0 };
         let mut j = i;
         while j > row.start && targets[j - 1] > t {
             targets[j] = targets[j - 1];
-            weights.set(j, weights.get(j - 1));
+            if WEIGHTED {
+                weights[j] = weights[j - 1];
+            }
             j -= 1;
         }
         targets[j] = t;
-        weights.set(j, w);
+        if WEIGHTED {
+            weights[j] = w;
+        }
     }
 }
 
@@ -780,7 +754,7 @@ mod tests {
     fn normalize_rows_equals_the_naive_simple_form_on_every_row_shape() {
         // Long rows of each shape: two runs repeating targets across
         // them (merged), rising with a loop (compacted in place), rising
-        // after rows that dropped entries (moved down), three runs
+        // after rows that dropped entries (compacted down), three runs
         // (sorted); then short rows, one out of order.
         let rows: [Vec<VertexId>; 6] = [
             (1..20).chain((2..30).step_by(3)).collect(),

@@ -120,7 +120,7 @@ proptest! {
     /// Build-order invariance: a multigraph with loops and repeats builds
     /// the same graph, weighted or not, from its list as generated (rows
     /// out of order: sorted in place or in the row buffer), sorted with
-    /// its loops and repeats (rows in order, compacted or moved down), as
+    /// its loops and repeats (rows in order, compacted), as
     /// `EdgeList::dedup` leaves it (strictly increasing and loop-free:
     /// the directed build's presorted skip, and rows of two runs for the
     /// undirected merge) and shuffled. The lists are dense enough for
