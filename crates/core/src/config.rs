@@ -33,7 +33,8 @@ pub enum ExecMode {
     /// Single-threaded reference path.
     #[default]
     Serial,
-    /// Multi-threaded path over a persistent worker pool.
+    /// The serial path with the ballot filter's |V|-wide metadata scan
+    /// partitioned over a persistent worker pool.
     Parallel {
         /// Worker count; `0` resolves to the machine's available
         /// parallelism at run time.

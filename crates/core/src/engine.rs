@@ -31,21 +31,19 @@
 //!
 //! [`crate::config::ExecMode`] selects how the *host* computes an
 //! iteration. `Serial` is the single-threaded reference; `Parallel`
-//! hands the run a [`WorkerPool`] and distributes the task-chunked
-//! steps over it while producing **bit-equal reports** — identical
-//! metadata, logs and simulated cycle counts. The strategies
-//! (documented in `crates/core/README.md`):
+//! hands the run a [`WorkerPool`] while producing **bit-equal
+//! reports** — identical metadata, logs and simulated cycle counts.
+//! The strategies (documented in `crates/core/README.md`):
 //!
-//! * *Push compute runs the serial kernel.* A push iteration is
-//!   [`Engine::serial_unit`] on the submitting thread in both modes,
-//!   so it is the reference by construction — host edge meter
-//!   ([`RunReport::edges_examined`]) included.
-//! * *Pull compute, classification, candidate sweeps, degree sums and
-//!   the ballot scan are task-chunked.* Contiguous chunks concatenated
-//!   in worker order reproduce the serial order exactly; parallel
-//!   pull's deferred metadata writes, changed entries and online-filter
-//!   records are merged in that order, reproducing bin contents and
-//!   overflow behaviour exactly.
+//! * *Every step but the ballot scan runs the serial code.* Degree
+//!   sum, classification, candidate sweeps and the push and pull
+//!   kernels ([`Engine::serial_unit`]) run on the submitting thread in
+//!   both modes, so they are the reference by construction — host edge
+//!   meter ([`RunReport::edges_examined`]) included.
+//! * *The ballot scan is partitioned.* Under `Parallel` the |V|-wide
+//!   scan of [`Run::filter`] runs on the pool, one range of whole
+//!   occupancy words per worker; the workers' actives concatenated in
+//!   worker order are the serial scan's list.
 //! * *Costs are streamed, and the sums commute.* No sweep stores a
 //!   per-task [`Cost`]: before a sweep the engine opens the arena's
 //!   [`KernelCharge`] with the sweep's task count
@@ -53,9 +51,9 @@
 //!   it goes (or one closed-form `uniform` run for identical tasks),
 //!   and [`GpuExecutor::commit`] folds it into the statistics. Task `i`
 //!   lands on slot `i % active_slots` and everything accumulated is a
-//!   `u64` sum, so a worker that owns tasks `[t0, t1)` charges its own
-//!   accumulator opened at `t0` and the submitter adds the parts in —
-//!   no ordering argument needed.
+//!   `u64` sum, so a ballot worker that owns chunks `[t0, t1)` charges
+//!   its own accumulator opened at `t0` and the submitter adds the
+//!   parts in — no ordering argument needed.
 //!
 //! # The changed set
 //!
@@ -63,15 +61,14 @@
 //! is one structure, [`ChangedSet`] (a bitmap *and* the list of marked
 //! vertices), owned by `frontier.rs`; the engine only calls it. Every
 //! compute kernel asks it `is_first(v)` before an apply and `mark(v)`s
-//! after a first change (parallel pull workers only test it, and the
-//! submitter marks their deferred entries). At the end of the
-//! iteration the ballot filter (when it runs)
+//! after a first change. At the end of the iteration the ballot filter
+//! (when it runs)
 //! skips the set's all-zero occupancy words unless the iteration was
 //! dense, and `publish` copies the changed cells into `metadata_prev`
 //! by list walk or word sweep — both choices read nothing but the
 //! changed count and `|V|`, so serial, parallel and resumed runs pick
 //! alike. Aggregation-pull candidates are deduplicated through a second
-//! bitmap whose drain *is* the sorted candidate list; on a dense serial
+//! bitmap whose drain *is* the sorted candidate list; on a dense
 //! iteration that bitmap holds the frontier instead, and a sweep over
 //! every vertex's in-edges finds the same list in the same order.
 //!
@@ -83,22 +80,21 @@
 //! ([`Engine::vote_candidates`]) — walk them in 32-vertex chunks (one
 //! warp of ballot lanes, half a bitmap word) through fixed-width lane
 //! loops the compiler can vectorize, finishing a partial tail scalar;
-//! every parallel partition over metadata falls on chunk boundaries
-//! (the ballot scan's on word boundaries) so no worker ever splits a
-//! chunk. The candidate sweep classifies each
-//! candidate into its worklist as it finds it.
+//! the parallel ballot scan's partitions fall on occupancy-word
+//! boundaries, so no worker ever splits a chunk. The candidate sweep
+//! classifies each candidate into its worklist as it finds it.
 
 use crate::acc::{AccProgram, CombineKind, DirectionCtx};
 use crate::checkpoint::{RunCheckpoint, RunState};
 use crate::config::{DirectionPolicy, EngineConfig};
 use crate::error::SimdxError;
 use crate::filters::{ballot, online, FilterKind};
-use crate::frontier::{ChangedSet, ClassifyThresholds, ThreadBins, Worklists, WORD_BITS};
+use crate::frontier::{ChangedSet, ThreadBins, WORD_BITS};
 use crate::fusion::{FusionPlan, KernelRole};
 use crate::jit::{IterationRecord, JitController};
 use crate::metrics::{RunReport, RunResult};
-use crate::par::{chunk_range, chunk_range_aligned, WorkerPool};
-use crate::scratch::{IterScratch, RecordEntry, WorkerScratch};
+use crate::par::{chunk_range_aligned, WorkerPool};
+use crate::scratch::IterScratch;
 use crate::supervise::{Supervisor, POLL_STRIDE};
 use simdx_gpu::{Cost, GpuExecutor, KernelCharge, SchedUnit, WARP_SIZE};
 use simdx_graph::csr::{Csr, Direction};
@@ -167,9 +163,6 @@ struct Run<'a, 'o, P: AccProgram> {
     /// `state.meta` is `metadata_curr`.
     state: RunState<P::Meta>,
     prev: Vec<P::Meta>,
-    /// Parallel pull's deferred metadata writes, one list per worker
-    /// (disjoint vertices), allocated by the run's first parallel pull.
-    writebacks: Vec<Vec<(VertexId, P::Meta)>>,
 }
 
 /// What [`Run::direction`] decides for one iteration and the later
@@ -204,8 +197,8 @@ impl<P: AccProgram> Engine<P> {
             // resumable from here.
             run.capture();
             run.limits()?;
-            let it = run.direction()?;
-            run.worklists(&it)?;
+            let it = run.direction();
+            run.worklists(&it);
             run.compute(&it)?;
             let filter = run.filter(&it)?;
             run.publish(&it, filter);
@@ -289,7 +282,6 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
             jit: JitController::new(config.filter),
             prev: state.meta.clone(),
             state,
-            writebacks: Vec::new(),
         }
     }
 
@@ -326,24 +318,11 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
 
     /// Step 1: the frontier's out-degree volume, then the program's
     /// hint or the heuristic.
-    fn direction(&mut self) -> Result<IterFacts, SimdxError> {
-        let (state, threads) = (&self.state, self.threads);
+    fn direction(&self) -> IterFacts {
+        let state = &self.state;
         let out_csr = self.graph.out();
         let frontier = &state.frontier;
-        let degree_sum: u64 = match self.ctx.pool {
-            None => frontier.iter().map(|&v| out_csr.degree(v) as u64).sum(),
-            Some(pool) => {
-                let workers = &mut self.ctx.scratch.workers;
-                pool.try_for_each_worker(workers, |w, ws| {
-                    let (lo, hi) = chunk_range(frontier.len(), threads, w);
-                    ws.degree_sum = frontier[lo..hi]
-                        .iter()
-                        .map(|&v| out_csr.degree(v) as u64)
-                        .sum();
-                })?;
-                workers.iter().map(|ws| ws.degree_sum).sum()
-            }
-        };
+        let degree_sum: u64 = frontier.iter().map(|&v| out_csr.degree(v) as u64).sum();
         let ctx = DirectionCtx {
             iteration: state.iteration,
             frontier_len: frontier.len() as u64,
@@ -356,36 +335,30 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
             .program
             .direction(&ctx)
             .unwrap_or_else(|| Engine::heuristic_direction(self.program, self.config, &ctx));
-        Ok(IterFacts {
+        IterFacts {
             dir,
             degree_sum,
             cycles_before: self.executor.stats().total_cycles,
-        })
+        }
     }
 
     /// Step 2. Push mode expands the frontier itself; pull mode
     /// recomputes every candidate vertex.
-    fn worklists(&mut self, it: &IterFacts) -> Result<(), SimdxError> {
-        let (program, pool, threads) = (self.program, self.ctx.pool, self.threads);
+    fn worklists(&mut self, it: &IterFacts) {
+        let program = self.program;
         let thresholds = self.config.thresholds;
         let IterScratch {
             lists,
             cands,
             charge,
             cand_bits,
-            workers,
             ..
         } = &mut *self.ctx.scratch;
         let (frontier, curr) = (&self.state.frontier, self.state.meta.as_slice());
         let scan_csr = self.graph.csr(it.dir);
         if it.dir == Direction::Push {
-            match pool {
-                None => lists.classify_into(frontier, scan_csr, thresholds),
-                Some(pool) => Engine::<P>::classify_parallel(
-                    pool, threads, workers, lists, frontier, scan_csr, thresholds,
-                )?,
-            }
-            return Ok(());
+            lists.classify_into(frontier, scan_csr, thresholds);
+            return;
         }
         let n = curr.len();
         let k = self.plan.kernel(it.dir, KernelRole::TaskMgmt);
@@ -397,31 +370,10 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                 // One sweep finds and classifies: each candidate goes
                 // straight into its worklist, no candidate list in
                 // between.
-                match pool {
-                    None => {
-                        lists.clear();
-                        Engine::vote_candidates(program, curr, 0, n, |v| {
-                            lists.classify_one(v, scan_csr, thresholds)
-                        });
-                    }
-                    Some(pool) => {
-                        // Partition on chunk boundaries so no worker's
-                        // fixed-width sweep splits a chunk (merged
-                        // chunks in worker order are the serial order
-                        // either way).
-                        pool.try_for_each_worker(workers, |w, ws| {
-                            ws.lists.clear();
-                            let (lo, hi) = chunk_range_aligned(n, threads, w, WARP_SIZE);
-                            Engine::vote_candidates(program, curr, lo, hi, |v| {
-                                ws.lists.classify_one(v, scan_csr, thresholds)
-                            });
-                        })?;
-                        lists.clear();
-                        for ws in workers.iter() {
-                            lists.append(&ws.lists);
-                        }
-                    }
-                }
+                lists.clear();
+                Engine::vote_candidates(program, curr, |v| {
+                    lists.classify_one(v, scan_csr, thresholds)
+                });
                 // Candidate scan: a coalesced metadata sweep of
                 // |V| / 32 identical warp tasks, charged in closed
                 // form.
@@ -429,7 +381,6 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                 self.executor.begin(charge, k, SchedUnit::Warp, chunks);
                 charge.uniform(&Engine::<P>::vote_scan_cost(), chunks as u64);
                 self.executor.commit(charge, false);
-                Ok(())
             }
             // Aggregation programs must visit every in-edge of a
             // recomputed vertex, so task management restricts
@@ -443,7 +394,7 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                 // sweep visits it.
                 self.executor
                     .begin(charge, k, SchedUnit::Warp, frontier.len());
-                if pool.is_none() && it.degree_sum >= BOTTOM_UP_VOLUME * n as u64 {
+                if it.degree_sum >= BOTTOM_UP_VOLUME * n as u64 {
                     // Bottom-up: the frontier goes into the bitmap and
                     // every candidate with an in-neighbour there is
                     // classified as the sweep finds it — the drained
@@ -465,61 +416,22 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                     }
                     cand_bits.clear_all();
                     self.executor.commit(charge, false);
-                    return Ok(());
+                    return;
                 }
                 // Candidate dedup is a bit test, and draining the
                 // bitmap yields the sorted candidate list with no sort.
-                match pool {
-                    None => {
-                        for &v in frontier {
-                            let nbrs = out_csr.neighbors(v);
-                            for &u in nbrs {
-                                if !cand_bits.test(u)
-                                    && program.pull_candidate(u, &curr[u as usize])
-                                {
-                                    cand_bits.set(u);
-                                }
-                            }
-                            charge.task(&Engine::<P>::mark_cost(nbrs.len()));
+                for &v in frontier {
+                    let nbrs = out_csr.neighbors(v);
+                    for &u in nbrs {
+                        if !cand_bits.test(u) && program.pull_candidate(u, &curr[u as usize]) {
+                            cand_bits.set(u);
                         }
                     }
-                    Some(pool) => {
-                        let whole = &*charge;
-                        pool.try_for_each_worker(workers, |w, ws| {
-                            ws.cands.clear();
-                            let (lo, hi) = chunk_range(frontier.len(), threads, w);
-                            ws.charge.begin_part(whole, lo);
-                            for &v in &frontier[lo..hi] {
-                                let nbrs = out_csr.neighbors(v);
-                                for &u in nbrs {
-                                    if program.pull_candidate(u, &curr[u as usize]) {
-                                        ws.cands.push(u);
-                                    }
-                                }
-                                ws.charge.task(&Engine::<P>::mark_cost(nbrs.len()));
-                            }
-                        })?;
-                        // Workers may discover the same candidate from
-                        // different frontier chunks; merging through
-                        // the bitmap reproduces the serial
-                        // deduplicated set.
-                        for ws in workers.iter() {
-                            for &u in &ws.cands {
-                                cand_bits.set(u);
-                            }
-                            charge.absorb(&ws.charge);
-                        }
-                    }
+                    charge.task(&Engine::<P>::mark_cost(nbrs.len()));
                 }
                 cand_bits.drain_into(cands);
                 self.executor.commit(charge, false);
-                match pool {
-                    None => lists.classify_into(cands, scan_csr, thresholds),
-                    Some(pool) => Engine::<P>::classify_parallel(
-                        pool, threads, workers, lists, cands, scan_csr, thresholds,
-                    )?,
-                }
-                Ok(())
+                lists.classify_into(cands, scan_csr, thresholds);
             }
         }
     }
@@ -541,10 +453,8 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
             charge,
             changed,
             bins,
-            workers,
             ..
         } = &mut *self.ctx.scratch;
-        let writebacks = &mut self.writebacks;
         let scan_csr = self.graph.csr(dir);
         // An ascending frontier (the first one, or a ballot filter's):
         // push tasks read their source coalesced.
@@ -569,45 +479,23 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
             let kernel = self.plan.kernel(dir, KernelRole::Compute(unit));
             let width = unit.threads(config.threads_per_cta) as u64;
             self.executor.begin(charge, kernel, unit, list.len());
-            match (self.ctx.pool, dir) {
-                // Push runs the serial kernel in both exec modes.
-                (None, _) | (Some(_), Direction::Push) => Engine::serial_unit(
-                    program,
-                    dir,
-                    list,
-                    scan_csr,
-                    prev,
-                    curr,
-                    bins,
-                    changed,
-                    charge,
-                    record,
-                    width,
-                    task_base,
-                    frontier_sorted,
-                    edges_examined,
-                    sup,
-                ),
-                (Some(pool), Direction::Pull) => Engine::pull_unit_parallel(
-                    program,
-                    pool,
-                    self.threads,
-                    workers,
-                    writebacks,
-                    list,
-                    scan_csr,
-                    prev,
-                    curr,
-                    changed,
-                    bins,
-                    charge,
-                    record,
-                    width,
-                    task_base,
-                    edges_examined,
-                    sup,
-                )?,
-            }
+            Engine::serial_unit(
+                program,
+                dir,
+                list,
+                scan_csr,
+                prev,
+                curr,
+                bins,
+                changed,
+                charge,
+                record,
+                width,
+                task_base,
+                frontier_sorted,
+                edges_examined,
+                sup,
+            );
             self.executor.commit(charge, launch);
             task_base += list.len() as u64;
         }
@@ -680,6 +568,7 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                     None => scan(0, n, next, charge),
                     Some(pool) => {
                         let whole = &*charge;
+                        // The one step `Parallel` runs on the pool.
                         // Partition on occupancy-word (64) boundaries,
                         // so every worker's range covers whole words
                         // and whole warp chunks.
@@ -732,20 +621,14 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
 }
 
 impl<P: AccProgram> Engine<P> {
-    /// Hands the pull-vote candidates in `[lo, hi)` of the metadata
-    /// sweep to `found`, in ascending order: full 32-vertex chunks go
-    /// through `[M; 32]` windows with a fixed-width lane loop (the
-    /// candidate-scan analogue of [`ballot::scan_range_chunked`]), the
-    /// partial tail is finished scalar.
-    fn vote_candidates(
-        program: &P,
-        curr: &[P::Meta],
-        lo: usize,
-        hi: usize,
-        mut found: impl FnMut(VertexId),
-    ) {
-        let mut base = lo;
-        let mut rest = &curr[lo..hi];
+    /// Hands the pull-vote candidates of the metadata sweep to `found`,
+    /// in ascending order: full 32-vertex chunks go through `[M; 32]`
+    /// windows with a fixed-width lane loop (the candidate-scan
+    /// analogue of [`ballot::scan_range_chunked`]), the partial tail is
+    /// finished scalar.
+    fn vote_candidates(program: &P, curr: &[P::Meta], mut found: impl FnMut(VertexId)) {
+        let mut base = 0;
+        let mut rest = curr;
         while let Some((chunk, tail)) = rest.split_first_chunk::<WARP_SIZE>() {
             for (lane, m) in chunk.iter().enumerate() {
                 let v = (base + lane) as VertexId;
@@ -762,28 +645,6 @@ impl<P: AccProgram> Engine<P> {
                 found(v);
             }
         }
-    }
-
-    /// Parallel worklist classification: contiguous chunks per worker,
-    /// merged in worker order (which *is* the serial order).
-    fn classify_parallel(
-        pool: &WorkerPool,
-        threads: usize,
-        workers: &mut [WorkerScratch],
-        lists: &mut Worklists,
-        active: &[VertexId],
-        csr: &Csr,
-        thresholds: ClassifyThresholds,
-    ) -> Result<(), SimdxError> {
-        pool.try_for_each_worker(workers, |w, ws| {
-            let (lo, hi) = chunk_range(active.len(), threads, w);
-            ws.lists.classify_into(&active[lo..hi], csr, thresholds);
-        })?;
-        lists.clear();
-        for ws in workers.iter() {
-            lists.append(&ws.lists);
-        }
-        Ok(())
     }
 
     /// The serial compute-kernel loop over one worklist. Each task's
@@ -845,82 +706,6 @@ impl<P: AccProgram> Engine<P> {
             };
             charge.task(&cost);
         }
-    }
-
-    /// One pull-mode compute-kernel loop, task-chunked: pull tasks are
-    /// independent (candidate vertices are unique and sources read the
-    /// `prev` snapshot), so workers own contiguous task ranges and the
-    /// engine applies their deferred writebacks and replays their
-    /// records in worker (= task) order. Each worker charges its range
-    /// into its own part of `charge`, absorbed here.
-    #[allow(clippy::too_many_arguments)]
-    fn pull_unit_parallel(
-        program: &P,
-        pool: &WorkerPool,
-        threads: usize,
-        workers: &mut [WorkerScratch],
-        writebacks: &mut Vec<Vec<(VertexId, P::Meta)>>,
-        list: &[VertexId],
-        csr: &Csr,
-        prev: &[P::Meta],
-        curr: &mut [P::Meta],
-        changed: &mut ChangedSet,
-        bins: &mut ThreadBins,
-        charge: &mut KernelCharge,
-        record: bool,
-        width: u64,
-        task_base: u64,
-        examined: &mut u64,
-        sup: &Supervisor,
-    ) -> Result<(), SimdxError> {
-        writebacks.resize_with(threads, Vec::new);
-        {
-            let (curr, whole, changed) = (&*curr, &*charge, &*changed);
-            pool.try_for_each_worker_zip(workers, writebacks, |w, ws, wb| {
-                ws.changed.clear();
-                ws.records.clear();
-                wb.clear();
-                ws.edges_examined = 0;
-                let (t0, t1) = chunk_range(list.len(), threads, w);
-                ws.charge.begin_part(whole, t0);
-                for (t, &v) in list.iter().enumerate().take(t1).skip(t0) {
-                    if (t - t0) % POLL_STRIDE == 0 && sup.poll() {
-                        break;
-                    }
-                    let task_counter = task_base + t as u64;
-                    let cost = Self::pull_task_collect(
-                        program,
-                        v,
-                        csr,
-                        prev,
-                        curr,
-                        changed,
-                        ws,
-                        wb,
-                        record,
-                        width,
-                        task_counter,
-                    );
-                    ws.charge.task(&cost);
-                }
-            })?;
-        }
-        for (ws, wb) in workers.iter().zip(writebacks.iter()) {
-            *examined += ws.edges_examined;
-            for &(v, new) in wb {
-                curr[v as usize] = new;
-            }
-            // Pull tasks touch disjoint candidate vertices, so the
-            // deferred changed entries merge without dedup.
-            for &v in &ws.changed {
-                changed.mark(v);
-            }
-            for r in &ws.records {
-                bins.record(r.slot, r.v);
-            }
-            charge.absorb(&ws.charge);
-        }
-        Ok(())
     }
 
     /// Frontier-volume direction heuristic (Beamer-style): pull when the
@@ -1128,7 +913,17 @@ impl<P: AccProgram> Engine<P> {
         task_counter: u64,
         examined: &mut u64,
     ) -> Cost {
-        let (scanned, acc) = Self::pull_gather(program, v, csr, prev, curr);
+        let (lo, hi) = csr.range(v);
+        let targets = &csr.targets()[lo..hi];
+        // Weighted/unweighted split once per task (the per-edge
+        // weights-option branch is hoisted out of the gather loop).
+        let (scanned, acc) = match csr.weights() {
+            None => Self::pull_gather_edges(program, v, targets, |_| 1, prev, curr),
+            Some(ws) => {
+                let ws = &ws[lo..hi];
+                Self::pull_gather_edges(program, v, targets, |k| ws[k], prev, curr)
+            }
+        };
         *examined += scanned;
         let mut applied = 0u64;
         if let Some(up) = acc {
@@ -1147,70 +942,10 @@ impl<P: AccProgram> Engine<P> {
         Self::pull_cost(scanned, applied, width)
     }
 
-    /// The pull-task variant for parallel workers: the same gather, but
-    /// the metadata write (into `writebacks`), changed entry and filter
-    /// record (into the worker's scratch) are deferred for
-    /// deterministic merging.
-    #[allow(clippy::too_many_arguments)]
-    fn pull_task_collect(
-        program: &P,
-        v: VertexId,
-        csr: &Csr,
-        prev: &[P::Meta],
-        curr: &[P::Meta],
-        changed: &ChangedSet,
-        ws: &mut WorkerScratch,
-        writebacks: &mut Vec<(VertexId, P::Meta)>,
-        record: bool,
-        width: u64,
-        task_counter: u64,
-    ) -> Cost {
-        let (scanned, acc) = Self::pull_gather(program, v, csr, prev, curr);
-        ws.edges_examined += scanned;
-        let mut applied = 0u64;
-        if let Some(up) = acc {
-            let first_change = changed.is_first(v);
-            if let Some(new) = program.apply(v, &curr[v as usize], up) {
-                writebacks.push((v, new));
-                applied = 1;
-                if first_change {
-                    ws.changed.push(v);
-                    if record && program.activates(v, &new) {
-                        ws.records.push(RecordEntry {
-                            slot: (task_counter * width) as usize,
-                            v,
-                        });
-                    }
-                }
-            }
-        }
-        Self::pull_cost(scanned, applied, width)
-    }
-
-    /// The shared gather loop of both pull-task variants: scans `v`'s
-    /// in-edges combining updates, with collaborative early termination
-    /// for voting combines. Returns (edges scanned, combined update).
-    fn pull_gather(
-        program: &P,
-        v: VertexId,
-        csr: &Csr,
-        prev: &[P::Meta],
-        curr: &[P::Meta],
-    ) -> (u64, Option<P::Update>) {
-        let (lo, hi) = csr.range(v);
-        let targets = &csr.targets()[lo..hi];
-        // Weighted/unweighted split once per task (the per-edge
-        // weights-option branch is hoisted out of the gather loop).
-        match csr.weights() {
-            None => Self::pull_gather_edges(program, v, targets, |_| 1, prev, curr),
-            Some(ws) => {
-                let ws = &ws[lo..hi];
-                Self::pull_gather_edges(program, v, targets, |k| ws[k], prev, curr)
-            }
-        }
-    }
-
-    /// The gather loop itself, monomorphized per weight provider.
+    /// The gather loop of a pull task, monomorphized per weight
+    /// provider: scans `v`'s in-edges combining updates, with
+    /// collaborative early termination for voting combines. Returns
+    /// (edges scanned, combined update).
     #[inline]
     fn pull_gather_edges(
         program: &P,

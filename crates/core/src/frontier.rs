@@ -355,15 +355,6 @@ impl Worklists {
         self.large.clear();
     }
 
-    /// Appends another set of worklists (used to merge per-worker
-    /// classification results in worker order, which reproduces the
-    /// serial order because workers own contiguous chunks).
-    pub(crate) fn append(&mut self, other: &Self) {
-        self.small.extend_from_slice(&other.small);
-        self.med.extend_from_slice(&other.med);
-        self.large.extend_from_slice(&other.large);
-    }
-
     /// Total entries across the three lists.
     pub(crate) fn len(&self) -> u64 {
         (self.small.len() + self.med.len() + self.large.len()) as u64

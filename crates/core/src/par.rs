@@ -1,11 +1,11 @@
 //! Deterministic host-side parallel runtime for the engine.
 //!
-//! The engine's per-iteration hot path (worklist classification, the
-//! three pull compute-kernel task loops, the pull-candidate sweeps and
-//! the warp-chunked ballot scan) is data-parallel, but the *report* must be
-//! bit-equal to the serial engine: identical metadata, identical bins,
-//! identical simulated cycle counts. The runtime here provides the two
-//! building blocks that make that possible:
+//! Under `ExecMode::Parallel` the engine runs one step of an iteration
+//! here: the ballot filter's |V|-wide metadata scan. Every other step
+//! runs the serial code on the submitting thread. The *report* must be
+//! bit-equal to the serial engine: identical metadata, identical
+//! frontier, identical simulated cycle counts. The runtime here
+//! provides the two building blocks that make that possible:
 //!
 //! * [`WorkerPool`] — a persistent pool of OS threads executing one
 //!   shared closure per parallel region, indexed by worker id. The
@@ -14,8 +14,8 @@
 //!   run (no per-region spawn cost).
 //! * `chunk_range` — the static, contiguous partition both modes use.
 //!   Contiguous chunks concatenated in worker order reproduce the serial
-//!   processing order exactly; every parallel stage in the engine merges
-//!   its per-worker output that way.
+//!   processing order exactly; the ballot scan merges its per-worker
+//!   actives that way.
 //!
 //! Worker closures are `Fn(usize) + Sync` borrowed for the duration of
 //! one [`WorkerPool::run`] call. Mutable state is handed out through
@@ -26,7 +26,7 @@
 //! Only [`WorkerPool::new`] / [`WorkerPool::run`] and [`WorkerPanic`]
 //! are public API (plus [`WorkerPool::try_run`] and
 //! [`WorkerPool::is_poisoned`], which the interleaving harness drives);
-//! the engine's per-worker regions, the partition helpers and
+//! the engine's per-worker region, the partition helpers and
 //! `SliceShards` are crate-internal.
 
 //! Worker panics are *contained*: [`WorkerPool::try_run`] catches a
@@ -90,8 +90,8 @@ pub(crate) fn chunk_range(len: usize, parts: usize, w: usize) -> (usize, usize) 
 /// [`chunk_range`] with boundaries rounded to `align` multiples (the
 /// final fence clamps to `len`): partitions `ceil(len / align)` whole
 /// units, so no worker range ever splits a unit. The engine uses this
-/// to keep ballot-scan and candidate-sweep partitions on 32-vertex
-/// warp chunks and bitmap partitions on 64-vertex words.
+/// to keep ballot-scan partitions on 64-vertex occupancy words (two
+/// 32-vertex warp chunks each).
 pub(crate) fn chunk_range_aligned(
     len: usize,
     parts: usize,
@@ -195,29 +195,6 @@ impl WorkerPool {
             // SAFETY: each worker index runs exactly once per region.
             let (_, slot) = unsafe { slots.shard(w) };
             f(w, &mut slot[0]);
-        })
-    }
-
-    /// [`Self::try_for_each_worker`] over two slot slices at once:
-    /// `f(w, &mut a[w], &mut b[w])` (both `len()` must equal
-    /// [`Self::threads`]).
-    pub(crate) fn try_for_each_worker_zip<T: Send, U: Send>(
-        &self,
-        a: &mut [T],
-        b: &mut [U],
-        f: impl Fn(usize, &mut T, &mut U) + Sync,
-    ) -> Result<(), WorkerPanic> {
-        // `SliceShards::new` checks both lengths against the fences.
-        let (a, b) = (
-            SliceShards::new(a, &self.unit_fences),
-            SliceShards::new(b, &self.unit_fences),
-        );
-        self.try_run(&|w| {
-            // SAFETY: each worker index runs exactly once per region.
-            let (_, t) = unsafe { a.shard(w) };
-            // SAFETY: same claim, second slot slice.
-            let (_, u) = unsafe { b.shard(w) };
-            f(w, &mut t[0], &mut u[0]);
         })
     }
 
@@ -620,15 +597,18 @@ mod tests {
 
         let rebuilt = WorkerPool::new(pool.threads());
         drop(pool);
-        let mut partial = vec![0u64; 4];
+        let partial = Mutex::new(vec![0u64; 4]);
         rebuilt
-            .try_for_each_worker(&mut partial, |w, slot| {
+            .try_run(&|w| {
                 let (lo, hi) = chunk_range(data.len(), 4, w);
-                *slot = data[lo..hi].iter().sum();
+                partial.lock().expect("lock")[w] = data[lo..hi].iter().sum();
             })
             .expect("rebuilt pool is clean");
         assert!(!rebuilt.is_poisoned());
-        assert_eq!(partial.iter().sum::<u64>(), serial_sum);
+        assert_eq!(
+            partial.lock().expect("lock").iter().sum::<u64>(),
+            serial_sum
+        );
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //! on iteration-heavy graphs (road networks, long paths) the allocator
 //! dominated the host profile. [`IterScratch`] owns all of those
 //! buffers for the lifetime of one engine run; every iteration clears
-//! in place and refills, and the parallel backend's per-worker
-//! partitions live in [`WorkerScratch`] so the hot path performs no
+//! in place and refills, and the parallel ballot scan's per-worker
+//! outputs live in [`WorkerScratch`] so the hot path performs no
 //! allocation in steady state in either exec mode.
 //! No buffer holds per-task costs: the sweeps feed the simulator's
 //! streaming [`KernelCharge`] accumulators (the submitter's and one per
 //! worker, owned here for their slot vectors) as they go.
 //!
-//! No buffer holds metadata either (parallel pull's deferred writes
-//! live in the run), so one arena serves every metadata type.
+//! No buffer holds metadata either, so one arena serves every metadata
+//! type.
 //!
 //! Across runs, the session API pools arenas: a `Runtime` keeps a
 //! capped stash of idle [`IterScratch`] values that every graph bound
@@ -28,45 +28,17 @@ use crate::frontier::{ChangedSet, FrontierBitmap, ThreadBins, Worklists};
 use simdx_gpu::KernelCharge;
 use simdx_graph::VertexId;
 
-/// One online-filter activation record, deferred by a parallel pull
-/// worker and replayed into [`ThreadBins`] in worker order. Workers own
-/// contiguous task ranges, so worker order is the order in which the
-/// serial engine calls `ThreadBins::record`: the replay reproduces the
-/// serial bins (and therefore the same overflow behaviour and the same
-/// concatenated next-frontier) bit for bit.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RecordEntry {
-    /// Simulated-thread bin slot (`ThreadBins::record`'s first arg).
-    pub(crate) slot: usize,
-    /// Recorded vertex.
-    pub(crate) v: VertexId,
-}
-
-/// Per-worker private buffers for one parallel region.
+/// Per-worker private buffers for the parallel ballot scan.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerScratch {
-    /// Classification output (merged in worker order).
-    pub(crate) lists: Worklists,
-    /// Pull-candidate output (merged in worker order).
-    pub(crate) cands: Vec<VertexId>,
+    /// This worker's scan output (active vertices, ascending), merged
+    /// in worker order.
+    pub(crate) active: Vec<VertexId>,
     /// This worker's part of the open kernel charge: opened at its
-    /// first task (`KernelCharge::begin_part`), fed a cost per task,
+    /// first chunk (`KernelCharge::begin_part`), fed a cost per chunk,
     /// absorbed into [`IterScratch::charge`] by the submitter — `u64`
     /// slot sums, so the absorb order is immaterial.
     pub(crate) charge: KernelCharge,
-    /// Pull mode: the vertices this worker changed first this
-    /// iteration, marked in the shared [`ChangedSet`] at merge.
-    pub(crate) changed: Vec<VertexId>,
-    /// Pull mode: deferred online-filter records.
-    pub(crate) records: Vec<RecordEntry>,
-    /// Ballot-scan partition output (active vertices, ascending).
-    pub(crate) active: Vec<VertexId>,
-    /// Degree-sum partial.
-    pub(crate) degree_sum: u64,
-    /// Host edge traversals this worker performed in the last compute
-    /// region (assigned per region, summed into
-    /// [`crate::metrics::RunReport::edges_examined`]).
-    pub(crate) edges_examined: u64,
 }
 
 /// All buffers the engine loop reuses across iterations.
@@ -94,7 +66,8 @@ pub(crate) struct IterScratch {
     /// Next-frontier buffer, swapped with the live frontier each
     /// iteration.
     pub(crate) next: Vec<VertexId>,
-    /// Per-worker partitions (len = worker count; 1 in serial mode).
+    /// Per-worker ballot-scan outputs (len = worker count; 1 in serial
+    /// mode).
     pub(crate) workers: Vec<WorkerScratch>,
 }
 
@@ -136,13 +109,12 @@ impl IterScratch {
     /// graph of `num_vertices` vertices, so an arena serves graphs of
     /// any size in turn (reusing its words; it allocates only to grow).
     ///
-    /// The per-worker partitions are cleared here too. Every parallel
-    /// region clears the fields it uses before writing them, so for a
-    /// run that completes this is redundant — but a run aborted
-    /// mid-region (cancellation, deadline, contained worker panic)
-    /// leaves partial per-worker output behind. Clearing everything at
-    /// the next `execute()` entry makes aborted runs indistinguishable
-    /// from fresh engines.
+    /// The per-worker ballot outputs are cleared here too. The scan
+    /// clears each before writing it, so for a run that completes this
+    /// is redundant — but a run aborted mid-scan (a contained worker
+    /// panic) leaves partial per-worker output behind. Clearing
+    /// everything at the next `execute()` entry makes aborted runs
+    /// indistinguishable from fresh engines.
     pub(crate) fn reset_for_run(&mut self, num_vertices: usize) {
         self.lists.clear();
         self.cands.clear();
@@ -151,13 +123,7 @@ impl IterScratch {
         self.bins.clear();
         self.next.clear();
         for ws in &mut self.workers {
-            ws.lists.clear();
-            ws.cands.clear();
-            ws.changed.clear();
-            ws.records.clear();
             ws.active.clear();
-            ws.degree_sum = 0;
-            ws.edges_examined = 0;
         }
     }
 
@@ -178,13 +144,7 @@ impl IterScratch {
         debug_assert!(!self.bins.overflowed(), "thread-bin overflow flag stuck");
         debug_assert!(self.next.is_empty(), "next-frontier buffer not cleared");
         for (w, ws) in self.workers.iter().enumerate() {
-            debug_assert!(ws.lists.is_empty(), "worker {w} worklists not cleared");
-            debug_assert!(ws.cands.is_empty(), "worker {w} candidates not cleared");
-            debug_assert!(ws.changed.is_empty(), "worker {w} changed list not cleared");
-            debug_assert!(ws.records.is_empty(), "worker {w} records not cleared");
             debug_assert!(ws.active.is_empty(), "worker {w} ballot output not cleared");
-            debug_assert_eq!(ws.degree_sum, 0, "worker {w} degree sum not cleared");
-            debug_assert_eq!(ws.edges_examined, 0, "worker {w} edge meter not cleared");
         }
     }
 }

@@ -1080,6 +1080,13 @@ mod tests {
             self.inner.init(g)
         }
 
+        fn active(&self, v: VertexId, curr: &u32, prev: &u32) -> bool {
+            if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                panic!("transient worker fault");
+            }
+            self.inner.active(v, curr, prev)
+        }
+
         fn compute(
             &self,
             src: VertexId,
@@ -1088,9 +1095,6 @@ mod tests {
             m_src: &u32,
             m_dst: &u32,
         ) -> Option<u32> {
-            if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
-                panic!("transient worker fault");
-            }
             self.inner.compute(src, dst, w, m_src, m_dst)
         }
 
@@ -1115,13 +1119,13 @@ mod tests {
             inner: Levels { src: 0 },
             armed,
         };
-        // Pull compute stays task-chunked on the pool, so under
-        // `FixedPull` the fault lands inside a pool region and poisons
-        // the pool (a push fault would land on the submitting thread,
-        // outside any region).
+        // The ballot scan is the one step `Parallel` runs on the pool,
+        // so under `BallotOnly` a fault in `active` lands inside a pool
+        // region and poisons the pool (a compute fault would land on
+        // the submitting thread, outside any region).
         let cfg = EngineConfig::unscaled()
             .with_exec(ExecMode::Parallel { threads: 3 })
-            .with_direction(DirectionPolicy::FixedPull);
+            .with_filter(FilterPolicy::BallotOnly);
         let runtime = Runtime::new(cfg.clone()).expect("runtime");
         assert_eq!(runtime.pools.idle_pools(), 1, "the pre-spawned pool");
         let bound = runtime.bind(&g);

@@ -177,9 +177,9 @@ impl Supervisor {
 
     /// In-sweep poll: `true` means the sweep should stop early (the
     /// iteration-boundary check will surface the typed error). Called
-    /// every [`POLL_STRIDE`] tasks from the compute loops — including
-    /// from pool workers — so it must stay cheap: with no token and no
-    /// deadline it is a two-branch early-out.
+    /// every [`POLL_STRIDE`] tasks from the compute loops, so it must
+    /// stay cheap: with no token and no deadline it is a two-branch
+    /// early-out.
     #[inline]
     pub(crate) fn poll(&self) -> bool {
         self.polls() && self.tripped().is_some()

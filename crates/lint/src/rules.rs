@@ -15,12 +15,13 @@
 //!   nearby. `std::cmp::Ordering` variants are not atomic orderings and
 //!   are ignored. Test modules are exempt.
 //! * **[env-confined]** — no `std::env` read anywhere in the library
-//!   crates (only the bench/CLI binaries, the lint tool and tests):
+//!   crates (only the bench/CLI binaries, the examples, the lint tool
+//!   and tests):
 //!   the deterministic iteration loop must not grow a hidden
 //!   environment dependence.
 //! * **[clock-confined]** — `Instant::now` / `SystemTime::now` are
-//!   confined to supervision, the service tier and benches, for the
-//!   same reason.
+//!   confined to supervision, the service tier, benches and examples,
+//!   for the same reason.
 //! * **[io-confined]** — `std::fs` / `std::io` access is confined to
 //!   the durable-checkpoint store (`persist.rs`), the bench/CLI
 //!   binaries, the lint tool and tests: the engine loop and the rest
@@ -90,23 +91,26 @@ impl Policy {
         path.starts_with("tests/") || path.contains("/tests/")
     }
 
-    /// [env-confined] allowlist: the bench/CLI binaries and the lint
-    /// tool itself — nothing in `crates/core`. Test files may also
-    /// manipulate the environment (they orchestrate child processes).
+    /// [env-confined] allowlist: the bench/CLI binaries, the examples
+    /// (binaries too) and the lint tool itself — nothing in
+    /// `crates/core`. Test files may also manipulate the environment
+    /// (they orchestrate child processes).
     pub fn env_allowed(path: &str) -> bool {
         path.starts_with("crates/bench/")
             || path.starts_with("crates/lint/")
+            || path.starts_with("examples/")
             || Self::is_test_file(path)
     }
 
     /// [clock-confined] allowlist: supervision (deadlines), the service
-    /// tier (latency accounting), benches and the lint tool. Test files
-    /// measure latency too.
+    /// tier (latency accounting), benches, examples and the lint tool.
+    /// Test files measure latency too.
     pub fn clock_allowed(path: &str) -> bool {
         path == "crates/core/src/supervise.rs"
             || path == "crates/core/src/service.rs"
             || path.starts_with("crates/bench/")
             || path.starts_with("crates/lint/")
+            || path.starts_with("examples/")
             || Self::is_test_file(path)
     }
 
@@ -577,7 +581,7 @@ fn rule_env_clock(fc: &FileCheck<'_>, out: &mut Vec<Finding>) {
                     fc,
                     i,
                     "clock-confined",
-                    "wall-clock read outside supervise/service/bench breaks the determinism \
+                    "wall-clock read outside supervise/service/bench/examples breaks the determinism \
                      contract (thread time through Supervisor instead)"
                         .to_string(),
                 ));
@@ -830,6 +834,20 @@ let b = r#"unsafe { }"#;
         );
         assert!(check("crates/core/src/supervise.rs", clock).is_empty());
         assert!(check("crates/bench/src/bin/simdx.rs", clock).is_empty());
+    }
+
+    #[test]
+    fn examples_are_binaries_for_env_and_clock() {
+        let src = "fn main() { let a = std::env::args(); let t = Instant::now(); }";
+        assert!(check("examples/x.rs", src).is_empty());
+        // `std::env::args` matches both the `std::env` and the bare
+        // `env::args` shape.
+        let mut rules: Vec<_> = check("crates/core/src/x.rs", src)
+            .iter()
+            .map(|f| f.rule)
+            .collect();
+        rules.dedup();
+        assert_eq!(rules, ["env-confined", "clock-confined"]);
     }
 
     #[test]

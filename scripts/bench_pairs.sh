@@ -21,6 +21,15 @@
 # per workload: both medians, their ratio and the pairs the working tree
 # read lower in.
 #
+#   scripts/bench_pairs.sh --layer <prefix> <ref> <workload|all> <seed>...
+#
+# With --layer each run is traced (`--trace 1`, still `--seconds 25`)
+# and, per workload, every per-layer metric whose name starts with
+# <prefix> (or with any of a comma-separated list, say `algos.,par.`)
+# is printed like an end-to-end metric above: both sides' median
+# [q1, q3], the ratio and the pairs the working tree read lower in. A
+# metric the workload leaves unset (zero on both sides) is skipped.
+#
 #   scripts/bench_pairs.sh --ingest <ref> <rounds>
 #
 # With --ingest the pairs are in-process graph builds instead: the
@@ -30,11 +39,12 @@
 # time. It prints, per build, both sides' median of the round medians,
 # their ratio and the rounds the working tree read lower in.
 set -euo pipefail
-rss= ingest=
+rss= ingest= layer=
 if [ "${1:-}" = --rss ]; then rss=1 && shift; fi
 if [ "${1:-}" = --ingest ]; then ingest=1 && shift; fi
+if [ "${1:-}" = --layer ] && [ $# -ge 2 ]; then layer=$2 && shift 2; fi
 if [ -n "$ingest" ]; then want=2; else want=3; fi
-[ $# -ge $want ] || { sed -n '5p;24p' "$0" >&2; exit 2; }
+[ $# -ge $want ] || { sed -n '5p;24p;33p' "$0" >&2; exit 2; }
 ref=$1 workloads=$2
 shift 2
 cd "$(git rev-parse --show-toplevel)"
@@ -91,6 +101,9 @@ run() { # <side> <seed>
   if [ -n "$rss" ]; then
     MALLOC_MMAP_THRESHOLD_=131072 "$out/$1" --workload "$workload" --seed "$2" \
       --seconds 1 --trace 0 --rss-probe >"$out/runs/$workload-$2-$1.rss"
+  elif [ -n "$layer" ]; then
+    "$out/$1" --workload "$workload" --seed "$2" --seconds 25 --trace 1 |
+      tail -n 1 >"$out/runs/$workload-$2-$1.trace.json"
   else
     "$out/$1" --workload "$workload" --seed "$2" --seconds 25 --trace 0 |
       tail -n 1 >"$out/runs/$workload-$2-$1.json"
@@ -122,20 +135,26 @@ EOF
   exit
 fi
 for workload in $workloads; do
-python3 - "$out/runs" "$workload" "$ref" "$@" <<'EOF'
+python3 - "$out/runs" "$workload" "$ref" "$layer" "$@" <<'EOF'
 import json, statistics, sys
-runs, workload, ref, seeds = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
-side = {s: [json.load(open(f"{runs}/{workload}-{x}-{s}.json")) for x in seeds] for s in ("base", "head")}
+runs, workload, ref, layer, seeds = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4], sys.argv[5:]
+kind = ".trace.json" if layer else ".json"
+side = {s: [json.load(open(f"{runs}/{workload}-{x}-{s}{kind}")) for x in seeds] for s in ("base", "head")}
 def cell(xs):
     q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
     return f"{statistics.median(xs):.4g} [{q1:.4g}, {q3:.4g}]"
 print(f"# {workload}, {len(seeds)} pairs, {ref} -> working tree")
 for s, rs in side.items():
     print(f"# {s}: failed {sum(r['failed'] for r in rs):g} of {sum(r['attempted'] for r in rs):g}")
+prefixes = tuple(layer.split(",")) if layer else ("",)
 for name in side["base"][0]["metrics"]:
+    if not name.startswith(prefixes):
+        continue
     a, b = ([r["metrics"][name]["value"] for r in side[s]] for s in ("base", "head"))
+    if not any(a) and not any(b):
+        continue
     wins = sum(y < x for x, y in zip(a, b))
-    ratio = statistics.median(b) / statistics.median(a)
-    print(f"{name:<22} {cell(a)} -> {cell(b)}  {ratio:.3f}x  ({wins}/{len(a)} lower)")
+    ratio = f"{statistics.median(b) / statistics.median(a):.3f}x" if statistics.median(a) else "n/a"
+    print(f"{name:<22} {cell(a)} -> {cell(b)}  {ratio}  ({wins}/{len(a)} lower)")
 EOF
 done

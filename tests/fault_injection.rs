@@ -7,8 +7,8 @@
 //!
 //! | seam | handler |
 //! |---|---|
-//! | `compute`, direction pinned to push / pull | the push / pull sweep (pool worker or submitter) |
-//! | `active`, `FilterPolicy::BallotOnly` | the ballot scan |
+//! | `compute`, direction pinned to push / pull | the push / pull sweep (the submitter, in both exec modes) |
+//! | `active`, `FilterPolicy::BallotOnly` | the ballot scan (pool workers under `ExecMode::Parallel`) |
 //! | `init` | the submitter's `catch_unwind`, after the scratch reset |
 //! | `name`, armed from `observe` | the boundary capture, before it writes the slot |
 //! | `Level::clone` | the restore (`Run::init` copies the restored metadata) |
@@ -34,7 +34,7 @@ use simdx::algos::{Bfs, Sssp};
 use simdx::core::jit::ActivationLog;
 use simdx::core::prelude::*;
 use simdx::graph::gen::Rmat;
-use simdx::graph::{weights, Graph};
+use simdx::graph::{weights, EdgeList, Graph};
 use simdx_gpu::executor::ExecutorStats;
 
 mod support;
@@ -129,6 +129,46 @@ fn pull_sweep_faults_are_contained_in_both_exec_modes() {
 }
 
 #[test]
+fn parallel_is_not_silently_serial() {
+    // The ballot scan is the one step `Parallel` runs on the pool, one
+    // range of whole occupancy words per worker. On a 300-vertex path
+    // with a chord 0 -> 299, the first iteration changes vertices 1 and
+    // 299, so the scan reads `active` at 299, in the last of five
+    // words: worker 2's range of three. A fault there must report that
+    // worker, where the serial scan reports the submitter.
+    let n = 300u32;
+    let mut pairs: Vec<_> = (0..n - 1).map(|i| (i, i + 1)).collect();
+    pairs.push((0, n - 1));
+    let g = Graph::directed_from_edges(EdgeList::from_pairs(pairs));
+    let seam = Seam::ActiveAt(n - 1);
+    for (exec, worker) in [
+        (ExecMode::Parallel { threads: 3 }, 2),
+        (ExecMode::Serial, 0),
+    ] {
+        let cfg = EngineConfig::default()
+            .with_exec(exec)
+            .with_filter(FilterPolicy::BallotOnly)
+            .with_direction(DirectionPolicy::FixedPush);
+        let runtime = Runtime::new(cfg).expect("runtime");
+        let program = Faulty::new(Bfs::new(0), seam, Action::Panic);
+        let err = runtime
+            .bind(&g)
+            .run(program.clone())
+            .execute()
+            .expect_err("the fault must abort the run");
+        assert!(
+            program.struck(),
+            "{exec:?}: the scan never read the last vertex"
+        );
+        assert_eq!(panic_payload(&err), seam.payload(), "{exec:?}");
+        assert!(
+            matches!(err, SimdxError::WorkerPanicked { worker: w, .. } if w == worker),
+            "{exec:?}: expected worker {worker}: {err:?}"
+        );
+    }
+}
+
+#[test]
 fn sssp_recovers_bit_equal_after_a_push_fault() {
     // A second algorithm through the same harness: SSSP's aggregation
     // combine exercises the dirty-stamp path the recovery run must
@@ -161,9 +201,9 @@ fn a_push_panic_deep_into_a_run_leaves_no_charge_behind() {
     // times, and while one of them is open for the sweep that dies.
     // Push runs the serial kernel in both exec modes, so in the
     // parallel cells too the panic unwinds the submitting thread
-    // mid-sweep, with the pool idle and the parallel classification's
-    // per-worker output left behind. Whatever they hold must not reach
-    // the next query.
+    // mid-sweep, with the pool idle and the open charge, the partial
+    // thread bins and the half-marked changed set left behind.
+    // Whatever they hold must not reach the next query.
     let g = rmat_graph();
     for (label, cfg) in config_matrix() {
         let cfg = cfg.with_direction(DirectionPolicy::FixedPush);

@@ -163,7 +163,9 @@ fn grid_push_is_work_optimal() {
     // examines and what every `IterationRecord` logs). A parallel run
     // pushes through the same serial kernel and must examine exactly
     // that too — one traversal of each frontier edge per iteration,
-    // regardless of the worker count.
+    // regardless of the worker count. (The name is that of the deleted
+    // destination-sharded grid push this once guarded; it stays under
+    // the test floor.)
     let g = rmat_graph();
     let cfg = EngineConfig::default().with_direction(DirectionPolicy::FixedPush);
     let serial = bfs::run(&g, 0, cfg.clone().with_exec(ExecMode::Serial)).expect("bfs");
@@ -181,11 +183,12 @@ fn grid_push_is_work_optimal() {
 
 #[test]
 fn grid_examined_matches_serial_under_direction_switches() {
-    // With adaptive direction the run mixes push scatters (the serial
-    // kernel in both modes) and task-chunked parallel pull gathers
-    // (whose early-termination scan counts are deterministic): the
-    // parallel backend's total host edge work must equal the serial
-    // engine's across the switches, not just in pure push.
+    // With adaptive direction the run mixes push scatters and pull
+    // gathers, both the serial kernels in either exec mode, with ballot
+    // scans on the pool, which examine no edges: the parallel backend's
+    // total host edge work must equal the serial engine's across the
+    // switches, not just in pure push. (The name is the deleted grid
+    // push's; it stays under the test floor.)
     let g = er_graph();
     let check = |run: &dyn Fn(EngineConfig) -> RunReport| {
         let serial = run(EngineConfig::default().with_exec(ExecMode::Serial));

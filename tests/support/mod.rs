@@ -136,15 +136,19 @@ impl SourcedProgram for GatedLevels {
 // The program seam
 
 /// Where a [`Faulty`] program strikes. Mid-run triggers are keyed on
-/// metadata, not on call counts, so they pick the same iteration under
-/// every exec mode and worker schedule.
+/// metadata or a vertex, not on call counts, so they pick the same
+/// iteration under every exec mode and worker schedule.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum Seam<M> {
     /// `compute` with this source metadata: the push and pull sweeps
-    /// (pool workers under `ExecMode::Parallel`).
+    /// (the submitting thread in both exec modes).
     Compute(M),
-    /// `active` with this current metadata: the ballot scan.
+    /// `active` with this current metadata: the ballot scan (pool
+    /// workers under `ExecMode::Parallel`).
     Active(M),
+    /// `active` at this vertex: the ballot scan, on the worker whose
+    /// partition holds the vertex.
+    ActiveAt(VertexId),
     /// `init`: the submitting thread, right after the scratch reset.
     Init,
     /// `name`, once [`Faulty::arm`] was called: the boundary capture
@@ -157,7 +161,7 @@ impl<M> Seam<M> {
     pub(crate) fn payload(&self) -> String {
         let method = match self {
             Seam::Compute(_) => "compute",
-            Seam::Active(_) => "active",
+            Seam::Active(_) | Seam::ActiveAt(_) => "active",
             Seam::Init => "init",
             Seam::Name => "name",
         };
@@ -259,6 +263,7 @@ impl<P: AccProgram> AccProgram for Faulty<P> {
 
     fn active(&self, v: VertexId, curr: &P::Meta, prev: &P::Meta) -> bool {
         self.strike(Seam::Active(*curr));
+        self.strike(Seam::ActiveAt(v));
         self.inner.active(v, curr, prev)
     }
 
