@@ -23,18 +23,16 @@ use crate::{EdgeIdx, VertexId, Weight};
 ///
 /// Row order: every row is sorted by `(target, weight)`, whatever order
 /// the edges arrived in — the engine relies on it for coalesced neighbor
-/// access. A build reads its list three times: it validates it, counts
-/// rows (noting whether the list is presorted: strictly increasing in
-/// `(src, dst)` and loop-free) and places each pair in its row — an
-/// undirected graph every pair in both directions, straight from the
-/// list. A presorted list's rows are then in order: `Self::try_build`
-/// sorts the rows of any other list, skipping those already in order,
-/// and the [`Graph`] builds normalise rows in one more pass, which a
-/// directed build of a presorted list skips. [`Self::transpose`]
-/// preserves the order by construction; nothing downstream re-sorts or
-/// re-checks. Parallel edges and self-loops are kept here;
-/// [`Graph::directed_from_edges`] / [`Graph::undirected_from_edges`]
-/// drop them.
+/// access. A build validates its list, counts rows (noting whether the
+/// list is presorted: strictly increasing in `(src, dst)` and loop-free)
+/// and places each pair in its row. A presorted list's rows are then
+/// final, an undirected build's once each row's run of the list is
+/// merged with its placed mirror. `Self::try_build` sorts the rows of
+/// any other list, skipping those already in order, and the [`Graph`]
+/// builds normalise them in one more pass. [`Self::transpose`] preserves
+/// the order by construction; nothing downstream re-sorts or re-checks.
+/// Parallel edges and self-loops are kept here; [`Graph::directed_from_edges`]
+/// / [`Graph::undirected_from_edges`] drop them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Csr {
     offsets: Vec<EdgeIdx>,
@@ -69,7 +67,7 @@ impl Csr {
         edges: &[(VertexId, VertexId)],
         weights: Option<&[Weight]>,
     ) -> Result<Self, GraphError> {
-        let (mut csr, presorted) = Self::try_scatter(num_vertices, edges, weights, false)?;
+        let (mut csr, presorted) = Self::try_scatter::<false>(num_vertices, edges, weights)?;
         if !presorted {
             csr.sort_adjacency();
         }
@@ -78,16 +76,16 @@ impl Csr {
 
     /// Validates the inputs — weights parallel to edges, every endpoint
     /// below `num_vertices`; the one place endpoints are checked, read
-    /// only, before anything is allocated — then scatters each pair, and
-    /// its reverse too when `symmetric`, into rows not yet normalised:
-    /// one pass counts rows, one places pairs. Also returns whether the
-    /// count pass found the list presorted and simple (strictly
-    /// increasing in `(src, dst)`, loop-free): its forward rows are final.
-    fn try_scatter(
+    /// only, before anything is allocated — then counts rows and places
+    /// each pair, and its reverse too when `SYMMETRIC`. Also returns
+    /// whether the list is presorted (strictly increasing in `(src, dst)`,
+    /// loop-free): its rows are then final. A symmetric build of such a
+    /// list places only the reversed pairs, behind `|E|` free slots, and
+    /// merges the list's own runs in front of them ([`merge_mirrored`]).
+    fn try_scatter<const SYMMETRIC: bool>(
         num_vertices: VertexId,
         edges: &[(VertexId, VertexId)],
         weights: Option<&[Weight]>,
-        symmetric: bool,
     ) -> Result<(Self, bool), GraphError> {
         if let Some(w) = weights {
             if w.len() != edges.len() {
@@ -108,31 +106,45 @@ impl Csr {
             });
         }
         let mut offsets = vec![0 as EdgeIdx; num_vertices as usize + 1];
-        // `least` is the smallest key the next pair may have. Endpoints
-        // lie below `num_vertices` ≤ `u32::MAX`, so `key + 1` cannot
-        // overflow.
+        // Symmetric builds count in-rows first. `least` is the smallest
+        // key the next pair may have; endpoints lie below `num_vertices`
+        // ≤ `u32::MAX`, so `key + 1` cannot overflow.
         let (mut presorted, mut least) = (true, 0u64);
         for &(s, d) in edges {
-            offsets[s as usize + 1] += 1;
-            if symmetric {
-                offsets[d as usize + 1] += 1;
-            }
+            offsets[if SYMMETRIC { d } else { s } as usize + 1] += 1;
             let key = u64::from(s) << 32 | u64::from(d);
             presorted &= s != d && key >= least;
             least = key + 1;
         }
+        let mirrored = edges.iter().map(|&(s, d)| (d, s));
+        if SYMMETRIC && presorted {
+            offsets[0] = edges.len() as EdgeIdx;
+            let mut csr = Self::with_row_lengths(offsets, weights.is_some());
+            csr.place(mirrored, weights);
+            match weights {
+                Some(w) => merge_mirrored::<true>(&mut csr, edges, w),
+                None => merge_mirrored::<false>(&mut csr, edges, &[]),
+            }
+            return Ok((csr, true));
+        }
+        if SYMMETRIC {
+            for &(s, _) in edges {
+                offsets[s as usize + 1] += 1;
+            }
+        }
         let mut csr = Self::with_row_lengths(offsets, weights.is_some());
         csr.place(edges.iter().copied(), weights);
-        if symmetric {
-            csr.place(edges.iter().map(|&(s, d)| (d, s)), weights);
+        if SYMMETRIC {
+            csr.place(mirrored, weights);
         }
         csr.rewind_cursors();
         Ok((csr, presorted))
     }
 
     /// A CSR to place rows into, from `offsets[v + 1]` = row `v`'s
-    /// length: prefix-summed, `offsets[v]` is row `v`'s start and its
-    /// write cursor for [`Self::place`].
+    /// length and `offsets[0]` the slots left free before row 0:
+    /// prefix-summed, `offsets[v]` is row `v`'s start and its write
+    /// cursor for [`Self::place`].
     fn with_row_lengths(mut offsets: Vec<EdgeIdx>, weighted: bool) -> Self {
         let n = offsets.len() - 1;
         for i in 0..n {
@@ -155,11 +167,7 @@ impl Csr {
         pairs: impl Iterator<Item = (VertexId, VertexId)>,
         weights: Option<&[Weight]>,
     ) {
-        let Self {
-            offsets,
-            targets,
-            weights: out,
-        } = self;
+        let (offsets, targets, out) = (&mut self.offsets, &mut self.targets, &mut self.weights);
         let mut cursor = |row: VertexId| {
             let at = offsets[row as usize] as usize;
             offsets[row as usize] += 1;
@@ -200,11 +208,8 @@ impl Csr {
             let (lo, hi) = self.range(v);
             let targets = &mut self.targets[lo..hi];
             match &mut self.weights {
-                None => {
-                    if !targets.is_sorted() {
-                        targets.sort_unstable();
-                    }
-                }
+                None if !targets.is_sorted() => targets.sort_unstable(),
+                None => {}
                 Some(w) => {
                     let weights = &mut w[lo..hi];
                     if targets.iter().zip(weights.iter()).is_sorted() {
@@ -229,20 +234,19 @@ impl Csr {
     /// `realloc` of a shrink would reshuffle the heap under everything
     /// bound to the graph afterwards.
     fn normalize_rows(&mut self) {
-        let Self {
-            offsets,
-            targets,
-            weights,
-        } = self;
-        let len = match weights {
-            None => normalize::<false>(offsets, targets, &mut []),
-            Some(w) => {
-                let len = normalize::<true>(offsets, targets, w);
-                w.truncate(len);
-                len
-            }
+        let len = match &mut self.weights {
+            None => normalize::<false>(&mut self.offsets, &mut self.targets, &mut []),
+            Some(w) => normalize::<true>(&mut self.offsets, &mut self.targets, w),
         };
-        targets.truncate(len);
+        self.truncate(len);
+    }
+
+    /// Keeps the first `len` entries, and the allocations with them.
+    fn truncate(&mut self, len: usize) {
+        self.targets.truncate(len);
+        if let Some(w) = &mut self.weights {
+            w.truncate(len);
+        }
     }
 
     /// Number of vertices.
@@ -341,9 +345,7 @@ impl Csr {
 }
 
 /// Rows up to this length are insertion-sorted in place, as
-/// `sort_unstable` does: copying one out to merge costs more than it
-/// saves (a road strip's rows hold ≤ 8 entries; merging those of 5–8
-/// read its closure about 10 % slower).
+/// `sort_unstable` does: copying one out costs more than it saves.
 const SHORT_ROW: usize = 8;
 
 /// [`Csr::normalize_rows`] over the arrays, `weights` empty unless
@@ -351,11 +353,8 @@ const SHORT_ROW: usize = 8;
 /// for weights per entry read the pass about 20 % slower on R-MAT-17 and
 /// 40 % on the road strip); returns the entries kept. A row that rises
 /// strictly, or is short, is insertion-sorted in place if need be and
-/// compacted. A longer one of two ascending runs — what the symmetric
-/// scatter of a presorted list leaves — is copied to `run` and merged
-/// back, and any other is copied, sorted there and written back, both
-/// compacted on the way. `run` serves every row, reserved once to the
-/// longest left.
+/// compacted. Any other is copied to `run`, which serves every row,
+/// sorted there and written back, compacted on the way.
 fn normalize<const WEIGHTED: bool>(
     offsets: &mut [EdgeIdx],
     targets: &mut [VertexId],
@@ -377,30 +376,10 @@ fn normalize<const WEIGHTED: bool>(
                 write = keep::<WEIGHTED>(targets, weights, vertex, start, write, next);
             }
         } else {
-            let two_runs = row[rising..].is_sorted();
-            if run.capacity() == 0 {
-                // The longest row left: this one starts at `read`.
-                let ends = offsets[v + 1..].iter().map(|&end| end as usize);
-                let lengths =
-                    ends.scan(read, |start, end| Some(end - std::mem::replace(start, end)));
-                run.reserve_exact(lengths.max().unwrap_or(0));
-            }
             run.clear();
             run.extend((read..end).map(|i| (targets[i], weight(weights, i))));
-            if !two_runs {
-                run.sort_unstable();
-            }
-            let (first, second) = run.split_at(if two_runs { rising } else { run.len() });
-            let (mut i, mut j) = (0, 0);
-            while i < first.len() && j < second.len() {
-                // Branch-free: the two runs interleave at random.
-                let take_second = second[j].0 < first[i].0;
-                let next = if take_second { second[j] } else { first[i] };
-                i += usize::from(!take_second);
-                j += usize::from(take_second);
-                write = keep::<WEIGHTED>(targets, weights, vertex, start, write, next);
-            }
-            for &next in first[i..].iter().chain(&second[j..]) {
+            run.sort_unstable();
+            for &next in &run {
                 write = keep::<WEIGHTED>(targets, weights, vertex, start, write, next);
             }
         }
@@ -408,6 +387,59 @@ fn normalize<const WEIGHTED: bool>(
         offsets[v + 1] = write as EdgeIdx;
     }
     write
+}
+
+/// The symmetric closure of a presorted `edges`, in place. The back
+/// `|E|` slots of `csr` hold the reversed pairs, row `v` ending at
+/// `offsets[v]`, ascending as the list does. Each row's run of the list
+/// and its mirrored run merge into the front, a reciprocal pair kept
+/// once at its lighter weight: each entry read writes at most one, at
+/// most `|E|` from the list, so writes never pass an unread mirrored
+/// entry. `list_weights` is empty unless `WEIGHTED`.
+fn merge_mirrored<const WEIGHTED: bool>(
+    csr: &mut Csr,
+    edges: &[(VertexId, VertexId)],
+    list_weights: &[Weight],
+) {
+    let (offsets, targets) = (&mut csr.offsets, &mut csr.targets);
+    let weights = csr.weights.as_deref_mut().unwrap_or_default();
+    let (n, mut fwd, mut mirrored, mut write) = (offsets.len() - 1, 0, edges.len(), 0);
+    for (v, offset) in offsets[..n].iter_mut().enumerate() {
+        let run = edges[fwd..].iter().take_while(|e| e.0 as usize == v);
+        let fwd_end = fwd + run.count();
+        let mirrored_end = std::mem::replace(offset, write as EdgeIdx) as usize;
+        while fwd < fwd_end && mirrored < mirrored_end {
+            // Branch-free; a target in both runs is taken from both.
+            let (f, m) = (edges[fwd].1, targets[mirrored]);
+            let (take_f, take_m) = (f <= m, m <= f);
+            if WEIGHTED {
+                let pick = |take, w| if take { w } else { Weight::MAX };
+                weights[write] =
+                    pick(take_f, list_weights[fwd]).min(pick(take_m, weights[mirrored]));
+            }
+            targets[write] = f.min(m);
+            fwd += usize::from(take_f);
+            mirrored += usize::from(take_m);
+            write += 1;
+        }
+        for i in mirrored..mirrored_end {
+            targets[write] = targets[i];
+            if WEIGHTED {
+                weights[write] = weights[i];
+            }
+            write += 1;
+        }
+        for i in fwd..fwd_end {
+            targets[write] = edges[i].1;
+            if WEIGHTED {
+                weights[write] = list_weights[i];
+            }
+            write += 1;
+        }
+        (fwd, mirrored) = (fwd_end, mirrored_end);
+    }
+    offsets[n] = write as EdgeIdx;
+    csr.truncate(write);
 }
 
 /// Appends `(t, w)` to row `v`, written from `start` to `write`, unless
@@ -504,11 +536,11 @@ impl Eq for Graph {}
 impl Graph {
     /// Builds an undirected graph from an edge list: the symmetric
     /// closure, without self-loops, duplicate pairs collapsed to their
-    /// lightest edge, each pair scattered both ways straight from `el`.
-    /// Peak bytes above the input ≤ the output's (`steady_state_allocs`'
-    /// `undirected_builds_peak_at_their_output_bytes`).
+    /// lightest edge; a presorted list's rows are final as merged (see
+    /// [`Csr`]'s row order). Peak bytes above the input ≤ the output's
+    /// (`steady_state_allocs`' `undirected_builds_peak_at_their_output_bytes`).
     pub fn undirected_from_edges(el: EdgeList) -> Self {
-        Self::simple(el, false)
+        Self::simple::<true>(el)
     }
 
     /// Builds a directed graph from an edge list, without self-loops,
@@ -517,24 +549,24 @@ impl Graph {
     /// and every generator leave it, is read three times and its rows
     /// are final as placed. The transpose waits for the first pull.
     pub fn directed_from_edges(el: EdgeList) -> Self {
-        Self::simple(el, true)
+        Self::simple::<false>(el)
     }
 
     /// The graph of `el` as a simple graph, every pair also placed
-    /// reversed when undirected: validate, count and place (see
-    /// [`Csr`]'s row order), then one pass normalising the rows, skipped
-    /// for a directed list the count found presorted — its rows are
-    /// final. Takes the list by value so it is freed before that pass.
-    fn simple(el: EdgeList, directed: bool) -> Self {
-        let scattered = Csr::try_scatter(el.num_vertices(), el.edges(), el.weights(), !directed);
+    /// reversed when `SYMMETRIC` (undirected): validate, count and
+    /// place (see [`Csr`]'s row order), then, unless the count found the
+    /// list presorted, one pass normalising the rows. Takes the list by
+    /// value so it is freed before that pass.
+    fn simple<const SYMMETRIC: bool>(el: EdgeList) -> Self {
+        let scattered = Csr::try_scatter::<SYMMETRIC>(el.num_vertices(), el.edges(), el.weights());
         let (mut out, presorted) = scattered.unwrap_or_else(|err| panic!("{err}"));
         drop(el);
-        if !(directed && presorted) {
+        if !presorted {
             out.normalize_rows();
         }
         Self {
             out,
-            directed,
+            directed: !SYMMETRIC,
             in_: OnceLock::new(),
         }
     }
@@ -739,7 +771,7 @@ mod tests {
     #[test]
     fn the_count_pass_proves_a_list_presorted_and_simple() {
         let presorted = |edges: &[(VertexId, VertexId)]| {
-            let (_, presorted) = Csr::try_scatter(3, edges, None, false).expect("in range");
+            let (_, presorted) = Csr::try_scatter::<false>(3, edges, None).expect("in range");
             presorted
         };
         assert!(presorted(&[(0, 1), (0, 2), (1, 0), (2, 1)]));
@@ -751,9 +783,27 @@ mod tests {
     }
 
     #[test]
+    fn a_reciprocal_pair_merges_into_one_entry_at_its_lighter_weight() {
+        // (0, 1) and (1, 0) each meet the other's mirror in their row,
+        // the list's entry the lighter in row 1 and the mirrored one in
+        // row 0 (then the other way round); (1, 2) has no twin. The
+        // merge keeps the rows' full capacity.
+        let edges = [(0, 1), (1, 0), (1, 2)];
+        for (weights, lighter) in [([9, 4, 6], 4), ([4, 9, 6], 4), ([5, 5, 6], 5)] {
+            let (csr, presorted) =
+                Csr::try_scatter::<true>(3, &edges, Some(&weights)).expect("in range");
+            assert!(presorted);
+            assert_eq!(csr.offsets(), &[0, 1, 3, 4]);
+            assert_eq!(csr.targets(), &[1, 0, 2, 1]);
+            assert_eq!(csr.weights(), Some(&[lighter, lighter, 6, 6][..]));
+            assert_eq!(csr.targets.capacity(), 6);
+        }
+    }
+
+    #[test]
     fn normalize_rows_equals_the_naive_simple_form_on_every_row_shape() {
         // Long rows of each shape: two runs repeating targets across
-        // them (merged), rising with a loop (compacted in place), rising
+        // them (sorted), rising with a loop (compacted in place), rising
         // after rows that dropped entries (compacted down), three runs
         // (sorted); then short rows, one out of order.
         let rows: [Vec<VertexId>; 6] = [
@@ -779,7 +829,7 @@ mod tests {
         spec.dedup_by_key(|&mut (s, d, _)| (s, d));
         for weighted in [false, true] {
             let w = weighted.then_some(&weights[..]);
-            let (mut csr, presorted) = Csr::try_scatter(30, &edges, w, false).expect("in range");
+            let (mut csr, presorted) = Csr::try_scatter::<false>(30, &edges, w).expect("in range");
             assert!(!presorted);
             csr.normalize_rows();
             let built: Vec<_> = (0..30)

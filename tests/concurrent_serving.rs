@@ -15,11 +15,10 @@
 //! * admission control — a full bounded queue under
 //!   [`AdmissionPolicy::Reject`] sheds load deterministically and
 //!   never corrupts the queries it did admit;
-//! * fault containment — a worker panic raised mid-stream by a query's
-//!   own program (`tests/support`'s `Faulty`) poisons only its own
-//!   leased pool: exactly one outcome fails typed, every peer stays
-//!   bit-equal, and the session serves the failed seed cleanly
-//!   afterwards.
+//! * fault containment — a panic raised mid-stream by a query's own
+//!   program (`tests/support`'s `Faulty`) stays with that query:
+//!   exactly one outcome fails typed, every peer stays bit-equal, and
+//!   the session serves the failed seed cleanly afterwards.
 //!
 //! Each fault belongs to the program value of the serve call that arms
 //! it, so the tests share no state and run concurrently.
@@ -664,14 +663,17 @@ fn breaker_opens_under_repeated_panics_and_sheds() {
     assert_eq!(report.completed(), 1, "a clean program serves cleanly");
 }
 
-/// A worker panic raised mid-stream fails exactly one query with a
-/// typed error, poisons only that query's leased pool, leaves every
-/// concurrent peer bit-equal, and the session serves the failed seed
-/// cleanly on the next call.
+/// A panic raised mid-stream by one query's program — a
+/// `Seam::Compute(1)` fault, which strikes the serial push kernel on
+/// the serving thread of whichever query first pushes from a level-1
+/// vertex — fails exactly that query with a typed error, leaves every
+/// concurrent peer's answer bit-equal, and the session serves the
+/// failed seed cleanly on the next call.
 #[test]
 fn injected_worker_panic_spares_concurrent_peers() {
     let g = rmat_graph();
-    // Parallel push, pinned: the fault's seam is on every query's path.
+    // Push, pinned, so the fault's seam is on every query's path; under
+    // `Parallel` it runs the serial kernel on the serving thread.
     let cfg = EngineConfig::default()
         .with_exec(ExecMode::Parallel { threads: 3 })
         .with_direction(DirectionPolicy::FixedPush);
@@ -709,8 +711,7 @@ fn injected_worker_panic_spares_concurrent_peers() {
         }
     }
     assert_eq!(panics, 1, "the single fault must fail one query");
-    // The poisoned pool was discarded at lease check-in; the very next
-    // query over the same session is clean and bit-equal.
+    // The very next query over the same session is clean and bit-equal.
     let after = fingerprint(bound.run(Bfs::new(0)).execute().expect("rerun"));
     assert_eq!(after, baseline);
 }

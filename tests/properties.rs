@@ -10,6 +10,49 @@ use simdx::core::FilterPolicy;
 use simdx::graph::{weights, Csr, EdgeList, Graph};
 use std::collections::BTreeMap;
 
+/// The symmetric closure of `edges` over `n` vertices built the naive
+/// way, as `(offsets, targets, weights)`: every pair pushed in both
+/// directions, sorted by `(src, dst, weight)`, loops dropped, the first
+/// of each `(src, dst)` kept; weights read 0 unless `weighted`.
+fn naive_closure(
+    n: u32,
+    edges: &[(u32, u32, u32)],
+    weighted: bool,
+) -> (Vec<u64>, Vec<u32>, Vec<u32>) {
+    let mut closure: Vec<(u32, u32, u32)> = edges
+        .iter()
+        .map(|&(s, d, w)| (s, d, if weighted { w } else { 0 }))
+        .flat_map(|(s, d, w)| [(s, d, w), (d, s, w)])
+        .collect();
+    closure.sort_unstable();
+    closure.retain(|&(s, d, _)| s != d);
+    closure.dedup_by_key(|&mut (s, d, _)| (s, d));
+    let mut offsets = vec![0; n as usize + 1];
+    for &(s, _, _) in &closure {
+        offsets[s as usize + 1] += 1;
+    }
+    for v in 0..n as usize {
+        offsets[v + 1] += offsets[v];
+    }
+    let targets = closure.iter().map(|&(_, d, _)| d).collect();
+    let weights = closure.iter().map(|&(_, _, w)| w).collect();
+    (offsets, targets, weights)
+}
+
+/// An edge list over `n` vertices from `(src, dst, weight)` triples,
+/// weighted or not.
+fn edge_list(n: u32, edges: &[(u32, u32, u32)], weighted: bool) -> EdgeList {
+    let mut el = EdgeList::new(n);
+    for &(s, d, w) in edges {
+        if weighted {
+            el.push_weighted(s, d, w);
+        } else {
+            el.push(s, d);
+        }
+    }
+    el
+}
+
 /// Strategy: an arbitrary directed graph with up to `max_v` vertices.
 fn arb_edges(max_v: u32, max_e: usize) -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
     (2..max_v).prop_flat_map(move |n| (Just(n), proptest::collection::vec((0..n, 0..n), 0..max_e)))
@@ -71,12 +114,10 @@ proptest! {
         }
     }
 
-    /// `Graph::undirected_from_edges` against the closure built the
-    /// naive way: every pair pushed in both directions, sorted by
-    /// `(src, dst, weight)`, loops dropped, the first of each
-    /// `(src, dst)` kept. The multigraphs carry loops and duplicates in
-    /// no order, and up to three isolated vertices above every endpoint;
-    /// offsets, targets and weights must match exactly.
+    /// `Graph::undirected_from_edges` against [`naive_closure`]. The
+    /// multigraphs carry loops and duplicates in no order, and up to
+    /// three isolated vertices above every endpoint; offsets, targets
+    /// and weights must match exactly.
     #[test]
     fn undirected_build_equals_the_naive_closure(
         (n, edges) in (1u32..16).prop_flat_map(|span| {
@@ -84,32 +125,49 @@ proptest! {
         })
     ) {
         for weighted in [false, true] {
-            let mut closure: Vec<(u32, u32, u32)> = edges
-                .iter()
-                .map(|&(s, d, w)| (s, d, if weighted { w } else { 0 }))
-                .flat_map(|(s, d, w)| [(s, d, w), (d, s, w)])
-                .collect();
-            closure.sort_unstable();
-            closure.retain(|&(s, d, _)| s != d);
-            closure.dedup_by_key(|&mut (s, d, _)| (s, d));
-            let mut offsets = vec![0; n as usize + 1];
-            for &(s, _, _) in &closure {
-                offsets[s as usize + 1] += 1;
-            }
-            for v in 0..n as usize {
-                offsets[v + 1] += offsets[v];
-            }
-            let targets: Vec<u32> = closure.iter().map(|&(_, d, _)| d).collect();
-            let wts: Vec<u32> = closure.iter().map(|&(_, _, w)| w).collect();
+            let (offsets, targets, wts) = naive_closure(n, &edges, weighted);
+            let g = Graph::undirected_from_edges(edge_list(n, &edges, weighted));
+            prop_assert_eq!(g.out().offsets(), &offsets[..]);
+            prop_assert_eq!(g.out().targets(), &targets[..]);
+            prop_assert_eq!(g.out().weights(), weighted.then_some(&wts[..]));
+        }
+    }
 
-            let mut el = EdgeList::new(n);
-            for &(s, d, w) in &edges {
-                if weighted {
-                    el.push_weighted(s, d, w);
-                } else {
-                    el.push(s, d);
-                }
+    /// The same comparison on lists `EdgeList::dedup` leaves strictly
+    /// increasing and loop-free: the presorted build, which merges each
+    /// row's run of the list with its mirrored run in place. A drawn
+    /// pair may come back reversed at its own weight (a reciprocal pair,
+    /// kept once at the lighter); `hubs` may add an out-hub at vertex 0
+    /// and an in-hub at `span - 1`, whose long mirrored run, merged
+    /// after every other run, is written up to its own read cursor; and
+    /// up to three isolated vertices trail the endpoints.
+    #[test]
+    fn undirected_presorted_build_equals_the_naive_closure(
+        (span, n, pairs) in (2u32..16).prop_flat_map(|span| {
+            let pair = ((0..span, 0..span), (1u32..6, 0u32..6));
+            (Just(span), span..span + 4, proptest::collection::vec(pair, 0..60))
+        }),
+        hubs in 0u32..4,
+    ) {
+        let mut edges: Vec<(u32, u32, u32)> = Vec::new();
+        for &((s, d), (w, back)) in &pairs {
+            edges.push((s, d, w));
+            if back > 0 {
+                edges.push((d, s, back));
             }
+        }
+        for v in 0..span {
+            if hubs & 1 != 0 {
+                edges.push((0, v, v % 5 + 1));
+            }
+            if hubs & 2 != 0 {
+                edges.push((v, span - 1, v % 3 + 1));
+            }
+        }
+        for weighted in [false, true] {
+            let (offsets, targets, wts) = naive_closure(n, &edges, weighted);
+            let mut el = edge_list(n, &edges, weighted);
+            el.dedup();
             let g = Graph::undirected_from_edges(el);
             prop_assert_eq!(g.out().offsets(), &offsets[..]);
             prop_assert_eq!(g.out().targets(), &targets[..]);
@@ -122,8 +180,8 @@ proptest! {
     /// out of order: sorted in place or in the row buffer), sorted with
     /// its loops and repeats (rows in order, compacted), as
     /// `EdgeList::dedup` leaves it (strictly increasing and loop-free:
-    /// the directed build's presorted skip, and rows of two runs for the
-    /// undirected merge) and shuffled. The lists are dense enough for
+    /// rows final as placed, or as merged with their mirrored runs when
+    /// undirected) and shuffled. The lists are dense enough for
     /// rows past the insertion-sorted length. A directed graph's in-rows
     /// are a naive sort of its reversed out-edges.
     #[test]

@@ -396,20 +396,17 @@ fn directed_builds_peak_at_their_output_bytes() {
 #[test]
 fn presorted_builds_allocate_only_their_output_arrays() {
     // Generator lists arrive strictly sorted and loop-free. The count
-    // pass proves it, so a directed build makes exactly its output
-    // arrays — offsets, targets and weights if any — and never touches
-    // its rows again; an undirected build may add the one row buffer
-    // that merges its rows' two runs (targets and weights side by side).
+    // pass proves it, so each build makes exactly its output arrays —
+    // offsets, targets and weights if any: a directed build never
+    // touches its rows again, and an undirected one merges each row's
+    // run of the list with its mirrored run in place, with no buffer.
     for (name, el) in build_inputs() {
         let outputs = if el.is_weighted() { 3 } else { 2 };
         let copy = el.clone();
         let (_, directed) = allocations_during(|| Graph::directed_from_edges(copy));
         assert_eq!(directed, outputs, "{name}: directed build");
         let (_, undirected) = allocations_during(|| Graph::undirected_from_edges(el));
-        assert!(
-            (outputs..=outputs + 1).contains(&undirected),
-            "{name}: undirected build made {undirected} allocations, {outputs} outputs"
-        );
+        assert_eq!(undirected, outputs, "{name}: undirected build");
     }
 }
 
