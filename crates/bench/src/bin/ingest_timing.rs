@@ -2,6 +2,8 @@
 //! set-up: R-MAT-17 (edge factor 8) built directed, weighted directed
 //! and undirected, a directed graph's first pull (its transpose), and
 //! the 512×64 road strip's undirected build with and without weights.
+//! One more row builds the R-MAT-17 list shuffled, directed: the
+//! general path, for a list the count pass finds unsorted at once.
 //! Each build runs `builds` times (default 15; the road strip's, some
 //! 40× shorter, ten times as often) on a fresh copy of its edge list,
 //! and one `<build> <median ms>` line per build is printed.
@@ -18,7 +20,7 @@ use std::time::Instant;
 
 use simdx_graph::gen::{Rmat, Road};
 use simdx_graph::weights::assign_default_weights;
-use simdx_graph::{EdgeList, Graph};
+use simdx_graph::{EdgeList, Graph, VertexId};
 
 /// Median wall time in ms of `builds` runs of `run`, each handed a
 /// fresh `setup()`; making the input and dropping the output are
@@ -38,6 +40,25 @@ fn median_ms<I, O>(builds: usize, setup: impl Fn() -> I, run: impl Fn(I) -> O) -
     ms[ms.len() / 2]
 }
 
+/// The pairs of `g`'s out-CSR in a seeded Fisher–Yates order (xorshift),
+/// as an unweighted list over the same vertices.
+fn shuffled_pairs(g: &Graph, seed: u64) -> EdgeList {
+    let out = g.out();
+    let mut pairs: Vec<(VertexId, VertexId)> = (0..out.num_vertices())
+        .flat_map(|v| out.neighbors(v).iter().map(move |&t| (v, t)))
+        .collect();
+    let mut state = seed | 1;
+    for i in (1..pairs.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        pairs.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    let mut el = EdgeList::new(out.num_vertices());
+    pairs.into_iter().for_each(|(s, d)| el.push(s, d));
+    el
+}
+
 /// Median ms of building `el`, cloned per run.
 fn build_ms(builds: usize, el: &EdgeList, build: fn(EdgeList) -> Graph) -> f64 {
     median_ms(builds, || el.clone(), build)
@@ -50,6 +71,7 @@ fn main() {
     assert!(builds > 0, "builds: a positive integer");
     let rmat = Rmat::gtgraph(17, 8).generate(7);
     let weighted_rmat = assign_default_weights(&rmat, 9);
+    let shuffled_rmat = shuffled_pairs(&Graph::directed_from_edges(rmat.clone()), 7);
     let road = Road::strip(512, 64).generate(7);
     let weighted_road = assign_default_weights(&road, 9);
 
@@ -61,6 +83,10 @@ fn main() {
         (
             "rmat17_weighted_directed",
             build_ms(builds, &weighted_rmat, Graph::directed_from_edges),
+        ),
+        (
+            "rmat17_shuffled_directed",
+            build_ms(builds, &shuffled_rmat, Graph::directed_from_edges),
         ),
         (
             "rmat17_undirected",

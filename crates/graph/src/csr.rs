@@ -8,6 +8,7 @@
 //! when a pull first reads it; undirected graphs share a single CSR for
 //! both orientations.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -26,9 +27,9 @@ use crate::{EdgeIdx, VertexId, Weight};
 /// access. A build validates its list, counts rows (noting whether the
 /// list is presorted: strictly increasing in `(src, dst)` and loop-free)
 /// and places each pair in its row. A presorted list's rows are then
-/// final, an undirected build's once each row's run of the list is
-/// merged with its placed mirror. `Self::try_build` sorts the rows of
-/// any other list, skipping those already in order, and the [`Graph`]
+/// final: a directed one's as the count copies them, an undirected
+/// one's once each row's run of the list is merged with its placed
+/// mirror. `Self::try_build` sorts the rows of any other list, skipping those already in order, and the [`Graph`]
 /// builds normalise them in one more pass. [`Self::transpose`] preserves
 /// the order by construction; nothing downstream re-sorts or re-checks.
 /// Parallel edges and self-loops are kept here; [`Graph::directed_from_edges`]
@@ -61,12 +62,14 @@ impl Csr {
     }
 
     /// Fallible [`Self::build`]: returns a typed [`GraphError`] instead
-    /// of panicking — the ingestion path for untrusted edge data.
+    /// of panicking — the ingestion path for untrusted edge data; the
+    /// weights, borrowed, are copied.
     pub(crate) fn try_build(
         num_vertices: VertexId,
         edges: &[(VertexId, VertexId)],
         weights: Option<&[Weight]>,
     ) -> Result<Self, GraphError> {
+        let weights = weights.map(Cow::Borrowed);
         let (mut csr, presorted) = Self::try_scatter::<false>(num_vertices, edges, weights)?;
         if !presorted {
             csr.sort_adjacency();
@@ -75,19 +78,23 @@ impl Csr {
     }
 
     /// Validates the inputs — weights parallel to edges, every endpoint
-    /// below `num_vertices`; the one place endpoints are checked, read
-    /// only, before anything is allocated — then counts rows and places
-    /// each pair, and its reverse too when `SYMMETRIC`. Also returns
-    /// whether the list is presorted (strictly increasing in `(src, dst)`,
-    /// loop-free): its rows are then final. A symmetric build of such a
+    /// below `num_vertices`, the first pair out of range the error —
+    /// then counts rows and places each pair, and its reverse too when
+    /// `SYMMETRIC`. The count checks endpoints as it reads them; a
+    /// read-only pass checks them first if `offsets` would outgrow the
+    /// list (`num_vertices ≥ |E|`). Also returns whether the list is
+    /// presorted (strictly increasing in `(src, dst)`, loop-free): its
+    /// rows are then final. A directed count copies the targets while
+    /// the list is presorted, so such a list is built by that one read,
+    /// adopting `weights` (moved if owned). A symmetric build of such a
     /// list places only the reversed pairs, behind `|E|` free slots, and
     /// merges the list's own runs in front of them ([`merge_mirrored`]).
     fn try_scatter<const SYMMETRIC: bool>(
         num_vertices: VertexId,
         edges: &[(VertexId, VertexId)],
-        weights: Option<&[Weight]>,
+        weights: Option<Cow<'_, [Weight]>>,
     ) -> Result<(Self, bool), GraphError> {
-        if let Some(w) = weights {
+        if let Some(w) = &weights {
             if w.len() != edges.len() {
                 return Err(GraphError::WeightsLengthMismatch {
                     weights: w.len(),
@@ -95,36 +102,50 @@ impl Csr {
                 });
             }
         }
-        if let Some(&(src, dst)) = edges
-            .iter()
-            .find(|&&(s, d)| s >= num_vertices || d >= num_vertices)
-        {
-            return Err(GraphError::EndpointOutOfRange {
-                src,
-                dst,
-                num_vertices,
-            });
+        let in_range = |&(s, d): &(VertexId, VertexId)| s.max(d) < num_vertices;
+        let check = |pairs: &[(VertexId, VertexId)]| match pairs.iter().find(|p| !in_range(p)) {
+            Some(&pair) => Err(GraphError::out_of_range(pair, num_vertices)),
+            None => Ok(()),
+        };
+        if num_vertices as usize >= edges.len() {
+            check(edges)?;
         }
         let mut offsets = vec![0 as EdgeIdx; num_vertices as usize + 1];
-        // Symmetric builds count in-rows first. `least` is the smallest
-        // key the next pair may have; endpoints lie below `num_vertices`
-        // ≤ `u32::MAX`, so `key + 1` cannot overflow.
-        let (mut presorted, mut least) = (true, 0u64);
-        for &(s, d) in edges {
-            offsets[if SYMMETRIC { d } else { s } as usize + 1] += 1;
+        let mut targets = vec![0; if SYMMETRIC { 2 } else { 1 } * edges.len()];
+        // Symmetric builds count in-rows first. `least`: the least key the
+        // next pair may have (a loop-free pair's `key + 1` cannot overflow).
+        let (mut sorted, mut least) = (0, 0u64);
+        for pair @ &(s, d) in edges {
             let key = u64::from(s) << 32 | u64::from(d);
-            presorted &= s != d && key >= least;
-            least = key + 1;
+            if s == d || key < least || !in_range(pair) {
+                break;
+            }
+            offsets[if SYMMETRIC { d } else { s } as usize + 1] += 1;
+            if !SYMMETRIC {
+                targets[sorted] = d;
+            }
+            (sorted, least) = (sorted + 1, key + 1);
         }
+        check(&edges[sorted..])?;
+        for &(s, d) in &edges[sorted..] {
+            offsets[if SYMMETRIC { d } else { s } as usize + 1] += 1;
+        }
+        let presorted = sorted == edges.len();
         let mirrored = edges.iter().map(|&(s, d)| (d, s));
         if SYMMETRIC && presorted {
             offsets[0] = edges.len() as EdgeIdx;
-            let mut csr = Self::with_row_lengths(offsets, weights.is_some());
-            csr.place(mirrored, weights);
-            match weights {
+            let mut csr = Self::with_row_lengths(offsets, targets, weights.is_some());
+            csr.place(mirrored, weights.as_deref());
+            match weights.as_deref() {
                 Some(w) => merge_mirrored::<true>(&mut csr, edges, w),
                 None => merge_mirrored::<false>(&mut csr, edges, &[]),
             }
+            return Ok((csr, true));
+        }
+        if presorted {
+            let mut csr = Self::with_row_lengths(offsets, targets, false);
+            // Adopted, any spare capacity shed.
+            csr.weights = weights.map(|w| w.into_owned().into_boxed_slice().into_vec());
             return Ok((csr, true));
         }
         if SYMMETRIC {
@@ -132,28 +153,26 @@ impl Csr {
                 offsets[s as usize + 1] += 1;
             }
         }
-        let mut csr = Self::with_row_lengths(offsets, weights.is_some());
-        csr.place(edges.iter().copied(), weights);
+        let mut csr = Self::with_row_lengths(offsets, targets, weights.is_some());
+        csr.place(edges.iter().copied(), weights.as_deref());
         if SYMMETRIC {
-            csr.place(mirrored, weights);
+            csr.place(mirrored, weights.as_deref());
         }
         csr.rewind_cursors();
-        Ok((csr, presorted))
+        Ok((csr, false))
     }
 
     /// A CSR to place rows into, from `offsets[v + 1]` = row `v`'s
-    /// length and `offsets[0]` the slots left free before row 0:
-    /// prefix-summed, `offsets[v]` is row `v`'s start and its write
-    /// cursor for [`Self::place`].
-    fn with_row_lengths(mut offsets: Vec<EdgeIdx>, weighted: bool) -> Self {
-        let n = offsets.len() - 1;
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
+    /// length, `offsets[0]` the slots left free before row 0, and
+    /// `targets` as long as their sum: prefix-summed, `offsets[v]` is
+    /// row `v`'s start and its write cursor for [`Self::place`].
+    fn with_row_lengths(mut offsets: Vec<EdgeIdx>, targets: Vec<VertexId>, weighted: bool) -> Self {
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
         }
-        let num_edges = offsets[n] as usize;
         Self {
-            targets: vec![0; num_edges],
-            weights: weighted.then(|| vec![0; num_edges]),
+            weights: weighted.then(|| vec![0; targets.len()]),
+            targets,
             offsets,
         }
     }
@@ -316,7 +335,8 @@ impl Csr {
         for &t in &self.targets {
             offsets[t as usize + 1] += 1;
         }
-        let mut transposed = Self::with_row_lengths(offsets, self.is_weighted());
+        let targets = vec![0; self.targets.len()];
+        let mut transposed = Self::with_row_lengths(offsets, targets, self.is_weighted());
         for v in 0..self.num_vertices() {
             let (lo, hi) = self.range(v);
             let reversed = self.targets[lo..hi].iter().map(|&t| (t, v));
@@ -546,8 +566,8 @@ impl Graph {
     /// Builds a directed graph from an edge list, without self-loops,
     /// duplicate pairs collapsed to their lightest edge. A list strictly
     /// increasing in `(src, dst)` and loop-free, as [`EdgeList::dedup`]
-    /// and every generator leave it, is read three times and its rows
-    /// are final as placed. The transpose waits for the first pull.
+    /// and every generator leave it, is read once, keeping its weights;
+    /// its rows are final as counted. The transpose waits for the first pull.
     pub fn directed_from_edges(el: EdgeList) -> Self {
         Self::simple::<false>(el)
     }
@@ -556,11 +576,12 @@ impl Graph {
     /// reversed when `SYMMETRIC` (undirected): validate, count and
     /// place (see [`Csr`]'s row order), then, unless the count found the
     /// list presorted, one pass normalising the rows. Takes the list by
-    /// value so it is freed before that pass.
+    /// value: its weights may be adopted, the rest freed before that pass.
     fn simple<const SYMMETRIC: bool>(el: EdgeList) -> Self {
-        let scattered = Csr::try_scatter::<SYMMETRIC>(el.num_vertices(), el.edges(), el.weights());
+        let (n, edges, weights) = el.into_parts();
+        let scattered = Csr::try_scatter::<SYMMETRIC>(n, &edges, weights.map(Cow::Owned));
         let (mut out, presorted) = scattered.unwrap_or_else(|err| panic!("{err}"));
-        drop(el);
+        drop(edges);
         if !presorted {
             out.normalize_rows();
         }
@@ -791,7 +812,8 @@ mod tests {
         let edges = [(0, 1), (1, 0), (1, 2)];
         for (weights, lighter) in [([9, 4, 6], 4), ([4, 9, 6], 4), ([5, 5, 6], 5)] {
             let (csr, presorted) =
-                Csr::try_scatter::<true>(3, &edges, Some(&weights)).expect("in range");
+                Csr::try_scatter::<true>(3, &edges, Some(Cow::Borrowed(&weights[..])))
+                    .expect("in range");
             assert!(presorted);
             assert_eq!(csr.offsets(), &[0, 1, 3, 4]);
             assert_eq!(csr.targets(), &[1, 0, 2, 1]);
@@ -828,7 +850,7 @@ mod tests {
         spec.retain(|&(s, d, _)| s != d);
         spec.dedup_by_key(|&mut (s, d, _)| (s, d));
         for weighted in [false, true] {
-            let w = weighted.then_some(&weights[..]);
+            let w = weighted.then_some(Cow::Borrowed(&weights[..]));
             let (mut csr, presorted) = Csr::try_scatter::<false>(30, &edges, w).expect("in range");
             assert!(!presorted);
             csr.normalize_rows();
@@ -844,6 +866,25 @@ mod tests {
                 .map(|&(s, d, w)| (s, d, if weighted { w } else { 0 }));
             assert_eq!(built, expected.collect::<Vec<_>>(), "weighted: {weighted}");
         }
+    }
+
+    #[test]
+    fn a_presorted_directed_build_adopts_its_weights_without_spare_capacity() {
+        // Exact capacity: the list's own vector becomes the graph's.
+        let edges = vec![(0, 1), (0, 2), (2, 1)];
+        let el = EdgeList::from_weighted(3, edges.clone(), vec![4, 5, 6]);
+        let ptr = el.weights().map(<[Weight]>::as_ptr);
+        let g = Graph::directed_from_edges(el);
+        assert_eq!(g.out().weights().map(<[Weight]>::as_ptr), ptr);
+        // Spare capacity is shrunk away before the graph holds it.
+        let mut spare = Vec::with_capacity(64);
+        spare.extend([4, 5, 6]);
+        let g = Graph::directed_from_edges(EdgeList::from_weighted(3, edges, spare));
+        let adopted = g.out().weights.as_ref().expect("weighted");
+        assert_eq!(
+            (adopted.as_slice(), adopted.capacity()),
+            (&[4, 5, 6][..], 3)
+        );
     }
 
     #[test]
@@ -903,6 +944,26 @@ mod tests {
                 edges: 1
             })
         );
+    }
+
+    #[test]
+    fn the_count_pass_reports_the_first_pair_out_of_range() {
+        // Four pairs over two vertices: `offsets` is smaller than the
+        // list, so the count checks endpoints as it reads them, after a
+        // presorted prefix or an unsorted one, built either way.
+        let error = Err(GraphError::EndpointOutOfRange {
+            src: 1,
+            dst: 5,
+            num_vertices: 2,
+        });
+        for edges in [
+            [(0, 1), (1, 0), (1, 5), (7, 0)],
+            [(1, 0), (0, 1), (1, 5), (7, 0)],
+        ] {
+            assert_eq!(Csr::try_build(2, &edges, None), error);
+            let symmetric = Csr::try_scatter::<true>(2, &edges, None).map(|(csr, _)| csr);
+            assert_eq!(symmetric, error);
+        }
     }
 
     #[test]

@@ -23,6 +23,10 @@ pub(crate) fn vertex_span(edges: &[(VertexId, VertexId)]) -> VertexId {
 /// A list of directed edges, optionally weighted.
 ///
 /// Invariant: if `weights` is `Some`, it has exactly one entry per edge.
+///
+/// [`Graph::directed_from_edges`](crate::Graph::directed_from_edges)
+/// takes the list by value and, when it is presorted, adopts its
+/// weights vector instead of copying it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EdgeList {
     /// Number of vertices (IDs are in `0..num_vertices`).
@@ -111,6 +115,12 @@ impl EdgeList {
         self.weights.as_deref()
     }
 
+    /// The vertex count, pairs and weights, by value: a directed build
+    /// of a presorted list adopts the weights vector as its own.
+    pub(crate) fn into_parts(self) -> (VertexId, Vec<(VertexId, VertexId)>, Option<Vec<Weight>>) {
+        (self.num_vertices, self.edges, self.weights)
+    }
+
     /// Appends an unweighted edge.
     ///
     /// # Panics
@@ -171,11 +181,7 @@ impl EdgeList {
 
     fn check_endpoints(&self, src: VertexId, dst: VertexId) -> Result<(), GraphError> {
         if src >= self.num_vertices || dst >= self.num_vertices {
-            return Err(GraphError::EndpointOutOfRange {
-                src,
-                dst,
-                num_vertices: self.num_vertices,
-            });
+            return Err(GraphError::out_of_range((src, dst), self.num_vertices));
         }
         Ok(())
     }

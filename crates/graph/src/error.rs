@@ -35,6 +35,17 @@ pub enum GraphError {
     },
 }
 
+impl GraphError {
+    /// [`Self::EndpointOutOfRange`] naming the pair `(src, dst)`.
+    pub(crate) fn out_of_range((src, dst): (VertexId, VertexId), num_vertices: VertexId) -> Self {
+        Self::EndpointOutOfRange {
+            src,
+            dst,
+            num_vertices,
+        }
+    }
+}
+
 impl std::fmt::Display for GraphError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -10,19 +10,25 @@ use simdx::core::FilterPolicy;
 use simdx::graph::{weights, Csr, EdgeList, Graph};
 use std::collections::BTreeMap;
 
-/// The symmetric closure of `edges` over `n` vertices built the naive
-/// way, as `(offsets, targets, weights)`: every pair pushed in both
-/// directions, sorted by `(src, dst, weight)`, loops dropped, the first
-/// of each `(src, dst)` kept; weights read 0 unless `weighted`.
-fn naive_closure(
+/// The simple graph of `edges` over `n` vertices built the naive way,
+/// as `(offsets, targets, weights)`: every pair pushed, in both
+/// directions when `symmetric`, sorted by `(src, dst, weight)`, loops
+/// dropped, the first of each `(src, dst)` kept; weights read 0 unless
+/// `weighted`.
+fn naive_simple(
     n: u32,
     edges: &[(u32, u32, u32)],
     weighted: bool,
+    symmetric: bool,
 ) -> (Vec<u64>, Vec<u32>, Vec<u32>) {
     let mut closure: Vec<(u32, u32, u32)> = edges
         .iter()
         .map(|&(s, d, w)| (s, d, if weighted { w } else { 0 }))
-        .flat_map(|(s, d, w)| [(s, d, w), (d, s, w)])
+        .flat_map(|(s, d, w)| {
+            [(s, d, w), (d, s, w)]
+                .into_iter()
+                .take(1 + usize::from(symmetric))
+        })
         .collect();
     closure.sort_unstable();
     closure.retain(|&(s, d, _)| s != d);
@@ -51,6 +57,17 @@ fn edge_list(n: u32, edges: &[(u32, u32, u32)], weighted: bool) -> EdgeList {
         }
     }
     el
+}
+
+/// Shuffles `items` into a seeded Fisher–Yates order (xorshift).
+fn shuffle<T>(items: &mut [T], seed: u64) {
+    let mut state = seed | 1;
+    for i in (1..items.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        items.swap(i, (state % (i as u64 + 1)) as usize);
+    }
 }
 
 /// Strategy: an arbitrary directed graph with up to `max_v` vertices.
@@ -114,7 +131,7 @@ proptest! {
         }
     }
 
-    /// `Graph::undirected_from_edges` against [`naive_closure`]. The
+    /// `Graph::undirected_from_edges` against [`naive_simple`]. The
     /// multigraphs carry loops and duplicates in no order, and up to
     /// three isolated vertices above every endpoint; offsets, targets
     /// and weights must match exactly.
@@ -125,7 +142,7 @@ proptest! {
         })
     ) {
         for weighted in [false, true] {
-            let (offsets, targets, wts) = naive_closure(n, &edges, weighted);
+            let (offsets, targets, wts) = naive_simple(n, &edges, weighted, true);
             let g = Graph::undirected_from_edges(edge_list(n, &edges, weighted));
             prop_assert_eq!(g.out().offsets(), &offsets[..]);
             prop_assert_eq!(g.out().targets(), &targets[..]);
@@ -165,13 +182,77 @@ proptest! {
             }
         }
         for weighted in [false, true] {
-            let (offsets, targets, wts) = naive_closure(n, &edges, weighted);
+            let (offsets, targets, wts) = naive_simple(n, &edges, weighted, true);
             let mut el = edge_list(n, &edges, weighted);
             el.dedup();
             let g = Graph::undirected_from_edges(el);
             prop_assert_eq!(g.out().offsets(), &offsets[..]);
             prop_assert_eq!(g.out().targets(), &targets[..]);
             prop_assert_eq!(g.out().weights(), weighted.then_some(&wts[..]));
+        }
+    }
+
+    /// `Graph::directed_from_edges` on lists `EdgeList::dedup` leaves
+    /// strictly increasing and loop-free, which the count pass builds
+    /// alone, adopting the weights, against the same list shuffled,
+    /// which takes the place-and-normalise path: offsets, targets and
+    /// weights must be identical. Rows below `lead` are empty, `hub`
+    /// adds a row reaching every endpoint, and up to three isolated
+    /// vertices trail them. The list with its first pair moved last
+    /// (sorted up to its last pair) and with a loop or a repeat spliced
+    /// in mid-list leave the count's copy part way and must still build
+    /// the naive spec.
+    #[test]
+    fn directed_presorted_build_equals_the_sorting_build(
+        ((lead, span), n, drawn) in (0u32..4, 2u32..16).prop_flat_map(|(lead, width)| {
+            let span = lead + width;
+            let pair = (lead..span, 0..span, 1u32..6);
+            (Just((lead, span)), span..span + 4, proptest::collection::vec(pair, 0..80))
+        }),
+        hub in 0u32..2,
+        splice in (0u32..2, 0usize..1000),
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut edges = drawn;
+        if hub == 1 {
+            edges.extend((0..span).map(|d| (lead, d, d % 5 + 1)));
+        }
+        let csr = |g: &Graph| {
+            let out = g.out();
+            (out.offsets().to_vec(), out.targets().to_vec(), out.weights().map(<[u32]>::to_vec))
+        };
+        let spec_of = |edges: &[(u32, u32, u32)], weighted: bool| {
+            let (offsets, targets, wts) = naive_simple(n, edges, weighted, false);
+            (offsets, targets, weighted.then_some(wts))
+        };
+        // What `EdgeList::dedup` leaves, as triples: sorted, loop-free,
+        // the lightest of each pair kept.
+        let mut list: Vec<(u32, u32, u32)> = edges.iter().copied().filter(|e| e.0 != e.1).collect();
+        list.sort_unstable();
+        list.dedup_by_key(|e| (e.0, e.1));
+        for weighted in [false, true] {
+            let mut el = edge_list(n, &edges, weighted);
+            el.dedup();
+            let presorted = Graph::directed_from_edges(el);
+            let spec = spec_of(&edges, weighted);
+            prop_assert_eq!(csr(&presorted), spec, "weighted {}", weighted);
+            let mut shuffled = list.clone();
+            shuffle(&mut shuffled, seed);
+            let general = Graph::directed_from_edges(edge_list(n, &shuffled, weighted));
+            prop_assert_eq!(csr(&general), csr(&presorted), "weighted {}", weighted);
+            if list.is_empty() {
+                continue;
+            }
+            let mut last_out_of_order = list.clone();
+            last_out_of_order.rotate_left(1);
+            let g = Graph::directed_from_edges(edge_list(n, &last_out_of_order, weighted));
+            prop_assert_eq!(csr(&g), spec_of(&last_out_of_order, weighted));
+            let mut spliced = list.clone();
+            let (kind, at) = (splice.0, splice.1 % list.len());
+            let (s, d, w) = list[at];
+            spliced.insert(at, if kind == 0 { (s, s, w) } else { (s, d, w % 5 + 1) });
+            let g = Graph::directed_from_edges(edge_list(n, &spliced, weighted));
+            prop_assert_eq!(csr(&g), spec_of(&spliced, weighted), "splice {:?}", splice);
         }
     }
 
@@ -196,13 +277,7 @@ proptest! {
         let mut sorted: Vec<usize> = (0..edges.len()).collect();
         sorted.sort_by_key(|&i| pairs[i]);
         let mut shuffled: Vec<usize> = (0..edges.len()).collect();
-        let mut state = seed | 1;
-        for i in (1..shuffled.len()).rev() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            shuffled.swap(i, (state % (i as u64 + 1)) as usize);
-        }
+        shuffle(&mut shuffled, seed);
         for weighted in [false, true] {
             let list = |order: &[usize]| {
                 if weighted {

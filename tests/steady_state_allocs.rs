@@ -386,9 +386,11 @@ fn undirected_builds_peak_at_their_output_bytes() {
 
 #[test]
 fn directed_builds_peak_at_their_output_bytes() {
-    // Measured: 288 424, 160 600, 23 056 and 15 628 B, each its budget to
-    // the byte — the out-CSR's scatter with the list still live. The
-    // transpose waits for the first pull (priced in
+    // Measured: 160 600, 160 600, 15 628 and 15 628 B — the out-CSR's
+    // offsets and targets with the list still live: each unweighted
+    // build's budget to the byte, and the weighted builds the same, as
+    // they adopt the list's weights (127 824 and 7 428 B under budget).
+    // The transpose waits for the first pull (priced in
     // `session_phases_peak_within_their_vertex_vector_budgets`).
     assert_builds_peak_at_their_output_bytes(Graph::directed_from_edges, 1);
 }
@@ -396,15 +398,17 @@ fn directed_builds_peak_at_their_output_bytes() {
 #[test]
 fn presorted_builds_allocate_only_their_output_arrays() {
     // Generator lists arrive strictly sorted and loop-free. The count
-    // pass proves it, so each build makes exactly its output arrays —
-    // offsets, targets and weights if any: a directed build never
-    // touches its rows again, and an undirected one merges each row's
-    // run of the list with its mirrored run in place, with no buffer.
+    // pass proves it, so each build makes only its output arrays. A
+    // directed build makes exactly offsets and targets, weighted or
+    // not: the count copies the targets and the list's own weights
+    // vector becomes the graph's. An undirected build makes offsets,
+    // targets and weights if any, and merges each row's run of the
+    // list with its mirrored run in place, with no buffer.
     for (name, el) in build_inputs() {
         let outputs = if el.is_weighted() { 3 } else { 2 };
         let copy = el.clone();
         let (_, directed) = allocations_during(|| Graph::directed_from_edges(copy));
-        assert_eq!(directed, outputs, "{name}: directed build");
+        assert_eq!(directed, 2, "{name}: directed build");
         let (_, undirected) = allocations_during(|| Graph::undirected_from_edges(el));
         assert_eq!(undirected, outputs, "{name}: undirected build");
     }
@@ -415,23 +419,42 @@ fn a_saturated_vertex_count_fails_before_the_build_allocates() {
     // An endpoint of `u32::MAX` saturates the list's vertex count and
     // lies outside it. Validation reads the list before `offsets` (of
     // `(2^32 - 1) + 1` entries) is allocated, so each build fails with
-    // the legacy panic having allocated next to nothing.
+    // the legacy panic, naming the first pair out of range, having
+    // allocated next to nothing: after a presorted prefix, which a
+    // directed count would copy, and after an unsorted one.
+    let max = u32::MAX;
+    let cases = [
+        (vec![(0, 1), (1, max)], "edge (1, 4294967295)"),
+        (
+            vec![(0, 1), (0, 2), (1, max), (2, max)],
+            "edge (1, 4294967295)",
+        ),
+        (
+            vec![(2, 0), (0, 1), (max, 1), (1, max)],
+            "edge (4294967295, 1)",
+        ),
+    ];
     let directed: fn(EdgeList) -> Graph = Graph::directed_from_edges;
-    for (name, build) in [
-        ("directed", directed),
-        ("undirected", Graph::undirected_from_edges),
-    ] {
-        let el = EdgeList::from_pairs(vec![(0, 1), (1, u32::MAX)]);
-        assert_eq!(el.num_vertices(), u32::MAX);
-        let (panic, peak) = quietly(|| {
-            peak_above_entry(|| std::panic::catch_unwind(|| build(el)).expect_err("out of range"))
-        });
-        let message = panic.downcast_ref::<String>().expect("a formatted message");
-        assert_eq!(
-            message, "edge (1, 4294967295) outside a graph with 4294967295 vertices",
-            "{name}"
-        );
-        assert!(peak < 64 << 10, "{name}: {peak} B above entry");
+    for (pairs, first) in cases {
+        for (name, build) in [
+            ("directed", directed),
+            ("undirected", Graph::undirected_from_edges),
+        ] {
+            let el = EdgeList::from_pairs(pairs.clone());
+            assert_eq!(el.num_vertices(), max);
+            let (panic, peak) = quietly(|| {
+                peak_above_entry(|| {
+                    std::panic::catch_unwind(|| build(el)).expect_err("out of range")
+                })
+            });
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert_eq!(
+                message,
+                &format!("{first} outside a graph with 4294967295 vertices"),
+                "{name} {pairs:?}"
+            );
+            assert!(peak < 64 << 10, "{name} {pairs:?}: {peak} B above entry");
+        }
     }
 }
 
