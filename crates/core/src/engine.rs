@@ -1,6 +1,6 @@
 //! The SIMD-X BSP engine (Fig. 4(b)).
 //!
-//! [`Engine::run_session`] is the driver: [`Run::init`] starts from
+//! [`run_session`] is the driver: [`Run::init`] starts from
 //! the caller's checkpoint slot or from `program.init`, and each
 //! iteration is a sequence of phases over that one [`Run`] —
 //! [`Run::capture`] (armed runs: overwrite the slot with this
@@ -37,7 +37,7 @@
 //!
 //! * *Every step but the ballot scan runs the serial code.* Degree
 //!   sum, classification, candidate sweeps and the push and pull
-//!   kernels ([`Engine::serial_unit`]) run on the submitting thread in
+//!   kernels ([`Kernel::sweep`]) run on the submitting thread in
 //!   both modes, so they are the reference by construction — host edge
 //!   meter ([`RunReport::edges_examined`]) included.
 //! * *The ballot scan is partitioned.* Under `Parallel` the |V|-wide
@@ -77,7 +77,7 @@
 //! `metadata_prev`/`metadata_curr` are plain `Vec<M>`s. The sweeps that
 //! touch every vertex — the ballot scan
 //! ([`ballot::scan_range_chunked`]) and the pull-vote candidate sweep
-//! ([`Engine::vote_candidates`]) — walk them in 32-vertex chunks (one
+//! ([`vote_candidates`]) — walk them in 32-vertex chunks (one
 //! warp of ballot lanes, half a bitmap word) through fixed-width lane
 //! loops the compiler can vectorize, finishing a partial tail scalar;
 //! the parallel ballot scan's partitions fall on occupancy-word
@@ -100,7 +100,7 @@ use simdx_gpu::{Cost, GpuExecutor, KernelCharge, SchedUnit, WARP_SIZE};
 use simdx_graph::csr::{Csr, Direction};
 use simdx_graph::{Graph, VertexId, Weight};
 
-/// Borrowed per-run resources handed to [`Engine::run_session`].
+/// Borrowed per-run resources handed to [`run_session`].
 ///
 /// The session API ([`crate::session::Runtime`] and
 /// [`crate::session::BoundGraph`]) owns these across queries — the pool
@@ -141,11 +141,6 @@ pub(crate) struct SessionCtx<'a, 'o, M: Copy + 'static> {
 /// device model and a resumed run cannot tell them apart.
 const BOTTOM_UP_VOLUME: u64 = 1;
 
-/// The SIMD-X engine: the loop driver and the kernels, as associated
-/// functions over one ACC program type. The loop's phases are the
-/// methods of [`Run`].
-pub(crate) struct Engine<P>(std::marker::PhantomData<P>);
-
 /// One run in flight: the boundary record plus what a boundary does not
 /// need — the `metadata_prev` snapshot (equal to `state.meta` whenever
 /// no iteration is in progress), the simulated device, and the session
@@ -174,56 +169,76 @@ struct IterFacts {
     cycles_before: u64,
 }
 
-impl<P: AccProgram> Engine<P> {
-    /// One engine run over borrowed session resources — the core of the
-    /// session API's [`crate::session::RunBuilder::execute`]; the
-    /// module docs walk through the phases.
-    pub(crate) fn run_session(
-        program: &P,
-        graph: &Graph,
-        config: &EngineConfig,
-        ctx: SessionCtx<'_, '_, P::Meta>,
-    ) -> Result<RunResult<P::Meta>, SimdxError> {
-        let mut run = Run::init(program, graph, config, ctx);
-        loop {
-            let (state, frontier_len) = (&run.state, run.state.frontier.len() as u64);
-            if frontier_len == 0 || program.converged(state.iteration, frontier_len, &state.meta) {
-                break;
-            }
-            // Capture comes *before* the limit and supervision checks,
-            // at every boundary including the first after a restore, so
-            // every abort that can fire this iteration — limit, cancel,
-            // deadline, budget, or a panic mid-sweep — leaves the slot
-            // resumable from here.
-            run.capture();
-            run.limits()?;
-            let it = run.direction();
-            run.worklists(&it);
-            run.compute(&it)?;
-            let filter = run.filter(&it)?;
-            run.publish(&it, filter);
+/// One compute phase's kernel context — the ACC kernel's input of
+/// Fig. 4(b), the metadata pair and what the frontier filter records
+/// into — borrowed once by [`Run::compute`]. The serial push and pull
+/// kernels are its methods; a call passes only what changes per task.
+struct Kernel<'r, P: AccProgram> {
+    program: &'r P,
+    dir: Direction,
+    /// `dir`'s CSR: out-edges for push, in-edges for pull.
+    csr: &'r Csr,
+    prev: &'r [P::Meta],
+    curr: &'r mut [P::Meta],
+    bins: &'r mut ThreadBins,
+    changed: &'r mut ChangedSet,
+    /// The online filter may read this iteration's bins.
+    record: bool,
+    /// An ascending frontier (the first one, or a ballot filter's):
+    /// push tasks read their source coalesced.
+    frontier_sorted: bool,
+    edges_examined: &'r mut u64,
+    sup: &'r Supervisor,
+}
+
+/// One engine run over borrowed session resources — the core of the
+/// session API's [`crate::session::RunBuilder::execute`]; the module
+/// docs walk through the phases, the methods of [`Run`].
+pub(crate) fn run_session<P: AccProgram>(
+    program: &P,
+    graph: &Graph,
+    config: &EngineConfig,
+    ctx: SessionCtx<'_, '_, P::Meta>,
+) -> Result<RunResult<P::Meta>, SimdxError> {
+    let mut run = Run::init(program, graph, config, ctx);
+    loop {
+        let (state, frontier_len) = (&run.state, run.state.frontier.len() as u64);
+        if frontier_len == 0 || program.converged(state.iteration, frontier_len, &state.meta) {
+            break;
         }
-        let Run {
-            state,
-            executor,
-            ctx,
-            ..
-        } = run;
-        Ok(RunResult {
-            meta: state.meta,
-            report: RunReport {
-                algorithm: program.name().to_string(),
-                device: executor.device().name,
-                iterations: state.iteration,
-                elapsed_ms: executor.elapsed_ms(),
-                stats: executor.stats().clone(),
-                edges_examined: state.edges_examined,
-                log: state.log,
-                elapsed: ctx.supervisor.elapsed(),
-                supervision_checks: ctx.supervisor.checks(),
-            },
-        })
+        // Capture comes *before* the limit and supervision checks,
+        // at every boundary including the first after a restore, so
+        // every abort that can fire this iteration — limit, cancel,
+        // deadline, budget, or a panic mid-sweep — leaves the slot
+        // resumable from here.
+        run.capture();
+        run.limits()?;
+        let it = run.direction();
+        run.worklists(&it);
+        run.compute(&it)?;
+        let filter = run.filter(&it)?;
+        run.publish(&it, filter);
     }
+    let Run {
+        state,
+        executor,
+        ctx,
+        ..
+    } = run;
+    Ok(RunResult {
+        meta: state.meta,
+        report: RunReport {
+            algorithm: program.name().to_string(),
+            device: executor.device().name,
+            iterations: state.iteration,
+            elapsed_ms: executor.elapsed_ms(),
+            stats: executor.stats().clone(),
+            edges_examined: state.edges_examined,
+            log: state.log,
+            elapsed: ctx.supervisor.elapsed(),
+            supervision_checks: ctx.supervisor.checks(),
+        },
+    })
 }
 
 impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
@@ -334,11 +349,38 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
         let dir = self
             .program
             .direction(&ctx)
-            .unwrap_or_else(|| Engine::heuristic_direction(self.program, self.config, &ctx));
+            .unwrap_or_else(|| self.heuristic_direction(&ctx));
         IterFacts {
             dir,
             degree_sum,
             cycles_before: self.executor.stats().total_cycles,
+        }
+    }
+
+    /// Frontier-volume direction heuristic (Beamer-style): pull when the
+    /// frontier's out-degree volume exceeds `|E| / alpha`.
+    ///
+    /// The divisor only applies to voting programs, whose pull
+    /// iterations terminate early at the first useful parent (§3.3's
+    /// collaborative early termination makes a pull sweep much cheaper
+    /// than |E|). Aggregation programs must visit every in-edge of every
+    /// candidate, so pull can only win once the push volume exceeds the
+    /// full sweep itself.
+    fn heuristic_direction(&self, ctx: &DirectionCtx) -> Direction {
+        match self.config.direction {
+            DirectionPolicy::FixedPush => Direction::Push,
+            DirectionPolicy::FixedPull => Direction::Pull,
+            DirectionPolicy::Adaptive { alpha } => {
+                let alpha = match self.program.combine_kind() {
+                    CombineKind::Vote => alpha,
+                    CombineKind::Aggregation => 1,
+                };
+                if ctx.frontier_degree_sum.saturating_mul(alpha) > ctx.num_edges {
+                    Direction::Pull
+                } else {
+                    Direction::Push
+                }
+            }
         }
     }
 
@@ -371,7 +413,7 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                 // straight into its worklist, no candidate list in
                 // between.
                 lists.clear();
-                Engine::vote_candidates(program, curr, |v| {
+                vote_candidates(program, curr, |v| {
                     lists.classify_one(v, scan_csr, thresholds)
                 });
                 // Candidate scan: a coalesced metadata sweep of
@@ -379,7 +421,7 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                 // form.
                 let chunks = n.div_ceil(WARP_SIZE);
                 self.executor.begin(charge, k, SchedUnit::Warp, chunks);
-                charge.uniform(&Engine::<P>::vote_scan_cost(), chunks as u64);
+                charge.uniform(&vote_scan_cost(), chunks as u64);
                 self.executor.commit(charge, false);
             }
             // Aggregation programs must visit every in-edge of a
@@ -403,7 +445,7 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                     // top-down, so each entry is charged as below.
                     for &v in frontier {
                         cand_bits.set(v);
-                        charge.task(&Engine::<P>::mark_cost(out_csr.degree(v) as usize));
+                        charge.task(&mark_cost(out_csr.degree(v) as usize));
                     }
                     lists.clear();
                     for (u, m) in curr.iter().enumerate() {
@@ -427,7 +469,7 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                             cand_bits.set(u);
                         }
                     }
-                    charge.task(&Engine::<P>::mark_cost(nbrs.len()));
+                    charge.task(&mark_cost(nbrs.len()));
                 }
                 cand_bits.drain_into(cands);
                 self.executor.commit(charge, false);
@@ -439,8 +481,7 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
     /// Steps 3–4: the three compute kernels, each charged as its sweep
     /// runs — one task per list entry — then the barrier.
     fn compute(&mut self, it: &IterFacts) -> Result<(), SimdxError> {
-        let (program, dir, config) = (self.program, it.dir, self.config);
-        let (sup, prev) = (self.ctx.supervisor, self.prev.as_slice());
+        let (dir, config, sup) = (it.dir, self.config, self.ctx.supervisor);
         let RunState {
             meta: curr,
             edges_examined,
@@ -455,14 +496,6 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
             bins,
             ..
         } = &mut *self.ctx.scratch;
-        let scan_csr = self.graph.csr(dir);
-        // An ascending frontier (the first one, or a ballot filter's):
-        // push tasks read their source coalesced.
-        let frontier_sorted = log
-            .records
-            .last()
-            .is_none_or(|r| r.filter == FilterKind::Ballot);
-        let record = self.jit.records_bins();
         // Thread bins for the online filter, sized by the Thread
         // kernel's (scaled) slot count; the bins (and their inner
         // allocations) persist across iterations.
@@ -471,31 +504,31 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
             .kernel(dir, KernelRole::Compute(SchedUnit::Thread));
         let bin_count = self.executor.slots_for(thread_kernel, SchedUnit::Thread) as usize;
         bins.reset_to(bin_count, config.overflow_threshold);
+        let mut kernel = Kernel {
+            program: self.program,
+            dir,
+            csr: self.graph.csr(dir),
+            prev: &self.prev,
+            curr,
+            bins,
+            changed,
+            record: self.jit.records_bins(),
+            frontier_sorted: log
+                .records
+                .last()
+                .is_none_or(|r| r.filter == FilterKind::Ballot),
+            edges_examined,
+            sup,
+        };
 
         let mut task_base = 0u64;
         for unit in [SchedUnit::Thread, SchedUnit::Warp, SchedUnit::Cta] {
             let list = lists.list(unit);
             let launch = self.plan.needs_launch(dir);
-            let kernel = self.plan.kernel(dir, KernelRole::Compute(unit));
+            let desc = self.plan.kernel(dir, KernelRole::Compute(unit));
             let width = unit.threads(config.threads_per_cta) as u64;
-            self.executor.begin(charge, kernel, unit, list.len());
-            Engine::serial_unit(
-                program,
-                dir,
-                list,
-                scan_csr,
-                prev,
-                curr,
-                bins,
-                changed,
-                charge,
-                record,
-                width,
-                task_base,
-                frontier_sorted,
-                edges_examined,
-                sup,
-            );
+            self.executor.begin(charge, desc, unit, list.len());
+            kernel.sweep(list, width, task_base, charge);
             self.executor.commit(charge, launch);
             task_base += list.len() as u64;
         }
@@ -553,19 +586,19 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                     .begin(charge, tm_kernel, SchedUnit::Warp, n.div_ceil(WARP_SIZE));
                 next.clear();
                 let occ = changed.sparse_occupancy();
-                let scan = |lo, hi, active: &mut Vec<VertexId>, part: &mut KernelCharge| {
+                let scan = |range, active: &mut Vec<VertexId>, part: &mut KernelCharge| {
                     let mut sink = |c: Cost| part.task(&c);
                     match occ {
                         Some(occ) => ballot::scan_range_sparse(
-                            program, curr, prev, lo, hi, occ, active, &mut sink,
+                            program, curr, prev, range, occ, active, &mut sink,
                         ),
                         None => ballot::scan_range_chunked(
-                            program, curr, prev, lo, hi, active, &mut sink,
+                            program, curr, prev, range, active, &mut sink,
                         ),
                     }
                 };
                 match pool {
-                    None => scan(0, n, next, charge),
+                    None => scan(0..n, next, charge),
                     Some(pool) => {
                         let whole = &*charge;
                         // The one step `Parallel` runs on the pool.
@@ -576,7 +609,7 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
                             let (lo, hi) = chunk_range_aligned(n, threads, w, WORD_BITS);
                             ws.active.clear();
                             ws.charge.begin_part(whole, lo / WARP_SIZE);
-                            scan(lo, hi, &mut ws.active, &mut ws.charge);
+                            scan(lo..hi, &mut ws.active, &mut ws.charge);
                         })?;
                         for ws in workers.iter() {
                             next.extend_from_slice(&ws.active);
@@ -620,166 +653,24 @@ impl<'a, 'o, P: AccProgram> Run<'a, 'o, P> {
     }
 }
 
-impl<P: AccProgram> Engine<P> {
-    /// Hands the pull-vote candidates of the metadata sweep to `found`,
-    /// in ascending order: full 32-vertex chunks go through `[M; 32]`
-    /// windows with a fixed-width lane loop (the candidate-scan
-    /// analogue of [`ballot::scan_range_chunked`]), the partial tail is
-    /// finished scalar.
-    fn vote_candidates(program: &P, curr: &[P::Meta], mut found: impl FnMut(VertexId)) {
-        let mut base = 0;
-        let mut rest = curr;
-        while let Some((chunk, tail)) = rest.split_first_chunk::<WARP_SIZE>() {
-            for (lane, m) in chunk.iter().enumerate() {
-                let v = (base + lane) as VertexId;
-                if program.pull_candidate(v, m) {
-                    found(v);
-                }
-            }
-            base += WARP_SIZE;
-            rest = tail;
-        }
-        for (i, m) in rest.iter().enumerate() {
-            let v = (base + i) as VertexId;
-            if program.pull_candidate(v, m) {
-                found(v);
-            }
-        }
-    }
-
-    /// The serial compute-kernel loop over one worklist. Each task's
-    /// cost goes to `charge` the moment the task is done.
-    #[allow(clippy::too_many_arguments)]
-    fn serial_unit(
-        program: &P,
-        dir: Direction,
-        list: &[VertexId],
-        csr: &Csr,
-        prev: &[P::Meta],
-        curr: &mut [P::Meta],
-        bins: &mut ThreadBins,
-        chg: &mut ChangedSet,
-        charge: &mut KernelCharge,
-        record: bool,
-        width: u64,
-        task_base: u64,
-        frontier_sorted: bool,
-        examined: &mut u64,
-        sup: &Supervisor,
-    ) {
+impl<P: AccProgram> Kernel<'_, P> {
+    /// The serial compute-kernel loop over one worklist of `width`-lane
+    /// tasks, numbered from `task_base`. Each task's cost goes to
+    /// `charge` the moment the task is done.
+    fn sweep(&mut self, list: &[VertexId], width: u64, task_base: u64, charge: &mut KernelCharge) {
         for (t, &v) in list.iter().enumerate() {
             // In-sweep supervision: a tripped token or deadline bails
             // out of the task list mid-sweep; the iteration's second
             // boundary check converts the trip into the typed abort.
-            if t % POLL_STRIDE == 0 && sup.poll() {
+            if t % POLL_STRIDE == 0 && self.sup.poll() {
                 break;
             }
             let task_counter = task_base + t as u64;
-            let cost = match dir {
-                Direction::Push => Self::push_task(
-                    program,
-                    v,
-                    csr,
-                    prev,
-                    curr,
-                    bins,
-                    chg,
-                    record,
-                    width,
-                    task_counter,
-                    frontier_sorted,
-                    examined,
-                ),
-                Direction::Pull => Self::pull_task(
-                    program,
-                    v,
-                    csr,
-                    prev,
-                    curr,
-                    bins,
-                    chg,
-                    record,
-                    width,
-                    task_counter,
-                    examined,
-                ),
+            let cost = match self.dir {
+                Direction::Push => self.push_task(v, width, task_counter),
+                Direction::Pull => self.pull_task(v, width, task_counter),
             };
             charge.task(&cost);
-        }
-    }
-
-    /// Frontier-volume direction heuristic (Beamer-style): pull when the
-    /// frontier's out-degree volume exceeds `|E| / alpha`.
-    ///
-    /// The divisor only applies to voting programs, whose pull
-    /// iterations terminate early at the first useful parent (§3.3's
-    /// collaborative early termination makes a pull sweep much cheaper
-    /// than |E|). Aggregation programs must visit every in-edge of every
-    /// candidate, so pull can only win once the push volume exceeds the
-    /// full sweep itself.
-    fn heuristic_direction(program: &P, config: &EngineConfig, ctx: &DirectionCtx) -> Direction {
-        match config.direction {
-            DirectionPolicy::FixedPush => Direction::Push,
-            DirectionPolicy::FixedPull => Direction::Pull,
-            DirectionPolicy::Adaptive { alpha } => {
-                let alpha = match program.combine_kind() {
-                    CombineKind::Vote => alpha,
-                    CombineKind::Aggregation => 1,
-                };
-                if ctx.frontier_degree_sum.saturating_mul(alpha) > ctx.num_edges {
-                    Direction::Pull
-                } else {
-                    Direction::Push
-                }
-            }
-        }
-    }
-
-    /// One warp's share of the pull-vote candidate scan: a coalesced
-    /// sweep of 32 metadata words with the compacted candidate append.
-    fn vote_scan_cost() -> Cost {
-        Cost {
-            compute_ops: 64,
-            coalesced_reads: 32,
-            writes: 4,
-            width: 32,
-            ..Cost::default()
-        }
-    }
-
-    /// Cost of the aggregation-pull dirty-marking task for a frontier
-    /// vertex with `nbrs` out-neighbors.
-    fn mark_cost(nbrs: usize) -> Cost {
-        Cost {
-            compute_ops: nbrs as u64 + 1,
-            coalesced_reads: 1 + nbrs as u64,
-            writes: nbrs as u64,
-            width: 32,
-            ..Cost::default()
-        }
-    }
-
-    /// Slot-scaled cost of one push task of degree `d`.
-    fn push_cost(d: u64, applied: u64, width: u64, frontier_sorted: bool) -> Cost {
-        Cost {
-            compute_ops: 2 * d + 2 + Self::tree_ops(width),
-            coalesced_reads: d + if frontier_sorted { 1 } else { 0 },
-            random_reads: d + if frontier_sorted { 0 } else { 1 },
-            writes: applied,
-            width,
-            ..Cost::default()
-        }
-    }
-
-    /// Slot-scaled cost of one pull task that scanned `scanned` in-edges.
-    fn pull_cost(scanned: u64, applied: u64, width: u64) -> Cost {
-        Cost {
-            compute_ops: 2 * scanned + 2 + Self::tree_ops(width),
-            coalesced_reads: 1 + scanned,
-            random_reads: scanned,
-            writes: applied,
-            width,
-            ..Cost::default()
         }
     }
 
@@ -791,106 +682,48 @@ impl<P: AccProgram> Engine<P> {
     /// to `curr` — in-iteration updates accumulate at destinations but
     /// never propagate transitively within an iteration, matching the
     /// synchronization of Fig. 4(b).
-    #[allow(clippy::too_many_arguments)]
-    fn push_task(
-        program: &P,
-        v: VertexId,
-        csr: &Csr,
-        prev: &[P::Meta],
-        curr: &mut [P::Meta],
-        bins: &mut ThreadBins,
-        chg: &mut ChangedSet,
-        record: bool,
-        width: u64,
-        task_counter: u64,
-        frontier_sorted: bool,
-        examined: &mut u64,
-    ) -> Cost {
+    fn push_task(&mut self, v: VertexId, width: u64, task_counter: u64) -> Cost {
+        let csr = self.csr;
         let (lo, hi) = csr.range(v);
         let d = (hi - lo) as u64;
-        *examined += d;
+        *self.edges_examined += d;
         let targets = &csr.targets()[lo..hi];
+        let bin_base = (task_counter * width) as usize;
         // Weighted/unweighted split once per task, so the inner loop
         // carries no per-edge branch on the weights option.
         let applied = match csr.weights() {
-            None => Self::push_task_edges(
-                program,
-                v,
-                targets,
-                |_| 1,
-                prev,
-                curr,
-                bins,
-                chg,
-                record,
-                width,
-                task_counter,
-            ),
+            None => self.push_edges(v, targets, |_| 1, width, bin_base),
             Some(ws) => {
                 let ws = &ws[lo..hi];
-                Self::push_task_edges(
-                    program,
-                    v,
-                    targets,
-                    |k| ws[k],
-                    prev,
-                    curr,
-                    bins,
-                    chg,
-                    record,
-                    width,
-                    task_counter,
-                )
+                self.push_edges(v, targets, |k| ws[k], width, bin_base)
             }
         };
-        Self::push_cost(d, applied, width, frontier_sorted)
+        push_cost(d, applied, width, self.frontier_sorted)
     }
 
     /// The serial push edge loop, monomorphized per weight provider.
-    #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn push_task_edges(
-        program: &P,
+    fn push_edges(
+        &mut self,
         v: VertexId,
         targets: &[VertexId],
         weight: impl Fn(usize) -> Weight,
-        prev: &[P::Meta],
-        curr: &mut [P::Meta],
-        bins: &mut ThreadBins,
-        chg: &mut ChangedSet,
-        record: bool,
         width: u64,
-        task_counter: u64,
+        bin_base: usize,
     ) -> u64 {
-        let m_src = prev[v as usize];
-        let bin_base = (task_counter * width) as usize;
+        let (program, m_src) = (self.program, self.prev[v as usize]);
         // Edge `k`'s lane is `k % width`: a mask for the power-of-two
         // widths every default-config task has.
         let lane_mask = width.is_power_of_two().then_some(width as usize - 1);
         let mut applied = 0u64;
         for (k, &u) in targets.iter().enumerate() {
             let w = weight(k);
-            if let Some(up) = program.compute(v, u, w, &m_src, &curr[u as usize]) {
-                // First-change detection: a vertex is enqueued exactly
-                // once per iteration even when several sources update it
-                // (duplicate frontier entries would double-apply
-                // non-idempotent aggregations like k-Core's decrements).
-                let first_change = chg.is_first(u);
-                if let Some(new) = program.apply(u, &curr[u as usize], up) {
-                    curr[u as usize] = new;
-                    applied += 1;
-                    if first_change {
-                        chg.mark(u);
-                        // An overflowed iteration's bins are never read.
-                        if record && !bins.overflowed() && program.activates(u, &new) {
-                            let lane = match lane_mask {
-                                Some(mask) => k & mask,
-                                None => k % width as usize,
-                            };
-                            bins.record(bin_base + lane, u);
-                        }
-                    }
-                }
+            if let Some(up) = program.compute(v, u, w, &m_src, &self.curr[u as usize]) {
+                let lane = match lane_mask {
+                    Some(mask) => k & mask,
+                    None => k % width as usize,
+                };
+                applied += u64::from(self.apply(u, up, bin_base + lane));
             }
         }
         applied
@@ -899,47 +732,23 @@ impl<P: AccProgram> Engine<P> {
     /// Processes one pull-mode task (candidate vertex `v` gathers along
     /// its in-edges, combining updates warp-locally before a single
     /// non-atomic write — Fig. 4(b) lines 1-8).
-    #[allow(clippy::too_many_arguments)]
-    fn pull_task(
-        program: &P,
-        v: VertexId,
-        csr: &Csr,
-        prev: &[P::Meta],
-        curr: &mut [P::Meta],
-        bins: &mut ThreadBins,
-        chg: &mut ChangedSet,
-        record: bool,
-        width: u64,
-        task_counter: u64,
-        examined: &mut u64,
-    ) -> Cost {
+    fn pull_task(&mut self, v: VertexId, width: u64, task_counter: u64) -> Cost {
+        let csr = self.csr;
         let (lo, hi) = csr.range(v);
         let targets = &csr.targets()[lo..hi];
         // Weighted/unweighted split once per task (the per-edge
         // weights-option branch is hoisted out of the gather loop).
         let (scanned, acc) = match csr.weights() {
-            None => Self::pull_gather_edges(program, v, targets, |_| 1, prev, curr),
+            None => self.gather(v, targets, |_| 1),
             Some(ws) => {
                 let ws = &ws[lo..hi];
-                Self::pull_gather_edges(program, v, targets, |k| ws[k], prev, curr)
+                self.gather(v, targets, |k| ws[k])
             }
         };
-        *examined += scanned;
-        let mut applied = 0u64;
-        if let Some(up) = acc {
-            let first_change = chg.is_first(v);
-            if let Some(new) = program.apply(v, &curr[v as usize], up) {
-                curr[v as usize] = new;
-                applied = 1;
-                if first_change {
-                    chg.mark(v);
-                    if record && !bins.overflowed() && program.activates(v, &new) {
-                        bins.record((task_counter * width) as usize, v);
-                    }
-                }
-            }
-        }
-        Self::pull_cost(scanned, applied, width)
+        *self.edges_examined += scanned;
+        let slot = (task_counter * width) as usize;
+        let applied = acc.is_some_and(|up| self.apply(v, up, slot));
+        pull_cost(scanned, u64::from(applied), width)
     }
 
     /// The gather loop of a pull task, monomorphized per weight
@@ -947,14 +756,18 @@ impl<P: AccProgram> Engine<P> {
     /// collaborative early termination for voting combines. Returns
     /// (edges scanned, combined update).
     #[inline]
-    fn pull_gather_edges(
-        program: &P,
+    fn gather(
+        &self,
         v: VertexId,
         targets: &[VertexId],
         weight: impl Fn(usize) -> Weight,
-        prev: &[P::Meta],
-        curr: &[P::Meta],
     ) -> (u64, Option<P::Update>) {
+        let Kernel {
+            program,
+            prev,
+            curr,
+            ..
+        } = self;
         let m_dst = curr[v as usize];
         let vote = program.combine_kind() == CombineKind::Vote;
         let mut acc: Option<P::Update> = None;
@@ -977,14 +790,129 @@ impl<P: AccProgram> Engine<P> {
         (scanned, acc)
     }
 
-    /// ALU cost of the cross-lane Combine tree: `log2(width)` shuffle
-    /// steps per lane (Fig. 4(b) line 5's cross-warp Combine).
-    fn tree_ops(width: u64) -> u64 {
-        if width <= 1 {
-            0
-        } else {
-            (64 - u64::leading_zeros(width) as u64) * width / 8
+    /// The tail push and pull share: applies `up` to `v` and, on `v`'s
+    /// first change this iteration, marks it changed and records it into
+    /// bin `slot` if it activates. Returns whether `v` changed.
+    ///
+    /// First-change detection enqueues a vertex exactly once per
+    /// iteration even when several sources update it (duplicate frontier
+    /// entries would double-apply non-idempotent aggregations like
+    /// k-Core's decrements). `always`: with three call sites per program
+    /// a plain hint left it a call inside the push edge loop.
+    #[inline(always)]
+    fn apply(&mut self, v: VertexId, up: P::Update, slot: usize) -> bool {
+        let Kernel {
+            program,
+            curr,
+            bins,
+            changed,
+            record,
+            ..
+        } = self;
+        let first_change = changed.is_first(v);
+        let Some(new) = program.apply(v, &curr[v as usize], up) else {
+            return false;
+        };
+        curr[v as usize] = new;
+        if first_change {
+            changed.mark(v);
+            // An overflowed iteration's bins are never read.
+            if *record && !bins.overflowed() && program.activates(v, &new) {
+                bins.record(slot, v);
+            }
         }
+        true
+    }
+}
+
+/// Hands the pull-vote candidates of the metadata sweep to `found`, in
+/// ascending order: full 32-vertex chunks go through `[M; 32]` windows
+/// with a fixed-width lane loop (the candidate-scan analogue of
+/// [`ballot::scan_range_chunked`]), the partial tail is finished scalar.
+fn vote_candidates<P: AccProgram>(program: &P, curr: &[P::Meta], mut found: impl FnMut(VertexId)) {
+    let mut base = 0;
+    let mut rest = curr;
+    while let Some((chunk, tail)) = rest.split_first_chunk::<WARP_SIZE>() {
+        for (lane, m) in chunk.iter().enumerate() {
+            let v = (base + lane) as VertexId;
+            if program.pull_candidate(v, m) {
+                found(v);
+            }
+        }
+        base += WARP_SIZE;
+        rest = tail;
+    }
+    for (i, m) in rest.iter().enumerate() {
+        let v = (base + i) as VertexId;
+        if program.pull_candidate(v, m) {
+            found(v);
+        }
+    }
+}
+
+// The per-task cost helpers below are called from the generic engine,
+// which compiles in the crate that names the program: `#[inline]` keeps
+// them from being calls there.
+
+/// One warp's share of the pull-vote candidate scan: a coalesced sweep
+/// of 32 metadata words with the compacted candidate append.
+fn vote_scan_cost() -> Cost {
+    Cost {
+        compute_ops: 64,
+        coalesced_reads: 32,
+        writes: 4,
+        width: 32,
+        ..Cost::default()
+    }
+}
+
+/// Cost of the aggregation-pull dirty-marking task for a frontier vertex
+/// with `nbrs` out-neighbors.
+#[inline]
+fn mark_cost(nbrs: usize) -> Cost {
+    Cost {
+        compute_ops: nbrs as u64 + 1,
+        coalesced_reads: 1 + nbrs as u64,
+        writes: nbrs as u64,
+        width: 32,
+        ..Cost::default()
+    }
+}
+
+/// Slot-scaled cost of one push task of degree `d`.
+#[inline]
+fn push_cost(d: u64, applied: u64, width: u64, frontier_sorted: bool) -> Cost {
+    Cost {
+        compute_ops: 2 * d + 2 + tree_ops(width),
+        coalesced_reads: d + if frontier_sorted { 1 } else { 0 },
+        random_reads: d + if frontier_sorted { 0 } else { 1 },
+        writes: applied,
+        width,
+        ..Cost::default()
+    }
+}
+
+/// Slot-scaled cost of one pull task that scanned `scanned` in-edges.
+#[inline]
+fn pull_cost(scanned: u64, applied: u64, width: u64) -> Cost {
+    Cost {
+        compute_ops: 2 * scanned + 2 + tree_ops(width),
+        coalesced_reads: 1 + scanned,
+        random_reads: scanned,
+        writes: applied,
+        width,
+        ..Cost::default()
+    }
+}
+
+/// ALU cost of the cross-lane Combine tree: `log2(width)` shuffle steps
+/// per lane (Fig. 4(b) line 5's cross-warp Combine).
+#[inline]
+fn tree_ops(width: u64) -> u64 {
+    if width <= 1 {
+        0
+    } else {
+        (64 - u64::leading_zeros(width) as u64) * width / 8
     }
 }
 

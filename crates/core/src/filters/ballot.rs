@@ -13,6 +13,7 @@ use crate::frontier::WORD_BITS;
 use simdx_gpu::warp::{ballot, popc};
 use simdx_gpu::{Cost, WARP_SIZE};
 use simdx_graph::VertexId;
+use std::ops::Range;
 
 /// Per-warp-chunk scan cost: two coalesced metadata loads per lane,
 /// the compare + ballot + popc ALU work, and the compacted append of
@@ -30,12 +31,13 @@ fn chunk_cost(chunk: usize, votes: u32) -> Cost {
 
 /// The scalar reference scan — the `< 32` tail of
 /// [`scan_range_chunked`] and what the unit tests compare it against:
-/// scans vertices `[start, end)` of the metadata arrays in warp-sized
+/// scans the vertices in `range` of the metadata arrays in warp-sized
 /// chunks, appending active vertices to `active` and handing each
 /// chunk's cost, in chunk order, to `charge` — the engine passes its
-/// streaming [`KernelCharge`], the tests a collecting closure.
+/// streaming [`KernelCharge`](simdx_gpu::KernelCharge), the tests a
+/// collecting closure.
 ///
-/// `start` must be warp-aligned so that partition boundaries fall on
+/// `range.start` must be warp-aligned so that partition boundaries fall on
 /// the same chunk boundaries the whole-array scan uses — partitions
 /// concatenated in range order are then bit-identical (same actives,
 /// same cost sequence) to one scan of the full range.
@@ -43,12 +45,12 @@ pub(crate) fn scan_range<P: AccProgram>(
     program: &P,
     curr: &[P::Meta],
     prev: &[P::Meta],
-    start: usize,
-    end: usize,
+    range: Range<usize>,
     active: &mut Vec<VertexId>,
     charge: &mut impl FnMut(Cost),
 ) {
     assert_eq!(curr.len(), prev.len(), "metadata arrays must be parallel");
+    let Range { start, end } = range;
     assert!(
         start.is_multiple_of(WARP_SIZE),
         "partition start must be warp-aligned"
@@ -79,24 +81,24 @@ pub(crate) fn scan_range<P: AccProgram>(
 /// The dense scan: full 32-vertex chunks are swept through `[M; 32]`
 /// array windows with a fixed-width lane loop, so the compiler can
 /// unroll/vectorize the Active compares into a mask (the host analogue
-/// of `__ballot`); the partial tail chunk (when `end % 32 != 0`) falls
+/// of `__ballot`); the partial tail chunk (when `range.end % 32 != 0`) falls
 /// back to the scalar [`scan_range`].
 ///
 /// The output — actives *and* per-chunk cost sequence — is
 /// bit-identical to [`scan_range`] over the same range: same lane
 /// order inside each chunk (ascending, the bit order `ballot` packs),
-/// same `chunk_cost` per chunk. `start` must be warp-aligned for the
+/// same `chunk_cost` per chunk. `range.start` must be warp-aligned for the
 /// same reason.
 pub(crate) fn scan_range_chunked<P: AccProgram>(
     program: &P,
     curr: &[P::Meta],
     prev: &[P::Meta],
-    start: usize,
-    end: usize,
+    range: Range<usize>,
     active: &mut Vec<VertexId>,
     charge: &mut impl FnMut(Cost),
 ) {
     assert_eq!(curr.len(), prev.len(), "metadata arrays must be parallel");
+    let Range { start, end } = range;
     assert!(
         start.is_multiple_of(WARP_SIZE),
         "partition start must be warp-aligned"
@@ -123,7 +125,7 @@ pub(crate) fn scan_range_chunked<P: AccProgram>(
         (c_rest, p_rest) = (c_tail, p_tail);
     }
     if base < end {
-        scan_range(program, curr, prev, base, end, active, charge);
+        scan_range(program, curr, prev, base..end, active, charge);
     }
 }
 
@@ -137,22 +139,21 @@ pub(crate) fn scan_range_chunked<P: AccProgram>(
 /// metadata still equals the iteration-start snapshot cannot satisfy
 /// the Active condition (`active(v, m, m)` is `false` for every ACC
 /// program), so a zero occupancy word proves its two chunks vote
-/// nothing: same zero `writes`, same scan reads, no actives. `start`
+/// nothing: same zero `writes`, same scan reads, no actives. `range.start`
 /// must be word-aligned (64) so partition boundaries fall on occupancy
 /// words; partitions concatenated in range order remain bit-identical
 /// to one scan of the full range.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_range_sparse<P: AccProgram>(
     program: &P,
     curr: &[P::Meta],
     prev: &[P::Meta],
-    start: usize,
-    end: usize,
+    range: Range<usize>,
     occupancy: &[u64],
     active: &mut Vec<VertexId>,
     charge: &mut impl FnMut(Cost),
 ) {
     assert_eq!(curr.len(), prev.len(), "metadata arrays must be parallel");
+    let Range { start, end } = range;
     assert!(
         start.is_multiple_of(WORD_BITS),
         "partition start must be word-aligned"
@@ -175,7 +176,7 @@ pub(crate) fn scan_range_sparse<P: AccProgram>(
                 base += chunk;
             }
         } else {
-            scan_range_chunked(program, curr, prev, base, word_end, active, charge);
+            scan_range_chunked(program, curr, prev, base..word_end, active, charge);
             base = word_end;
         }
     }
@@ -257,7 +258,7 @@ mod tests {
             SchedUnit::Warp,
             curr.len().div_ceil(WARP_SIZE),
         );
-        scan_range_chunked(program, curr, prev, 0, curr.len(), &mut active, &mut |c| {
+        scan_range_chunked(program, curr, prev, 0..curr.len(), &mut active, &mut |c| {
             charge.task(&c)
         });
         executor.commit(&charge, launch);
@@ -273,23 +274,19 @@ mod tests {
     }
 
     impl Scanned {
-        fn scalar(&mut self, curr: &[u32], prev: &[u32], start: usize, end: usize) {
+        fn scalar(&mut self, curr: &[u32], prev: &[u32], range: Range<usize>) {
             let Scanned { active, tasks } = self;
-            scan_range(&Diff, curr, prev, start, end, active, &mut |c| {
-                tasks.push(c)
-            });
+            scan_range(&Diff, curr, prev, range, active, &mut |c| tasks.push(c));
         }
 
-        fn chunked(&mut self, curr: &[u32], prev: &[u32], start: usize, end: usize) {
+        fn chunked(&mut self, curr: &[u32], prev: &[u32], range: Range<usize>) {
             let Scanned { active, tasks } = self;
-            scan_range_chunked(&Diff, curr, prev, start, end, active, &mut |c| {
-                tasks.push(c)
-            });
+            scan_range_chunked(&Diff, curr, prev, range, active, &mut |c| tasks.push(c));
         }
 
-        fn sparse(&mut self, curr: &[u32], prev: &[u32], start: usize, end: usize, occ: &[u64]) {
+        fn sparse(&mut self, curr: &[u32], prev: &[u32], range: Range<usize>, occ: &[u64]) {
             let Scanned { active, tasks } = self;
-            scan_range_sparse(&Diff, curr, prev, start, end, occ, active, &mut |c| {
+            scan_range_sparse(&Diff, curr, prev, range, occ, active, &mut |c| {
                 tasks.push(c)
             });
         }
@@ -322,7 +319,7 @@ mod tests {
         streamed.set_scale(64);
         scan(&Diff, &curr, &prev, &mut streamed, &k, true);
         let mut collected = Scanned::default();
-        collected.chunked(&curr, &prev, 0, n);
+        collected.chunked(&curr, &prev, 0..n);
         let (mut listed, _) = setup();
         listed.set_scale(64);
         listed.run_kernel(&k, SchedUnit::Warp, &collected.tasks, true);
@@ -408,9 +405,9 @@ mod tests {
         }
         let occ = occupancy(&curr, &prev);
         let mut dense = Scanned::default();
-        dense.scalar(&curr, &prev, 0, n);
+        dense.scalar(&curr, &prev, 0..n);
         let mut sparse = Scanned::default();
-        sparse.sparse(&curr, &prev, 0, n, &occ);
+        sparse.sparse(&curr, &prev, 0..n, &occ);
         assert_eq!(sparse, dense);
     }
 
@@ -423,11 +420,11 @@ mod tests {
         curr[400] = 2;
         let occ = occupancy(&curr, &prev);
         let mut whole = Scanned::default();
-        whole.sparse(&curr, &prev, 0, n, &occ);
+        whole.sparse(&curr, &prev, 0..n, &occ);
         // Word-aligned split at vertex 256 (word 4).
         let mut parts = Scanned::default();
-        parts.sparse(&curr, &prev, 0, 256, &occ);
-        parts.sparse(&curr, &prev, 256, n, &occ);
+        parts.sparse(&curr, &prev, 0..256, &occ);
+        parts.sparse(&curr, &prev, 256..n, &occ);
         assert_eq!(parts, whole);
     }
 
@@ -437,7 +434,7 @@ mod tests {
         let meta = vec![3u32; n];
         let occ = vec![0u64; n.div_ceil(64)];
         let mut out = Scanned::default();
-        out.sparse(&meta, &meta, 0, n, &occ);
+        out.sparse(&meta, &meta, 0..n, &occ);
         assert!(out.active.is_empty());
         // Same chunk count as the dense scan: the JIT cost model sees
         // the same V-proportional kernel either way.
@@ -455,9 +452,9 @@ mod tests {
             curr[v] = 1;
         }
         let mut scalar = Scanned::default();
-        scalar.scalar(&curr, &prev, 0, n);
+        scalar.scalar(&curr, &prev, 0..n);
         let mut chunked = Scanned::default();
-        chunked.chunked(&curr, &prev, 0, n);
+        chunked.chunked(&curr, &prev, 0..n);
         assert_eq!(chunked, scalar);
     }
 
@@ -471,9 +468,9 @@ mod tests {
             curr[v] = 1;
         }
         let mut scalar = Scanned::default();
-        scalar.scalar(&curr, &prev, 0, n);
+        scalar.scalar(&curr, &prev, 0..n);
         let mut chunked = Scanned::default();
-        chunked.chunked(&curr, &prev, 0, n);
+        chunked.chunked(&curr, &prev, 0..n);
         assert_eq!(chunked, scalar);
     }
 
@@ -486,10 +483,10 @@ mod tests {
         curr[200] = 2;
         curr[n - 1] = 3;
         let mut whole = Scanned::default();
-        whole.chunked(&curr, &prev, 0, n);
+        whole.chunked(&curr, &prev, 0..n);
         let mut parts = Scanned::default();
-        parts.chunked(&curr, &prev, 0, 96);
-        parts.chunked(&curr, &prev, 96, n);
+        parts.chunked(&curr, &prev, 0..96);
+        parts.chunked(&curr, &prev, 96..n);
         assert_eq!(parts, whole);
     }
 
@@ -497,7 +494,7 @@ mod tests {
     #[should_panic(expected = "warp-aligned")]
     fn chunked_scan_rejects_misaligned_start() {
         let meta = vec![0u32; 64];
-        Scanned::default().chunked(&meta, &meta, 5, 64);
+        Scanned::default().chunked(&meta, &meta, 5..64);
     }
 
     #[test]
@@ -505,6 +502,6 @@ mod tests {
     fn sparse_scan_rejects_misaligned_start() {
         let meta = vec![0u32; 128];
         let occ = vec![0u64; 2];
-        Scanned::default().sparse(&meta, &meta, 32, 128, &occ);
+        Scanned::default().sparse(&meta, &meta, 32..128, &occ);
     }
 }

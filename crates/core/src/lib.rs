@@ -93,6 +93,11 @@
 //! # Ok::<(), SimdxError>(())
 //! ```
 
+// A function that needs eight arguments wants a context struct, as the
+// engine's `Kernel` is. Under clippy, `forbid` also rejects a local
+// `allow` (E0453); plain `rustc` does not check clippy's lints.
+#![forbid(clippy::too_many_arguments)]
+
 pub mod acc;
 pub mod checkpoint;
 pub mod config;

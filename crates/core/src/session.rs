@@ -117,7 +117,7 @@ use std::time::Duration;
 use crate::acc::{AccProgram, SourcedProgram};
 use crate::checkpoint::{RunAborted, RunCheckpoint};
 use crate::config::EngineConfig;
-use crate::engine::{Engine, SessionCtx};
+use crate::engine::{run_session, SessionCtx};
 use crate::error::SimdxError;
 use crate::jit::IterationRecord;
 use crate::metrics::RunResult;
@@ -451,7 +451,7 @@ impl<'rt, 'g> BoundGraph<'rt, 'g> {
         // serial kernel, a filter, `init`, the capture or the restore.
         // The slot is borrowed from a frame outside the guard, so a
         // retry (the caller's) starts from the boundary it holds.
-        let run = || Engine::run_session(program, self.graph, config, ctx);
+        let run = || run_session(program, self.graph, config, ctx);
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
             Err(SimdxError::WorkerPanicked {
                 worker: 0,

@@ -213,7 +213,7 @@ impl EdgeList {
                 combined.sort_unstable();
                 combined.dedup_by_key(|&mut (e, _)| e);
                 self.edges = combined.iter().map(|&(e, _)| e).collect();
-                self.weights = Some(combined.into_iter().map(|(_, w)| w).collect());
+                self.weights = Some(combined.iter().map(|&(_, w)| w).collect());
             }
         }
         before - self.edges.len()
@@ -283,6 +283,9 @@ mod tests {
         assert_eq!(removed, 2);
         assert_eq!(el.edges(), &[(0, 1), (1, 2)]);
         assert_eq!(el.weights(), Some(&[3, 4][..]));
+        assert_eq!(el.edges.capacity(), el.edges.len());
+        let w = el.weights.as_ref().expect("weighted");
+        assert_eq!(w.capacity(), w.len());
     }
 
     #[test]

@@ -699,7 +699,7 @@ fn rule_panic_free(fc: &FileCheck<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// [surface] — ratcheted; see [`crate::ratchet`].
+/// `[surface]` — ratcheted; see [`crate::ratchet`].
 fn rule_surface(fc: &FileCheck<'_>, out: &mut Vec<Finding>) {
     if !Policy::surface_scoped(&fc.path) {
         return;
