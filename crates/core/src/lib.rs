@@ -95,7 +95,8 @@
 
 // A function that needs eight arguments wants a context struct, as the
 // engine's `Kernel` is. Under clippy, `forbid` also rejects a local
-// `allow` (E0453); plain `rustc` does not check clippy's lints.
+// `allow` (E0453); plain `rustc` does not check clippy's lints, so
+// simdx-lint's `[arity-allow]` rule reports the `allow` in tier-1.
 #![forbid(clippy::too_many_arguments)]
 
 pub mod acc;

@@ -34,6 +34,14 @@
 //! needs for queries/sec and p50/p99 latency (the repo benchmark's
 //! `service.*` layer metrics on `serve_open` are built from it).
 //!
+//! Every decision of the submission protocol (admission, which ticket
+//! runs next, an abort's hand-back, the breaker, one outcome per
+//! admitted ticket) lives in a pure, clock-free `Ledger`
+//! (`service/ledger.rs`). This module is its shell: the ledger under
+//! one mutex, a condvar each for blocked submitters and idle serving
+//! threads, the scoped threads, the retry loop and the durable spill,
+//! whose store I/O runs outside the lock.
+//!
 //! Serving threads are *scoped* (`std::thread::scope`): they borrow
 //! the `BoundGraph` directly, so the service needs no `'static`
 //! plumbing and cannot outlive the graph it serves. The producer
@@ -116,7 +124,6 @@
 //! # Ok::<(), SimdxError>(())
 //! ```
 
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use crate::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -128,9 +135,12 @@ use crate::metrics::RunResult;
 use crate::persist::{self, CheckpointStore, DurableCheckpoint, PersistMeta};
 use crate::scratch::IterScratch;
 use crate::session::{BoundGraph, Query};
-use crate::supervise::{CancelToken, RunProgress};
+use crate::supervise::CancelToken;
 use crate::sync::Arc;
 use simdx_graph::VertexId;
+
+mod ledger;
+use ledger::{Admission, Entry, Ledger, Turn};
 
 /// What [`QueryClient::submit`] does when the submission queue is at
 /// [`ServiceConfig::queue_depth`].
@@ -201,9 +211,6 @@ impl RetryPolicy {
     /// Waits grow with the attempt, so the policy's longest is the one
     /// before attempt `max_attempts`.
     fn wait_before(&self, attempt: u32) -> Option<Duration> {
-        if self.backoff.is_zero() {
-            return Some(Duration::ZERO);
-        }
         (2..attempt).try_fold(self.backoff, |wait, _| wait.checked_mul(2))
     }
 }
@@ -242,11 +249,6 @@ impl DurabilityPolicy {
         Self {
             store: Arc::new(store),
         }
-    }
-
-    /// The wrapped store.
-    pub(crate) fn store(&self) -> &dyn CheckpointStore {
-        &*self.store
     }
 }
 
@@ -546,29 +548,13 @@ impl<M: Copy> ServeReport<M> {
     }
 }
 
-/// One admitted, not-yet-served request.
-struct Entry {
-    ticket: usize,
-    request: QueryRequest,
-    submitted: Instant,
-}
-
-struct QueueState {
-    queue: VecDeque<Entry>,
-    next_ticket: usize,
-    closed: bool,
-    /// Set by [`CloseMode::Abort`]: serving threads hand queued entries
-    /// back as zero-progress cancellations instead of running them.
-    aborted: bool,
-}
-
 /// The worker-panic circuit breaker as a standalone, explicitly-timed
 /// state machine: closed (healthy) when `opened_at` is `None`; open
 /// (shedding) while `opened_at` is within the cooldown; half-open (one
 /// probe in flight) when `probing`.
 ///
-/// [`QueryPool`] wraps one in a mutex and feeds it `Instant::now()`;
-/// every transition takes the clock as an argument, so the
+/// [`QueryPool`] holds one inside its submission ledger, which passes
+/// time in; every transition takes the clock as an argument, so the
 /// deterministic interleaving harness (`tests/model_interleave.rs`)
 /// drives the same machine through enumerated schedules and synthetic
 /// clocks — no wall-clock read hides inside a transition.
@@ -649,75 +635,81 @@ impl Breaker {
     }
 }
 
-/// The bounded submission queue shared by the producer and the serving
-/// threads. Plain `Mutex` + two `Condvar`s: submitters wait on
-/// `not_full` (blocking admission), serving threads on `not_empty`.
-struct SharedQueue {
-    state: Mutex<QueueState>,
+/// The [`Ledger`] under the serving tier's one mutex, the condvars
+/// blocked submitters and idle serving threads park on, and the
+/// pool-wide shutdown token.
+struct Shared<M: Copy> {
+    ledger: Mutex<Ledger<M>>,
     not_empty: Condvar,
     not_full: Condvar,
-    depth: usize,
-    admission: AdmissionPolicy,
-    /// `Some` when [`ServiceConfig::breaker_threshold`] > 0.
-    breaker: Option<Mutex<Breaker>>,
-    /// Pool-wide shutdown token; cancelled by [`CloseMode::Abort`] and
-    /// attached to every query's supervisor so in-flight runs abort at
-    /// their next supervision check.
+    /// Cancelled by [`CloseMode::Abort`] and attached to every query's
+    /// supervisor, so in-flight runs abort at their next supervision
+    /// check.
     shutdown: CancelToken,
 }
 
-impl SharedQueue {
-    fn lock(&self) -> MutexGuard<'_, QueueState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn close(&self) {
-        self.lock().closed = true;
-        self.not_empty.notify_all();
-    }
-
-    /// Breaker gate at submit time: `Err(Unavailable)` sheds the
-    /// submission, `Ok(())` admits it (possibly as the half-open
-    /// probe).
-    fn breaker_admit(&self) -> Result<(), SimdxError> {
-        let Some(breaker) = &self.breaker else {
-            return Ok(());
-        };
-        breaker
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .admit(Instant::now())
-            .map_err(|retry_after| SimdxError::Unavailable { retry_after })
-    }
-
-    /// Feeds one query's *final* outcome (retries already exhausted or
-    /// not configured) into the breaker. Only worker panics count as
-    /// failures: supervision aborts and invalid queries say nothing
-    /// about service health.
-    fn breaker_record(&self, panicked: bool) {
-        let Some(breaker) = &self.breaker else {
-            return;
-        };
-        breaker
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record(panicked, Instant::now());
+impl<M: Copy> Shared<M> {
+    fn lock(&self) -> MutexGuard<'_, Ledger<M>> {
+        self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// Closes the queue on drop — on the producer's return and on its
-/// unwind alike (see [`QueryPool::serve`]).
-struct CloseOnDrop<'a>(&'a SharedQueue);
+/// The producer's side of [`Shared`], with the metadata type erased so
+/// [`QueryClient`] carries none.
+trait Intake: Sync {
+    fn submit(&self, request: QueryRequest) -> Result<QueryTicket, SimdxError>;
+    fn queued(&self) -> usize;
+    fn close(&self, mode: CloseMode);
+}
+
+impl<M: Copy + Send> Intake for Shared<M> {
+    fn submit(&self, mut request: QueryRequest) -> Result<QueryTicket, SimdxError> {
+        let mut ledger = self.lock();
+        let ticket = loop {
+            match ledger.submit(request, Instant::now()) {
+                Admission::Admitted(ticket) => break ticket,
+                Admission::Full(back) => {
+                    request = back;
+                    ledger = self
+                        .not_full
+                        .wait(ledger)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                Admission::Refused(error) => return Err(error),
+            }
+        };
+        drop(ledger);
+        self.not_empty.notify_one();
+        Ok(ticket)
+    }
+
+    fn queued(&self) -> usize {
+        self.lock().queued()
+    }
+
+    fn close(&self, mode: CloseMode) {
+        self.lock().close(mode);
+        if mode == CloseMode::Abort {
+            self.shutdown.cancel();
+        }
+        self.not_empty.notify_all();
+        self.not_full.notify_all();
+    }
+}
+
+/// Closes the pool as [`CloseMode::Drain`] on drop — on the producer's
+/// return and on its unwind alike (see [`QueryPool::serve`]).
+struct CloseOnDrop<'a>(QueryClient<'a>);
 
 impl Drop for CloseOnDrop<'_> {
     fn drop(&mut self) {
-        self.0.close();
+        self.0.close(CloseMode::Drain);
     }
 }
 
 /// The producer's handle into a running [`QueryPool::serve`] call.
 pub struct QueryClient<'a> {
-    shared: &'a SharedQueue,
+    shared: &'a dyn Intake,
 }
 
 impl QueryClient<'_> {
@@ -730,50 +722,12 @@ impl QueryClient<'_> {
     /// [`SimdxError::InvalidQuery`]. On success the returned ticket
     /// indexes the query's slot in [`ServeReport::outcomes`].
     pub fn submit(&self, request: QueryRequest) -> Result<QueryTicket, SimdxError> {
-        self.shared.breaker_admit()?;
-        let index;
-        {
-            let mut st = self.shared.lock();
-            loop {
-                if st.closed {
-                    return Err(SimdxError::InvalidQuery {
-                        reason: "query pool is closed".to_string(),
-                    });
-                }
-                if st.queue.len() < self.shared.depth {
-                    break;
-                }
-                match self.shared.admission {
-                    AdmissionPolicy::Reject => {
-                        return Err(SimdxError::Overloaded {
-                            capacity: self.shared.depth,
-                            depth: st.queue.len(),
-                        })
-                    }
-                    AdmissionPolicy::Block => {
-                        st = self
-                            .shared
-                            .not_full
-                            .wait(st)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                }
-            }
-            index = st.next_ticket;
-            st.next_ticket += 1;
-            st.queue.push_back(Entry {
-                ticket: index,
-                request,
-                submitted: Instant::now(),
-            });
-        }
-        self.shared.not_empty.notify_one();
-        Ok(QueryTicket { index })
+        self.shared.submit(request)
     }
 
     /// Requests currently admitted but not yet picked up.
     pub fn queued(&self) -> usize {
-        self.shared.lock().queue.len()
+        self.shared.queued()
     }
 
     /// Closes the pool from inside the producer. Later [`Self::submit`]
@@ -791,18 +745,7 @@ impl QueryClient<'_> {
     ///
     /// Idempotent; an `Abort` after a `Drain` still escalates.
     pub fn close(&self, mode: CloseMode) {
-        {
-            let mut st = self.shared.lock();
-            st.closed = true;
-            if mode == CloseMode::Abort {
-                st.aborted = true;
-            }
-        }
-        if mode == CloseMode::Abort {
-            self.shared.shutdown.cancel();
-        }
-        self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
+        self.shared.close(mode);
     }
 }
 
@@ -833,118 +776,60 @@ impl QueryPool {
         F: FnOnce(&QueryClient<'_>) -> Result<(), SimdxError>,
     {
         config.validate()?;
-        let shared = SharedQueue {
-            state: Mutex::new(QueueState {
-                queue: VecDeque::with_capacity(config.queue_depth),
-                next_ticket: 0,
-                closed: false,
-                aborted: false,
-            }),
+        let shared = Shared {
+            ledger: Mutex::new(Ledger::new(&config)),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            depth: config.queue_depth,
-            admission: config.admission,
-            breaker: (config.breaker_threshold > 0).then(|| {
-                Mutex::new(Breaker::new(
-                    config.breaker_threshold,
-                    config.breaker_cooldown,
-                ))
-            }),
             shutdown: CancelToken::new(),
         };
         let started = Instant::now();
-        let (produced, served) = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(config.workers);
-            let mut spawn_failed = None;
-            for w in 0..config.workers {
-                let (shared, program, config) = (&shared, &program, &config);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("simdx-serve-{w}"))
-                    .spawn_scoped(scope, move || serve_loop(bound, program, config, shared));
-                match spawned {
-                    Ok(handle) => handles.push(handle),
-                    Err(e) => {
-                        // OS thread exhaustion is an operator problem,
-                        // not a panic: close the queue (nothing was
-                        // admitted yet — the producer never ran), let
-                        // any already-spawned workers drain out, and
-                        // surface a typed error.
-                        spawn_failed = Some(SimdxError::InvalidConfig {
+        let produced = std::thread::scope(|scope| {
+            // OS thread exhaustion is an operator problem, not a panic:
+            // the producer never runs (nothing is admitted), the close
+            // below lets any already-spawned workers drain out, and a
+            // typed error surfaces.
+            let spawned: Result<Vec<_>, SimdxError> = (0..config.workers)
+                .map(|w| {
+                    let (shared, program, config) = (&shared, &program, &config);
+                    std::thread::Builder::new()
+                        .name(format!("simdx-serve-{w}"))
+                        .spawn_scoped(scope, move || serve_loop(bound, program, config, shared))
+                        .map_err(|e| SimdxError::InvalidConfig {
                             reason: format!(
                                 "cannot spawn serving thread {w} of {}: {e}",
                                 config.workers
                             ),
-                        });
-                        break;
-                    }
-                }
-            }
+                        })
+                })
+                .collect();
             let produced = {
                 // Closes the queue when the producer returns *or
                 // unwinds*: a panicking producer must still release the
                 // serving threads parked on `not_empty`, or the scope
                 // would wait on them forever instead of re-raising the
                 // panic. Admitted queries drain either way.
-                let _close = CloseOnDrop(&shared);
-                match spawn_failed {
-                    None => producer(&QueryClient { shared: &shared }),
-                    Some(err) => Err(err),
-                }
+                let client = CloseOnDrop(QueryClient { shared: &shared });
+                spawned
+                    .as_ref()
+                    .map_err(Clone::clone)
+                    .and_then(|_| producer(&client.0))
             };
             // Engine panics are contained inside the execute path, so a
             // serving thread only dies of a harness bug; don't swallow
             // that.
-            let served: Vec<Served<P::Meta>> = handles
-                .into_iter()
-                .map(|handle| {
-                    handle
-                        .join()
-                        .unwrap_or_else(|p| std::panic::resume_unwind(p))
-                })
-                .collect();
-            (produced, served)
+            for handle in spawned.into_iter().flatten() {
+                handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+            }
+            produced
         });
         produced?;
-        let admitted = shared.lock().next_ticket;
-        let mut slots: Vec<Option<ServeOutcome<P::Meta>>> = Vec::new();
-        slots.resize_with(admitted, || None);
-        let mut report = ServeReport {
-            outcomes: Vec::with_capacity(admitted),
-            batches: 0,
-            elapsed: started.elapsed(),
-            spilled: Vec::new(),
-            spill_failures: Vec::new(),
-        };
-        for thread in served {
-            for (ticket, outcome) in thread.outcomes {
-                slots[ticket] = Some(outcome);
-            }
-            report.batches += thread.turns;
-            report.spilled.extend(thread.spilled);
-            report.spill_failures.extend(thread.spill_failures);
-        }
-        for (ticket, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(outcome) => report.outcomes.push(outcome),
-                // Unreachable by construction (every popped entry is
-                // served, abort-mode orphans included); surface a typed
-                // error rather than panicking if the invariant ever
-                // breaks.
-                None => {
-                    return Err(SimdxError::InvalidQuery {
-                        reason: format!(
-                            "internal serving invariant broken: \
-                             ticket {ticket} was admitted but never produced an outcome"
-                        ),
-                    })
-                }
-            }
-        }
-        report.spilled.sort_unstable();
-        report
-            .spill_failures
-            .sort_unstable_by_key(|(ticket, _)| *ticket);
-        Ok(report)
+        let ledger = shared
+            .ledger
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        Ok(ledger.into_report(started.elapsed()))
     }
 
     /// Scans `store` for checkpoints spilled by an earlier process
@@ -1040,179 +925,106 @@ impl<M: Copy> RecoveryReport<M> {
     }
 }
 
-/// What one serving thread hands back to [`QueryPool::serve`] through
-/// `join`.
-struct Served<M: Copy> {
-    /// Every entry this thread took off the queue — run, or handed back
-    /// unserved by an abort-mode close — under its ticket.
-    outcomes: Vec<(usize, ServeOutcome<M>)>,
-    /// Tickets whose final-failure checkpoints this thread spilled.
-    spilled: Vec<u64>,
-    /// Spills that failed, with the store's typed error.
-    spill_failures: Vec<(u64, SimdxError)>,
-    /// Tickets this thread ran, one per turn.
-    turns: u64,
-}
-
-/// One serving thread: pop one request per turn and run it to its
-/// final outcome (spilling a final-failure checkpoint when durability
-/// is armed), over one scratch arena checked out at the first ticket
-/// and checked back in when the thread exits.
+/// One serving thread: take one request per turn and run it to its
+/// final outcome over one scratch arena, checked out at the first
+/// ticket and checked back in when the thread exits. The outcome is
+/// published (and the breaker fed) before a durable spill's store I/O
+/// starts; that I/O runs outside the lock.
 fn serve_loop<P: SourcedProgram>(
     bound: &BoundGraph<'_, '_>,
     program: &P,
     config: &ServiceConfig,
-    shared: &SharedQueue,
-) -> Served<P::Meta>
-where
+    shared: &Shared<P::Meta>,
+) where
     P::Meta: PersistMeta,
 {
-    let arm = config.arms_checkpoints();
-    let mut served = Served {
-        outcomes: Vec::new(),
-        spilled: Vec::new(),
-        spill_failures: Vec::new(),
-        turns: 0,
-    };
     let mut scratch = None;
-    while let Some(entry) = next_entry(shared, &mut served) {
-        let scratch = scratch.get_or_insert_with(|| bound.checkout_scratch());
-        let mut outcome = serve_one(
-            bound,
-            program,
-            &entry,
-            scratch,
-            config.retry,
-            arm,
-            &shared.shutdown,
-        );
-        shared.breaker_record(matches!(
-            outcome.result,
-            Err(SimdxError::WorkerPanicked { .. })
-        ));
-        // Durable spill: a final failure that carries a boundary
-        // checkpoint is persisted under its ticket so a later process
-        // can resume it. The checkpoint travels through the frame and
-        // back — no clone, and the submitter still gets the in-memory
-        // copy whether or not the spill stuck. A query cancelled
-        // through its *own* token was withdrawn by its caller and is
-        // not spilled — recovery would resurrect it; a shutdown
-        // cancellation (the pool's token) is the crash-survival case
-        // and is.
-        if let (Some(policy), Err(error)) = (&config.durability, &outcome.result) {
-            let withdrawn = matches!(error, SimdxError::Cancelled { .. })
-                && entry
-                    .request
-                    .cancel
-                    .as_ref()
-                    .is_some_and(CancelToken::is_cancelled);
-            if let Some(checkpoint) = outcome.checkpoint.take_if(|_| !withdrawn) {
-                let frame = DurableCheckpoint {
-                    ticket: entry.ticket as u64,
-                    seed: outcome.seed,
-                    checkpoint,
-                };
-                match persist::spill(policy.store(), &frame) {
-                    Ok(()) => served.spilled.push(frame.ticket),
-                    Err(error) => served.spill_failures.push((frame.ticket, error)),
-                }
-                outcome.checkpoint = Some(frame.checkpoint);
+    let mut ledger = shared.lock();
+    loop {
+        let entry = match ledger.next(Instant::now()) {
+            Turn::Run(entry) => entry,
+            Turn::Wait => {
+                ledger = shared
+                    .not_empty
+                    .wait(ledger)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
             }
+            Turn::Exit => break,
+        };
+        drop(ledger);
+        shared.not_full.notify_all();
+        let scratch = scratch.get_or_insert_with(|| bound.checkout_scratch());
+        let mut outcome = serve_one(bound, program, &entry, scratch, config, &shared.shutdown);
+        let frame = config
+            .durability
+            .as_ref()
+            .and_then(|_| spill_frame(&entry, &mut outcome));
+        ledger = shared.lock();
+        ledger.finish(entry.ticket, outcome, Instant::now());
+        if let (Some(policy), Some(frame)) = (&config.durability, frame) {
+            drop(ledger);
+            let result = persist::spill(&*policy.store, &frame);
+            ledger = shared.lock();
+            ledger.spilled(frame, result);
         }
-        served.outcomes.push((entry.ticket, outcome));
-        served.turns += 1;
     }
+    drop(ledger);
     if let Some(scratch) = scratch {
         bound.checkin_scratch(scratch);
     }
-    served
 }
 
-/// Blocks until there is a request to run and pops it; `None` once the
-/// queue is closed and empty, or the pool was closed with
-/// [`CloseMode::Abort`] — in which case every still-queued entry is
-/// handed back into `served` as a zero-progress cancellation instead of
-/// running it. In-flight peers abort on their own via the shutdown
-/// token.
-fn next_entry<M: Copy>(shared: &SharedQueue, served: &mut Served<M>) -> Option<Entry> {
-    let mut st = shared.lock();
-    let entry = loop {
-        if st.aborted {
-            let orphans = st
-                .queue
-                .drain(..)
-                .map(|e| (e.ticket, cancelled_unserved(&e)));
-            served.outcomes.extend(orphans);
-            break None;
-        }
-        if let Some(entry) = st.queue.pop_front() {
-            break Some(entry);
-        }
-        if st.closed {
-            return None;
-        }
-        st = shared
-            .not_empty
-            .wait(st)
-            .unwrap_or_else(PoisonError::into_inner);
-    };
-    drop(st);
-    shared.not_full.notify_all();
-    entry
-}
-
-/// The outcome of a queued query orphaned by an abort-mode close: a
-/// zero-progress, zero-attempt cancellation — it never started, so
-/// there is nothing to checkpoint.
-fn cancelled_unserved<M: Copy>(entry: &Entry) -> ServeOutcome<M> {
-    ServeOutcome {
-        seed: entry.request.seed,
-        result: Err(SimdxError::Cancelled {
-            progress: RunProgress {
-                iterations: 0,
-                edges_examined: 0,
-                elapsed: entry.submitted.elapsed(),
-            },
-        }),
-        latency: entry.submitted.elapsed(),
-        attempts: 0,
-        checkpoint: None,
-    }
+/// The durable frame for a final failure that carries a boundary
+/// checkpoint. The checkpoint moves into the frame and back through
+/// [`Ledger::spilled`], so the submitter keeps the in-memory copy
+/// whether or not the spill stuck. A query cancelled through its *own*
+/// token was withdrawn by its caller and is not spilled (recovery would
+/// resurrect it); a shutdown cancellation (the pool's token) is the
+/// crash-survival case and is.
+fn spill_frame<M: Copy>(
+    entry: &Entry,
+    outcome: &mut ServeOutcome<M>,
+) -> Option<DurableCheckpoint<M>> {
+    let withdrawn = matches!(outcome.result, Err(SimdxError::Cancelled { .. }))
+        && entry
+            .request
+            .cancel
+            .as_ref()
+            .is_some_and(CancelToken::is_cancelled);
+    Some(DurableCheckpoint {
+        ticket: entry.ticket as u64,
+        seed: outcome.seed,
+        checkpoint: outcome.checkpoint.take_if(|_| !withdrawn)?,
+    })
 }
 
 /// Runs one query to its final outcome: up to `retry.max_attempts`
 /// attempts over one checkpoint slot, so each attempt after the first
-/// continues from the boundary the previous one left there (when `arm`
-/// captured one).
+/// continues from the boundary the previous one left there (when
+/// [`ServiceConfig::arms_checkpoints`] captured one).
 fn serve_one<P: SourcedProgram>(
     bound: &BoundGraph<'_, '_>,
     program: &P,
     entry: &Entry,
     scratch: &mut IterScratch,
-    retry: RetryPolicy,
-    arm: bool,
+    config: &ServiceConfig,
     shutdown: &CancelToken,
 ) -> ServeOutcome<P::Meta> {
-    let request = &entry.request;
+    let (request, retry, arm) = (&entry.request, config.retry, config.arms_checkpoints());
     let program = program.clone().with_source(request.seed);
     let mut slot: Option<RunCheckpoint<P::Meta>> = None;
     let mut attempts = 0u32;
-    loop {
+    let result = loop {
         attempts += 1;
-        // The deadline covers submit→completion on the first attempt:
-        // shrink it by the queue wait (saturating to an immediate,
-        // typed abort when the query waited its whole deadline out in
-        // the queue). Retried attempts get the full allowance fresh
-        // from their own start — otherwise a deadline-tripped query
-        // would re-trip before resuming a single iteration. The cycle
-        // budget needs no such care: the execute path grants it on top
-        // of what the slot's checkpoint already spent.
-        let deadline = request.deadline.map(|d| {
-            if attempts == 1 {
-                d.saturating_sub(entry.submitted.elapsed())
-            } else {
-                d
-            }
+        // The first attempt's deadline is shrunk by the queue wait
+        // (to an immediate abort if it was all spent queued); a retry
+        // gets the full allowance fresh, or it would re-trip before
+        // resuming an iteration. The execute path grants the cycle
+        // budget on top of what the slot's checkpoint already spent.
+        let deadline = request.deadline.map(|d| match attempts {
+            1 => d.saturating_sub(entry.submitted.elapsed()),
+            _ => d,
         });
         let query = Query {
             source: Some(request.seed),
@@ -1222,46 +1034,27 @@ fn serve_one<P: SourcedProgram>(
             shutdown: Some(shutdown.clone()),
             ..Query::default()
         };
-        let result = bound.execute(&program, query, scratch, arm.then_some(&mut slot));
-        match result {
-            Ok(run) => {
-                return ServeOutcome {
-                    seed: entry.request.seed,
-                    result: Ok(run),
-                    latency: entry.submitted.elapsed(),
-                    attempts,
-                    checkpoint: None,
-                }
+        match bound.execute(&program, query, scratch, arm.then_some(&mut slot)) {
+            // Transient aborts retry; a cancellation is the caller's
+            // decision (and an abort-mode shutdown's), and an invalid
+            // query will never get better. `ServiceConfig::validate`
+            // rejected every policy whose wait overflows.
+            Err(
+                SimdxError::WorkerPanicked { .. }
+                | SimdxError::DeadlineExceeded { .. }
+                | SimdxError::BudgetExhausted { .. },
+            ) if attempts < retry.max_attempts && !shutdown.is_cancelled() => {
+                std::thread::sleep(retry.wait_before(attempts + 1).unwrap_or_default());
             }
-            Err(error) => {
-                // Transient aborts retry; a cancellation is the
-                // caller's decision (and an abort-mode shutdown's), and
-                // an invalid query will never get better.
-                let transient = matches!(
-                    error,
-                    SimdxError::WorkerPanicked { .. }
-                        | SimdxError::DeadlineExceeded { .. }
-                        | SimdxError::BudgetExhausted { .. }
-                );
-                if transient && attempts < retry.max_attempts && !shutdown.is_cancelled() {
-                    // `ServiceConfig::validate` rejected every policy
-                    // whose wait overflows.
-                    if let Some(wait) = retry.wait_before(attempts + 1) {
-                        if !wait.is_zero() {
-                            std::thread::sleep(wait);
-                        }
-                    }
-                    continue;
-                }
-                return ServeOutcome {
-                    seed: entry.request.seed,
-                    result: Err(error),
-                    latency: entry.submitted.elapsed(),
-                    attempts,
-                    checkpoint: slot,
-                };
-            }
+            result => break result,
         }
+    };
+    ServeOutcome {
+        seed: request.seed,
+        checkpoint: slot.filter(|_| result.is_err()),
+        result,
+        latency: entry.submitted.elapsed(),
+        attempts,
     }
 }
 
@@ -1337,56 +1130,77 @@ mod tests {
 
     #[test]
     fn breaker_opens_sheds_and_probes_back() {
-        let shared = SharedQueue {
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                next_ticket: 0,
-                closed: false,
-                aborted: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            depth: 4,
-            admission: AdmissionPolicy::Reject,
-            breaker: Some(Mutex::new(Breaker::new(2, Duration::from_millis(20)))),
-            shutdown: CancelToken::new(),
+        let mut ledger = Ledger::<u32>::new(
+            &ServiceConfig::default()
+                .queue_depth(4)
+                .admission(AdmissionPolicy::Reject)
+                .breaker(2, Duration::from_millis(20)),
+        );
+        let mut now = Instant::now();
+        // Submits one query at `now`.
+        let admit = |ledger: &mut Ledger<u32>, now| match ledger.submit(QueryRequest::new(0), now) {
+            Admission::Admitted(ticket) => Ok(ticket),
+            Admission::Refused(error) => Err(error),
+            Admission::Full(_) => panic!("a Reject ledger never waits"),
+        };
+        // Serves the oldest admitted query to a final outcome at `now`.
+        let record = |ledger: &mut Ledger<u32>, panicked: bool, now| {
+            let Turn::Run(entry) = ledger.next(now) else {
+                panic!("no admitted query to serve");
+            };
+            let error = if panicked {
+                SimdxError::WorkerPanicked {
+                    worker: 0,
+                    payload: String::new(),
+                }
+            } else {
+                SimdxError::OnlineOverflow { iteration: 0 }
+            };
+            let outcome = ServeOutcome {
+                seed: 0,
+                result: Err(error),
+                latency: Duration::ZERO,
+                attempts: 1,
+                checkpoint: None,
+            };
+            ledger.finish(entry.ticket, outcome, now);
         };
         // Healthy: admits freely; one panic is below threshold.
-        assert!(shared.breaker_admit().is_ok());
-        shared.breaker_record(true);
-        assert!(shared.breaker_admit().is_ok());
+        assert!(admit(&mut ledger, now).is_ok());
+        record(&mut ledger, true, now);
+        assert!(admit(&mut ledger, now).is_ok());
         // Second consecutive panic trips the threshold: open, shedding
         // with a retry-after hint.
-        shared.breaker_record(true);
-        match shared.breaker_admit() {
+        record(&mut ledger, true, now);
+        match admit(&mut ledger, now) {
             Err(SimdxError::Unavailable { retry_after }) => {
                 assert!(retry_after <= Duration::from_millis(20));
             }
             other => panic!("expected Unavailable, got {other:?}"),
         }
         // A success between panics resets the consecutive count.
-        std::thread::sleep(Duration::from_millis(25));
+        now += Duration::from_millis(25);
         // Cooldown elapsed: half-open admits exactly one probe...
-        assert!(shared.breaker_admit().is_ok());
+        assert!(admit(&mut ledger, now).is_ok());
         // ...and sheds everything else while the probe is pending.
         assert!(matches!(
-            shared.breaker_admit(),
+            admit(&mut ledger, now),
             Err(SimdxError::Unavailable { .. })
         ));
         // Probe panicking reopens for a fresh cooldown.
-        shared.breaker_record(true);
+        record(&mut ledger, true, now);
         assert!(matches!(
-            shared.breaker_admit(),
+            admit(&mut ledger, now),
             Err(SimdxError::Unavailable { .. })
         ));
-        std::thread::sleep(Duration::from_millis(25));
+        now += Duration::from_millis(25);
         // Probe succeeding closes the breaker again.
-        assert!(shared.breaker_admit().is_ok());
-        shared.breaker_record(false);
-        assert!(shared.breaker_admit().is_ok());
-        shared.breaker_record(true);
+        assert!(admit(&mut ledger, now).is_ok());
+        record(&mut ledger, false, now);
+        assert!(admit(&mut ledger, now).is_ok());
+        record(&mut ledger, true, now);
         assert!(
-            shared.breaker_admit().is_ok(),
+            admit(&mut ledger, now).is_ok(),
             "count restarted after close"
         );
     }

@@ -40,6 +40,11 @@
 //!   library crates. Ratcheted like `[panic-free]`: the baseline pins
 //!   each file's count, so a change that grows the public or unsafe
 //!   surface shows it in the baseline's diff.
+//! * **[arity-allow]** — no `allow(clippy::too_many_arguments)` (nor
+//!   `expect(…)`) in the non-test code of the library crates.
+//!   `simdx_core` forbids that lint, but only clippy checks a clippy
+//!   lint's `forbid`, so plain `cargo build` accepts the `allow`; this
+//!   rule puts the ban in tier-1 too.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -169,6 +174,7 @@ const PANIC_FREE_HOT: &[&str] = &[
     "crates/core/src/jit.rs",
     "crates/core/src/checkpoint.rs",
     "crates/core/src/service.rs",
+    "crates/core/src/service/ledger.rs",
     "crates/core/src/persist.rs",
 ];
 
@@ -456,6 +462,7 @@ pub fn check_file(fc: &FileCheck<'_>) -> Vec<Finding> {
     rule_atomic_facade(fc, &mut out);
     rule_panic_free(fc, &mut out);
     rule_surface(fc, &mut out);
+    rule_arity_allow(fc, &mut out);
     out
 }
 
@@ -716,6 +723,48 @@ fn rule_surface(fc: &FileCheck<'_>, out: &mut Vec<Finding>) {
     }
 }
 
+/// [arity-allow].
+fn rule_arity_allow(fc: &FileCheck<'_>, out: &mut Vec<Finding>) {
+    if !Policy::surface_scoped(&fc.path) {
+        return;
+    }
+    for i in 3..fc.toks.len() {
+        if fc.in_test[i]
+            || !fc.is_ident(i, "too_many_arguments")
+            || !fc.is_path_sep(i - 2)
+            || !fc.is_ident(i - 3, "clippy")
+        {
+            continue;
+        }
+        // The lint level is the ident before the innermost `(` left
+        // open around the lint's path.
+        let mut depth = 0usize;
+        let mut level = None;
+        for j in (1..i - 3).rev() {
+            match fc.toks[j].kind {
+                TokKind::Punct(')') => depth += 1,
+                TokKind::Punct('(') if depth == 0 => {
+                    level = Some(fc.text(j - 1));
+                    break;
+                }
+                TokKind::Punct('(') => depth -= 1,
+                _ => {}
+            }
+        }
+        if let Some(level @ ("allow" | "expect")) = level {
+            out.push(finding(
+                fc,
+                i,
+                "arity-allow",
+                format!(
+                    "`{level}(clippy::too_many_arguments)` in library code (give the function \
+                     a context struct instead; only clippy checks the crate's forbid)"
+                ),
+            ));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -928,6 +977,42 @@ let b = r#"unsafe { }"#;
             surface("crates/core/src/x.rs", "// pub unsafe\nlet s = \"pub\";"),
             0
         );
+    }
+
+    #[test]
+    fn allowing_too_many_arguments_fails_in_library_code() {
+        for bad in [
+            "#[allow(clippy::too_many_arguments)]\nfn f() {}",
+            "#[allow(dead_code, clippy::too_many_arguments)]\nfn f() {}",
+            "#[cfg_attr(feature = \"x\", expect(clippy::too_many_arguments))]\nfn f() {}",
+            "#![allow(clippy::too_many_arguments)]",
+        ] {
+            let f = check("crates/core/src/engine.rs", bad);
+            assert_eq!(f.len(), 1, "expected one finding for {bad:?}");
+            assert_eq!(f[0].rule, "arity-allow");
+        }
+        // The crate's forbid, test modules, non-library code and
+        // comments are fine.
+        for (path, ok) in [
+            (
+                "crates/core/src/lib.rs",
+                "#![forbid(clippy::too_many_arguments)]",
+            ),
+            (
+                "crates/core/src/engine.rs",
+                "#[cfg(test)]\nmod tests { #[allow(clippy::too_many_arguments)] fn f() {} }",
+            ),
+            (
+                "crates/bench/src/bin/simdx.rs",
+                "#[allow(clippy::too_many_arguments)]\nfn f() {}",
+            ),
+            (
+                "crates/graph/src/csr.rs",
+                "// #[allow(clippy::too_many_arguments)]\nfn f() {}",
+            ),
+        ] {
+            assert!(check(path, ok).is_empty(), "{path}: {ok:?}");
+        }
     }
 
     #[test]
