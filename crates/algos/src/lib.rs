@@ -35,6 +35,8 @@
 //! assert_eq!(batch[0].meta, result.meta);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bfs;
 pub mod bp;
 pub mod kcore;

@@ -23,6 +23,8 @@
 //! [`feasibility`] encodes the paper-scale out-of-memory and
 //! non-convergence rules behind Table 4's blank cells.
 
+#![forbid(unsafe_code)]
+
 mod batch;
 pub mod cpu;
 pub mod cusha;

@@ -5,6 +5,8 @@
 //! system runners and the plain-text table printer they share. Each
 //! binary's module doc names the table or figure it regenerates.
 
+#![forbid(unsafe_code)]
+
 use simdx_algos::{bfs::Bfs, kcore::KCore, pagerank::PageRank, sssp::Sssp};
 use simdx_baselines::cpu::{galois, ligra};
 use simdx_baselines::cusha::{CushaConfig, CushaEngine};

@@ -24,8 +24,8 @@
 //! [`metrics`] and [`error`]. [`jit`] exports the per-iteration
 //! record an observer sees and [`fusion`] the register model the
 //! Table 2 bin prints. The task-management internals — worklists,
-//! thread bins, the changed set (`frontier`), the online and ballot
-//! filters (`filters`) and the atomic facade (`sync`) — are private.
+//! thread bins, the changed set (`frontier`) and the online and ballot
+//! filters (`filters`) — are private.
 //!
 //! Three modules stay public for callers that import them by path:
 //! [`par`] for `WorkerPool::{new, run}` (the benchmark's empty-epoch
@@ -98,6 +98,10 @@
 // `allow` (E0453); plain `rustc` does not check clippy's lints, so
 // simdx-lint's `[arity-allow]` rule reports the `allow` in tier-1.
 #![forbid(clippy::too_many_arguments)]
+// Unsafe code lives in `par` alone (the disjoint slice shards and the
+// job's lifetime erasure, each under a `// SAFETY:` argument); anywhere
+// else it is a compile error.
+#![deny(unsafe_code)]
 
 pub mod acc;
 pub mod checkpoint;
@@ -109,30 +113,14 @@ mod frontier;
 pub mod fusion;
 pub mod jit;
 pub mod metrics;
+#[allow(unsafe_code)]
 pub mod par;
 pub mod persist;
-// Only the interleaving harness reaches the pools (re-exported below,
-// `--features model`); in every other build they stay private.
-#[cfg_attr(not(feature = "model"), allow(unreachable_pub))]
 mod pool;
 mod scratch;
 pub mod service;
 pub mod session;
 pub mod supervise;
-// Public only to the interleaving harness, which reads the atomic
-// operation counter of the instrumented facade.
-#[cfg(feature = "model")]
-pub mod sync;
-#[cfg(not(feature = "model"))]
-mod sync;
-
-// The deterministic interleaving harness (`tests/model_interleave.rs`
-// at the workspace root, `--features model`) drives the internal pools
-// and the service breaker through explicitly enumerated schedules.
-#[cfg(feature = "model")]
-pub use pool::{PoolLease, PoolStash, MAX_IDLE_POOLS};
-#[cfg(feature = "model")]
-pub use service::Breaker;
 
 pub use acc::{AccProgram, CombineKind, DirectionCtx, SourcedProgram};
 pub use checkpoint::{RunAborted, RunCheckpoint};

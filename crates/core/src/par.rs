@@ -52,9 +52,8 @@
 //! poisoning to the query that caused it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-use crate::sync::{Arc, Condvar, Mutex};
 
 /// A contained panic from one pool worker: the typed form of what used
 /// to be a process abort. Converts into
@@ -355,7 +354,7 @@ pub(crate) struct SliceShards<'a, T> {
     /// `&mut` — [`Self::shard`] asserts against it in debug builds
     /// (release builds keep the zero-cost contract).
     #[cfg(debug_assertions)]
-    claimed: crate::sync::atomic::AtomicU64,
+    claimed: std::sync::atomic::AtomicU64,
 }
 
 // SAFETY: shards are disjoint; cross-thread handoff of &mut T ranges is
@@ -375,7 +374,7 @@ impl<'a, T> SliceShards<'a, T> {
             len: slice.len(),
             bounds,
             #[cfg(debug_assertions)]
-            claimed: crate::sync::atomic::AtomicU64::new(0),
+            claimed: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -419,7 +418,7 @@ impl<'a, T> SliceShards<'a, T> {
             // clear bit regardless of memory ordering.
             let prev = self
                 .claimed
-                .fetch_or(1 << w, crate::sync::atomic::Ordering::Relaxed);
+                .fetch_or(1 << w, std::sync::atomic::Ordering::Relaxed);
             debug_assert!(
                 prev & (1 << w) == 0,
                 "shard {w} handed out twice from one SliceShards"

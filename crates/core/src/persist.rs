@@ -939,7 +939,7 @@ pub(crate) fn load<M: PersistMeta>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn sample(ticket: u64) -> DurableCheckpoint<u32> {
         DurableCheckpoint {

@@ -24,8 +24,7 @@
 //! [`PoisonError::into_inner`]).
 
 use std::ops::Deref;
-
-use crate::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::par::WorkerPool;
 
@@ -33,10 +32,10 @@ use crate::par::WorkerPool;
 /// still succeed (they spawn), but check-ins beyond it drop the pool —
 /// a burst of concurrent queries does not permanently pin its
 /// high-water mark of OS threads.
-pub const MAX_IDLE_POOLS: usize = 8;
+pub(crate) const MAX_IDLE_POOLS: usize = 8;
 
 /// A stash of idle [`WorkerPool`]s of one width; see the module docs.
-pub struct PoolStash {
+pub(crate) struct PoolStash {
     width: usize,
     idle: Mutex<Vec<WorkerPool>>,
 }
@@ -54,7 +53,7 @@ impl PoolStash {
     /// A stash handing out pools presenting `width` workers each. A
     /// width of 1 is the serial runtime: [`Self::checkout`] returns
     /// `None` and no OS thread is ever spawned.
-    pub fn new(width: usize) -> Self {
+    pub(crate) fn new(width: usize) -> Self {
         Self {
             width: width.max(1),
             idle: Mutex::new(Vec::new()),
@@ -62,7 +61,7 @@ impl PoolStash {
     }
 
     /// The worker count of every pool this stash hands out.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
@@ -74,7 +73,7 @@ impl PoolStash {
     /// an idle pool or spawns a fresh one of the stash width. `None`
     /// iff this is a serial (width 1) stash. Dropping the lease checks
     /// the pool back in; a poisoned pool is discarded there.
-    pub fn checkout(&self) -> Option<PoolLease<'_>> {
+    pub(crate) fn checkout(&self) -> Option<PoolLease<'_>> {
         if self.width <= 1 {
             return None;
         }
@@ -89,10 +88,8 @@ impl PoolStash {
     }
 
     /// Idle (checked-in) pools currently retained.
-    // Exercised by this module's tests and (via the `model` re-export)
-    // the workspace interleaving harness; unused in production builds.
-    #[cfg_attr(not(feature = "model"), allow(dead_code))]
-    pub fn idle_pools(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn idle_pools(&self) -> usize {
         self.lock().len()
     }
 }
@@ -100,7 +97,7 @@ impl PoolStash {
 /// A checked-out [`WorkerPool`]; derefs to the pool and checks it back
 /// in on drop (unless poisoned — then the pool is dropped, joining its
 /// threads, and the next checkout spawns a replacement).
-pub struct PoolLease<'a> {
+pub(crate) struct PoolLease<'a> {
     stash: &'a PoolStash,
     pool: Option<WorkerPool>,
 }
@@ -136,6 +133,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simdx_lint::model::Schedules;
 
     #[test]
     fn serial_stash_never_hands_out_pools() {
@@ -188,6 +186,55 @@ mod tests {
         let fresh = stash.checkout().expect("replacement spawned");
         assert!(!fresh.is_poisoned());
         fresh.run(&|_| {});
+    }
+
+    /// One thread checks a pool out, poisons it (a contained worker
+    /// panic) and returns it; two others check out and return healthy
+    /// pools. Under every interleaving of those steps no checkout sees a
+    /// poisoned pool and the idle inventory keeps at most the two
+    /// healthy ones.
+    #[test]
+    fn pool_stash_never_hands_out_poison_under_all_interleavings() {
+        // T0: checkout, poison, drop. T1 and T2: checkout, drop.
+        const COUNTS: [usize; 3] = [3, 2, 2];
+        assert_eq!(Schedules::count(&COUNTS), 210);
+        let mut schedules = 0;
+        for schedule in Schedules::new(&COUNTS) {
+            let stash = PoolStash::new(2);
+            let mut pc = [0usize; 3];
+            let mut leases: [Option<PoolLease<'_>>; 3] = [None, None, None];
+            for &t in &schedule {
+                let step = pc[t];
+                pc[t] += 1;
+                match (t, step) {
+                    (_, 0) => {
+                        let lease = stash.checkout().expect("width-2 stash always leases");
+                        assert!(
+                            !lease.is_poisoned(),
+                            "a poisoned pool was handed out (schedule {schedule:?})"
+                        );
+                        leases[t] = Some(lease);
+                    }
+                    (0, 1) => {
+                        let lease = leases[0].as_ref().expect("T0 checked out in step 0");
+                        assert!(lease.try_run(&|_| panic!("injected")).is_err());
+                        assert!(lease.is_poisoned(), "the panic poisons the pool");
+                    }
+                    // Drop = check-in, or discard if poisoned.
+                    (0, 2) | (1, 1) | (2, 1) => leases[t] = None,
+                    _ => unreachable!("schedule exceeds a thread's step budget"),
+                }
+            }
+            // From 0 idle (everyone reused the one pool T0 then poisoned)
+            // to 2 (three distinct pools, one discarded); never the
+            // poisoned one.
+            let idle = stash.idle_pools();
+            assert!(idle <= 2, "schedule {schedule:?} left {idle} idle");
+            let again = stash.checkout().expect("width-2 stash always leases");
+            assert!(!again.is_poisoned());
+            schedules += 1;
+        }
+        assert_eq!(schedules, 210, "full enumeration, no early exit");
     }
 
     #[test]

@@ -124,9 +124,8 @@
 //! # Ok::<(), SimdxError>(())
 //! ```
 
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use crate::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::acc::SourcedProgram;
 use crate::checkpoint::RunCheckpoint;
@@ -136,7 +135,6 @@ use crate::persist::{self, CheckpointStore, DurableCheckpoint, PersistMeta};
 use crate::scratch::IterScratch;
 use crate::session::{BoundGraph, Query};
 use crate::supervise::CancelToken;
-use crate::sync::Arc;
 use simdx_graph::VertexId;
 
 mod ledger;
@@ -554,12 +552,12 @@ impl<M: Copy> ServeReport<M> {
 /// probe in flight) when `probing`.
 ///
 /// [`QueryPool`] holds one inside its submission ledger, which passes
-/// time in; every transition takes the clock as an argument, so the
-/// deterministic interleaving harness (`tests/model_interleave.rs`)
-/// drives the same machine through enumerated schedules and synthetic
-/// clocks — no wall-clock read hides inside a transition.
+/// time in; every transition takes the clock as an argument, so this
+/// module's `breaker_*_under_all_interleavings` tests drive the same
+/// machine through enumerated schedules and synthetic clocks — no
+/// wall-clock read hides inside a transition.
 #[derive(Debug)]
-pub struct Breaker {
+pub(crate) struct Breaker {
     /// Consecutive worker-panic final outcomes observed while closed.
     consecutive: u32,
     /// When the breaker last opened; `None` = closed.
@@ -577,7 +575,7 @@ impl Breaker {
     /// A closed breaker opening after `threshold` consecutive
     /// worker-panic outcomes and shedding for `cooldown` before each
     /// half-open probe.
-    pub fn new(threshold: u32, cooldown: Duration) -> Self {
+    pub(crate) fn new(threshold: u32, cooldown: Duration) -> Self {
         Self {
             consecutive: 0,
             opened_at: None,
@@ -589,7 +587,7 @@ impl Breaker {
 
     /// Admission gate: `Ok(())` admits the submission (possibly as the
     /// half-open probe), `Err(retry_after)` sheds it.
-    pub fn admit(&mut self, now: Instant) -> Result<(), Duration> {
+    pub(crate) fn admit(&mut self, now: Instant) -> Result<(), Duration> {
         if let Some(opened) = self.opened_at {
             let elapsed = now.saturating_duration_since(opened);
             if elapsed < self.cooldown {
@@ -608,7 +606,7 @@ impl Breaker {
     /// Feeds one query's *final* outcome into the machine: `panicked`
     /// means a worker-panic outcome (the only failure kind that speaks
     /// to service health).
-    pub fn record(&mut self, panicked: bool, now: Instant) {
+    pub(crate) fn record(&mut self, panicked: bool, now: Instant) {
         if panicked {
             self.consecutive += 1;
             if self.probing || self.consecutive >= self.threshold {
@@ -627,7 +625,7 @@ impl Breaker {
 
     /// Whether a submission at `now` would be shed (open and still
     /// cooling, or half-open with the probe outstanding).
-    pub fn is_shedding(&self, now: Instant) -> bool {
+    pub(crate) fn is_shedding(&self, now: Instant) -> bool {
         match self.opened_at {
             None => false,
             Some(opened) => now.saturating_duration_since(opened) < self.cooldown || self.probing,
@@ -1061,6 +1059,7 @@ fn serve_one<P: SourcedProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simdx_lint::model::Schedules;
 
     #[test]
     fn service_config_validates_and_composes() {
@@ -1178,7 +1177,6 @@ mod tests {
             }
             other => panic!("expected Unavailable, got {other:?}"),
         }
-        // A success between panics resets the consecutive count.
         now += Duration::from_millis(25);
         // Cooldown elapsed: half-open admits exactly one probe...
         assert!(admit(&mut ledger, now).is_ok());
@@ -1203,6 +1201,88 @@ mod tests {
             admit(&mut ledger, now).is_ok(),
             "count restarted after close"
         );
+        // A success between panics resets the consecutive count.
+        record(&mut ledger, false, now);
+        assert!(admit(&mut ledger, now).is_ok());
+        record(&mut ledger, true, now);
+        assert!(
+            admit(&mut ledger, now).is_ok(),
+            "panic, success, panic is not two in a row"
+        );
+    }
+
+    /// One thread feeds worker-panic outcomes, the other submits. Under
+    /// every interleaving each submission is admitted exactly while the
+    /// threshold has not yet been reached.
+    #[test]
+    fn breaker_trips_exactly_at_threshold_under_all_interleavings() {
+        const COUNTS: [usize; 2] = [2, 2]; // T0: record(panic) ×2, T1: admit ×2
+        assert_eq!(Schedules::count(&COUNTS), 6);
+        let cooldown = Duration::from_millis(100);
+        let t0 = Instant::now();
+        let mut schedules = 0;
+        for schedule in Schedules::new(&COUNTS) {
+            let mut breaker = Breaker::new(2, cooldown);
+            let mut panics = 0;
+            for &t in &schedule {
+                if t == 0 {
+                    breaker.record(true, t0);
+                    panics += 1;
+                } else {
+                    assert_eq!(
+                        breaker.admit(t0).is_ok(),
+                        panics < 2,
+                        "schedule {schedule:?}, {panics} panics in"
+                    );
+                }
+            }
+            assert!(breaker.is_shedding(t0), "threshold reached by drain time");
+            assert!(
+                !breaker.is_shedding(t0 + cooldown + Duration::from_millis(1)),
+                "cooled down into half-open, which admits a probe"
+            );
+            schedules += 1;
+        }
+        assert_eq!(schedules, 6, "full enumeration, no early exit");
+    }
+
+    /// With the breaker open and cooled down, two submitters race. Under
+    /// every interleaving exactly one is admitted as the probe, whose
+    /// outcome then reopens (panic) or closes (success) the breaker.
+    #[test]
+    fn breaker_half_open_admits_exactly_one_probe_under_all_interleavings() {
+        const COUNTS: [usize; 2] = [2, 2]; // two submitters, two attempts each
+        assert_eq!(Schedules::count(&COUNTS), 6);
+        let cooldown = Duration::from_millis(100);
+        let t0 = Instant::now();
+        let t1 = t0 + cooldown + Duration::from_millis(1);
+        let mut schedules = 0;
+        for (si, schedule) in Schedules::new(&COUNTS).enumerate() {
+            let mut breaker = Breaker::new(2, cooldown);
+            breaker.record(true, t0);
+            breaker.record(true, t0); // open at t0
+            assert!(breaker.is_shedding(t1 - Duration::from_millis(2)));
+            let mut admitted = 0;
+            for _ in &schedule {
+                // Both submitters run the same step: only the count matters.
+                if breaker.admit(t1).is_ok() {
+                    admitted += 1;
+                }
+            }
+            assert_eq!(admitted, 1, "exactly one probe (schedule {schedule:?})");
+            // Alternate the probe's fate to cover both transitions.
+            if si % 2 == 0 {
+                breaker.record(false, t1);
+                assert!(breaker.admit(t1).is_ok(), "closed breaker admits");
+                assert!(!breaker.is_shedding(t1));
+            } else {
+                breaker.record(true, t1);
+                assert!(breaker.admit(t1).is_err(), "reopened breaker sheds");
+                assert!(breaker.is_shedding(t1 + Duration::from_millis(1)));
+            }
+            schedules += 1;
+        }
+        assert_eq!(schedules, 6, "full enumeration, no early exit");
     }
 
     #[test]

@@ -112,6 +112,7 @@
 //! # Ok::<(), SimdxError>(())
 //! ```
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use crate::acc::{AccProgram, SourcedProgram};
@@ -125,7 +126,6 @@ use crate::par::payload_string;
 use crate::pool::PoolStash;
 use crate::scratch::IterScratch;
 use crate::supervise::{CancelToken, Supervisor};
-use crate::sync::{Mutex, MutexGuard, PoisonError};
 use simdx_graph::{Graph, VertexId};
 
 /// Idle scratch arenas a [`Runtime`] retains. Bursts of concurrent

@@ -40,10 +40,9 @@
 //! deadline is measured from *submission*: time spent queued shrinks
 //! the in-engine allowance.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::Arc;
 
 use crate::error::SimdxError;
 
@@ -79,8 +78,8 @@ impl CancelToken {
         // ordering to sequence. Observers only need eventual visibility
         // (the next supervision check or the one after), and the store
         // is sticky/monotone, so Relaxed cannot lose or reorder a
-        // cancellation. Validated under enumerated interleavings by
-        // `tests/model_interleave.rs` (cancel_token scenarios).
+        // cancellation. Checked under every interleaving of cancels
+        // and polls by `cancel_token_flag_is_sticky_under_all_interleavings`.
         self.flag.store(true, Ordering::Relaxed);
     }
 
@@ -281,6 +280,43 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simdx_lint::model::Schedules;
+
+    /// One thread issues (idempotent) cancels, the other polls. Under
+    /// every interleaving of those steps the observed flag sequence is
+    /// monotone, and any poll scheduled after the first cancel sees it.
+    #[test]
+    fn cancel_token_flag_is_sticky_under_all_interleavings() {
+        const COUNTS: [usize; 2] = [2, 3]; // T0: cancel ×2, T1: poll ×3
+        assert_eq!(Schedules::count(&COUNTS), 10);
+        let mut schedules = 0;
+        for schedule in Schedules::new(&COUNTS) {
+            let token = CancelToken::new();
+            let mut cancelled_steps = 0usize;
+            let mut observations: Vec<bool> = Vec::new();
+            for &t in &schedule {
+                if t == 0 {
+                    token.cancel();
+                    cancelled_steps += 1;
+                } else {
+                    let seen = token.is_cancelled();
+                    assert_eq!(
+                        seen,
+                        cancelled_steps > 0,
+                        "a poll after the first cancel must see it (schedule {schedule:?})"
+                    );
+                    observations.push(seen);
+                }
+            }
+            assert!(
+                observations.windows(2).all(|w| w[0] <= w[1]),
+                "cancellation is sticky (schedule {schedule:?} saw {observations:?})"
+            );
+            assert!(token.is_cancelled(), "all cancels ran by drain time");
+            schedules += 1;
+        }
+        assert_eq!(schedules, 10, "full enumeration, no early exit");
+    }
 
     #[test]
     fn token_is_shared_and_sticky() {

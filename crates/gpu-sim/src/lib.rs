@@ -22,6 +22,8 @@
 //! where crossovers fall); the [`cost`] module doc names the ratios the
 //! constants are chosen to keep.
 
+#![forbid(unsafe_code)]
+
 pub mod barrier;
 pub mod cost;
 pub(crate) mod device;

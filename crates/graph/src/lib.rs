@@ -20,6 +20,8 @@
 //! assert!(est > 50, "road networks are high-diameter, got {est}");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod csr;
 pub mod datasets;
 pub(crate) mod edgelist;

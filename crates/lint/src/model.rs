@@ -7,11 +7,10 @@
 //! multinomial coefficient `(Σcounts)! / Π(counts[i]!)`, so small step
 //! vectors already give real coverage: `[3, 2, 2]` → 210 schedules.
 //!
-//! The harness in `tests/model_interleave.rs` replays each schedule
-//! against the real `simdx_core` primitives (built with the `model`
-//! feature so `crate::sync::atomic` routes through counting shims) and
-//! asserts the scenario's invariants hold under **every** interleaving,
-//! not just the ones the OS scheduler happens to produce.
+//! `simdx_core`'s `*_under_all_interleavings` unit tests and its
+//! service ledger's call-order test replay each schedule against the
+//! real types and assert the scenario's invariants hold under **every**
+//! interleaving, not just the ones the OS scheduler happens to produce.
 //!
 //! This is exhaustive enumeration over a bounded step budget — the
 //! honest, dependency-free core of what `loom` does, without its state

@@ -27,9 +27,6 @@
 //!   binaries, the lint tool and tests: the engine loop and the rest
 //!   of the serving tier must stay filesystem-free so runs are
 //!   deterministic and sandboxable.
-//! * **[atomic-facade]** — `simdx_core` imports atomics through
-//!   `crate::sync`, never `std::sync::atomic` directly, so the `model`
-//!   feature can interpose its instrumented shims.
 //! * **[panic-free]** — no `unwrap()` / `expect()` / `panic!`-family
 //!   macros in the non-test code of the core hot-path modules. Existing
 //!   debt is pinned by the ratchet baseline (`crates/lint/baseline.txt`);
@@ -128,12 +125,6 @@ impl Policy {
             || path.starts_with("crates/bench/")
             || path.starts_with("crates/lint/")
             || Self::is_test_file(path)
-    }
-
-    /// [atomic-facade] scope: `simdx_core` sources except the facade
-    /// itself.
-    pub fn facade_scoped(path: &str) -> bool {
-        path.starts_with("crates/core/src/") && path != "crates/core/src/sync.rs"
     }
 
     /// Rules whose findings are pinned per file by the ratchet baseline
@@ -459,7 +450,6 @@ pub fn check_file(fc: &FileCheck<'_>) -> Vec<Finding> {
     rule_ordering(fc, &mut out);
     rule_env_clock(fc, &mut out);
     rule_io_confined(fc, &mut out);
-    rule_atomic_facade(fc, &mut out);
     rule_panic_free(fc, &mut out);
     rule_surface(fc, &mut out);
     rule_arity_allow(fc, &mut out);
@@ -624,33 +614,6 @@ fn rule_io_confined(fc: &FileCheck<'_>, out: &mut Vec<Finding>) {
                     "std::{module} access outside persist/bench/lint/tests breaks the \
                      determinism contract (route persistence through a CheckpointStore)"
                 ),
-            ));
-        }
-    }
-}
-
-/// [atomic-facade].
-fn rule_atomic_facade(fc: &FileCheck<'_>, out: &mut Vec<Finding>) {
-    if !Policy::facade_scoped(&fc.path) {
-        return;
-    }
-    for i in 0..fc.toks.len() {
-        if fc.in_test[i] {
-            continue;
-        }
-        if fc.is_ident(i, "std")
-            && fc.is_path_sep(i + 1)
-            && fc.is_ident(i + 3, "sync")
-            && fc.is_path_sep(i + 4)
-            && fc.is_ident(i + 6, "atomic")
-        {
-            out.push(finding(
-                fc,
-                i,
-                "atomic-facade",
-                "simdx_core must import atomics via crate::sync (the model feature interposes \
-                 instrumented shims there)"
-                    .to_string(),
             ));
         }
     }
@@ -924,17 +887,6 @@ let b = r#"unsafe { }"#;
         assert!(check("crates/core/src/engine.rs", test_mod).is_empty());
         let comment = "// std::io::Error is not Clone.\nfn f() {}";
         assert!(check("crates/core/src/error.rs", comment).is_empty());
-    }
-
-    #[test]
-    fn facade_rule_fires_only_in_core() {
-        let src = "use std::sync::atomic::AtomicU64;";
-        assert_eq!(
-            check("crates/core/src/engine.rs", src)[0].rule,
-            "atomic-facade"
-        );
-        assert!(check("crates/baselines/src/cpu/ligra.rs", src).is_empty());
-        assert!(check("crates/core/src/sync.rs", src).is_empty());
     }
 
     #[test]
